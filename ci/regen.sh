@@ -2,6 +2,7 @@
 # Regenerate every checked-in deterministic baseline in one command:
 #
 #   ci/smoke-counters.txt   probe/span/series counters of the smoke run
+#   ci/faults-digest.txt    fault-matrix probe digest at the default seed
 #   ci/lint-waivers.txt     saturn-lint waiver inventory (the ratchet)
 #   BENCH_smoke.json        smoke-run headline numbers (saturn-bench-smoke/1)
 #   BENCH_engine.json       per-tier engine speed (saturn-bench-engine/1)
@@ -46,6 +47,8 @@ step "(build)" dune build bin bench
 
 step ci/smoke-counters.txt \
   dune exec bin/saturn_cli.exe -- obs --counters-out ci/smoke-counters.txt > /dev/null
+step ci/faults-digest.txt \
+  dune exec bin/saturn_cli.exe -- faults --digest-out ci/faults-digest.txt > /dev/null
 step BENCH_smoke.json \
   dune exec bench/main.exe -- smoke --bench-out BENCH_smoke.json > /dev/null
 step BENCH_engine.json \
@@ -57,4 +60,4 @@ step ci/lint-waivers.txt \
 
 echo
 echo "regenerated baselines:"
-git --no-pager diff --stat -- ci/smoke-counters.txt ci/lint-waivers.txt BENCH_smoke.json BENCH_engine.json BENCH_shootout.json
+git --no-pager diff --stat -- ci/smoke-counters.txt ci/faults-digest.txt ci/lint-waivers.txt BENCH_smoke.json BENCH_engine.json BENCH_shootout.json

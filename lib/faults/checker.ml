@@ -12,9 +12,6 @@ type report = {
 }
 
 let analyze probe =
-  let events = Sim.Probe.events probe in
-  if events = [] && Sim.Probe.count probe > 0 then
-    invalid_arg "Faults.Checker.analyze: probe was created with ~keep:false";
   let violations = ref [] in
   let flag at what = violations := { at; what } :: !violations in
   (* (epoch, serializer, origin) -> last committed per-origin seq; epoch-2
@@ -53,8 +50,9 @@ let analyze probe =
   and switches = ref 0 in
   (* the event loop pops its keyed heap in (time, scheduling-seq) order, so
      the step stream must be strictly increasing under that lexicographic
-     key — anything else means the engine replayed or reordered work *)
-  let last_step : (int * int) option ref = ref None in
+     key — anything else means the engine replayed or reordered work.
+     Kept as two ints and a flag: an option would allocate per step *)
+  let step_seen = ref false and last_us = ref 0 and last_seq = ref 0 in
   (* every delivered or dropped message was first sent: the running link
      conservation law [delivers + drops <= sends] *)
   let link_sends = ref 0 and link_delivers = ref 0 and link_drops = ref 0 in
@@ -70,19 +68,18 @@ let analyze probe =
   (* epochs announced by Switch_begin; (dc, epoch) pairs already done *)
   let switch_epochs : (int, unit) Hashtbl.t = Hashtbl.create 4 in
   let switch_done : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (at, ev) ->
+  Sim.Probe.iter probe (fun at ev ->
       match (ev : Sim.Probe.event) with
       | Sim.Probe.Engine_step { seq } ->
         let us = Sim.Time.to_us at in
-        (match !last_step with
-        | Some (pus, pseq) when us < pus || (us = pus && seq <= pseq) ->
+        if !step_seen && (us < !last_us || (us = !last_us && seq <= !last_seq)) then
           flag at
             (Printf.sprintf
                "event loop order regression: step (t=%dus, seq %d) after (t=%dus, seq %d)" us seq
-               pus pseq)
-        | _ -> ());
-        last_step := Some (us, seq)
+               !last_us !last_seq);
+        step_seen := true;
+        last_us := us;
+        last_seq := seq
       | Sim.Probe.Link_send { size_bytes } ->
         incr link_sends;
         if size_bytes < 0 then
@@ -172,8 +169,7 @@ let analyze probe =
       | Sim.Probe.Switch_begin { epoch; graceful = _ } ->
         incr switches;
         Hashtbl.replace switch_epochs epoch ()
-      | _ -> ())
-    events;
+      | _ -> ());
   {
     violations = List.rev !violations;
     commits = !commits;

@@ -52,19 +52,15 @@ let write probe oc =
   (* metadata: name every track that appears, sorted for determinism *)
   let tids = Hashtbl.create 16 in
   List.iter (fun (s, _, _) -> Hashtbl.replace tids (track s) ()) spans;
-  List.iter
-    (fun (_, ev) ->
-      match instant_event Sim.Time.zero ev with
-      | Some _ -> (
-        match ev with
-        | Sim.Probe.Sink_emit { dc; _ } | Sim.Probe.Proxy_apply { dc; _ } | Sim.Probe.Stab_round { dc; _ }
-          ->
-          Hashtbl.replace tids (sites_pid, dc) ()
-        | Sim.Probe.Ser_commit { ser; _ } | Sim.Probe.Head_change { ser } ->
-          Hashtbl.replace tids (serializers_pid, ser) ()
-        | _ -> ())
-      | None -> ())
-    (Sim.Probe.events probe);
+  (* exactly the events [instant_event] draws, on the tracks it draws them *)
+  Sim.Probe.iter probe (fun _ ev ->
+      match ev with
+      | Sim.Probe.Sink_emit { dc; _ } | Sim.Probe.Proxy_apply { dc; _ } | Sim.Probe.Stab_round { dc; _ }
+        ->
+        Hashtbl.replace tids (sites_pid, dc) ()
+      | Sim.Probe.Ser_commit { ser; _ } | Sim.Probe.Head_change { ser } ->
+        Hashtbl.replace tids (serializers_pid, ser) ()
+      | _ -> ());
   let tracks = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tids []) in
   let buf = Buffer.create 4096 in
   let first = ref true in
@@ -87,9 +83,8 @@ let write probe oc =
            pid tid name))
     tracks;
   List.iter (fun (s, t0, t1) -> push (x_event s t0 t1)) spans;
-  List.iter
-    (fun (at, ev) -> match instant_event at ev with Some line -> push line | None -> ())
-    (Sim.Probe.events probe);
+  Sim.Probe.iter probe (fun at ev ->
+      match instant_event at ev with Some line -> push line | None -> ());
   output_string oc {|{"traceEvents":[
 |};
   Buffer.output_buffer oc buf;

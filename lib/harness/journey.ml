@@ -41,19 +41,12 @@ type report = {
   per_segment : seg_stat list;
 }
 
-let require_events probe =
-  let events = Sim.Probe.events probe in
-  if events = [] && Sim.Probe.count probe > 0 then
-    invalid_arg "Journey.analyze: probe created with ~keep:false";
-  events
-
 (* matched (span, begin, end) triples, in end-event order: deterministic
    because the underlying trace is *)
 let spans probe =
   let opens = Hashtbl.create 1024 in
   let out = ref [] in
-  List.iter
-    (fun (at, ev) ->
+  Sim.Probe.iter probe (fun at ev ->
       match ev with
       | Sim.Probe.Span_begin s -> if not (Hashtbl.mem opens s) then Hashtbl.replace opens s at
       | Sim.Probe.Span_end s -> (
@@ -62,12 +55,10 @@ let spans probe =
           Hashtbl.remove opens s;
           out := (s, t0, at) :: !out
         | None -> ())
-      | _ -> ())
-    (require_events probe);
+      | _ -> ());
   List.rev !out
 
 let analyze probe =
-  let events = require_events probe in
   (* ---- pass 1: matched span intervals + join/apply points --------------- *)
   let opens = Hashtbl.create 1024 in
   (* secondary indexes over matched intervals, in µs. uid-keyed spans are
@@ -95,8 +86,7 @@ let analyze probe =
     | Sk_proxy_order -> Hashtbl.replace proxy (s.origin, s.seq, s.aux, s.site) iv
     | Sk_bulk | Sk_stab -> ()
   in
-  List.iter
-    (fun (at, ev) ->
+  Sim.Probe.iter probe (fun at ev ->
       match ev with
       | Sim.Probe.Span_begin s -> if not (Hashtbl.mem opens s) then Hashtbl.replace opens s at
       | Sim.Probe.Span_end s -> (
@@ -110,8 +100,7 @@ let analyze probe =
       | Sim.Probe.Proxy_apply { dc; src_dc; gear; ts; fallback } ->
         if not (Hashtbl.mem applied (src_dc, ts, gear, dc)) then
           Hashtbl.replace applied (src_dc, ts, gear, dc) fallback
-      | _ -> ())
-    events;
+      | _ -> ());
   (* destination sets per lid, from both apply events and egress spans (a
      label can be in flight toward a destination it never reached) *)
   let dsts_of = Hashtbl.create 1024 in

@@ -112,76 +112,119 @@ let kind_names =
        "switch_begin"; "switch_done" |]
     (Array.of_list (List.map (fun sk -> "span." ^ span_kind_name sk) span_kinds))
 
-let mode_string = function Stream -> "stream" | Fallback -> "fallback"
+(* ---- rendering ------------------------------------------------------------ *)
 
-let span_json t ph { sk; origin; seq; aux; site; peer; epoch } =
-  Printf.sprintf
-    {|{"t":%d,"ev":"span_%s","kind":"%s","origin":%d,"seq":%d,"aux":%d,"site":%d,"peer":%d,"epoch":%d}|}
-    t ph (span_kind_name sk) origin seq aux site peer epoch
+(* One renderer backs the digest, [to_json], [write_jsonl] and
+   [stream_jsonl]: it appends straight into a caller-owned buffer, with no
+   Printf and no intermediate strings, so the hashed bytes and every
+   exported line are the same bytes by construction. *)
+
+(* the digits of [m <= 0], most significant first: recursing on [m / 10]
+   keeps every division by a constant, and working on the non-positive
+   side gives [min_int] a magnitude too *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+
+(* [n] in decimal, exactly as [%d] prints it *)
+let add_int buf n =
+  if n < 0 then Buffer.add_char buf '-';
+  add_digits buf (if n < 0 then n else -n)
+
+(* [key] carries its own punctuation, e.g. [,"seq":] *)
+let field buf key v =
+  Buffer.add_string buf key;
+  add_int buf v
+
+let render_span buf ph { sk; origin; seq; aux; site; peer; epoch } =
+  Buffer.add_string buf ph;
+  Buffer.add_string buf (span_kind_name sk);
+  field buf {|","origin":|} origin; field buf {|,"seq":|} seq; field buf {|,"aux":|} aux;
+  field buf {|,"site":|} site; field buf {|,"peer":|} peer; field buf {|,"epoch":|} epoch
+
+let render buf at ev =
+  let str = Buffer.add_string in
+  field buf {|{"t":|} (Time.to_us at);
+  str buf {|,"ev":"|};
+  (match ev with
+  | Engine_step { seq } -> field buf {|engine_step","seq":|} seq
+  | Link_send { size_bytes } -> field buf {|link_send","bytes":|} size_bytes
+  | Link_deliver -> str buf {|link_deliver"|}
+  | Link_drop { in_flight } ->
+    str buf (if in_flight then {|link_drop","why":"cut"|} else {|link_drop","why":"down"|})
+  | Fifo_resend { sender; seq } ->
+    field buf {|fifo_resend","sender":|} sender; field buf {|,"seq":|} seq
+  | Label_forward { dc; gear; ts; oseq; inst; epoch } ->
+    field buf {|label_forward","dc":|} dc; field buf {|,"gear":|} gear; field buf {|,"ts":|} ts;
+    field buf {|,"oseq":|} oseq; field buf {|,"inst":|} inst; field buf {|,"epoch":|} epoch
+  | Serializer_hop { from_ser; to_ser } ->
+    field buf {|serializer_hop","from":|} from_ser; field buf {|,"to":|} to_ser
+  | Serializer_deliver { dc } -> field buf {|serializer_deliver","dc":|} dc
+  | Delay_wait { serializer; us } ->
+    field buf {|delay_wait","serializer":|} serializer; field buf {|,"us":|} us
+  | Chain_ack { seq } -> field buf {|chain_ack","seq":|} seq
+  | Ser_commit { ser; origin; oseq; epoch } ->
+    field buf {|ser_commit","ser":|} ser; field buf {|,"origin":|} origin;
+    field buf {|,"oseq":|} oseq; field buf {|,"epoch":|} epoch
+  | Head_change { ser } -> field buf {|head_change","ser":|} ser
+  | Sink_emit { dc; ts } -> field buf {|sink_emit","dc":|} dc; field buf {|,"ts":|} ts
+  | Proxy_apply { dc; src_dc; gear; ts; fallback } ->
+    field buf {|proxy_apply","dc":|} dc; field buf {|,"src":|} src_dc;
+    field buf {|,"gear":|} gear; field buf {|,"ts":|} ts;
+    str buf (if fallback then {|,"via":"fallback"|} else {|,"via":"stream"|})
+  | Proxy_mode { dc; mode } ->
+    field buf {|proxy_mode","dc":|} dc;
+    str buf (match mode with Stream -> {|,"mode":"stream"|} | Fallback -> {|,"mode":"fallback"|})
+  | Stab_round { dc; gst } -> field buf {|stab_round","dc":|} dc; field buf {|,"gst":|} gst
+  | Vec_advance { dc; src; ts } ->
+    field buf {|vec_advance","dc":|} dc; field buf {|,"src":|} src; field buf {|,"ts":|} ts
+  | Switch_begin { epoch; graceful } ->
+    field buf {|switch_begin","epoch":|} epoch;
+    str buf (if graceful then {|,"mode":"graceful"|} else {|,"mode":"forced"|})
+  | Switch_done { dc; epoch } -> field buf {|switch_done","dc":|} dc; field buf {|,"epoch":|} epoch
+  | Span_begin s -> render_span buf {|span_begin","kind":"|} s
+  | Span_end s -> render_span buf {|span_end","kind":"|} s);
+  Buffer.add_char buf '}'
+
+(* the JSONL form: one rendered object and its newline *)
+let render_line buf at ev =
+  Buffer.clear buf;
+  render buf at ev;
+  Buffer.add_char buf '\n'
 
 let to_json at ev =
-  let t = Time.to_us at in
-  match ev with
-  | Engine_step { seq } -> Printf.sprintf {|{"t":%d,"ev":"engine_step","seq":%d}|} t seq
-  | Link_send { size_bytes } -> Printf.sprintf {|{"t":%d,"ev":"link_send","bytes":%d}|} t size_bytes
-  | Link_deliver -> Printf.sprintf {|{"t":%d,"ev":"link_deliver"}|} t
-  | Link_drop { in_flight } ->
-    Printf.sprintf {|{"t":%d,"ev":"link_drop","why":"%s"}|} t (if in_flight then "cut" else "down")
-  | Fifo_resend { sender; seq } ->
-    Printf.sprintf {|{"t":%d,"ev":"fifo_resend","sender":%d,"seq":%d}|} t sender seq
-  | Label_forward { dc; gear; ts; oseq; inst; epoch } ->
-    Printf.sprintf
-      {|{"t":%d,"ev":"label_forward","dc":%d,"gear":%d,"ts":%d,"oseq":%d,"inst":%d,"epoch":%d}|} t
-      dc gear ts oseq inst epoch
-  | Serializer_hop { from_ser; to_ser } ->
-    Printf.sprintf {|{"t":%d,"ev":"serializer_hop","from":%d,"to":%d}|} t from_ser to_ser
-  | Serializer_deliver { dc } -> Printf.sprintf {|{"t":%d,"ev":"serializer_deliver","dc":%d}|} t dc
-  | Delay_wait { serializer; us } ->
-    Printf.sprintf {|{"t":%d,"ev":"delay_wait","serializer":%d,"us":%d}|} t serializer us
-  | Chain_ack { seq } -> Printf.sprintf {|{"t":%d,"ev":"chain_ack","seq":%d}|} t seq
-  | Ser_commit { ser; origin; oseq; epoch } ->
-    Printf.sprintf {|{"t":%d,"ev":"ser_commit","ser":%d,"origin":%d,"oseq":%d,"epoch":%d}|} t ser
-      origin oseq epoch
-  | Head_change { ser } -> Printf.sprintf {|{"t":%d,"ev":"head_change","ser":%d}|} t ser
-  | Sink_emit { dc; ts } -> Printf.sprintf {|{"t":%d,"ev":"sink_emit","dc":%d,"ts":%d}|} t dc ts
-  | Proxy_apply { dc; src_dc; gear; ts; fallback } ->
-    Printf.sprintf {|{"t":%d,"ev":"proxy_apply","dc":%d,"src":%d,"gear":%d,"ts":%d,"via":"%s"}|} t
-      dc src_dc gear ts
-      (if fallback then "fallback" else "stream")
-  | Proxy_mode { dc; mode } ->
-    Printf.sprintf {|{"t":%d,"ev":"proxy_mode","dc":%d,"mode":"%s"}|} t dc (mode_string mode)
-  | Stab_round { dc; gst } -> Printf.sprintf {|{"t":%d,"ev":"stab_round","dc":%d,"gst":%d}|} t dc gst
-  | Vec_advance { dc; src; ts } ->
-    Printf.sprintf {|{"t":%d,"ev":"vec_advance","dc":%d,"src":%d,"ts":%d}|} t dc src ts
-  | Switch_begin { epoch; graceful } ->
-    Printf.sprintf {|{"t":%d,"ev":"switch_begin","epoch":%d,"mode":"%s"}|} t epoch
-      (if graceful then "graceful" else "forced")
-  | Switch_done { dc; epoch } ->
-    Printf.sprintf {|{"t":%d,"ev":"switch_done","dc":%d,"epoch":%d}|} t dc epoch
-  | Span_begin s -> span_json t "begin" s
-  | Span_end s -> span_json t "end" s
+  let buf = Buffer.create 128 in
+  render buf at ev;
+  Buffer.contents buf
 
 (* FNV-1a, 64-bit: stable across runs, processes and architectures — the
-   digest doubles as CI's determinism oracle, so no Hashtbl.hash/Marshal *)
+   digest doubles as CI's determinism oracle, so no Hashtbl.hash/Marshal.
+   The running state lives in an 8-byte [Bytes], and the loop's int64 ref
+   is a local the native compiler keeps unboxed, so folding a line in
+   allocates nothing. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv_string h s =
-  let h = ref h in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
+let fnv_fold state buf =
+  let h = ref (Bytes.get_int64_le state 0) in
+  for i = 0 to Buffer.length buf - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth buf i)))) fnv_prime
+  done;
+  Bytes.set_int64_le state 0 !h
 
 type t = {
   keep : bool;
-  mutable items : (Time.t * event) array;
+  (* the kept trace, flat: [times.(i)], [evs.(i)] is the i-th event; both
+     stay empty on count-only probes *)
+  mutable times : Time.t array;
+  mutable evs : event array;
   mutable len : int;
-  mutable hash : int64;
+  hash : Bytes.t; (* FNV-1a state, see [fnv_fold] *)
+  line : Buffer.t; (* the record path's reused render buffer *)
   counts : int array; (* indexed by [kind_id] *)
-  (* span pairing state: lives in the probe (not in [events]) so matched
-     totals are available even on count-only (~keep:false) probes, which is
-     what bench's flame table runs under *)
+  (* span pairing state: lives in the probe (not in the kept trace) so
+     matched totals are available even on count-only (~keep:false) probes,
+     which is what bench's flame table runs under *)
   open_spans : (span, Time.t) Hashtbl.t;
   span_us : int array; (* indexed by [span_kind_id] *)
   span_n : int array;
@@ -190,8 +233,11 @@ type t = {
 }
 
 let create ?(keep = true) () =
-  { keep; items = Array.make 1024 (Time.zero, Link_deliver); len = 0; hash = fnv_offset;
-    counts = Array.make n_kinds 0; open_spans = Hashtbl.create 64;
+  let cap = if keep then 1024 else 0 in
+  let hash = Bytes.create 8 in
+  Bytes.set_int64_le hash 0 fnv_offset;
+  { keep; times = Array.make cap Time.zero; evs = Array.make cap Link_deliver; len = 0; hash;
+    line = Buffer.create 256; counts = Array.make n_kinds 0; open_spans = Hashtbl.create 64;
     span_us = Array.make n_span_kinds 0; span_n = Array.make n_span_kinds 0; span_orphans = 0;
     stream = None }
 
@@ -199,14 +245,15 @@ let count t = t.len
 
 let stream_jsonl t oc = t.stream <- Some oc
 
+let doubled a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let record t at ev =
-  let line = to_json at ev in
-  t.hash <- fnv_string (fnv_string t.hash line) "\n";
-  (match t.stream with
-  | Some oc ->
-    output_string oc line;
-    output_char oc '\n'
-  | None -> ());
+  render_line t.line at ev;
+  fnv_fold t.hash t.line;
+  (match t.stream with Some oc -> Buffer.output_buffer oc t.line | None -> ());
   let kid = kind_id ev in
   t.counts.(kid) <- t.counts.(kid) + 1;
   (match ev with
@@ -224,16 +271,23 @@ let record t at ev =
     | None -> t.span_orphans <- t.span_orphans + 1)
   | _ -> ());
   if t.keep then begin
-    if t.len = Array.length t.items then begin
-      let bigger = Array.make (2 * t.len) (Time.zero, Link_deliver) in
-      Array.blit t.items 0 bigger 0 t.len;
-      t.items <- bigger
+    if t.len = Array.length t.evs then begin
+      t.times <- doubled t.times Time.zero;
+      t.evs <- doubled t.evs Link_deliver
     end;
-    t.items.(t.len) <- (at, ev)
+    t.times.(t.len) <- at;
+    t.evs.(t.len) <- ev
   end;
   t.len <- t.len + 1
 
-let events t = if not t.keep then [] else List.init t.len (fun i -> t.items.(i))
+let require_kept t fn =
+  if not t.keep then invalid_arg ("Probe." ^ fn ^ ": probe created with ~keep:false")
+
+let iter t f =
+  require_kept t "iter";
+  for i = 0 to t.len - 1 do
+    f t.times.(i) t.evs.(i)
+  done
 
 (* rebuild the historical (name, count) view: nonzero slots only, so
    kinds a run never emitted stay absent, name-sorted *)
@@ -251,19 +305,14 @@ let span_counts t = sorted_nonzero span_name_of_id t.span_n
 let span_orphans t = t.span_orphans
 let open_span_count t = Hashtbl.length t.open_spans
 
-let digest t = Printf.sprintf "%016Lx" t.hash
-
-let iter_jsonl t f =
-  if not t.keep then invalid_arg "Probe.write_jsonl: probe created with ~keep:false";
-  for i = 0 to t.len - 1 do
-    let at, ev = t.items.(i) in
-    f (to_json at ev)
-  done
+let digest t = Printf.sprintf "%016Lx" (Bytes.get_int64_le t.hash 0)
 
 let write_jsonl t oc =
-  iter_jsonl t (fun line ->
-      output_string oc line;
-      output_char oc '\n')
+  require_kept t "write_jsonl";
+  let buf = Buffer.create 256 in
+  iter t (fun at ev ->
+      render_line buf at ev;
+      Buffer.output_buffer oc buf)
 
 (* ---- the global sink ---------------------------------------------------- *)
 

@@ -17,7 +17,12 @@
     The facility is zero-cost when disabled: instrumentation points guard
     with {!active} (one ref read and a branch) and allocate nothing unless
     a sink is installed. Exactly one process-wide sink can be installed at
-    a time, in the style of a [Logs] reporter. *)
+    a time, in the style of a [Logs] reporter.
+
+    Recording renders each event once, as its JSONL line, into a buffer
+    the probe reuses, and hashes those bytes without allocating; the same
+    renderer backs every export. That per-event cost is what the
+    benchmark's [obs.tax_ratio] measures. *)
 
 type mode = Stream | Fallback
 
@@ -110,10 +115,10 @@ type event =
 type t
 
 val create : ?keep:bool -> unit -> t
-(** [keep] (default true) buffers every event for {!events} and
+(** [keep] (default true) keeps every event for {!iter} and
     {!write_jsonl}. With [~keep:false] only the running digest, per-kind
-    counts and span totals are maintained, so unbounded runs stay O(1)
-    space. *)
+    counts and span totals are maintained, and no kept-event storage is
+    allocated, so unbounded runs stay O(1) space. *)
 
 (** {2 The process-wide sink} *)
 
@@ -134,7 +139,11 @@ val with_probe : t -> (unit -> 'a) -> 'a
 (** {2 Reading a probe} *)
 
 val count : t -> int
-val events : t -> (Time.t * event) list
+
+val iter : t -> (Time.t -> event -> unit) -> unit
+(** [iter t f] calls [f at ev] on every kept event, in emission order,
+    building no list.
+    @raise Invalid_argument if the probe was created with [~keep:false]. *)
 
 val counts_by_kind : t -> (string * int) list
 (** Event counts grouped by {!kind}, name-sorted. Available regardless of
@@ -156,8 +165,9 @@ val open_span_count : t -> int
 
 val digest : t -> string
 (** 64-bit FNV-1a over the JSONL rendering of the event stream, as a
-    16-character hex string. Incremental, stable across processes, and
-    independent of [keep] — the CI determinism gate compares these. *)
+    16-character hex string: the bytes {!write_jsonl} writes, hashed as
+    each event is recorded. Stable across processes, and independent of
+    [keep] — the CI determinism gate compares these. *)
 
 (** {2 Export} *)
 

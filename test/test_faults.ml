@@ -26,15 +26,12 @@ let test_link_drop_reasons () =
   Alcotest.(check int) "in-flight drop" 1 (Sim.Link.dropped_cut_count link);
   Alcotest.(check int) "while-down drop" 1 (Sim.Link.dropped_down_count link);
   Alcotest.(check int) "total" 2 (Sim.Link.dropped_count link);
-  let drops =
-    List.filter_map
-      (fun (_, ev) ->
-        match ev with Sim.Probe.Link_drop { in_flight } -> Some in_flight | _ -> None)
-      (Sim.Probe.events probe)
-  in
+  let drops = ref [] in
+  Sim.Probe.iter probe (fun _ ev ->
+      match ev with Sim.Probe.Link_drop { in_flight } -> drops := in_flight :: !drops | _ -> ());
   (* the down-drop is recorded at send time, the cut-drop when its delivery
      would have fired — hence the order *)
-  Alcotest.(check (list bool)) "drop reasons traced" [ false; true ] drops
+  Alcotest.(check (list bool)) "drop reasons traced" [ false; true ] (List.rev !drops)
 
 let test_link_restore_idempotent () =
   let engine = Sim.Engine.create () in
@@ -547,6 +544,14 @@ let test_matrix_smoke () =
       end)
     outcomes
 
+(* An absolute pin, unlike the run-twice gates: a renderer that changed
+   the traced bytes consistently would pass those, not this. The value is
+   the row's digest before the probe's record path went allocation-free. *)
+let test_row_digest_pinned () =
+  let o = Harness.Fault_run.run_scenario ~seed:42 ~scenario:"ser-crash" ~system:`Saturn () in
+  Alcotest.(check int) "events" 904465 o.Harness.Fault_run.n_events;
+  Alcotest.(check string) "digest" "09002b7bddc3ce5a" o.Harness.Fault_run.digest
+
 let suite =
   [
     Alcotest.test_case "link drop reasons" `Quick test_link_drop_reasons;
@@ -577,4 +582,5 @@ let suite =
       test_forced_switch_drain_barrier_seed877;
     qtest prop_random_plan_exactly_once_fifo;
     Alcotest.test_case "scenario matrix smoke" `Slow test_matrix_smoke;
+    Alcotest.test_case "ser-crash row digest pinned (seed 42)" `Slow test_row_digest_pinned;
   ]

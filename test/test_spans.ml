@@ -92,7 +92,10 @@ let test_stream_jsonl () =
     (Sim.Probe.span_totals_us probe);
   Alcotest.check_raises "write_jsonl still refuses count-only probes"
     (Invalid_argument "Probe.write_jsonl: probe created with ~keep:false")
-    (fun () -> Sim.Probe.write_jsonl probe stdout)
+    (fun () -> Sim.Probe.write_jsonl probe stdout);
+  Alcotest.check_raises "iter refuses count-only probes too"
+    (Invalid_argument "Probe.iter: probe created with ~keep:false")
+    (fun () -> Sim.Probe.iter probe (fun _ _ -> ()))
 
 (* ---- smoke-run decomposition ----------------------------------------------- *)
 
