@@ -45,6 +45,14 @@ let key_ts t = Sim.Time.to_us t.ts
 let key_src t = (t.src_dc lsl 20) lor t.src_gear
 
 let equal a b = compare a b = 0
+
+(* A [Hashtbl.Make] table takes its bucket index from the hash's low bits:
+   mix the key pair and fold the high half down, so timestamps that share
+   their low bits still spread. Equal labels share (ts, src). *)
+let hash t =
+  let h = (key_ts t * 0x9e3779b1) + key_src t in
+  h lxor (h lsr 32)
+
 let is_update t = match t.target with Update _ -> true | Migration _ | Epoch_change _ -> false
 let is_migration t = match t.target with Migration _ -> true | Update _ | Epoch_change _ -> false
 

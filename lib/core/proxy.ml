@@ -9,6 +9,21 @@ type state = Waiting | Applied
 type entry = { label : Label.t; mutable state : state }
 type switch_state = Graceful of { epoch : int; seen : bool array } | Forced
 
+(* A label's progress at this datacenter, one table entry per label from
+   the payload's arrival until [compact] drops it long after it was
+   applied. *)
+type progress =
+  | Arrived of payload (* held; the server-side staging is running *)
+  | Staged of payload (* held and staged: installable at its position *)
+  | Done (* applied *)
+
+module Label_tbl = Hashtbl.Make (struct
+  type t = Label.t
+
+  let equal = Label.equal
+  let hash = Label.hash
+end)
+
 (* the per-datacenter serialization, as a growable array-deque: the applied
    prefix is pruned by advancing [head]; appends are amortized O(1) *)
 type stream = { mutable arr : entry option array; mutable head : int; mutable tail : int }
@@ -21,9 +36,8 @@ type t = {
   install_update : payload -> unit;
   mutable mode : mode;
   stream : stream;
-  payloads : (Label.t, payload) Hashtbl.t;
-  staged : (Label.t, unit) Hashtbl.t; (* payloads whose server apply completed *)
-  applied_set : (Label.t, unit) Hashtbl.t;
+  labels : progress Label_tbl.t;
+  mutable held : int; (* labels [Arrived] or [Staged] *)
   applied_wm : Sim.Time.t array; (* per-source applied watermark *)
   bulk_floor : Sim.Time.t array; (* per-source promise carried by bulk channel *)
   bulk_epoch : int array; (* per-source highest epoch tag seen on bulk traffic *)
@@ -32,7 +46,7 @@ type t = {
        the outgoing epoch; completion waits for this to reach zero *)
   pending_by_src : Label.t Sim.Heap.Keyed.t array;
     (* payloads not yet applied, per source, keyed by (ts, src) *)
-  label_waiters : (Label.t, (unit -> unit) list) Hashtbl.t;
+  label_waiters : (unit -> unit) list Label_tbl.t;
   mutable ts_waiters : (Sim.Time.t * (unit -> unit)) list;
   mutable migration_hook : (Label.t -> unit) option;
   next_buffer : Label.t Queue.t;
@@ -59,9 +73,8 @@ let create engine ~dc ~n_dcs ~stage_update ~install_update ?registry ?series ?(m
     install_update;
     mode;
     stream = { arr = Array.make 64 None; head = 0; tail = 0 };
-    payloads = Hashtbl.create 256;
-    staged = Hashtbl.create 256;
-    applied_set = Hashtbl.create 256;
+    labels = Label_tbl.create 256;
+    held = 0;
     applied_wm = Array.make n_dcs Sim.Time.zero;
     bulk_floor = Array.make n_dcs Sim.Time.zero;
     bulk_epoch = Array.make n_dcs 0;
@@ -69,7 +82,7 @@ let create engine ~dc ~n_dcs ~stage_update ~install_update ?registry ?series ?(m
     pending_by_src =
       (let dummy = Label.update ~ts:Sim.Time.zero ~src_dc:0 ~src_gear:0 ~key:0 in
        Array.init n_dcs (fun _ -> Sim.Heap.Keyed.create ~dummy ()));
-    label_waiters = Hashtbl.create 32;
+    label_waiters = Label_tbl.create 32;
     ts_waiters = [];
     migration_hook = None;
     next_buffer = Queue.create ();
@@ -92,7 +105,7 @@ let create engine ~dc ~n_dcs ~stage_update ~install_update ?registry ?series ?(m
       (Printf.sprintf "series.pending.dc%d" dc)
       (fun () ->
         let s = t.stream in
-        let n = ref (Hashtbl.length t.payloads) in
+        let n = ref t.held in
         for i = s.head to s.tail - 1 do
           match s.arr.(i) with Some { state = Waiting; _ } -> incr n | Some _ | None -> ()
         done;
@@ -138,7 +151,11 @@ let pending_stream t =
     match s.arr.(i) with Some { state = Waiting; _ } -> incr n | Some _ | None -> ()
   done;
   !n
-let label_was_applied t l = Hashtbl.mem t.applied_set l
+let label_was_applied t l =
+  match Label_tbl.find t.labels l with
+  | Done -> true
+  | Arrived _ | Staged _ -> false
+  | exception Not_found -> false
 
 (* ---- watermarks and waiters ------------------------------------------- *)
 
@@ -148,7 +165,7 @@ let pending_min t src =
   let heap = t.pending_by_src.(src) in
   let rec peek () =
     match Sim.Heap.Keyed.peek heap with
-    | Some l when Hashtbl.mem t.applied_set l ->
+    | Some l when label_was_applied t l ->
       ignore (Sim.Heap.Keyed.pop_exn heap);
       peek ()
     | Some l -> Some l.Label.ts
@@ -175,14 +192,17 @@ let ts_satisfied t ts =
   !ok
 
 let check_ts_waiters t =
-  let ready, still = List.partition (fun (ts, _) -> ts_satisfied t ts) t.ts_waiters in
-  t.ts_waiters <- still;
-  List.iter (fun (_, k) -> k ()) ready
+  match t.ts_waiters with
+  | [] -> () (* the common case: skip the allocating partition *)
+  | waiters ->
+    let ready, still = List.partition (fun (ts, _) -> ts_satisfied t ts) waiters in
+    t.ts_waiters <- still;
+    List.iter (fun (_, k) -> k ()) ready
 
 let fire_label_waiters t label =
-  match Hashtbl.find_opt t.label_waiters label with
+  match Label_tbl.find_opt t.label_waiters label with
   | Some ks ->
-    Hashtbl.remove t.label_waiters label;
+    Label_tbl.remove t.label_waiters label;
     List.iter (fun k -> k ()) (List.rev ks)
   | None -> ()
 
@@ -192,15 +212,14 @@ let mark_applied t (label : Label.t) =
      and no end is owed *)
   if t.mode = Stream && Sim.Probe.active () then
     span_label ~at:(Sim.Engine.now t.engine) `End t label;
-  Hashtbl.replace t.applied_set label ();
-  (match t.switch with
-  | Some Forced -> (
-    match Hashtbl.find_opt t.payloads label with
-    | Some p when p.epoch < t.target_epoch -> t.old_pending <- t.old_pending - 1
-    | Some _ | None -> ())
-  | Some (Graceful _) | None -> ());
-  Hashtbl.remove t.payloads label;
-  Hashtbl.remove t.staged label;
+  (match Label_tbl.find t.labels label with
+  | Arrived p | Staged p ->
+    t.held <- t.held - 1;
+    (match t.switch with
+    | Some Forced when p.epoch < t.target_epoch -> t.old_pending <- t.old_pending - 1
+    | Some Forced | Some (Graceful _) | None -> ())
+  | Done | (exception Not_found) -> ());
+  Label_tbl.replace t.labels label Done;
   (* any label from a source advances its watermark: sinks emit per-source
      labels in timestamp order *)
   if label.src_dc <> t.dc then
@@ -291,20 +310,18 @@ let rec scan t =
 and try_apply t e =
   let label = e.label in
   match label.Label.target with
-  | Label.Update _ ->
-    if Hashtbl.mem t.applied_set label then begin
+  | Label.Update _ -> (
+    match Label_tbl.find t.labels label with
+    | Done ->
       e.state <- Applied;
       true
-    end
-    else if Hashtbl.mem t.staged label then begin
-      let p = Hashtbl.find t.payloads label in
+    | Staged p ->
       e.state <- Applied;
       t.install_update p;
       probe_apply t label ~fallback:false;
       mark_applied t label;
       true
-    end
-    else false (* bulk transfer / staging not completed yet *)
+    | Arrived _ | (exception Not_found) -> false (* bulk transfer / staging not completed yet *))
   | Label.Migration { dest_dc } ->
     e.state <- Applied;
     if dest_dc = t.dc then (match t.migration_hook with Some f -> f label | None -> ());
@@ -329,7 +346,7 @@ and check_switch_completion t =
        shipped before the switch is still in flight behind it — and (b)
        every old-era payload that did arrive was applied by the
        timestamp-order sweep.  Only then is adopting C2 safe: any label
-       the old tree can still deliver is already in [applied_set], and
+       the old tree can still deliver is already applied, and
        each source's C2 timestamps lie above all its C1-era ones, so the
        stream stays FIFO per origin across the epoch boundary. *)
     let drained = ref (t.old_pending = 0) in
@@ -357,7 +374,7 @@ and complete_switch t =
   scan t
 
 and append_label t label =
-  let state = if Hashtbl.mem t.applied_set label then Applied else Waiting in
+  let state = if label_was_applied t label then Applied else Waiting in
   if state = Waiting && Sim.Probe.active () then
     span_label ~at:(Sim.Engine.now t.engine) `Begin t label;
   stream_push t.stream { label; state }
@@ -393,7 +410,7 @@ let rec try_fallback t =
         let heap = t.pending_by_src.(src) in
         let rec clean () =
           match Sim.Heap.Keyed.peek heap with
-          | Some l when Hashtbl.mem t.applied_set l ->
+          | Some l when label_was_applied t l ->
             ignore (Sim.Heap.Keyed.pop_exn heap);
             clean ()
           | Some l -> Some l
@@ -411,15 +428,15 @@ let rec try_fallback t =
     | Some l when Sim.Time.compare l.Label.ts stable <= 0 ->
       (* in-ts-order install; if the next payload is still staging we wait
          for its staging continuation to re-enter *)
-      if Hashtbl.mem t.staged l then begin
-        let p = Hashtbl.find t.payloads l in
+      (match Label_tbl.find t.labels l with
+      | Staged p ->
         t.install_update p;
         probe_apply t l ~fallback:true;
         mark_applied t l;
         (match t.mode with Stream -> scan t | Fallback -> ());
         check_switch_completion t;
         try_fallback t
-      end
+      | Arrived _ | Done | (exception Not_found) -> ())
     | Some _ | None -> ()
   end
 
@@ -429,16 +446,26 @@ let on_payload t (p : payload) =
   let src = p.label.Label.src_dc in
   t.bulk_floor.(src) <- Sim.Time.max t.bulk_floor.(src) p.label.Label.ts;
   if p.epoch > t.bulk_epoch.(src) then t.bulk_epoch.(src) <- p.epoch;
-  if not (Hashtbl.mem t.applied_set p.label) then begin
-    (match t.switch with
-    | Some Forced when p.epoch < t.target_epoch && not (Hashtbl.mem t.payloads p.label) ->
-      t.old_pending <- t.old_pending + 1
-    | Some Forced | Some (Graceful _) | None -> ());
-    Hashtbl.replace t.payloads p.label p;
+  let progress =
+    match Label_tbl.find t.labels p.label with
+    | Done -> Done
+    | Arrived _ -> Arrived p
+    | Staged _ -> Staged p (* a duplicate shipment after staging *)
+    | exception Not_found ->
+      t.held <- t.held + 1;
+      (match t.switch with
+      | Some Forced when p.epoch < t.target_epoch -> t.old_pending <- t.old_pending + 1
+      | Some Forced | Some (Graceful _) | None -> ());
+      Arrived p
+  in
+  (match progress with
+  | Done -> ()
+  | Arrived _ | Staged _ ->
+    Label_tbl.replace t.labels p.label progress;
     Sim.Heap.Keyed.push t.pending_by_src.(src) ~k1:(Label.key_ts p.label)
       ~k2:(Label.key_src p.label) p.label;
     t.stage_update p ~k:(fun () ->
-        if not (Hashtbl.mem t.applied_set p.label) then begin
+        if not (label_was_applied t p.label) then begin
           (* closes the bulk-transfer span opened when the payload left the
              origin datacenter (System's ship hook) *)
           if Sim.Probe.active () then begin
@@ -446,11 +473,12 @@ let on_payload t (p : payload) =
             Sim.Span.end_ ~at:(Sim.Engine.now t.engine) Sim.Span.Sk_bulk ~origin:l.Label.src_dc
               ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear ~site:l.Label.src_dc ~peer:t.dc
           end;
-          Hashtbl.replace t.staged p.label ();
+          (match Label_tbl.find t.labels p.label with
+          | Arrived q -> Label_tbl.replace t.labels p.label (Staged q)
+          | Staged _ | Done | (exception Not_found) -> ());
           (match t.mode with Stream -> scan t | Fallback -> ());
           try_fallback t
-        end)
-  end;
+        end));
   check_ts_waiters t;
   (match t.mode with Stream -> scan t | Fallback -> ());
   try_fallback t;
@@ -477,19 +505,22 @@ let compact t =
     let cutoff = Sim.Time.sub !floor compact_margin in
     if Sim.Time.compare cutoff Sim.Time.zero > 0 then begin
       let stale =
-        Hashtbl.fold
-          (fun (l : Label.t) () acc -> if Sim.Time.compare l.Label.ts cutoff < 0 then l :: acc else acc)
-          t.applied_set []
+        Label_tbl.fold
+          (fun (l : Label.t) progress acc ->
+            match progress with
+            | Done when Sim.Time.compare l.Label.ts cutoff < 0 -> l :: acc
+            | Done | Arrived _ | Staged _ -> acc)
+          t.labels []
       in
-      List.iter (Hashtbl.remove t.applied_set) stale
+      List.iter (Label_tbl.remove t.labels) stale
     end
   end
 
 let wait_for_label t label k =
-  if Hashtbl.mem t.applied_set label then k ()
+  if label_was_applied t label then k ()
   else begin
-    let existing = Option.value ~default:[] (Hashtbl.find_opt t.label_waiters label) in
-    Hashtbl.replace t.label_waiters label (k :: existing)
+    let existing = Option.value ~default:[] (Label_tbl.find_opt t.label_waiters label) in
+    Label_tbl.replace t.label_waiters label (k :: existing)
   end
 
 let wait_for_ts t ts k = if ts_satisfied t ts then k () else t.ts_waiters <- (ts, k) :: t.ts_waiters
@@ -510,7 +541,12 @@ let start_graceful_switch t ~epoch =
 let start_forced_switch t ~epoch =
   t.target_epoch <- epoch;
   t.old_pending <-
-    Hashtbl.fold (fun _ (p : payload) acc -> if p.epoch < epoch then acc + 1 else acc) t.payloads 0;
+    Label_tbl.fold
+      (fun _ progress acc ->
+        match progress with
+        | (Arrived p | Staged p) when p.epoch < epoch -> acc + 1
+        | Arrived _ | Staged _ | Done -> acc)
+      t.labels 0;
   t.switch <- Some Forced;
   if t.mode <> Fallback then probe_mode t Fallback;
   t.mode <- Fallback;

@@ -1,13 +1,29 @@
+(* Sender ids and sequence numbers are small dense ints: hash them as
+   themselves (the table takes the low bits) and compare them as ints. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x
+end)
+
+(* One record per sender: the per-message path does a single int lookup
+   instead of five polymorphic-hash probes keyed by [sender] or
+   [(sender, seq)]. *)
+type 'msg peer = {
+  mutable expected : int; (* next seq to deliver *)
+  buffer : 'msg Int_tbl.t; (* out-of-order arrivals: seq -> msg *)
+  (* deferred mode: next seq to confirm, delivered-but-unconfirmed
+     messages, and the latest ack channel *)
+  mutable confirmed : int;
+  unconfirmed : 'msg Int_tbl.t;
+  mutable ack_via : int -> unit;
+}
+
 type 'msg receiver = {
   r_engine : Sim.Engine.t;
-  r_deliver : 'msg receiver -> sender_id:int -> seq:int -> 'msg -> unit;
-  (* per-sender expected sequence and out-of-order buffer *)
-  r_expected : (int, int) Hashtbl.t;
-  r_buffer : (int * int, 'msg) Hashtbl.t; (* (sender, seq) -> msg *)
-  (* deferred mode: next seq to confirm and the latest ack channel *)
-  r_confirmed : (int, int) Hashtbl.t;
-  r_unconfirmed : (int * int, 'msg) Hashtbl.t; (* (sender, seq) delivered, unconfirmed *)
-  r_ack_via : (int, int -> unit) Hashtbl.t;
+  r_deliver : 'msg peer -> seq:int -> 'msg -> unit;
+  r_peers : 'msg peer Int_tbl.t; (* sender id -> peer *)
   r_deferred : bool;
   mutable r_delivered : int;
 }
@@ -28,64 +44,77 @@ type 'msg sender = {
 and 'msg route = { data : Sim.Link.t; ack : Sim.Link.t; dest : 'msg receiver }
 
 let make_receiver r_engine ~deferred ~deliver =
-  { r_engine; r_deliver = deliver; r_expected = Hashtbl.create 8; r_buffer = Hashtbl.create 8;
-    r_confirmed = Hashtbl.create 8; r_unconfirmed = Hashtbl.create 8;
-    r_ack_via = Hashtbl.create 8; r_deferred = deferred; r_delivered = 0 }
+  { r_engine; r_deliver = deliver; r_peers = Int_tbl.create 8; r_deferred = deferred;
+    r_delivered = 0 }
 
 let receiver r_engine ~deliver =
-  make_receiver r_engine ~deferred:false ~deliver:(fun _ ~sender_id:_ ~seq:_ msg -> deliver msg)
+  make_receiver r_engine ~deferred:false ~deliver:(fun _ ~seq:_ msg -> deliver msg)
 
-let deliver_deferred consumer recv ~sender_id ~seq msg =
+let deliver_deferred consumer p ~seq msg =
   let confirm () =
-    if Hashtbl.mem recv.r_unconfirmed (sender_id, seq) then begin
-      Hashtbl.remove recv.r_unconfirmed (sender_id, seq);
-      let confirmed = Option.value ~default:0 (Hashtbl.find_opt recv.r_confirmed sender_id) in
-      Hashtbl.replace recv.r_confirmed sender_id (confirmed + 1);
-      match Hashtbl.find_opt recv.r_ack_via sender_id with
-      | Some send_ack -> send_ack confirmed
-      | None -> ()
+    if Int_tbl.mem p.unconfirmed seq then begin
+      Int_tbl.remove p.unconfirmed seq;
+      let confirmed = p.confirmed in
+      p.confirmed <- confirmed + 1;
+      p.ack_via confirmed
     end
   in
-  Hashtbl.replace recv.r_unconfirmed (sender_id, seq) msg;
+  Int_tbl.replace p.unconfirmed seq msg;
   consumer msg ~confirm
 
 let receiver_deferred r_engine ~deliver =
-  make_receiver r_engine ~deferred:true
-    ~deliver:(fun recv ~sender_id ~seq msg -> deliver_deferred deliver recv ~sender_id ~seq msg)
+  make_receiver r_engine ~deferred:true ~deliver:(fun p ~seq msg ->
+      deliver_deferred deliver p ~seq msg)
 
 let redeliver_unconfirmed recv ~deliver =
   (* replay delivered-but-unconfirmed messages in sequence order per
      sender: the consumer (a healed chain) may have lost them *)
-  let sorted =
-    List.sort
-      (fun ((s1, q1), _) ((s2, q2), _) ->
-        match Int.compare s1 s2 with 0 -> Int.compare q1 q2 | c -> c)
-      (Hashtbl.fold (fun k m acc -> (k, m) :: acc) recv.r_unconfirmed [])
+  let pending =
+    Int_tbl.fold
+      (fun id p acc -> Int_tbl.fold (fun seq m acc -> ((id, seq), p, m) :: acc) p.unconfirmed acc)
+      recv.r_peers []
   in
-  List.iter (fun ((sender_id, seq), msg) -> deliver_deferred deliver recv ~sender_id ~seq msg) sorted
+  List.iter
+    (fun ((_, seq), p, msg) -> deliver_deferred deliver p ~seq msg)
+    (List.sort
+       (fun ((s1, q1), _, _) ((s2, q2), _, _) ->
+         match Int.compare s1 s2 with 0 -> Int.compare q1 q2 | c -> c)
+       pending)
 
 let delivered r = r.r_delivered
 
+let peer recv sender_id ~send_ack =
+  match Int_tbl.find recv.r_peers sender_id with
+  | p ->
+    p.ack_via <- send_ack;
+    p
+  | exception Not_found ->
+    let p =
+      { expected = 0; buffer = Int_tbl.create 8; confirmed = 0;
+        unconfirmed = Int_tbl.create 8; ack_via = send_ack }
+    in
+    Int_tbl.add recv.r_peers sender_id p;
+    p
+
 let receive recv ~sender_id ~seq msg ~send_ack =
-  Hashtbl.replace recv.r_ack_via sender_id send_ack;
-  let expected = Option.value ~default:0 (Hashtbl.find_opt recv.r_expected sender_id) in
-  if seq >= expected then Hashtbl.replace recv.r_buffer (sender_id, seq) msg;
+  let p = peer recv sender_id ~send_ack in
+  let expected = p.expected in
+  if seq >= expected then Int_tbl.replace p.buffer seq msg;
   (* drain the in-order prefix *)
   let rec drain e =
-    match Hashtbl.find_opt recv.r_buffer (sender_id, e) with
-    | Some m ->
-      Hashtbl.remove recv.r_buffer (sender_id, e);
+    match Int_tbl.find p.buffer e with
+    | m ->
+      Int_tbl.remove p.buffer e;
       recv.r_delivered <- recv.r_delivered + 1;
-      recv.r_deliver recv ~sender_id ~seq:e m;
+      recv.r_deliver p ~seq:e m;
       drain (e + 1)
-    | None -> e
+    | exception Not_found -> e
   in
   let expected' = drain expected in
-  Hashtbl.replace recv.r_expected sender_id expected';
+  p.expected <- expected';
   if recv.r_deferred then begin
     (* ack only the confirmed prefix *)
-    let confirmed = Option.value ~default:0 (Hashtbl.find_opt recv.r_confirmed sender_id) in
-    if confirmed > 0 then send_ack (confirmed - 1)
+    if p.confirmed > 0 then send_ack (p.confirmed - 1)
   end
   else
     (* cumulative ack: everything below expected' has been delivered *)

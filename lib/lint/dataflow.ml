@@ -60,18 +60,40 @@ let statement_window toks i = window_bwd toks i @ (toks.(i) :: window_fwd toks i
 
 (* ---- shared predicates ---------------------------------------------------- *)
 
-let unordered_op text =
-  Token.starts_with ~prefix:"Hashtbl." text
-  && List.mem (Token.last_component text) [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
+(* Modules this compilation unit binds to a functor-built table
+   ([module Label_tbl = Hashtbl.Make (…)]): their [fold]/[iter] walk the
+   buckets in hash order exactly like [Hashtbl]'s own. *)
+let hash_tables (toks : Token.t array) =
+  let n = Array.length toks in
+  let out = ref [] in
+  for i = 0 to n - 4 do
+    let t = toks.(i) in
+    if
+      t.kind = Token.Ident && t.text = "module"
+      && toks.(i + 1).kind = Token.Ident
+      && toks.(i + 2).text = "="
+      && List.mem toks.(i + 3).text [ "Hashtbl.Make"; "Hashtbl.MakeSeeded" ]
+    then out := toks.(i + 1).text :: !out
+  done;
+  List.rev !out
+
+(* [Hashtbl.op], or [M.op] for a module [M] in [tables] *)
+let table_op ~tables ops text =
+  (Token.starts_with ~prefix:"Hashtbl." text
+  || match String.rindex_opt text '.' with
+     | Some d -> List.mem (String.sub text 0 d) tables
+     | None -> false)
+  && List.mem (Token.last_component text) ops
+
+let unordered_op ~tables text =
+  table_op ~tables [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ] text
 
 let sort_witness (t : Token.t) =
   t.kind = Token.Ident
   && List.mem (Token.last_component t.text) [ "sort"; "sort_uniq"; "stable_sort"; "fast_sort" ]
 
-let remove_witness (t : Token.t) =
-  t.kind = Token.Ident
-  && Token.starts_with ~prefix:"Hashtbl." t.text
-  && List.mem (Token.last_component t.text) [ "remove"; "reset"; "clear" ]
+let remove_witness ~tables (t : Token.t) =
+  t.kind = Token.Ident && table_op ~tables [ "remove"; "reset"; "clear" ] t.text
 
 (* does [from, upto) reference [name] as the head of a path? [stale],
    [stale.field] — but not [t.stale]. *)
@@ -243,7 +265,7 @@ let stmt_range = function
 
 (* Classify the unordered-iteration site at token [i]. [items] is the
    file's parsed structure (pass [Ast.items toks]). *)
-let classify_unordered (toks : Token.t array) ~items i =
+let classify_unordered (toks : Token.t array) ~tables ~items i =
   if List.exists sort_witness (statement_window toks i) then
     R1_safe "sorted in the same expression"
   else if Token.last_component toks.(i).Token.text = "fold" && commutative_fold_body toks i then
@@ -288,11 +310,11 @@ let classify_unordered (toks : Token.t array) ~items i =
                (fun s ->
                  let a, z = stmt_range s in
                  slice_exists toks ~from:a ~upto:z sort_witness
-                 || slice_exists toks ~from:a ~upto:z remove_witness)
+                 || slice_exists toks ~from:a ~upto:z (remove_witness ~tables))
                uses
         in
         if all_ok then
-          R1_safe "result is sorted or only drives Hashtbl.remove before any read"
+          R1_safe "result is sorted or only drives table removals before any read"
         else if fill_ok () then R1_safe "fills an array that is sorted before any read"
         else R1_unsafe
       | _ -> if fill_ok () then R1_safe "fills an array that is sorted before any read" else R1_unsafe)
@@ -385,6 +407,7 @@ let slice_taint (toks : Token.t array) ~from ~upto env =
 
 let check_taint (toks : Token.t array) =
   let items = Ast.items toks in
+  let tables = hash_tables toks in
   let findings = ref [] in
   (* names of top-level functions whose result carries taint *)
   let module_env = ref [] in
@@ -440,8 +463,8 @@ let check_taint (toks : Token.t array) =
                       if
                         !fold = None
                         && toks.(j).kind = Token.Ident
-                        && unordered_op toks.(j).text
-                        && classify_unordered toks ~items j = R1_unsafe
+                        && unordered_op ~tables toks.(j).text
+                        && classify_unordered toks ~tables ~items j = R1_unsafe
                       then
                         fold :=
                           Some

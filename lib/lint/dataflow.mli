@@ -10,8 +10,14 @@ val statement_window : Token.t array -> int -> Token.t list
 (** The statement-level token window around a site, bounded by
     [;]/[in]/[let]/[->]/… at the site's minimal bracket depth. *)
 
-val unordered_op : string -> bool
-(** Is this identifier a [Hashtbl] iteration in table order? *)
+val hash_tables : Token.t array -> string list
+(** Modules the unit binds to [Hashtbl.Make (…)] or [Hashtbl.MakeSeeded (…)]
+    ([module Label_tbl = Hashtbl.Make (…)]). Their operations are hash-table
+    operations for {!unordered_op} and {!classify_unordered}. *)
+
+val unordered_op : tables:string list -> string -> bool
+(** Is this identifier an iteration in table order — of [Hashtbl] or of one
+    of the functor instances [tables]? *)
 
 val slice_exists : Token.t array -> from:int -> upto:int -> (Token.t -> bool) -> bool
 
@@ -19,7 +25,7 @@ type r1_class =
   | R1_safe of string  (** why the order provably cannot escape *)
   | R1_unsafe
 
-val classify_unordered : Token.t array -> items:Ast.item list -> int -> r1_class
+val classify_unordered : Token.t array -> tables:string list -> items:Ast.item list -> int -> r1_class
 (** Order-safety of the unordered-iteration site at token index [i]:
     sorted in the same statement, a commutative fold reduction, a binding
     that is only sorted/used to remove table entries, or an array fill

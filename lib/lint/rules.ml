@@ -36,11 +36,12 @@ type file_facts = {
    is sorted before any read, an array fill sorted below). Everything the
    classifier cannot prove stays a finding. *)
 let check_unordered ~file ~items toks =
+  let tables = Dataflow.hash_tables toks in
   let out = ref [] in
   Array.iteri
     (fun i (t : Token.t) ->
-      if t.kind = Token.Ident && Dataflow.unordered_op t.text then
-        match Dataflow.classify_unordered toks ~items i with
+      if t.kind = Token.Ident && Dataflow.unordered_op ~tables t.text then
+        match Dataflow.classify_unordered toks ~tables ~items i with
         | Dataflow.R1_safe _ -> ()
         | Dataflow.R1_unsafe ->
           out :=

@@ -43,9 +43,9 @@ let periodic t ~every run ~stop =
   schedule t ~delay:every tick
 
 let step t =
-  match Heap.Keyed.pop t.queue with
-  | None -> false
-  | Some run ->
+  if Heap.Keyed.is_empty t.queue then false
+  else begin
+    let run = Heap.Keyed.pop_exn t.queue in
     let at = Time.of_us (Heap.Keyed.popped_k1 t.queue) in
     t.now <- at;
     t.processed <- t.processed + 1;
@@ -53,6 +53,7 @@ let step t =
       Probe.emit ~at (Probe.Engine_step { seq = Heap.Keyed.popped_k2 t.queue });
     run ();
     true
+  end
 
 let run ?until t =
   let horizon_reached () =

@@ -325,7 +325,7 @@ let current : t option ref = ref None
 
 let install t = current := Some t
 let uninstall () = current := None
-let active () = !current <> None
+let active () = match !current with None -> false | Some _ -> true (* no polymorphic compare *)
 
 let emit ~at ev = match !current with None -> () | Some t -> record t at ev
 

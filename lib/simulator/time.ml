@@ -10,8 +10,10 @@ let to_ms_float t = float_of_int t /. 1_000.
 let to_sec_float t = float_of_int t /. 1_000_000.
 let add = ( + )
 let sub = ( - )
-let max (a : t) (b : t) = Stdlib.max a b
-let min (a : t) (b : t) = Stdlib.min a b
+(* typed comparisons, not [Stdlib.max]/[min]: those are polymorphic and
+   call [caml_compare] on every event's [schedule] *)
+let max (a : t) (b : t) = if a >= b then a else b
+let min (a : t) (b : t) = if a <= b then a else b
 let compare = Int.compare
 let equal = Int.equal
 

@@ -110,6 +110,56 @@ let test_r1_pipeline_sort_ok () =
   in
   Alcotest.check slist "|> List.sort counts as the same expression" [] (rules_of r)
 
+let test_r1_functor_instance () =
+  (* a module bound to Hashtbl.Make is a hash table: its fold walks the
+     buckets in hash order, so an escaping result fires just as
+     Hashtbl.fold's would — and a removal-only use of it is safe *)
+  let tbl_module =
+    {|module Label_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (a, b) (c, d) = a = c && b = d
+  let hash (a, b) = (b * 31) + a
+end)
+|}
+  in
+  let r =
+    run
+      [
+        ( "lib/x.ml",
+          tbl_module
+          ^ {|
+let first tbl = List.hd (Label_tbl.fold (fun k _ acc -> k :: acc) tbl [])
+|} );
+      ]
+  in
+  Alcotest.check slist "escaping functor-instance fold fires" [ Lint.Rules.r_unordered ]
+    (rules_of r);
+  Alcotest.(check int) "on the fold line" 8 (List.hd r.findings).Lint.Rules.line;
+  let r =
+    run
+      [
+        ( "lib/x.ml",
+          tbl_module
+          ^ {|
+let prune tbl floor =
+  let stale = Label_tbl.fold (fun k v acc -> if v < floor then k :: acc else acc) tbl [] in
+  List.iter (Label_tbl.remove tbl) stale
+
+let total tbl = Label_tbl.fold (fun _ v acc -> acc + v) tbl 0
+|} );
+      ]
+  in
+  Alcotest.check slist "removal-only and commutative instance folds are safe" [] (rules_of r);
+  (* the binding is what makes it a table: the same call on a module the
+     file does not bind to Hashtbl.Make is not an iteration site *)
+  let r =
+    run [ ("lib/x.ml", "let first m = List.hd (Label_tbl.fold (fun k _ acc -> k :: acc) m [])\n") ]
+  in
+  Alcotest.check slist "unbound module is not a table" [] (rules_of r);
+  Alcotest.(check (list string)) "hash_tables finds the binding" [ "Label_tbl" ]
+    (Lint.Dataflow.hash_tables (fst (Lint.Token.tokenize tbl_module)))
+
 let test_r1_waiver () =
   let r =
     run
@@ -808,6 +858,22 @@ let test_fixture rule () =
     (Printf.sprintf "--good-- is clean of %s" rule)
     0 (count_rule rule r)
 
+let test_fixture_unordered_per_file () =
+  (* the unordered-iteration fixture's --bad-- section holds one file per
+     kind of table (Hashtbl, a Hashtbl.Make instance): each must fire on
+     its own, so neither example rides on the other *)
+  match find_root () with
+  | None -> Alcotest.fail "cannot locate dune-project above the test cwd"
+  | Some root ->
+    let path = Filename.concat root "test/lint_fixtures/unordered-iteration.ml" in
+    let bad, _ = parse_fixture (read_file path) in
+    Alcotest.(check int) "two bad files" 2 (List.length bad);
+    List.iter
+      (fun (file, src) ->
+        let r = run [ (file, src) ] in
+        Alcotest.(check bool) (file ^ " fires on its own") true (has_rule Lint.Rules.r_unordered r))
+      bad
+
 (* ---- the real tree --------------------------------------------------------- *)
 
 let test_real_tree_clean () =
@@ -842,6 +908,7 @@ let suite =
     Alcotest.test_case "R1 non-commutative fold fires" `Quick test_r1_noncommutative_fold_fires;
     Alcotest.test_case "R1 pipeline sort" `Quick test_r1_pipeline_sort_ok;
     Alcotest.test_case "R1 waiver" `Quick test_r1_waiver;
+    Alcotest.test_case "R1 Hashtbl.Make instances" `Quick test_r1_functor_instance;
     Alcotest.test_case "R2 fires on ambient sources" `Quick test_r2_fires;
     Alcotest.test_case "R2 allows seeded Random.State" `Quick test_r2_seeded_state_ok;
     Alcotest.test_case "R5 fires and waives" `Quick test_r5_fires_and_waives;
@@ -890,6 +957,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_waived_never_in_json;
     Alcotest.test_case "fixture: unordered-iteration" `Quick
       (test_fixture "unordered-iteration");
+    Alcotest.test_case "fixture: unordered-iteration per file" `Quick
+      test_fixture_unordered_per_file;
     Alcotest.test_case "fixture: ambient-nondeterminism" `Quick
       (test_fixture "ambient-nondeterminism");
     Alcotest.test_case "fixture: span-pairing" `Quick (test_fixture "span-pairing");

@@ -79,6 +79,104 @@ let prop_keyed_heap_sorts =
       in
       drain [] = List.sort compare ks)
 
+(* Interleaved push/pop/clear against a sorted-list model. Keys are drawn
+   from a small range so ties are common; the heap may break a (k1, k2)
+   tie either way, so a pop must return *some* modelled entry with the
+   minimum keys — its own payload, never another slot's. Capacity starts
+   at 1 and doubles only when the size would exceed it, so it must end
+   at the smallest power of two covering the peak size: a slot leaked by
+   pop or clear would force an extra doubling. *)
+type heap_op = Push of int * int | Pop | Clear
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map2 (fun a b -> Push (a, b)) (int_bound 8) (int_bound 3));
+        (4, return Pop);
+        (1, return Clear) ])
+
+let heap_op_print = function
+  | Push (a, b) -> Printf.sprintf "Push(%d,%d)" a b
+  | Pop -> "Pop"
+  | Clear -> "Clear"
+
+let prop_keyed_heap_model =
+  QCheck.Test.make ~name:"keyed heap matches a sorted-list model under push/pop/clear" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list heap_op_print) QCheck.Gen.(list_size (int_bound 120) heap_op_gen))
+    (fun ops ->
+      let module K = Sim.Heap.Keyed in
+      let h = K.create ~capacity:1 ~dummy:(-1, -1, -1) () in
+      let model = ref [] (* (k1, k2, id), sorted by keys *) in
+      let peak = ref 0 in
+      let next_id = ref 0 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push (k1, k2) ->
+            let id = !next_id in
+            incr next_id;
+            K.push h ~k1 ~k2 (k1, k2, id);
+            model := List.merge compare !model [ (k1, k2, id) ];
+            peak := max !peak (List.length !model)
+          | Pop -> (
+            match (K.pop h, !model) with
+            | None, [] -> ()
+            | Some ((k1, k2, _) as x), (m1, m2, _) :: _ ->
+              expect (k1 = m1 && k2 = m2);
+              expect (K.popped_k1 h = k1 && K.popped_k2 h = k2);
+              expect (List.mem x !model);
+              model := List.filter (( <> ) x) !model
+            | Some _, [] | None, _ :: _ -> expect false)
+          | Clear ->
+            K.clear h;
+            model := []);
+          expect (K.size h = List.length !model);
+          expect (K.is_empty h = (!model = []));
+          match (K.peek h, !model) with
+          | None, [] -> ()
+          | Some (k1, k2, _), (m1, m2, _) :: _ -> expect (k1 = m1 && k2 = m2)
+          | Some _, [] | None, _ :: _ -> expect false)
+        ops;
+      let rec pow2 c = if c >= !peak then c else pow2 (2 * c) in
+      expect (Sim.Heap.Keyed.capacity h = pow2 1);
+      !ok)
+
+(* DESIGN.md's flattened-event-path table promises the event queue costs
+   no allocation per event: after warm-up, push/pop pairs and engine steps
+   allocate no minor words at all. *)
+let test_event_path_allocates_nothing () =
+  let n = 100_000 in
+  let module K = Sim.Heap.Keyed in
+  let h = K.create ~dummy:"" () in
+  let payload = "x" in
+  for i = 0 to 999 do
+    K.push h ~k1:(i * 7 mod 1000) ~k2:i payload
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (K.pop_exn h);
+    K.push h ~k1:(K.popped_k1 h + (i mod 500)) ~k2:(1000 + i) payload
+  done;
+  let heap_words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "Heap.Keyed push/pop pairs" 0. heap_words;
+  let e = Sim.Engine.create () in
+  let rec tick () = Sim.Engine.schedule e ~delay:(Sim.Time.of_us 5) tick in
+  for i = 1 to 1000 do
+    Sim.Engine.schedule e ~delay:(Sim.Time.of_us i) tick
+  done;
+  for _ = 1 to 1000 do
+    ignore (Sim.Engine.step e)
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sim.Engine.step e)
+  done;
+  let step_words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "Engine.step" 0. step_words;
+  Alcotest.(check int) "queue stayed full" 1000 (Sim.Engine.pending e)
+
 (* ---- Rng ----------------------------------------------------------------- *)
 
 let test_rng_deterministic () =
@@ -319,6 +417,8 @@ let suite =
     qtest prop_heap_to_list_preserves;
     Alcotest.test_case "keyed heap basics" `Quick test_keyed_heap_basic;
     qtest prop_keyed_heap_sorts;
+    qtest prop_keyed_heap_model;
+    Alcotest.test_case "event path allocates nothing" `Quick test_event_path_allocates_nothing;
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     qtest prop_shuffle_is_permutation;
