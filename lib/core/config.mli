@@ -24,9 +24,15 @@ val site_of_dc : t -> int -> Sim.Topology.site
 
 val set_delay : t -> from:int -> hop:hop -> Sim.Time.t -> unit
 (** δ added by serializer [from] when forwarding along [hop]. Negative
-    values are rejected. *)
+    values are rejected, and so is a hop the tree does not have. *)
 
 val delay : t -> from:int -> hop:hop -> Sim.Time.t
+(** @raise Invalid_argument for a hop the tree does not have. *)
+
+val delays : t -> Sim.Time.t array
+(** The live δ table, indexed by the tree's hop numbering
+    ({!Tree.edge_hop}, {!Tree.dc_hop}). Writers must keep every entry
+    non-negative. *)
 
 val metadata_latency : t -> Sim.Topology.t -> src_dc:int -> dst_dc:int -> Sim.Time.t
 (** End-to-end label propagation latency from [src_dc] to [dst_dc]: the

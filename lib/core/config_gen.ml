@@ -77,15 +77,18 @@ let fuse config =
       (* b inherited a's site, so dropping b's entry keeps placements right *)
       place'.(rename a) <- place.(a);
       let config' = Config.create ~tree:tree' ~placement:place' ~dc_sites:(Config.dc_sites config) () in
+      (* carry δ over every surviving edge, both directions, read under
+         the old names *)
       List.iter
         (fun (x, y) ->
-          let dx = Config.delay config ~from:x ~hop:(To_serializer y) in
-          if not (Sim.Time.equal dx Sim.Time.zero) then
-            Config.set_delay config' ~from:(rename x) ~hop:(To_serializer (rename y)) dx;
-          let dy = Config.delay config ~from:y ~hop:(To_serializer x) in
-          if not (Sim.Time.equal dy Sim.Time.zero) then
-            Config.set_delay config' ~from:(rename y) ~hop:(To_serializer (rename x)) dy)
-        edges';
+          if not ((x = a && y = b) || (x = b && y = a)) then
+            List.iter
+              (fun (u, v) ->
+                let d = Config.delay config ~from:u ~hop:(To_serializer v) in
+                if not (Sim.Time.equal d Sim.Time.zero) then
+                  Config.set_delay config' ~from:(rename u) ~hop:(To_serializer (rename v)) d)
+              [ (x, y); (y, x) ])
+        (Tree.edges tree);
       for dc = 0 to Tree.n_dcs tree - 1 do
         let s = Tree.serializer_of tree ~dc in
         let d = Config.delay config ~from:s ~hop:(To_dc dc) in

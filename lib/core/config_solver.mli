@@ -9,7 +9,14 @@
     The objective is convex piecewise-linear in the delays, so for a fixed
     placement we run exact coordinate descent (each coordinate minimized by
     a weighted median). Placement is optimized by coordinate descent with
-    random restarts, seeded deterministically. *)
+    random restarts, seeded deterministically.
+
+    Each (problem, tree) is compiled once: the weighted pairs in
+    {!Mismatch.fold_pairs} order, each pair's serializer path and the
+    {!Tree.n_hops} numbers of its hops, the pairs crossing each hop, and
+    site-latency matrices in µs and ms. The lower bound, the objective and
+    the delay descent walk those arrays with δ in a float array, so scoring
+    a placement allocates nothing. *)
 
 type problem = {
   topo : Sim.Topology.t;

@@ -17,11 +17,6 @@ let of_replica_map rm ~bulk =
   done;
   { n_dcs = n; weight = (fun i j -> shared.(i).(j)); bulk }
 
-let pair_mismatch_ms t config topo ~src ~dst =
-  let lambda = Config.metadata_latency config topo ~src_dc:src ~dst_dc:dst in
-  let beta = t.bulk src dst in
-  Float.abs (Sim.Time.to_ms_float lambda -. Sim.Time.to_ms_float beta)
-
 let fold_pairs t f init =
   let acc = ref init in
   for i = 0 to t.n_dcs - 1 do
@@ -33,15 +28,3 @@ let fold_pairs t f init =
     done
   done;
   !acc
-
-let objective t config topo =
-  fold_pairs t (fun acc i j c -> acc +. (c *. pair_mismatch_ms t config topo ~src:i ~dst:j)) 0.
-
-let lower_bound t config topo =
-  fold_pairs t
-    (fun acc i j c ->
-      let lambda = Config.metadata_latency config topo ~src_dc:i ~dst_dc:j in
-      let beta = t.bulk i j in
-      let gap = Sim.Time.to_ms_float lambda -. Sim.Time.to_ms_float beta in
-      if gap > 0. then acc +. (c *. gap) else acc)
-    0.

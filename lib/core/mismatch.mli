@@ -5,7 +5,8 @@
     delivering a label earlier creates premature false dependencies,
     delivering it later sacrifices freshness. A configuration's quality is
     the weighted sum over pairs of |λ(i, j) − β(i, j)| where λ is the
-    metadata-path latency through the serializer tree. *)
+    metadata-path latency through the serializer tree. [Config_solver]
+    evaluates the sum over its compiled form of a tree. *)
 
 type t = {
   n_dcs : int;
@@ -20,10 +21,6 @@ val of_replica_map : Kvstore.Replica_map.t -> bulk:(int -> int -> Sim.Time.t) ->
 (** c(i, j) = number of keys replicated at both i and j (the workload-derived
     correlation weights of §5.4); pairs sharing nothing are ignored. *)
 
-val objective : t -> Config.t -> Sim.Topology.t -> float
-(** The Definition 2 sum, in weighted milliseconds. *)
-
-val lower_bound : t -> Config.t -> Sim.Topology.t -> float
-(** Objective achievable if delays could be chosen per-pair: counts only the
-    pairs whose metadata path is *slower* than bulk (delays cannot speed a
-    path up). Cheap; used to rank candidate trees during generation. *)
+val fold_pairs : t -> ('a -> int -> int -> float -> 'a) -> 'a -> 'a
+(** Folds over the ordered pairs (i, j), i ≠ j, with weight c(i, j) > 0, in
+    row-major order, passing c(i, j). *)

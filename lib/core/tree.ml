@@ -5,7 +5,8 @@ type t = {
   attach : int array;
   dcs_at : int list array;
   next : int array array; (* next.(a).(b) = neighbor of a toward b; -1 on diagonal *)
-  behind : (int * int, int list) Hashtbl.t; (* directed serializer edge -> dcs *)
+  edge_hop : int array array; (* edge_hop.(a).(b) = hop number of a -> b; -1 off the edges *)
+  behind : int list array; (* by edge hop number: dcs on the far side *)
 }
 
 let bfs_parents adj root =
@@ -58,22 +59,28 @@ let create ~n_serializers ~edges ~attach =
       if a <> dst then next.(a).(dst) <- parent.(a)
     done
   done;
-  let behind = Hashtbl.create 16 in
-  Array.iteri
-    (fun a neighbors ->
+  (* edge k is hops 2k (a -> b) and 2k + 1 (b -> a); a tree's n - 1 edges
+     are distinct once it is connected *)
+  let edge_hop = Array.make_matrix n n (-1) in
+  List.iteri
+    (fun k (a, b) ->
+      edge_hop.(a).(b) <- 2 * k;
+      edge_hop.(b).(a) <- (2 * k) + 1)
+    edges;
+  let behind = Array.make (2 * (n - 1)) [] in
+  List.iter
+    (fun (x, y) ->
       List.iter
-        (fun b ->
-          let dcs =
+        (fun (a, b) ->
+          behind.(edge_hop.(a).(b)) <-
             List.filter
               (fun dc ->
                 let s = attach.(dc) in
                 s <> a && next.(a).(s) = b)
-              (List.init n_dcs Fun.id)
-          in
-          Hashtbl.replace behind (a, b) dcs)
-        neighbors)
-    adj;
-  { n; adj; edges; attach; dcs_at; next; behind }
+              (List.init n_dcs Fun.id))
+        [ (x, y); (y, x) ])
+    edges;
+  { n; adj; edges; attach; dcs_at; next; edge_hop; behind }
 
 let star ~n_dcs = create ~n_serializers:1 ~edges:[] ~attach:(Array.make n_dcs 0)
 let n_serializers t = t.n
@@ -92,10 +99,22 @@ let serializer_path t ~src_dc ~dst_dc =
   let rec walk s acc = if s = dst then List.rev (s :: acc) else walk t.next.(s).(dst) (s :: acc) in
   walk src []
 
+let n_hops t = (2 * (t.n - 1)) + Array.length t.attach
+
+let find_edge_hop t ~from ~via =
+  if from >= 0 && from < t.n && via >= 0 && via < t.n then t.edge_hop.(from).(via) else -1
+
+let edge_hop t ~from ~via =
+  let h = find_edge_hop t ~from ~via in
+  if h < 0 then invalid_arg "Tree.edge_hop: not an edge";
+  h
+
+let dc_hop t ~dc = (2 * (t.n - 1)) + dc
+
 let dcs_behind t ~from ~via =
-  match Hashtbl.find_opt t.behind (from, via) with
-  | Some dcs -> dcs
-  | None -> invalid_arg "Tree.dcs_behind: not an edge"
+  let h = find_edge_hop t ~from ~via in
+  if h < 0 then invalid_arg "Tree.dcs_behind: not an edge";
+  t.behind.(h)
 
 let routes_toward t ~at ~dc =
   let s = t.attach.(dc) in

@@ -36,6 +36,20 @@ val serializer_path : t -> src_dc:int -> dst_dc:int -> int list
 (** Serializers traversed from [src_dc]'s attachment to [dst_dc]'s,
     inclusive. A single element when both attach to the same serializer. *)
 
+val n_hops : t -> int
+(** Directed hops a label can take out of a serializer, numbered densely:
+    serializer edge k of {!edges} is hops 2k (first → second) and 2k + 1
+    (second → first), and datacenter d's delivery hop (from its serializer)
+    is 2(n_serializers − 1) + d. Configurations index their artificial
+    delays by this numbering. *)
+
+val edge_hop : t -> from:int -> via:int -> int
+(** Hop number of the directed serializer edge [from → via].
+    @raise Invalid_argument if it is not an edge. *)
+
+val dc_hop : t -> dc:int -> int
+(** Hop number of the delivery from [dc]'s serializer to [dc]. *)
+
 val dcs_behind : t -> from:int -> via:int -> int list
 (** Datacenters whose attachment lies on the [via] side of the directed
     serializer edge [from → via]. Precomputed; O(1) lookup. *)

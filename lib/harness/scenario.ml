@@ -65,13 +65,14 @@ let replica_map setup =
   Workload.Keyspace.make ~rng ~topo:Sim.Ec2.topology ~dc_sites:(dc_sites setup)
     ~n_keys:setup.n_keys setup.correlation
 
-(* Algorithm-3 runs are deterministic in (n_dcs, correlation, seed); memoize
-   so sweeps that share a deployment do not re-solve. *)
-let config_cache : (int * string * int * float, Saturn.Config.t) Hashtbl.t = Hashtbl.create 8
+(* Algorithm-3 runs are deterministic in the replica map (n_dcs, n_keys,
+   correlation, seed) and the bulk factor; memoize so sweeps that share a
+   deployment do not re-solve. *)
+let config_cache : (int * int * string * int * float, Saturn.Config.t) Hashtbl.t = Hashtbl.create 8
 
 let solved_config setup =
   let corr = Format.asprintf "%a" Workload.Keyspace.pp_correlation setup.correlation in
-  let key = (setup.n_dcs, corr, setup.seed, setup.bulk_factor) in
+  let key = (setup.n_dcs, setup.n_keys, corr, setup.seed, setup.bulk_factor) in
   match Hashtbl.find_opt config_cache key with
   | Some c -> c
   | None ->

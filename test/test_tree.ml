@@ -145,11 +145,11 @@ let test_optimize_delays_improves () =
     Saturn.Config.create ~tree ~placement:[| Sim.Ec2.nv |]
       ~dc_sites:(Array.copy problem.Saturn.Config_solver.dc_sites) ()
   in
-  let before = Saturn.Mismatch.objective problem.Saturn.Config_solver.crit config Sim.Ec2.topology in
+  let before = Solver_reference.objective problem.Saturn.Config_solver.crit config Sim.Ec2.topology in
   let after = Saturn.Config_solver.optimize_delays problem config in
   Alcotest.(check bool) "no worse" true (after <= before +. 1e-9);
   (* objective consistency: returned value equals a fresh evaluation *)
-  let fresh = Saturn.Mismatch.objective problem.Saturn.Config_solver.crit config Sim.Ec2.topology in
+  let fresh = Solver_reference.objective problem.Saturn.Config_solver.crit config Sim.Ec2.topology in
   Alcotest.(check (float 1e-6)) "objective consistent" after fresh
 
 let test_mismatch_lower_bound () =
@@ -160,8 +160,8 @@ let test_mismatch_lower_bound () =
       ~dc_sites:(Array.copy problem.Saturn.Config_solver.dc_sites) ()
   in
   let crit = problem.Saturn.Config_solver.crit in
-  let lb = Saturn.Mismatch.lower_bound crit config Sim.Ec2.topology in
-  let obj = Saturn.Mismatch.objective crit config Sim.Ec2.topology in
+  let lb = Solver_reference.lower_bound crit config Sim.Ec2.topology in
+  let obj = Solver_reference.objective crit config Sim.Ec2.topology in
   Alcotest.(check bool) "lower bound is a lower bound" true (lb <= obj +. 1e-9)
 
 (* ---- Config generator ------------------------------------------------------ *)
@@ -325,6 +325,214 @@ let test_fuse_keeps_delayed_pairs () =
   let fused = Saturn.Config_gen.fuse config in
   Alcotest.(check int) "still two serializers" 2 (Saturn.Tree.n_serializers (Saturn.Config.tree fused))
 
+(* ---- Pinned solver output and the reference solver ------------------------ *)
+
+(* Every hop a configuration can delay, with its δ in µs: serializer edges
+   in each serializer's neighbor order, then each datacenter's delivery. *)
+let hop_delays config =
+  let tree = Saturn.Config.tree config in
+  let buf = Buffer.create 128 in
+  for s = 0 to Saturn.Tree.n_serializers tree - 1 do
+    List.iter
+      (fun b ->
+        Printf.bprintf buf " s%d>s%d=%d" s b
+          (Sim.Time.to_us (Saturn.Config.delay config ~from:s ~hop:(To_serializer b))))
+      (List.sort Int.compare (Saturn.Tree.neighbors tree s))
+  done;
+  for dc = 0 to Saturn.Tree.n_dcs tree - 1 do
+    let s = Saturn.Tree.serializer_of tree ~dc in
+    Printf.bprintf buf " s%d>dc%d=%d" s dc
+      (Sim.Time.to_us (Saturn.Config.delay config ~from:s ~hop:(To_dc dc)))
+  done;
+  Buffer.contents buf
+
+let render (config, obj) =
+  Format.asprintf "%a;%s; objective %h" Saturn.Config.pp config (hop_delays config) obj
+
+(* The problem Build.solve_config poses for a scenario setup at bulk factor 1:
+   replica-map weights, bulk = link latency. *)
+let scenario_problem setup =
+  let dc_sites = Harness.Scenario.dc_sites setup in
+  let bulk i j = Sim.Topology.latency Sim.Ec2.topology dc_sites.(i) dc_sites.(j) in
+  {
+    Saturn.Config_solver.topo = Sim.Ec2.topology;
+    dc_sites;
+    candidates = Saturn.Config_solver.default_candidates ~dc_sites;
+    crit = Saturn.Mismatch.of_replica_map (Harness.Scenario.replica_map setup) ~bulk;
+  }
+
+let test_pin_default_solve () =
+  let setup = Harness.Scenario.default_setup in
+  let config, obj = Saturn.Config_gen.find_configuration ~seed:11 (scenario_problem setup) in
+  Alcotest.(check string) "solved_config is the seed-11 solve"
+    (Format.asprintf "%a" Saturn.Config.pp config)
+    (Format.asprintf "%a" Saturn.Config.pp (Harness.Scenario.solved_config setup));
+  Alcotest.(check string) "default setup"
+    (String.concat ""
+       [ "config(tree(6 serializers; edges: 0-1 1-2 2-3 3-4 4-5; attach: dc0→s4 dc1→s3 dc2→s2 ";
+         "dc3→s5 dc4→s5 dc5→s1 dc6→s0); placement: s0@6 s1@5 s2@2 s3@1 s4@0 s5@3);";
+         " s0>s1=0 s1>s0=0 s1>s2=0 s2>s1=0 s2>s3=0 s3>s2=0 s3>s4=0 s4>s3=0 s4>s5=0 s5>s4=0";
+         " s4>dc0=0 s3>dc1=0 s2>dc2=0 s5>dc3=0 s5>dc4=0 s1>dc5=0 s0>dc6=0; objective 0x1.251p+13" ]) (render (config, obj))
+
+let test_pin_plan_solve () =
+  (* saturn-cli plan with no arguments: all seven regions, uniform weights *)
+  let dc_sites = Array.of_list (Sim.Ec2.first_n 7) in
+  let bulk i j = Sim.Topology.latency Sim.Ec2.topology dc_sites.(i) dc_sites.(j) in
+  let problem =
+    {
+      Saturn.Config_solver.topo = Sim.Ec2.topology;
+      dc_sites;
+      candidates = Saturn.Config_solver.default_candidates ~dc_sites;
+      crit = Saturn.Mismatch.uniform ~n_dcs:7 ~bulk;
+    }
+  in
+  Alcotest.(check string) "plan default (weighted mismatch 454.0 ms)"
+    (String.concat ""
+       [ "config(tree(5 serializers; edges: 0-1 1-2 2-3 3-4; attach: dc0→s3 dc1→s2 dc2→s1 ";
+         "dc3→s4 dc4→s4 dc5→s0 dc6→s2); placement: s0@5 s1@2 s2@1 s3@0 s4@3);";
+         " s0>s1=0 s1>s0=0 s1>s2=0 s2>s1=0 s2>s3=0 s3>s2=0 s3>s4=0 s4>s3=0";
+         " s3>dc0=0 s2>dc1=0 s1>dc2=0 s4>dc3=0 s4>dc4=0 s0>dc5=0 s2>dc6=0; objective 0x1.c6p+8" ])
+    (render (Saturn.Config_gen.find_configuration ~seed:11 problem))
+
+(* Random solver instances: 3–6 datacenters, one per site of a random
+   integer-ms topology, weights with many zeros, bulk scaled by 0.5–2, a tree
+   grown by Config_gen.insertions and a random seed. *)
+type instance = {
+  problem : Saturn.Config_solver.problem;
+  tree : Saturn.Tree.t;
+  placement : int array;
+  seed : int;
+  fast : bool;
+}
+
+let instance_gen =
+  QCheck.Gen.(
+    let* n = 3 -- 6 in
+    let* upper = list_repeat (n * n) (1 -- 120) in
+    let upper = Array.of_list upper in
+    let latency_ms =
+      Array.init n (fun i -> Array.init n (fun j -> if i = j then 0 else upper.((min i j * n) + max i j)))
+    in
+    let* weights = list_repeat (n * n) (frequency [ (3, return 0); (2, 1 -- 9) ]) in
+    let weights = Array.of_list weights in
+    let* factor = float_range 0.5 2. in
+    let* picks = list_repeat n (int_bound 1000) in
+    let bt =
+      List.fold_left
+        (fun (bt, dc) pick ->
+          if dc >= n then (bt, dc + 1)
+          else
+            let options = Saturn.Config_gen.insertions bt ~dc in
+            (List.nth options (pick mod List.length options), dc + 1))
+        (Saturn.Config_gen.Node (Leaf 0, Leaf 1), 2)
+        picks
+      |> fst
+    in
+    let tree = Saturn.Config_gen.to_tree bt ~n_dcs:n in
+    let* placement = list_repeat (Saturn.Tree.n_serializers tree) (int_bound (n - 1)) in
+    let* seed = int_bound 10_000 in
+    let* fast = bool in
+    let topo = Sim.Topology.create ~names:(Array.init n string_of_int) ~latency_ms in
+    let bulk i j =
+      Sim.Time.of_us (int_of_float (float_of_int (Sim.Topology.latency topo i j) *. factor))
+    in
+    let crit =
+      { Saturn.Mismatch.n_dcs = n; weight = (fun i j -> float_of_int weights.((i * n) + j)); bulk }
+    in
+    let dc_sites = Array.init n Fun.id in
+    let problem =
+      { Saturn.Config_solver.topo; dc_sites; candidates = Saturn.Config_solver.default_candidates ~dc_sites; crit }
+    in
+    return { problem; tree; placement = Array.of_list placement; seed; fast })
+
+let arbitrary_instance =
+  QCheck.make
+    ~print:(fun i ->
+      Format.asprintf "%a placement [%s] seed %d fast %b" Saturn.Tree.pp i.tree
+        (String.concat ";" (Array.to_list (Array.map string_of_int i.placement)))
+        i.seed i.fast)
+    instance_gen
+
+let check_same what want got =
+  if want <> got then QCheck.Test.fail_reportf "%s:@.reference %s@.compiled  %s" what want got
+
+let prop_solver_matches_reference =
+  QCheck.Test.make ~name:"compiled solver matches the list-based reference to the bit" ~count:300
+    arbitrary_instance (fun i ->
+      let fresh () =
+        Saturn.Config.create ~tree:i.tree ~placement:(Array.copy i.placement)
+          ~dc_sites:(Array.copy i.problem.dc_sites) ()
+      in
+      let c_ref = fresh () and c_lib = fresh () in
+      let o_ref = Solver_reference.optimize_delays i.problem c_ref in
+      let o_lib = Saturn.Config_solver.optimize_delays i.problem c_lib in
+      check_same "optimize_delays" (render (c_ref, o_ref)) (render (c_lib, o_lib));
+      let placed rng_solve =
+        render (rng_solve ?fast:(Some i.fast) ?restarts:None ~rng:(Sim.Rng.create ~seed:i.seed) i.problem i.tree)
+      in
+      check_same "optimize_placement" (placed Solver_reference.optimize_placement)
+        (placed Saturn.Config_solver.optimize_placement);
+      let ranked f = String.concat "\n" (List.map render (f ~top:3 i.problem)) in
+      check_same "find_configurations"
+        (ranked (Solver_reference.find_configurations ?threshold:None ?pool:None ~seed:i.seed))
+        (ranked (Saturn.Config_gen.find_configurations ?threshold:None ?pool:None ?insertion_order:None ~seed:i.seed));
+      true)
+
+(* Scenario.solved_config memoizes per setup shape; the replica map, and so
+   the solved tree, depends on n_keys too. *)
+let test_solved_config_memo_key () =
+  let setup n_keys seed = { Harness.Scenario.default_setup with n_dcs = 5; n_keys; seed } in
+  let fresh setup =
+    let spec =
+      Harness.Build.default_spec ~topo:Sim.Ec2.topology ~dc_sites:(Harness.Scenario.dc_sites setup)
+        ~rmap:(Harness.Scenario.replica_map setup)
+    in
+    Format.asprintf "%a" Saturn.Config.pp (Harness.Build.solve_config spec)
+  in
+  let memo setup = Format.asprintf "%a" Saturn.Config.pp (Harness.Scenario.solved_config setup) in
+  (* seed 17: 20 keys first; seed 18: 50 keys first *)
+  List.iter
+    (fun (seed, order) ->
+      let setups = List.map (fun k -> setup k seed) order in
+      let memoized = List.map memo setups in
+      List.iter2
+        (fun s m -> Alcotest.(check string) (Printf.sprintf "%d keys, seed %d" s.Harness.Scenario.n_keys seed) (fresh s) m)
+        setups memoized;
+      Alcotest.(check bool) (Printf.sprintf "seed %d: the two key counts solve differently" seed) true
+        (List.nth memoized 0 <> List.nth memoized 1))
+    [ (17, [ 20; 50 ]); (18, [ 50; 20 ]) ]
+
+let test_fuse_carries_delays () =
+  (* s0 and s1 fuse; the renumbered s1-s2 edge keeps its δ both ways *)
+  let tree = Saturn.Tree.create ~n_serializers:3 ~edges:[ (0, 1); (1, 2) ] ~attach:[| 0; 1; 2 |] in
+  let dc_sites = [| Sim.Ec2.nv; Sim.Ec2.nv; Sim.Ec2.nc |] in
+  let config = Saturn.Config.create ~tree ~placement:(Array.copy dc_sites) ~dc_sites () in
+  Saturn.Config.set_delay config ~from:1 ~hop:(Saturn.Config.To_serializer 2) (Sim.Time.of_ms 5);
+  Saturn.Config.set_delay config ~from:2 ~hop:(Saturn.Config.To_serializer 1) (Sim.Time.of_ms 3);
+  let fused = Saturn.Config_gen.fuse config in
+  Alcotest.(check int) "two serializers" 2 (Saturn.Tree.n_serializers (Saturn.Config.tree fused));
+  for i = 0 to 2 do
+    for j = 0 to 2 do
+      Alcotest.(check int) (Printf.sprintf "dc%d->dc%d latency preserved" i j)
+        (Sim.Time.to_us (Saturn.Config.metadata_latency config Sim.Ec2.topology ~src_dc:i ~dst_dc:j))
+        (Sim.Time.to_us (Saturn.Config.metadata_latency fused Sim.Ec2.topology ~src_dc:i ~dst_dc:j))
+    done
+  done
+
+(* The compiled solver scores placements and δ over flat arrays; the list
+   and Hashtbl evaluator it replaced allocated about 118 M minor words on
+   this solve. *)
+let test_solve_allocation () =
+  let setup = Harness.Scenario.default_setup in
+  let spec =
+    Harness.Build.default_spec ~topo:Sim.Ec2.topology ~dc_sites:(Harness.Scenario.dc_sites setup)
+      ~rmap:(Harness.Scenario.replica_map setup)
+  in
+  let before = Gc.minor_words () in
+  ignore (Harness.Build.solve_config spec);
+  let words = Gc.minor_words () -. before in
+  if words > 12e6 then Alcotest.failf "default solve allocated %.1f M minor words (limit 12 M)" (words /. 1e6)
+
 let suite =
   [
     Alcotest.test_case "tree validation" `Quick test_tree_validation;
@@ -346,4 +554,10 @@ let suite =
     Alcotest.test_case "failover to a pre-computed backup tree" `Quick test_backup_tree_switch;
     Alcotest.test_case "serializer fusion" `Quick test_fuse;
     Alcotest.test_case "fusion respects delays" `Quick test_fuse_keeps_delayed_pairs;
+    Alcotest.test_case "fusion carries delays on surviving edges" `Quick test_fuse_carries_delays;
+    Alcotest.test_case "pinned solve: default setup" `Quick test_pin_default_solve;
+    Alcotest.test_case "pinned solve: plan default" `Quick test_pin_plan_solve;
+    qtest prop_solver_matches_reference;
+    Alcotest.test_case "solved_config memo key includes n_keys" `Quick test_solved_config_memo_key;
+    Alcotest.test_case "default solve allocates at most 12 M words" `Quick test_solve_allocation;
   ]
