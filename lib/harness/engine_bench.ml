@@ -15,10 +15,13 @@ type tier_result = {
 }
 
 (* words allocated so far, minor + major net of promotions (promoted words
-   would otherwise be counted twice) *)
+   would otherwise be counted twice). The minor count comes from
+   Gc.minor_words (), which is exact: quick_stat's moves only at minor
+   collections, so a phase allocating less than a minor heap would read
+   as zero or as a whole heap. *)
 let words () =
   let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
 let n_dcs = 3
 let per_dc = 16

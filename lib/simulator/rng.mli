@@ -17,6 +17,10 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p]: one draw, true with probability
+    [p]. Unlike comparing {!float}'s result, it boxes no float. *)
+
 val bool : t -> bool
 
 val exponential : t -> mean:float -> float

@@ -50,7 +50,7 @@ let make ~rng ~topo ~dc_sites ~n_keys correlation =
             | Proportional -> 0.9 *. (1. -. (l /. (max_lat *. 1.1)))
             | Uniform _ | Full -> assert false
           in
-          Sim.Rng.float rng 1.0 < p
+          Sim.Rng.chance rng p
         end
       in
       let set = List.filter joins (List.init n Fun.id) in

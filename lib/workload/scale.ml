@@ -36,16 +36,20 @@ type t = {
   edge_hash : int64;
 }
 
-(* FNV-1a over the bytes of each int, little-endian — same family as the
-   probe digest, so test expectations read the same way *)
+(* FNV-1a over the 8 little-endian bytes of each endpoint, in edge order —
+   same family as the probe digest, so test expectations read the same
+   way. One pass over the finished edge stream: the running state is a
+   local int64 ref, which the native compiler keeps unboxed. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv_int h x =
-  let h = ref h in
-  for i = 0 to 7 do
-    let b = (x lsr (i * 8)) land 0xff in
-    h := Int64.mul (Int64.logxor !h (Int64.of_int b)) fnv_prime
+let fnv_ints a len =
+  let h = ref fnv_offset in
+  for j = 0 to len - 1 do
+    let x = a.(j) in
+    for i = 0 to 7 do
+      h := Int64.mul (Int64.logxor !h (Int64.of_int ((x lsr (i * 8)) land 0xff))) fnv_prime
+    done
   done;
   !h
 
@@ -68,11 +72,12 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
      prefix is a degree-proportional pick *)
   let endpoints = Array.make (2 * max_edges) 0 in
   let deg = Array.make n_users 0 in
-  let hash = ref fnv_offset in
   let n_edges = ref 0 in
-  (* per-community endpoint pools back the locality bias; freed before the
-     CSR build so peak memory stays ~3 ints per edge endpoint *)
-  let comm_pool = Array.init n_comm (fun _ -> vec_make 16) in
+  (* per-community endpoint pools back the locality bias, presized to a
+     community's mean share of the endpoints (2m per member) so most never
+     regrow; freed before the CSR build so peak memory stays ~3 ints per
+     edge endpoint *)
+  let comm_pool = Array.init n_comm (fun _ -> vec_make (2 * m * ((n_users / n_comm) + 1))) in
   let add_edge u v =
     let i = 2 * !n_edges in
     endpoints.(i) <- u;
@@ -81,8 +86,7 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
     deg.(u) <- deg.(u) + 1;
     deg.(v) <- deg.(v) + 1;
     vec_push comm_pool.(community u) u;
-    vec_push comm_pool.(community v) v;
-    hash := fnv_int (fnv_int !hash u) v
+    vec_push comm_pool.(community v) v
   in
   for u = 0 to seed_size - 1 do
     for v = u + 1 to seed_size - 1 do
@@ -105,7 +109,7 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
     let cpool = comm_pool.(community u) in
     while !added < m && !attempts < m * 20 do
       incr attempts;
-      let use_local = cpool.n > 0 && Sim.Rng.float rng 1.0 < locality in
+      let use_local = cpool.n > 0 && Sim.Rng.chance rng locality in
       let v =
         if use_local then cpool.a.(Sim.Rng.int rng cpool.n)
         else endpoints.(Sim.Rng.int rng (2 * !n_edges))
@@ -122,8 +126,11 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
   done;
   Array.iter (fun v -> v.a <- [||]; v.n <- 0) comm_pool;
   (* CSR build: prefix-sum offsets, then scatter both directions of every
-     edge; rows are then sorted in place (ascending neighbors, matching
-     Social_graph.friends) *)
+     edge in generation order, then sort each row in place (ascending
+     neighbors, matching Social_graph.friends). A row arrives as its
+     node's own-round targets (at most m, all lower, unsorted) followed by
+     every later node that attached to it (ascending), so an insertion
+     sort costs O(degree + m²) per row. *)
   let ne = !n_edges in
   let offsets = Array.make (n_users + 1) 0 in
   for u = 0 to n_users - 1 do
@@ -139,11 +146,19 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
     cursor.(v) <- cursor.(v) + 1
   done;
   for u = 0 to n_users - 1 do
-    let row = Array.sub adj offsets.(u) deg.(u) in
-    Array.sort Int.compare row;
-    Array.blit row 0 adj offsets.(u) deg.(u)
+    let lo = offsets.(u) in
+    for i = lo + 1 to offsets.(u + 1) - 1 do
+      let x = adj.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && adj.(!j) > x do
+        adj.(!j + 1) <- adj.(!j);
+        decr j
+      done;
+      adj.(!j + 1) <- x
+    done
   done;
-  { n_users; n_edges = ne; n_communities = n_comm; offsets; adj; edge_hash = !hash }
+  let edge_hash = fnv_ints endpoints (2 * ne) in
+  { n_users; n_edges = ne; n_communities = n_comm; offsets; adj; edge_hash }
 
 let of_tier tier ~seed = generate ~n_users:(tier_users tier) ~seed ()
 
@@ -209,14 +224,15 @@ module Ops = struct
      (master c = c mod n_dcs), so the users of [dc] are exactly
      { c + k*C | c ≡ dc (mod n_dcs) } — pick a stratum, then a row *)
   let user_at t ~dc =
-    let c_count = ((t.g.n_communities - 1 - dc) / t.n_dcs) + 1 in
-    let rec pick () =
+    let g = t.g in
+    let c_count = ((g.n_communities - 1 - dc) / t.n_dcs) + 1 in
+    let user = ref (-1) in
+    while !user < 0 do
       let c = dc + (t.n_dcs * Sim.Rng.int t.rng c_count) in
-      let rows = ((t.g.n_users - 1 - c) / t.g.n_communities) + 1 in
-      if rows <= 0 then pick ()
-      else c + (t.g.n_communities * Sim.Rng.int t.rng rows)
-    in
-    pick ()
+      let rows = ((g.n_users - 1 - c) / g.n_communities) + 1 in
+      if rows > 0 then user := c + (g.n_communities * Sim.Rng.int t.rng rows)
+    done;
+    !user
 
   let fresh_value t =
     t.payload <- t.payload + 1;
@@ -229,18 +245,10 @@ module Ops = struct
       Op.Remote_read { key; at = master_dc t.g ~n_dcs:t.n_dcs ~user:(user_of_key t.g key) }
     end
 
-  let pick_kind t =
-    let x = Sim.Rng.float t.rng 1.0 in
-    let rec walk acc = function
-      | [] -> Social_ops.Upload_album
-      | (k, p) :: rest -> if x < acc +. p then k else walk (acc +. p) rest
-    in
-    walk 0. Social_ops.mix
-
   let next t ~dc =
     t.ops <- t.ops + 1;
     let user = user_at t ~dc in
-    match pick_kind t with
+    match Social_ops.kind_of_draw (Sim.Rng.float t.rng 1.0) with
     | Social_ops.Browse_friend_wall ->
       resolve_read t ~dc (wall_key t.g ~user:(friend t.g t.rng user))
     | Social_ops.Browse_friend_albums ->

@@ -11,6 +11,13 @@
     time and memory, and streaming operations out of the finished graph
     allocates O(1) per op — no per-op list, no per-op closure.
 
+    The CSR build sorts no row copy. Scattering the edge stream in
+    generation order leaves each row as its node's own-round targets (at
+    most [mean_degree / 2], all lower-numbered, unsorted) followed by
+    every later node that attached to it, already ascending; an in-place
+    insertion sort then costs O(degree + mean_degree²) per row. The draws
+    come from {!Sim.Rng}, whose integer and coin draws allocate nothing.
+
     The benchmark tiers follow the paper's §7.4 dataset (61k ≈ the real
     New Orleans network) scaled ×4 and ×16: [T61k], [T250k], [T1m]. *)
 

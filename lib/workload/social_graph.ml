@@ -56,7 +56,7 @@ let generate ~n_users ~mean_degree ~communities ~locality ~seed =
     let added = ref 0 in
     while !added < wanted && !attempts < wanted * 20 do
       incr attempts;
-      let use_local = Sim.Rng.float rng 1.0 < locality && local_pool.(community.(u)) <> [] in
+      let use_local = Sim.Rng.chance rng locality && local_pool.(community.(u)) <> [] in
       let target = if use_local then pick_from local_pool.(community.(u)) else pick_from !global_pool in
       match target with
       | Some v -> if add_edge u v then incr added

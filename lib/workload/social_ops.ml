@@ -18,6 +18,22 @@ let mix =
     (Upload_album, 0.02);
   ]
 
+(* [mix] as flat tables: [cumulative.(i)] is the running sum of the first
+   i+1 shares, accumulated left to right, so a draw picks the same kind a
+   walk down the list would *)
+let kinds = Array.of_list (List.map fst mix)
+
+let cumulative =
+  let acc = ref 0. in
+  Array.of_list (List.map (fun (_, p) -> acc := !acc +. p; !acc) mix)
+
+let kind_of_draw x =
+  let i = ref 0 in
+  while !i < Array.length cumulative && x >= cumulative.(!i) do
+    incr i
+  done;
+  if !i < Array.length kinds then kinds.(!i) else Upload_album
+
 type t = {
   part : Social_partition.t;
   value_size : int;
@@ -31,14 +47,6 @@ type t = {
 let create part ~value_size ~seed =
   { part; value_size; rng = Sim.Rng.create ~seed; nearest_holder = Hashtbl.create 4096;
     payload = 0; ops = 0; remote = 0 }
-
-let pick_kind t =
-  let x = Sim.Rng.float t.rng 1.0 in
-  let rec walk acc = function
-    | [] -> Upload_album
-    | (k, p) :: rest -> if x < acc +. p then k else walk (acc +. p) rest
-  in
-  walk 0. mix
 
 let fresh_value t =
   t.payload <- t.payload + 1;
@@ -71,7 +79,7 @@ let resolve_read t ~dc key =
 let next t ~user =
   t.ops <- t.ops + 1;
   let dc = Social_partition.master t.part ~user in
-  match pick_kind t with
+  match kind_of_draw (Sim.Rng.float t.rng 1.0) with
   | Browse_friend_wall -> resolve_read t ~dc (Social_partition.wall_key t.part ~user:(random_friend t user))
   | Browse_friend_albums ->
     resolve_read t ~dc (Social_partition.album_key t.part ~user:(random_friend t user))

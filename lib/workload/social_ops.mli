@@ -19,6 +19,11 @@ type kind =
 val mix : (kind * float) list
 (** The percentages above; sums to 1. *)
 
+val kind_of_draw : float -> kind
+(** [kind_of_draw x] for a uniform draw [x] in [\[0, 1)]: the first kind
+    whose running share in [mix] exceeds [x]. Allocates nothing, so every
+    op stream over the mix picks through it. *)
+
 type t
 
 val create : Social_partition.t -> value_size:int -> seed:int -> t

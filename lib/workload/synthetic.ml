@@ -70,9 +70,9 @@ let fresh_payload t =
   t.payload
 
 let next t ~dc =
-  let is_read = Sim.Rng.float t.rng 1.0 < t.p.read_ratio in
+  let is_read = Sim.Rng.chance t.rng t.p.read_ratio in
   if is_read then begin
-    let remote = Sim.Rng.float t.rng 1.0 < t.p.remote_read_ratio in
+    let remote = Sim.Rng.chance t.rng t.p.remote_read_ratio in
     if remote && Array.length t.remote_keys.(dc) > 0 then begin
       let key = Sim.Rng.pick t.rng t.remote_keys.(dc) in
       Op.Remote_read { key; at = Hashtbl.find t.nearest_holder (dc, key) }

@@ -6,9 +6,11 @@ let qtest = QCheck_alcotest.to_alcotest
 module Scale = Workload.Scale
 module EB = Harness.Engine_bench
 
+(* Gc.minor_words () is exact; quick_stat's minor count moves only at
+   collections, which would quantize a small phase to 0 or a whole heap *)
 let words () =
   let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
 (* ---- generator ------------------------------------------------------------ *)
 
@@ -41,9 +43,57 @@ let test_tier_shape () =
       if v <= !prev then Alcotest.failf "row 0 not sorted: %d after %d" v !prev;
       prev := v)
 
+(* the absolute digest and adjacency at the 61k tier and seed 42: a
+   rewrite of the generator (or of Sim.Rng underneath it) must replay the
+   graph bit for bit, not just agree with itself *)
+let test_pinned_digest () =
+  let g = Scale.of_tier Scale.T61k ~seed:42 in
+  Alcotest.(check string) "digest" "4430a691bc2b66e0" (Scale.digest g);
+  Alcotest.(check int) "edges" 916_320 (Scale.n_edges g);
+  (* the digest covers the edge stream; this fingerprint covers the CSR
+     rows built from it, in row order *)
+  let h = ref 0 in
+  for u = 0 to Scale.n_users g - 1 do
+    Scale.iter_friends g u (fun v -> h := ((!h * 31) + v) land 0xffff_ffff_ffff)
+  done;
+  Alcotest.(check int) "adjacency fingerprint" 0x915b319562e !h
+
+(* every CSR row is ascending, row lengths are the degrees and add up to
+   both ends of every edge, and u lists v exactly as often as v lists u *)
+let prop_csr_rows =
+  QCheck.Test.make ~name:"CSR rows ascending and symmetric" ~count:30
+    QCheck.(
+      pair
+        (quad (int_range 2 3_000) small_nat (int_range 2 40) (option (int_range 1 40)))
+        (float_range 0. 1.))
+    (fun ((n_users, seed, mean_degree, communities), locality) ->
+      let g = Scale.generate ~n_users ~mean_degree ~locality ?communities ~seed () in
+      let mult = Hashtbl.create 1024 in
+      let total = ref 0 in
+      for u = 0 to n_users - 1 do
+        let prev = ref (-1) and len = ref 0 in
+        Scale.iter_friends g u (fun v ->
+            if v < !prev then QCheck.Test.fail_reportf "row %d: %d after %d" u v !prev;
+            if v < 0 || v >= n_users then QCheck.Test.fail_reportf "row %d: neighbor %d" u v;
+            prev := v;
+            incr len;
+            Hashtbl.replace mult (u, v) (1 + Option.value ~default:0 (Hashtbl.find_opt mult (u, v))));
+        if !len <> Scale.degree g u then QCheck.Test.fail_reportf "row %d: length vs degree" u;
+        total := !total + !len
+      done;
+      if !total <> 2 * Scale.n_edges g then
+        QCheck.Test.fail_reportf "%d row entries for %d edges" !total (Scale.n_edges g);
+      Hashtbl.iter
+        (fun (u, v) c ->
+          let c' = Option.value ~default:0 (Hashtbl.find_opt mult (v, u)) in
+          if c <> c' then QCheck.Test.fail_reportf "%d lists %d %d times, reverse %d" u v c c')
+        mult;
+      true)
+
 (* generation memory is O(edges): words allocated per edge must not grow
    with the user count (the quadratic Social_graph would blow this bound
-   immediately) *)
+   immediately). The flat arrays cost about 7 words per edge; 16 leaves
+   room for pool regrowth but not for a per-draw or per-edge box *)
 let prop_generation_linear =
   QCheck.Test.make ~name:"generation allocates O(1) words per edge" ~count:5
     QCheck.(int_range 2_000 20_000)
@@ -51,12 +101,14 @@ let prop_generation_linear =
       let w0 = words () in
       let g = Scale.generate ~n_users ~seed:(n_users land 0xff) () in
       let per_edge = (words () -. w0) /. float_of_int (Scale.n_edges g) in
-      if per_edge > 120. then
+      if per_edge > 16. then
         QCheck.Test.fail_reportf "%.1f words/edge at %d users" per_edge n_users;
       true)
 
 (* streaming ops out of a finished graph allocates O(1) per op — no hidden
-   per-op pool rebuild, whatever the graph size *)
+   per-op pool rebuild, whatever the graph size. An op costs about 4.5
+   words (the returned Op.t, its value, one boxed float draw); the bound
+   is 1.5x that *)
 let prop_stream_constant_alloc =
   QCheck.Test.make ~name:"op stream allocates O(1) words per op" ~count:4
     QCheck.(int_range 3_000 30_000)
@@ -69,7 +121,7 @@ let prop_stream_constant_alloc =
         ignore (Scale.Ops.next ops ~dc:(i mod 3) : Workload.Op.t)
       done;
       let per_op = (words () -. w0) /. float_of_int budget in
-      if per_op > 300. then QCheck.Test.fail_reportf "%.1f words/op at %d users" per_op n_users;
+      if per_op > 7. then QCheck.Test.fail_reportf "%.1f words/op at %d users" per_op n_users;
       true)
 
 (* ---- placement ------------------------------------------------------------ *)
@@ -204,6 +256,8 @@ let suite =
   [
     Alcotest.test_case "fixed-seed determinism digest" `Quick test_determinism;
     Alcotest.test_case "61k tier reference shape" `Quick test_tier_shape;
+    Alcotest.test_case "61k seed-42 digest pinned" `Quick test_pinned_digest;
+    qtest prop_csr_rows;
     qtest prop_generation_linear;
     qtest prop_stream_constant_alloc;
     Alcotest.test_case "op stream well-formedness" `Quick test_ops_well_formed;

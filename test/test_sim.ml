@@ -196,6 +196,55 @@ let test_rng_bounds () =
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.int: bound must be positive") (fun () ->
       ignore (Sim.Rng.int rng 0))
 
+(* golden draws at seed 42, captured before the state moved into unboxed
+   bytes: any rewrite of the generator must replay them exactly. List.init
+   applies its function left to right, so a list is a draw sequence. *)
+let test_rng_golden () =
+  let ints r n = List.init n (fun _ -> Sim.Rng.int r 1000) in
+  let r = Sim.Rng.create ~seed:42 in
+  Alcotest.(check (list int)) "int stream" [ 706; 145; 929 ] (ints r 3);
+  Alcotest.(check (float 0.)) "then float" 0x1.607387fc392b8p-2 (Sim.Rng.float r 1.0);
+  let r = Sim.Rng.create ~seed:42 in
+  Alcotest.(check (float 0.)) "float first" 0x1.7bae644c5fd6dp-1 (Sim.Rng.float r 1.0);
+  Alcotest.(check (list int)) "ints after the float" [ 145; 929; 882 ] (ints r 3);
+  let r = Sim.Rng.create ~seed:42 in
+  let s = Sim.Rng.split r in
+  Alcotest.(check (list int)) "split stream" [ 834; 658; 401 ] (ints s 3);
+  Alcotest.(check (list int)) "parent after split" [ 145; 929 ] (ints r 2);
+  let r = Sim.Rng.create ~seed:42 in
+  let bits = List.init 8 (fun _ -> if Sim.Rng.bool r then '1' else '0') in
+  Alcotest.(check string) "bool stream" "11000010" (String.of_seq (List.to_seq bits));
+  let r = Sim.Rng.create ~seed:42 and r' = Sim.Rng.create ~seed:42 in
+  for i = 0 to 99 do
+    let p = float_of_int i /. 100. in
+    Alcotest.(check bool) "chance p = float 1.0 < p" (Sim.Rng.float r' 1.0 < p) (Sim.Rng.chance r p)
+  done
+
+(* the state is unboxed, so integer and boolean draws allocate nothing and
+   a float draw at most its boxed result *)
+let test_rng_draws_allocate_nothing () =
+  let n = 100_000 in
+  let r = Sim.Rng.create ~seed:7 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    acc := !acc + Sim.Rng.int r (1 + (i land 1023))
+  done;
+  Alcotest.(check (float 0.)) "Rng.int" 0. (Gc.minor_words () -. before);
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    if Sim.Rng.chance r 0.3 then incr acc;
+    if Sim.Rng.bool r then incr acc
+  done;
+  Alcotest.(check (float 0.)) "Rng.chance and Rng.bool" 0. (Gc.minor_words () -. before);
+  let sum = ref 0. in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    sum := !sum +. Sim.Rng.float r 1.0
+  done;
+  let per_draw = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_draw > 2. then Alcotest.failf "Rng.float: %.2f words per draw, expected at most 2" per_draw
+
 let prop_shuffle_is_permutation =
   QCheck.Test.make ~name:"shuffle permutes" ~count:100
     QCheck.(pair small_int (list small_int))
@@ -421,6 +470,8 @@ let suite =
     Alcotest.test_case "event path allocates nothing" `Quick test_event_path_allocates_nothing;
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
+    Alcotest.test_case "rng golden draws at seed 42" `Quick test_rng_golden;
+    Alcotest.test_case "rng draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
     qtest prop_shuffle_is_permutation;
     Alcotest.test_case "rng exponential" `Quick test_rng_exponential_positive;
     Alcotest.test_case "engine time ordering" `Quick test_engine_ordering;

@@ -158,6 +158,35 @@ let test_social_ops_mix_sums () =
   let total = List.fold_left (fun acc (_, p) -> acc +. p) 0. Workload.Social_ops.mix in
   Alcotest.(check (float 1e-9)) "mix sums to 1" 1.0 total
 
+(* kind_of_draw must pick exactly what a walk down [mix] picks: the list
+   walk below is the pre-table definition, summed in the same order *)
+let walk_mix x =
+  let rec walk acc = function
+    | [] -> Workload.Social_ops.Upload_album
+    | (k, p) :: rest -> if x < acc +. p then k else walk (acc +. p) rest
+  in
+  walk 0. Workload.Social_ops.mix
+
+let prop_kind_of_draw_matches_walk =
+  QCheck.Test.make ~name:"kind_of_draw matches the mix walk" ~count:2000
+    (QCheck.float_range 0. 1.)
+    (fun x -> Workload.Social_ops.kind_of_draw x = walk_mix x)
+
+let test_kind_of_draw_thresholds () =
+  (* at and either side of every running share, where an off-by-one would show *)
+  let acc = ref 0. in
+  List.iter
+    (fun (_, p) ->
+      acc := !acc +. p;
+      List.iter
+        (fun x ->
+          if Workload.Social_ops.kind_of_draw x <> walk_mix x then
+            Alcotest.failf "kind_of_draw %h disagrees with the walk" x)
+        [ !acc; Float.pred !acc; Float.succ !acc ])
+    Workload.Social_ops.mix;
+  let zero = Workload.Social_ops.kind_of_draw 0. in
+  if zero <> Workload.Social_ops.Browse_friend_wall then Alcotest.fail "draw 0 is not the first kind"
+
 let test_social_ops_shape () =
   let ops = Workload.Social_ops.create part ~value_size:64 ~seed:13 in
   let rm = Workload.Social_partition.replica_map part in
@@ -267,6 +296,8 @@ let suite =
     Alcotest.test_case "partition locality" `Quick test_partition_locality;
     Alcotest.test_case "partition replication knob" `Quick test_partition_more_replicas_more_coverage;
     Alcotest.test_case "social op mix sums to 1" `Quick test_social_ops_mix_sums;
+    qtest prop_kind_of_draw_matches_walk;
+    Alcotest.test_case "kind_of_draw at the mix thresholds" `Quick test_kind_of_draw_thresholds;
     Alcotest.test_case "social ops shape" `Quick test_social_ops_shape;
     Alcotest.test_case "trace round trip" `Quick test_trace_roundtrip;
     Alcotest.test_case "trace comments and errors" `Quick test_trace_parse_errors_and_comments;
