@@ -1,7 +1,11 @@
-(** Post-run invariant checker for faulted runs.
+(** Invariant checker for faulted runs.
 
-    Consumes the event stream of a kept {!Sim.Probe.t} after the run and
-    asserts what fault injection must never break:
+    A streaming fold over the probe event stream: {!create} a checker,
+    feed it every event with {!step} — typically by handing [step c] to
+    {!Sim.Probe.subscribe} before the run, so it checks events as they
+    are recorded and needs no kept trace — and read the verdict with
+    {!report}. {!analyze} runs the same fold after the run, over a kept
+    trace. Either way it asserts what fault injection must never break:
 
     - {b Exactly-once, FIFO per origin}: at every serializer, the
       per-origin sequence numbers of committed labels ([Ser_commit]) are
@@ -49,8 +53,23 @@ type report = {
   switches : int;  (** [Switch_begin] events — online reconfigurations *)
 }
 
+type t
+(** A checker's running state: the per-key last-seen sequence numbers and
+    timestamps, the counters, and the violations so far. *)
+
+val create : unit -> t
+
+val step : t -> Sim.Time.t -> Sim.Probe.event -> unit
+(** Folds one event in. Events must arrive in emission order. *)
+
+val report : t -> report
+(** The verdict over every event stepped so far. The checker stays
+    usable: more steps and another [report] may follow. *)
+
 val analyze : Sim.Probe.t -> report
-(** @raise Invalid_argument if the probe was created with [~keep:false]
+(** [create], [step] over every kept event ({!Sim.Probe.iter}), [report]:
+    the post-run form of the same fold.
+    @raise Invalid_argument if the probe was created with [~keep:false]
     (there is no stream to check). *)
 
 val ok : report -> bool

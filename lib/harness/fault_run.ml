@@ -202,6 +202,9 @@ let run_one ~seed ~scenario ~system ~busiest =
   let engine = Sim.Engine.create () in
   let registry = Stats.Registry.create () in
   let probe = Sim.Probe.create ~keep:true () in
+  (* the checker folds events as they are recorded: no post-run pass *)
+  let checker = Faults.Checker.create () in
+  Sim.Probe.subscribe probe (Faults.Checker.step checker);
   let freg = Faults.Registry.create () in
   let metrics = Metrics.create ~registry engine ~topo:spec.Build.topo ~dc_sites in
   let recovery_hist =
@@ -290,7 +293,7 @@ let run_one ~seed ~scenario ~system ~busiest =
     vis_mean_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.mean vis);
     vis_p99_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.percentile vis 99.);
     recovery_ms;
-    report = Faults.Checker.analyze probe;
+    report = Faults.Checker.report checker;
     digest = Sim.Probe.digest probe;
     n_events = Sim.Probe.count probe;
     flame = Sim.Probe.counts_by_kind probe;

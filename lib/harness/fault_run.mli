@@ -4,7 +4,8 @@
     the paper's §6 failure model — a serializer head crash mid-stream, a
     transient partition, and a latency spike on the tree's busiest edge —
     for Saturn and for the eventual baseline, with a probe installed and a
-    {!Faults.Checker} pass over every trace. Four Saturn-only
+    {!Faults.Checker} subscribed to it, checking every event as it is
+    recorded. Four Saturn-only
     reconfiguration rows (§6.2) drive a mid-run epoch switch to
     {!Build.backup_config}: a clean graceful switch, a graceful switch
     composed with a metadata-tree cut, a forced switch after a whole
@@ -34,6 +35,8 @@ type outcome = {
           0 when nothing was left to drain. Recorded in the registry's
           [faults.recovery_ms] histogram. *)
   report : Faults.Checker.report;
+      (** the subscribed checker's verdict; equal to
+          [Faults.Checker.analyze probe] *)
   digest : string;  (** probe digest of this run *)
   n_events : int;
   flame : (string * int) list;  (** probe event counts by kind, name-sorted *)

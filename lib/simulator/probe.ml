@@ -115,35 +115,58 @@ let kind_names =
 (* ---- rendering ------------------------------------------------------------ *)
 
 (* One renderer backs the digest, [to_json], [write_jsonl] and
-   [stream_jsonl]: it appends straight into a caller-owned buffer, with no
-   Printf and no intermediate strings, so the hashed bytes and every
-   exported line are the same bytes by construction. *)
+   [stream_jsonl]: it appends straight into a caller-owned [writer], with
+   no Printf and no intermediate strings, so the hashed bytes and every
+   exported line are the same bytes by construction. A [writer] is a
+   growable [Bytes] the record path owns and reuses, so the digest reads
+   it with [Bytes.unsafe_get] rather than [Buffer.nth]'s checked call. *)
+type writer = { mutable wb : Bytes.t; mutable wn : int }
+
+let writer () = { wb = Bytes.create 256; wn = 0 }
+
+let reserve w need =
+  if w.wn + need > Bytes.length w.wb then begin
+    let b = Bytes.create (max (2 * Bytes.length w.wb) (w.wn + need)) in
+    Bytes.blit w.wb 0 b 0 w.wn;
+    w.wb <- b
+  end
+
+let add_char w c =
+  reserve w 1;
+  Bytes.unsafe_set w.wb w.wn c;
+  w.wn <- w.wn + 1
+
+let add_string w s =
+  let n = String.length s in
+  reserve w n;
+  Bytes.unsafe_blit_string s 0 w.wb w.wn n;
+  w.wn <- w.wn + n
 
 (* the digits of [m <= 0], most significant first: recursing on [m / 10]
    keeps every division by a constant, and working on the non-positive
    side gives [min_int] a magnitude too *)
 let rec add_digits buf m =
   if m <= -10 then add_digits buf (m / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+  add_char buf (Char.unsafe_chr (48 - (m mod 10)))
 
 (* [n] in decimal, exactly as [%d] prints it *)
 let add_int buf n =
-  if n < 0 then Buffer.add_char buf '-';
+  if n < 0 then add_char buf '-';
   add_digits buf (if n < 0 then n else -n)
 
 (* [key] carries its own punctuation, e.g. [,"seq":] *)
 let field buf key v =
-  Buffer.add_string buf key;
+  add_string buf key;
   add_int buf v
 
 let render_span buf ph { sk; origin; seq; aux; site; peer; epoch } =
-  Buffer.add_string buf ph;
-  Buffer.add_string buf (span_kind_name sk);
+  add_string buf ph;
+  add_string buf (span_kind_name sk);
   field buf {|","origin":|} origin; field buf {|,"seq":|} seq; field buf {|,"aux":|} aux;
   field buf {|,"site":|} site; field buf {|,"peer":|} peer; field buf {|,"epoch":|} epoch
 
 let render buf at ev =
-  let str = Buffer.add_string in
+  let str = add_string in
   field buf {|{"t":|} (Time.to_us at);
   str buf {|,"ev":"|};
   (match ev with
@@ -184,18 +207,18 @@ let render buf at ev =
   | Switch_done { dc; epoch } -> field buf {|switch_done","dc":|} dc; field buf {|,"epoch":|} epoch
   | Span_begin s -> render_span buf {|span_begin","kind":"|} s
   | Span_end s -> render_span buf {|span_end","kind":"|} s);
-  Buffer.add_char buf '}'
+  add_char buf '}'
 
 (* the JSONL form: one rendered object and its newline *)
-let render_line buf at ev =
-  Buffer.clear buf;
-  render buf at ev;
-  Buffer.add_char buf '\n'
+let render_line w at ev =
+  w.wn <- 0;
+  render w at ev;
+  add_char w '\n'
 
 let to_json at ev =
-  let buf = Buffer.create 128 in
-  render buf at ev;
-  Buffer.contents buf
+  let w = writer () in
+  render w at ev;
+  Bytes.sub_string w.wb 0 w.wn
 
 (* FNV-1a, 64-bit: stable across runs, processes and architectures — the
    digest doubles as CI's determinism oracle, so no Hashtbl.hash/Marshal.
@@ -205,88 +228,306 @@ let to_json at ev =
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv_fold state buf =
+let fnv_fold state w =
   let h = ref (Bytes.get_int64_le state 0) in
-  for i = 0 to Buffer.length buf - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth buf i)))) fnv_prime
+  let b = w.wb in
+  for i = 0 to w.wn - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)))) fnv_prime
   done;
   Bytes.set_int64_le state 0 !h
 
+(* ---- the packed kept trace ---------------------------------------------- *)
+
+(* A kept event is appended to fixed-size [Bytes] chunks: the GC never
+   scans or promotes their contents, where an [event array] would hold
+   one boxed block per event for the major GC to mark. An event is
+   encoded as one tag byte, then the zigzag-LEB128 delta of its time from
+   the previous event's, then each int field as a zigzag-LEB128 varint.
+   The tag is the [kind_id] (span ends take [n_span_kinds] more than
+   begins); the bool-like field of [Link_drop], [Proxy_apply],
+   [Proxy_mode] and [Switch_begin] rides in the tag's [tag_flag] bit. A
+   varint of a 63-bit int is at most 9 bytes, so an event — tag, time and
+   at most six fields — is at most [max_event_bytes]: a chunk is sealed
+   with [end_of_chunk] once the next event might not fit, and no event
+   straddles two chunks. *)
+let chunk_size = 65536
+let max_event_bytes = 1 + (9 * 7)
+let tag_flag = 0x80
+let end_of_chunk = 0xff
+
+(* LEB128 of [v] read as unsigned; returns the position after it *)
+let rec put_uleb b p v =
+  if v lsr 7 = 0 then begin
+    Bytes.unsafe_set b p (Char.unsafe_chr v);
+    p + 1
+  end
+  else begin
+    Bytes.unsafe_set b p (Char.unsafe_chr (v land 0x7f lor 0x80));
+    put_uleb b (p + 1) (v lsr 7)
+  end
+
+(* zigzag: small magnitudes of either sign get short varints *)
+let put b p n = put_uleb b p ((n lsl 1) lxor (n asr 62))
+
+let tag_of kid = function
+  | Span_end _ -> kid + n_span_kinds
+  | Link_drop { in_flight = true }
+  | Proxy_apply { fallback = true; _ }
+  | Proxy_mode { mode = Fallback; _ }
+  | Switch_begin { graceful = true; _ } ->
+    kid lor tag_flag
+  | _ -> kid
+
+(* the fields after the tag and time; returns the position after them *)
+let put_fields b p = function
+  | Engine_step { seq } -> put b p seq
+  | Link_send { size_bytes } -> put b p size_bytes
+  | Link_deliver | Link_drop _ -> p
+  | Fifo_resend { sender; seq } -> put b (put b p sender) seq
+  | Label_forward { dc; gear; ts; oseq; inst; epoch } ->
+    let p = put b (put b (put b p dc) gear) ts in
+    put b (put b (put b p oseq) inst) epoch
+  | Serializer_hop { from_ser; to_ser } -> put b (put b p from_ser) to_ser
+  | Serializer_deliver { dc } -> put b p dc
+  | Delay_wait { serializer; us } -> put b (put b p serializer) us
+  | Chain_ack { seq } -> put b p seq
+  | Ser_commit { ser; origin; oseq; epoch } -> put b (put b (put b (put b p ser) origin) oseq) epoch
+  | Head_change { ser } -> put b p ser
+  | Sink_emit { dc; ts } -> put b (put b p dc) ts
+  | Proxy_apply { dc; src_dc; gear; ts; fallback = _ } ->
+    put b (put b (put b (put b p dc) src_dc) gear) ts
+  | Proxy_mode { dc; mode = _ } -> put b p dc
+  | Stab_round { dc; gst } -> put b (put b p dc) gst
+  | Vec_advance { dc; src; ts } -> put b (put b (put b p dc) src) ts
+  | Switch_begin { epoch; graceful = _ } -> put b p epoch
+  | Switch_done { dc; epoch } -> put b (put b p dc) epoch
+  | Span_begin { sk = _; origin; seq; aux; site; peer; epoch }
+  | Span_end { sk = _; origin; seq; aux; site; peer; epoch } ->
+    let p = put b (put b (put b p origin) seq) aux in
+    put b (put b (put b p site) peer) epoch
+
+(* decoding reads through a cursor; fields are bound in encoding order
+   with [let], never inside one constructor application, whose argument
+   order OCaml leaves unspecified *)
+type cursor = { mutable cb : Bytes.t; mutable cp : int }
+
+let rec get_uleb c acc shift =
+  let byte = Bytes.get_uint8 c.cb c.cp in
+  c.cp <- c.cp + 1;
+  let acc = acc lor ((byte land 0x7f) lsl shift) in
+  if byte land 0x80 = 0 then acc else get_uleb c acc (shift + 7)
+
+let get c =
+  let v = get_uleb c 0 0 in
+  (v lsr 1) lxor -(v land 1)
+
+let span_kind_of_id = Array.of_list span_kinds
+
+let get_span c sk =
+  let origin = get c in
+  let seq = get c in
+  let aux = get c in
+  let site = get c in
+  let peer = get c in
+  let epoch = get c in
+  { sk; origin; seq; aux; site; peer; epoch }
+
+let get_event c tag =
+  let flag = tag land tag_flag <> 0 in
+  match tag land lnot tag_flag with
+  | 0 -> Engine_step { seq = get c }
+  | 1 -> Link_send { size_bytes = get c }
+  | 2 -> Link_deliver
+  | 3 -> Link_drop { in_flight = flag }
+  | 4 ->
+    let sender = get c in
+    let seq = get c in
+    Fifo_resend { sender; seq }
+  | 5 ->
+    let dc = get c in
+    let gear = get c in
+    let ts = get c in
+    let oseq = get c in
+    let inst = get c in
+    let epoch = get c in
+    Label_forward { dc; gear; ts; oseq; inst; epoch }
+  | 6 ->
+    let from_ser = get c in
+    let to_ser = get c in
+    Serializer_hop { from_ser; to_ser }
+  | 7 -> Serializer_deliver { dc = get c }
+  | 8 ->
+    let serializer = get c in
+    let us = get c in
+    Delay_wait { serializer; us }
+  | 9 -> Chain_ack { seq = get c }
+  | 10 ->
+    let ser = get c in
+    let origin = get c in
+    let oseq = get c in
+    let epoch = get c in
+    Ser_commit { ser; origin; oseq; epoch }
+  | 11 -> Head_change { ser = get c }
+  | 12 ->
+    let dc = get c in
+    let ts = get c in
+    Sink_emit { dc; ts }
+  | 13 ->
+    let dc = get c in
+    let src_dc = get c in
+    let gear = get c in
+    let ts = get c in
+    Proxy_apply { dc; src_dc; gear; ts; fallback = flag }
+  | 14 -> Proxy_mode { dc = get c; mode = (if flag then Fallback else Stream) }
+  | 15 ->
+    let dc = get c in
+    let gst = get c in
+    Stab_round { dc; gst }
+  | 16 ->
+    let dc = get c in
+    let src = get c in
+    let ts = get c in
+    Vec_advance { dc; src; ts }
+  | 17 -> Switch_begin { epoch = get c; graceful = flag }
+  | 18 ->
+    let dc = get c in
+    let epoch = get c in
+    Switch_done { dc; epoch }
+  | k when k < n_point_kinds + n_span_kinds ->
+    Span_begin (get_span c span_kind_of_id.(k - n_point_kinds))
+  | k when k < n_kinds + n_span_kinds -> Span_end (get_span c span_kind_of_id.(k - n_kinds))
+  | k -> invalid_arg (Printf.sprintf "Probe.iter: corrupt trace tag %d" k)
+
+(* ---- the probe ------------------------------------------------------------ *)
+
+(* span pairing keys: an integer hash and field-wise equality, instead of
+   the polymorphic hash and compare walking each record *)
+module Span_tbl = Hashtbl.Make (struct
+  type t = span
+
+  let equal a b =
+    span_kind_id a.sk = span_kind_id b.sk
+    && a.origin = b.origin && a.seq = b.seq && a.aux = b.aux && a.site = b.site
+    && a.peer = b.peer && a.epoch = b.epoch
+
+  let hash s =
+    let mix h x = (h * 0x100000001b3) lxor x in
+    let h = mix (mix (mix (span_kind_id s.sk) s.origin) s.seq) s.aux in
+    let h = mix (mix (mix h s.site) s.peer) s.epoch in
+    (h lxor (h lsr 29)) land max_int
+end)
+
 type t = {
   keep : bool;
-  (* the kept trace, flat: [times.(i)], [evs.(i)] is the i-th event; both
-     stay empty on count-only probes *)
-  mutable times : Time.t array;
-  mutable evs : event array;
+  (* the kept trace (see above): [chunks.(0 .. n_chunks - 1)], the last of
+     which is [cur], filled up to [pos]; a count-only probe never
+     allocates a chunk *)
+  mutable chunks : Bytes.t array;
+  mutable n_chunks : int;
+  mutable cur : Bytes.t;
+  mutable pos : int;
+  mutable last_us : int; (* the previous kept event's time, for the delta *)
   mutable len : int;
   hash : Bytes.t; (* FNV-1a state, see [fnv_fold] *)
-  line : Buffer.t; (* the record path's reused render buffer *)
+  line : writer; (* the record path's reused render buffer *)
   counts : int array; (* indexed by [kind_id] *)
   (* span pairing state: lives in the probe (not in the kept trace) so
      matched totals are available even on count-only (~keep:false) probes,
      which is what bench's flame table runs under *)
-  open_spans : (span, Time.t) Hashtbl.t;
+  open_spans : Time.t Span_tbl.t;
   span_us : int array; (* indexed by [span_kind_id] *)
   span_n : int array;
   mutable span_orphans : int;
   mutable stream : out_channel option;
+  mutable subscribers : (Time.t -> event -> unit) list; (* in subscription order *)
 }
 
 let create ?(keep = true) () =
-  let cap = if keep then 1024 else 0 in
   let hash = Bytes.create 8 in
   Bytes.set_int64_le hash 0 fnv_offset;
-  { keep; times = Array.make cap Time.zero; evs = Array.make cap Link_deliver; len = 0; hash;
-    line = Buffer.create 256; counts = Array.make n_kinds 0; open_spans = Hashtbl.create 64;
+  (* [pos = chunk_size] makes the first kept event allocate the first chunk *)
+  { keep; chunks = [||]; n_chunks = 0; cur = Bytes.empty; pos = chunk_size; last_us = 0; len = 0;
+    hash; line = writer (); counts = Array.make n_kinds 0; open_spans = Span_tbl.create 64;
     span_us = Array.make n_span_kinds 0; span_n = Array.make n_span_kinds 0; span_orphans = 0;
-    stream = None }
+    stream = None; subscribers = [] }
 
 let count t = t.len
 
 let stream_jsonl t oc = t.stream <- Some oc
 
-let doubled a fill =
-  let b = Array.make (2 * Array.length a) fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
+let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
+
+let new_chunk t =
+  if t.pos < chunk_size then Bytes.unsafe_set t.cur t.pos (Char.unsafe_chr end_of_chunk);
+  if t.n_chunks = Array.length t.chunks then begin
+    let a = Array.make (max 8 (2 * t.n_chunks)) Bytes.empty in
+    Array.blit t.chunks 0 a 0 t.n_chunks;
+    t.chunks <- a
+  end;
+  let b = Bytes.create chunk_size in
+  t.chunks.(t.n_chunks) <- b;
+  t.n_chunks <- t.n_chunks + 1;
+  t.cur <- b;
+  t.pos <- 0
+
+let keep_event t kid at ev =
+  if t.pos + max_event_bytes > chunk_size then new_chunk t;
+  let b = t.cur in
+  let us = Time.to_us at in
+  Bytes.unsafe_set b t.pos (Char.unsafe_chr (tag_of kid ev));
+  let p = put b (t.pos + 1) (us - t.last_us) in
+  t.pos <- put_fields b p ev;
+  t.last_us <- us
+
+(* a direct loop: a [List.iter] over a partial application would allocate
+   a closure per event *)
+let rec notify at ev = function
+  | [] -> ()
+  | f :: rest ->
+    f at ev;
+    notify at ev rest
 
 let record t at ev =
   render_line t.line at ev;
   fnv_fold t.hash t.line;
-  (match t.stream with Some oc -> Buffer.output_buffer oc t.line | None -> ());
+  (match t.stream with Some oc -> output oc t.line.wb 0 t.line.wn | None -> ());
   let kid = kind_id ev in
   t.counts.(kid) <- t.counts.(kid) + 1;
   (match ev with
   | Span_begin s ->
     (* keep the first begin: duplicates (none are expected from the core
        instrumentation) must not reset an open interval *)
-    if not (Hashtbl.mem t.open_spans s) then Hashtbl.replace t.open_spans s at
+    if not (Span_tbl.mem t.open_spans s) then Span_tbl.replace t.open_spans s at
   | Span_end s -> (
-    match Hashtbl.find_opt t.open_spans s with
+    match Span_tbl.find_opt t.open_spans s with
     | Some t0 ->
-      Hashtbl.remove t.open_spans s;
+      Span_tbl.remove t.open_spans s;
       let sid = span_kind_id s.sk in
       t.span_us.(sid) <- t.span_us.(sid) + (Time.to_us at - Time.to_us t0);
       t.span_n.(sid) <- t.span_n.(sid) + 1
     | None -> t.span_orphans <- t.span_orphans + 1)
   | _ -> ());
-  if t.keep then begin
-    if t.len = Array.length t.evs then begin
-      t.times <- doubled t.times Time.zero;
-      t.evs <- doubled t.evs Link_deliver
-    end;
-    t.times.(t.len) <- at;
-    t.evs.(t.len) <- ev
-  end;
-  t.len <- t.len + 1
+  if t.keep then keep_event t kid at ev;
+  t.len <- t.len + 1;
+  notify at ev t.subscribers
 
 let require_kept t fn =
   if not t.keep then invalid_arg ("Probe." ^ fn ^ ": probe created with ~keep:false")
 
 let iter t f =
   require_kept t "iter";
-  for i = 0 to t.len - 1 do
-    f t.times.(i) t.evs.(i)
+  let c = { cb = Bytes.empty; cp = 0 } in
+  let last_us = ref 0 in
+  for i = 0 to t.n_chunks - 1 do
+    c.cb <- t.chunks.(i);
+    c.cp <- 0;
+    let limit = if i = t.n_chunks - 1 then t.pos else chunk_size in
+    while c.cp < limit && Bytes.get_uint8 c.cb c.cp <> end_of_chunk do
+      let tag = Bytes.get_uint8 c.cb c.cp in
+      c.cp <- c.cp + 1;
+      last_us := !last_us + get c;
+      f (Time.of_us !last_us) (get_event c tag)
+    done
   done
 
 (* rebuild the historical (name, count) view: nonzero slots only, so
@@ -298,21 +539,21 @@ let sorted_nonzero names arr =
   done;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
-let span_name_of_id i = span_kind_name (List.nth span_kinds i)
+let span_name_of_id i = span_kind_name span_kind_of_id.(i)
 let counts_by_kind t = sorted_nonzero (fun i -> kind_names.(i)) t.counts
 let span_totals_us t = sorted_nonzero span_name_of_id t.span_us
 let span_counts t = sorted_nonzero span_name_of_id t.span_n
 let span_orphans t = t.span_orphans
-let open_span_count t = Hashtbl.length t.open_spans
+let open_span_count t = Span_tbl.length t.open_spans
 
 let digest t = Printf.sprintf "%016Lx" (Bytes.get_int64_le t.hash 0)
 
 let write_jsonl t oc =
   require_kept t "write_jsonl";
-  let buf = Buffer.create 256 in
+  let w = writer () in
   iter t (fun at ev ->
-      render_line buf at ev;
-      Buffer.output_buffer oc buf)
+      render_line w at ev;
+      output oc w.wb 0 w.wn)
 
 (* ---- the global sink ---------------------------------------------------- *)
 

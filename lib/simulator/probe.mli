@@ -19,10 +19,18 @@
     a sink is installed. Exactly one process-wide sink can be installed at
     a time, in the style of a [Logs] reporter.
 
-    Recording renders each event once, as its JSONL line, into a buffer
-    the probe reuses, and hashes those bytes without allocating; the same
-    renderer backs every export. That per-event cost is what the
-    benchmark's [obs.tax_ratio] measures. *)
+    Recording renders each event once, as its JSONL line, into a byte
+    buffer the probe owns and reuses, and hashes those bytes without
+    allocating; the same renderer backs every export. That per-event cost
+    is what the benchmark's [obs.tax_ratio] measures.
+
+    A kept probe stores its trace packed, not as OCaml values: each event
+    is appended to fixed 64 KiB [Bytes] chunks as a tag byte, a
+    zigzag-LEB128 time delta and one zigzag varint per field — about 7
+    bytes per event on the fault matrix. The GC never scans or promotes
+    those chunks. {!iter} decodes them back into events; analyzers that
+    only need one pass should {!subscribe} instead and see each event as
+    it is recorded. *)
 
 type mode = Stream | Fallback
 
@@ -141,9 +149,18 @@ val with_probe : t -> (unit -> 'a) -> 'a
 val count : t -> int
 
 val iter : t -> (Time.t -> event -> unit) -> unit
-(** [iter t f] calls [f at ev] on every kept event, in emission order,
-    building no list.
+(** [iter t f] decodes the packed trace and calls [f at ev] on every kept
+    event, in emission order, building no list. Each call allocates the
+    decoded event; [f] sees values structurally equal to the ones
+    emitted.
     @raise Invalid_argument if the probe was created with [~keep:false]. *)
+
+val subscribe : t -> (Time.t -> event -> unit) -> unit
+(** [subscribe t f] calls [f at ev] on every event recorded {e from now
+    on}, as it is recorded and after the probe's own accounting,
+    regardless of [keep]. Subscribers run in subscription order, and
+    notifying them allocates nothing per event: a streaming analyzer
+    costs only what [f] itself does. *)
 
 val counts_by_kind : t -> (string * int) list
 (** Event counts grouped by {!kind}, name-sorted. Available regardless of

@@ -41,3 +41,28 @@ let run_until_some engine result =
   | None -> Alcotest.fail "operation did not complete within simulated 30s"
 
 let value ?(size = 8) payload = Kvstore.Value.make ~payload ~size_bytes:size
+
+(* 64-bit FNV-1a over the bytes [Probe.write_jsonl] writes, read back in
+   fixed-size blocks so a long trace never sits in memory as one string:
+   what [Probe.digest] must equal *)
+let fnv_of_jsonl probe =
+  let path = Filename.temp_file "probe" ".jsonl" in
+  let oc = open_out_bin path in
+  Sim.Probe.write_jsonl probe oc;
+  close_out oc;
+  let ic = open_in_bin path in
+  let buf = Bytes.create 65536 in
+  let h = ref 0xcbf29ce484222325L in
+  let rec loop () =
+    let n = input ic buf 0 (Bytes.length buf) in
+    if n > 0 then begin
+      for i = 0 to n - 1 do
+        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get buf i)))) 0x100000001b3L
+      done;
+      loop ()
+    end
+  in
+  loop ();
+  close_in ic;
+  Sys.remove path;
+  Printf.sprintf "%016Lx" !h

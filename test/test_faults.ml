@@ -313,11 +313,26 @@ let test_double_switch_rejected () =
 
 (* ---- checker ------------------------------------------------------------- *)
 
+(* A checker subscribed to [probe] as it records, and [Checker.analyze]
+   over the kept trace afterwards, must agree report for report: every
+   planted violation below exercises both. *)
+let subscribed_checker probe =
+  let c = Faults.Checker.create () in
+  Sim.Probe.subscribe probe (Faults.Checker.step c);
+  c
+
+let streamed_report probe c =
+  let r = Faults.Checker.report c in
+  if r <> Faults.Checker.analyze probe then
+    Alcotest.failf "streaming checker disagrees with Checker.analyze:@.%a" Faults.Checker.pp r;
+  r
+
 let with_events emits =
   let probe = Sim.Probe.create () in
+  let c = subscribed_checker probe in
   Sim.Probe.with_probe probe (fun () ->
       List.iter (fun (us, ev) -> Sim.Probe.emit ~at:(Sim.Time.of_us us) ev) emits);
-  Faults.Checker.analyze probe
+  streamed_report probe c
 
 let commit ser origin oseq = Sim.Probe.Ser_commit { ser; origin; oseq; epoch = 0 }
 let commit_e epoch ser origin oseq = Sim.Probe.Ser_commit { ser; origin; oseq; epoch }
@@ -456,6 +471,7 @@ let run_random_plan ~seed =
   let engine = Sim.Engine.create () in
   let registry = Stats.Registry.create () in
   let probe = Sim.Probe.create () in
+  let checker = subscribed_checker probe in
   let freg = Faults.Registry.create () in
   let spec =
     {
@@ -488,7 +504,7 @@ let run_random_plan ~seed =
            ~next_op:(fun c -> Workload.Synthetic.next syn ~dc:c.Harness.Client.preferred_dc)
            ~warmup:(Sim.Time.of_ms 100) ~measure:(Sim.Time.of_ms 400)
            ~cooldown:(Sim.Time.of_ms 100)));
-  Faults.Checker.analyze probe
+  streamed_report probe checker
 
 (* regression pin: plan seed 877 forces a switch at t=38ms with ~40ms of
    bulk traffic still in flight; the old completion rule adopted C2
@@ -524,7 +540,12 @@ let test_matrix_smoke () =
       Alcotest.(check bool)
         (o.Harness.Fault_run.scenario ^ "/" ^ o.Harness.Fault_run.system ^ " recovery bounded")
         true
-        (o.Harness.Fault_run.recovery_ms >= 0. && o.Harness.Fault_run.recovery_ms < 2000.))
+        (o.Harness.Fault_run.recovery_ms >= 0. && o.Harness.Fault_run.recovery_ms < 2000.);
+      (* the run's report was streamed; re-check the kept trace after it *)
+      Alcotest.(check bool)
+        (o.Harness.Fault_run.scenario ^ "/" ^ o.Harness.Fault_run.system ^ " streamed = analyzed")
+        true
+        (o.Harness.Fault_run.report = Faults.Checker.analyze o.Harness.Fault_run.probe))
     outcomes;
   let crash_run = List.hd outcomes in
   Alcotest.(check int) "head change healed the chain" 1
@@ -547,10 +568,21 @@ let test_matrix_smoke () =
 (* An absolute pin, unlike the run-twice gates: a renderer that changed
    the traced bytes consistently would pass those, not this. The value is
    the row's digest before the probe's record path went allocation-free. *)
+let ser_crash42 =
+  lazy (Harness.Fault_run.run_scenario ~seed:42 ~scenario:"ser-crash" ~system:`Saturn ())
+
 let test_row_digest_pinned () =
-  let o = Harness.Fault_run.run_scenario ~seed:42 ~scenario:"ser-crash" ~system:`Saturn () in
+  let o = Lazy.force ser_crash42 in
   Alcotest.(check int) "events" 904465 o.Harness.Fault_run.n_events;
   Alcotest.(check string) "digest" "09002b7bddc3ce5a" o.Harness.Fault_run.digest
+
+(* the row's exported bytes against the digest the record path hashed: a
+   deterministic decode bug in the packed trace passes every run-twice
+   gate, but not this *)
+let test_row_export_matches_digest () =
+  let o = Lazy.force ser_crash42 in
+  Alcotest.(check string) "FNV over write_jsonl" "09002b7bddc3ce5a"
+    (Helpers.fnv_of_jsonl o.Harness.Fault_run.probe)
 
 let suite =
   [
@@ -583,4 +615,6 @@ let suite =
     qtest prop_random_plan_exactly_once_fifo;
     Alcotest.test_case "scenario matrix smoke" `Slow test_matrix_smoke;
     Alcotest.test_case "ser-crash row digest pinned (seed 42)" `Slow test_row_digest_pinned;
+    Alcotest.test_case "ser-crash row export matches digest (seed 42)" `Slow
+      test_row_export_matches_digest;
   ]

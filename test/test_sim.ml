@@ -443,20 +443,6 @@ let test_topology_sub () =
   Alcotest.(check int) "latency preserved" 154_000 (Sim.Time.to_us (Sim.Topology.latency sub 0 1));
   Alcotest.(check (array int)) "mapping" [| Sim.Ec2.i; Sim.Ec2.s |] mapping
 
-(* ---- Trace --------------------------------------------------------------- *)
-
-let test_trace_ring () =
-  let e = Sim.Engine.create () in
-  let tr = Sim.Trace.create ~capacity:3 e in
-  Sim.Trace.log tr ~component:"x" "dropped (disabled)";
-  Alcotest.(check int) "disabled drops" 0 (List.length (Sim.Trace.entries tr));
-  Sim.Trace.set_enabled tr true;
-  List.iter (fun m -> Sim.Trace.log tr ~component:"x" m) [ "a"; "b"; "c"; "d" ];
-  let msgs = List.map (fun (_, _, m) -> m) (Sim.Trace.entries tr) in
-  Alcotest.(check (list string)) "ring keeps newest" [ "b"; "c"; "d" ] msgs;
-  Sim.Trace.clear tr;
-  Alcotest.(check int) "cleared" 0 (List.length (Sim.Trace.entries tr))
-
 let suite =
   [
     Alcotest.test_case "time units and printing" `Quick test_time_units;
@@ -491,5 +477,4 @@ let suite =
     Alcotest.test_case "topology validation" `Quick test_topology_validation;
     Alcotest.test_case "EC2 Table 1 data" `Quick test_ec2_matrix;
     Alcotest.test_case "topology sub-selection" `Quick test_topology_sub;
-    Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
   ]
