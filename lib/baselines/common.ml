@@ -25,10 +25,14 @@ type t = {
   p : params;
   partitioning : Kvstore.Partitioning.t;
   dcs : dc_state array;
-  bulk : Sim.Link.t array array;
+  bulk_wires : Sim.Link.t array array;
+  bulk : (unit -> unit) Sim.Link.chan array array; (* the wires' channels *)
   series : Stats.Series.t option;
   mutable is_stopped : bool;
 }
+
+(* the baselines ship closures: their bulk channels run what they carry *)
+let run k = k ()
 
 let create ?series engine p =
   let n = Array.length p.dc_sites in
@@ -42,7 +46,7 @@ let create ?series engine p =
           gears = Array.init p.partitions (fun gear_id -> Saturn.Gear.create clock ~dc ~gear_id);
         })
   in
-  let bulk =
+  let bulk_wires =
     Array.init n (fun i ->
         Array.init n (fun j ->
             let lat =
@@ -52,9 +56,10 @@ let create ?series engine p =
             let lat = Sim.Time.of_us (int_of_float (float_of_int (Sim.Time.to_us lat) *. p.bulk_factor)) in
             Sim.Link.create engine ~latency:lat ()))
   in
+  let bulk = Array.map (Array.map (fun w -> Sim.Link.chan w run)) bulk_wires in
   let t =
-    { engine; p; partitioning = Kvstore.Partitioning.create ~partitions:p.partitions; dcs; bulk;
-      series; is_stopped = false }
+    { engine; p; partitioning = Kvstore.Partitioning.create ~partitions:p.partitions; dcs;
+      bulk_wires; bulk; series; is_stopped = false }
   in
   (match series with
   | Some sr ->
@@ -63,7 +68,7 @@ let create ?series engine p =
     let bulk_links = ref [] in
     for i = n - 1 downto 0 do
       for j = n - 1 downto 0 do
-        if i <> j then bulk_links := bulk.(i).(j) :: !bulk_links
+        if i <> j then bulk_links := bulk_wires.(i).(j) :: !bulk_links
       done
     done;
     let bulk_links = !bulk_links in
@@ -94,7 +99,7 @@ let ship t ~src ~dst ~size_bytes k = Sim.Link.send t.bulk.(src).(dst) ~size_byte
 
 let bulk_link t ~src ~dst =
   if src = dst then invalid_arg "Common.bulk_link: src = dst";
-  t.bulk.(src).(dst)
+  t.bulk_wires.(src).(dst)
 
 let gen_ts t ~dc ~part ~floor = Saturn.Gear.generate_ts t.dcs.(dc).gears.(part) ~client_ts:floor
 

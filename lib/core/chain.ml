@@ -71,13 +71,11 @@ let alive_replicas t = t.n_alive
 let committed t = t.committed
 let is_down t = t.order = []
 
-let successor t id =
-  let rec find = function
-    | a :: (b :: _) when a = id -> Some b
-    | _ :: rest -> find rest
-    | [] -> None
-  in
-  find t.order
+(* the replica after [id] in [order], or -1 when [id] is the tail *)
+let rec successor id = function
+  | a :: b :: _ when a = id -> b
+  | _ :: rest -> successor id rest
+  | [] -> -1
 
 let compact_window = 1024
 
@@ -134,11 +132,11 @@ let rec store_at t id ~seq entry =
   end
 
 and forward t id ~seq entry =
-  match successor t id with
-  | Some succ ->
+  let succ = successor id t.order in
+  if succ < 0 then try_commit t
+  else
     Sim.Engine.schedule t.engine ~delay:t.intra_latency (fun () ->
         if t.reps.(succ).alive then store_at t succ ~seq entry)
-  | None -> try_commit t
 
 let input t ~ext_key msg ~confirm =
   match t.order with

@@ -149,13 +149,13 @@ let update t ~key ~value ~client_ts ~k =
           Kvstore.Store.put t.stores.(part) ~key value label;
           Stats.Registry.incr t.updates_counter;
           let origin_time = Sim.Engine.now t.engine in
-          List.iter
-            (fun dst ->
-              if dst <> t.dc then
-                (* epoch 0 placeholder: the ship hook stamps the system's
-                   current epoch on the way out *)
-                t.hooks.ship_payload ~dst { Proxy.label; value; origin_time; epoch = 0 })
-            (Kvstore.Replica_map.replicas t.rmap ~key);
+          for i = 0 to Kvstore.Replica_map.degree t.rmap ~key - 1 do
+            let dst = Kvstore.Replica_map.replica t.rmap ~key i in
+            if dst <> t.dc then
+              (* epoch 0 placeholder: the ship hook stamps the system's
+                 current epoch on the way out *)
+              t.hooks.ship_payload ~dst { Proxy.label; value; origin_time; epoch = 0 }
+          done;
           Sink.offer t.sink label;
           k label))
 

@@ -159,27 +159,26 @@ let label_was_applied t l =
 
 (* ---- watermarks and waiters ------------------------------------------- *)
 
-let pending_min t src =
-  (* smallest not-yet-applied payload timestamp from [src]; lazily drops
-     applied labels left in the heap *)
-  let heap = t.pending_by_src.(src) in
-  let rec peek () =
-    match Sim.Heap.Keyed.peek heap with
-    | Some l when label_was_applied t l ->
-      ignore (Sim.Heap.Keyed.pop_exn heap);
-      peek ()
-    | Some l -> Some l.Label.ts
-    | None -> None
-  in
-  peek ()
+(* Drops applied labels left at the top of [heap]; true when a pending
+   one remains at the top. *)
+let rec clean t heap =
+  if Sim.Heap.Keyed.is_empty heap then false
+  else if label_was_applied t (Sim.Heap.Keyed.min_payload heap) then begin
+    ignore (Sim.Heap.Keyed.pop_exn heap);
+    clean t heap
+  end
+  else true
 
 let effective_watermark t ~src =
   if src = t.dc then Sim.Time.infinity
   else begin
+    (* the smallest not-yet-applied payload timestamp from [src] *)
+    let heap = t.pending_by_src.(src) in
     let safe_floor =
-      match pending_min t src with
-      | Some pts -> Sim.Time.min t.bulk_floor.(src) (Sim.Time.sub pts (Sim.Time.of_us 1))
-      | None -> t.bulk_floor.(src)
+      if clean t heap then
+        let pts = (Sim.Heap.Keyed.min_payload heap).Label.ts in
+        Sim.Time.min t.bulk_floor.(src) (Sim.Time.sub pts (Sim.Time.of_us 1))
+      else t.bulk_floor.(src)
     in
     Sim.Time.max t.applied_wm.(src) safe_floor
   end
@@ -401,34 +400,26 @@ let stable_floor t =
    availability argument, §6.1). In stream mode the tree is virtually
    always faster, so the sweep only catches pathological stragglers. *)
 let rec try_fallback t =
-  begin
-    let stable = stable_floor t in
-    (* smallest pending payload overall, in (ts, src) order *)
-    let best = ref None in
-    for src = 0 to t.n_dcs - 1 do
-      if src <> t.dc then begin
-        let heap = t.pending_by_src.(src) in
-        let rec clean () =
-          match Sim.Heap.Keyed.peek heap with
-          | Some l when label_was_applied t l ->
-            ignore (Sim.Heap.Keyed.pop_exn heap);
-            clean ()
-          | Some l -> Some l
-          | None -> None
-        in
-        match clean () with
-        | Some l -> (
-          match !best with
-          | Some b when Label.compare_ts_src b l <= 0 -> ()
-          | Some _ | None -> best := Some l)
-        | None -> ()
-      end
-    done;
-    match !best with
-    | Some l when Sim.Time.compare l.Label.ts stable <= 0 ->
+  let stable = stable_floor t in
+  (* smallest pending payload overall, in (ts, src) order, tracked by its
+     source *)
+  let best = ref (-1) in
+  for src = 0 to t.n_dcs - 1 do
+    if src <> t.dc && clean t t.pending_by_src.(src) then
+      if
+        !best < 0
+        || Label.compare_ts_src
+             (Sim.Heap.Keyed.min_payload t.pending_by_src.(!best))
+             (Sim.Heap.Keyed.min_payload t.pending_by_src.(src))
+           > 0
+      then best := src
+  done;
+  if !best >= 0 then begin
+    let l = Sim.Heap.Keyed.min_payload t.pending_by_src.(!best) in
+    if Sim.Time.compare l.Label.ts stable <= 0 then
       (* in-ts-order install; if the next payload is still staging we wait
          for its staging continuation to re-enter *)
-      (match Label_tbl.find t.labels l with
+      match Label_tbl.find t.labels l with
       | Staged p ->
         t.install_update p;
         probe_apply t l ~fallback:true;
@@ -436,8 +427,7 @@ let rec try_fallback t =
         (match t.mode with Stream -> scan t | Fallback -> ());
         check_switch_completion t;
         try_fallback t
-      | Arrived _ | Done | (exception Not_found) -> ())
-    | Some _ | None -> ()
+      | Arrived _ | Done | (exception Not_found) -> ()
   end
 
 (* ---- inputs ------------------------------------------------------------ *)

@@ -7,6 +7,8 @@ module Int_tbl = Hashtbl.Make (struct
   let hash x = x
 end)
 
+type 'msg entry = { seq : int; size : int; msg : 'msg; mutable last_sent : Sim.Time.t }
+
 (* One record per sender: the per-message path does a single int lookup
    instead of five polymorphic-hash probes keyed by [sender] or
    [(sender, seq)]. *)
@@ -17,7 +19,7 @@ type 'msg peer = {
      messages, and the latest ack channel *)
   mutable confirmed : int;
   unconfirmed : 'msg Int_tbl.t;
-  mutable ack_via : int -> unit;
+  mutable ack : int Sim.Link.chan;
 }
 
 type 'msg receiver = {
@@ -28,20 +30,19 @@ type 'msg receiver = {
   mutable r_delivered : int;
 }
 
-type 'msg entry = { seq : int; size : int; msg : 'msg; mutable last_sent : Sim.Time.t }
-
 type 'msg sender = {
   s_engine : Sim.Engine.t;
   s_id : int;
   resend_period : Sim.Time.t;
   mutable next_seq : int;
-  unacked : 'msg entry Queue.t; (* oldest first; seqs strictly increasing *)
-  mutable route : 'msg route option;
+  unacked : 'msg entry Sim.Ring.t; (* oldest first; seqs strictly increasing *)
+  (* the data channel carries the entry itself, already allocated for
+     retransmission; its handler, and the ack channel's, are made once at
+     [connect] *)
+  mutable route : 'msg entry Sim.Link.chan option;
   mutable stopped : bool;
   mutable timer_running : bool;
 }
-
-and 'msg route = { data : Sim.Link.t; ack : Sim.Link.t; dest : 'msg receiver }
 
 let make_receiver r_engine ~deferred ~deliver =
   { r_engine; r_deliver = deliver; r_peers = Int_tbl.create 8; r_deferred = deferred;
@@ -56,7 +57,7 @@ let deliver_deferred consumer p ~seq msg =
       Int_tbl.remove p.unconfirmed seq;
       let confirmed = p.confirmed in
       p.confirmed <- confirmed + 1;
-      p.ack_via confirmed
+      Sim.Link.send p.ack ~size_bytes:0 confirmed
     end
   in
   Int_tbl.replace p.unconfirmed seq msg;
@@ -83,66 +84,73 @@ let redeliver_unconfirmed recv ~deliver =
 
 let delivered r = r.r_delivered
 
-let peer recv sender_id ~send_ack =
+let peer recv sender_id ~ack =
   match Int_tbl.find recv.r_peers sender_id with
   | p ->
-    p.ack_via <- send_ack;
+    p.ack <- ack;
     p
   | exception Not_found ->
     let p =
       { expected = 0; buffer = Int_tbl.create 8; confirmed = 0;
-        unconfirmed = Int_tbl.create 8; ack_via = send_ack }
+        unconfirmed = Int_tbl.create 8; ack }
     in
     Int_tbl.add recv.r_peers sender_id p;
     p
 
-let receive recv ~sender_id ~seq msg ~send_ack =
-  let p = peer recv sender_id ~send_ack in
+let receive recv ~sender_id ~ack entry =
+  let p = peer recv sender_id ~ack in
   let expected = p.expected in
-  if seq >= expected then Int_tbl.replace p.buffer seq msg;
-  (* drain the in-order prefix *)
-  let rec drain e =
-    match Int_tbl.find p.buffer e with
-    | m ->
-      Int_tbl.remove p.buffer e;
+  let seq = entry.seq in
+  let expected' =
+    if seq = expected && Int_tbl.length p.buffer = 0 then begin
+      (* in order with nothing buffered: skip the out-of-order table *)
       recv.r_delivered <- recv.r_delivered + 1;
-      recv.r_deliver p ~seq:e m;
-      drain (e + 1)
-    | exception Not_found -> e
+      recv.r_deliver p ~seq entry.msg;
+      expected + 1
+    end
+    else begin
+      if seq >= expected then Int_tbl.replace p.buffer seq entry.msg;
+      (* drain the in-order prefix *)
+      let rec drain e =
+        match Int_tbl.find p.buffer e with
+        | m ->
+          Int_tbl.remove p.buffer e;
+          recv.r_delivered <- recv.r_delivered + 1;
+          recv.r_deliver p ~seq:e m;
+          drain (e + 1)
+        | exception Not_found -> e
+      in
+      drain expected
+    end
   in
-  let expected' = drain expected in
   p.expected <- expected';
   if recv.r_deferred then begin
     (* ack only the confirmed prefix *)
-    if p.confirmed > 0 then send_ack (p.confirmed - 1)
+    if p.confirmed > 0 then Sim.Link.send ack ~size_bytes:0 (p.confirmed - 1)
   end
   else
     (* cumulative ack: everything below expected' has been delivered *)
-    send_ack (expected' - 1)
+    Sim.Link.send ack ~size_bytes:0 (expected' - 1)
 
 let sender s_engine ~resend_period =
   (* engine-scoped, not process-global: the id reaches the probe stream
      via [Fifo_resend], and a global counter would make a second
      same-seed run in the same process digest differently *)
   { s_engine; s_id = Sim.Engine.fresh_id s_engine; resend_period; next_seq = 0;
-    unacked = Queue.create (); route = None; stopped = false; timer_running = false }
+    unacked = Sim.Ring.create (); route = None; stopped = false; timer_running = false }
 
-let unacked s = Queue.length s.unacked
+let unacked s = Sim.Ring.length s.unacked
 
-let transmit s route entry =
+let transmit s data entry =
   entry.last_sent <- Sim.Engine.now s.s_engine;
-  Sim.Link.send route.data ~size_bytes:entry.size (fun () ->
-      receive route.dest ~sender_id:s.s_id ~seq:entry.seq entry.msg ~send_ack:(fun acked ->
-          Sim.Link.send route.ack (fun () ->
-              (* cumulative ack + seq-ordered queue: drop the acked prefix *)
-              let rec drop () =
-                match Queue.peek_opt s.unacked with
-                | Some e when e.seq <= acked ->
-                  ignore (Queue.pop s.unacked);
-                  drop ()
-                | Some _ | None -> ()
-              in
-              drop ())))
+  Sim.Link.send data ~size_bytes:entry.size entry
+
+(* cumulative ack + seq-ordered queue: drop the acked prefix *)
+let rec drop_acked s acked =
+  if Sim.Ring.length s.unacked > 0 && (Sim.Ring.peek_exn s.unacked).seq <= acked then begin
+    ignore (Sim.Ring.pop_exn s.unacked);
+    drop_acked s acked
+  end
 
 let rec arm_timer s =
   if (not s.timer_running) && not s.stopped then begin
@@ -156,7 +164,7 @@ let rec arm_timer s =
           | Some route ->
             (* retransmit only entries that have been in flight for a full
                period — fresh entries are just waiting on the normal RTT *)
-            Queue.iter
+            Sim.Ring.iter
               (fun e ->
                 if Sim.Time.compare (Sim.Time.sub now e.last_sent) s.resend_period >= 0 then begin
                   if Sim.Probe.active () then
@@ -164,7 +172,7 @@ let rec arm_timer s =
                   transmit s route e
                 end)
               s.unacked);
-          if not (Queue.is_empty s.unacked) then arm_timer s
+          if Sim.Ring.length s.unacked > 0 then arm_timer s
         end)
   end
 
@@ -175,14 +183,15 @@ let send s ?(size_bytes = 0) msg =
     let seq = s.next_seq in
     s.next_seq <- seq + 1;
     let entry = { seq; size = size_bytes; msg; last_sent = Sim.Engine.now s.s_engine } in
-    Queue.push entry s.unacked;
+    Sim.Ring.push s.unacked entry;
     transmit s route entry;
     arm_timer s
 
 let connect s ~data ~ack dest =
-  s.route <- Some { data; ack; dest };
-  let route = { data; ack; dest } in
-  Queue.iter (transmit s route) s.unacked;
-  if not (Queue.is_empty s.unacked) then arm_timer s
+  let ack = Sim.Link.chan ack (drop_acked s) in
+  let data = Sim.Link.chan data (receive dest ~sender_id:s.s_id ~ack) in
+  s.route <- Some data;
+  Sim.Ring.iter (transmit s data) s.unacked;
+  if Sim.Ring.length s.unacked > 0 then arm_timer s
 
 let stop s = s.stopped <- true

@@ -4,8 +4,17 @@
     serializer-replica crashes without losing or reordering labels — losing
     a label would silently break causal delivery downstream. This module
     implements the standard sequence-number / cumulative-ack / retransmit
-    scheme. A sender can be re-pointed at a different receiver (the new head
-    of a healed chain) and will retransmit everything unacknowledged. *)
+    scheme. A sender can be re-pointed at a different receiver over fresh
+    wires and will retransmit everything unacknowledged.
+
+    The channel runs over the wires' typed {!Sim.Link.chan}s: the data
+    channel carries the retransmission entry itself and the ack channel
+    the acked sequence number, and both handlers are made once, at
+    {!connect}. The unacknowledged backlog is a {!Sim.Ring}. So in steady
+    state a message costs its entry (and the [Some] of an explicit
+    non-constant [~size_bytes]) and nothing per hop or per ack; an
+    in-order arrival with nothing buffered skips the out-of-order
+    table. *)
 
 type 'msg sender
 type 'msg receiver
@@ -26,9 +35,12 @@ val sender : Sim.Engine.t -> resend_period:Sim.Time.t -> 'msg sender
 (** Unacknowledged messages are retransmitted every [resend_period]. *)
 
 val connect : 'msg sender -> data:Sim.Link.t -> ack:Sim.Link.t -> 'msg receiver -> unit
-(** Routes the sender's traffic to [receiver]; immediately retransmits any
-    unacknowledged backlog. May be called again to re-target after a
-    failure. *)
+(** Routes the sender's traffic to [receiver] over the [data] and [ack]
+    wires, making their channels; immediately retransmits any
+    unacknowledged backlog. May be called again with fresh wires to
+    re-target; messages still in flight on the old wires reach the old
+    receiver. @raise Invalid_argument when a wire already has its channel
+    (a wire carries one channel, so wires cannot be reused). *)
 
 val send : 'msg sender -> ?size_bytes:int -> 'msg -> unit
 (** Queues and transmits. @raise Invalid_argument before the first

@@ -1,4 +1,6 @@
-type msg = { uid : int * int; label : Label.t; targets : int list }
+(* [targets] is a bitmask over datacenter ids: bit [dc] set when [dc]
+   still has to receive the label through this subtree *)
+type msg = { uid : int * int; label : Label.t; targets : int }
 
 type attach_links = {
   in_data : Sim.Link.t;
@@ -13,7 +15,7 @@ type t = {
   config : Config.t;
   instance : int; (* disambiguates uid-keyed spans across service epochs *)
   deliver : dc:int -> Label.t -> unit;
-  interest : Label.t -> int list;
+  interest : Label.t -> int;
   mutable chains : msg Chain.t array;
   (* serializer and datacenter id spaces are dense, so the per-hop routing
      tables are plain arrays indexed [from].[to] — no (int*int) hashing on
@@ -28,6 +30,21 @@ type t = {
   delivered_counter : Stats.Registry.counter;
   head_change_counter : Stats.Registry.counter;
   mutable all_senders : (unit -> unit) list; (* stop functions *)
+  (* per serializer: its local datacenters ascending, and beside each
+     neighbour the mask of datacenters behind it, in [Tree.neighbors]
+     order *)
+  local_dcs : int array array;
+  neighbours : int array array;
+  behind : int array array;
+  (* δ of each hop, read once from the config: per datacenter its egress
+     hop, per serializer the hop to each neighbour (parallel to
+     [neighbours]) *)
+  egress_delta : Sim.Time.t array;
+  hop_delta : Sim.Time.t array array;
+  (* the δ waits, one delay line per hop, indexed as the deltas: δ is
+     fixed, so due times never decrease *)
+  mutable egress_lines : msg Sim.Delay_line.t array;
+  mutable hop_lines : msg Sim.Delay_line.t array array;
 }
 
 let resend_period lat = Sim.Time.add (Sim.Time.add lat lat) (Sim.Time.of_ms 50)
@@ -39,73 +56,85 @@ let probe_delay t s delta =
 
 let positive delta = Sim.Time.compare delta Sim.Time.zero > 0
 
+(* [Engine.schedule] clamped negative delays to zero *)
+let due delta = Sim.Time.max delta Sim.Time.zero
+
+let mask dcs = List.fold_left (fun m dc -> m lor (1 lsl dc)) 0 dcs
+
+(* a datacenter mask must fit an OCaml int with room to spare *)
+let max_dcs = 62
+
 let route t s msg =
   let origin, oseq = msg.uid in
+  let now = Sim.Engine.now t.engine in
   if Sim.Probe.active () then begin
-    let at = Sim.Engine.now t.engine in
-    Sim.Probe.emit ~at (Sim.Probe.Ser_commit { ser = s; origin; oseq; epoch = t.instance });
-    Sim.Span.end_ ~at Sim.Span.Sk_chain ~origin ~seq:oseq ~aux:t.instance ~site:s
+    Sim.Probe.emit ~at:now (Sim.Probe.Ser_commit { ser = s; origin; oseq; epoch = t.instance });
+    Sim.Span.end_ ~at:now Sim.Span.Sk_chain ~origin ~seq:oseq ~aux:t.instance ~site:s
       ~epoch:t.instance
   end;
-  let tree = Config.tree t.config in
-  let local = List.filter (fun dc -> List.mem dc (Tree.dcs_at tree s)) msg.targets in
-  List.iter
-    (fun dc ->
-      let delta = Config.delay t.config ~from:s ~hop:(To_dc dc) in
+  let local = t.local_dcs.(s) in
+  for i = 0 to Array.length local - 1 do
+    let dc = local.(i) in
+    if msg.targets land (1 lsl dc) <> 0 then begin
+      let delta = t.egress_delta.(dc) in
       if Sim.Probe.active () then begin
-        let at = Sim.Engine.now t.engine in
-        Sim.Probe.emit ~at (Sim.Probe.Serializer_deliver { dc });
+        Sim.Probe.emit ~at:now (Sim.Probe.Serializer_deliver { dc });
         probe_delay t s delta;
         if positive delta then
-          Sim.Span.begin_ ~at Sim.Span.Sk_delay_egress ~origin ~seq:oseq ~aux:t.instance ~site:s
-            ~peer:dc ~epoch:t.instance
+          Sim.Span.begin_ ~at:now Sim.Span.Sk_delay_egress ~origin ~seq:oseq ~aux:t.instance
+            ~site:s ~peer:dc ~epoch:t.instance
       end;
-      let sender =
-        match t.dc_out_senders.(dc) with Some snd -> snd | None -> assert false
-      in
-      Sim.Engine.schedule t.engine ~delay:delta (fun () ->
-          if Sim.Probe.active () then begin
-            let at = Sim.Engine.now t.engine in
-            if positive delta then
-              Sim.Span.end_ ~at Sim.Span.Sk_delay_egress ~origin ~seq:oseq ~aux:t.instance ~site:s
-                ~peer:dc ~epoch:t.instance;
-            let l = msg.label in
-            Sim.Span.begin_ ~at Sim.Span.Sk_egress ~origin:l.Label.src_dc
-              ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear ~site:s ~peer:dc
-              ~epoch:t.instance
-          end;
-          Reliable_fifo.send sender ~size_bytes:Label.size_bytes msg.label))
-    local;
-  List.iter
-    (fun b ->
-      let behind = Tree.dcs_behind tree ~from:s ~via:b in
-      let sub = List.filter (fun dc -> List.mem dc behind) msg.targets in
-      if sub <> [] then begin
-        let delta = Config.delay t.config ~from:s ~hop:(To_serializer b) in
-        if Sim.Probe.active () then begin
-          let at = Sim.Engine.now t.engine in
-          Sim.Probe.emit ~at (Sim.Probe.Serializer_hop { from_ser = s; to_ser = b });
-          probe_delay t s delta;
-          if positive delta then
-            Sim.Span.begin_ ~at Sim.Span.Sk_delay_hop ~origin ~seq:oseq ~aux:t.instance ~site:s
-              ~peer:b ~epoch:t.instance
-        end;
-        let sender =
-          match t.edge_senders.(s).(b) with Some snd -> snd | None -> assert false
-        in
-        let forwarded = { msg with targets = sub } in
-        Sim.Engine.schedule t.engine ~delay:delta (fun () ->
-            if Sim.Probe.active () then begin
-              let at = Sim.Engine.now t.engine in
-              if positive delta then
-                Sim.Span.end_ ~at Sim.Span.Sk_delay_hop ~origin ~seq:oseq ~aux:t.instance ~site:s
-                  ~peer:b ~epoch:t.instance;
-              Sim.Span.begin_ ~at Sim.Span.Sk_hop ~origin ~seq:oseq ~aux:t.instance ~site:s ~peer:b
-                ~epoch:t.instance
-            end;
-            Reliable_fifo.send sender ~size_bytes:Label.size_bytes forwarded)
-      end)
-    (Tree.neighbors tree s)
+      Sim.Delay_line.push t.egress_lines.(dc) ~at:(Sim.Time.add now (due delta)) msg
+    end
+  done;
+  let neighbours = t.neighbours.(s) and behind = t.behind.(s) and deltas = t.hop_delta.(s) in
+  for i = 0 to Array.length neighbours - 1 do
+    let sub = msg.targets land behind.(i) in
+    if sub <> 0 then begin
+      let b = neighbours.(i) in
+      let delta = deltas.(i) in
+      if Sim.Probe.active () then begin
+        Sim.Probe.emit ~at:now (Sim.Probe.Serializer_hop { from_ser = s; to_ser = b });
+        probe_delay t s delta;
+        if positive delta then
+          Sim.Span.begin_ ~at:now Sim.Span.Sk_delay_hop ~origin ~seq:oseq ~aux:t.instance ~site:s
+            ~peer:b ~epoch:t.instance
+      end;
+      Sim.Delay_line.push t.hop_lines.(s).(i) ~at:(Sim.Time.add now (due delta))
+        { msg with targets = sub }
+    end
+  done
+
+(* the egress δ wait of datacenter [dc] attached at serializer [s]; the
+   line's handler is made once, here *)
+let egress_line t ~s ~dc ~delta sender =
+  Sim.Delay_line.create t.engine (fun msg ->
+      if Sim.Probe.active () then begin
+        let at = Sim.Engine.now t.engine in
+        let origin, oseq = msg.uid in
+        if positive delta then
+          Sim.Span.end_ ~at Sim.Span.Sk_delay_egress ~origin ~seq:oseq ~aux:t.instance ~site:s
+            ~peer:dc ~epoch:t.instance;
+        let l = msg.label in
+        Sim.Span.begin_ ~at Sim.Span.Sk_egress ~origin:l.Label.src_dc
+          ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear ~site:s ~peer:dc
+          ~epoch:t.instance
+      end;
+      Reliable_fifo.send sender ~size_bytes:Label.size_bytes msg.label)
+
+(* the δ wait on the tree hop [s -> b] *)
+let hop_line t ~s ~b ~delta sender =
+  Sim.Delay_line.create t.engine (fun msg ->
+      if Sim.Probe.active () then begin
+        let at = Sim.Engine.now t.engine in
+        let origin, oseq = msg.uid in
+        if positive delta then
+          Sim.Span.end_ ~at Sim.Span.Sk_delay_hop ~origin ~seq:oseq ~aux:t.instance ~site:s
+            ~peer:b ~epoch:t.instance;
+        Sim.Span.begin_ ~at Sim.Span.Sk_hop ~origin ~seq:oseq ~aux:t.instance ~site:s ~peer:b
+          ~epoch:t.instance
+      end;
+      Reliable_fifo.send sender ~size_bytes:Label.size_bytes msg)
 
 let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
     ?(intra_latency = Sim.Time.of_us 300) ?registry ?series ?(name = "service") ?(instance = 0)
@@ -114,6 +143,8 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
   let tree = Config.tree config in
   let n_ser = Tree.n_serializers tree in
   let n_dcs = Tree.n_dcs tree in
+  if n_dcs > max_dcs then
+    invalid_arg (Printf.sprintf "Service.create: more than %d datacenters" max_dcs);
   let ser_ingress =
     match series with
     | Some sr ->
@@ -140,6 +171,24 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
       delivered_counter = Stats.Registry.counter registry (name ^ ".labels_delivered");
       head_change_counter = Stats.Registry.counter registry (name ^ ".head_changes");
       all_senders = [];
+      local_dcs =
+        Array.init n_ser (fun s -> Array.of_list (List.sort_uniq Int.compare (Tree.dcs_at tree s)));
+      neighbours = Array.init n_ser (fun s -> Array.of_list (Tree.neighbors tree s));
+      behind =
+        Array.init n_ser (fun s ->
+            Array.of_list
+              (List.map (fun b -> mask (Tree.dcs_behind tree ~from:s ~via:b)) (Tree.neighbors tree s)));
+      egress_delta =
+        Array.init n_dcs (fun dc ->
+            Config.delay config ~from:(Tree.serializer_of tree ~dc) ~hop:(To_dc dc));
+      hop_delta =
+        Array.init n_ser (fun s ->
+            Array.of_list
+              (List.map
+                 (fun b -> Config.delay config ~from:s ~hop:(To_serializer b))
+                 (Tree.neighbors tree s)));
+      egress_lines = [||];
+      hop_lines = [||];
     }
   in
   t.chains <-
@@ -237,6 +286,20 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
         t.dc_out_senders.(dc) <- Some out_sender;
         register_sender out_sender;
         { in_data = data; in_ack = ack; out_data; out_ack });
+  t.egress_lines <-
+    Array.init n_dcs (fun dc ->
+        match t.dc_out_senders.(dc) with
+        | Some sender ->
+          egress_line t ~s:(Tree.serializer_of tree ~dc) ~dc ~delta:t.egress_delta.(dc) sender
+        | None -> assert false);
+  t.hop_lines <-
+    Array.init n_ser (fun s ->
+        Array.mapi
+          (fun i b ->
+            match t.edge_senders.(s).(b) with
+            | Some sender -> hop_line t ~s ~b ~delta:t.hop_delta.(s).(i) sender
+            | None -> assert false)
+          t.neighbours.(s));
   (match series with
   | Some sr ->
     (* per-serializer backlog: unacked messages on every reliable channel
@@ -280,8 +343,8 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
 
 let input t ~dc label =
   Stats.Registry.incr t.input_counter;
-  let targets = List.filter (fun d -> d <> dc) (t.interest label) in
-  let oseq = if targets = [] then -1 else t.uid_counter.(dc) in
+  let targets = t.interest label land lnot (1 lsl dc) in
+  let oseq = if targets = 0 then -1 else t.uid_counter.(dc) in
   if Sim.Probe.active () then begin
     let at = Sim.Engine.now t.engine in
     Sim.Probe.emit ~at
@@ -293,7 +356,7 @@ let input t ~dc label =
         ~epoch:t.instance
         ~peer:(Tree.serializer_of (Config.tree t.config) ~dc)
   end;
-  if targets <> [] then begin
+  if targets <> 0 then begin
     let uid = (dc, oseq) in
     t.uid_counter.(dc) <- oseq + 1;
     Reliable_fifo.send t.dc_in_senders.(dc) ~size_bytes:Label.size_bytes { uid; label; targets }

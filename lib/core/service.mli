@@ -19,7 +19,7 @@ val create :
   Sim.Engine.t ->
   topo:Sim.Topology.t ->
   config:Config.t ->
-  interest:(Label.t -> int list) ->
+  interest:(Label.t -> int) ->
   deliver:(dc:int -> Label.t -> unit) ->
   ?serializer_replicas:int ->
   ?intra_latency:Sim.Time.t ->
@@ -29,8 +29,17 @@ val create :
   ?instance:int ->
   unit ->
   t
-(** [interest label] lists the datacenters that must receive [label]
-    (the origin itself is filtered out automatically). [deliver] is invoked
+(** [interest label] is the bitmask of datacenters that must receive
+    [label]: bit [dc] set for each (the origin's bit is cleared
+    automatically). {!Kvstore.Replica_map.mask} gives a key's mask. Labels
+    carry their remaining targets as such a mask hop by hop, and each
+    serializer meets the masks of its local datacenters and of the
+    datacenters behind each neighbour, precomputed here; local
+    datacenters are visited in ascending id order. Each hop's artificial
+    delay δ is read from [config] once, here: later [Config.set_delay]
+    calls do not reach a running service. Every δ wait is a
+    {!Sim.Delay_line} per hop, so forwarding allocates no closure per
+    label. [deliver] is invoked
     at each interested datacenter, in that datacenter's serialization
     order. [registry] receives the service's counters under [name]
     (default ["service"]); a private registry is created when omitted.
@@ -44,7 +53,9 @@ val create :
     forwarded label's trip (attach, chain, δ-waits, hops, egress) is
     bracketed by {!Sim.Span} begin/end pairs keyed by the label's
     [(origin, oseq)] uid. [instance] (default 0) tags those span keys so
-    concurrent service epochs during reconfiguration cannot collide. *)
+    concurrent service epochs during reconfiguration cannot collide.
+    @raise Invalid_argument for a tree with more than 62 datacenters,
+    whose masks would not fit an [int]. *)
 
 val input : t -> dc:int -> Label.t -> unit
 (** Called by datacenter [dc]'s label sink, in a causality-compliant order. *)

@@ -36,13 +36,20 @@ let no_hooks = { on_visible = (fun ~dc:_ ~key:_ ~origin_dc:_ ~origin_time:_ ~val
 
 type route = { mutable to_next : bool; mutable marker : Label.t option }
 
+(* what a bulk wire carries: a shipped update or a heartbeat promise, each
+   stamped with the sender's epoch at send time *)
+type bulk_msg =
+  | Payload of Proxy.payload
+  | Heartbeat of { src : int; epoch : int; floor : Sim.Time.t }
+
 type t = {
   engine : Sim.Engine.t;
   p : params;
   hooks : hooks;
   registry : Stats.Registry.t;
   mutable dcs : Datacenter.t array;
-  bulk : Sim.Link.t array array; (* [src].[dst]; diagonal unused *)
+  bulk_wires : Sim.Link.t array array; (* [src].[dst]; diagonal unused *)
+  mutable bulk : bulk_msg Sim.Link.chan array array; (* the wires' channels *)
   mutable service : Service.t option;
   mutable next_service : Service.t option;
   routes : route array; (* per-dc: which tree the sink currently feeds *)
@@ -66,13 +73,13 @@ let params t = t.p
 
 let bulk_link t ~src ~dst =
   if src = dst then invalid_arg "System.bulk_link: src = dst";
-  t.bulk.(src).(dst)
+  t.bulk_wires.(src).(dst)
 
 let interest_of p label =
   match label.Label.target with
-  | Label.Update { key } -> Kvstore.Replica_map.replicas p.rmap ~key
-  | Label.Migration { dest_dc } -> [ dest_dc ]
-  | Label.Epoch_change _ -> List.init (Array.length p.dc_sites) Fun.id
+  | Label.Update { key } -> Kvstore.Replica_map.mask p.rmap ~key
+  | Label.Migration { dest_dc } -> 1 lsl dest_dc
+  | Label.Epoch_change _ -> (1 lsl Array.length p.dc_sites) - 1
 
 let deliver_current t ~dc label = Proxy.on_label (Datacenter.proxy t.dcs.(dc)) label
 let deliver_next t ~dc label = Proxy.on_label_next (Datacenter.proxy t.dcs.(dc)) label
@@ -94,6 +101,11 @@ let route_label t dc label =
   | Some m when Label.equal m label -> route.to_next <- true
   | Some _ | None -> ()
 
+let on_bulk t dst = function
+  | Payload payload -> Proxy.on_payload (Datacenter.proxy t.dcs.(dst)) payload
+  | Heartbeat { src; epoch; floor } ->
+    Proxy.on_heartbeat (Datacenter.proxy t.dcs.(dst)) ~src ~epoch floor
+
 let heartbeat_wire_bytes = 12 (* floor ts (8) + src dc (2) + epoch tag (2) *)
 
 let create ?registry ?series engine p hooks =
@@ -105,7 +117,7 @@ let create ?registry ?series engine p hooks =
      construction and only heartbeats add background bytes. *)
   let meta = Stats.Meta_bytes.create registry ~system:"saturn" in
   let n = Array.length p.dc_sites in
-  let bulk =
+  let bulk_wires =
     Array.init n (fun i ->
         Array.init n (fun j ->
             let lat =
@@ -121,7 +133,8 @@ let create ?registry ?series engine p hooks =
       hooks;
       registry;
       dcs = [||];
-      bulk;
+      bulk_wires;
+      bulk = [||];
       service = None;
       next_service = None;
       routes = Array.init n (fun _ -> { to_next = false; marker = None });
@@ -154,8 +167,7 @@ let create ?registry ?series engine p hooks =
                     ~origin:l.Label.src_dc ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear
                     ~site:l.Label.src_dc ~peer:dst
                 end;
-                Sim.Link.send t.bulk.(dc).(dst) ~size_bytes:size (fun () ->
-                    Proxy.on_payload (Datacenter.proxy t.dcs.(dst)) payload));
+                Sim.Link.send t.bulk.(dc).(dst) ~size_bytes:size (Payload payload));
             emit_label = (fun label -> route_label t dc label);
             on_remote_visible =
               (fun ~key ~origin_dc ~origin_time ~value ->
@@ -169,6 +181,7 @@ let create ?registry ?series engine p hooks =
           ~cost:p.cost ~rmap:p.rmap ~hooks:hooks_dc ~clock_offset ~registry ?series
           ~proxy_mode:(if p.peer_mode then Proxy.Fallback else Proxy.Stream)
           ());
+  t.bulk <- Array.map (Array.mapi (fun dst w -> Sim.Link.chan w (on_bulk t dst))) bulk_wires;
   if not p.peer_mode then
     t.service <-
       Some
@@ -183,7 +196,7 @@ let create ?registry ?series engine p hooks =
     let bulk_links = ref [] in
     for i = n - 1 downto 0 do
       for j = n - 1 downto 0 do
-        if i <> j then bulk_links := bulk.(i).(j) :: !bulk_links
+        if i <> j then bulk_links := bulk_wires.(i).(j) :: !bulk_links
       done
     done;
     let bulk_links = !bulk_links in
@@ -206,14 +219,13 @@ let create ?registry ?series engine p hooks =
   for dc = 0 to n - 1 do
     Sim.Engine.periodic engine ~every:p.cost.Cost_model.heartbeat_period
       (fun () ->
-        let floor = Datacenter.gear_floor t.dcs.(dc) in
-        let epoch = t.epoch in
-        (* captured at send time, like payload tags *)
+        (* the epoch is captured at send time, like payload tags; one
+           message serves every destination *)
+        let beat = Heartbeat { src = dc; epoch = t.epoch; floor = Datacenter.gear_floor t.dcs.(dc) } in
         for dst = 0 to n - 1 do
           if dst <> dc then begin
             Stats.Meta_bytes.record_heartbeat meta ~bytes:heartbeat_wire_bytes;
-            Sim.Link.send t.bulk.(dc).(dst) ~size_bytes:heartbeat_wire_bytes (fun () ->
-                Proxy.on_heartbeat (Datacenter.proxy t.dcs.(dst)) ~src:dc ~epoch floor)
+            Sim.Link.send t.bulk.(dc).(dst) ~size_bytes:heartbeat_wire_bytes beat
           end
         done)
       ~stop:(fun () -> t.stopped)
@@ -228,41 +240,46 @@ let request_latency t client ~dc =
   if home = dc_site then Sim.Time.of_us t.p.cost.Cost_model.intra_dc_us
   else Sim.Topology.latency t.p.topo home dc_site
 
-let round_trip t client ~dc work ~k =
-  let lat = request_latency t client ~dc in
-  Sim.Engine.schedule t.engine ~delay:lat (fun () ->
-      work (fun result -> Sim.Engine.schedule t.engine ~delay:lat (fun () -> k result)))
+(* Each op is two request legs of [request_latency]: to the datacenter,
+   then back with the reply, written out per op rather than wrapped, so a
+   request allocates only its own continuations. *)
 
 let attach t client ~dc ~k =
-  round_trip t client ~dc
-    (fun reply ->
+  let lat = request_latency t client ~dc in
+  Sim.Engine.schedule t.engine ~delay:lat (fun () ->
       Datacenter.attach t.dcs.(dc) ~client_label:(Client_lib.causal_past client) ~k:(fun () ->
-          reply ()))
-    ~k:(fun () ->
-      Client_lib.set_current_dc client dc;
-      k ())
+          Sim.Engine.schedule t.engine ~delay:lat (fun () ->
+              Client_lib.set_current_dc client dc;
+              k ())))
 
 let read t client ~key ~k =
   let dc = Client_lib.current_dc client in
-  round_trip t client ~dc
-    (fun reply -> Datacenter.read t.dcs.(dc) ~key ~k:reply)
-    ~k:(fun result ->
-      match result with
-      | Some (value, label) ->
-        Client_lib.observe client label;
-        k (Some value)
-      | None -> k None)
+  let lat = request_latency t client ~dc in
+  Sim.Engine.schedule t.engine ~delay:lat (fun () ->
+      Datacenter.read t.dcs.(dc) ~key ~k:(fun result ->
+          Sim.Engine.schedule t.engine ~delay:lat (fun () ->
+              match result with
+              | Some (value, label) ->
+                Client_lib.observe client label;
+                k (Some value)
+              | None -> k None)))
+
+(* [finish k label] ends an update: static, so {!update} and
+   {!update_with_label} share the legs without a wrapper closure per call *)
+let update_legs t client ~key ~value ~finish k =
+  let dc = Client_lib.current_dc client in
+  let lat = request_latency t client ~dc in
+  Sim.Engine.schedule t.engine ~delay:lat (fun () ->
+      Datacenter.update t.dcs.(dc) ~key ~value ~client_ts:(Client_lib.causal_ts client)
+        ~k:(fun label ->
+          Sim.Engine.schedule t.engine ~delay:lat (fun () ->
+              Client_lib.observe client label;
+              finish k label)))
 
 let update_with_label t client ~key ~value ~k =
-  let dc = Client_lib.current_dc client in
-  round_trip t client ~dc
-    (fun reply ->
-      Datacenter.update t.dcs.(dc) ~key ~value ~client_ts:(Client_lib.causal_ts client) ~k:reply)
-    ~k:(fun label ->
-      Client_lib.observe client label;
-      k label)
+  update_legs t client ~key ~value ~finish:(fun k label -> k label) k
 
-let update t client ~key ~value ~k = update_with_label t client ~key ~value ~k:(fun _ -> k ())
+let update t client ~key ~value ~k = update_legs t client ~key ~value ~finish:(fun k _ -> k ()) k
 
 let migrate t client ~dest_dc ~k =
   let dc = Client_lib.current_dc client in
@@ -273,13 +290,15 @@ let migrate t client ~dest_dc ~k =
      attach it would save — so a returning client attaches directly
      (Algorithm 1 handles its label: instantly when the causal past was
      generated at the destination, per-source stabilization otherwise). *)
-  if dc = Client_lib.preferred_dc client && not t.p.peer_mode then
-    round_trip t client ~dc
-      (fun reply ->
-        Datacenter.migrate t.dcs.(dc) ~dest_dc ~client_ts:(Client_lib.causal_ts client) ~k:reply)
-      ~k:(fun label ->
-        Client_lib.observe client label;
-        attach t client ~dc:dest_dc ~k)
+  if dc = Client_lib.preferred_dc client && not t.p.peer_mode then begin
+    let lat = request_latency t client ~dc in
+    Sim.Engine.schedule t.engine ~delay:lat (fun () ->
+        Datacenter.migrate t.dcs.(dc) ~dest_dc ~client_ts:(Client_lib.causal_ts client)
+          ~k:(fun label ->
+            Sim.Engine.schedule t.engine ~delay:lat (fun () ->
+                Client_lib.observe client label;
+                attach t client ~dc:dest_dc ~k)))
+  end
   else attach t client ~dc:dest_dc ~k
 
 (* ---- reconfiguration ---------------------------------------------------- *)

@@ -115,9 +115,9 @@ let saturn_with ~peer ?registry ?series ?faults engine spec metrics =
   Option.iter (fun f -> Faults.Registry.bind_system f system) faults;
   let table : (int, Saturn.Client_lib.t) Hashtbl.t = Hashtbl.create 256 in
   let lib (c : Client.t) =
-    match Hashtbl.find_opt table c.Client.id with
-    | Some l -> l
-    | None ->
+    match Hashtbl.find table c.Client.id with
+    | l -> l
+    | exception Not_found ->
       let l =
         Saturn.Client_lib.create ~id:c.Client.id ~home_site:c.Client.home_site
           ~preferred_dc:c.Client.preferred_dc

@@ -23,28 +23,31 @@ let run engine api metrics ~clients ~next_op ~warmup ~measure ~cooldown =
     c.Client.total <- c.Client.total + 1;
     if in_window () then c.Client.completed <- c.Client.completed + 1
   in
-  let rec loop (c : Client.t) () =
-    if running () then begin
-      match next_op c with
-      | Workload.Op.Read { key } ->
-        api.Api.read c ~key ~k:(fun _ ->
-            completed_op c;
-            loop c ())
-      | Workload.Op.Write { key; value } ->
-        api.Api.update c ~key ~value ~k:(fun () ->
-            completed_op c;
-            loop c ())
-      | Workload.Op.Remote_read { key; at } ->
-        (* migrate to the holder, read there, and come home: one logical
-           remote read *)
-        api.Api.migrate c ~dest_dc:at ~k:(fun () ->
-            api.Api.read c ~key ~k:(fun _ ->
-                api.Api.migrate c ~dest_dc:c.Client.preferred_dc ~k:(fun () ->
-                    completed_op c;
-                    loop c ())))
-    end
+  (* Each client's continuations are made once, here. The loop is closed,
+     so a client has at most one op outstanding, and a remote read keeps
+     its key in the client's one cell between its legs. *)
+  let start (c : Client.t) =
+    let remote_key = ref 0 in
+    let rec loop () =
+      if running () then begin
+        match next_op c with
+        | Workload.Op.Read { key } -> api.Api.read c ~key ~k:read_done
+        | Workload.Op.Write { key; value } -> api.Api.update c ~key ~value ~k:op_done
+        | Workload.Op.Remote_read { key; at } ->
+          (* migrate to the holder, read there, and come home: one logical
+             remote read *)
+          remote_key := key;
+          api.Api.migrate c ~dest_dc:at ~k:remote_read
+      end
+    and op_done () =
+      completed_op c;
+      loop ()
+    and read_done _ = op_done ()
+    and remote_read () = api.Api.read c ~key:!remote_key ~k:go_home
+    and go_home _ = api.Api.migrate c ~dest_dc:c.Client.preferred_dc ~k:op_done in
+    api.Api.attach c ~dc:c.Client.preferred_dc ~k:loop
   in
-  List.iter (fun c -> api.Api.attach c ~dc:c.Client.preferred_dc ~k:(loop c)) clients;
+  List.iter start clients;
   Sim.Engine.run ~until:end_at engine;
   api.Api.stop ();
   (* drain whatever remains so visibility CDFs include late arrivals (the

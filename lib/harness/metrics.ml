@@ -7,7 +7,7 @@ type t = {
   mutable end_at : Sim.Time.t;
   visibility : Stats.Sample.t;
   extra : Stats.Sample.t;
-  pairs : (int * int, Stats.Sample.t) Hashtbl.t;
+  pairs : Stats.Sample.t option array; (* [origin * n_dcs + dest], made on first use *)
   count : Stats.Registry.counter;
   mutable observers :
     (dc:int -> key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit) list;
@@ -24,7 +24,7 @@ let create ?(bulk_factor = 1.0) ?registry engine ~topo ~dc_sites =
     end_at = Sim.Time.infinity;
     visibility = Stats.Sample.create ();
     extra = Stats.Sample.create ();
-    pairs = Hashtbl.create 64;
+    pairs = Array.make (Array.length dc_sites * Array.length dc_sites) None;
     count = Stats.Registry.counter registry "metrics.visible_in_window";
     observers = [];
   }
@@ -38,18 +38,28 @@ let in_window t =
   Sim.Time.compare now t.start_at >= 0 && Sim.Time.compare now t.end_at <= 0
 
 let pair_visibility t ~origin ~dest =
-  match Hashtbl.find_opt t.pairs (origin, dest) with
+  let n = Array.length t.dc_sites in
+  if origin < 0 || origin >= n || dest < 0 || dest >= n then
+    invalid_arg "Metrics.pair_visibility: no such datacenter";
+  let i = (origin * n) + dest in
+  match t.pairs.(i) with
   | Some s -> s
   | None ->
     let s = Stats.Sample.create () in
-    Hashtbl.replace t.pairs (origin, dest) s;
+    t.pairs.(i) <- Some s;
     s
 
 let subscribe t f = t.observers <- f :: t.observers
 
+let rec notify observers ~dc ~key ~origin_dc ~origin_time ~value =
+  match observers with
+  | [] -> ()
+  | f :: rest ->
+    f ~dc ~key ~origin_dc ~origin_time ~value;
+    notify rest ~dc ~key ~origin_dc ~origin_time ~value
+
 let on_visible t ~dc ~key ~origin_dc ~origin_time ~value =
-  List.iter (fun f -> f ~dc ~key ~origin_dc ~origin_time ~value) t.observers;
-  ignore key;
+  notify t.observers ~dc ~key ~origin_dc ~origin_time ~value;
   if in_window t then begin
     let now = Sim.Engine.now t.engine in
     let latency = Sim.Time.sub now origin_time in

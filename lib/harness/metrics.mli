@@ -34,7 +34,8 @@ val extra_visibility : t -> Stats.Sample.t
 (** Visibility minus optimal (bulk) latency, milliseconds. *)
 
 val pair_visibility : t -> origin:int -> dest:int -> Stats.Sample.t
-(** Per-pair raw visibility latencies (for the CDF figures). *)
+(** Per-pair raw visibility latencies (for the CDF figures).
+    @raise Invalid_argument for a datacenter outside [dc_sites]. *)
 
 val visible_count : t -> int
 

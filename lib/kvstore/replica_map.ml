@@ -30,6 +30,18 @@ let create ~n_dcs ~n_keys ~assign =
 let n_dcs t = t.n_dcs
 let n_keys t = t.n_keys
 let replicas t ~key = Array.to_list t.by_key.(key)
+let replica t ~key i = t.by_key.(key).(i)
+
+(* folded on demand over the few replicas: a precomputed table would cost
+   a word per key, megabytes at the scale tiers *)
+let mask t ~key =
+  if t.n_dcs > 62 then invalid_arg "Replica_map.mask: more than 62 datacenters";
+  let dcs = t.by_key.(key) in
+  let m = ref 0 in
+  for i = 0 to Array.length dcs - 1 do
+    m := !m lor (1 lsl dcs.(i))
+  done;
+  !m
 
 let replicates t ~dc ~key =
   let b = t.member.(dc) in

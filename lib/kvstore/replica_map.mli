@@ -19,6 +19,16 @@ val n_keys : t -> int
 val replicas : t -> key:int -> int list
 (** Sorted, duplicate-free. *)
 
+val replica : t -> key:int -> int -> int
+(** [replica t ~key i] is the [i]-th of {!replicas} (ascending), for
+    [0 <= i < degree t ~key]: walking a key's replicas without building
+    the list. *)
+
+val mask : t -> key:int -> int
+(** The replicas of [key] as a bitmask (bit [dc] set for each), without
+    allocating. @raise Invalid_argument when the map has more than 62
+    datacenters. *)
+
 val replicates : t -> dc:int -> key:int -> bool
 
 val local_keys : t -> dc:int -> int list

@@ -161,6 +161,9 @@ module Keyed = struct
   let peek h = if h.len = 0 then None else Some h.data.(h.slot.(0))
   let min_k1 h = if h.len = 0 then invalid_arg "Heap.Keyed.min_k1: empty heap" else h.k1.(0)
 
+  let min_payload h =
+    if h.len = 0 then invalid_arg "Heap.Keyed.min_payload: empty heap" else h.data.(h.slot.(0))
+
   let pop_exn h =
     if h.len = 0 then invalid_arg "Heap.Keyed.pop_exn: empty heap";
     let s = h.slot.(0) in

@@ -60,6 +60,10 @@ module Keyed : sig
   val min_k1 : 'a t -> int
   (** Primary key of the smallest entry. @raise Invalid_argument if empty. *)
 
+  val min_payload : 'a t -> 'a
+  (** {!peek} without the option: the payload of the smallest key,
+      allocating nothing. @raise Invalid_argument if empty. *)
+
   val pop_exn : 'a t -> 'a
   (** Removes and returns the payload of the smallest key, allocating
       nothing. Its keys are readable via {!popped_k1}/{!popped_k2} until

@@ -1,14 +1,13 @@
-(* A batch is the set of messages sharing one arrival instant: the link
-   schedules one engine event per batch instead of one per message. FIFO
-   order within the batch is send order; [b_epoch] is checked per item at
-   fire time so a mid-batch cut still drops exactly the in-flight tail. *)
-type batch = {
-  b_epoch : int;
-  mutable b_items : (unit -> unit) array;
-  mutable b_n : int;
-  mutable b_fired : bool;
-}
-
+(* The wire holds what faults act on (latency, up/down, the epoch a cut
+   bumps) and the counters. Its one typed channel holds what is in flight:
+   messages in a ring, oldest first, and beside them a ring of batches.
+   A batch is the run of messages sharing one arrival instant: the channel
+   schedules one engine event per batch, and every batch event runs the
+   channel's one preallocated closure, which pops the oldest batch.
+   Arrivals never decrease (FIFO is enforced under jitter), so batch
+   events fire in the order they were scheduled. A batch's epoch is
+   checked per message when it fires, so a mid-batch cut still drops
+   exactly the in-flight tail. *)
 type t = {
   engine : Engine.t;
   mutable base_latency : Time.t;
@@ -18,13 +17,26 @@ type t = {
   mutable last_arrival : Time.t;
   mutable up : bool;
   mutable epoch : int; (* bumped on cut: invalidates in-flight messages *)
-  mutable open_batch : batch option;
-  mutable open_batch_at : Time.t;
+  mutable has_chan : bool;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped_down : int; (* sent while the link was down *)
   mutable dropped_cut : int; (* in flight when the link was cut *)
   mutable bytes : int;
+}
+
+type 'm chan = {
+  wire : t;
+  deliver : 'm -> unit;
+  items : 'm Ring.t;
+  (* batches in flight, oldest first: pair [i] is (count, epoch) at
+     [batches.(2i)], [batches.(2i + 1)]; the pair capacity is a power of
+     two *)
+  mutable batches : int array;
+  mutable b_head : int;
+  mutable b_len : int;
+  mutable open_at : Time.t; (* arrival instant of the newest batch *)
+  mutable fire : unit -> unit;
 }
 
 let create ?(jitter_us = 0) ?bandwidth_bytes_per_us ?rng engine ~latency () =
@@ -38,8 +50,7 @@ let create ?(jitter_us = 0) ?bandwidth_bytes_per_us ?rng engine ~latency () =
     last_arrival = Time.zero;
     up = true;
     epoch = 0;
-    open_batch = None;
-    open_batch_at = Time.zero;
+    has_chan = false;
     sent = 0;
     delivered = 0;
     dropped_down = 0;
@@ -60,43 +71,58 @@ let delay t ~size_bytes =
   in
   Time.add t.base_latency (Time.of_us (jitter + transmission))
 
-let nop () = ()
-
-let batch_push b deliver =
-  let cap = Array.length b.b_items in
-  if b.b_n = cap then begin
-    let bigger = Array.make (cap * 2) nop in
-    Array.blit b.b_items 0 bigger 0 b.b_n;
-    b.b_items <- bigger
-  end;
-  b.b_items.(b.b_n) <- deliver;
-  b.b_n <- b.b_n + 1
-
-let fire t b =
-  (* mark first: a deliver callback that immediately sends back through
-     this link at the same instant must open a fresh batch (a later engine
-     event), preserving the unbatched ordering *)
-  b.b_fired <- true;
-  (match t.open_batch with
-  | Some ob when ob.b_fired -> t.open_batch <- None
-  | Some _ | None -> ());
-  let at = Engine.now t.engine in
-  for i = 0 to b.b_n - 1 do
+let fire c =
+  let w = c.wire in
+  (* pop the batch first: a deliver callback that immediately sends back
+     through this channel at the same instant must open a fresh batch (a
+     later engine event), preserving the unbatched ordering *)
+  let i = 2 * c.b_head in
+  let n = c.batches.(i) and epoch = c.batches.(i + 1) in
+  c.b_head <- (c.b_head + 1) land ((Array.length c.batches / 2) - 1);
+  c.b_len <- c.b_len - 1;
+  let at = Engine.now w.engine in
+  for _ = 1 to n do
+    let m = Ring.pop_exn c.items in
     (* per-item check: a cut by an earlier item in this batch (epoch bump)
        drops the rest, exactly as per-message events did *)
-    if t.up && t.epoch = b.b_epoch then begin
-      t.delivered <- t.delivered + 1;
+    if w.up && w.epoch = epoch then begin
+      w.delivered <- w.delivered + 1;
       if Probe.active () then Probe.emit ~at Probe.Link_deliver;
-      b.b_items.(i) ()
+      c.deliver m
     end
     else begin
-      t.dropped_cut <- t.dropped_cut + 1;
+      w.dropped_cut <- w.dropped_cut + 1;
       if Probe.active () then Probe.emit ~at (Probe.Link_drop { in_flight = true })
-    end;
-    b.b_items.(i) <- nop
+    end
   done
 
-let send t ?(size_bytes = 0) deliver =
+let chan wire deliver =
+  if wire.has_chan then invalid_arg "Link.chan: the wire already has its channel";
+  wire.has_chan <- true;
+  let c =
+    { wire; deliver; items = Ring.create (); batches = Array.make 8 0; b_head = 0; b_len = 0;
+      open_at = Time.zero; fire = ignore }
+  in
+  c.fire <- (fun () -> fire c);
+  c
+
+let open_batch c ~epoch =
+  let pairs = Array.length c.batches / 2 in
+  if c.b_len = pairs then begin
+    let bigger = Array.make (4 * pairs) 0 in
+    let first = pairs - c.b_head in
+    Array.blit c.batches (2 * c.b_head) bigger 0 (2 * first);
+    Array.blit c.batches 0 bigger (2 * first) (2 * c.b_head);
+    c.batches <- bigger;
+    c.b_head <- 0
+  end;
+  let i = 2 * ((c.b_head + c.b_len) land ((Array.length c.batches / 2) - 1)) in
+  c.batches.(i) <- 1;
+  c.batches.(i + 1) <- epoch;
+  c.b_len <- c.b_len + 1
+
+let send c ~size_bytes msg =
+  let t = c.wire in
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size_bytes;
   if Probe.active () then Probe.emit ~at:(Engine.now t.engine) (Probe.Link_send { size_bytes });
@@ -109,16 +135,17 @@ let send t ?(size_bytes = 0) deliver =
     let now = Engine.now t.engine in
     let arrival = Time.max (Time.add now (delay t ~size_bytes)) t.last_arrival in
     t.last_arrival <- arrival;
-    match t.open_batch with
-    | Some b
-      when (not b.b_fired) && b.b_epoch = t.epoch && Time.equal t.open_batch_at arrival ->
-      batch_push b deliver
-    | Some _ | None ->
-      let b = { b_epoch = t.epoch; b_items = Array.make 4 nop; b_n = 0; b_fired = false } in
-      batch_push b deliver;
-      t.open_batch <- Some b;
-      t.open_batch_at <- arrival;
-      Engine.schedule_at t.engine arrival (fun () -> fire t b)
+    Ring.push c.items msg;
+    (* the newest batch is still open while it has not fired (batches fire
+       oldest first, so it is in the ring) and its epoch and instant match *)
+    let newest = 2 * ((c.b_head + c.b_len - 1) land ((Array.length c.batches / 2) - 1)) in
+    if c.b_len > 0 && c.batches.(newest + 1) = t.epoch && Time.equal c.open_at arrival then
+      c.batches.(newest) <- c.batches.(newest) + 1
+    else begin
+      open_batch c ~epoch:t.epoch;
+      c.open_at <- arrival;
+      Engine.schedule_at t.engine arrival c.fire
+    end
   end
 
 let set_latency t l = t.base_latency <- l

@@ -9,9 +9,21 @@
     never before a previously sent message: FIFO is enforced even under
     jitter. A link can be cut and restored to model partitions; messages in
     flight when the link is cut are dropped, messages sent while the link is
-    down are dropped. *)
+    down are dropped.
+
+    A link is split in two. The {e wire} ({!t}) is what faults act on: its
+    latency, its up/down state and its counters. Fault registries, the
+    injector and the series gauges hold wires. The {e channel}
+    (['m chan]) is the wire's one typed endpoint: its handler is fixed
+    when it is made, and {!send} takes the message value itself, not a
+    closure. In-flight messages wait in the channel's ring, so a send on a
+    warmed channel and its delivery allocate nothing. *)
 
 type t
+(** A wire. *)
+
+type 'm chan
+(** The typed channel of a wire, carrying messages of type ['m]. *)
 
 val create :
   ?jitter_us:int ->
@@ -25,12 +37,23 @@ val create :
     (requires [rng] when non-zero). [bandwidth_bytes_per_us], when given,
     adds a size-proportional transmission delay. *)
 
-val send : t -> ?size_bytes:int -> (unit -> unit) -> unit
-(** Schedules [deliver] on the receiving side after the link delay.
-    [size_bytes] defaults to 0 (metadata-sized message). Messages that
-    share an arrival instant are delivered by a single engine event
-    (batched), in send order; cut/epoch checks still happen per message at
-    delivery time, so batching is invisible to fault semantics. *)
+val chan : t -> ('m -> unit) -> 'm chan
+(** [chan wire deliver] makes the wire's channel; [deliver] runs on every
+    message that comes out of the far end.
+    @raise Invalid_argument if the wire already has its channel. *)
+
+val send : 'm chan -> size_bytes:int -> 'm -> unit
+(** Hands [msg] to the channel's handler on the receiving side after the
+    link delay; [size_bytes] is 0 for a metadata-sized message. The size
+    is a required argument, not an optional one: an optional argument
+    passed across modules costs a [Some] block per call when cross-module
+    inlining is off (dune's default dev profile builds with [-opaque]),
+    and a send must allocate nothing.
+    Messages that share an arrival instant are delivered by a single
+    engine event (batched), in send order; a handler that sends back at
+    the same instant opens a fresh batch, a later event. Cut/epoch checks
+    still happen per message at delivery time, so batching is invisible to
+    fault semantics. *)
 
 val set_latency : t -> Time.t -> unit
 (** Changes the base latency for subsequent messages (used by the

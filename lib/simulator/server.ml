@@ -1,13 +1,19 @@
+(* Completions are FIFO in due time (each finishes at the previous one's
+   finish plus a non-negative cost), so the queue is a delay line of the
+   callers' continuations: a submit allocates nothing of its own. *)
 type t = {
   engine : Engine.t;
   mutable free_at : Time.t; (* time at which the server drains its queue *)
   mutable busy : Time.t;
-  mutable completed : int;
-  mutable queued : int;
+  mutable submitted : int;
+  line : (unit -> unit) Delay_line.t;
 }
 
+let run k = k ()
+
 let create engine =
-  { engine; free_at = Time.zero; busy = Time.zero; completed = 0; queued = 0 }
+  { engine; free_at = Time.zero; busy = Time.zero; submitted = 0;
+    line = Delay_line.create engine run }
 
 let submit t ~cost k =
   let cost = Time.max cost Time.zero in
@@ -16,15 +22,14 @@ let submit t ~cost k =
   let finish = Time.add start cost in
   t.free_at <- finish;
   t.busy <- Time.add t.busy cost;
-  t.queued <- t.queued + 1;
-  Engine.schedule_at t.engine finish (fun () ->
-      t.queued <- t.queued - 1;
-      t.completed <- t.completed + 1;
-      k ())
+  t.submitted <- t.submitted + 1;
+  Delay_line.push t.line ~at:finish k
 
 let busy_time t = t.busy
-let completed t = t.completed
-let queue_length t = t.queued
+let queue_length t = Delay_line.length t.line
+
+(* an item leaves the line just before its continuation runs *)
+let completed t = t.submitted - queue_length t
 
 let backlog t =
   let now = Engine.now t.engine in

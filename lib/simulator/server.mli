@@ -13,7 +13,9 @@ val create : Engine.t -> t
 
 val submit : t -> cost:Time.t -> (unit -> unit) -> unit
 (** Enqueues a work item that takes [cost] of server time; [k] runs at
-    completion. Items complete in submission order. *)
+    completion. Items complete in submission order. The queue is a
+    {!Delay_line} of continuations, so beyond the caller's own [k] a
+    submit and its completion allocate nothing. *)
 
 val busy_time : t -> Time.t
 (** Cumulative service time consumed — utilization = busy/elapsed. *)

@@ -66,3 +66,7 @@ let fnv_of_jsonl probe =
   close_in ic;
   Sys.remove path;
   Printf.sprintf "%016Lx" !h
+
+(* A wire's channel carrying closures, as the baselines' bulk channels do:
+   each message is run on delivery. *)
+let closure_chan wire = Sim.Link.chan wire (fun deliver -> deliver ())

@@ -10,16 +10,17 @@ let qtest = QCheck_alcotest.to_alcotest
 let test_link_drop_reasons () =
   let engine = Sim.Engine.create () in
   let link = Sim.Link.create engine ~latency:(Sim.Time.of_ms 10) () in
+  let chan = Helpers.closure_chan link in
   let delivered = ref 0 in
   let probe = Sim.Probe.create () in
   Sim.Probe.with_probe probe (fun () ->
-      Sim.Link.send link (fun () -> incr delivered);
+      Sim.Link.send chan ~size_bytes:0 (fun () -> incr delivered);
       (* in flight when the cut lands *)
       Sim.Link.cut link;
-      Sim.Link.send link (fun () -> incr delivered);
+      Sim.Link.send chan ~size_bytes:0 (fun () -> incr delivered);
       (* sent while down *)
       Sim.Link.restore link;
-      Sim.Link.send link (fun () -> incr delivered);
+      Sim.Link.send chan ~size_bytes:0 (fun () -> incr delivered);
       (* after restore: delivered normally *)
       Sim.Engine.run ~until:(Sim.Time.of_ms 50) engine);
   Alcotest.(check int) "one delivery" 1 !delivered;
@@ -44,7 +45,7 @@ let test_link_restore_idempotent () =
   Sim.Link.restore link;
   Sim.Link.restore link;
   let delivered = ref 0 in
-  Sim.Link.send link (fun () -> incr delivered);
+  Sim.Link.send (Helpers.closure_chan link) ~size_bytes:0 (fun () -> incr delivered);
   Sim.Engine.run ~until:(Sim.Time.of_ms 5) engine;
   Alcotest.(check int) "delivers after double cut/restore" 1 !delivered;
   Alcotest.(check int) "nothing dropped" 0 (Sim.Link.dropped_count link)

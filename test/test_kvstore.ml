@@ -85,9 +85,21 @@ let prop_replica_map_consistency =
           if Kvstore.Replica_map.replicates rm ~dc ~key <> List.mem dc reps then ok := false
         done;
         (* sorted and duplicate-free *)
-        if List.sort_uniq Int.compare reps <> reps then ok := false
+        if List.sort_uniq Int.compare reps <> reps then ok := false;
+        (* the indexed walk and the mask describe the same set *)
+        let deg = Kvstore.Replica_map.degree rm ~key in
+        if List.init deg (Kvstore.Replica_map.replica rm ~key) <> reps then ok := false;
+        if Kvstore.Replica_map.mask rm ~key <> List.fold_left (fun m dc -> m lor (1 lsl dc)) 0 reps
+        then ok := false
       done;
       !ok)
+
+let test_replica_map_mask_limit () =
+  let rm = Kvstore.Replica_map.full ~n_dcs:63 ~n_keys:1 in
+  Alcotest.check_raises "63 datacenters" (Invalid_argument "Replica_map.mask: more than 62 datacenters")
+    (fun () -> ignore (Kvstore.Replica_map.mask rm ~key:0));
+  let rm = Kvstore.Replica_map.full ~n_dcs:62 ~n_keys:1 in
+  Alcotest.(check int) "62 datacenters fit" ((1 lsl 62) - 1) (Kvstore.Replica_map.mask rm ~key:0)
 
 let test_replica_map_full () =
   let rm = Kvstore.Replica_map.full ~n_dcs:4 ~n_keys:10 in
@@ -101,6 +113,7 @@ let suite =
     qtest prop_partitioning_in_range;
     Alcotest.test_case "partitioning balance" `Quick test_partitioning_spreads;
     Alcotest.test_case "replica map basics" `Quick test_replica_map_basics;
+    Alcotest.test_case "replica mask limit" `Quick test_replica_map_mask_limit;
     Alcotest.test_case "replica map validation" `Quick test_replica_map_validation;
     qtest prop_replica_map_consistency;
     Alcotest.test_case "full replication map" `Quick test_replica_map_full;

@@ -130,7 +130,7 @@ let test_link_set_latency () =
   Alcotest.(check int) "initial" 10_000 (Sim.Time.to_us (Sim.Link.latency l));
   Sim.Link.set_latency l (Sim.Time.of_ms 25);
   let at = ref 0 in
-  Sim.Link.send l (fun () -> at := Sim.Engine.now e);
+  Sim.Link.send (Helpers.closure_chan l) ~size_bytes:0 (fun () -> at := Sim.Engine.now e);
   Sim.Engine.run e;
   Alcotest.(check int) "new latency used" 25_000 !at;
   Alcotest.(check int) "counters" 1 (Sim.Link.delivered_count l)

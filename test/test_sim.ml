@@ -343,7 +343,7 @@ let test_link_latency () =
   let e = Sim.Engine.create () in
   let l = Sim.Link.create e ~latency:(Sim.Time.of_ms 10) () in
   let arrival = ref (-1) in
-  Sim.Link.send l (fun () -> arrival := Sim.Engine.now e);
+  Sim.Link.send (Helpers.closure_chan l) ~size_bytes:0 (fun () -> arrival := Sim.Engine.now e);
   Sim.Engine.run e;
   Alcotest.(check int) "latency applied" 10_000 !arrival
 
@@ -351,20 +351,21 @@ let test_link_bandwidth () =
   let e = Sim.Engine.create () in
   let l = Sim.Link.create ~bandwidth_bytes_per_us:1. e ~latency:(Sim.Time.of_ms 1) () in
   let arrival = ref (-1) in
-  Sim.Link.send l ~size_bytes:500 (fun () -> arrival := Sim.Engine.now e);
+  Sim.Link.send (Helpers.closure_chan l) ~size_bytes:500 (fun () -> arrival := Sim.Engine.now e);
   Sim.Engine.run e;
   Alcotest.(check int) "latency + transmission" 1_500 !arrival
 
 let test_link_cut_drops () =
   let e = Sim.Engine.create () in
   let l = Sim.Link.create e ~latency:(Sim.Time.of_ms 10) () in
+  let c = Helpers.closure_chan l in
   let delivered = ref 0 in
-  Sim.Link.send l (fun () -> incr delivered);
+  Sim.Link.send c ~size_bytes:0 (fun () -> incr delivered);
   Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 5) (fun () -> Sim.Link.cut l);
   (* in-flight message is lost; messages sent while down are lost too *)
-  Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 6) (fun () -> Sim.Link.send l (fun () -> incr delivered));
+  Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 6) (fun () -> Sim.Link.send c ~size_bytes:0 (fun () -> incr delivered));
   Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 7) (fun () -> Sim.Link.restore l);
-  Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 8) (fun () -> Sim.Link.send l (fun () -> incr delivered));
+  Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 8) (fun () -> Sim.Link.send c ~size_bytes:0 (fun () -> incr delivered));
   Sim.Engine.run e;
   Alcotest.(check int) "only post-restore delivery" 1 !delivered;
   Alcotest.(check int) "drops counted" 2 (Sim.Link.dropped_count l)
@@ -378,12 +379,212 @@ let prop_link_fifo_under_jitter =
       let rng = Sim.Rng.create ~seed in
       let l = Sim.Link.create ~jitter_us:5_000 ~rng e ~latency:(Sim.Time.of_ms 2) () in
       let received = ref [] in
+      let c = Sim.Link.chan l (fun i -> received := i :: !received) in
       for i = 1 to n do
-        Sim.Engine.schedule e ~delay:(Sim.Time.of_us (i * 100)) (fun () ->
-            Sim.Link.send l (fun () -> received := i :: !received))
+        Sim.Engine.schedule e ~delay:(Sim.Time.of_us (i * 100)) (fun () -> Sim.Link.send c ~size_bytes:0 i)
       done;
       Sim.Engine.run e;
       List.rev !received = List.init n (fun i -> i + 1))
+
+(* The typed channel against the closure-batch link it replaced
+   (test/link_reference.ml). A random script of sends (some at the same
+   instant), cuts, restores and latency changes drives both over jitter
+   and bandwidth, each on its own engine under its own probe. Some
+   messages make their handler send back at once, cut the link mid-batch
+   or restore it; at zero latency without jitter, a send-back of size 0
+   arrives at the very instant its batch is firing. Both must deliver the same messages at
+   the same times, keep the same counters, and process the same engine
+   events, which the probe digests (engine steps carry their sequence
+   numbers) pin down. *)
+type link_action = Send of int | Cut | Restore | Set_latency of int
+
+let link_script_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 60)
+      (pair (int_bound 40)
+         (frequency
+            [ (8, map (fun size -> Send size) (int_bound 600)); (1, return Cut);
+              (1, return Restore); (2, map (fun ms -> Set_latency ms) (int_range 0 4)) ])))
+
+let link_script_print (at, a) =
+  match a with
+  | Send size -> Printf.sprintf "%d:send %d" at size
+  | Cut -> Printf.sprintf "%d:cut" at
+  | Restore -> Printf.sprintf "%d:restore" at
+  | Set_latency ms -> Printf.sprintf "%d:latency %d ms" at ms
+
+(* what a delivered message [id] makes its handler do *)
+let link_reaction id = if id mod 11 = 5 then `Cut else if id mod 13 = 7 then `Restore
+  else if id mod 5 = 2 && id < 1000 then `Echo else `Nothing
+
+let run_link_script ~seed ~jitter_us script ~make =
+  let e = Sim.Engine.create () in
+  let rng = Sim.Rng.create ~seed in
+  let probe = Sim.Probe.create () in
+  let log = ref [] in
+  let counters =
+    Sim.Probe.with_probe probe (fun () ->
+        let send, cut, restore, set_latency, counters =
+          make e ~rng ~jitter_us ~on_deliver:(fun id -> log := (id, Sim.Engine.now e) :: !log)
+        in
+        let next_id = ref 0 in
+        List.iter
+          (fun (at, action) ->
+            Sim.Engine.schedule_at e (Sim.Time.of_ms (at / 4) + (at mod 4)) (fun () ->
+                match action with
+                | Send size ->
+                  incr next_id;
+                  send ~size !next_id
+                | Cut -> cut ()
+                | Restore -> restore ()
+                | Set_latency ms -> set_latency (Sim.Time.of_ms ms)))
+          script;
+        Sim.Engine.run e;
+        counters ())
+  in
+  (List.rev !log, counters, Sim.Engine.events_processed e, Sim.Probe.digest probe)
+
+let reference_link e ~rng ~jitter_us ~on_deliver =
+  let l =
+    Link_reference.create ~jitter_us ~bandwidth_bytes_per_us:2. ~rng e
+      ~latency:(Sim.Time.of_ms 3) ()
+  in
+  let rec send ~size id =
+    Link_reference.send l ~size_bytes:size (fun () ->
+        on_deliver id;
+        match link_reaction id with
+        | `Cut -> Link_reference.cut l
+        | `Restore -> Link_reference.restore l
+        | `Echo -> send ~size:0 (id + 1000)
+        | `Nothing -> ())
+  in
+  let counters () =
+    [ Link_reference.delivered_count l; Link_reference.dropped_count l;
+      Link_reference.dropped_down_count l; Link_reference.dropped_cut_count l;
+      Link_reference.in_flight_count l ]
+  in
+  ( send,
+    (fun () -> Link_reference.cut l),
+    (fun () -> Link_reference.restore l),
+    Link_reference.set_latency l,
+    counters )
+
+let typed_link e ~rng ~jitter_us ~on_deliver =
+  let l = Sim.Link.create ~jitter_us ~bandwidth_bytes_per_us:2. ~rng e ~latency:(Sim.Time.of_ms 3) () in
+  let chan = ref None in
+  let send ~size id = match !chan with Some c -> Sim.Link.send c ~size_bytes:size id | None -> () in
+  chan :=
+    Some
+      (Sim.Link.chan l (fun id ->
+           on_deliver id;
+           match link_reaction id with
+           | `Cut -> Sim.Link.cut l
+           | `Restore -> Sim.Link.restore l
+           | `Echo -> send ~size:0 (id + 1000)
+           | `Nothing -> ()));
+  let counters () =
+    [ Sim.Link.delivered_count l; Sim.Link.dropped_count l; Sim.Link.dropped_down_count l;
+      Sim.Link.dropped_cut_count l; Sim.Link.in_flight_count l ]
+  in
+  (send, (fun () -> Sim.Link.cut l), (fun () -> Sim.Link.restore l), Sim.Link.set_latency l, counters)
+
+let prop_link_matches_reference =
+  QCheck.Test.make ~name:"typed link channel matches the closure-batch reference" ~count:300
+    QCheck.(
+      triple small_int (make ~print:Print.(list link_script_print) link_script_gen) bool)
+    (fun (seed, script, jitter) ->
+      let jitter_us = if jitter then 2_000 else 0 in
+      let log, counters, events, digest =
+        run_link_script ~seed ~jitter_us script ~make:reference_link
+      in
+      let log', counters', events', digest' =
+        run_link_script ~seed ~jitter_us script ~make:typed_link
+      in
+      log = log' && counters = counters' && events = events' && String.equal digest digest')
+
+let test_link_one_channel_per_wire () =
+  let e = Sim.Engine.create () in
+  let l = Sim.Link.create e ~latency:(Sim.Time.of_ms 1) () in
+  ignore (Sim.Link.chan l ignore);
+  Alcotest.check_raises "second channel"
+    (Invalid_argument "Link.chan: the wire already has its channel") (fun () ->
+      ignore (Sim.Link.chan l ignore))
+
+(* ---- Delay_line ---------------------------------------------------------- *)
+
+let test_delay_line () =
+  let e = Sim.Engine.create () in
+  let fired = ref [] in
+  let line = Sim.Delay_line.create e (fun x -> fired := (x, Sim.Engine.now e) :: !fired) in
+  (* equal due times keep push order; one engine event per push *)
+  List.iter (fun (x, at) -> Sim.Delay_line.push line ~at x) [ (1, 5); (2, 5); (3, 9); (4, 12) ];
+  Alcotest.(check int) "queued" 4 (Sim.Delay_line.length line);
+  Alcotest.(check int) "one event per push" 4 (Sim.Engine.pending e);
+  Alcotest.check_raises "earlier due time"
+    (Invalid_argument "Delay_line.push: due time earlier than the last") (fun () ->
+      Sim.Delay_line.push line ~at:11 5);
+  Sim.Engine.run e;
+  Alcotest.(check (list (pair int int))) "FIFO at due times"
+    [ (1, 5); (2, 5); (3, 9); (4, 12) ] (List.rev !fired);
+  Alcotest.(check int) "events" 4 (Sim.Engine.events_processed e);
+  Alcotest.(check int) "drained" 0 (Sim.Delay_line.length line)
+
+(* ---- the message path allocates nothing ----------------------------------- *)
+
+(* Words allocated by [f ()], per [n]. *)
+let words_per ~n f =
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let drain e =
+  while Sim.Engine.step e do
+    ()
+  done
+
+(* DESIGN.md's flattened-event-path table: on a warmed typed channel a
+   send and its delivery allocate nothing, batched or not; neither does a
+   delay-line push and its fire, nor a server submit and its completion
+   beyond the caller's own continuation. *)
+let test_message_path_allocates_nothing () =
+  let n = 50_000 in
+  let e = Sim.Engine.create () in
+  let l = Sim.Link.create ~bandwidth_bytes_per_us:1. e ~latency:(Sim.Time.of_ms 1) () in
+  let got = ref 0 in
+  let c = Sim.Link.chan l (fun x -> got := !got + x) in
+  let burst () =
+    (* sizes 0, 0, 1, 1, ...: pairs share an arrival instant *)
+    for i = 0 to 63 do
+      Sim.Link.send c ~size_bytes:(i / 2) 1
+    done;
+    drain e
+  in
+  burst ();
+  let words = words_per ~n (fun () -> for _ = 1 to n / 64 do burst () done) in
+  Alcotest.(check (float 0.)) "Link.send and delivery" 0. words;
+  Alcotest.(check int) "all delivered" (64 * (1 + (n / 64))) !got;
+  let line = Sim.Delay_line.create e (fun x -> got := !got + x) in
+  let push_burst () =
+    let now = Sim.Engine.now e in
+    for i = 0 to 63 do
+      Sim.Delay_line.push line ~at:(now + (i / 3)) 1
+    done;
+    drain e
+  in
+  push_burst ();
+  let words = words_per ~n (fun () -> for _ = 1 to n / 64 do push_burst () done) in
+  Alcotest.(check (float 0.)) "Delay_line.push and fire" 0. words;
+  let s = Sim.Server.create e in
+  let k () = incr got in
+  let submit_burst () =
+    for i = 0 to 63 do
+      Sim.Server.submit s ~cost:(Sim.Time.of_us (i land 3)) k
+    done;
+    drain e
+  in
+  submit_burst ();
+  let words = words_per ~n (fun () -> for _ = 1 to n / 64 do submit_burst () done) in
+  Alcotest.(check (float 0.)) "Server.submit and completion" 0. words
 
 (* ---- Server -------------------------------------------------------------- *)
 
@@ -472,6 +673,10 @@ let suite =
     Alcotest.test_case "link bandwidth term" `Quick test_link_bandwidth;
     Alcotest.test_case "link cut drops traffic" `Quick test_link_cut_drops;
     qtest prop_link_fifo_under_jitter;
+    qtest prop_link_matches_reference;
+    Alcotest.test_case "one channel per wire" `Quick test_link_one_channel_per_wire;
+    Alcotest.test_case "delay line FIFO and due-time check" `Quick test_delay_line;
+    Alcotest.test_case "message path allocates nothing" `Quick test_message_path_allocates_nothing;
     Alcotest.test_case "server serializes work" `Quick test_server_serializes;
     Alcotest.test_case "server no phantom queueing" `Quick test_server_idle_gap;
     Alcotest.test_case "topology validation" `Quick test_topology_validation;

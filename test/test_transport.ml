@@ -97,6 +97,64 @@ let test_fifo_deferred_ack () =
   Sim.Engine.run e;
   Alcotest.(check int) "acked after confirm" 0 (Saturn.Reliable_fifo.unacked sender)
 
+let test_fifo_reconnect () =
+  (* the first receiver's wires die with everything in flight; connecting
+     to a new receiver over fresh wires retransmits the backlog there *)
+  let e = Sim.Engine.create () in
+  let first = ref [] and second = ref [] in
+  let sender, _, data, ack = make_channel e first in
+  Saturn.Reliable_fifo.send sender 1;
+  Saturn.Reliable_fifo.send sender 2;
+  Sim.Link.cut data;
+  Sim.Link.cut ack;
+  Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 10) (fun () ->
+      let recv = Saturn.Reliable_fifo.receiver e ~deliver:(fun m -> second := m :: !second) in
+      let wire () = Sim.Link.create e ~latency:(Sim.Time.of_ms 5) () in
+      Saturn.Reliable_fifo.connect sender ~data:(wire ()) ~ack:(wire ()) recv;
+      Saturn.Reliable_fifo.send sender 3;
+      (* a wire carries one channel: the old wires cannot be reused *)
+      Alcotest.check_raises "old wires" (Invalid_argument "Link.chan: the wire already has its channel")
+        (fun () -> Saturn.Reliable_fifo.connect sender ~data ~ack recv));
+  Sim.Engine.run ~until:(Sim.Time.of_ms 200) e;
+  Saturn.Reliable_fifo.stop sender;
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "old receiver got nothing" [] !first;
+  Alcotest.(check (list int)) "new receiver got the backlog, in order" [ 1; 2; 3 ] (List.rev !second);
+  Alcotest.(check int) "all acked" 0 (Saturn.Reliable_fifo.unacked sender)
+
+(* Steady-state in-order traffic: per message, the retransmission entry
+   (5 words) and the [Some] of the optional [~size_bytes] (2 words: the
+   size is not a constant, as in the service); the resend timer's
+   closure, armed once per burst, adds 11 words over the 64 messages of a
+   burst. Channels, rings, acks and the receiver's peer lookup add
+   nothing. *)
+let test_fifo_words_per_message () =
+  let e = Sim.Engine.create () in
+  let received = ref 0 in
+  let data = Sim.Link.create e ~latency:(Sim.Time.of_ms 1) () in
+  let ack = Sim.Link.create e ~latency:(Sim.Time.of_ms 1) () in
+  let recv = Saturn.Reliable_fifo.receiver e ~deliver:(fun m -> received := !received + m) in
+  let sender = Saturn.Reliable_fifo.sender e ~resend_period:(Sim.Time.of_ms 30) in
+  Saturn.Reliable_fifo.connect sender ~data ~ack recv;
+  let burst () =
+    for i = 1 to 64 do
+      Saturn.Reliable_fifo.send sender ~size_bytes:(16 + (i land 1)) 1
+    done;
+    while Sim.Engine.step e do
+      ()
+    done
+  in
+  burst ();
+  let rounds = 500 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    burst ()
+  done;
+  let per_message = (Gc.minor_words () -. before) /. float_of_int (64 * rounds) in
+  Alcotest.(check int) "all delivered" (64 * (rounds + 1)) !received;
+  Alcotest.(check int) "all acked" 0 (Saturn.Reliable_fifo.unacked sender);
+  Alcotest.(check (float 1e-9)) "words per message" (7. +. (11. /. 64.)) per_message
+
 (* ---- chain replication ----------------------------------------------------- *)
 
 let make_chain ?(replicas = 3) e committed =
@@ -221,13 +279,13 @@ let update_label ~ts ~src ~key = Saturn.Label.update ~ts ~src_dc:src ~src_gear:0
 let test_service_selective_delivery () =
   let e = Sim.Engine.create () in
   let delivered = ref [] in
-  (* key 1 interests dc1 only; key 2 interests dc1 and dc2 *)
+  (* key 1 interests dc1 only; key 2 interests dc1 and dc2 (masks, bit = dc) *)
   let interest (l : Saturn.Label.t) =
     match l.Saturn.Label.target with
-    | Saturn.Label.Update { key = 1 } -> [ 0; 1 ]
-    | Saturn.Label.Update _ -> [ 0; 1; 2 ]
-    | Saturn.Label.Migration { dest_dc } -> [ dest_dc ]
-    | Saturn.Label.Epoch_change _ -> [ 0; 1; 2 ]
+    | Saturn.Label.Update { key = 1 } -> 0b011
+    | Saturn.Label.Update _ -> 0b111
+    | Saturn.Label.Migration { dest_dc } -> 1 lsl dest_dc
+    | Saturn.Label.Epoch_change _ -> 0b111
   in
   let service = star_service ~interest e delivered in
   Saturn.Service.input service ~dc:0 (update_label ~ts:10 ~src:0 ~key:1);
@@ -242,14 +300,27 @@ let test_service_selective_delivery () =
   Alcotest.(check int) "labels input" 2 (Saturn.Service.labels_input service);
   Alcotest.(check int) "labels delivered" 3 (Saturn.Service.labels_delivered service)
 
+let test_service_rejects_wide_trees () =
+  (* label targets are int masks: one bit per datacenter, 62 at most *)
+  let n_dcs = 63 in
+  let tree = Saturn.Tree.star ~n_dcs in
+  let config =
+    Saturn.Config.create ~tree ~placement:[| Sim.Ec2.nv |] ~dc_sites:(Array.make n_dcs Sim.Ec2.nv) ()
+  in
+  Alcotest.check_raises "63 datacenters"
+    (Invalid_argument "Service.create: more than 62 datacenters") (fun () ->
+      ignore
+        (Saturn.Service.create (Sim.Engine.create ()) ~topo:Sim.Ec2.topology ~config
+           ~interest:(fun _ -> 0) ~deliver:(fun ~dc:_ _ -> ()) ()))
+
 let test_service_migration_targeted () =
   (* migration labels go to the destination datacenter only *)
   let e = Sim.Engine.create () in
   let delivered = ref [] in
   let interest (l : Saturn.Label.t) =
     match l.Saturn.Label.target with
-    | Saturn.Label.Migration { dest_dc } -> [ dest_dc ]
-    | Saturn.Label.Update _ | Saturn.Label.Epoch_change _ -> [ 0; 1; 2 ]
+    | Saturn.Label.Migration { dest_dc } -> 1 lsl dest_dc
+    | Saturn.Label.Update _ | Saturn.Label.Epoch_change _ -> 0b111
   in
   let service = star_service ~interest e delivered in
   Saturn.Service.input service ~dc:0
@@ -268,8 +339,8 @@ let test_service_skips_labels_without_targets () =
   let delivered = ref [] in
   let interest (l : Saturn.Label.t) =
     match l.Saturn.Label.target with
-    | Saturn.Label.Update { key } when key = 1 -> [ 0 ] (* origin only *)
-    | _ -> [ 0; 1; 2 ]
+    | Saturn.Label.Update { key } when key = 1 -> 0b001 (* origin only *)
+    | _ -> 0b111
   in
   let service = star_service ~interest e delivered in
   Saturn.Service.input service ~dc:0 (update_label ~ts:10 ~src:0 ~key:1);
@@ -283,7 +354,7 @@ let test_service_skips_labels_without_targets () =
 let test_service_preserves_order () =
   let e = Sim.Engine.create () in
   let delivered = ref [] in
-  let interest _ = [ 0; 1; 2 ] in
+  let interest _ = 0b111 in
   let service = star_service ~interest e delivered in
   for i = 1 to 10 do
     Sim.Engine.schedule e ~delay:(Sim.Time.of_us (i * 50)) (fun () ->
@@ -315,7 +386,7 @@ let test_service_edge_cut_transparent () =
   in
   let service =
     Saturn.Service.create e ~topo:Sim.Ec2.topology ~config
-      ~interest:(fun _ -> [ 0; 1; 2 ])
+      ~interest:(fun _ -> 0b111)
       ~deliver:(fun ~dc label -> delivered := (dc, label) :: !delivered)
       ()
   in
@@ -336,7 +407,7 @@ let test_service_edge_cut_transparent () =
 let test_service_chain_replica_crash_no_loss () =
   let e = Sim.Engine.create () in
   let delivered = ref [] in
-  let interest _ = [ 0; 1; 2 ] in
+  let interest _ = 0b111 in
   let service = star_service ~serializer_replicas:3 ~interest e delivered in
   for i = 1 to 20 do
     Sim.Engine.schedule e ~delay:(Sim.Time.of_us (i * 200)) (fun () ->
@@ -386,7 +457,7 @@ let prop_service_cross_dc_causality =
       let service = ref None in
       let svc =
         Saturn.Service.create e ~topo:Sim.Ec2.topology ~config
-          ~interest:(fun _ -> List.init n_dcs Fun.id)
+          ~interest:(fun _ -> (1 lsl n_dcs) - 1)
           ~deliver:(fun ~dc label ->
             delivered := (dc, label) :: !delivered;
             (* causal reaction: when dc1 receives the seed label, it issues
@@ -424,6 +495,8 @@ let suite =
     Alcotest.test_case "reliable fifo survives cuts" `Quick test_fifo_survives_cut;
     qtest prop_fifo_exactly_once_under_cuts;
     Alcotest.test_case "deferred acknowledgements" `Quick test_fifo_deferred_ack;
+    Alcotest.test_case "reliable fifo re-targets over fresh wires" `Quick test_fifo_reconnect;
+    Alcotest.test_case "reliable fifo words per message" `Quick test_fifo_words_per_message;
     Alcotest.test_case "chain commit order" `Quick test_chain_commit_order;
     Alcotest.test_case "chain confirms after commit" `Quick test_chain_confirm_after_commit;
     Alcotest.test_case "chain dedups retransmissions" `Quick test_chain_dedup;
@@ -434,6 +507,7 @@ let suite =
     qtest prop_chain_random_crashes;
     Alcotest.test_case "service selective delivery" `Quick test_service_selective_delivery;
     Alcotest.test_case "service targets migrations" `Quick test_service_migration_targeted;
+    Alcotest.test_case "service rejects over 62 datacenters" `Quick test_service_rejects_wide_trees;
     Alcotest.test_case "service skips targetless labels" `Quick test_service_skips_labels_without_targets;
     Alcotest.test_case "service preserves per-dc order" `Quick test_service_preserves_order;
     Alcotest.test_case "service edge cut is transparent" `Quick test_service_edge_cut_transparent;
