@@ -57,7 +57,7 @@ let apply_remote t ~dc ~key ~value ~meta ~origin_time =
           ~at:(Sim.Engine.now (Common.engine t.geo))
           Sim.Span.Sk_bulk ~origin:(snd meta)
           ~seq:(Sim.Time.to_us (fst meta))
-          ~aux:part ~site:(snd meta) ~peer:dc;
+          ~aux:part ~site:(snd meta) ~peer:dc ~epoch:0;
       let _ = Kvstore.Store.put_if_newer t.stores.(dc).(part) ~cmp:compare_meta ~key value meta in
       (match t.apply_series.(dc) with
       | Some c -> Stats.Series.incr c ~now:(Sim.Engine.now (Common.engine t.geo))
@@ -88,7 +88,7 @@ let update t ~client:_ ~home ~dc ~key ~value ~k =
                     incr fanout;
                     if Sim.Probe.active () then
                       Sim.Span.begin_ ~at:origin_time Sim.Span.Sk_bulk ~origin:dc
-                        ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc ~peer:dst;
+                        ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc ~peer:dst ~epoch:0;
                     Common.ship t.geo ~src:dc ~dst ~size_bytes:size (fun () ->
                         apply_remote t ~dc:dst ~key ~value ~meta ~origin_time)
                   end)

@@ -124,7 +124,7 @@ and finish_stab_round t dc =
                 ~at:(Sim.Engine.now (Common.engine geo))
                 Sim.Span.Sk_stab ~origin:(snd pn.meta)
                 ~seq:(Sim.Time.to_us (fst pn.meta))
-                ~aux:part ~site:dc;
+                ~aux:part ~site:dc ~peer:(-1) ~epoch:0;
             let _ =
               Kvstore.Store.put_if_newer d.stores.(part) ~cmp:compare_meta ~key:pn.key pn.value pn.meta
             in
@@ -201,7 +201,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                     incr fanout;
                     if Sim.Probe.active () then
                       Sim.Span.begin_ ~at:origin_time Sim.Span.Sk_bulk ~origin:dc
-                        ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc ~peer:dst;
+                        ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc ~peer:dst ~epoch:0;
                     Common.ship t.geo ~src:dc ~dst ~size_bytes:size (fun () ->
                         let dd = t.dcs.(dst) in
                         if Sim.Time.compare ts dd.vv.(dc) > 0 then begin
@@ -217,10 +217,10 @@ let update t ~client ~home ~dc ~key ~value ~k =
                             if Sim.Probe.active () then begin
                               let at = Sim.Engine.now (Common.engine t.geo) in
                               Sim.Span.end_ ~at Sim.Span.Sk_bulk ~origin:dc
-                                ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc ~peer:dst;
+                                ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc ~peer:dst ~epoch:0;
                               (* stabilization hold: until the GST covers ts *)
                               Sim.Span.begin_ ~at Sim.Span.Sk_stab ~origin:dc
-                                ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dst
+                                ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dst ~peer:(-1) ~epoch:0
                             end;
                             Sim.Heap.push dd.pending { key; value; meta; origin_time }))
                   end)

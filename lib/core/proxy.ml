@@ -127,11 +127,13 @@ let probe_apply t (label : Label.t) ~fallback =
            ts = Sim.Time.to_us label.Label.ts; fallback })
 
 let span_label ~at ph t (label : Label.t) =
-  let emit =
-    match ph with `Begin -> Sim.Span.begin_ ~at | `End -> Sim.Span.end_ ~at
-  in
-  emit Sim.Span.Sk_proxy_order ~origin:label.Label.src_dc ~seq:(Sim.Time.to_us label.Label.ts)
-    ~aux:label.Label.src_gear ~site:t.dc
+  let origin = label.Label.src_dc and seq = Sim.Time.to_us label.Label.ts in
+  let aux = label.Label.src_gear in
+  match ph with
+  | `Begin ->
+    Sim.Span.begin_ ~at Sim.Span.Sk_proxy_order ~origin ~seq ~aux ~site:t.dc ~peer:(-1) ~epoch:0
+  | `End ->
+    Sim.Span.end_ ~at Sim.Span.Sk_proxy_order ~origin ~seq ~aux ~site:t.dc ~peer:(-1) ~epoch:0
 
 let mode t = t.mode
 
@@ -462,6 +464,7 @@ let on_payload t (p : payload) =
             let l = p.label in
             Sim.Span.end_ ~at:(Sim.Engine.now t.engine) Sim.Span.Sk_bulk ~origin:l.Label.src_dc
               ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear ~site:l.Label.src_dc ~peer:t.dc
+              ~epoch:0
           end;
           (match Label_tbl.find t.labels p.label with
           | Arrived q -> Label_tbl.replace t.labels p.label (Staged q)

@@ -69,7 +69,7 @@ let route t s msg =
   let now = Sim.Engine.now t.engine in
   if Sim.Probe.active () then begin
     Sim.Probe.emit ~at:now (Sim.Probe.Ser_commit { ser = s; origin; oseq; epoch = t.instance });
-    Sim.Span.end_ ~at:now Sim.Span.Sk_chain ~origin ~seq:oseq ~aux:t.instance ~site:s
+    Sim.Span.end_ ~at:now Sim.Span.Sk_chain ~origin ~seq:oseq ~aux:t.instance ~site:s ~peer:(-1)
       ~epoch:t.instance
   end;
   let local = t.local_dcs.(s) in
@@ -219,7 +219,7 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
         | `Ser x ->
           Sim.Span.end_ ~at Sim.Span.Sk_hop ~origin ~seq:oseq ~aux:instance ~site:x ~peer:s
             ~epoch:instance);
-        Sim.Span.begin_ ~at Sim.Span.Sk_chain ~origin ~seq:oseq ~aux:instance ~site:s
+        Sim.Span.begin_ ~at Sim.Span.Sk_chain ~origin ~seq:oseq ~aux:instance ~site:s ~peer:(-1)
           ~epoch:instance
       end;
       (match ser_ingress.(s) with

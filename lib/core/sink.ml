@@ -24,7 +24,8 @@ let flush t =
       if Sim.Probe.active () then begin
         let at = Sim.Engine.now t.engine in
         Sim.Span.end_ ~at Sim.Span.Sk_sink_hold ~origin:l.Label.src_dc
-          ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear ~site:l.Label.src_dc;
+          ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear ~site:l.Label.src_dc
+          ~peer:(-1) ~epoch:0;
         Sim.Probe.emit ~at (Sim.Probe.Sink_emit { dc = l.Label.src_dc; ts = Sim.Time.to_us l.Label.ts })
       end;
       t.emit l;
@@ -62,7 +63,7 @@ let offer t label =
   if Sim.Probe.active () then
     Sim.Span.begin_ ~at:(Sim.Engine.now t.engine) Sim.Span.Sk_sink_hold
       ~origin:label.Label.src_dc ~seq:(Sim.Time.to_us label.Label.ts) ~aux:label.Label.src_gear
-      ~site:label.Label.src_dc;
+      ~site:label.Label.src_dc ~peer:(-1) ~epoch:0;
   Sim.Heap.Keyed.push t.buffer ~k1:(Label.key_ts label) ~k2:(Label.key_src label) label
 let stop t = t.stopped <- true
 let emitted t = Stats.Registry.counter_value t.emitted_counter

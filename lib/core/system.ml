@@ -165,7 +165,7 @@ let create ?registry ?series engine p hooks =
                   let l = payload.Proxy.label in
                   Sim.Span.begin_ ~at:(Sim.Engine.now engine) Sim.Span.Sk_bulk
                     ~origin:l.Label.src_dc ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear
-                    ~site:l.Label.src_dc ~peer:dst
+                    ~site:l.Label.src_dc ~peer:dst ~epoch:0
                 end;
                 Sim.Link.send t.bulk.(dc).(dst) ~size_bytes:size (Payload payload));
             emit_label = (fun label -> route_label t dc label);

@@ -11,32 +11,66 @@ type report = {
   switches : int;
 }
 
+(* The checker's keys are ints and small tuples of ints: hash them with
+   integer arithmetic and compare them field by field, where the
+   polymorphic [Hashtbl] would call [caml_hash] and [compare_val] on every
+   commit, apply, sink emit and label forward. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x
+end)
+
+module Pair_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (a1, b1) (a2, b2) = Int.equal a1 a2 && Int.equal b1 b2
+  let hash (a, b) = (a * 31) + b
+end)
+
+module Triple_tbl = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal (a1, b1, c1) (a2, b2, c2) = Int.equal a1 a2 && Int.equal b1 b2 && Int.equal c1 c2
+  let hash (a, b, c) = (((a * 31) + b) * 31) + c
+end)
+
+module Quad_tbl = Hashtbl.Make (struct
+  type t = int * int * int * int
+
+  let equal (a1, b1, c1, d1) (a2, b2, c2, d2) =
+    Int.equal a1 a2 && Int.equal b1 b2 && Int.equal c1 c2 && Int.equal d1 d2
+
+  let hash (a, b, c, d) = (((((a * 31) + b) * 31) + c) * 31) + d
+end)
+
 type t = {
   mutable violations : violation list; (* newest first *)
   (* (epoch, serializer, origin) -> last committed per-origin seq; epoch-2
      serializer ids and per-origin uid counters both restart at 0, so the
      exactly-once/FIFO key must carry the epoch to stay collision-free
      across the migration window *)
-  commit_seq : (int * int * int, int) Hashtbl.t;
+  commit_seq : int Triple_tbl.t;
   (* dc -> last sink-emitted ts *)
-  sink_ts : (int, int) Hashtbl.t;
+  sink_ts : int Int_tbl.t;
   (* (dc, src_dc) -> last applied ts *)
-  apply_ts : (int * int, int) Hashtbl.t;
+  apply_ts : int Pair_tbl.t;
   (* (dc, src_dc, ts, gear) -> () — old/new tree races must not install one
      label twice *)
-  applied : (int * int * int * int, unit) Hashtbl.t;
+  applied : unit Quad_tbl.t;
   (* origin dc -> highest tree epoch its labels have entered: a sink never
      routes back into an older tree *)
-  route_epoch : (int, int) Hashtbl.t;
+  route_epoch : int Int_tbl.t;
   (* origin dc -> (epoch the marker closed, marker oseq): the epoch-change
      marker must be the last label the origin pushed through the old tree *)
-  marker_oseq : (int, int * int) Hashtbl.t;
+  marker_oseq : (int * int) Int_tbl.t;
   (* (dc, src) -> last version-vector entry: baselines emit Vec_advance
      only when the entry strictly advances, so equality is a violation *)
-  vec_ts : (int * int, int) Hashtbl.t;
+  vec_ts : int Pair_tbl.t;
   (* epochs announced by Switch_begin; (dc, epoch) pairs already done *)
-  switch_epochs : (int, unit) Hashtbl.t;
-  switch_done : (int * int, unit) Hashtbl.t;
+  switch_epochs : unit Int_tbl.t;
+  switch_done : unit Pair_tbl.t;
   mutable commits : int;
   mutable resends : int;
   mutable drops_cut : int;
@@ -61,15 +95,15 @@ type t = {
 let create () =
   {
     violations = [];
-    commit_seq = Hashtbl.create 64;
-    sink_ts = Hashtbl.create 8;
-    apply_ts = Hashtbl.create 16;
-    applied = Hashtbl.create 64;
-    route_epoch = Hashtbl.create 8;
-    marker_oseq = Hashtbl.create 8;
-    vec_ts = Hashtbl.create 16;
-    switch_epochs = Hashtbl.create 4;
-    switch_done = Hashtbl.create 8;
+    commit_seq = Triple_tbl.create 64;
+    sink_ts = Int_tbl.create 8;
+    apply_ts = Pair_tbl.create 16;
+    applied = Quad_tbl.create 64;
+    route_epoch = Int_tbl.create 8;
+    marker_oseq = Int_tbl.create 8;
+    vec_ts = Pair_tbl.create 16;
+    switch_epochs = Int_tbl.create 4;
+    switch_done = Pair_tbl.create 8;
     commits = 0;
     resends = 0;
     drops_cut = 0;
@@ -88,13 +122,13 @@ let create () =
 let flag c at what = c.violations <- { at; what } :: c.violations
 
 let check_marker_last c at ~what ~origin ~oseq ~epoch =
-  match Hashtbl.find_opt c.marker_oseq origin with
-  | Some (closed_epoch, mseq) when epoch = closed_epoch && oseq > mseq ->
+  match Int_tbl.find c.marker_oseq origin with
+  | closed_epoch, mseq when epoch = closed_epoch && oseq > mseq ->
     flag c at
       (Printf.sprintf
          "epoch-%d %s after marker: origin dc%d seq %d follows epoch-change marker seq %d" epoch
          what origin oseq mseq)
-  | _ -> ()
+  | _ | (exception Not_found) -> ()
 
 let link_conserved c at =
   if c.link_delivers + c.link_drops > c.link_sends then
@@ -131,67 +165,71 @@ let step c at (ev : Sim.Probe.event) =
   | Sim.Probe.Chain_ack { seq } ->
     if seq < 0 then flag c at (Printf.sprintf "chain ack for invalid seq %d" seq)
   | Sim.Probe.Vec_advance { dc; src; ts } ->
-    (match Hashtbl.find_opt c.vec_ts (dc, src) with
-    | Some prev when ts <= prev ->
+    let key = (dc, src) in
+    (match Pair_tbl.find c.vec_ts key with
+    | prev when ts <= prev ->
       flag c at
         (Printf.sprintf "version vector regression at dc%d: entry for dc%d moved %d -> %d" dc src
            prev ts)
-    | _ -> ());
-    Hashtbl.replace c.vec_ts (dc, src) ts
+    | _ | (exception Not_found) -> ());
+    Pair_tbl.replace c.vec_ts key ts
   | Sim.Probe.Switch_done { dc; epoch } ->
-    if not (Hashtbl.mem c.switch_epochs epoch) then
+    if not (Int_tbl.mem c.switch_epochs epoch) then
       flag c at
         (Printf.sprintf "dc%d finished migrating to epoch %d that no Switch_begin announced" dc
            epoch)
-    else if Hashtbl.mem c.switch_done (dc, epoch) then
+    else if Pair_tbl.mem c.switch_done (dc, epoch) then
       flag c at (Printf.sprintf "dc%d finished migrating to epoch %d twice" dc epoch)
-    else Hashtbl.replace c.switch_done (dc, epoch) ()
+    else Pair_tbl.add c.switch_done (dc, epoch) ()
   | Sim.Probe.Ser_commit { ser; origin; oseq; epoch } -> (
     c.commits <- c.commits + 1;
     check_marker_last c at ~what:"commit" ~origin ~oseq ~epoch;
-    match Hashtbl.find_opt c.commit_seq (epoch, ser, origin) with
-    | Some prev when oseq = prev ->
+    let key = (epoch, ser, origin) in
+    match Triple_tbl.find c.commit_seq key with
+    | prev when oseq = prev ->
       flag c at
         (Printf.sprintf "duplicate commit at ser%d: origin dc%d seq %d committed twice" ser origin
            oseq)
-    | Some prev when oseq < prev ->
+    | prev when oseq < prev ->
       flag c at
         (Printf.sprintf "FIFO violation at ser%d: origin dc%d seq %d after seq %d" ser origin oseq
            prev)
-    | _ -> Hashtbl.replace c.commit_seq (epoch, ser, origin) oseq)
+    | _ | (exception Not_found) -> Triple_tbl.replace c.commit_seq key oseq)
   | Sim.Probe.Label_forward { dc; gear; ts = _; oseq; inst = _; epoch } ->
-    (match Hashtbl.find_opt c.route_epoch dc with
-    | Some max_e when epoch < max_e ->
+    (match Int_tbl.find c.route_epoch dc with
+    | max_e when epoch < max_e ->
       flag c at
         (Printf.sprintf "route regression at dc%d: label entered epoch-%d tree after epoch-%d" dc
            epoch max_e)
-    | Some max_e when epoch > max_e -> Hashtbl.replace c.route_epoch dc epoch
-    | Some _ -> ()
-    | None -> Hashtbl.replace c.route_epoch dc epoch);
+    | max_e when epoch > max_e -> Int_tbl.replace c.route_epoch dc epoch
+    | _ -> ()
+    | exception Not_found -> Int_tbl.replace c.route_epoch dc epoch);
     if gear = Saturn.Label.marker_gear then begin
-      if Hashtbl.mem c.marker_oseq dc then
+      if Int_tbl.mem c.marker_oseq dc then
         flag c at (Printf.sprintf "duplicate epoch-change marker from origin dc%d" dc)
-      else Hashtbl.replace c.marker_oseq dc (epoch, oseq)
+      else Int_tbl.add c.marker_oseq dc (epoch, oseq)
     end
     else if oseq >= 0 then check_marker_last c at ~what:"forward" ~origin:dc ~oseq ~epoch
   | Sim.Probe.Sink_emit { dc; ts } ->
-    (match Hashtbl.find_opt c.sink_ts dc with
-    | Some prev when ts < prev ->
+    (match Int_tbl.find c.sink_ts dc with
+    | prev when ts < prev ->
       flag c at (Printf.sprintf "sink order violation at dc%d: ts %d after ts %d" dc ts prev)
-    | _ -> ());
-    Hashtbl.replace c.sink_ts dc ts
+    | _ | (exception Not_found) -> ());
+    Int_tbl.replace c.sink_ts dc ts
   | Sim.Probe.Proxy_apply { dc; src_dc; ts; gear; fallback = _ } -> (
-    if Hashtbl.mem c.applied (dc, src_dc, ts, gear) then
+    let label = (dc, src_dc, ts, gear) in
+    if Quad_tbl.mem c.applied label then
       flag c at
         (Printf.sprintf "duplicate apply at dc%d: label (src dc%d, ts %d, gear %d) installed twice"
            dc src_dc ts gear)
-    else Hashtbl.replace c.applied (dc, src_dc, ts, gear) ();
-    match Hashtbl.find_opt c.apply_ts (dc, src_dc) with
-    | Some prev when ts <= prev ->
+    else Quad_tbl.add c.applied label ();
+    let key = (dc, src_dc) in
+    match Pair_tbl.find c.apply_ts key with
+    | prev when ts <= prev ->
       flag c at
         (Printf.sprintf "proxy order violation at dc%d: src dc%d ts %d after ts %d" dc src_dc ts
            prev)
-    | _ -> Hashtbl.replace c.apply_ts (dc, src_dc) ts)
+    | _ | (exception Not_found) -> Pair_tbl.replace c.apply_ts key ts)
   | Sim.Probe.Fifo_resend _ -> c.resends <- c.resends + 1
   | Sim.Probe.Link_drop { in_flight } ->
     if in_flight then c.drops_cut <- c.drops_cut + 1 else c.drops_down <- c.drops_down + 1;
@@ -201,7 +239,7 @@ let step c at (ev : Sim.Probe.event) =
   | Sim.Probe.Proxy_mode { mode = Sim.Probe.Fallback; _ } -> c.fallbacks <- c.fallbacks + 1
   | Sim.Probe.Switch_begin { epoch; graceful = _ } ->
     c.switches <- c.switches + 1;
-    Hashtbl.replace c.switch_epochs epoch ()
+    Int_tbl.replace c.switch_epochs epoch ()
   | _ -> ()
 
 let report c =

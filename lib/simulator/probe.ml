@@ -112,14 +112,10 @@ let kind_names =
        "switch_begin"; "switch_done" |]
     (Array.of_list (List.map (fun sk -> "span." ^ span_kind_name sk) span_kinds))
 
-(* ---- rendering ------------------------------------------------------------ *)
+(* ---- the line format: one walk digests and renders ---------------------- *)
 
-(* One renderer backs the digest, [to_json], [write_jsonl] and
-   [stream_jsonl]: it appends straight into a caller-owned [writer], with
-   no Printf and no intermediate strings, so the hashed bytes and every
-   exported line are the same bytes by construction. A [writer] is a
-   growable [Bytes] the record path owns and reuses, so the digest reads
-   it with [Bytes.unsafe_get] rather than [Buffer.nth]'s checked call. *)
+(* A [writer] is a growable [Bytes] that receives a rendered line; the
+   record path owns one only while a [stream_jsonl] channel is attached. *)
 type writer = { mutable wb : Bytes.t; mutable wn : int }
 
 let writer () = { wb = Bytes.create 256; wn = 0 }
@@ -131,110 +127,259 @@ let reserve w need =
     w.wb <- b
   end
 
-let add_char w c =
-  reserve w 1;
-  Bytes.unsafe_set w.wb w.wn c;
-  w.wn <- w.wn + 1
-
 let add_string w s =
   let n = String.length s in
   reserve w n;
   Bytes.unsafe_blit_string s 0 w.wb w.wn n;
   w.wn <- w.wn + n
 
-(* the digits of [m <= 0], most significant first: recursing on [m / 10]
-   keeps every division by a constant, and working on the non-positive
-   side gives [min_int] a magnitude too *)
-let rec add_digits buf m =
-  if m <= -10 then add_digits buf (m / 10);
-  add_char buf (Char.unsafe_chr (48 - (m mod 10)))
-
-(* [n] in decimal, exactly as [%d] prints it *)
-let add_int buf n =
-  if n < 0 then add_char buf '-';
-  add_digits buf (if n < 0 then n else -n)
-
-(* [key] carries its own punctuation, e.g. [,"seq":] *)
-let field buf key v =
-  add_string buf key;
-  add_int buf v
-
-let render_span buf ph { sk; origin; seq; aux; site; peer; epoch } =
-  add_string buf ph;
-  add_string buf (span_kind_name sk);
-  field buf {|","origin":|} origin; field buf {|,"seq":|} seq; field buf {|,"aux":|} aux;
-  field buf {|,"site":|} site; field buf {|,"peer":|} peer; field buf {|,"epoch":|} epoch
-
-let render buf at ev =
-  let str = add_string in
-  field buf {|{"t":|} (Time.to_us at);
-  str buf {|,"ev":"|};
-  (match ev with
-  | Engine_step { seq } -> field buf {|engine_step","seq":|} seq
-  | Link_send { size_bytes } -> field buf {|link_send","bytes":|} size_bytes
-  | Link_deliver -> str buf {|link_deliver"|}
-  | Link_drop { in_flight } ->
-    str buf (if in_flight then {|link_drop","why":"cut"|} else {|link_drop","why":"down"|})
-  | Fifo_resend { sender; seq } ->
-    field buf {|fifo_resend","sender":|} sender; field buf {|,"seq":|} seq
-  | Label_forward { dc; gear; ts; oseq; inst; epoch } ->
-    field buf {|label_forward","dc":|} dc; field buf {|,"gear":|} gear; field buf {|,"ts":|} ts;
-    field buf {|,"oseq":|} oseq; field buf {|,"inst":|} inst; field buf {|,"epoch":|} epoch
-  | Serializer_hop { from_ser; to_ser } ->
-    field buf {|serializer_hop","from":|} from_ser; field buf {|,"to":|} to_ser
-  | Serializer_deliver { dc } -> field buf {|serializer_deliver","dc":|} dc
-  | Delay_wait { serializer; us } ->
-    field buf {|delay_wait","serializer":|} serializer; field buf {|,"us":|} us
-  | Chain_ack { seq } -> field buf {|chain_ack","seq":|} seq
-  | Ser_commit { ser; origin; oseq; epoch } ->
-    field buf {|ser_commit","ser":|} ser; field buf {|,"origin":|} origin;
-    field buf {|,"oseq":|} oseq; field buf {|,"epoch":|} epoch
-  | Head_change { ser } -> field buf {|head_change","ser":|} ser
-  | Sink_emit { dc; ts } -> field buf {|sink_emit","dc":|} dc; field buf {|,"ts":|} ts
-  | Proxy_apply { dc; src_dc; gear; ts; fallback } ->
-    field buf {|proxy_apply","dc":|} dc; field buf {|,"src":|} src_dc;
-    field buf {|,"gear":|} gear; field buf {|,"ts":|} ts;
-    str buf (if fallback then {|,"via":"fallback"|} else {|,"via":"stream"|})
-  | Proxy_mode { dc; mode } ->
-    field buf {|proxy_mode","dc":|} dc;
-    str buf (match mode with Stream -> {|,"mode":"stream"|} | Fallback -> {|,"mode":"fallback"|})
-  | Stab_round { dc; gst } -> field buf {|stab_round","dc":|} dc; field buf {|,"gst":|} gst
-  | Vec_advance { dc; src; ts } ->
-    field buf {|vec_advance","dc":|} dc; field buf {|,"src":|} src; field buf {|,"ts":|} ts
-  | Switch_begin { epoch; graceful } ->
-    field buf {|switch_begin","epoch":|} epoch;
-    str buf (if graceful then {|,"mode":"graceful"|} else {|,"mode":"forced"|})
-  | Switch_done { dc; epoch } -> field buf {|switch_done","dc":|} dc; field buf {|,"epoch":|} epoch
-  | Span_begin s -> render_span buf {|span_begin","kind":"|} s
-  | Span_end s -> render_span buf {|span_end","kind":"|} s);
-  add_char buf '}'
-
-(* the JSONL form: one rendered object and its newline *)
-let render_line w at ev =
-  w.wn <- 0;
-  render w at ev;
-  add_char w '\n'
-
-let to_json at ev =
-  let w = writer () in
-  render w at ev;
-  Bytes.sub_string w.wb 0 w.wn
+let add_sub w b off n =
+  reserve w n;
+  Bytes.unsafe_blit b off w.wb w.wn n;
+  w.wn <- w.wn + n
 
 (* FNV-1a, 64-bit: stable across runs, processes and architectures — the
-   digest doubles as CI's determinism oracle, so no Hashtbl.hash/Marshal.
-   The running state lives in an 8-byte [Bytes], and the loop's int64 ref
-   is a local the native compiler keeps unboxed, so folding a line in
-   allocates nothing. *)
+   digest doubles as CI's determinism oracle, so no Hashtbl.hash/Marshal. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv_fold state w =
-  let h = ref (Bytes.get_int64_le state 0) in
-  let b = w.wb in
-  for i = 0 to w.wn - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)))) fnv_prime
+(* Folding a constant string [s] of length [k] into the state [h] needs
+   no byte loop. XOR with an ASCII byte (every literal of the line format
+   is ASCII) changes only the low 7 bits of the state, and multiplying
+   never carries downwards, so the low 7 bits of every later state depend
+   only on [j = h land 0x7f]. Writing [h = H + j], the high part [H] (a
+   multiple of 128) just rides along as [H * p^k]. Hence
+   [fnv_s h = h * p^k + T_s.(j)] mod 2^64, with
+   [T_s.(j) = fnv_s j - j * p^k]: one multiply and one table read.
+
+   A [lit] holds a literal's text and that table: 128 little-endian
+   int64s, then [p^k] at [lit_pk]. The tables (1 KiB each) are filled on
+   the first [create] or [to_json], not at module initialisation, so a
+   binary that never installs a probe pays nothing for them. *)
+type lit = { text : string; mutable table : Bytes.t }
+
+let lit_pk = 128 * 8
+let lits = ref [] (* every literal, for [fill_tables]; grown only at module initialisation *)
+
+let lit text =
+  let l = { text; table = Bytes.empty } in
+  lits := l :: !lits;
+  l
+
+let fill l =
+  let k = String.length l.text in
+  if not (String.for_all (fun c -> Char.code c < 0x80) l.text) then
+    invalid_arg ("Probe: non-ASCII literal " ^ l.text);
+  let tb = Bytes.create (lit_pk + 8) in
+  let pk = ref 1L in
+  for _ = 1 to k do
+    pk := Int64.mul !pk fnv_prime
   done;
-  Bytes.set_int64_le state 0 !h
+  for j = 0 to 127 do
+    let h = ref (Int64.of_int j) in
+    for i = 0 to k - 1 do
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code l.text.[i]))) fnv_prime
+    done;
+    Bytes.set_int64_le tb (8 * j) (Int64.sub !h (Int64.mul (Int64.of_int j) !pk))
+  done;
+  Bytes.set_int64_le tb lit_pk !pk;
+  l.table <- tb
+
+(* filling is idempotent, so two domains racing here both write the same
+   tables *)
+let tables_filled = Atomic.make false
+
+let fill_tables () =
+  if not (Atomic.get tables_filled) then begin
+    List.iter fill !lits;
+    Atomic.set tables_filled true
+  end
+
+(* One walk's state: the FNV-1a state in bytes [0, 8) of [st], the decimal
+   digits of the int being folded in the rest, and the writer that also
+   receives the bytes, if one is given. A probe owns its scribe, so
+   recording shares no mutable buffer between probes. *)
+type scribe = { st : Bytes.t; mutable out : writer option }
+
+(* '-' and the 19 digits of [min_int] *)
+let digits_end = 8 + 20
+
+let scribe out =
+  let st = Bytes.create digits_end in
+  Bytes.set_int64_le st 0 fnv_offset;
+  { st; out }
+
+let add_lit s l =
+  let h = Bytes.get_int64_le s.st 0 in
+  let tb = l.table in
+  let j = Int64.to_int h land 0x7f in
+  Bytes.set_int64_le s.st 0
+    (Int64.add (Int64.mul h (Bytes.get_int64_le tb lit_pk)) (Bytes.get_int64_le tb (j lsl 3)));
+  match s.out with None -> () | Some w -> add_string w l.text
+
+let digit m = Char.unsafe_chr (48 - (m mod 10))
+
+(* [n] in decimal, exactly as [%d] prints it: the digits are written
+   backwards from [digits_end], working on the non-positive side so that
+   [min_int] has a magnitude too, then folded in one byte at a time *)
+let add_int s n =
+  let st = s.st in
+  let m = ref (if n < 0 then n else -n) in
+  let p = ref (digits_end - 1) in
+  Bytes.unsafe_set st !p (digit !m);
+  while !m <= -10 do
+    m := !m / 10;
+    decr p;
+    Bytes.unsafe_set st !p (digit !m)
+  done;
+  if n < 0 then begin
+    decr p;
+    Bytes.unsafe_set st !p '-'
+  end;
+  let h = ref (Bytes.get_int64_le st 0) in
+  for i = !p to digits_end - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get st i)))) fnv_prime
+  done;
+  Bytes.set_int64_le st 0 !h;
+  match s.out with None -> () | Some w -> add_sub w st !p (digits_end - !p)
+
+(* a literal that carries its own punctuation, e.g. [,"seq":], then [v] *)
+let field s l v =
+  add_lit s l;
+  add_int s v
+
+(* Every literal of the line format, declared once. Each one runs from
+   the end of an int field to the start of the next, so an event folds
+   one literal per field plus the closing one. *)
+let l_t = lit {|{"t":|}
+let l_close = lit "}\n"
+let l_engine_step = lit {|,"ev":"engine_step","seq":|}
+let l_link_send = lit {|,"ev":"link_send","bytes":|}
+let l_link_deliver = lit {|,"ev":"link_deliver"|}
+let l_drop_cut = lit {|,"ev":"link_drop","why":"cut"|}
+let l_drop_down = lit {|,"ev":"link_drop","why":"down"|}
+let l_fifo_resend = lit {|,"ev":"fifo_resend","sender":|}
+let l_label_forward = lit {|,"ev":"label_forward","dc":|}
+let l_serializer_hop = lit {|,"ev":"serializer_hop","from":|}
+let l_serializer_deliver = lit {|,"ev":"serializer_deliver","dc":|}
+let l_delay_wait = lit {|,"ev":"delay_wait","serializer":|}
+let l_chain_ack = lit {|,"ev":"chain_ack","seq":|}
+let l_ser_commit = lit {|,"ev":"ser_commit","ser":|}
+let l_head_change = lit {|,"ev":"head_change","ser":|}
+let l_sink_emit = lit {|,"ev":"sink_emit","dc":|}
+let l_proxy_apply = lit {|,"ev":"proxy_apply","dc":|}
+let l_proxy_mode = lit {|,"ev":"proxy_mode","dc":|}
+let l_stab_round = lit {|,"ev":"stab_round","dc":|}
+let l_vec_advance = lit {|,"ev":"vec_advance","dc":|}
+let l_switch_begin = lit {|,"ev":"switch_begin","epoch":|}
+let l_switch_done = lit {|,"ev":"switch_done","dc":|}
+let l_seq = lit {|,"seq":|}
+let l_gear = lit {|,"gear":|}
+let l_ts = lit {|,"ts":|}
+let l_oseq = lit {|,"oseq":|}
+let l_inst = lit {|,"inst":|}
+let l_epoch = lit {|,"epoch":|}
+let l_to = lit {|,"to":|}
+let l_us = lit {|,"us":|}
+let l_origin = lit {|,"origin":|}
+let l_src = lit {|,"src":|}
+let l_gst = lit {|,"gst":|}
+let l_aux = lit {|,"aux":|}
+let l_site = lit {|,"site":|}
+let l_peer = lit {|,"peer":|}
+let l_via_fallback = lit {|,"via":"fallback"|}
+let l_via_stream = lit {|,"via":"stream"|}
+let l_mode_stream = lit {|,"mode":"stream"|}
+let l_mode_fallback = lit {|,"mode":"fallback"|}
+let l_mode_graceful = lit {|,"mode":"graceful"|}
+let l_mode_forced = lit {|,"mode":"forced"|}
+
+(* a span's head, up to its first field, per phase and [span_kind_id] *)
+let span_heads ph =
+  let head sk = lit ({|,"ev":"|} ^ ph ^ {|","kind":"|} ^ span_kind_name sk ^ {|","origin":|}) in
+  Array.of_list (List.map head span_kinds)
+
+let l_span_begin = span_heads "span_begin"
+let l_span_end = span_heads "span_end"
+
+let walk_span s heads { sk; origin; seq; aux; site; peer; epoch } =
+  field s heads.(span_kind_id sk) origin;
+  field s l_seq seq;
+  field s l_aux aux;
+  field s l_site site;
+  field s l_peer peer;
+  field s l_epoch epoch
+
+(* The one definition of an event's JSONL line, newline included: it
+   always folds the line into [s]'s hash and writes it to [s.out] when
+   one is given, so the digested bytes and every exported line cannot
+   drift apart. *)
+let walk s at ev =
+  field s l_t (Time.to_us at);
+  (match ev with
+  | Engine_step { seq } -> field s l_engine_step seq
+  | Link_send { size_bytes } -> field s l_link_send size_bytes
+  | Link_deliver -> add_lit s l_link_deliver
+  | Link_drop { in_flight } -> add_lit s (if in_flight then l_drop_cut else l_drop_down)
+  | Fifo_resend { sender; seq } ->
+    field s l_fifo_resend sender;
+    field s l_seq seq
+  | Label_forward { dc; gear; ts; oseq; inst; epoch } ->
+    field s l_label_forward dc;
+    field s l_gear gear;
+    field s l_ts ts;
+    field s l_oseq oseq;
+    field s l_inst inst;
+    field s l_epoch epoch
+  | Serializer_hop { from_ser; to_ser } ->
+    field s l_serializer_hop from_ser;
+    field s l_to to_ser
+  | Serializer_deliver { dc } -> field s l_serializer_deliver dc
+  | Delay_wait { serializer; us } ->
+    field s l_delay_wait serializer;
+    field s l_us us
+  | Chain_ack { seq } -> field s l_chain_ack seq
+  | Ser_commit { ser; origin; oseq; epoch } ->
+    field s l_ser_commit ser;
+    field s l_origin origin;
+    field s l_oseq oseq;
+    field s l_epoch epoch
+  | Head_change { ser } -> field s l_head_change ser
+  | Sink_emit { dc; ts } ->
+    field s l_sink_emit dc;
+    field s l_ts ts
+  | Proxy_apply { dc; src_dc; gear; ts; fallback } ->
+    field s l_proxy_apply dc;
+    field s l_src src_dc;
+    field s l_gear gear;
+    field s l_ts ts;
+    add_lit s (if fallback then l_via_fallback else l_via_stream)
+  | Proxy_mode { dc; mode } ->
+    field s l_proxy_mode dc;
+    add_lit s (match mode with Stream -> l_mode_stream | Fallback -> l_mode_fallback)
+  | Stab_round { dc; gst } ->
+    field s l_stab_round dc;
+    field s l_gst gst
+  | Vec_advance { dc; src; ts } ->
+    field s l_vec_advance dc;
+    field s l_src src;
+    field s l_ts ts
+  | Switch_begin { epoch; graceful } ->
+    field s l_switch_begin epoch;
+    add_lit s (if graceful then l_mode_graceful else l_mode_forced)
+  | Switch_done { dc; epoch } ->
+    field s l_switch_done dc;
+    field s l_epoch epoch
+  | Span_begin sp -> walk_span s l_span_begin sp
+  | Span_end sp -> walk_span s l_span_end sp);
+  add_lit s l_close
+
+(* one line without its newline, folded into a throwaway hash *)
+let to_json at ev =
+  fill_tables ();
+  let w = writer () in
+  walk (scribe (Some w)) at ev;
+  Bytes.sub_string w.wb 0 (w.wn - 1)
 
 (* ---- the packed kept trace ---------------------------------------------- *)
 
@@ -256,15 +401,15 @@ let tag_flag = 0x80
 let end_of_chunk = 0xff
 
 (* LEB128 of [v] read as unsigned; returns the position after it *)
-let rec put_uleb b p v =
-  if v lsr 7 = 0 then begin
-    Bytes.unsafe_set b p (Char.unsafe_chr v);
-    p + 1
-  end
-  else begin
-    Bytes.unsafe_set b p (Char.unsafe_chr (v land 0x7f lor 0x80));
-    put_uleb b (p + 1) (v lsr 7)
-  end
+let put_uleb b p v =
+  let p = ref p and v = ref v in
+  while !v lsr 7 <> 0 do
+    Bytes.unsafe_set b !p (Char.unsafe_chr (!v land 0x7f lor 0x80));
+    incr p;
+    v := !v lsr 7
+  done;
+  Bytes.unsafe_set b !p (Char.unsafe_chr !v);
+  !p + 1
 
 (* zigzag: small magnitudes of either sign get short varints *)
 let put b p n = put_uleb b p ((n lsl 1) lxor (n asr 62))
@@ -400,22 +545,106 @@ let get_event c tag =
 
 (* ---- the probe ------------------------------------------------------------ *)
 
-(* span pairing keys: an integer hash and field-wise equality, instead of
-   the polymorphic hash and compare walking each record *)
-module Span_tbl = Hashtbl.Make (struct
-  type t = span
+(* The open spans, keyed by all seven span fields, in one flat [int array]
+   with linear probing. Slot [i] is the [slot_ints] ints from
+   [i * slot_ints]: the kind id + 1 (0 marks a free slot), the six int
+   fields, and the begin time. A begin and an end each walk one probe
+   sequence and allocate nothing beyond the occasional doubling; the table
+   keeps no pointer to the event. An end frees its slot by shifting the
+   rest of the probe run back, so no tombstones build up. *)
+module Open_spans = struct
+  type t = { mutable a : int array; mutable bits : int; mutable n : int }
 
-  let equal a b =
-    span_kind_id a.sk = span_kind_id b.sk
-    && a.origin = b.origin && a.seq = b.seq && a.aux = b.aux && a.site = b.site
-    && a.peer = b.peer && a.epoch = b.epoch
+  let slot_ints = 8
 
-  let hash s =
-    let mix h x = (h * 0x100000001b3) lxor x in
-    let h = mix (mix (mix (span_kind_id s.sk) s.origin) s.seq) s.aux in
-    let h = mix (mix (mix h s.site) s.peer) s.epoch in
-    (h lxor (h lsr 29)) land max_int
-end)
+  let create () = { a = Array.make (slot_ints lsl 6) 0; bits = 6; n = 0 }
+
+  (* Fibonacci hashing: the top [bits] bits of a multiplicative mix *)
+  let home bits k origin seq aux site peer epoch =
+    let mix h x = (h lxor x) * 0x1e3779b97f4a7c15 in
+    mix (mix (mix (mix (mix (mix (mix 0 k) origin) seq) aux) site) peer) epoch
+    lsr (Sys.int_size - bits)
+
+  let home_of_slot bits a o =
+    home bits a.(o) a.(o + 1) a.(o + 2) a.(o + 3) a.(o + 4) a.(o + 5) a.(o + 6)
+
+  (* the slot holding span [s] of kind id [kid], or the free slot that
+     ends its probe run *)
+  let find t kid s =
+    let a = t.a in
+    let k = kid + 1 in
+    let mask = (1 lsl t.bits) - 1 in
+    let i = ref (home t.bits k s.origin s.seq s.aux s.site s.peer s.epoch) in
+    while
+      let o = !i * slot_ints in
+      let ko = Array.unsafe_get a o in
+      ko <> 0
+      && not
+           (ko = k
+           && Array.unsafe_get a (o + 1) = s.origin
+           && Array.unsafe_get a (o + 2) = s.seq
+           && Array.unsafe_get a (o + 3) = s.aux
+           && Array.unsafe_get a (o + 4) = s.site
+           && Array.unsafe_get a (o + 5) = s.peer
+           && Array.unsafe_get a (o + 6) = s.epoch)
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let is_free t i = t.a.(i * slot_ints) = 0
+  let began t i = t.a.((i * slot_ints) + 7)
+
+  let grow t =
+    let old = t.a in
+    let bits = t.bits + 1 in
+    let a = Array.make (slot_ints lsl bits) 0 in
+    let mask = (1 lsl bits) - 1 in
+    for o = 0 to (Array.length old / slot_ints) - 1 do
+      let o = o * slot_ints in
+      if old.(o) <> 0 then begin
+        let i = ref (home_of_slot bits old o) in
+        while a.(!i * slot_ints) <> 0 do
+          i := (!i + 1) land mask
+        done;
+        Array.blit old o a (!i * slot_ints) slot_ints
+      end
+    done;
+    t.a <- a;
+    t.bits <- bits
+
+  (* open span [s] at free slot [i] (from [find]) *)
+  let add t i kid s at =
+    let a = t.a and o = i * slot_ints in
+    a.(o) <- kid + 1;
+    a.(o + 1) <- s.origin;
+    a.(o + 2) <- s.seq;
+    a.(o + 3) <- s.aux;
+    a.(o + 4) <- s.site;
+    a.(o + 5) <- s.peer;
+    a.(o + 6) <- s.epoch;
+    a.(o + 7) <- at;
+    t.n <- t.n + 1;
+    if 2 * t.n > 1 lsl t.bits then grow t
+
+  (* free occupied slot [i]: each later entry of the probe run moves into
+     the hole unless its home lies cyclically in (hole, j] *)
+  let remove t i =
+    let a = t.a in
+    let mask = (1 lsl t.bits) - 1 in
+    let hole = ref i and j = ref ((i + 1) land mask) in
+    while a.(!j * slot_ints) <> 0 do
+      let h = home_of_slot t.bits a (!j * slot_ints) in
+      let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
+      if not stays then begin
+        Array.blit a (!j * slot_ints) a (!hole * slot_ints) slot_ints;
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    a.(!hole * slot_ints) <- 0;
+    t.n <- t.n - 1
+end
 
 type t = {
   keep : bool;
@@ -428,32 +657,33 @@ type t = {
   mutable pos : int;
   mutable last_us : int; (* the previous kept event's time, for the delta *)
   mutable len : int;
-  hash : Bytes.t; (* FNV-1a state, see [fnv_fold] *)
-  line : writer; (* the record path's reused render buffer *)
+  sc : scribe; (* the running digest; writes only while streaming *)
   counts : int array; (* indexed by [kind_id] *)
   (* span pairing state: lives in the probe (not in the kept trace) so
      matched totals are available even on count-only (~keep:false) probes,
      which is what bench's flame table runs under *)
-  open_spans : Time.t Span_tbl.t;
+  open_spans : Open_spans.t;
   span_us : int array; (* indexed by [span_kind_id] *)
   span_n : int array;
   mutable span_orphans : int;
-  mutable stream : out_channel option;
+  mutable stream : (out_channel * writer) option;
   mutable subscribers : (Time.t -> event -> unit) list; (* in subscription order *)
 }
 
 let create ?(keep = true) () =
-  let hash = Bytes.create 8 in
-  Bytes.set_int64_le hash 0 fnv_offset;
+  fill_tables ();
   (* [pos = chunk_size] makes the first kept event allocate the first chunk *)
   { keep; chunks = [||]; n_chunks = 0; cur = Bytes.empty; pos = chunk_size; last_us = 0; len = 0;
-    hash; line = writer (); counts = Array.make n_kinds 0; open_spans = Span_tbl.create 64;
+    sc = scribe None; counts = Array.make n_kinds 0; open_spans = Open_spans.create ();
     span_us = Array.make n_span_kinds 0; span_n = Array.make n_span_kinds 0; span_orphans = 0;
     stream = None; subscribers = [] }
 
 let count t = t.len
 
-let stream_jsonl t oc = t.stream <- Some oc
+let stream_jsonl t oc =
+  let w = writer () in
+  t.sc.out <- Some w;
+  t.stream <- Some (oc, w)
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
@@ -488,24 +718,30 @@ let rec notify at ev = function
     notify at ev rest
 
 let record t at ev =
-  render_line t.line at ev;
-  fnv_fold t.hash t.line;
-  (match t.stream with Some oc -> output oc t.line.wb 0 t.line.wn | None -> ());
+  (match t.stream with
+  | None -> walk t.sc at ev
+  | Some (oc, w) ->
+    w.wn <- 0;
+    walk t.sc at ev;
+    output oc w.wb 0 w.wn);
   let kid = kind_id ev in
   t.counts.(kid) <- t.counts.(kid) + 1;
   (match ev with
   | Span_begin s ->
     (* keep the first begin: duplicates (none are expected from the core
        instrumentation) must not reset an open interval *)
-    if not (Span_tbl.mem t.open_spans s) then Span_tbl.replace t.open_spans s at
-  | Span_end s -> (
-    match Span_tbl.find_opt t.open_spans s with
-    | Some t0 ->
-      Span_tbl.remove t.open_spans s;
-      let sid = span_kind_id s.sk in
-      t.span_us.(sid) <- t.span_us.(sid) + (Time.to_us at - Time.to_us t0);
-      t.span_n.(sid) <- t.span_n.(sid) + 1
-    | None -> t.span_orphans <- t.span_orphans + 1)
+    let i = Open_spans.find t.open_spans (span_kind_id s.sk) s in
+    if Open_spans.is_free t.open_spans i then
+      Open_spans.add t.open_spans i (span_kind_id s.sk) s (Time.to_us at)
+  | Span_end s ->
+    let sid = span_kind_id s.sk in
+    let i = Open_spans.find t.open_spans sid s in
+    if Open_spans.is_free t.open_spans i then t.span_orphans <- t.span_orphans + 1
+    else begin
+      t.span_us.(sid) <- t.span_us.(sid) + (Time.to_us at - Open_spans.began t.open_spans i);
+      t.span_n.(sid) <- t.span_n.(sid) + 1;
+      Open_spans.remove t.open_spans i
+    end
   | _ -> ());
   if t.keep then keep_event t kid at ev;
   t.len <- t.len + 1;
@@ -544,15 +780,17 @@ let counts_by_kind t = sorted_nonzero (fun i -> kind_names.(i)) t.counts
 let span_totals_us t = sorted_nonzero span_name_of_id t.span_us
 let span_counts t = sorted_nonzero span_name_of_id t.span_n
 let span_orphans t = t.span_orphans
-let open_span_count t = Span_tbl.length t.open_spans
+let open_span_count t = t.open_spans.Open_spans.n
 
-let digest t = Printf.sprintf "%016Lx" (Bytes.get_int64_le t.hash 0)
+let digest t = Printf.sprintf "%016Lx" (Bytes.get_int64_le t.sc.st 0)
 
 let write_jsonl t oc =
   require_kept t "write_jsonl";
   let w = writer () in
+  let s = scribe (Some w) in
   iter t (fun at ev ->
-      render_line w at ev;
+      w.wn <- 0;
+      walk s at ev;
       output oc w.wb 0 w.wn)
 
 (* ---- the global sink ---------------------------------------------------- *)

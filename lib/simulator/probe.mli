@@ -19,9 +19,16 @@
     a sink is installed. Exactly one process-wide sink can be installed at
     a time, in the style of a [Logs] reporter.
 
-    Recording renders each event once, as its JSONL line, into a byte
-    buffer the probe owns and reuses, and hashes those bytes without
-    allocating; the same renderer backs every export. That per-event cost
+    Recording digests each event without rendering it. One walker per
+    event kind defines the JSONL line as literals and int fields; it
+    folds FNV-1a straight from the event's fields, and writes bytes only
+    when a writer is given. A literal folds in one multiply and one
+    lookup in a 128-entry table, filled on the first {!create}; digits
+    fold one byte at a time. The walker writes only while a
+    {!stream_jsonl} channel is attached, and the same walker backs
+    {!to_json} and {!write_jsonl}, so the digested bytes and every export
+    are the same bytes. Recording allocates nothing; span pairing keeps
+    its open spans in a flat open-addressing table. That per-event cost
     is what the benchmark's [obs.tax_ratio] measures.
 
     A kept probe stores its trace packed, not as OCaml values: each event
@@ -182,9 +189,10 @@ val open_span_count : t -> int
 
 val digest : t -> string
 (** 64-bit FNV-1a over the JSONL rendering of the event stream, as a
-    16-character hex string: the bytes {!write_jsonl} writes, hashed as
-    each event is recorded. Stable across processes, and independent of
-    [keep] — the CI determinism gate compares these. *)
+    16-character hex string: the bytes {!write_jsonl} writes, folded in
+    as each event is recorded, without the line being rendered. Stable
+    across processes, and independent of [keep] and of any
+    {!stream_jsonl} channel — the CI determinism gate compares these. *)
 
 (** {2 Export} *)
 

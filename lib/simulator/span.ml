@@ -10,8 +10,8 @@ type kind = Probe.span_kind =
   | Sk_bulk
   | Sk_stab
 
-let begin_ ~at ?(aux = -1) ?(site = -1) ?(peer = -1) ?(epoch = 0) sk ~origin ~seq =
+let begin_ ~at ~aux ~site ~peer ~epoch sk ~origin ~seq =
   Probe.emit ~at (Probe.Span_begin { Probe.sk; origin; seq; aux; site; peer; epoch })
 
-let end_ ~at ?(aux = -1) ?(site = -1) ?(peer = -1) ?(epoch = 0) sk ~origin ~seq =
+let end_ ~at ~aux ~site ~peer ~epoch sk ~origin ~seq =
   Probe.emit ~at (Probe.Span_end { Probe.sk; origin; seq; aux; site; peer; epoch })

@@ -459,6 +459,126 @@ let test_checker_route_monotone_and_duplicate_apply () =
   Alcotest.(check bool) "old/new tree race installing a label twice flagged" true
     (has_violation r2 "installed twice")
 
+(* ---- one planted stream per remaining rule ---------------------------------- *)
+
+(* Each rule below gets a stream that breaks it and nothing else: the
+   streamed report must carry exactly these violations, at these times,
+   with these messages, and agree with [Checker.analyze] (via
+   [with_events]). *)
+let check_flags events want =
+  let r = with_events events in
+  Alcotest.(check (list (pair int string)))
+    "violations" want
+    (List.map
+       (fun (v : Faults.Checker.violation) ->
+         (Sim.Time.to_us v.Faults.Checker.at, v.Faults.Checker.what))
+       r.Faults.Checker.violations)
+
+let test_checker_flags_proxy_order () =
+  let apply ~gear ts = Sim.Probe.Proxy_apply { dc = 0; src_dc = 1; gear; ts; fallback = false } in
+  check_flags
+    [ (1, apply ~gear:0 9); (2, apply ~gear:0 5); (3, apply ~gear:1 9);
+      (* another origin has its own order *)
+      (4, Sim.Probe.Proxy_apply { dc = 0; src_dc = 2; gear = 0; ts = 1; fallback = true }) ]
+    [ (2, "proxy order violation at dc0: src dc1 ts 5 after ts 9");
+      (3, "proxy order violation at dc0: src dc1 ts 9 after ts 9") ]
+
+let test_checker_flags_vec_regression () =
+  let adv ts = Sim.Probe.Vec_advance { dc = 2; src = 1; ts } in
+  check_flags
+    [ (1, adv 5); (2, adv 5); (3, adv 3); (4, adv 8);
+      (5, Sim.Probe.Vec_advance { dc = 2; src = 0; ts = 1 }) ]
+    [ (2, "version vector regression at dc2: entry for dc1 moved 5 -> 5");
+      (3, "version vector regression at dc2: entry for dc1 moved 5 -> 3") ]
+
+let test_checker_flags_switch_done () =
+  let fin dc epoch = Sim.Probe.Switch_done { dc; epoch } in
+  check_flags
+    [ (1, fin 1 2); (2, Sim.Probe.Switch_begin { epoch = 2; graceful = true }); (3, fin 1 2);
+      (4, fin 0 2); (5, fin 1 2) ]
+    [ (1, "dc1 finished migrating to epoch 2 that no Switch_begin announced");
+      (5, "dc1 finished migrating to epoch 2 twice") ]
+
+let test_checker_flags_step_order () =
+  let step seq = Sim.Probe.Engine_step { seq } in
+  check_flags
+    [ (10, step 5); (10, step 6); (10, step 6); (9, step 7); (11, step 0) ]
+    [ (10, "event loop order regression: step (t=10us, seq 6) after (t=10us, seq 6)");
+      (9, "event loop order regression: step (t=9us, seq 7) after (t=10us, seq 6)") ]
+
+let test_checker_flags_link_conservation () =
+  check_flags
+    [ (1, Sim.Probe.Link_send { size_bytes = 10 }); (2, Sim.Probe.Link_deliver);
+      (3, Sim.Probe.Link_deliver); (4, Sim.Probe.Link_drop { in_flight = true }) ]
+    [ (3, "link conservation violated: 2 delivered + 0 dropped > 1 sent");
+      (4, "link conservation violated: 2 delivered + 1 dropped > 1 sent") ]
+
+let test_checker_flags_negative_link_size () =
+  check_flags
+    [ (1, Sim.Probe.Link_send { size_bytes = 0 }); (2, Sim.Probe.Link_send { size_bytes = -3 }) ]
+    [ (2, "link send with negative size: -3 bytes") ]
+
+let test_checker_flags_self_hop () =
+  check_flags
+    [ (1, Sim.Probe.Serializer_hop { from_ser = 1; to_ser = 2 });
+      (2, Sim.Probe.Serializer_hop { from_ser = 2; to_ser = 2 }) ]
+    [ (2, "serializer self-hop: ser2 forwarded to itself") ]
+
+let test_checker_flags_invalid_egress () =
+  check_flags
+    [ (1, Sim.Probe.Serializer_deliver { dc = 0 }); (2, Sim.Probe.Serializer_deliver { dc = -1 }) ]
+    [ (2, "serializer egress toward invalid dc-1") ]
+
+let test_checker_flags_negative_delay () =
+  check_flags
+    [ (1, Sim.Probe.Delay_wait { serializer = 3; us = 0 });
+      (2, Sim.Probe.Delay_wait { serializer = 3; us = -5 }) ]
+    [ (2, "negative artificial delay at ser3: -5us") ]
+
+let test_checker_flags_invalid_chain_ack () =
+  check_flags
+    [ (1, Sim.Probe.Chain_ack { seq = 0 }); (2, Sim.Probe.Chain_ack { seq = -1 }) ]
+    [ (2, "chain ack for invalid seq -1") ]
+
+(* The checker's own cost per event, subscribed to a kept probe: a
+   clean stream in the fault matrix's mix, built before the measured
+   loop. The integer-keyed tables allocate only the tuple keys of
+   commits, applies and version-vector advances (4 + 5 + 3 + 3 words),
+   the binding of each newly applied label (4) and their own growth:
+   measured at 19.05 minor words per 8-event round, against 44.05 with
+   polymorphic tables probed through [find_opt]. *)
+let test_checker_step_alloc () =
+  let rounds = 20_000 in
+  let evs =
+    Array.init (8 * rounds) (fun i ->
+        let r = i / 8 in
+        match i mod 8 with
+        | 0 -> Sim.Probe.Engine_step { seq = i }
+        | 1 -> Sim.Probe.Link_send { size_bytes = 48 }
+        | 2 -> Sim.Probe.Link_deliver
+        | 3 ->
+          Sim.Probe.Label_forward { dc = r mod 3; gear = 0; ts = r; oseq = r; inst = 0; epoch = 0 }
+        | 4 -> commit (r mod 2) (r mod 3) r
+        | 5 -> Sim.Probe.Sink_emit { dc = r mod 3; ts = r }
+        | 6 ->
+          Sim.Probe.Proxy_apply { dc = r mod 3; src_dc = 1; gear = 0; ts = r; fallback = false }
+        | _ -> Sim.Probe.Vec_advance { dc = r mod 3; src = 1; ts = r })
+  in
+  let probe = Sim.Probe.create () in
+  let c = subscribed_checker probe in
+  let minor =
+    Sim.Probe.with_probe probe (fun () ->
+        let minor0 = Gc.minor_words () in
+        Array.iteri (fun i ev -> Sim.Probe.emit ~at:(Sim.Time.of_us i) ev) evs;
+        Gc.minor_words () -. minor0)
+  in
+  let r = streamed_report probe c in
+  Alcotest.(check bool) "clean" true (Faults.Checker.ok r);
+  Alcotest.(check int) "commits" rounds r.Faults.Checker.commits;
+  let per_round = minor /. float_of_int rounds in
+  if per_round > 19.1 then
+    Alcotest.failf "%.2f minor words per 8-event round (pinned at 19.05)" per_round
+
 (* ---- whole-system property ----------------------------------------------- *)
 
 (* a 3-DC chain deployment under a random (but survivable) plan: whatever
@@ -536,6 +656,9 @@ let test_matrix_smoke () =
   let outcomes = Harness.Fault_run.run_matrix ~seed:7 () in
   Alcotest.(check int) "twelve runs" 12 (List.length outcomes);
   Alcotest.(check int) "no violations" 0 (Harness.Fault_run.violations outcomes);
+  (* an absolute pin beside ci/faults-digest.txt's seed-42 one *)
+  Alcotest.(check string) "matrix digest (seed 7)" "c77aaa4f9ecece212d3f8c13099b78c9"
+    (Harness.Fault_run.matrix_digest outcomes);
   List.iter
     (fun (o : Harness.Fault_run.outcome) ->
       Alcotest.(check bool)
@@ -611,6 +734,18 @@ let suite =
     Alcotest.test_case "checker duplicate commit" `Quick test_checker_flags_duplicate_commit;
     Alcotest.test_case "checker reorder" `Quick test_checker_flags_reorder;
     Alcotest.test_case "checker fault counts" `Quick test_checker_counts;
+    Alcotest.test_case "checker proxy order" `Quick test_checker_flags_proxy_order;
+    Alcotest.test_case "checker version-vector regression" `Quick test_checker_flags_vec_regression;
+    Alcotest.test_case "checker unannounced and repeated Switch_done" `Quick
+      test_checker_flags_switch_done;
+    Alcotest.test_case "checker event-loop order" `Quick test_checker_flags_step_order;
+    Alcotest.test_case "checker link conservation" `Quick test_checker_flags_link_conservation;
+    Alcotest.test_case "checker negative link size" `Quick test_checker_flags_negative_link_size;
+    Alcotest.test_case "checker serializer self-hop" `Quick test_checker_flags_self_hop;
+    Alcotest.test_case "checker egress toward invalid dc" `Quick test_checker_flags_invalid_egress;
+    Alcotest.test_case "checker negative delay" `Quick test_checker_flags_negative_delay;
+    Alcotest.test_case "checker invalid chain-ack seq" `Quick test_checker_flags_invalid_chain_ack;
+    Alcotest.test_case "checker step allocation" `Quick test_checker_step_alloc;
     Alcotest.test_case "forced-switch drain barrier (seed 877)" `Quick
       test_forced_switch_drain_barrier_seed877;
     qtest prop_random_plan_exactly_once_fifo;

@@ -312,22 +312,46 @@ let gen_event =
 let gen_stamped =
   QCheck.Gen.(pair (frequency [ (4, nat); (1, oneofl [ 0; Sim.Time.to_us Sim.Time.infinity ]) ]) gen_event)
 
+(* A digest folds each literal of the line format through a 256-entry
+   table indexed by the low byte of the running hash, so a case starts
+   after a random prefix of events: over the cases that byte takes many
+   values. A count-only probe and one streaming its JSONL must both
+   digest the reference bytes, and the streamed bytes must be them. *)
 let prop_render_matches_reference =
   QCheck.Test.make ~name:"buffer renderer and digest match the Printf reference" ~count:300
     (QCheck.make
-       ~print:(fun evs ->
-         String.concat "\n" (List.map (fun (t, ev) -> reference_json (Sim.Time.of_us t) ev) evs))
-       QCheck.Gen.(list_size (int_range 0 20) gen_stamped))
-    (fun evs ->
+       ~print:(fun (prefix, evs) ->
+         let line (t, ev) = reference_json (Sim.Time.of_us t) ev in
+         Printf.sprintf "after a %d-event prefix:\n%s" (List.length prefix)
+           (String.concat "\n" (List.map line evs)))
+       QCheck.Gen.(
+         pair (list_size (int_range 0 8) gen_stamped) (list_size (int_range 0 20) gen_stamped)))
+    (fun (prefix, evs) ->
+      let all = prefix @ evs in
+      let emit_all p =
+        Sim.Probe.with_probe p (fun () ->
+            List.iter (fun (t, ev) -> Sim.Probe.emit ~at:(Sim.Time.of_us t) ev) all)
+      in
       let p = Sim.Probe.create ~keep:false () in
-      Sim.Probe.with_probe p (fun () ->
-          List.iter (fun (t, ev) -> Sim.Probe.emit ~at:(Sim.Time.of_us t) ev) evs);
-      let lines = List.map (fun (t, ev) -> reference_json (Sim.Time.of_us t) ev) evs in
+      emit_all p;
+      let path = Filename.temp_file "probe" ".jsonl" in
+      let oc = open_out_bin path in
+      let q = Sim.Probe.create ~keep:false () in
+      Sim.Probe.stream_jsonl q oc;
+      emit_all q;
+      close_out oc;
+      let ic = open_in_bin path in
+      let streamed = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Sys.remove path;
+      let lines = List.map (fun (t, ev) -> reference_json (Sim.Time.of_us t) ev) all in
+      let jsonl = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
       List.for_all2
         (fun (t, ev) want -> String.equal (Sim.Probe.to_json (Sim.Time.of_us t) ev) want)
-        evs lines
-      && String.equal (Sim.Probe.digest p)
-           (reference_fnv (String.concat "" (List.map (fun l -> l ^ "\n") lines))))
+        all lines
+      && String.equal (Sim.Probe.digest p) (reference_fnv jsonl)
+      && String.equal streamed jsonl
+      && String.equal (reference_fnv streamed) (Sim.Probe.digest q))
 
 (* the packed kept trace round-trips *)
 let kept_trace_roundtrips stamped =
@@ -367,9 +391,68 @@ let test_kept_trace_chunk_edges () =
   in
   Alcotest.(check bool) "round trip" true (kept_trace_roundtrips stamped)
 
+(* minor and major words allocated by [f ()]; minor words from
+   Gc.minor_words, which is exact: Gc.counters' minor count was seen to
+   jump by tens of thousands of words over a loop while Gc.minor_words,
+   read around the same loop, moved by a few dozen *)
+let words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0, major1 -. major0 -. (promoted1 -. promoted0))
+
+(* Span pairing allocates nothing per event either: a begin/end pair,
+   and an end that matches no begin, each cost 0 minor words once the
+   open-span table has settled, on a count-only probe and on a kept one
+   with a subscriber. The spans are built before the loop, as they would
+   be at an emission site. *)
+let span_pair_alloc () =
+  let open Sim.Probe in
+  let spans =
+    Array.init 16 (fun i ->
+        { sk = (if i mod 2 = 0 then Sk_chain else Sk_egress); origin = i mod 3; seq = 1_000 + i;
+          aux = i mod 2; site = i mod 5; peer = -1; epoch = 0 })
+  in
+  let begins = Array.map (fun s -> Span_begin s) spans in
+  let ends = Array.map (fun s -> Span_end s) spans in
+  let orphan = Span_end { spans.(0) with seq = -7 } in
+  let n = 100_000 in
+  List.iter
+    (fun (name, p) ->
+      let minor, major =
+        with_probe p (fun () ->
+            (* one warm-up round settles the open-span table's size *)
+            Array.iter (emit ~at:Sim.Time.zero) begins;
+            Array.iter (emit ~at:Sim.Time.zero) ends;
+            words (fun () ->
+                for i = 1 to n do
+                  let k = i land 15 in
+                  emit ~at:(Sim.Time.of_us (i * 3)) begins.(k);
+                  emit ~at:(Sim.Time.of_us ((i * 3) + 2)) ends.(k);
+                  emit ~at:(Sim.Time.of_us ((i * 3) + 2)) orphan
+                done))
+      in
+      Alcotest.(check int) (name ^ ": pairs") (n + 16)
+        (List.fold_left (fun acc (_, c) -> acc + c) 0 (span_counts p));
+      Alcotest.(check int) (name ^ ": orphans") n (span_orphans p);
+      Alcotest.(check int) (name ^ ": none open") 0 (open_span_count p);
+      (* 0 words per pair and per orphan end: only the kept probe's chunk
+         table (doubling up to 128 chunks here) may grow on the minor heap *)
+      if minor > 512. then
+        Alcotest.failf "%s: %.0f minor words over %d pairs and orphan ends" name minor n;
+      if major > 2. *. float_of_int (3 * n) then
+        Alcotest.failf "%s: %.0f major words over %d pairs and orphan ends" name major n)
+    [ ("count-only", create ~keep:false ());
+      ( "kept",
+        let p = create () in
+        subscribe p (fun _ _ -> ());
+        p ) ]
+
 (* Recording into a kept probe with a subscriber attached must allocate
    nothing on the minor heap per event; the packed chunks are the only
-   major-heap growth, well under a word per event. *)
+   major-heap growth, well under a word per event. Span pairs follow. *)
 let test_kept_record_alloc () =
   let open Sim.Probe in
   let evs =
@@ -383,25 +466,19 @@ let test_kept_record_alloc () =
   let p = create () in
   subscribe p (fun _ _ -> ());
   let n = 200_000 in
-  (* minor words from Gc.minor_words, which is exact: Gc.counters' minor
-     count was seen to jump by tens of thousands of words over this loop
-     while Gc.minor_words, read around the same loop, moved by a few dozen *)
   let minor, major =
     with_probe p (fun () ->
         emit ~at:Sim.Time.zero Link_deliver;
-        let _, promoted0, major0 = Gc.counters () in
-        let minor0 = Gc.minor_words () in
-        for i = 1 to n do
-          emit ~at:(Sim.Time.of_us (i * 7)) evs.(i mod Array.length evs)
-        done;
-        let minor1 = Gc.minor_words () in
-        let _, promoted1, major1 = Gc.counters () in
-        (minor1 -. minor0, major1 -. major0 -. (promoted1 -. promoted0)))
+        words (fun () ->
+            for i = 1 to n do
+              emit ~at:(Sim.Time.of_us (i * 7)) evs.(i mod Array.length evs)
+            done))
   in
   Alcotest.(check int) "recorded" (n + 1) (count p);
   (* growing the chunk table is the only minor allocation *)
   if minor > 64. then Alcotest.failf "%.0f minor words over %d events" minor n;
-  if major > 2. *. float_of_int n then Alcotest.failf "%.0f major words over %d events" major n
+  if major > 2. *. float_of_int n then Alcotest.failf "%.0f major words over %d events" major n;
+  span_pair_alloc ()
 
 let test_probe_unbuffered () =
   let p = Sim.Probe.create ~keep:false () in

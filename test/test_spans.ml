@@ -10,12 +10,17 @@ let test_span_matching () =
   Sim.Probe.with_probe probe (fun () ->
       (* two overlapping spans of different kinds, one nested pair of the
          same kind at different sites *)
-      Sim.Span.begin_ ~at:(us 100) Sim.Span.Sk_chain ~origin:0 ~seq:1 ~aux:0 ~site:1;
-      Sim.Span.begin_ ~at:(us 150) Sim.Span.Sk_hop ~origin:0 ~seq:1 ~aux:0 ~site:1 ~peer:2;
-      Sim.Span.end_ ~at:(us 300) Sim.Span.Sk_chain ~origin:0 ~seq:1 ~aux:0 ~site:1;
-      Sim.Span.begin_ ~at:(us 300) Sim.Span.Sk_chain ~origin:0 ~seq:1 ~aux:0 ~site:2;
-      Sim.Span.end_ ~at:(us 450) Sim.Span.Sk_hop ~origin:0 ~seq:1 ~aux:0 ~site:1 ~peer:2;
-      Sim.Span.end_ ~at:(us 460) Sim.Span.Sk_chain ~origin:0 ~seq:1 ~aux:0 ~site:2);
+      Sim.Span.begin_ ~at:(us 100) Sim.Span.Sk_chain ~origin:0 ~seq:1 ~aux:0 ~site:1
+        ~peer:(-1) ~epoch:0;
+      Sim.Span.begin_ ~at:(us 150) Sim.Span.Sk_hop ~origin:0 ~seq:1 ~aux:0 ~site:1 ~peer:2
+        ~epoch:0;
+      Sim.Span.end_ ~at:(us 300) Sim.Span.Sk_chain ~origin:0 ~seq:1 ~aux:0 ~site:1 ~peer:(-1)
+        ~epoch:0;
+      Sim.Span.begin_ ~at:(us 300) Sim.Span.Sk_chain ~origin:0 ~seq:1 ~aux:0 ~site:2 ~peer:(-1)
+        ~epoch:0;
+      Sim.Span.end_ ~at:(us 450) Sim.Span.Sk_hop ~origin:0 ~seq:1 ~aux:0 ~site:1 ~peer:2 ~epoch:0;
+      Sim.Span.end_ ~at:(us 460) Sim.Span.Sk_chain ~origin:0 ~seq:1 ~aux:0 ~site:2 ~peer:(-1)
+        ~epoch:0);
   Alcotest.(check (list (pair string int)))
     "totals"
     [ ("chain", 360); ("hop", 300) ]
@@ -30,19 +35,24 @@ let test_span_matching () =
 let test_duplicate_begin_first_wins () =
   let probe = Sim.Probe.create () in
   Sim.Probe.with_probe probe (fun () ->
-      Sim.Span.begin_ ~at:(us 100) Sim.Span.Sk_bulk ~origin:0 ~seq:7 ~site:0 ~peer:1;
+      Sim.Span.begin_ ~at:(us 100) Sim.Span.Sk_bulk ~origin:0 ~seq:7 ~aux:(-1) ~site:0 ~peer:1
+        ~epoch:0;
       (* a duplicate begin (e.g. a retransmitted message) must not reset
          the span's start time *)
-      Sim.Span.begin_ ~at:(us 200) Sim.Span.Sk_bulk ~origin:0 ~seq:7 ~site:0 ~peer:1;
-      Sim.Span.end_ ~at:(us 300) Sim.Span.Sk_bulk ~origin:0 ~seq:7 ~site:0 ~peer:1);
+      Sim.Span.begin_ ~at:(us 200) Sim.Span.Sk_bulk ~origin:0 ~seq:7 ~aux:(-1) ~site:0 ~peer:1
+        ~epoch:0;
+      Sim.Span.end_ ~at:(us 300) Sim.Span.Sk_bulk ~origin:0 ~seq:7 ~aux:(-1) ~site:0 ~peer:1
+        ~epoch:0);
   Alcotest.(check (list (pair string int))) "totals" [ ("bulk", 200) ]
     (Sim.Probe.span_totals_us probe)
 
 let test_orphan_end () =
   let probe = Sim.Probe.create () in
   Sim.Probe.with_probe probe (fun () ->
-      Sim.Span.end_ ~at:(us 100) Sim.Span.Sk_proxy_order ~origin:1 ~seq:5 ~aux:0 ~site:2;
-      Sim.Span.begin_ ~at:(us 200) Sim.Span.Sk_egress ~origin:1 ~seq:5 ~aux:0 ~site:0 ~peer:2);
+      Sim.Span.end_ ~at:(us 100) Sim.Span.Sk_proxy_order ~origin:1 ~seq:5 ~aux:0 ~site:2
+        ~peer:(-1) ~epoch:0;
+      Sim.Span.begin_ ~at:(us 200) Sim.Span.Sk_egress ~origin:1 ~seq:5 ~aux:0 ~site:0 ~peer:2
+        ~epoch:0);
   Alcotest.(check int) "orphan counted" 1 (Sim.Probe.span_orphans probe);
   Alcotest.(check (list (pair string int))) "no time attributed" []
     (Sim.Probe.span_totals_us probe);
@@ -52,6 +62,56 @@ let test_orphan_end () =
     "event kinds"
     [ ("span.egress", 1); ("span.proxy_order", 1) ]
     (Sim.Probe.counts_by_kind probe)
+
+(* The probe pairs spans in its own open-addressing table; a plain
+   Hashtbl model must agree on every total, pair count, orphan count and
+   open count. Keys come from a small space, so duplicate begins, orphan
+   ends and re-opened keys are common, and runs long enough to grow the
+   table several times and free slots in the middle of probe runs. *)
+let prop_span_pairing_matches_model =
+  let gen_op =
+    QCheck.Gen.(
+      map
+        (fun ((is_begin, k), (origin, seq, site)) -> (is_begin, k, origin, seq, site))
+        (pair (pair bool (int_bound 2)) (triple (int_bound 3) (int_bound 200) (int_range (-1) 2))))
+  in
+  QCheck.Test.make ~name:"span pairing matches a Hashtbl model" ~count:50
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+       QCheck.Gen.(list_size (int_range 0 3000) gen_op))
+    (fun ops ->
+      let kinds = [| Sim.Span.Sk_chain; Sim.Span.Sk_hop; Sim.Span.Sk_stab |] in
+      let names = [| "chain"; "hop"; "stab" |] in
+      let probe = Sim.Probe.create ~keep:false () in
+      let model = Hashtbl.create 64 in
+      let us = Array.make 3 0 and n = Array.make 3 0 and orphans = ref 0 in
+      Sim.Probe.with_probe probe (fun () ->
+          List.iteri
+            (fun t (is_begin, k, origin, seq, site) ->
+              let key = (k, origin, seq, site) in
+              let at = Sim.Time.of_us t in
+              if is_begin then begin
+                Sim.Span.begin_ ~at kinds.(k) ~origin ~seq ~aux:0 ~site ~peer:(-1) ~epoch:0;
+                if not (Hashtbl.mem model key) then Hashtbl.replace model key t
+              end
+              else begin
+                Sim.Span.end_ ~at kinds.(k) ~origin ~seq ~aux:0 ~site ~peer:(-1) ~epoch:0;
+                match Hashtbl.find_opt model key with
+                | Some t0 ->
+                  Hashtbl.remove model key;
+                  us.(k) <- us.(k) + (t - t0);
+                  n.(k) <- n.(k) + 1
+                | None -> incr orphans
+              end)
+            ops);
+      let nonzero a =
+        List.filter (fun (_, v) -> v <> 0) (List.init 3 (fun k -> (names.(k), a.(k))))
+        |> List.sort compare
+      in
+      Sim.Probe.span_totals_us probe = nonzero us
+      && Sim.Probe.span_counts probe = nonzero n
+      && Sim.Probe.span_orphans probe = !orphans
+      && Sim.Probe.open_span_count probe = Hashtbl.length model)
 
 (* ---- streaming JSONL sink -------------------------------------------------- *)
 
@@ -389,6 +449,7 @@ let suite =
     Alcotest.test_case "span matching and totals" `Quick test_span_matching;
     Alcotest.test_case "duplicate begin keeps first" `Quick test_duplicate_begin_first_wins;
     Alcotest.test_case "orphaned span end" `Quick test_orphan_end;
+    QCheck_alcotest.to_alcotest prop_span_pairing_matches_model;
     Alcotest.test_case "streaming JSONL sink" `Quick test_stream_jsonl;
     Alcotest.test_case "smoke decomposition tiles exactly" `Slow test_smoke_decomposition;
     Alcotest.test_case "decomposition table deterministic" `Slow test_table_deterministic;
