@@ -13,39 +13,171 @@ type hooks = {
     dc:int -> key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
 }
 
-type dc_state = {
-  servers : Sim.Server.t array;
-  frontends : Sim.Server.t array;
-  mutable next_frontend : int;
-  gears : Saturn.Gear.t array;
+type meta = Sim.Time.t * int
+
+let compare_meta (ta, da) (tb, db) =
+  match Sim.Time.compare ta tb with 0 -> Int.compare da db | c -> c
+
+type dt = { mutable dt : Sim.Time.t }
+
+let new_dt () = { dt = Sim.Time.zero }
+let bump_dt s ts = if Sim.Time.compare ts s.dt > 0 then s.dt <- ts
+let learn_read_dt s ~key:_ ~part:_ (ts, _) ~stamp:_ = bump_dt s ts
+let learn_write_dt s ~dc:_ ~key:_ ts = bump_dt s ts
+
+type kind = Attach | Read | Update
+
+type ('s, 'm, 'b) item =
+  | Op of {
+      kind : kind;
+      session : 's;
+      home : Sim.Topology.site;
+      dc : int;
+      key : int;
+      value : Kvstore.Value.t;
+      k : unit -> unit;
+      k_read : Kvstore.Value.t option -> unit;
+      mutable part : int;
+      mutable found : (Kvstore.Value.t * 'm) option;
+      mutable stamp : int;
+    }
+  | Apply of 'b
+  | Cold of (unit -> unit)
+
+type ('s, 'm, 'b) protocol = {
+  attach : 's -> dc:int -> ('s, 'm, 'b) item -> unit;
+  read_us : size_bytes:int -> int;
+  stamp_read : dc:int -> part:int -> 'm -> int;
+  learn_read : 's -> key:int -> part:int -> 'm -> stamp:int -> unit;
+  write_us : 's -> size_bytes:int -> int;
+  write : 's -> dc:int -> part:int -> key:int -> Kvstore.Value.t -> Sim.Time.t;
+  learn_write : 's -> dc:int -> key:int -> Sim.Time.t -> unit;
+  apply : dc:int -> part:int -> 'b -> unit;
+  deliver : src:int -> dst:int -> 'b -> unit;
 }
 
-type t = {
+module Int_tbl = Hashtbl.Make (Int)
+
+(* Every queue of the fabric is typed: the legs and frontends carry client
+   requests, the storage servers requests, remote applies and cold thunks,
+   the bulk channels the protocol's own messages. *)
+type ('s, 'm, 'b) t = {
   engine : Sim.Engine.t;
   p : params;
+  hooks : hooks;
   partitioning : Kvstore.Partitioning.t;
-  dcs : dc_state array;
+  gears : Saturn.Gear.t array array; (* [dc].[partition] *)
+  stores : ('m, int) Kvstore.Store.t array array; (* [dc].[partition] *)
+  cmp : 'm -> 'm -> int;
+  mutable servers : ('s, 'm, 'b) item Sim.Server.t array array; (* [dc].[partition] *)
+  mutable frontends : ('s, 'm, 'b) item Sim.Server.t array array; (* [dc].[frontend] *)
+  next_frontend : int array;
+  leg_latency : Sim.Time.t array array; (* [home site].[dc], one way *)
+  mutable out_legs : ('s, 'm, 'b) item Sim.Delay_line.t array array; (* [home site].[dc] *)
+  mutable back_legs : ('s, 'm, 'b) item Sim.Delay_line.t array array; (* [dc].[home site] *)
   bulk_wires : Sim.Link.t array array;
-  bulk : (unit -> unit) Sim.Link.chan array array; (* the wires' channels *)
-  series : Stats.Series.t option;
+  mutable bulk : 'b Sim.Link.chan array array; (* the wires' channels *)
+  sessions : 's Int_tbl.t; (* client id -> session *)
+  new_session : unit -> 's;
+  meta_bytes : Stats.Meta_bytes.t option;
+  mutable apply_series : Stats.Series.counter option array; (* per dc *)
+  mutable proto : ('s, 'm, 'b) protocol;
   mutable is_stopped : bool;
 }
 
-(* the baselines ship closures: their bulk channels run what they carry *)
-let run k = k ()
+let unbound () =
+  let fail () = invalid_arg "Common: protocol not bound" in
+  {
+    attach = (fun _ ~dc:_ _ -> fail ());
+    read_us = (fun ~size_bytes:_ -> fail ());
+    stamp_read = (fun ~dc:_ ~part:_ _ -> fail ());
+    learn_read = (fun _ ~key:_ ~part:_ _ ~stamp:_ -> fail ());
+    write_us = (fun _ ~size_bytes:_ -> fail ());
+    write = (fun _ ~dc:_ ~part:_ ~key:_ _ -> fail ());
+    learn_write = (fun _ ~dc:_ ~key:_ _ -> fail ());
+    apply = (fun ~dc:_ ~part:_ _ -> fail ());
+    deliver = (fun ~src:_ ~dst:_ _ -> fail ());
+  }
 
-let create ?series engine p =
+let not_a_request () = invalid_arg "Common: not a client request"
+let partition_of t ~key = Kvstore.Partitioning.responsible t.partitioning ~key
+
+let submit t ~dc ~part ~cost_us item =
+  Sim.Server.submit t.servers.(dc).(part) ~cost:(Sim.Time.of_us cost_us) item
+
+let reply t item =
+  match item with
+  | Op o ->
+    let at = Sim.Time.add (Sim.Engine.now t.engine) t.leg_latency.(o.home).(o.dc) in
+    Sim.Delay_line.push t.back_legs.(o.dc).(o.home) ~at item
+  | Apply _ | Cold _ -> not_a_request ()
+
+(* a request reaches its datacenter: frontend service time, round-robin *)
+let arrive t ~dc item =
+  let fe = t.next_frontend.(dc) in
+  t.next_frontend.(dc) <- (fe + 1) mod t.p.frontends;
+  Sim.Server.submit t.frontends.(dc).(fe)
+    ~cost:(Sim.Time.of_us t.p.cost.Saturn.Cost_model.frontend_us) item
+
+let front t ~dc item =
+  match item with
+  | Op o -> (
+    match o.kind with
+    | Attach -> t.proto.attach o.session ~dc item
+    | Read ->
+      let part = partition_of t ~key:o.key in
+      o.part <- part;
+      let size =
+        match Kvstore.Store.get t.stores.(dc).(part) ~key:o.key with
+        | Some (v, _) -> v.Kvstore.Value.size_bytes
+        | None -> 0
+      in
+      submit t ~dc ~part ~cost_us:(t.proto.read_us ~size_bytes:size) item
+    | Update ->
+      let part = partition_of t ~key:o.key in
+      o.part <- part;
+      submit t ~dc ~part
+        ~cost_us:(t.proto.write_us o.session ~size_bytes:o.value.Kvstore.Value.size_bytes)
+        item)
+  | Apply _ | Cold _ -> not_a_request ()
+
+let serve t ~dc ~part item =
+  match item with
+  | Op o -> (
+    match o.kind with
+    | Read ->
+      let found = Kvstore.Store.get t.stores.(dc).(part) ~key:o.key in
+      o.found <- found;
+      (match found with
+      | Some (_, m) -> o.stamp <- t.proto.stamp_read ~dc ~part m
+      | None -> ());
+      reply t item
+    | Update ->
+      o.stamp <- t.proto.write o.session ~dc ~part ~key:o.key o.value;
+      reply t item
+    | Attach -> not_a_request ())
+  | Apply b -> t.proto.apply ~dc ~part b
+  | Cold f -> f ()
+
+let back t item =
+  match item with
+  | Op o -> (
+    match o.kind with
+    | Attach -> o.k ()
+    | Read -> (
+      match o.found with
+      | Some (v, m) ->
+        t.proto.learn_read o.session ~key:o.key ~part:o.part m ~stamp:o.stamp;
+        o.k_read (Some v)
+      | None -> o.k_read None)
+    | Update ->
+      t.proto.learn_write o.session ~dc:o.dc ~key:o.key o.stamp;
+      o.k ())
+  | Apply _ | Cold _ -> not_a_request ()
+
+let create ?series ?meta engine p hooks ~cmp ~session =
   let n = Array.length p.dc_sites in
-  let dcs =
-    Array.init n (fun dc ->
-        let clock = Sim.Clock.create engine in
-        {
-          servers = Array.init p.partitions (fun _ -> Sim.Server.create engine);
-          frontends = Array.init p.frontends (fun _ -> Sim.Server.create engine);
-          next_frontend = 0;
-          gears = Array.init p.partitions (fun gear_id -> Saturn.Gear.create clock ~dc ~gear_id);
-        })
-  in
+  let n_sites = Sim.Topology.n_sites p.topo in
   let bulk_wires =
     Array.init n (fun i ->
         Array.init n (fun j ->
@@ -56,11 +188,57 @@ let create ?series engine p =
             let lat = Sim.Time.of_us (int_of_float (float_of_int (Sim.Time.to_us lat) *. p.bulk_factor)) in
             Sim.Link.create engine ~latency:lat ()))
   in
-  let bulk = Array.map (Array.map (fun w -> Sim.Link.chan w run)) bulk_wires in
   let t =
-    { engine; p; partitioning = Kvstore.Partitioning.create ~partitions:p.partitions; dcs;
-      bulk_wires; bulk; series; is_stopped = false }
+    {
+      engine;
+      p;
+      hooks;
+      partitioning = Kvstore.Partitioning.create ~partitions:p.partitions;
+      gears =
+        Array.init n (fun dc ->
+            let clock = Sim.Clock.create engine in
+            Array.init p.partitions (fun gear_id -> Saturn.Gear.create clock ~dc ~gear_id));
+      stores = Array.init n (fun _ -> Array.init p.partitions (fun _ -> Kvstore.Store.create ()));
+      cmp;
+      servers = [||];
+      frontends = [||];
+      next_frontend = Array.make n 0;
+      leg_latency =
+        Array.init n_sites (fun home ->
+            Array.map
+              (fun site ->
+                if home = site then Sim.Time.of_us p.cost.Saturn.Cost_model.intra_dc_us
+                else Sim.Topology.latency p.topo home site)
+              p.dc_sites);
+      out_legs = [||];
+      back_legs = [||];
+      bulk_wires;
+      bulk = [||];
+      sessions = Int_tbl.create 256;
+      new_session = session;
+      meta_bytes = meta;
+      apply_series = [||];
+      proto = unbound ();
+      is_stopped = false;
+    }
   in
+  t.servers <-
+    Array.init n (fun dc ->
+        Array.init p.partitions (fun part ->
+            Sim.Server.create engine (fun item -> serve t ~dc ~part item)));
+  t.frontends <-
+    Array.init n (fun dc ->
+        Array.init p.frontends (fun _ -> Sim.Server.create engine (fun item -> front t ~dc item)));
+  t.out_legs <-
+    Array.init n_sites (fun _ ->
+        Array.init n (fun dc -> Sim.Delay_line.create engine (fun item -> arrive t ~dc item)));
+  t.back_legs <-
+    Array.init n (fun _ -> Array.init n_sites (fun _ -> Sim.Delay_line.create engine (back t)));
+  t.bulk <-
+    Array.mapi
+      (fun src row ->
+        Array.mapi (fun dst w -> Sim.Link.chan w (fun b -> t.proto.deliver ~src ~dst b)) row)
+      bulk_wires;
   (match series with
   | Some sr ->
     (* same series names as the Saturn deployment, so queue dynamics are
@@ -79,42 +257,189 @@ let create ?series engine p =
       (fun () -> Stats.Series.tick sr ~now:(Sim.Engine.now engine))
       ~stop:(fun () -> t.is_stopped)
   | None -> ());
+  t.apply_series <-
+    Array.init n (fun dc ->
+        Option.map
+          (fun sr -> Stats.Series.counter sr (Printf.sprintf "series.apply.dc%d" dc))
+          series);
   t
 
+let bind t proto = t.proto <- proto
 let engine t = t.engine
-let n_dcs t = Array.length t.dcs
+let n_dcs t = Array.length t.p.dc_sites
 let params t = t.p
-let partition_of t ~key = Kvstore.Partitioning.responsible t.partitioning ~key
+let cost t = t.p.cost
+let store t ~dc ~part = t.stores.(dc).(part)
 
-let via_frontend t ~dc k =
-  let d = t.dcs.(dc) in
-  let fe = d.frontends.(d.next_frontend) in
-  d.next_frontend <- (d.next_frontend + 1) mod Array.length d.frontends;
-  Sim.Server.submit fe ~cost:(Sim.Time.of_us t.p.cost.Saturn.Cost_model.frontend_us) k
+let store_value t ~dc ~key =
+  Option.map fst (Kvstore.Store.get t.stores.(dc).(partition_of t ~key) ~key)
 
-let submit t ~dc ~part ~cost_us k =
-  Sim.Server.submit t.dcs.(dc).servers.(part) ~cost:(Sim.Time.of_us cost_us) k
+(* ---- client requests ---------------------------------------------------- *)
 
-let ship t ~src ~dst ~size_bytes k = Sim.Link.send t.bulk.(src).(dst) ~size_bytes k
+let session t client =
+  match Int_tbl.find t.sessions client with
+  | s -> s
+  | exception Not_found ->
+    let s = t.new_session () in
+    Int_tbl.replace t.sessions client s;
+    s
+
+let no_value = Kvstore.Value.make ~payload:0 ~size_bytes:0
+let no_read (_ : Kvstore.Value.t option) = ()
+
+let request t ~kind ~client ~home ~dc ~key ~value ~k ~k_read =
+  let item =
+    Op
+      { kind; session = session t client; home; dc; key; value; k; k_read; part = 0;
+        found = None; stamp = 0 }
+  in
+  let at = Sim.Time.add (Sim.Engine.now t.engine) t.leg_latency.(home).(dc) in
+  Sim.Delay_line.push t.out_legs.(home).(dc) ~at item
+
+let attach t ~client ~home ~dc ~k =
+  request t ~kind:Attach ~client ~home ~dc ~key:0 ~value:no_value ~k ~k_read:no_read
+
+let read t ~client ~home ~dc ~key ~k =
+  request t ~kind:Read ~client ~home ~dc ~key ~value:no_value ~k:ignore ~k_read:k
+
+let update t ~client ~home ~dc ~key ~value ~k =
+  request t ~kind:Update ~client ~home ~dc ~key ~value ~k ~k_read:no_read
+
+(* the protocol-record defaults of the systems without that step *)
+let attach_now t _ ~dc:_ item = reply t item
+let no_stamp ~dc:_ ~part:_ _ = 0
+let forget_read _ ~key:_ ~part:_ _ ~stamp:_ = ()
+let forget_write _ ~dc:_ ~key:_ _ = ()
+
+(* ---- storage and shipping ----------------------------------------------- *)
+
+let gen_ts t ~dc ~part ~floor = Saturn.Gear.generate_ts t.gears.(dc).(part) ~client_ts:floor
+
+let dc_floor t ~dc =
+  Array.fold_left (fun acc g -> Sim.Time.min acc (Saturn.Gear.floor g)) Sim.Time.infinity t.gears.(dc)
+
+let ship t ~src ~dst ~size_bytes b = Sim.Link.send t.bulk.(src).(dst) ~size_bytes b
+
+let ship_update t ~dc ~key ~part ~ts ~spans ~size_bytes ~meta_bytes b =
+  let rmap = t.p.rmap in
+  let origin_time = Sim.Engine.now t.engine in
+  let fanout = ref 0 in
+  for i = 0 to Kvstore.Replica_map.degree rmap ~key - 1 do
+    let dst = Kvstore.Replica_map.replica rmap ~key i in
+    if dst <> dc then begin
+      incr fanout;
+      if spans && Sim.Probe.active () then
+        Sim.Span.begin_ ~at:origin_time Sim.Span.Sk_bulk ~origin:dc ~seq:(Sim.Time.to_us ts)
+          ~aux:part ~site:dc ~peer:dst ~epoch:0;
+      ship t ~src:dc ~dst ~size_bytes b
+    end
+  done;
+  match t.meta_bytes with
+  | Some m -> Stats.Meta_bytes.record_op m ~bytes:meta_bytes ~fanout:!fanout
+  | None -> ()
+
+let broadcast t ~src ~size_bytes ~heartbeat b =
+  for dst = 0 to n_dcs t - 1 do
+    if dst <> src then begin
+      (match t.meta_bytes with
+      | Some m ->
+        if heartbeat then Stats.Meta_bytes.record_heartbeat m ~bytes:size_bytes
+        else Stats.Meta_bytes.record_stabilization m ~bytes:size_bytes
+      | None -> ());
+      ship t ~src ~dst ~size_bytes b
+    end
+  done
 
 let bulk_link t ~src ~dst =
   if src = dst then invalid_arg "Common.bulk_link: src = dst";
   t.bulk_wires.(src).(dst)
 
-let gen_ts t ~dc ~part ~floor = Saturn.Gear.generate_ts t.dcs.(dc).gears.(part) ~client_ts:floor
+let install t ~dc ~part ~key value meta ~origin_dc ~origin_time =
+  let _ = Kvstore.Store.put_if_newer t.stores.(dc).(part) ~cmp:t.cmp ~key value meta in
+  (match t.apply_series.(dc) with
+  | Some c -> Stats.Series.incr c ~now:(Sim.Engine.now t.engine)
+  | None -> ());
+  t.hooks.on_visible ~dc ~key ~origin_dc ~origin_time ~value
 
-let dc_floor t ~dc =
-  Array.fold_left (fun acc g -> Sim.Time.min acc (Saturn.Gear.floor g)) Sim.Time.infinity t.dcs.(dc).gears
+let vec_advance t ~dc ~src ts =
+  if Sim.Probe.active () then
+    Sim.Probe.emit ~at:(Sim.Engine.now t.engine)
+      (Sim.Probe.Vec_advance { dc; src; ts = Sim.Time.to_us ts })
 
-let round_trip t ~home ~dc work ~k =
-  let dc_site = t.p.dc_sites.(dc) in
-  let lat =
-    if home = dc_site then Sim.Time.of_us t.p.cost.Saturn.Cost_model.intra_dc_us
-    else Sim.Topology.latency t.p.topo home dc_site
-  in
-  Sim.Engine.schedule t.engine ~delay:lat (fun () ->
-      work (fun result -> Sim.Engine.schedule t.engine ~delay:lat (fun () -> k result)))
+let pending_gauge t series count =
+  Option.iter
+    (fun sr ->
+      for dc = 0 to n_dcs t - 1 do
+        Stats.Series.sample sr (Printf.sprintf "series.pending.dc%d" dc) (fun () ->
+            float_of_int (count dc))
+      done)
+    series
+
+(* ---- the scalar-stamped update ------------------------------------------ *)
+
+type shipped = {
+  key : int;
+  value : Kvstore.Value.t;
+  meta : meta;
+  part : int;
+  origin_time : Sim.Time.t;
+}
+
+let write_stamped t ~dc ~part ~key value ~floor ~header_bytes ~meta_bytes wrap =
+  let ts = gen_ts t ~dc ~part ~floor in
+  let meta = (ts, dc) in
+  Kvstore.Store.put t.stores.(dc).(part) ~key value meta;
+  let origin_time = Sim.Engine.now t.engine in
+  ship_update t ~dc ~key ~part ~ts ~spans:true
+    ~size_bytes:(value.Kvstore.Value.size_bytes + header_bytes)
+    ~meta_bytes
+    (wrap { key; value; meta; part; origin_time });
+  ts
+
+let stable_queue () = Sim.Heap.create ~cmp:(fun a b -> compare_meta a.meta b.meta) ()
+
+let park t ~dc ~part q u =
+  if Sim.Probe.active () then begin
+    let origin, ts = (snd u.meta, fst u.meta) in
+    let at = Sim.Engine.now t.engine in
+    Sim.Span.end_ ~at Sim.Span.Sk_bulk ~origin ~seq:(Sim.Time.to_us ts) ~aux:part ~site:origin
+      ~peer:dc ~epoch:0;
+    Sim.Span.begin_ ~at Sim.Span.Sk_stab ~origin ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc
+      ~peer:(-1) ~epoch:0
+  end;
+  Sim.Heap.push q u
+
+let rec flush_stable t ~dc q ~stable =
+  match Sim.Heap.peek q with
+  | Some u when Sim.Time.compare (fst u.meta) stable <= 0 ->
+    let u = Sim.Heap.pop_exn q in
+    if Sim.Probe.active () then
+      Sim.Span.end_ ~at:(Sim.Engine.now t.engine) Sim.Span.Sk_stab ~origin:(snd u.meta)
+        ~seq:(Sim.Time.to_us (fst u.meta)) ~aux:u.part ~site:dc ~peer:(-1) ~epoch:0;
+    install t ~dc ~part:u.part ~key:u.key u.value u.meta ~origin_dc:(snd u.meta)
+      ~origin_time:u.origin_time;
+    flush_stable t ~dc q ~stable
+  | Some _ | None -> ()
+
+let release t waiters ~ready =
+  let go, still = List.partition ready waiters in
+  List.iter (fun (_, item) -> reply t item) go;
+  still
+
+(* ---- lifetime ------------------------------------------------------------ *)
 
 let every t period f = Sim.Engine.periodic t.engine ~every:period f ~stop:(fun () -> t.is_stopped)
 let stop t = t.is_stopped <- true
 let stopped t = t.is_stopped
+
+type ('s, 'm, 'b) fabric = ('s, 'm, 'b) t
+
+module type S = sig
+  type t
+  type session
+  type version
+  type bulk
+
+  val name : string
+  val fabric : t -> (session, version, bulk) fabric
+end

@@ -1,11 +1,28 @@
 (** Shared data-plane fabric for the baseline protocols.
 
-    Eventual consistency, GentleRain and Cure all share the same substrate:
-    partitioned storage servers per datacenter, frontends, bulk links over
-    the latency matrix, per-partition monotonic timestamp sources and
-    periodic heartbeats. They differ only in the metadata attached to
-    versions and in when remote updates become visible; those parts live in
-    the per-protocol modules. *)
+    Eventual consistency, GentleRain, Cure, Eunomia, Okapi, Orbe and COPS
+    all share the same substrate: partitioned storage servers per
+    datacenter, frontends, client request legs over the latency matrix,
+    bulk links, per-partition monotonic timestamp sources and periodic
+    tasks. They differ only in the metadata attached to versions and in
+    when remote updates become visible; those parts live in the
+    per-protocol modules, which plug into the fabric through a
+    {!protocol} record.
+
+    The fabric passes values, not closures. A client request is one
+    {!item} record: it rides a typed delay line out to its datacenter
+    (one per home site and datacenter, the leg latency is fixed), a
+    frontend and a storage server (typed {!Sim.Server}s), and a delay line
+    back. Remote updates and stabilization messages travel on typed bulk
+    channels (['b Sim.Link.chan]). Each stage is one engine event at the
+    time its step is due, so event counts, sequence numbers and probe
+    digests do not depend on how a request is represented.
+
+    Sessions: a client's protocol state (dependency time, vector, context)
+    is created on its first request and found through an int-keyed table.
+    A client has at most one request in flight (the harness drives closed
+    loops), so a request's frontend and storage stages see the same
+    session state. *)
 
 type params = {
   topo : Sim.Topology.t;
@@ -22,47 +39,261 @@ type hooks = {
     dc:int -> key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
 }
 
-type t
+(** {2 Shared metadata} *)
 
-val create : ?series:Stats.Series.t -> Sim.Engine.t -> params -> t
-(** [series], when given, gains a [series.link.bulk.in_flight] gauge over
-    the fabric's links — the same name the Saturn deployment uses, so
-    Saturn-vs-baseline queue dynamics line up — and the fabric drives the
-    series sampling tick until [stop]. Per-protocol modules add their own
-    apply/pending series via {!series}. *)
+type meta = Sim.Time.t * int
+(** (write timestamp, origin dc): the last-writer-wins version of every
+    scalar-stamped protocol. *)
 
-val engine : t -> Sim.Engine.t
+val compare_meta : meta -> meta -> int
+(** Timestamp order, ties broken by origin. *)
 
-val n_dcs : t -> int
-val params : t -> params
-val partition_of : t -> key:int -> int
+type dt = { mutable dt : Sim.Time.t }
+(** A client's dependency time: the session of GentleRain, Eunomia and
+    Okapi. *)
 
-val via_frontend : t -> dc:int -> (unit -> unit) -> unit
-(** Consumes frontend service time at [dc] (round-robin). *)
+val new_dt : unit -> dt
 
-val submit : t -> dc:int -> part:int -> cost_us:int -> (unit -> unit) -> unit
+val learn_read_dt : dt -> key:int -> part:int -> meta -> stamp:int -> unit
+val learn_write_dt : dt -> dc:int -> key:int -> Sim.Time.t -> unit
+(** The {!protocol} steps of a [dt] session: a version the client reads
+    or writes raises its dependency time to the version's timestamp, if
+    that is later. *)
+
+(** {2 Requests and the protocol record} *)
+
+type kind = Attach | Read | Update
+
+(** What the fabric's queues carry. *)
+type ('s, 'm, 'b) item =
+  | Op of {
+      kind : kind;
+      session : 's;
+      home : Sim.Topology.site;
+      dc : int;
+      key : int;  (** Read, Update *)
+      value : Kvstore.Value.t;  (** Update *)
+      k : unit -> unit;  (** Attach, Update *)
+      k_read : Kvstore.Value.t option -> unit;  (** Read *)
+      mutable part : int;
+      mutable found : (Kvstore.Value.t * 'm) option;  (** Read: what the server returned *)
+      mutable stamp : int;  (** Update: the written timestamp; Read: {!protocol.stamp_read} *)
+    }  (** a client request *)
+  | Apply of 'b  (** a shipped update, on a storage server of its destination *)
+  | Cold of (unit -> unit)
+      (** stabilization work sharing a storage server's queue: off the
+          per-op path *)
+
+type ('s, 'm, 'b) protocol = {
+  attach : 's -> dc:int -> ('s, 'm, 'b) item -> unit;
+      (** an attach has passed its frontend: {!reply} now, or park it and
+          {!reply} once the datacenter has caught up *)
+  read_us : size_bytes:int -> int;  (** storage cost of a read *)
+  stamp_read : dc:int -> part:int -> 'm -> int;
+      (** on the server, what a read of a found version also returns *)
+  learn_read : 's -> key:int -> part:int -> 'm -> stamp:int -> unit;
+      (** back at the client, a read found a version *)
+  write_us : 's -> size_bytes:int -> int;  (** storage cost of an update *)
+  write : 's -> dc:int -> part:int -> key:int -> Kvstore.Value.t -> Sim.Time.t;
+      (** on the server: install the update locally, ship it, return its
+          timestamp *)
+  learn_write : 's -> dc:int -> key:int -> Sim.Time.t -> unit;
+      (** back at the client, an update was written with this timestamp *)
+  apply : dc:int -> part:int -> 'b -> unit;  (** an {!Apply} item completed *)
+  deliver : src:int -> dst:int -> 'b -> unit;  (** a bulk message arrived *)
+}
+
+type ('s, 'm, 'b) t
+(** A fabric whose clients hold sessions ['s], whose stores hold
+    versions ['m] and whose bulk channels carry ['b]. *)
+
+val create :
+  ?series:Stats.Series.t ->
+  ?meta:Stats.Meta_bytes.t ->
+  Sim.Engine.t ->
+  params ->
+  hooks ->
+  cmp:('m -> 'm -> int) ->
+  session:(unit -> 's) ->
+  ('s, 'm, 'b) t
+(** [cmp] orders versions for {!install}; [session] makes a client's
+    session. [series], when given, gains a [series.link.bulk.in_flight]
+    gauge over the fabric's links — the same name the Saturn deployment
+    uses, so Saturn-vs-baseline queue dynamics line up — and
+    [series.apply.dc<i>] counters bumped by {!install}; the fabric drives
+    the series sampling tick until {!stop}. [meta] receives the bytes of
+    {!ship_update} and {!broadcast}. *)
+
+val bind : ('s, 'm, 'b) t -> ('s, 'm, 'b) protocol -> unit
+(** Installs the protocol; call it once, right after {!create}. *)
+
+val attach_now : ('s, 'm, 'b) t -> 's -> dc:int -> ('s, 'm, 'b) item -> unit
+(** [attach] for protocols without a stabilization wait. *)
+
+val no_stamp : dc:int -> part:int -> 'm -> int
+val forget_read : 's -> key:int -> part:int -> 'm -> stamp:int -> unit
+val forget_write : 's -> dc:int -> key:int -> Sim.Time.t -> unit
+
+(** {2 The client surface} *)
+
+val attach : ('s, 'm, 'b) t -> client:int -> home:Sim.Topology.site -> dc:int -> k:(unit -> unit) -> unit
+(** Home site → datacenter, frontend, the protocol's [attach], and back. *)
+
+val read :
+  ('s, 'm, 'b) t ->
+  client:int ->
+  home:Sim.Topology.site ->
+  dc:int ->
+  key:int ->
+  k:(Kvstore.Value.t option -> unit) ->
+  unit
+
+val update :
+  ('s, 'm, 'b) t ->
+  client:int ->
+  home:Sim.Topology.site ->
+  dc:int ->
+  key:int ->
+  value:Kvstore.Value.t ->
+  k:(unit -> unit) ->
+  unit
+
+val stop : ('s, 'm, 'b) t -> unit
+val stopped : ('s, 'm, 'b) t -> bool
+
+val store_value : ('s, 'm, 'b) t -> dc:int -> key:int -> Kvstore.Value.t option
+(** The version visible at [dc]. *)
+
+(** {2 For the protocols} *)
+
+val engine : ('s, 'm, 'b) t -> Sim.Engine.t
+val n_dcs : ('s, 'm, 'b) t -> int
+val params : ('s, 'm, 'b) t -> params
+val cost : ('s, 'm, 'b) t -> Saturn.Cost_model.t
+val partition_of : ('s, 'm, 'b) t -> key:int -> int
+val store : ('s, 'm, 'b) t -> dc:int -> part:int -> ('m, int) Kvstore.Store.t
+
+val reply : ('s, 'm, 'b) t -> ('s, 'm, 'b) item -> unit
+(** Sends a request's response back to its client.
+    @raise Invalid_argument on an [Apply] or [Cold] item. *)
+
+val submit : ('s, 'm, 'b) t -> dc:int -> part:int -> cost_us:int -> ('s, 'm, 'b) item -> unit
 (** Consumes storage-server time on partition [part] of [dc]. *)
 
-val ship : t -> src:int -> dst:int -> size_bytes:int -> (unit -> unit) -> unit
-(** Bulk-data transfer; the continuation runs at arrival. *)
+val ship_update :
+  ('s, 'm, 'b) t ->
+  dc:int ->
+  key:int ->
+  part:int ->
+  ts:Sim.Time.t ->
+  spans:bool ->
+  size_bytes:int ->
+  meta_bytes:int ->
+  'b ->
+  unit
+(** Ships one update to every other replica of [key], in ascending
+    datacenter order, and records it as an op of [meta_bytes] attached
+    bytes per destination. The protocol's [deliver] runs at each
+    arrival. With [spans], each shipment opens a bulk span
+    keyed by ([dc], [ts], [part]). *)
 
-val bulk_link : t -> src:int -> dst:int -> Sim.Link.t
+val broadcast : ('s, 'm, 'b) t -> src:int -> size_bytes:int -> heartbeat:bool -> 'b -> unit
+(** Ships a message to every other datacenter, recording each as a
+    heartbeat or (when [heartbeat] is false) a stabilization message. *)
+
+val bulk_link : ('s, 'm, 'b) t -> src:int -> dst:int -> Sim.Link.t
 (** The directed bulk link [src -> dst], for fault injection.
     @raise Invalid_argument when [src = dst]. *)
 
-val gen_ts : t -> dc:int -> part:int -> floor:Sim.Time.t -> Sim.Time.t
+val gen_ts : ('s, 'm, 'b) t -> dc:int -> part:int -> floor:Sim.Time.t -> Sim.Time.t
 (** Monotonic per-gear timestamp strictly greater than [floor]. *)
 
-val dc_floor : t -> dc:int -> Sim.Time.t
+val dc_floor : ('s, 'm, 'b) t -> dc:int -> Sim.Time.t
 (** Heartbeat promise of [dc] (min over its gears). *)
 
-val round_trip :
-  t -> home:Sim.Topology.site -> dc:int -> (('r -> unit) -> unit) -> k:('r -> unit) -> unit
-(** Client request/response latency wrapper: home site → datacenter and
-    back. *)
+val install :
+  ('s, 'm, 'b) t ->
+  dc:int ->
+  part:int ->
+  key:int ->
+  Kvstore.Value.t ->
+  'm ->
+  origin_dc:int ->
+  origin_time:Sim.Time.t ->
+  unit
+(** Makes a remote version visible at [dc] (if newer than the stored
+    one): bumps [series.apply.dc<i>] and runs the [on_visible] hook. *)
 
-val every : t -> Sim.Time.t -> (unit -> unit) -> unit
+val vec_advance : ('s, 'm, 'b) t -> dc:int -> src:int -> Sim.Time.t -> unit
+(** Emits the probe's [Vec_advance] for [dc]'s entry of [src]. *)
+
+val pending_gauge : ('s, 'm, 'b) t -> Stats.Series.t option -> (int -> int) -> unit
+(** Registers [series.pending.dc<i>] gauges over the protocol's count of
+    parked remote updates at each datacenter. *)
+
+val every : ('s, 'm, 'b) t -> Sim.Time.t -> (unit -> unit) -> unit
 (** Periodic task tied to the fabric's lifetime. *)
 
-val stop : t -> unit
-val stopped : t -> bool
+(** {2 Scalar-stamped updates}
+
+    Eventual, GentleRain, Eunomia and Okapi ship the same update record;
+    the last three park it until a stable time covers its timestamp. *)
+
+type shipped = {
+  key : int;
+  value : Kvstore.Value.t;
+  meta : meta;
+  part : int;  (** the partition that wrote it *)
+  origin_time : Sim.Time.t;
+}
+
+val write_stamped :
+  ('s, meta, 'b) t ->
+  dc:int ->
+  part:int ->
+  key:int ->
+  Kvstore.Value.t ->
+  floor:Sim.Time.t ->
+  header_bytes:int ->
+  meta_bytes:int ->
+  (shipped -> 'b) ->
+  Sim.Time.t
+(** The storage step of an update: stamps it above [floor], installs it
+    locally and {!ship_update}s it (wrapped for the bulk channel) with
+    [header_bytes] on the wire beside the value, [meta_bytes] of them
+    causal. Returns the timestamp. *)
+
+val stable_queue : unit -> shipped Sim.Heap.t
+(** Parked updates in {!compare_meta} order. *)
+
+val park : ('s, meta, 'b) t -> dc:int -> part:int -> shipped Sim.Heap.t -> shipped -> unit
+(** An applied update waits at [dc] for a stable time that covers it:
+    closes its bulk span and opens its stabilization hold. *)
+
+val flush_stable : ('s, meta, 'b) t -> dc:int -> shipped Sim.Heap.t -> stable:Sim.Time.t -> unit
+(** Installs, in order, every parked update whose timestamp is at most
+    [stable], closing its stabilization span. *)
+
+val release :
+  ('s, 'm, 'b) t ->
+  ('w * ('s, 'm, 'b) item) list ->
+  ready:('w * ('s, 'm, 'b) item -> bool) ->
+  ('w * ('s, 'm, 'b) item) list
+(** Replies to the parked attaches that are [ready], in list order, and
+    returns the rest. *)
+
+(** {2 The per-protocol surface} *)
+
+type ('s, 'm, 'b) fabric = ('s, 'm, 'b) t
+
+(** What a protocol module shows the harness: the client surface, the
+    bulk links and the stop switch are the fabric's. *)
+module type S = sig
+  type t
+  type session
+  type version
+  type bulk
+
+  val name : string
+  val fabric : t -> (session, version, bulk) fabric
+end

@@ -1,31 +1,21 @@
-type meta = Sim.Time.t * int (* (hybrid ts, origin dc) *)
+type session = Common.dt
+type version = Common.meta (* (hybrid ts, origin dc) *)
 
-let compare_meta (ta, da) (tb, db) =
-  match Sim.Time.compare ta tb with 0 -> Int.compare da db | c -> c
-
-type pending = {
-  key : int;
-  value : Kvstore.Value.t;
-  meta : meta;
-  origin_time : Sim.Time.t;
-}
+type bulk =
+  | Payload of Common.shipped
+  | Row of Sim.Time.t array (* the sender's own matrix row *)
 
 type dc_state = {
-  stores : (meta, int) Kvstore.Store.t array;
   known : Sim.Time.t array array; (* known.(i).(k): what DC i has received from k *)
   mutable ust : Sim.Time.t; (* min over the whole matrix *)
-  pending : pending Sim.Heap.t; (* applied payloads awaiting UST *)
-  mutable waiters : (Sim.Time.t * (unit -> unit)) list; (* attach waits *)
+  pending : Common.shipped Sim.Heap.t; (* applied payloads awaiting UST *)
+  mutable waiters : (Sim.Time.t * (session, version, bulk) Common.item) list; (* attach waits *)
 }
 
-type t = {
-  geo : Common.t;
-  hooks : Common.hooks;
-  dcs : dc_state array;
-  client_dt : (int, Sim.Time.t) Hashtbl.t; (* client dependency time *)
-  apply_series : Stats.Series.counter option array; (* per dc *)
-  meta_bytes : Stats.Meta_bytes.t option;
-}
+type t = { geo : (session, version, bulk) Common.t; dcs : dc_state array }
+
+let name = "okapi"
+let fabric t = t.geo
 
 (* hybrid timestamp (physical 8 + logical 4) + origin (4) + dependency
    cut (8): a constant, between GentleRain's scalar and Cure's vector *)
@@ -33,12 +23,6 @@ let meta_wire_bytes = 24
 
 (* one matrix row: n scalar entries (8 each) + row owner (4) *)
 let row_wire_bytes n = (8 * n) + 4
-
-let probe_vec t ~dc ~src ts =
-  if Sim.Probe.active () then
-    Sim.Probe.emit
-      ~at:(Sim.Engine.now (Common.engine t.geo))
-      (Sim.Probe.Vec_advance { dc; src; ts = Sim.Time.to_us ts })
 
 (* Recompute dc's UST from its matrix and flush every pending remote
    update it now covers: UST ≥ ts means every DC has received everything
@@ -54,32 +38,9 @@ let advance t dc =
     done
   done;
   if n > 1 && Sim.Time.compare !ust d.ust > 0 then d.ust <- !ust;
-  let rec flush () =
-    match Sim.Heap.peek d.pending with
-    | Some pn when Sim.Time.compare (fst pn.meta) d.ust <= 0 ->
-      let pn = Sim.Heap.pop_exn d.pending in
-      let part = Common.partition_of geo ~key:pn.key in
-      if Sim.Probe.active () then
-        Sim.Span.end_
-          ~at:(Sim.Engine.now (Common.engine geo))
-          Sim.Span.Sk_stab ~origin:(snd pn.meta)
-          ~seq:(Sim.Time.to_us (fst pn.meta))
-          ~aux:part ~site:dc ~peer:(-1) ~epoch:0;
-      let _ =
-        Kvstore.Store.put_if_newer d.stores.(part) ~cmp:compare_meta ~key:pn.key pn.value pn.meta
-      in
-      (match t.apply_series.(dc) with
-      | Some c -> Stats.Series.incr c ~now:(Sim.Engine.now (Common.engine geo))
-      | None -> ());
-      t.hooks.Common.on_visible ~dc ~key:pn.key ~origin_dc:(snd pn.meta)
-        ~origin_time:pn.origin_time ~value:pn.value;
-      flush ()
-    | Some _ | None -> ()
-  in
-  flush ();
-  let ready, still = List.partition (fun (ts, _) -> Sim.Time.compare ts d.ust <= 0) d.waiters in
-  d.waiters <- still;
-  List.iter (fun (_, k) -> k ()) ready
+  Common.flush_stable geo ~dc d.pending ~stable:d.ust;
+  d.waiters <-
+    Common.release geo d.waiters ~ready:(fun (ts, _) -> Sim.Time.compare ts d.ust <= 0)
 
 (* Merge a broadcast of src's own matrix row into dst's matrix. The row's
    diagonal entry is src's announced floor: merging it into dst's own row
@@ -92,57 +53,12 @@ let merge_row t ~dst ~src row =
     row;
   if Sim.Time.compare row.(src) d.known.(dst).(src) > 0 then begin
     d.known.(dst).(src) <- row.(src);
-    probe_vec t ~dc:dst ~src row.(src)
+    Common.vec_advance t.geo ~dc:dst ~src row.(src)
   end;
   advance t dst
 
-let rec create ?series ?meta engine p hooks =
-  let geo = Common.create ?series engine p in
-  let n = Common.n_dcs geo in
-  let dcs =
-    Array.init n (fun _ ->
-        {
-          stores = Array.init p.Common.partitions (fun _ -> Kvstore.Store.create ());
-          known = Array.init n (fun _ -> Array.make n Sim.Time.zero);
-          ust = Sim.Time.zero;
-          pending = Sim.Heap.create ~cmp:(fun a b -> compare_meta a.meta b.meta) ();
-          waiters = [];
-        })
-  in
-  let apply_series =
-    Array.init n (fun dc ->
-        Option.map
-          (fun sr -> Stats.Series.counter sr (Printf.sprintf "series.apply.dc%d" dc))
-          series)
-  in
-  let t = { geo; hooks; dcs; client_dt = Hashtbl.create 256; apply_series; meta_bytes = meta } in
-  (match series with
-  | Some sr ->
-    for dc = 0 to n - 1 do
-      Stats.Series.sample sr
-        (Printf.sprintf "series.pending.dc%d" dc)
-        (fun () -> float_of_int (Sim.Heap.size t.dcs.(dc).pending))
-    done
-  | None -> ());
-  let cost = p.Common.cost in
-  (* stable-time rounds: like Cure the round only completes once every
-     partition has finished its (cheaper, one-entry) aggregation task; the
-     completed round broadcasts this DC's matrix row. No heartbeats. *)
-  for dc = 0 to n - 1 do
-    Common.every geo cost.Saturn.Cost_model.stabilization_period (fun () ->
-        let remaining = ref p.Common.partitions in
-        for part = 0 to p.Common.partitions - 1 do
-          Common.submit geo ~dc ~part ~cost_us:(Saturn.Cost_model.okapi_stab_us cost)
-            (fun () ->
-              decr remaining;
-              if !remaining = 0 then finish_stab_round t dc)
-        done)
-  done;
-  t
-
-and finish_stab_round t dc =
+let finish_stab_round t dc =
   let geo = t.geo in
-  let n = Common.n_dcs geo in
   let d = t.dcs.(dc) in
   let floor = Common.dc_floor geo ~dc in
   if Sim.Time.compare floor d.known.(dc).(dc) > 0 then d.known.(dc).(dc) <- floor;
@@ -150,113 +66,79 @@ and finish_stab_round t dc =
     Sim.Probe.emit
       ~at:(Sim.Engine.now (Common.engine geo))
       (Sim.Probe.Stab_round { dc; gst = Sim.Time.to_us d.ust });
-  let row = Array.copy d.known.(dc) in
-  for dst = 0 to n - 1 do
-    if dst <> dc then begin
-      (match t.meta_bytes with
-      | Some m -> Stats.Meta_bytes.record_stabilization m ~bytes:(row_wire_bytes n)
-      | None -> ());
-      Common.ship geo ~src:dc ~dst ~size_bytes:(row_wire_bytes n) (fun () ->
-          merge_row t ~dst ~src:dc row)
-    end
-  done;
+  Common.broadcast geo ~src:dc ~size_bytes:(row_wire_bytes (Common.n_dcs geo)) ~heartbeat:false
+    (Row (Array.copy d.known.(dc)));
   advance t dc
 
-let fabric t = t.geo
-let cost t = (Common.params t.geo).Common.cost
-let rmap t = (Common.params t.geo).Common.rmap
-let client_dt t client = Option.value ~default:Sim.Time.zero (Hashtbl.find_opt t.client_dt client)
+let deliver t ~src ~dst = function
+  | Row row -> merge_row t ~dst ~src row
+  | Payload u as b ->
+    let dd = t.dcs.(dst) in
+    let ts = fst u.Common.meta in
+    if Sim.Time.compare ts dd.known.(dst).(src) > 0 then begin
+      dd.known.(dst).(src) <- ts;
+      Common.vec_advance t.geo ~dc:dst ~src ts
+    end;
+    Common.submit t.geo ~dc:dst ~part:u.part
+      ~cost_us:
+        (Saturn.Cost_model.okapi_apply_us (Common.cost t.geo)
+           ~size_bytes:u.value.Kvstore.Value.size_bytes)
+      (Common.Apply b)
 
-let bump_dt t client ts =
-  let cur = client_dt t client in
-  if Sim.Time.compare ts cur > 0 then Hashtbl.replace t.client_dt client ts
+let apply t ~dc ~part = function
+  | Payload u ->
+    Common.park t.geo ~dc ~part t.dcs.(dc).pending u;
+    advance t dc
+  | Row _ -> invalid_arg "Okapi: a matrix row is not applied"
 
-let attach t ~client ~home ~dc ~k =
-  Common.round_trip t.geo ~home ~dc
-    (fun reply ->
-      Common.via_frontend t.geo ~dc (fun () ->
-          let d = t.dcs.(dc) in
-          let dt = client_dt t client in
-          if Sim.Time.compare dt d.ust <= 0 then reply ()
-          else d.waiters <- (dt, reply) :: d.waiters))
-    ~k
+let payload u = Payload u
 
-let read t ~client ~home ~dc ~key ~k =
-  Common.round_trip t.geo ~home ~dc
-    (fun reply ->
-      Common.via_frontend t.geo ~dc (fun () ->
-          let part = Common.partition_of t.geo ~key in
-          let store = t.dcs.(dc).stores.(part) in
-          let size =
-            match Kvstore.Store.get store ~key with
-            | Some (v, _) -> v.Kvstore.Value.size_bytes
-            | None -> 0
-          in
-          let cost_us = Saturn.Cost_model.okapi_read_us (cost t) ~size_bytes:size in
-          Common.submit t.geo ~dc ~part ~cost_us (fun () -> reply (Kvstore.Store.get store ~key))))
-    ~k:(fun result ->
-      match result with
-      | Some (v, (ts, _)) ->
-        bump_dt t client ts;
-        k (Some v)
-      | None -> k None)
+let write t (s : session) ~dc ~part ~key value =
+  Common.write_stamped t.geo ~dc ~part ~key value ~floor:s.Common.dt
+    ~header_bytes:meta_wire_bytes ~meta_bytes:meta_wire_bytes payload
 
-let update t ~client ~home ~dc ~key ~value ~k =
-  Common.round_trip t.geo ~home ~dc
-    (fun reply ->
-      Common.via_frontend t.geo ~dc (fun () ->
-          let part = Common.partition_of t.geo ~key in
-          let cost_us =
-            Saturn.Cost_model.okapi_write_us (cost t) ~size_bytes:value.Kvstore.Value.size_bytes
-          in
-          Common.submit t.geo ~dc ~part ~cost_us (fun () ->
-              let ts = Common.gen_ts t.geo ~dc ~part ~floor:(client_dt t client) in
-              let meta = (ts, dc) in
-              Kvstore.Store.put t.dcs.(dc).stores.(part) ~key value meta;
-              let origin_time = Sim.Engine.now (Common.engine t.geo) in
-              let size = value.Kvstore.Value.size_bytes + meta_wire_bytes in
-              let fanout = ref 0 in
-              List.iter
-                (fun dst ->
-                  if dst <> dc then begin
-                    incr fanout;
-                    if Sim.Probe.active () then
-                      Sim.Span.begin_ ~at:origin_time Sim.Span.Sk_bulk ~origin:dc
-                        ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc ~peer:dst ~epoch:0;
-                    Common.ship t.geo ~src:dc ~dst ~size_bytes:size (fun () ->
-                        let dd = t.dcs.(dst) in
-                        if Sim.Time.compare ts dd.known.(dst).(dc) > 0 then begin
-                          dd.known.(dst).(dc) <- ts;
-                          probe_vec t ~dc:dst ~src:dc ts
-                        end;
-                        let apply_cost =
-                          Saturn.Cost_model.okapi_apply_us (cost t)
-                            ~size_bytes:value.Kvstore.Value.size_bytes
-                        in
-                        Common.submit t.geo ~dc:dst ~part:(Common.partition_of t.geo ~key)
-                          ~cost_us:apply_cost (fun () ->
-                            if Sim.Probe.active () then begin
-                              let at = Sim.Engine.now (Common.engine t.geo) in
-                              Sim.Span.end_ ~at Sim.Span.Sk_bulk ~origin:dc
-                                ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc ~peer:dst ~epoch:0;
-                              (* universal-stability hold: until UST ≥ ts *)
-                              Sim.Span.begin_ ~at Sim.Span.Sk_stab ~origin:dc
-                                ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dst ~peer:(-1) ~epoch:0
-                            end;
-                            Sim.Heap.push dd.pending { key; value; meta; origin_time };
-                            advance t dst))
-                  end)
-                (Kvstore.Replica_map.replicas (rmap t) ~key);
-              (match t.meta_bytes with
-              | Some m -> Stats.Meta_bytes.record_op m ~bytes:meta_wire_bytes ~fanout:!fanout
-              | None -> ());
-              reply ts)))
-    ~k:(fun ts ->
-      bump_dt t client ts;
-      k ())
+let attach t (s : session) ~dc item =
+  let d = t.dcs.(dc) in
+  if Sim.Time.compare s.Common.dt d.ust <= 0 then Common.reply t.geo item
+  else d.waiters <- (s.Common.dt, item) :: d.waiters
 
-let stop t = Common.stop t.geo
-
-let store_value t ~dc ~key =
-  let part = Common.partition_of t.geo ~key in
-  Option.map fst (Kvstore.Store.get t.dcs.(dc).stores.(part) ~key)
+let create ?series ?meta engine p hooks =
+  let geo = Common.create ?series ?meta engine p hooks ~cmp:Common.compare_meta ~session:Common.new_dt in
+  let n = Common.n_dcs geo in
+  let dcs =
+    Array.init n (fun _ ->
+        { known = Array.init n (fun _ -> Array.make n Sim.Time.zero); ust = Sim.Time.zero;
+          pending = Common.stable_queue (); waiters = [] })
+  in
+  let t = { geo; dcs } in
+  Common.pending_gauge geo series (fun dc -> Sim.Heap.size t.dcs.(dc).pending);
+  let cost = p.Common.cost in
+  Common.bind geo
+    {
+      Common.attach = attach t;
+      read_us = Saturn.Cost_model.okapi_read_us cost;
+      stamp_read = Common.no_stamp;
+      learn_read = Common.learn_read_dt;
+      write_us = (fun _ ~size_bytes -> Saturn.Cost_model.okapi_write_us cost ~size_bytes);
+      write = write t;
+      learn_write = Common.learn_write_dt;
+      apply = apply t;
+      deliver = deliver t;
+    };
+  (* stable-time rounds: like Cure the round only completes once every
+     partition has finished its (cheaper, one-entry) aggregation task; the
+     completed round broadcasts this DC's matrix row. No heartbeats. *)
+  for dc = 0 to n - 1 do
+    Common.every geo cost.Saturn.Cost_model.stabilization_period (fun () ->
+        let remaining = ref p.Common.partitions in
+        let task =
+          Common.Cold
+            (fun () ->
+              decr remaining;
+              if !remaining = 0 then finish_stab_round t dc)
+        in
+        for part = 0 to p.Common.partitions - 1 do
+          Common.submit geo ~dc ~part ~cost_us:(Saturn.Cost_model.okapi_stab_us cost) task
+        done)
+  done;
+  t

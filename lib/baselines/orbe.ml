@@ -1,7 +1,4 @@
-type meta = { ts : Sim.Time.t; origin : int } (* LWW order *)
-
-let compare_meta a b =
-  match Sim.Time.compare a.ts b.ts with 0 -> Int.compare a.origin b.origin | c -> c
+type version = Common.meta (* (ts, origin dc): LWW order *)
 
 (* dependency matrix: sparse map (dc, partition) -> required applied count *)
 module Dm = Map.Make (struct
@@ -10,78 +7,35 @@ module Dm = Map.Make (struct
   let compare = compare
 end)
 
+type session = { mutable ctx : int Dm.t } (* the client's dependency matrix *)
+
 type pending = {
   key : int;
   value : Kvstore.Value.t;
-  meta : meta;
+  version : version;
   dm : int Dm.t;
   src_part : int;
   seq : int; (* sequence number within (origin, partition) *)
   origin_time : Sim.Time.t;
 }
 
+type bulk = pending
+
 type dc_state = {
-  stores : (meta, int) Kvstore.Store.t array;
   applied : int array array; (* [src dc].[partition] -> updates applied locally *)
   mutable pending : pending list;
 }
 
 type t = {
-  geo : Common.t;
-  hooks : Common.hooks;
+  geo : (session, version, bulk) Common.t;
   dcs : dc_state array;
   seq : int array array; (* [dc].[partition] -> updates issued *)
-  contexts : (int, int Dm.t) Hashtbl.t; (* client -> dependency matrix *)
-  apply_series : Stats.Series.counter option array; (* per dc *)
-  meta_bytes : Stats.Meta_bytes.t option;
   mutable entries_shipped : int;
   mutable updates_shipped : int;
 }
 
-let create ?series ?meta engine p hooks =
-  let geo = Common.create ?series engine p in
-  let n = Common.n_dcs geo in
-  let dcs =
-    Array.init n (fun _ ->
-        {
-          stores = Array.init p.Common.partitions (fun _ -> Kvstore.Store.create ());
-          applied = Array.init n (fun _ -> Array.make p.Common.partitions 0);
-          pending = [];
-        })
-  in
-  let apply_series =
-    Array.init n (fun dc ->
-        Option.map
-          (fun sr -> Stats.Series.counter sr (Printf.sprintf "series.apply.dc%d" dc))
-          series)
-  in
-  let t =
-    {
-      geo;
-      hooks;
-      dcs;
-      seq = Array.init n (fun _ -> Array.make p.Common.partitions 0);
-      contexts = Hashtbl.create 256;
-      apply_series;
-      meta_bytes = meta;
-      entries_shipped = 0;
-      updates_shipped = 0;
-    }
-  in
-  (match series with
-  | Some sr ->
-    for dc = 0 to n - 1 do
-      Stats.Series.sample sr
-        (Printf.sprintf "series.pending.dc%d" dc)
-        (fun () -> float_of_int (List.length t.dcs.(dc).pending))
-    done
-  | None -> ());
-  t
-
-let cost t = (Common.params t.geo).Common.cost
-let rmap t = (Common.params t.geo).Common.rmap
-
-let context t client = Option.value ~default:Dm.empty (Hashtbl.find_opt t.contexts client)
+let name = "orbe"
+let fabric t = t.geo
 
 let merge_entry dm key count =
   Dm.update key (function Some c when c >= count -> Some c | Some _ | None -> Some count) dm
@@ -91,9 +45,15 @@ let satisfied t ~dc dm =
 
 (* sequence numbers are per (origin, partition): updates from one partition
    must be applied in order for the applied counters to mean "prefix" *)
-let in_order t ~dc pn = t.dcs.(dc).applied.(pn.meta.origin).(pn.src_part) = pn.seq - 1
+let in_order t ~dc pn = t.dcs.(dc).applied.(snd pn.version).(pn.src_part) = pn.seq - 1
 
 let applicable t ~dc pn = in_order t ~dc pn && satisfied t ~dc pn.dm
+
+let install t ~dc pn =
+  let origin = snd pn.version in
+  t.dcs.(dc).applied.(origin).(pn.src_part) <- pn.seq;
+  Common.install t.geo ~dc ~part:(Common.partition_of t.geo ~key:pn.key) ~key:pn.key pn.value
+    pn.version ~origin_dc:origin ~origin_time:pn.origin_time
 
 let rec drain t ~dc =
   let d = t.dcs.(dc) in
@@ -104,116 +64,89 @@ let rec drain t ~dc =
     drain t ~dc
   end
 
-and install t ~dc pn =
-  let part = Common.partition_of t.geo ~key:pn.key in
-  let _ =
-    Kvstore.Store.put_if_newer t.dcs.(dc).stores.(part) ~cmp:compare_meta ~key:pn.key pn.value pn.meta
-  in
-  let applied = t.dcs.(dc).applied.(pn.meta.origin) in
-  applied.(pn.src_part) <- pn.seq;
-  (match t.apply_series.(dc) with
-  | Some c -> Stats.Series.incr c ~now:(Sim.Engine.now (Common.engine t.geo))
-  | None -> ());
-  t.hooks.Common.on_visible ~dc ~key:pn.key ~origin_dc:pn.meta.origin ~origin_time:pn.origin_time
-    ~value:pn.value
-
-let apply_remote t ~dc pn =
+let apply t ~dc ~part:_ pn =
   if applicable t ~dc pn then begin
     install t ~dc pn;
     drain t ~dc
   end
   else t.dcs.(dc).pending <- pn :: t.dcs.(dc).pending
 
-let attach t ~client:_ ~home ~dc ~k =
-  Common.round_trip t.geo ~home ~dc (fun reply -> Common.via_frontend t.geo ~dc (fun () -> reply ())) ~k
+let entry_cost t dm = Dm.cardinal dm * (Common.cost t.geo).Saturn.Cost_model.scalar_meta_us
 
-let read t ~client ~home ~dc ~key ~k =
-  Common.round_trip t.geo ~home ~dc
-    (fun reply ->
-      Common.via_frontend t.geo ~dc (fun () ->
-          let part = Common.partition_of t.geo ~key in
-          let store = t.dcs.(dc).stores.(part) in
-          let size =
-            match Kvstore.Store.get store ~key with
-            | Some (v, _) -> v.Kvstore.Value.size_bytes
-            | None -> 0
-          in
-          let cost_us = Saturn.Cost_model.eventual_read_us (cost t) ~size_bytes:size in
-          Common.submit t.geo ~dc ~part ~cost_us (fun () ->
-              (* the read's dependency is summarized by the local applied
-                 counters for the version's (origin, partition) *)
-              let result = Kvstore.Store.get store ~key in
-              let dep =
-                Option.map
-                  (fun (_, m) -> ((m.origin, part), t.dcs.(dc).applied.(m.origin).(part)))
-                  result
-              in
-              reply (result, dep))))
-    ~k:(fun (result, dep) ->
-      (match dep with
-      | Some ((j, part), count) when count > 0 ->
-        Hashtbl.replace t.contexts client (merge_entry (context t client) (j, part) count)
-      | Some _ | None -> ());
-      k (Option.map fst result))
+let deliver t ~src:_ ~dst pn =
+  let cost_us =
+    Saturn.Cost_model.eventual_apply_us (Common.cost t.geo)
+      ~size_bytes:pn.value.Kvstore.Value.size_bytes
+    + entry_cost t pn.dm
+  in
+  Common.submit t.geo ~dc:dst ~part:(Common.partition_of t.geo ~key:pn.key) ~cost_us
+    (Common.Apply pn)
 
-let update t ~client ~home ~dc ~key ~value ~k =
-  Common.round_trip t.geo ~home ~dc
-    (fun reply ->
-      Common.via_frontend t.geo ~dc (fun () ->
-          let part = Common.partition_of t.geo ~key in
-          let dm = context t client in
-          let entry_cost = Dm.cardinal dm * (cost t).Saturn.Cost_model.scalar_meta_us in
-          let cost_us =
-            Saturn.Cost_model.eventual_write_us (cost t) ~size_bytes:value.Kvstore.Value.size_bytes
-            + entry_cost
-          in
-          Common.submit t.geo ~dc ~part ~cost_us (fun () ->
-              let ts = Common.gen_ts t.geo ~dc ~part ~floor:Sim.Time.zero in
-              let meta = { ts; origin = dc } in
-              t.seq.(dc).(part) <- t.seq.(dc).(part) + 1;
-              let seq = t.seq.(dc).(part) in
-              Kvstore.Store.put t.dcs.(dc).stores.(part) ~key value meta;
-              t.dcs.(dc).applied.(dc).(part) <- seq;
-              let origin_time = Sim.Engine.now (Common.engine t.geo) in
-              t.updates_shipped <- t.updates_shipped + 1;
-              t.entries_shipped <- t.entries_shipped + Dm.cardinal dm;
-              (* wire layout: 16-byte LWW version header (excluded from
-                 causal accounting, as everywhere) + 16 bytes of sequencing
-                 coordinates and matrix framing (src partition, sequence
-                 number, entry count — the prefix-order machinery) + 12 per
-                 (dc, partition) matrix entry *)
-              let causal_bytes = 16 + (12 * Dm.cardinal dm) in
-              let size = value.Kvstore.Value.size_bytes + 16 + causal_bytes in
-              let fanout = ref 0 in
-              List.iter
-                (fun dst ->
-                  if dst <> dc then begin
-                    incr fanout;
-                    Common.ship t.geo ~src:dc ~dst ~size_bytes:size (fun () ->
-                        let apply_cost =
-                          Saturn.Cost_model.eventual_apply_us (cost t)
-                            ~size_bytes:value.Kvstore.Value.size_bytes
-                          + entry_cost
-                        in
-                        Common.submit t.geo ~dc:dst ~part:(Common.partition_of t.geo ~key)
-                          ~cost_us:apply_cost (fun () ->
-                            apply_remote t ~dc:dst
-                              { key; value; meta; dm; src_part = part; seq; origin_time }))
-                  end)
-                (Kvstore.Replica_map.replicas (rmap t) ~key);
-              (match t.meta_bytes with
-              | Some m -> Stats.Meta_bytes.record_op m ~bytes:causal_bytes ~fanout:!fanout
-              | None -> ());
-              (* transitivity: the new version subsumes the whole context *)
-              Hashtbl.replace t.contexts client (Dm.singleton (dc, part) seq);
-              reply ())))
-    ~k
+let write t s ~dc ~part ~key value =
+  let geo = t.geo in
+  let dm = s.ctx in
+  let ts = Common.gen_ts geo ~dc ~part ~floor:Sim.Time.zero in
+  let version = (ts, dc) in
+  t.seq.(dc).(part) <- t.seq.(dc).(part) + 1;
+  let seq = t.seq.(dc).(part) in
+  Kvstore.Store.put (Common.store geo ~dc ~part) ~key value version;
+  t.dcs.(dc).applied.(dc).(part) <- seq;
+  let origin_time = Sim.Engine.now (Common.engine geo) in
+  t.updates_shipped <- t.updates_shipped + 1;
+  t.entries_shipped <- t.entries_shipped + Dm.cardinal dm;
+  (* wire layout: 16-byte LWW version header (excluded from causal
+     accounting, as everywhere) + 16 bytes of sequencing coordinates and
+     matrix framing (src partition, sequence number, entry count — the
+     prefix-order machinery) + 12 per (dc, partition) matrix entry *)
+  let causal_bytes = 16 + (12 * Dm.cardinal dm) in
+  Common.ship_update geo ~dc ~key ~part ~ts ~spans:false
+    ~size_bytes:(value.Kvstore.Value.size_bytes + 16 + causal_bytes)
+    ~meta_bytes:causal_bytes
+    { key; value; version; dm; src_part = part; seq; origin_time };
+  (* transitivity: the new version subsumes the whole context *)
+  s.ctx <- Dm.singleton (dc, part) seq;
+  ts
 
-let stop t = Common.stop t.geo
+(* the read's dependency is summarized by the local applied counter for
+   the version's (origin, partition) *)
+let stamp_read t ~dc ~part (_, origin) = t.dcs.(dc).applied.(origin).(part)
 
-let store_value t ~dc ~key =
-  let part = Common.partition_of t.geo ~key in
-  Option.map fst (Kvstore.Store.get t.dcs.(dc).stores.(part) ~key)
+let learn_read s ~key:_ ~part (_, origin) ~stamp =
+  if stamp > 0 then s.ctx <- merge_entry s.ctx (origin, part) stamp
+
+let create ?series ?meta engine p hooks =
+  let geo =
+    Common.create ?series ?meta engine p hooks ~cmp:Common.compare_meta ~session:(fun () ->
+        { ctx = Dm.empty })
+  in
+  let n = Common.n_dcs geo in
+  let t =
+    {
+      geo;
+      dcs =
+        Array.init n (fun _ ->
+            { applied = Array.init n (fun _ -> Array.make p.Common.partitions 0); pending = [] });
+      seq = Array.init n (fun _ -> Array.make p.Common.partitions 0);
+      entries_shipped = 0;
+      updates_shipped = 0;
+    }
+  in
+  Common.pending_gauge geo series (fun dc -> List.length t.dcs.(dc).pending);
+  let cost = p.Common.cost in
+  Common.bind geo
+    {
+      Common.attach = Common.attach_now geo;
+      read_us = Saturn.Cost_model.eventual_read_us cost;
+      stamp_read = stamp_read t;
+      learn_read;
+      write_us =
+        (fun s ~size_bytes -> Saturn.Cost_model.eventual_write_us cost ~size_bytes + entry_cost t s.ctx);
+      write = write t;
+      learn_write = Common.forget_write;
+      apply = apply t;
+      deliver = deliver t;
+    };
+  t
 
 let mean_matrix_entries t =
   if t.updates_shipped = 0 then 0.

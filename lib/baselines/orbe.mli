@@ -16,24 +16,11 @@
 
 type t
 
+include Common.S with type t := t
+
 val create :
   ?series:Stats.Series.t -> ?meta:Stats.Meta_bytes.t -> Sim.Engine.t -> Common.params ->
   Common.hooks -> t
-
-val attach : t -> client:int -> home:Sim.Topology.site -> dc:int -> k:(unit -> unit) -> unit
-val read :
-  t -> client:int -> home:Sim.Topology.site -> dc:int -> key:int -> k:(Kvstore.Value.t option -> unit) -> unit
-val update :
-  t ->
-  client:int ->
-  home:Sim.Topology.site ->
-  dc:int ->
-  key:int ->
-  value:Kvstore.Value.t ->
-  k:(unit -> unit) ->
-  unit
-val stop : t -> unit
-val store_value : t -> dc:int -> key:int -> Kvstore.Value.t option
 
 val mean_matrix_entries : t -> float
 (** Mean number of non-zero dependency-matrix entries shipped per update —

@@ -12,10 +12,10 @@ type t = {
   hooks : hooks;
   partitioning : Kvstore.Partitioning.t;
   clock : Sim.Clock.t;
-  servers : Sim.Server.t array;
+  servers : (unit -> unit) Sim.Server.t array; (* items are continuations *)
   stores : (Label.t, int) Kvstore.Store.t array;
   gears : Gear.t array;
-  frontends : Sim.Server.t array;
+  frontends : (unit -> unit) Sim.Server.t array;
   mutable next_frontend : int;
   mutable next_gear : int;
   sink : Sink.t;
@@ -56,6 +56,8 @@ let install_remote t (p : Proxy.payload) =
       ~value:p.value
   | Label.Migration _ | Label.Epoch_change _ -> assert false
 
+let run k = k ()
+
 let create engine ~dc ~n_dcs ~partitions ~frontends ~cost ~rmap ~hooks ?(clock_offset = Sim.Time.zero)
     ?registry ?series ?(proxy_mode = Proxy.Stream) () =
   let registry = match registry with Some r -> r | None -> Stats.Registry.create () in
@@ -74,10 +76,10 @@ let create engine ~dc ~n_dcs ~partitions ~frontends ~cost ~rmap ~hooks ?(clock_o
       hooks;
       partitioning = Kvstore.Partitioning.create ~partitions;
       clock;
-      servers = Array.init partitions (fun _ -> Sim.Server.create engine);
+      servers = Array.init partitions (fun _ -> Sim.Server.create engine run);
       stores = Array.init partitions (fun _ -> Kvstore.Store.create ());
       gears;
-      frontends = Array.init frontends (fun _ -> Sim.Server.create engine);
+      frontends = Array.init frontends (fun _ -> Sim.Server.create engine run);
       next_frontend = 0;
       next_gear = 0;
       sink;

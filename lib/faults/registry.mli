@@ -79,6 +79,6 @@ val switch_config : t -> graceful:bool -> Saturn.Config.t -> unit
     registers the epoch-2 pieces under the [e2.] prefix.
     @raise Invalid_argument when no reconfigurable system is bound. *)
 
-val bind_fabric : t -> Baselines.Common.t -> unit
+val bind_fabric : t -> ('s, 'm, 'b) Baselines.Common.t -> unit
 (** Registers a baseline's shared data plane: its [bulk.dc<i>->dc<j>]
     links. Baselines have no serializers or disciplined clocks to break. *)

@@ -173,176 +173,72 @@ let baseline_hooks metrics =
         Metrics.on_visible metrics ~dc ~key ~origin_dc ~origin_time ~value);
   }
 
+(* One Api.t over any baseline: the client surface is the fabric's *)
+let of_baseline (type a) (module B : Baselines.Common.S with type t = a) ?faults (sys : a) =
+  let geo = B.fabric sys in
+  Option.iter (fun f -> Faults.Registry.bind_fabric f geo) faults;
+  let attach (c : Client.t) ~dc ~k =
+    Baselines.Common.attach geo ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
+        c.Client.current_dc <- dc;
+        k ())
+  in
+  {
+    Api.name = B.name;
+    attach;
+    read =
+      (fun c ~key ~k ->
+        Baselines.Common.read geo ~client:c.Client.id ~home:c.Client.home_site
+          ~dc:c.Client.current_dc ~key ~k);
+    update =
+      (fun c ~key ~value ~k ->
+        Baselines.Common.update geo ~client:c.Client.id ~home:c.Client.home_site
+          ~dc:c.Client.current_dc ~key ~value ~k);
+    migrate = (fun c ~dest_dc ~k -> attach c ~dc:dest_dc ~k);
+    stop = (fun () -> Baselines.Common.stop geo);
+    store_value = (fun ~dc ~key -> Baselines.Common.store_value geo ~dc ~key);
+  }
+
 let meta_of ?registry system =
   Option.map (fun r -> Stats.Meta_bytes.create r ~system) registry
 
 let eventual ?registry ?series ?faults engine spec metrics =
-  let meta = meta_of ?registry "eventual" in
-  let sys =
-    Baselines.Eventual.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
-  in
-  Option.iter (fun f -> Faults.Registry.bind_fabric f (Baselines.Eventual.fabric sys)) faults;
-  {
-    Api.name = "eventual";
-    attach =
-      (fun c ~dc ~k ->
-        Baselines.Eventual.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
-            c.Client.current_dc <- dc;
-            k ()));
-    read =
-      (fun c ~key ~k ->
-        Baselines.Eventual.read sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~k);
-    update =
-      (fun c ~key ~value ~k ->
-        Baselines.Eventual.update sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~value ~k);
-    migrate =
-      (fun c ~dest_dc ~k ->
-        Baselines.Eventual.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dest_dc;
-            k ()));
-    stop = (fun () -> Baselines.Eventual.stop sys);
-    store_value = (fun ~dc ~key -> Baselines.Eventual.store_value sys ~dc ~key);
-  }
+  let meta = meta_of ?registry Baselines.Eventual.name in
+  Baselines.Eventual.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
+  |> of_baseline (module Baselines.Eventual) ?faults
 
 let gentlerain ?registry ?series engine spec metrics =
-  let meta = meta_of ?registry "gentlerain" in
-  let sys =
-    Baselines.Gentlerain.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
-  in
-  {
-    Api.name = "gentlerain";
-    attach =
-      (fun c ~dc ~k ->
-        Baselines.Gentlerain.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dc;
-            k ()));
-    read =
-      (fun c ~key ~k ->
-        Baselines.Gentlerain.read sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~k);
-    update =
-      (fun c ~key ~value ~k ->
-        Baselines.Gentlerain.update sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~value ~k);
-    migrate =
-      (fun c ~dest_dc ~k ->
-        Baselines.Gentlerain.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dest_dc;
-            k ()));
-    stop = (fun () -> Baselines.Gentlerain.stop sys);
-    store_value = (fun ~dc ~key -> Baselines.Gentlerain.store_value sys ~dc ~key);
-  }
+  let meta = meta_of ?registry Baselines.Gentlerain.name in
+  Baselines.Gentlerain.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
+  |> of_baseline (module Baselines.Gentlerain)
 
 let cure ?registry ?series engine spec metrics =
-  let meta = meta_of ?registry "cure" in
-  let sys =
-    Baselines.Cure.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
-  in
-  {
-    Api.name = "cure";
-    attach =
-      (fun c ~dc ~k ->
-        Baselines.Cure.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
-            c.Client.current_dc <- dc;
-            k ()));
-    read =
-      (fun c ~key ~k ->
-        Baselines.Cure.read sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~k);
-    update =
-      (fun c ~key ~value ~k ->
-        Baselines.Cure.update sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~value ~k);
-    migrate =
-      (fun c ~dest_dc ~k ->
-        Baselines.Cure.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dest_dc;
-            k ()));
-    stop = (fun () -> Baselines.Cure.stop sys);
-    store_value = (fun ~dc ~key -> Baselines.Cure.store_value sys ~dc ~key);
-  }
+  let meta = meta_of ?registry Baselines.Cure.name in
+  Baselines.Cure.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
+  |> of_baseline (module Baselines.Cure)
 
 let cops ?registry ?series engine spec metrics ~prune_on_write =
-  let meta = meta_of ?registry "cops" in
+  let meta = meta_of ?registry Baselines.Cops.name in
   let sys =
     Baselines.Cops.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
       ~prune_on_write
   in
-  let api =
-    {
-      Api.name = "cops";
-      attach =
-        (fun c ~dc ~k ->
-          Baselines.Cops.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
-              c.Client.current_dc <- dc;
-              k ()));
-      read =
-        (fun c ~key ~k ->
-          Baselines.Cops.read sys ~client:c.Client.id ~home:c.Client.home_site
-            ~dc:c.Client.current_dc ~key ~k);
-      update =
-        (fun c ~key ~value ~k ->
-          Baselines.Cops.update sys ~client:c.Client.id ~home:c.Client.home_site
-            ~dc:c.Client.current_dc ~key ~value ~k);
-      migrate =
-        (fun c ~dest_dc ~k ->
-          Baselines.Cops.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-            ~k:(fun () ->
-              c.Client.current_dc <- dest_dc;
-              k ()));
-      stop = (fun () -> Baselines.Cops.stop sys);
-      store_value = (fun ~dc ~key -> Baselines.Cops.store_value sys ~dc ~key);
-    }
-  in
-  (api, sys)
+  (of_baseline (module Baselines.Cops) sys, sys)
 
 let orbe ?registry ?series engine spec metrics =
-  let meta = meta_of ?registry "orbe" in
+  let meta = meta_of ?registry Baselines.Orbe.name in
   let sys =
     Baselines.Orbe.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
   in
-  let api =
-    {
-      Api.name = "orbe";
-      attach =
-        (fun c ~dc ~k ->
-          Baselines.Orbe.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
-              c.Client.current_dc <- dc;
-              k ()));
-      read =
-        (fun c ~key ~k ->
-          Baselines.Orbe.read sys ~client:c.Client.id ~home:c.Client.home_site
-            ~dc:c.Client.current_dc ~key ~k);
-      update =
-        (fun c ~key ~value ~k ->
-          Baselines.Orbe.update sys ~client:c.Client.id ~home:c.Client.home_site
-            ~dc:c.Client.current_dc ~key ~value ~k);
-      migrate =
-        (fun c ~dest_dc ~k ->
-          Baselines.Orbe.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-            ~k:(fun () ->
-              c.Client.current_dc <- dest_dc;
-              k ()));
-      stop = (fun () -> Baselines.Orbe.stop sys);
-      store_value = (fun ~dc ~key -> Baselines.Orbe.store_value sys ~dc ~key);
-    }
-  in
-  (api, sys)
+  (of_baseline (module Baselines.Orbe) sys, sys)
 
 let eunomia ?registry ?series ?faults engine spec metrics =
-  let meta = meta_of ?registry "eunomia" in
+  let meta = meta_of ?registry Baselines.Eunomia.name in
   let sys =
     Baselines.Eunomia.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
   in
+  let api = of_baseline (module Baselines.Eunomia) ?faults sys in
   Option.iter
     (fun f ->
-      Faults.Registry.bind_fabric f (Baselines.Eunomia.fabric sys);
       (* each per-DC sequencer registers as a crashable serializer: the
          ser-crash scenario shape applies to Eunomia's single point of
          order, with the backup takeover as the recovery path *)
@@ -356,59 +252,9 @@ let eunomia ?registry ?series ?faults engine spec metrics =
             ~down:(fun () -> Baselines.Eunomia.sequencer_down sys ~dc))
         spec.dc_sites)
     faults;
-  {
-    Api.name = "eunomia";
-    attach =
-      (fun c ~dc ~k ->
-        Baselines.Eunomia.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dc;
-            k ()));
-    read =
-      (fun c ~key ~k ->
-        Baselines.Eunomia.read sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~k);
-    update =
-      (fun c ~key ~value ~k ->
-        Baselines.Eunomia.update sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~value ~k);
-    migrate =
-      (fun c ~dest_dc ~k ->
-        Baselines.Eunomia.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dest_dc;
-            k ()));
-    stop = (fun () -> Baselines.Eunomia.stop sys);
-    store_value = (fun ~dc ~key -> Baselines.Eunomia.store_value sys ~dc ~key);
-  }
+  api
 
 let okapi ?registry ?series ?faults engine spec metrics =
-  let meta = meta_of ?registry "okapi" in
-  let sys =
-    Baselines.Okapi.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
-  in
-  Option.iter (fun f -> Faults.Registry.bind_fabric f (Baselines.Okapi.fabric sys)) faults;
-  {
-    Api.name = "okapi";
-    attach =
-      (fun c ~dc ~k ->
-        Baselines.Okapi.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
-            c.Client.current_dc <- dc;
-            k ()));
-    read =
-      (fun c ~key ~k ->
-        Baselines.Okapi.read sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~k);
-    update =
-      (fun c ~key ~value ~k ->
-        Baselines.Okapi.update sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~value ~k);
-    migrate =
-      (fun c ~dest_dc ~k ->
-        Baselines.Okapi.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dest_dc;
-            k ()));
-    stop = (fun () -> Baselines.Okapi.stop sys);
-    store_value = (fun ~dc ~key -> Baselines.Okapi.store_value sys ~dc ~key);
-  }
+  let meta = meta_of ?registry Baselines.Okapi.name in
+  Baselines.Okapi.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
+  |> of_baseline (module Baselines.Okapi) ?faults

@@ -249,44 +249,67 @@ let module_aliases (toks : Token.t array) =
 
 (* ---- .mli exports ---------------------------------------------------------- *)
 
-(* [val] declarations of an interface, with the submodule path for vals
-   declared inside [module X : sig … end] ("" at the top level). *)
-let mli_vals (toks : Token.t array) =
+(* Every [val] declaration of an interface, with the path of the
+   signatures it sits in: [module X : sig … end] frames give a submodule
+   path, and the frame of a [module type X = sig … end] is flagged, since
+   its vals are requirements on other modules, not exports. *)
+let sig_vals (toks : Token.t array) =
   let n = Array.length toks in
   let out = ref [] in
-  (* stack of (module name, depth inside its sig, sig token index) — the
-     frame is pushed at the [module] token, while [X : sig] itself still
-     sits one level shallower, so popping must wait until past the [sig] *)
+  (* stack of (module name, is a module type, depth inside its sig, sig
+     token index) — the frame is pushed at the [module] token, while
+     [X : sig] itself still sits one level shallower, so popping must wait
+     until past the [sig] *)
   let stack = ref [] in
   let i = ref 0 in
   while !i < n do
     let t = toks.(!i) in
     (match !stack with
-    | (_, d, sig_idx) :: rest when !i > sig_idx && t.depth < d -> stack := rest
+    | (_, _, d, sig_idx) :: rest when !i > sig_idx && t.depth < d -> stack := rest
     | _ -> ());
-    if t.kind = Token.Ident && t.text = "module" && !i + 1 < n && is_upper_ident toks.(!i + 1) then begin
-      (* [module X : sig] — the sig token opens one depth level *)
-      let name = toks.(!i + 1).text in
-      let rec find_sig j =
-        if j >= n || j > !i + 6 then None
-        else if toks.(j).kind = Token.Ident && toks.(j).text = "sig" then Some j
-        else find_sig (j + 1)
-      in
-      match find_sig (!i + 2) with
-      | Some j -> stack := (name, toks.(j).depth + 1, j) :: !stack
-      | None -> ()
+    if t.kind = Token.Ident && t.text = "module" && !i + 1 < n then begin
+      (* [module X : sig] or [module type X = sig] — the sig token opens
+         one depth level *)
+      let is_type = toks.(!i + 1).kind = Token.Ident && toks.(!i + 1).text = "type" in
+      let at = if is_type then !i + 2 else !i + 1 in
+      if at < n && is_upper_ident toks.(at) then begin
+        let name = toks.(at).text in
+        let rec find_sig j =
+          if j >= n || j > at + 5 then None
+          else if toks.(j).kind = Token.Ident && toks.(j).text = "sig" then Some j
+          else find_sig (j + 1)
+        in
+        match find_sig (at + 1) with
+        | Some j -> stack := (name, is_type, toks.(j).depth + 1, j) :: !stack
+        | None -> ()
+      end
     end;
     if
       t.kind = Token.Ident && t.text = "val"
       && !i + 1 < n
       && toks.(!i + 1).kind = Token.Ident
-    then begin
-      let path = String.concat "." (List.rev_map (fun (nm, _, _) -> nm) !stack) in
-      out := (path, toks.(!i + 1).text, toks.(!i + 1).line) :: !out
-    end;
+    then out := (List.rev !stack, toks.(!i + 1).text, toks.(!i + 1).line) :: !out;
     incr i
   done;
   List.rev !out
+
+(* [val] declarations of an interface, with the submodule path for vals
+   declared inside [module X : sig … end] ("" at the top level). Vals of a
+   [module type] are not exports and are left out. *)
+let mli_vals toks =
+  List.filter_map
+    (fun (frames, name, line) ->
+      if List.exists (fun (_, is_type, _, _) -> is_type) frames then None
+      else Some (String.concat "." (List.map (fun (nm, _, _, _) -> nm) frames), name, line))
+    (sig_vals toks)
+
+let module_type_vals toks ~name =
+  List.filter_map
+    (fun (frames, v, _) ->
+      match frames with
+      | [ (nm, true, _, _) ] when nm = name -> Some v
+      | _ -> None)
+    (sig_vals toks)
 
 (* ---- variant constructors -------------------------------------------------- *)
 

@@ -46,7 +46,13 @@ val module_aliases : Token.t array -> (string * string) list
 
 val mli_vals : Token.t array -> (string * string * int) list
 (** [val] declarations of an interface as (submodule path or "", name,
-    line), in order. *)
+    line), in order. The vals of a [module type … = sig … end] are
+    requirements on the modules that implement it, not exports, and are
+    left out. *)
+
+val module_type_vals : Token.t array -> name:string -> string list
+(** The vals required by the top-level [module type <name> = sig … end]
+    of an interface. *)
 
 val variant_constructors : Token.t array -> type_name:string -> (string * int) list
 (** Constructors of [type <type_name> = C1 | C2 of …], with lines. *)

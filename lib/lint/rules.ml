@@ -698,6 +698,24 @@ let use_info (toks : Token.t array) =
 
 let module_of_path f = String.capitalize_ascii (Filename.remove_extension (Filename.basename f))
 
+(* the module types an interface includes, as (module of the path or ""
+   for a local one, type name): [include Common.S with type t := t] gives
+   ("Common", "S") *)
+let mli_included_types (toks : Token.t array) =
+  let out = ref [] in
+  Array.iteri
+    (fun i (t : Token.t) ->
+      if t.kind = Token.Ident && t.text = "include" && i + 1 < Array.length toks then begin
+        let p = toks.(i + 1) in
+        if p.kind = Token.Ident then
+          match List.rev (String.split_on_char '.' p.text) with
+          | ty :: m :: _ -> out := (m, ty) :: !out
+          | [ ty ] -> out := ("", ty) :: !out
+          | [] -> ()
+      end)
+    toks;
+  List.rev !out
+
 let check_dead_exports ~sources ~use_sources =
   let findings = ref [] in
   let infos = List.map (fun (f, toks) -> (f, toks, use_info toks)) (sources @ use_sources) in
@@ -758,7 +776,25 @@ let check_dead_exports ~sources ~use_sources =
             Array.exists (fun (t : Token.t) -> t.kind = Token.Ident && t.text = "include") ml_toks
           in
           if not has_include then begin
-            let exported = List.map (fun (_, n, _) -> n) (Ast.mli_vals mli_toks) in
+            (* an interface that [include]s a module type of the scanned
+               tree ([include Common.S with …]) exports that type's vals *)
+            let included_vals =
+              List.concat_map
+                (fun (path, ty) ->
+                  List.concat_map
+                    (fun (f, toks) ->
+                      if
+                        Filename.check_suffix f ".mli"
+                        && (module_of_path f = path
+                           || (path = "" && f = Filename.remove_extension ml_file ^ ".mli"))
+                      then Ast.module_type_vals toks ~name:ty
+                      else [])
+                    sources)
+                (mli_included_types mli_toks)
+            in
+            let exported =
+              List.map (fun (_, n, _) -> n) (Ast.mli_vals mli_toks) @ included_vals
+            in
             List.iter
               (fun (it : Ast.item) ->
                 (* a multi-name item is a [let rec ... and ...] group whose

@@ -7,21 +7,25 @@
     heartbeats) into the throughput differences the paper measures: a server
     saturates when offered-load × mean-service-time reaches 1. *)
 
-type t
+type 'a t
+(** A server whose work items are values of type ['a]. *)
 
-val create : Engine.t -> t
+val create : Engine.t -> ('a -> unit) -> 'a t
+(** [create engine handler]: [handler] runs on each item when its service
+    completes, as with {!Delay_line.create}. A server of continuations is
+    [create engine (fun k -> k ())]. *)
 
-val submit : t -> cost:Time.t -> (unit -> unit) -> unit
-(** Enqueues a work item that takes [cost] of server time; [k] runs at
-    completion. Items complete in submission order. The queue is a
-    {!Delay_line} of continuations, so beyond the caller's own [k] a
-    submit and its completion allocate nothing. *)
+val submit : 'a t -> cost:Time.t -> 'a -> unit
+(** Enqueues item [x] that takes [cost] of server time; the handler runs
+    on [x] at completion. Items complete in submission order. The queue
+    is a {!Delay_line} of items, so a submit and its completion allocate
+    nothing beyond the item itself. *)
 
-val busy_time : t -> Time.t
+val busy_time : 'a t -> Time.t
 (** Cumulative service time consumed — utilization = busy/elapsed. *)
 
-val completed : t -> int
-val queue_length : t -> int
+val completed : 'a t -> int
+val queue_length : 'a t -> int
 
-val backlog : t -> Time.t
+val backlog : 'a t -> Time.t
 (** Service time currently queued ahead (0 when idle). *)

@@ -26,12 +26,45 @@ let is_empty t = t.len = 0
 let mean t = if t.len = 0 then 0. else t.total /. float_of_int t.len
 let total t = t.total
 
+(* In-place heap sort in [Float.compare] order. Monomorphic, so no
+   element is boxed: [Array.sort Float.compare] boxes both floats of every
+   comparison it makes. *)
+let sift_down (a : float array) root n =
+  let i = ref root in
+  let go = ref true in
+  while !go do
+    let l = (2 * !i) + 1 in
+    if l >= n then go := false
+    else begin
+      let c = if l + 1 < n && Float.compare a.(l) a.(l + 1) < 0 then l + 1 else l in
+      if Float.compare a.(!i) a.(c) < 0 then begin
+        let x = a.(!i) in
+        a.(!i) <- a.(c);
+        a.(c) <- x;
+        i := c
+      end
+      else go := false
+    end
+  done
+
+let sort_floats (a : float array) =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down a 0 last
+  done
+
 let sorted t =
   match t.sorted with
   | Some s -> s
   | None ->
     let s = Array.sub t.data 0 t.len in
-    Array.sort Float.compare s;
+    sort_floats s;
     t.sorted <- Some s;
     s
 

@@ -2,7 +2,8 @@
 
     Observations are stored as floats (milliseconds for latencies,
     ops/second for rates). Percentile queries sort lazily and cache the
-    sorted array until the next insertion. *)
+    sorted array until the next insertion; the sort is {!sort_floats}, so
+    a query allocates the sorted copy and nothing per element. *)
 
 type t
 
@@ -35,3 +36,7 @@ val cdf : t -> ?points:int -> unit -> (float * float) list
 
 val values : t -> float array
 (** Copy of the raw observations in insertion order. *)
+
+val sort_floats : float array -> unit
+(** Sorts in place into [Float.compare] order, as
+    [Array.sort Float.compare] does, without boxing an element. *)

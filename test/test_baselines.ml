@@ -316,6 +316,102 @@ let test_orbe_blocks_under_partial_replication () =
   Alcotest.(check bool) "dependent update wedged at dc2" true
     (Baselines.Orbe.blocked_updates orbe ~dc:2 > 0)
 
+(* ---- the fabric passes values -------------------------------------------- *)
+
+let drain engine =
+  while Sim.Engine.step engine do
+    ()
+  done
+
+(* words allocated by [f ()], minor and direct-to-major (see test_stats) *)
+let allocated f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* A fabric over three EC2 datacenters whose protocol only counts what
+   reaches it, so the pins below weigh the fabric's own queues. *)
+let counting_fabric () =
+  let engine = Sim.Engine.create () in
+  let dc_sites = Array.of_list (Sim.Ec2.first_n 3) in
+  let p =
+    {
+      Baselines.Common.topo = Sim.Ec2.topology;
+      dc_sites;
+      partitions = 2;
+      frontends = 2;
+      cost = Saturn.Cost_model.default;
+      rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys:4;
+      bulk_factor = 1.0;
+    }
+  in
+  let hooks =
+    { Baselines.Common.on_visible = (fun ~dc:_ ~key:_ ~origin_dc:_ ~origin_time:_ ~value:_ -> ()) }
+  in
+  let geo = Baselines.Common.create engine p hooks ~cmp:Int.compare ~session:ignore in
+  let delivered = ref 0 and applied = ref 0 in
+  Baselines.Common.bind geo
+    {
+      Baselines.Common.attach = Baselines.Common.attach_now geo;
+      read_us = (fun ~size_bytes:_ -> 1);
+      stamp_read = Baselines.Common.no_stamp;
+      learn_read = Baselines.Common.forget_read;
+      write_us = (fun () ~size_bytes:_ -> 1);
+      write = (fun () ~dc:_ ~part:_ ~key:_ _ -> Sim.Time.zero);
+      learn_write = Baselines.Common.forget_write;
+      apply = (fun ~dc:_ ~part:_ _ -> incr applied);
+      deliver = (fun ~src:_ ~dst:_ _ -> incr delivered);
+    };
+  (engine, geo, delivered, applied)
+
+(* As test_sim pins Link.send: shipping a preallocated bulk message to a
+   key's replicas and its deliveries allocate nothing, and neither does a
+   storage-server submit of a preallocated item and its completion. *)
+let test_fabric_allocates_nothing () =
+  let engine, geo, delivered, applied = counting_fabric () in
+  let msg = ref 0 (* a boxed message, made once *) in
+  let ship_burst () =
+    for key = 0 to 3 do
+      Baselines.Common.ship_update geo ~dc:(key mod 3) ~key ~part:0 ~ts:Sim.Time.zero ~spans:true
+        ~size_bytes:(16 * key) ~meta_bytes:0 msg
+    done;
+    drain engine
+  in
+  ship_burst ();
+  let rounds = 2_000 in
+  let words = allocated (fun () -> for _ = 1 to rounds do ship_burst () done) in
+  Alcotest.(check (float 0.)) "ship_update and deliveries" 0. words;
+  Alcotest.(check int) "every replica reached" (8 * (rounds + 1)) !delivered;
+  let item = Baselines.Common.Apply msg in
+  let submit_burst () =
+    for i = 0 to 63 do
+      Baselines.Common.submit geo ~dc:(i mod 3) ~part:(i land 1) ~cost_us:(i land 3) item
+    done;
+    drain engine
+  in
+  submit_burst ();
+  let words = allocated (fun () -> for _ = 1 to rounds do submit_burst () done) in
+  Alcotest.(check (float 0.)) "submit and completion" 0. words;
+  Alcotest.(check int) "every item applied" (64 * (rounds + 1)) !applied
+
+(* A ceiling on the words per op of the shootout's eventual row, set-up
+   and percentiles included, so closures cannot creep back into the
+   fabric. The row costs 73 words per op; with the closure-passing fabric
+   it cost about 250, and the boxing percentile sort alone adds about 95. *)
+let test_eventual_shootout_words_per_op () =
+  let row = ref None in
+  let words = allocated (fun () -> row := Some (Harness.Shootout.run_system "eventual")) in
+  match !row with
+  | None -> Alcotest.fail "no row"
+  | Some r ->
+    let per_op = words /. float_of_int r.Harness.Shootout.ops in
+    let ceiling = 85. in
+    if per_op > ceiling then
+      Alcotest.failf "eventual shootout row: %.1f words/op, above the %.0f ceiling" per_op ceiling
+
 let suite =
   [
     Alcotest.test_case "eventual: visibility = bulk latency" `Quick test_eventual_visibility_is_bulk_latency;
@@ -337,4 +433,8 @@ let suite =
     Alcotest.test_case "orbe: dependency-matrix order" `Quick test_orbe_dependency_order;
     Alcotest.test_case "orbe: wedges under partial replication" `Quick
       test_orbe_blocks_under_partial_replication;
+    Alcotest.test_case "fabric: ship and submit allocate nothing" `Quick
+      test_fabric_allocates_nothing;
+    Alcotest.test_case "eventual shootout: words per op ceiling" `Quick
+      test_eventual_shootout_words_per_op;
   ]

@@ -637,6 +637,32 @@ let test_r9_hidden_but_used_internally_ok () =
   in
   Alcotest.check slist "internal use of a hidden value is fine" [] (rules_of r)
 
+(* A module type's vals are requirements on its implementations, not
+   exports of the interface that declares it; an interface that includes
+   it exports them, and only them. *)
+let module_type_sources ~impl =
+  [
+    ("lib/common.mli", "module type S = sig\n  type t\n\n  val name : string\nend\n");
+    ("lib/common.ml", "module type S = sig\n  type t\n\n  val name : string\nend\n");
+    ("lib/p.mli", "type t\n\ninclude Common.S with type t := t\n\nval make : unit -> t\n");
+    ("lib/p.ml", impl);
+    ("lib/caller.ml", "let t = P.make ()\n");
+  ]
+
+let test_r9_module_type_vals () =
+  let r = run (module_type_sources ~impl:"type t = int\n\nlet name = \"p\"\nlet make () = 0\n") in
+  Alcotest.check slist "module-type vals are required, and exported by the include" []
+    (rules_of r);
+  let r =
+    run
+      (module_type_sources
+         ~impl:"type t = int\n\nlet name = \"p\"\nlet orphan = 2\nlet make () = 0\n")
+  in
+  Alcotest.(check int) "a value outside the included type is still hidden" 1
+    (count_rule Lint.Rules.r_dead r);
+  let f = List.hd r.findings in
+  Alcotest.(check string) "in the implementation" "lib/p.ml" f.Lint.Rules.file
+
 (* ---- waiver hygiene -------------------------------------------------------- *)
 
 let test_unused_waiver () =
@@ -947,6 +973,7 @@ let suite =
     Alcotest.test_case "R9 hidden unused ml value" `Quick test_r9_hidden_unused_ml_value;
     Alcotest.test_case "R9 hidden but used internally" `Quick
       test_r9_hidden_but_used_internally_ok;
+    Alcotest.test_case "R9 module type vals" `Quick test_r9_module_type_vals;
     Alcotest.test_case "unused waiver reported" `Quick test_unused_waiver;
     Alcotest.test_case "bad waiver reported" `Quick test_bad_waiver;
     Alcotest.test_case "waiver covers two lines only" `Quick test_waiver_scope_is_two_lines;

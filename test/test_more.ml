@@ -137,7 +137,7 @@ let test_link_set_latency () =
 
 let test_server_backlog () =
   let e = Sim.Engine.create () in
-  let s = Sim.Server.create e in
+  let s = Sim.Server.create e (fun k -> k ()) in
   Alcotest.(check int) "idle backlog" 0 (Sim.Time.to_us (Sim.Server.backlog s));
   Sim.Server.submit s ~cost:(Sim.Time.of_ms 4) (fun () -> ());
   Sim.Server.submit s ~cost:(Sim.Time.of_ms 3) (fun () -> ());

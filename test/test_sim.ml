@@ -574,7 +574,7 @@ let test_message_path_allocates_nothing () =
   push_burst ();
   let words = words_per ~n (fun () -> for _ = 1 to n / 64 do push_burst () done) in
   Alcotest.(check (float 0.)) "Delay_line.push and fire" 0. words;
-  let s = Sim.Server.create e in
+  let s = Sim.Server.create e (fun k -> k ()) in
   let k () = incr got in
   let submit_burst () =
     for i = 0 to 63 do
@@ -590,7 +590,7 @@ let test_message_path_allocates_nothing () =
 
 let test_server_serializes () =
   let e = Sim.Engine.create () in
-  let s = Sim.Server.create e in
+  let s = Sim.Server.create e (fun k -> k ()) in
   let finish = ref [] in
   Sim.Server.submit s ~cost:(Sim.Time.of_ms 2) (fun () -> finish := (1, Sim.Engine.now e) :: !finish);
   Sim.Server.submit s ~cost:(Sim.Time.of_ms 3) (fun () -> finish := (2, Sim.Engine.now e) :: !finish);
@@ -605,7 +605,7 @@ let test_server_serializes () =
 
 let test_server_idle_gap () =
   let e = Sim.Engine.create () in
-  let s = Sim.Server.create e in
+  let s = Sim.Server.create e (fun k -> k ()) in
   let at = ref 0 in
   Sim.Server.submit s ~cost:(Sim.Time.of_ms 1) (fun () -> ());
   Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 10) (fun () ->

@@ -195,6 +195,64 @@ let prop_hdr_percentile_in_range =
       let v = Stats.Hdr.percentile h p in
       v >= float_of_int (Stats.Hdr.min_value h) && v <= float_of_int (Stats.Hdr.max_value h))
 
+(* The sample's sort is a monomorphic heap sort; it must order exactly as
+   the polymorphic [Array.sort Float.compare] did, duplicates, single
+   elements, already sorted and reversed runs included. Values come from
+   a small pool half the time so that ties are common. *)
+let prop_sort_floats_matches_array_sort =
+  let pool = [ 0.; 1.; 1.; 2.5; -3.; 7.25; 1e9; -0.; nan; infinity; neg_infinity ] in
+  let value = QCheck.Gen.(oneof [ oneofl pool; float ]) in
+  let arb =
+    QCheck.make
+      ~print:QCheck.Print.(pair (list float) int)
+      QCheck.Gen.(pair (list_size (0 -- 60) value) (0 -- 2))
+  in
+  QCheck.Test.make ~name:"sort_floats orders as Array.sort Float.compare" ~count:500 arb
+    (fun (xs, shape) ->
+      let a = Array.of_list xs in
+      (* 0: as drawn, 1: already sorted, 2: reversed *)
+      if shape > 0 then Array.sort Float.compare a;
+      if shape = 2 then begin
+        let n = Array.length a in
+        for i = 0 to (n / 2) - 1 do
+          let x = a.(i) in
+          a.(i) <- a.(n - 1 - i);
+          a.(n - 1 - i) <- x
+        done
+      end;
+      let want = Array.copy a in
+      Array.sort Float.compare want;
+      Stats.Sample.sort_floats a;
+      Array.for_all2 Float.equal want a)
+
+(* words allocated by [f ()], minor and direct-to-major. Minor words from
+   Gc.minor_words, which is exact; major words from Gc.counters, since
+   quick_stat's major count lags a direct major allocation *)
+let allocated f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* The first percentile query of a sample sorts it: it pays for the one
+   sorted copy (n + 1 words) and a constant (4 words: the cached option
+   and the boxed result), not for boxing the floats it compares (about 95
+   words per sample under Array.sort Float.compare) *)
+let test_percentile_allocates_only_the_copy () =
+  let n = 20_000 in
+  let s = Stats.Sample.create () in
+  for i = 0 to n - 1 do
+    Stats.Sample.add s (float_of_int ((i * 7919) mod n))
+  done;
+  let p99 = ref 0. in
+  let words = allocated (fun () -> p99 := Stats.Sample.percentile s 99.) in
+  Alcotest.(check (float 1e-9)) "p99" 19_799.01 !p99;
+  let beyond = words -. float_of_int (n + 1) in
+  if beyond > 16. then
+    Alcotest.failf "percentile allocated %.0f words beyond its sorted copy" beyond
+
 let test_table_render () =
   let t = Stats.Table.create ~title:"demo" ~columns:[ "a"; "bb" ] in
   Stats.Table.add_row t [ "x"; "1" ];
@@ -215,6 +273,9 @@ let suite =
     Alcotest.test_case "sorted cache invalidation" `Quick test_sample_insert_after_sort;
     qtest prop_percentile_monotone;
     qtest prop_cdf_monotone;
+    qtest prop_sort_floats_matches_array_sort;
+    Alcotest.test_case "percentile allocates only the sorted copy" `Quick
+      test_percentile_allocates_only_the_copy;
     Alcotest.test_case "histogram buckets" `Quick test_histogram;
     Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
     qtest prop_histogram_percentile_in_range;
