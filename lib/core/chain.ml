@@ -107,8 +107,8 @@ let rec try_commit t =
          are compacted away *)
       t.deliver msg;
       if seq land 255 = 0 then compact t;
-      (match Int_tbl.find_opt t.confirms seq with
-      | Some confirm ->
+      (match Int_tbl.find t.confirms seq with
+      | confirm ->
         Int_tbl.remove t.confirms seq;
         if Sim.Probe.active () then
           Sim.Probe.emit ~at:(Sim.Engine.now t.engine) (Sim.Probe.Chain_ack { seq });
@@ -117,7 +117,7 @@ let rec try_commit t =
         let upstream_hops = t.n_alive - 1 in
         let delay = Sim.Time.of_us (upstream_hops * Sim.Time.to_us t.intra_latency) in
         Sim.Engine.schedule t.engine ~delay confirm
-      | None -> ());
+      | exception Not_found -> ());
       try_commit t
     end
 

@@ -15,7 +15,6 @@ let preferred_dc t = t.preferred_dc
 let current_dc t = t.current_dc
 let set_current_dc t dc = t.current_dc <- dc
 let causal_past t = t.label
-let causal_ts t = match t.label with Some l -> l.Label.ts | None -> Sim.Time.zero
 
 let observe t label =
   match t.label with

@@ -22,8 +22,5 @@ val set_current_dc : t -> int -> unit
 val causal_past : t -> Label.t option
 (** [None] until the client has observed any labelled operation. *)
 
-val causal_ts : t -> Sim.Time.t
-(** Timestamp of the causal past, [Time.zero] when empty. *)
-
 val observe : t -> Label.t -> unit
 (** Merge a label into the causal past: replaces it iff greater. *)

@@ -1,8 +1,37 @@
+type op =
+  | Attach of (unit -> unit)
+  | Read of (Kvstore.Value.t option -> unit)
+  | Update of (unit -> unit)
+  | Update_with_label of (Label.t -> unit)
+  | Migrate of { dest_dc : int; k : unit -> unit }
+
+type item =
+  | Request of {
+      op : op;
+      client : Client_lib.t;
+      key : int;
+      mutable value : Kvstore.Value.t; (* the update's value; a read's result *)
+      mutable past : Label.t option; (* the client's causal past on arrival *)
+      mutable label : Label.t; (* the minted label; a read's version label *)
+      mutable hit : bool; (* a read found the key *)
+    }
+  | Stage of Proxy.payload
+
 type hooks = {
   ship_payload : dst:int -> Proxy.payload -> unit;
+  epoch : unit -> int;
   emit_label : Label.t -> unit;
   on_remote_visible : key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
+  reply : item -> unit;
 }
+
+let no_value = Kvstore.Value.make ~payload:0 ~size_bytes:0
+let no_label = Label.update ~ts:Sim.Time.zero ~src_dc:0 ~src_gear:0 ~key:0
+
+let request op client ~key ~value =
+  Request { op; client; key; value; past = None; label = no_label; hit = false }
+
+let not_a_request () = invalid_arg "Datacenter: not a client request"
 
 type t = {
   engine : Sim.Engine.t;
@@ -12,10 +41,10 @@ type t = {
   hooks : hooks;
   partitioning : Kvstore.Partitioning.t;
   clock : Sim.Clock.t;
-  servers : (unit -> unit) Sim.Server.t array; (* items are continuations *)
+  mutable servers : item Sim.Server.t array;
   stores : (Label.t, int) Kvstore.Store.t array;
   gears : Gear.t array;
-  frontends : (unit -> unit) Sim.Server.t array;
+  mutable frontends : item Sim.Server.t array;
   mutable next_frontend : int;
   mutable next_gear : int;
   sink : Sink.t;
@@ -32,17 +61,19 @@ let store_of_key t ~key = t.stores.(responsible t ~key)
 let gear_floor t =
   Array.fold_left (fun acc g -> Sim.Time.min acc (Gear.floor g)) Sim.Time.infinity t.gears
 
+let past_ts = function Some (l : Label.t) -> l.Label.ts | None -> Sim.Time.zero
+
 (* staging pays the remote-apply service time when the payload arrives;
    installation later flips visibility at the payload's position in the
    causal serialization *)
-let stage_remote t (p : Proxy.payload) ~k =
+let stage_remote t (p : Proxy.payload) =
   match p.label.Label.target with
   | Label.Update { key } ->
     let part = responsible t ~key in
     let cost =
       Sim.Time.of_us (Cost_model.saturn_apply_us t.cost ~size_bytes:p.value.Kvstore.Value.size_bytes)
     in
-    Sim.Server.submit t.servers.(part) ~cost k
+    Sim.Server.submit t.servers.(part) ~cost (Stage p)
   | Label.Migration _ | Label.Epoch_change _ ->
     (* only update payloads travel on the bulk channel *)
     assert false
@@ -56,7 +87,96 @@ let install_remote t (p : Proxy.payload) =
       ~value:p.value
   | Label.Migration _ | Label.Epoch_change _ -> assert false
 
-let run k = k ()
+(* Algorithm 1 ATTACH, at frontend completion: a locally generated (or
+   empty) causal past replies at once; otherwise the reply waits for the
+   migration label's application or for per-source stabilization (the
+   cold path that still allocates its closure) *)
+let attach t item = function
+  | None -> t.hooks.reply item
+  | Some (label : Label.t) ->
+    if label.Label.src_dc = t.dc then t.hooks.reply item
+    else begin
+      let reply () = t.hooks.reply item in
+      match label.Label.target with
+      | Label.Migration { dest_dc } when dest_dc = t.dc && Proxy.mode t.proxy = Proxy.Stream ->
+        (* the fast path needs the tree to deliver the migration label;
+           in fallback/peer mode only timestamp stabilization works *)
+        Proxy.wait_for_label t.proxy label reply
+      | Label.Migration _ | Label.Update _ | Label.Epoch_change _ ->
+        Proxy.wait_for_ts t.proxy label.Label.ts reply
+    end
+
+(* Algorithm 2 UPDATE. One payload serves every remote replica, stamped
+   with the sender's epoch at send time: the drain barrier relies on
+   per-channel FIFO, so a tag read at delivery time would claim too much. *)
+let mint_update t ~part ~key ~value ~past =
+  let ts = Gear.generate_ts t.gears.(part) ~client_ts:(past_ts past) in
+  let label = Label.update ~ts ~src_dc:t.dc ~src_gear:part ~key in
+  Kvstore.Store.put t.stores.(part) ~key value label;
+  Stats.Registry.incr t.updates_counter;
+  if Kvstore.Replica_map.mask t.rmap ~key land lnot (1 lsl t.dc) <> 0 then begin
+    let payload =
+      { Proxy.label; value; origin_time = Sim.Engine.now t.engine; epoch = t.hooks.epoch () }
+    in
+    for i = 0 to Kvstore.Replica_map.degree t.rmap ~key - 1 do
+      let dst = Kvstore.Replica_map.replica t.rmap ~key i in
+      if dst <> t.dc then t.hooks.ship_payload ~dst payload
+    done
+  end;
+  Sink.offer t.sink label;
+  label
+
+(* a frontend's completion: attach replies, the rest move on to their
+   storage server *)
+let front t item =
+  match item with
+  | Request r -> (
+    match r.op with
+    | Attach _ -> attach t item r.past
+    | Read _ ->
+      let part = responsible t ~key:r.key in
+      (* read cost depends on the stored value's size *)
+      let size =
+        match Kvstore.Store.find t.stores.(part) ~key:r.key with
+        | v, _ -> v.Kvstore.Value.size_bytes
+        | exception Not_found -> 0
+      in
+      let cost = Sim.Time.of_us (Cost_model.saturn_read_us t.cost ~size_bytes:size) in
+      Sim.Server.submit t.servers.(part) ~cost item
+    | Update _ | Update_with_label _ ->
+      let cost =
+        Sim.Time.of_us (Cost_model.saturn_write_us t.cost ~size_bytes:r.value.Kvstore.Value.size_bytes)
+      in
+      Sim.Server.submit t.servers.(responsible t ~key:r.key) ~cost item
+    | Migrate _ ->
+      let part = t.next_gear in
+      t.next_gear <- (t.next_gear + 1) mod Array.length t.gears;
+      Sim.Server.submit t.servers.(part) ~cost:(Sim.Time.of_us t.cost.Cost_model.scalar_meta_us) item)
+  | Stage _ -> not_a_request ()
+
+(* a storage server's completion: the read, the Algorithm 2 update or
+   migration, or a remote payload's staging *)
+let serve t ~part item =
+  match item with
+  | Request r ->
+    (match r.op with
+    | Read _ -> (
+      match Kvstore.Store.find t.stores.(part) ~key:r.key with
+      | v, l ->
+        r.value <- v;
+        r.label <- l;
+        r.hit <- true
+      | exception Not_found -> r.hit <- false)
+    | Update _ | Update_with_label _ ->
+      r.label <- mint_update t ~part ~key:r.key ~value:r.value ~past:r.past
+    | Migrate { dest_dc; _ } ->
+      let ts = Gear.generate_ts t.gears.(part) ~client_ts:(past_ts r.past) in
+      let label = Label.migration ~ts ~src_dc:t.dc ~src_gear:part ~dest_dc in
+      Sink.offer t.sink label;
+      r.label <- label
+    | Attach _ -> not_a_request ());
+    t.hooks.reply item
+  | Stage p -> Proxy.staged t.proxy p
 
 let create engine ~dc ~n_dcs ~partitions ~frontends ~cost ~rmap ~hooks ?(clock_offset = Sim.Time.zero)
     ?registry ?series ?(proxy_mode = Proxy.Stream) () =
@@ -76,28 +196,29 @@ let create engine ~dc ~n_dcs ~partitions ~frontends ~cost ~rmap ~hooks ?(clock_o
       hooks;
       partitioning = Kvstore.Partitioning.create ~partitions;
       clock;
-      servers = Array.init partitions (fun _ -> Sim.Server.create engine run);
+      servers = [||];
       stores = Array.init partitions (fun _ -> Kvstore.Store.create ());
       gears;
-      frontends = Array.init frontends (fun _ -> Sim.Server.create engine run);
+      frontends = [||];
       next_frontend = 0;
       next_gear = 0;
       sink;
       proxy =
-        Proxy.create engine ~dc ~n_dcs
-          ~stage_update:(fun _ ~k -> k ())
-          ~install_update:(fun _ -> ())
-          ~registry ~mode:proxy_mode ();
+        Proxy.create engine ~dc ~n_dcs ~stage_update:ignore ~install_update:ignore ~registry
+          ~mode:proxy_mode ();
       updates_counter = Stats.Registry.counter registry (Printf.sprintf "dc%d.updates_originated" dc);
       stopped = false;
     }
   in
+  (* handlers are made once, here: a request is its own server item *)
+  t.servers <- Array.init partitions (fun part -> Sim.Server.create engine (serve t ~part));
+  t.frontends <- Array.init frontends (fun _ -> Sim.Server.create engine (front t));
   (* tie the proxy's staging/install back to the datacenter's servers; only
      this real proxy registers series gauges — the placeholder above must
      not claim the names *)
   t.proxy <-
     Proxy.create engine ~dc ~n_dcs
-      ~stage_update:(fun p ~k -> stage_remote t p ~k)
+      ~stage_update:(fun p -> stage_remote t p)
       ~install_update:(fun p -> install_remote t p)
       ~registry ?series ~mode:proxy_mode ();
   (* long-running deployments: bound the proxy's applied-label bookkeeping *)
@@ -105,73 +226,15 @@ let create engine ~dc ~n_dcs ~partitions ~frontends ~cost ~rmap ~hooks ?(clock_o
     ~stop:(fun () -> t.stopped);
   t
 
-let via_frontend t k =
+(* a request reaches the datacenter: it takes the client's causal past
+   with it, then waits for a frontend, round-robin *)
+let arrive t item =
+  (match item with
+  | Request r -> r.past <- Client_lib.causal_past r.client
+  | Stage _ -> not_a_request ());
   let fe = t.frontends.(t.next_frontend) in
   t.next_frontend <- (t.next_frontend + 1) mod Array.length t.frontends;
-  Sim.Server.submit fe ~cost:(Sim.Time.of_us t.cost.Cost_model.frontend_us) k
-
-let attach t ~client_label ~k =
-  via_frontend t (fun () ->
-      match client_label with
-      | None -> k ()
-      | Some (label : Label.t) ->
-        if label.Label.src_dc = t.dc then k ()
-        else begin
-          match label.Label.target with
-          | Label.Migration { dest_dc } when dest_dc = t.dc && Proxy.mode t.proxy = Proxy.Stream ->
-            (* the fast path needs the tree to deliver the migration label;
-               in fallback/peer mode only timestamp stabilization works *)
-            Proxy.wait_for_label t.proxy label k
-          | Label.Migration _ | Label.Update _ | Label.Epoch_change _ ->
-            Proxy.wait_for_ts t.proxy label.Label.ts k
-        end)
-
-let read t ~key ~k =
-  via_frontend t (fun () ->
-      let part = responsible t ~key in
-      (* read cost depends on the stored value's size *)
-      let size =
-        match Kvstore.Store.get t.stores.(part) ~key with
-        | Some (v, _) -> v.Kvstore.Value.size_bytes
-        | None -> 0
-      in
-      let cost = Sim.Time.of_us (Cost_model.saturn_read_us t.cost ~size_bytes:size) in
-      Sim.Server.submit t.servers.(part) ~cost (fun () -> k (Kvstore.Store.get t.stores.(part) ~key)))
-
-let update t ~key ~value ~client_ts ~k =
-  via_frontend t (fun () ->
-      let part = responsible t ~key in
-      let cost =
-        Sim.Time.of_us (Cost_model.saturn_write_us t.cost ~size_bytes:value.Kvstore.Value.size_bytes)
-      in
-      Sim.Server.submit t.servers.(part) ~cost (fun () ->
-          let gear = t.gears.(part) in
-          let ts = Gear.generate_ts gear ~client_ts in
-          let label = Label.update ~ts ~src_dc:t.dc ~src_gear:part ~key in
-          Kvstore.Store.put t.stores.(part) ~key value label;
-          Stats.Registry.incr t.updates_counter;
-          let origin_time = Sim.Engine.now t.engine in
-          for i = 0 to Kvstore.Replica_map.degree t.rmap ~key - 1 do
-            let dst = Kvstore.Replica_map.replica t.rmap ~key i in
-            if dst <> t.dc then
-              (* epoch 0 placeholder: the ship hook stamps the system's
-                 current epoch on the way out *)
-              t.hooks.ship_payload ~dst { Proxy.label; value; origin_time; epoch = 0 }
-          done;
-          Sink.offer t.sink label;
-          k label))
-
-let migrate t ~dest_dc ~client_ts ~k =
-  via_frontend t (fun () ->
-      let part = t.next_gear in
-      t.next_gear <- (t.next_gear + 1) mod Array.length t.gears;
-      let cost = Sim.Time.of_us t.cost.Cost_model.scalar_meta_us in
-      Sim.Server.submit t.servers.(part) ~cost (fun () ->
-          let gear = t.gears.(part) in
-          let ts = Gear.generate_ts gear ~client_ts in
-          let label = Label.migration ~ts ~src_dc:t.dc ~src_gear:part ~dest_dc in
-          Sink.offer t.sink label;
-          k label))
+  Sim.Server.submit fe ~cost:(Sim.Time.of_us t.cost.Cost_model.frontend_us) item
 
 let emit_epoch_label t ~epoch =
   let gear = t.gears.(0) in

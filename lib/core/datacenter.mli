@@ -10,13 +10,48 @@
 
 type t
 
+(** What one client request asks for, with the caller's continuation. *)
+type op =
+  | Attach of (unit -> unit)
+  | Read of (Kvstore.Value.t option -> unit)
+  | Update of (unit -> unit)
+  | Update_with_label of (Label.t -> unit)
+  | Migrate of { dest_dc : int; k : unit -> unit }
+      (** [k] continues after the attach at [dest_dc] that follows *)
+
+(** A frontend's or storage server's work item. A client op is one
+    [Request] record from the client to its storage server and back: it
+    rides {!System}'s request legs, then this datacenter's frontend and
+    storage-server queues, and carries the op's inputs and results, so
+    the path allocates no closure. *)
+type item =
+  | Request of {
+      op : op;
+      client : Client_lib.t;
+      key : int;  (** read or update key *)
+      mutable value : Kvstore.Value.t;  (** the update's value; a read's result *)
+      mutable past : Label.t option;  (** the client's causal past, taken on {!arrive} *)
+      mutable label : Label.t;  (** the minted label; a read's version label *)
+      mutable hit : bool;  (** a read found the key *)
+    }
+  | Stage of Proxy.payload  (** a remote payload's staging (remote-apply cost) *)
+
 type hooks = {
   ship_payload : dst:int -> Proxy.payload -> unit;
-      (** bulk-data transfer of an update to a replica datacenter *)
+      (** bulk-data transfer of an update to a replica datacenter; one
+          payload is shared by every destination of an update *)
+  epoch : unit -> int;  (** the configuration epoch stamped on shipped payloads *)
   emit_label : Label.t -> unit;  (** sink output toward the metadata service *)
   on_remote_visible : key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
       (** a remote update just became visible locally *)
+  reply : item -> unit;  (** a served [Request] leaves for its client *)
 }
+
+val request : op -> Client_lib.t -> key:int -> value:Kvstore.Value.t -> item
+(** A fresh [Request]; [key] and [value] are ignored by ops that take
+    none (pass {!no_value}). *)
+
+val no_value : Kvstore.Value.t
 
 val create :
   Sim.Engine.t ->
@@ -44,24 +79,19 @@ val store_of_key : t -> key:int -> (Label.t, int) Kvstore.Store.t
 val gear_floor : t -> Sim.Time.t
 (** min over gears — the datacenter's bulk-heartbeat promise. *)
 
-(** {2 Frontend operations} — continuation-passing; each consumes frontend
-    and storage-server service time before completing. *)
+(** {2 Client requests} *)
 
-val attach : t -> client_label:Label.t option -> k:(unit -> unit) -> unit
-(** Algorithm 1 ATTACH: returns immediately for locally-generated (or
-    empty) causal pasts; waits for migration-label application or for
-    per-source timestamp stabilization otherwise. *)
-
-val read : t -> key:int -> k:((Kvstore.Value.t * Label.t) option -> unit) -> unit
-
-val update :
-  t -> key:int -> value:Kvstore.Value.t -> client_ts:Sim.Time.t -> k:(Label.t -> unit) -> unit
-(** Algorithm 2 UPDATE: mints the label, persists locally, ships payloads
-    to replica datacenters and hands the label to the sink. *)
-
-val migrate : t -> dest_dc:int -> client_ts:Sim.Time.t -> k:(Label.t -> unit) -> unit
-(** Algorithm 2 MIGRATION: mints a migration label (greater than the
-    client's past) and sinks it. *)
+val arrive : t -> item -> unit
+(** A [Request] reaches the datacenter: it snapshots the client's causal
+    past, then takes frontend service time (round-robin). At the frontend
+    an attach runs Algorithm 1 ATTACH: it replies at once for a locally
+    generated (or empty) causal past, and otherwise waits for the
+    migration label's application or for per-source timestamp
+    stabilization. Reads, updates (Algorithm 2 UPDATE: mint the label,
+    persist, ship one payload to the replicas, sink the label) and
+    migrations (Algorithm 2 MIGRATION) then take storage-server service
+    time. Every request ends with [hooks.reply].
+    @raise Invalid_argument on a [Stage] item. *)
 
 val emit_epoch_label : t -> epoch:int -> Label.t
 (** Mints an epoch-change label (§6.2) and hands it to the sink; returns it

@@ -25,14 +25,17 @@ module Label_tbl = Hashtbl.Make (struct
 end)
 
 (* the per-datacenter serialization, as a growable array-deque: the applied
-   prefix is pruned by advancing [head]; appends are amortized O(1) *)
-type stream = { mutable arr : entry option array; mutable head : int; mutable tail : int }
+   prefix is pruned by advancing [head]; appends are amortized O(1). Slots
+   outside [head, tail) hold [vacant], so a push stores the entry itself *)
+type stream = { mutable arr : entry array; mutable head : int; mutable tail : int }
+
+let vacant = { label = Label.update ~ts:Sim.Time.zero ~src_dc:0 ~src_gear:0 ~key:0; state = Applied }
 
 type t = {
   engine : Sim.Engine.t;
   dc : int;
   n_dcs : int;
-  stage_update : payload -> k:(unit -> unit) -> unit;
+  stage_update : payload -> unit;
   install_update : payload -> unit;
   mutable mode : mode;
   stream : stream;
@@ -72,16 +75,14 @@ let create engine ~dc ~n_dcs ~stage_update ~install_update ?registry ?series ?(m
     stage_update;
     install_update;
     mode;
-    stream = { arr = Array.make 64 None; head = 0; tail = 0 };
+    stream = { arr = Array.make 64 vacant; head = 0; tail = 0 };
     labels = Label_tbl.create 256;
     held = 0;
     applied_wm = Array.make n_dcs Sim.Time.zero;
     bulk_floor = Array.make n_dcs Sim.Time.zero;
     bulk_epoch = Array.make n_dcs 0;
     old_pending = 0;
-    pending_by_src =
-      (let dummy = Label.update ~ts:Sim.Time.zero ~src_dc:0 ~src_gear:0 ~key:0 in
-       Array.init n_dcs (fun _ -> Sim.Heap.Keyed.create ~dummy ()));
+    pending_by_src = Array.init n_dcs (fun _ -> Sim.Heap.Keyed.create ~dummy:vacant.label ());
     label_waiters = Label_tbl.create 32;
     ts_waiters = [];
     migration_hook = None;
@@ -107,7 +108,7 @@ let create engine ~dc ~n_dcs ~stage_update ~install_update ?registry ?series ?(m
         let s = t.stream in
         let n = ref t.held in
         for i = s.head to s.tail - 1 do
-          match s.arr.(i) with Some { state = Waiting; _ } -> incr n | Some _ | None -> ()
+          match s.arr.(i).state with Waiting -> incr n | Applied -> ()
         done;
         float_of_int !n)
   | None -> ());
@@ -150,7 +151,7 @@ let pending_stream t =
   let s = t.stream in
   let n = ref 0 in
   for i = s.head to s.tail - 1 do
-    match s.arr.(i) with Some { state = Waiting; _ } -> incr n | Some _ | None -> ()
+    match s.arr.(i).state with Waiting -> incr n | Applied -> ()
   done;
   !n
 let label_was_applied t l =
@@ -236,11 +237,9 @@ let mark_applied t (label : Label.t) =
 
 (* ---- the Saturn-serialization path ------------------------------------ *)
 
-let stream_get s i = match s.arr.(i) with Some e -> e | None -> assert false
-
 let stream_prune s =
-  while s.head < s.tail && (stream_get s s.head).state = Applied do
-    s.arr.(s.head) <- None;
+  while s.head < s.tail && s.arr.(s.head).state = Applied do
+    s.arr.(s.head) <- vacant;
     s.head <- s.head + 1
   done
 
@@ -251,17 +250,17 @@ let stream_push s e =
     if live * 2 <= cap then begin
       (* compact in place *)
       Array.blit s.arr s.head s.arr 0 live;
-      Array.fill s.arr live (cap - live) None
+      Array.fill s.arr live (cap - live) vacant
     end
     else begin
-      let bigger = Array.make (cap * 2) None in
+      let bigger = Array.make (cap * 2) vacant in
       Array.blit s.arr s.head bigger 0 live;
       s.arr <- bigger
     end;
     s.head <- 0;
     s.tail <- live
   end;
-  s.arr.(s.tail) <- Some e;
+  s.arr.(s.tail) <- e;
   s.tail <- s.tail + 1
 
 (* Timestamp inversions in the delivered stream (the §4.3 concurrency
@@ -287,7 +286,7 @@ let rec scan t =
       let blocked_seen = ref 0 in
       let i = ref s.head in
       while !i < s.tail && !blocked_seen < scan_window do
-        let e = stream_get s !i in
+        let e = s.arr.(!i) in
         (match e.state with
         | Waiting when Sim.Time.compare !min_unapplied e.label.Label.ts >= 0 ->
           if try_apply t e then continue := true
@@ -456,26 +455,28 @@ let on_payload t (p : payload) =
     Label_tbl.replace t.labels p.label progress;
     Sim.Heap.Keyed.push t.pending_by_src.(src) ~k1:(Label.key_ts p.label)
       ~k2:(Label.key_src p.label) p.label;
-    t.stage_update p ~k:(fun () ->
-        if not (label_was_applied t p.label) then begin
-          (* closes the bulk-transfer span opened when the payload left the
-             origin datacenter (System's ship hook) *)
-          if Sim.Probe.active () then begin
-            let l = p.label in
-            Sim.Span.end_ ~at:(Sim.Engine.now t.engine) Sim.Span.Sk_bulk ~origin:l.Label.src_dc
-              ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear ~site:l.Label.src_dc ~peer:t.dc
-              ~epoch:0
-          end;
-          (match Label_tbl.find t.labels p.label with
-          | Arrived q -> Label_tbl.replace t.labels p.label (Staged q)
-          | Staged _ | Done | (exception Not_found) -> ());
-          (match t.mode with Stream -> scan t | Fallback -> ());
-          try_fallback t
-        end));
+    t.stage_update p);
   check_ts_waiters t;
   (match t.mode with Stream -> scan t | Fallback -> ());
   try_fallback t;
   check_switch_completion t
+
+let staged t (p : payload) =
+  if not (label_was_applied t p.label) then begin
+    (* closes the bulk-transfer span opened when the payload left the
+       origin datacenter (System's ship hook) *)
+    if Sim.Probe.active () then begin
+      let l = p.label in
+      Sim.Span.end_ ~at:(Sim.Engine.now t.engine) Sim.Span.Sk_bulk ~origin:l.Label.src_dc
+        ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear ~site:l.Label.src_dc ~peer:t.dc
+        ~epoch:0
+    end;
+    (match Label_tbl.find t.labels p.label with
+    | Arrived q -> Label_tbl.replace t.labels p.label (Staged q)
+    | Staged _ | Done | (exception Not_found) -> ());
+    (match t.mode with Stream -> scan t | Fallback -> ());
+    try_fallback t
+  end
 
 let on_heartbeat t ~src ?(epoch = 0) ts =
   t.bulk_floor.(src) <- Sim.Time.max t.bulk_floor.(src) ts;

@@ -30,7 +30,8 @@ type payload = {
   origin_time : Sim.Time.t;
   epoch : int;
       (** configuration epoch at the origin when the shipment left; stamped
-          by {!System}'s ship hook and used by the forced-switch drain
+          once by the origin datacenter when it ships the update (one
+          payload serves every replica) and used by the forced-switch drain
           barrier (bulk channels are FIFO, so a post-switch tag from a
           source proves all its pre-switch shipments have arrived) *)
 }
@@ -43,7 +44,7 @@ val create :
   Sim.Engine.t ->
   dc:int ->
   n_dcs:int ->
-  stage_update:(payload -> k:(unit -> unit) -> unit) ->
+  stage_update:(payload -> unit) ->
   install_update:(payload -> unit) ->
   ?registry:Stats.Registry.t ->
   ?series:Stats.Series.t ->
@@ -51,8 +52,8 @@ val create :
   unit ->
   t
 (** [stage_update] is invoked when a payload arrives: it should consume
-    storage-server service time (the remote-apply cost) and call [k] when
-    staged. [install_update] fires later, at the payload's position in the
+    storage-server service time (the remote-apply cost) and then call
+    {!staged} with the payload. [install_update] fires later, at the payload's position in the
     causal serialization, and must synchronously make the version visible
     (store install + measurement hook). Splitting the two keeps the
     stream's ordered installs off the storage servers' queues — remote
@@ -73,6 +74,12 @@ val on_label : t -> Label.t -> unit
 
 val on_payload : t -> payload -> unit
 (** An update payload delivered by the bulk-data transfer service. *)
+
+val staged : t -> payload -> unit
+(** The storage server finished staging a payload that {!on_payload}
+    handed to [stage_update]: it becomes installable at its position. A
+    no-op when the label was applied meanwhile (a duplicate shipment, or
+    a label the timestamp sweep installed from an earlier copy). *)
 
 val on_heartbeat : t -> src:int -> ?epoch:int -> Sim.Time.t -> unit
 (** Bulk-channel heartbeat: origin [src] promises to never issue smaller

@@ -176,7 +176,7 @@ let rec arm_timer s =
         end)
   end
 
-let send s ?(size_bytes = 0) msg =
+let send s ~size_bytes msg =
   match s.route with
   | None -> invalid_arg "Reliable_fifo.send: not connected"
   | Some route ->

@@ -11,8 +11,7 @@
     channel carries the retransmission entry itself and the ack channel
     the acked sequence number, and both handlers are made once, at
     {!connect}. The unacknowledged backlog is a {!Sim.Ring}. So in steady
-    state a message costs its entry (and the [Some] of an explicit
-    non-constant [~size_bytes]) and nothing per hop or per ack; an
+    state a message costs its entry and nothing per hop or per ack; an
     in-order arrival with nothing buffered skips the out-of-order
     table. *)
 
@@ -42,8 +41,8 @@ val connect : 'msg sender -> data:Sim.Link.t -> ack:Sim.Link.t -> 'msg receiver 
     receiver. @raise Invalid_argument when a wire already has its channel
     (a wire carries one channel, so wires cannot be reused). *)
 
-val send : 'msg sender -> ?size_bytes:int -> 'msg -> unit
-(** Queues and transmits. @raise Invalid_argument before the first
+val send : 'msg sender -> size_bytes:int -> 'msg -> unit
+(** Queues and transmits; [size_bytes] is the message's wire size. @raise Invalid_argument before the first
     {!connect}. *)
 
 val unacked : 'msg sender -> int

@@ -50,6 +50,9 @@ type t = {
   mutable dcs : Datacenter.t array;
   bulk_wires : Sim.Link.t array array; (* [src].[dst]; diagonal unused *)
   mutable bulk : bulk_msg Sim.Link.chan array array; (* the wires' channels *)
+  leg_latency : Sim.Time.t array array; (* [home site].[dc], one way *)
+  mutable out_legs : Datacenter.item Sim.Delay_line.t array array; (* [home site].[dc] *)
+  mutable back_legs : Datacenter.item Sim.Delay_line.t array array; (* [dc].[home site] *)
   mutable service : Service.t option;
   mutable next_service : Service.t option;
   routes : route array; (* per-dc: which tree the sink currently feeds *)
@@ -86,16 +89,18 @@ let deliver_next t ~dc label = Proxy.on_label_next (Datacenter.proxy t.dcs.(dc))
 
 let route_label t dc label =
   let route = t.routes.(dc) in
-  let input service = Service.input service ~dc label in
   let in_dual_window = t.switch_at <> None && t.switch_pending_dcs > 0 in
-  (if route.to_next then begin
-     if in_dual_window then Stats.Registry.incr t.labels_new_counter;
-     Option.iter input t.next_service
-   end
-   else begin
-     if in_dual_window then Stats.Registry.incr t.labels_old_counter;
-     Option.iter input t.service
-   end);
+  let service =
+    if route.to_next then begin
+      if in_dual_window then Stats.Registry.incr t.labels_new_counter;
+      t.next_service
+    end
+    else begin
+      if in_dual_window then Stats.Registry.incr t.labels_old_counter;
+      t.service
+    end
+  in
+  (match service with Some s -> Service.input s ~dc label | None -> ());
   (* the epoch-change marker is the last label through the old tree *)
   match route.marker with
   | Some m when Label.equal m label -> route.to_next <- true
@@ -105,6 +110,82 @@ let on_bulk t dst = function
   | Payload payload -> Proxy.on_payload (Datacenter.proxy t.dcs.(dst)) payload
   | Heartbeat { src; epoch; floor } ->
     Proxy.on_heartbeat (Datacenter.proxy t.dcs.(dst)) ~src ~epoch floor
+
+(* ---- client operations -------------------------------------------------- *)
+
+(* Each op is one [Datacenter.Request] record on two request legs: a
+   delay line per (home site, dc) to the datacenter and one per (dc, home
+   site) back. A leg's latency is fixed per pair, so due times never
+   decrease, and every push lands at the point and time of the closure it
+   replaced. *)
+
+let not_a_request () = invalid_arg "System: not a client request"
+
+let send t client ~dc item =
+  let home = Client_lib.home_site client in
+  let at = Sim.Time.add (Sim.Engine.now t.engine) t.leg_latency.(home).(dc) in
+  Sim.Delay_line.push t.out_legs.(home).(dc) ~at item
+
+let reply t dc item =
+  match item with
+  | Datacenter.Request r ->
+    let home = Client_lib.home_site r.client in
+    let at = Sim.Time.add (Sim.Engine.now t.engine) t.leg_latency.(home).(dc) in
+    Sim.Delay_line.push t.back_legs.(dc).(home) ~at item
+  | Datacenter.Stage _ -> not_a_request ()
+
+let attach t client ~dc ~k =
+  send t client ~dc (Datacenter.request (Attach k) client ~key:0 ~value:Datacenter.no_value)
+
+let read t client ~key ~k =
+  send t client ~dc:(Client_lib.current_dc client)
+    (Datacenter.request (Read k) client ~key ~value:Datacenter.no_value)
+
+let update t client ~key ~value ~k =
+  send t client ~dc:(Client_lib.current_dc client) (Datacenter.request (Update k) client ~key ~value)
+
+let update_with_label t client ~key ~value ~k =
+  send t client ~dc:(Client_lib.current_dc client)
+    (Datacenter.request (Update_with_label k) client ~key ~value)
+
+let migrate t client ~dest_dc ~k =
+  let dc = Client_lib.current_dc client in
+  (* Migration labels are an optimization (§4.4), not a requirement: they
+     pay one request round-trip to the current datacenter. That is free
+     when the client is at its preferred site, but from a remote datacenter
+     the request itself crosses the WAN, costing more than the conservative
+     attach it would save — so a returning client attaches directly
+     (Algorithm 1 handles its label: instantly when the causal past was
+     generated at the destination, per-source stabilization otherwise). *)
+  if dc = Client_lib.preferred_dc client && not t.p.peer_mode then
+    send t client ~dc
+      (Datacenter.request (Migrate { dest_dc; k }) client ~key:0 ~value:Datacenter.no_value)
+  else attach t client ~dc:dest_dc ~k
+
+(* the back legs' one handler: the reply reaches the client at [dc] *)
+let finish t dc item =
+  match item with
+  | Datacenter.Request r -> (
+    match r.op with
+    | Attach k ->
+      Client_lib.set_current_dc r.client dc;
+      k ()
+    | Read k ->
+      if r.hit then begin
+        Client_lib.observe r.client r.label;
+        k (Some r.value)
+      end
+      else k None
+    | Update k ->
+      Client_lib.observe r.client r.label;
+      k ()
+    | Update_with_label k ->
+      Client_lib.observe r.client r.label;
+      k r.label
+    | Migrate { dest_dc; k } ->
+      Client_lib.observe r.client r.label;
+      attach t r.client ~dc:dest_dc ~k)
+  | Datacenter.Stage _ -> not_a_request ()
 
 let heartbeat_wire_bytes = 12 (* floor ts (8) + src dc (2) + epoch tag (2) *)
 
@@ -117,6 +198,7 @@ let create ?registry ?series engine p hooks =
      construction and only heartbeats add background bytes. *)
   let meta = Stats.Meta_bytes.create registry ~system:"saturn" in
   let n = Array.length p.dc_sites in
+  let n_sites = Sim.Topology.n_sites p.topo in
   let bulk_wires =
     Array.init n (fun i ->
         Array.init n (fun j ->
@@ -135,6 +217,13 @@ let create ?registry ?series engine p hooks =
       dcs = [||];
       bulk_wires;
       bulk = [||];
+      leg_latency =
+        Array.init n_sites (fun home ->
+            Array.init n (fun dc ->
+                if home = p.dc_sites.(dc) then Sim.Time.of_us p.cost.Cost_model.intra_dc_us
+                else Sim.Topology.latency p.topo home p.dc_sites.(dc)));
+      out_legs = [||];
+      back_legs = [||];
       service = None;
       next_service = None;
       routes = Array.init n (fun _ -> { to_next = false; marker = None });
@@ -154,10 +243,6 @@ let create ?registry ?series engine p hooks =
           {
             Datacenter.ship_payload =
               (fun ~dst payload ->
-                (* stamp the sender's epoch at SEND time: the drain barrier
-                   relies on per-channel FIFO, so a tag read at delivery
-                   time would claim too much *)
-                let payload = { payload with Proxy.epoch = t.epoch } in
                 let size = payload.Proxy.value.Kvstore.Value.size_bytes + Label.size_bytes in
                 Stats.Meta_bytes.record_op meta ~bytes:Label.size_bytes ~fanout:1;
                 if Sim.Probe.active () then begin
@@ -168,10 +253,12 @@ let create ?registry ?series engine p hooks =
                     ~site:l.Label.src_dc ~peer:dst ~epoch:0
                 end;
                 Sim.Link.send t.bulk.(dc).(dst) ~size_bytes:size (Payload payload));
+            epoch = (fun () -> t.epoch);
             emit_label = (fun label -> route_label t dc label);
             on_remote_visible =
               (fun ~key ~origin_dc ~origin_time ~value ->
                 hooks.on_visible ~dc ~key ~origin_dc ~origin_time ~value);
+            reply = (fun item -> reply t dc item);
           }
         in
         let clock_offset =
@@ -181,6 +268,10 @@ let create ?registry ?series engine p hooks =
           ~cost:p.cost ~rmap:p.rmap ~hooks:hooks_dc ~clock_offset ~registry ?series
           ~proxy_mode:(if p.peer_mode then Proxy.Fallback else Proxy.Stream)
           ());
+  t.out_legs <-
+    Array.init n_sites (fun _ ->
+        Array.init n (fun dc -> Sim.Delay_line.create engine (Datacenter.arrive t.dcs.(dc))));
+  t.back_legs <- Array.init n (fun dc -> Array.init n_sites (fun _ -> Sim.Delay_line.create engine (finish t dc)));
   t.bulk <- Array.map (Array.mapi (fun dst w -> Sim.Link.chan w (on_bulk t dst))) bulk_wires;
   if not p.peer_mode then
     t.service <-
@@ -231,75 +322,6 @@ let create ?registry ?series engine p hooks =
       ~stop:(fun () -> t.stopped)
   done;
   t
-
-(* ---- client operations -------------------------------------------------- *)
-
-let request_latency t client ~dc =
-  let dc_site = t.p.dc_sites.(dc) in
-  let home = Client_lib.home_site client in
-  if home = dc_site then Sim.Time.of_us t.p.cost.Cost_model.intra_dc_us
-  else Sim.Topology.latency t.p.topo home dc_site
-
-(* Each op is two request legs of [request_latency]: to the datacenter,
-   then back with the reply, written out per op rather than wrapped, so a
-   request allocates only its own continuations. *)
-
-let attach t client ~dc ~k =
-  let lat = request_latency t client ~dc in
-  Sim.Engine.schedule t.engine ~delay:lat (fun () ->
-      Datacenter.attach t.dcs.(dc) ~client_label:(Client_lib.causal_past client) ~k:(fun () ->
-          Sim.Engine.schedule t.engine ~delay:lat (fun () ->
-              Client_lib.set_current_dc client dc;
-              k ())))
-
-let read t client ~key ~k =
-  let dc = Client_lib.current_dc client in
-  let lat = request_latency t client ~dc in
-  Sim.Engine.schedule t.engine ~delay:lat (fun () ->
-      Datacenter.read t.dcs.(dc) ~key ~k:(fun result ->
-          Sim.Engine.schedule t.engine ~delay:lat (fun () ->
-              match result with
-              | Some (value, label) ->
-                Client_lib.observe client label;
-                k (Some value)
-              | None -> k None)))
-
-(* [finish k label] ends an update: static, so {!update} and
-   {!update_with_label} share the legs without a wrapper closure per call *)
-let update_legs t client ~key ~value ~finish k =
-  let dc = Client_lib.current_dc client in
-  let lat = request_latency t client ~dc in
-  Sim.Engine.schedule t.engine ~delay:lat (fun () ->
-      Datacenter.update t.dcs.(dc) ~key ~value ~client_ts:(Client_lib.causal_ts client)
-        ~k:(fun label ->
-          Sim.Engine.schedule t.engine ~delay:lat (fun () ->
-              Client_lib.observe client label;
-              finish k label)))
-
-let update_with_label t client ~key ~value ~k =
-  update_legs t client ~key ~value ~finish:(fun k label -> k label) k
-
-let update t client ~key ~value ~k = update_legs t client ~key ~value ~finish:(fun k _ -> k ()) k
-
-let migrate t client ~dest_dc ~k =
-  let dc = Client_lib.current_dc client in
-  (* Migration labels are an optimization (§4.4), not a requirement: they
-     pay one request round-trip to the current datacenter. That is free
-     when the client is at its preferred site, but from a remote datacenter
-     the request itself crosses the WAN, costing more than the conservative
-     attach it would save — so a returning client attaches directly
-     (Algorithm 1 handles its label: instantly when the causal past was
-     generated at the destination, per-source stabilization otherwise). *)
-  if dc = Client_lib.preferred_dc client && not t.p.peer_mode then begin
-    let lat = request_latency t client ~dc in
-    Sim.Engine.schedule t.engine ~delay:lat (fun () ->
-        Datacenter.migrate t.dcs.(dc) ~dest_dc ~client_ts:(Client_lib.causal_ts client)
-          ~k:(fun label ->
-            Sim.Engine.schedule t.engine ~delay:lat (fun () ->
-                Client_lib.observe client label;
-                attach t client ~dc:dest_dc ~k)))
-  end
-  else attach t client ~dc:dest_dc ~k
 
 (* ---- reconfiguration ---------------------------------------------------- *)
 

@@ -73,7 +73,11 @@ val bulk_link : t -> src:int -> dst:int -> Sim.Link.t
 val params : t -> params
 
 (** {2 Client operations} (continuation-passing; includes network latency
-    from the client's home site to the target datacenter) *)
+    from the client's home site to the target datacenter). Each op
+    travels as one {!Datacenter.Request} record: out on a delay line per
+    (home site, datacenter), through the datacenter's frontend and
+    storage server, and back on a delay line per (datacenter, home site),
+    so the path allocates no closure of its own. *)
 
 val attach : t -> Client_lib.t -> dc:int -> k:(unit -> unit) -> unit
 val read : t -> Client_lib.t -> key:int -> k:(Kvstore.Value.t option -> unit) -> unit

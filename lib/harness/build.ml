@@ -84,6 +84,10 @@ let hooks_of_metrics metrics =
         Metrics.on_visible metrics ~dc ~key ~origin_dc ~origin_time ~value);
   }
 
+(* client id -> library state, with int equality instead of the
+   polymorphic compare per op *)
+module Int_tbl = Hashtbl.Make (Int)
+
 let saturn_with ~peer ?registry ?series ?faults engine spec metrics =
   let config =
     match spec.saturn_config with
@@ -113,16 +117,16 @@ let saturn_with ~peer ?registry ?series ?faults engine spec metrics =
   in
   let system = Saturn.System.create ?registry ?series engine params (hooks_of_metrics metrics) in
   Option.iter (fun f -> Faults.Registry.bind_system f system) faults;
-  let table : (int, Saturn.Client_lib.t) Hashtbl.t = Hashtbl.create 256 in
+  let table : Saturn.Client_lib.t Int_tbl.t = Int_tbl.create 256 in
   let lib (c : Client.t) =
-    match Hashtbl.find table c.Client.id with
+    match Int_tbl.find table c.Client.id with
     | l -> l
     | exception Not_found ->
       let l =
         Saturn.Client_lib.create ~id:c.Client.id ~home_site:c.Client.home_site
           ~preferred_dc:c.Client.preferred_dc
       in
-      Hashtbl.replace table c.Client.id l;
+      Int_tbl.replace table c.Client.id l;
       l
   in
   let api =

@@ -19,6 +19,7 @@ let put_if_newer t ~cmp ~key v m =
     else false
 
 let get t ~key = Hashtbl.find_opt t.tbl key
+let find t ~key = Hashtbl.find t.tbl key
 let mem t ~key = Hashtbl.mem t.tbl key
 let size t = Hashtbl.length t.tbl
 

@@ -21,6 +21,11 @@ val put_if_newer :
     write was installed — the replica-side last-writer-wins rule. *)
 
 val get : ('meta, int) t -> key:int -> (Value.t * 'meta) option
+
+val find : ('meta, int) t -> key:int -> Value.t * 'meta
+(** The stored pair itself, as {!get} without the [Some]: allocates
+    nothing. @raise Not_found when the key is absent. *)
+
 val mem : ('meta, int) t -> key:int -> bool
 val size : ('meta, int) t -> int
 

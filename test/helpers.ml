@@ -40,6 +40,25 @@ let run_until_some engine result =
   | Some v -> v
   | None -> Alcotest.fail "operation did not complete within simulated 30s"
 
+(* A proxy at datacenter 0 whose staging completes on the spot. *)
+let instant_proxy ?mode engine ~n_dcs ~install_update =
+  let rec proxy =
+    lazy
+      (Saturn.Proxy.create engine ~dc:0 ~n_dcs
+         ~stage_update:(fun p -> Saturn.Proxy.staged (Lazy.force proxy) p)
+         ~install_update ?mode ())
+  in
+  Lazy.force proxy
+
+(* words allocated by [f ()], minor and direct-to-major (see test_stats) *)
+let allocated f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
 let value ?(size = 8) payload = Kvstore.Value.make ~payload ~size_bytes:size
 
 (* 64-bit FNV-1a over the bytes [Probe.write_jsonl] writes, read back in

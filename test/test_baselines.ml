@@ -323,14 +323,7 @@ let drain engine =
     ()
   done
 
-(* words allocated by [f ()], minor and direct-to-major (see test_stats) *)
-let allocated f =
-  let _, promoted0, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  f ();
-  let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+let allocated = Helpers.allocated
 
 (* A fabric over three EC2 datacenters whose protocol only counts what
    reaches it, so the pins below weigh the fabric's own queues. *)

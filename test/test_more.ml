@@ -33,10 +33,9 @@ let test_sweep_rescues_lost_label () =
   let engine = Sim.Engine.create () in
   let installed = ref [] in
   let proxy =
-    Saturn.Proxy.create engine ~dc:0 ~n_dcs:3
-      ~stage_update:(fun _ ~k -> k ())
+    Helpers.instant_proxy engine ~n_dcs:3
       ~install_update:(fun p -> installed := p.Saturn.Proxy.label.Saturn.Label.ts :: !installed)
-      ~mode:Saturn.Proxy.Stream ()
+      ~mode:Saturn.Proxy.Stream
   in
   let l = Saturn.Label.update ~ts:(Sim.Time.of_ms 10) ~src_dc:1 ~src_gear:0 ~key:1 in
   Saturn.Proxy.on_payload proxy
@@ -57,10 +56,7 @@ let test_sweep_rescues_lost_label () =
 let test_proxy_compact () =
   let engine = Sim.Engine.create () in
   let proxy =
-    Saturn.Proxy.create engine ~dc:0 ~n_dcs:2
-      ~stage_update:(fun _ ~k -> k ())
-      ~install_update:(fun _ -> ())
-      ()
+    Helpers.instant_proxy engine ~n_dcs:2 ~install_update:ignore
   in
   let l = Saturn.Label.update ~ts:(Sim.Time.of_ms 5) ~src_dc:1 ~src_gear:0 ~key:1 in
   Saturn.Proxy.on_payload proxy
@@ -115,7 +111,7 @@ let prop_fifo_with_jitter =
       Saturn.Reliable_fifo.connect sender ~data ~ack recv;
       for i = 1 to n do
         Sim.Engine.schedule e ~delay:(Sim.Time.of_us (i * 200)) (fun () ->
-            Saturn.Reliable_fifo.send sender i)
+            Saturn.Reliable_fifo.send sender ~size_bytes:0 i)
       done;
       Sim.Engine.run ~until:(Sim.Time.of_sec 1.) e;
       Saturn.Reliable_fifo.stop sender;
@@ -216,10 +212,7 @@ let test_peer_mode_remote_read_cycle () =
 let test_multiple_label_waiters_fire_in_order () =
   let engine = Sim.Engine.create () in
   let proxy =
-    Saturn.Proxy.create engine ~dc:0 ~n_dcs:2
-      ~stage_update:(fun _ ~k -> k ())
-      ~install_update:(fun _ -> ())
-      ()
+    Helpers.instant_proxy engine ~n_dcs:2 ~install_update:ignore
   in
   let m = Saturn.Label.migration ~ts:(Sim.Time.of_ms 5) ~src_dc:1 ~src_gear:0 ~dest_dc:0 in
   let fired = ref [] in
@@ -241,18 +234,27 @@ let test_engine_step_api () =
   Alcotest.(check int) "clock at first event" 1_000 (Sim.Engine.now e)
 
 let test_attach_semantics_matrix () =
-  (* Algorithm 1's three cases, exercised directly against a datacenter *)
+  (* Algorithm 1's three cases, exercised directly against a datacenter:
+     an attach request arrives there and its reply rides the back leg *)
   let engine, system = Helpers.star_system () in
   let dcx = Saturn.System.datacenter system 1 in
-  (* case 0: no causal past -> immediate *)
   let hits = ref [] in
-  Saturn.Datacenter.attach dcx ~client_label:None ~k:(fun () -> hits := `Empty :: !hits);
+  let attach ~id ?past hit =
+    let c = Helpers.client ~id ~dc:1 in
+    Option.iter (Saturn.Client_lib.observe c) past;
+    Saturn.Datacenter.arrive dcx
+      (Saturn.Datacenter.request
+         (Saturn.Datacenter.Attach (fun () -> hits := hit :: !hits))
+         c ~key:0 ~value:Saturn.Datacenter.no_value)
+  in
+  (* case 0: no causal past -> immediate *)
+  attach ~id:0 `Empty;
   (* case 1: locally generated label -> immediate *)
-  let local = Saturn.Label.update ~ts:(Sim.Time.of_ms 999) ~src_dc:1 ~src_gear:0 ~key:0 in
-  Saturn.Datacenter.attach dcx ~client_label:(Some local) ~k:(fun () -> hits := `Local :: !hits);
+  attach ~id:1 ~past:(Saturn.Label.update ~ts:(Sim.Time.of_ms 999) ~src_dc:1 ~src_gear:0 ~key:0)
+    `Local;
   (* case 2: remote update label -> blocked until stabilization *)
-  let remote = Saturn.Label.update ~ts:(Sim.Time.of_ms 50) ~src_dc:0 ~src_gear:0 ~key:0 in
-  Saturn.Datacenter.attach dcx ~client_label:(Some remote) ~k:(fun () -> hits := `Remote :: !hits);
+  attach ~id:2 ~past:(Saturn.Label.update ~ts:(Sim.Time.of_ms 50) ~src_dc:0 ~src_gear:0 ~key:0)
+    `Remote;
   Sim.Engine.run ~until:(Sim.Time.of_ms 20) engine;
   Alcotest.(check bool) "empty immediate" true (List.mem `Empty !hits);
   Alcotest.(check bool) "local immediate" true (List.mem `Local !hits);

@@ -22,10 +22,12 @@ let make_ctx ?(n_dcs = 3) ?(mode = Saturn.Proxy.Stream) () =
   let ctx_ref = ref None in
   let proxy =
     Saturn.Proxy.create engine ~dc:0 ~n_dcs
-      ~stage_update:(fun _ ~k ->
+      ~stage_update:(fun p ->
         match !ctx_ref with
-        | Some ctx -> Sim.Engine.schedule engine ~delay:ctx.stage_delay k
-        | None -> k ())
+        | Some ctx ->
+          Sim.Engine.schedule engine ~delay:ctx.stage_delay (fun () ->
+              Saturn.Proxy.staged ctx.proxy p)
+        | None -> Alcotest.fail "payload staged before the proxy was made")
       ~install_update:(fun p ->
         installed := Sim.Time.to_us p.Saturn.Proxy.label.Saturn.Label.ts :: !installed)
       ~mode ()
@@ -225,6 +227,34 @@ let test_no_duplicate_install_across_paths () =
   Sim.Engine.run ctx.engine;
   Alcotest.(check (list int)) "no re-install" [ ts_us 10 ] !(ctx.installed)
 
+let test_duplicate_staged_after_apply () =
+  (* one payload shipped twice: the first staging installs it, and the
+     second staging completes only after the label was applied, so it
+     must change nothing — no second install, and no second close of the
+     bulk-transfer span the shipment opened *)
+  let ctx = make_ctx () in
+  ctx.stage_delay <- Sim.Time.of_ms 10;
+  let l = ulabel ~ts:10 ~src:1 ~key:1 in
+  let probe = Sim.Probe.create () in
+  Sim.Probe.with_probe probe (fun () ->
+      (* the origin's ship hook opens the span once per shipment *)
+      Sim.Span.begin_ ~at:Sim.Time.zero Sim.Span.Sk_bulk ~origin:1 ~seq:(Sim.Time.to_us l.ts)
+        ~aux:0 ~site:1 ~peer:0 ~epoch:0;
+      Saturn.Proxy.on_payload ctx.proxy (payload l);
+      Saturn.Proxy.on_label ctx.proxy l;
+      Sim.Engine.schedule ctx.engine ~delay:(Sim.Time.of_ms 5) (fun () ->
+          Saturn.Proxy.on_payload ctx.proxy (payload l));
+      Sim.Engine.run ~until:(Sim.Time.of_ms 12) ctx.engine;
+      Alcotest.(check (list int)) "installed by the first staging" [ ts_us 10 ] !(ctx.installed);
+      Alcotest.(check bool) "applied before the second staging" true
+        (Saturn.Proxy.label_was_applied ctx.proxy l);
+      Sim.Engine.run ctx.engine);
+  Alcotest.(check (list int)) "one install" [ ts_us 10 ] !(ctx.installed);
+  Alcotest.(check int) "applied counter" 1 (Saturn.Proxy.applied_updates ctx.proxy);
+  Alcotest.(check int) "stream drained" 0 (Saturn.Proxy.pending_stream ctx.proxy);
+  Alcotest.(check int) "no orphan span end" 0 (Sim.Probe.span_orphans probe);
+  Alcotest.(check int) "no open span" 0 (Sim.Probe.open_span_count probe)
+
 let suite =
   [
     Alcotest.test_case "stream applies in order" `Quick test_stream_applies_in_order;
@@ -239,4 +269,5 @@ let suite =
     Alcotest.test_case "graceful epoch switch" `Quick test_epoch_graceful_switch;
     Alcotest.test_case "forced epoch switch" `Quick test_epoch_forced_switch;
     Alcotest.test_case "no duplicate installs across paths" `Quick test_no_duplicate_install_across_paths;
+    Alcotest.test_case "duplicate staged after apply is a no-op" `Quick test_duplicate_staged_after_apply;
   ]

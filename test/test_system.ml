@@ -217,6 +217,68 @@ let test_replica_map_bitset_boundaries () =
       done)
     [ 7; 8; 9; 16; 17 ]
 
+(* A local read round trip on a quiet deployment (its timers a minute
+   apart, so only the read's own four events run: out leg, frontend,
+   storage server, back leg) allocates its request record (8 words), its
+   [Read] op (2) and the [Some value] handed to the continuation (2).
+   The legs, queues and completions allocate nothing, and the client has
+   already observed the version's label, so its causal past does not
+   move. *)
+let rec step_until_some engine r =
+  match !r with None -> if Sim.Engine.step engine then step_until_some engine r | Some _ -> ()
+
+let test_read_round_trip_words () =
+  let minute = Sim.Time.of_sec 60. in
+  let engine = Sim.Engine.create () in
+  let dc_sites = Array.of_list (Sim.Ec2.first_n 3) in
+  let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys:8 in
+  let tree = Saturn.Tree.star ~n_dcs:3 in
+  let config = Saturn.Config.create ~tree ~placement:[| dc_sites.(0) |] ~dc_sites () in
+  let params =
+    { (Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config) with
+      Saturn.System.cost =
+        { Saturn.Cost_model.default with
+          sink_period = minute;
+          heartbeat_period = minute;
+          stabilization_period = minute };
+    }
+  in
+  let system = Saturn.System.create engine params Saturn.System.no_hooks in
+  let c = client ~id:0 ~dc:0 in
+  let got = ref None in
+  let k v = got := v in
+  let round_trip () =
+    got := None;
+    Saturn.System.read system c ~key:3 ~k;
+    step_until_some engine got
+  in
+  Saturn.System.update system c ~key:3 ~value:(value 7) ~k:ignore;
+  Sim.Engine.run ~until:(Sim.Time.of_sec 1.) engine;
+  (* warm-up: the legs' and servers' rings grow on their first push *)
+  round_trip ();
+  let rounds = 1_000 in
+  let words = Helpers.allocated (fun () -> for _ = 1 to rounds do round_trip () done) in
+  (match !got with
+  | Some v -> Alcotest.(check int) "read the update" 7 v.Kvstore.Value.payload
+  | None -> Alcotest.fail "read did not complete");
+  Alcotest.(check (float 1e-9)) "words per round trip" 12. (words /. float_of_int rounds)
+
+(* A ceiling on the words per op of a short closed-loop Saturn run (the
+   shootout's Saturn row: 50 % writes, set-up and percentiles included),
+   so closures cannot creep back into the request path. The row costs
+   149 words per op; with the continuation-passing client path it cost
+   229. *)
+let test_saturn_closed_loop_words_per_op () =
+  let row = ref None in
+  let words = Helpers.allocated (fun () -> row := Some (Harness.Shootout.run_system "saturn")) in
+  match !row with
+  | None -> Alcotest.fail "no row"
+  | Some r ->
+    let per_op = words /. float_of_int r.Harness.Shootout.ops in
+    let ceiling = 170. in
+    if per_op > ceiling then
+      Alcotest.failf "saturn shootout row: %.1f words/op, above the %.0f ceiling" per_op ceiling
+
 let suite =
   [
     Alcotest.test_case "attach with a local label is instant" `Quick test_attach_local_label_instant;
@@ -227,6 +289,8 @@ let suite =
     Alcotest.test_case "LWW convergence under conflict" `Quick test_lww_convergence_on_conflict;
     Alcotest.test_case "bulk_factor inflates payload path" `Quick test_bulk_factor_slows_bulk_only;
     Alcotest.test_case "system counters" `Quick test_counters;
+    Alcotest.test_case "local read round trip: exact words" `Quick test_read_round_trip_words;
+    Alcotest.test_case "closed loop: words per op ceiling" `Quick test_saturn_closed_loop_words_per_op;
     Alcotest.test_case "cost model shape" `Quick test_cost_model_shape;
     Alcotest.test_case "labels are constant-size" `Quick test_label_size_constant;
     Alcotest.test_case "replica map bitset boundaries" `Quick test_replica_map_bitset_boundaries;

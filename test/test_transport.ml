@@ -21,7 +21,7 @@ let test_fifo_basic () =
   let e = Sim.Engine.create () in
   let received = ref [] in
   let sender, recv, _, _ = make_channel e received in
-  List.iter (Saturn.Reliable_fifo.send sender) [ 1; 2; 3 ];
+  List.iter (Saturn.Reliable_fifo.send sender ~size_bytes:0) [ 1; 2; 3 ];
   Sim.Engine.run ~until:(Sim.Time.of_ms 100) e;
   Saturn.Reliable_fifo.stop sender;
   Sim.Engine.run e;
@@ -33,12 +33,12 @@ let test_fifo_survives_cut () =
   let e = Sim.Engine.create () in
   let received = ref [] in
   let sender, _, data, ack = make_channel e received in
-  Saturn.Reliable_fifo.send sender 1;
+  Saturn.Reliable_fifo.send sender ~size_bytes:0 1;
   (* cut mid-flight: the message is lost and must be retransmitted *)
   Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 2) (fun () ->
       Sim.Link.cut data;
       Sim.Link.cut ack;
-      Saturn.Reliable_fifo.send sender 2);
+      Saturn.Reliable_fifo.send sender ~size_bytes:0 2);
   Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 40) (fun () ->
       Sim.Link.restore data;
       Sim.Link.restore ack);
@@ -57,7 +57,7 @@ let prop_fifo_exactly_once_under_cuts =
       let sender, _, data, ack = make_channel e received in
       for i = 1 to n do
         Sim.Engine.schedule e ~delay:(Sim.Time.of_us (i * 500)) (fun () ->
-            Saturn.Reliable_fifo.send sender i)
+            Saturn.Reliable_fifo.send sender ~size_bytes:0 i)
       done;
       (* random cut/restore pulses *)
       for _ = 1 to 4 do
@@ -86,7 +86,7 @@ let test_fifo_deferred_ack () =
   in
   let sender = Saturn.Reliable_fifo.sender e ~resend_period:(Sim.Time.of_ms 500) in
   Saturn.Reliable_fifo.connect sender ~data ~ack recv;
-  Saturn.Reliable_fifo.send sender "x";
+  Saturn.Reliable_fifo.send sender ~size_bytes:0 "x";
   Sim.Engine.run ~until:(Sim.Time.of_ms 50) e;
   Alcotest.(check int) "unacked until confirmed" 1 (Saturn.Reliable_fifo.unacked sender);
   (match !confirms with
@@ -103,15 +103,15 @@ let test_fifo_reconnect () =
   let e = Sim.Engine.create () in
   let first = ref [] and second = ref [] in
   let sender, _, data, ack = make_channel e first in
-  Saturn.Reliable_fifo.send sender 1;
-  Saturn.Reliable_fifo.send sender 2;
+  Saturn.Reliable_fifo.send sender ~size_bytes:0 1;
+  Saturn.Reliable_fifo.send sender ~size_bytes:0 2;
   Sim.Link.cut data;
   Sim.Link.cut ack;
   Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 10) (fun () ->
       let recv = Saturn.Reliable_fifo.receiver e ~deliver:(fun m -> second := m :: !second) in
       let wire () = Sim.Link.create e ~latency:(Sim.Time.of_ms 5) () in
       Saturn.Reliable_fifo.connect sender ~data:(wire ()) ~ack:(wire ()) recv;
-      Saturn.Reliable_fifo.send sender 3;
+      Saturn.Reliable_fifo.send sender ~size_bytes:0 3;
       (* a wire carries one channel: the old wires cannot be reused *)
       Alcotest.check_raises "old wires" (Invalid_argument "Link.chan: the wire already has its channel")
         (fun () -> Saturn.Reliable_fifo.connect sender ~data ~ack recv));
@@ -123,11 +123,10 @@ let test_fifo_reconnect () =
   Alcotest.(check int) "all acked" 0 (Saturn.Reliable_fifo.unacked sender)
 
 (* Steady-state in-order traffic: per message, the retransmission entry
-   (5 words) and the [Some] of the optional [~size_bytes] (2 words: the
-   size is not a constant, as in the service); the resend timer's
-   closure, armed once per burst, adds 11 words over the 64 messages of a
-   burst. Channels, rings, acks and the receiver's peer lookup add
-   nothing. *)
+   (5 words; the size is not a constant, as in the service, and costs
+   nothing since [~size_bytes] is required); the resend timer's closure,
+   armed once per burst, adds 11 words over the 64 messages of a burst.
+   Channels, rings, acks and the receiver's peer lookup add nothing. *)
 let test_fifo_words_per_message () =
   let e = Sim.Engine.create () in
   let received = ref 0 in
@@ -153,7 +152,7 @@ let test_fifo_words_per_message () =
   let per_message = (Gc.minor_words () -. before) /. float_of_int (64 * rounds) in
   Alcotest.(check int) "all delivered" (64 * (rounds + 1)) !received;
   Alcotest.(check int) "all acked" 0 (Saturn.Reliable_fifo.unacked sender);
-  Alcotest.(check (float 1e-9)) "words per message" (7. +. (11. /. 64.)) per_message
+  Alcotest.(check (float 1e-9)) "words per message" (5. +. (11. /. 64.)) per_message
 
 (* ---- chain replication ----------------------------------------------------- *)
 
