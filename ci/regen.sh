@@ -3,6 +3,8 @@
 #
 #   ci/smoke-counters.txt   probe/span/series counters of the smoke run
 #   ci/faults-digest.txt    fault-matrix probe digest at the default seed
+#   ci/series-digest.txt    series digests of the partition, reconfig-cut
+#                           and eventual-partition runs, one line each
 #   ci/plan-default.txt     saturn-cli plan's default Algorithm-3 solve
 #   ci/lint-waivers.txt     saturn-lint waiver inventory (the ratchet)
 #   BENCH_smoke.json        smoke-run headline numbers (saturn-bench-smoke/1)
@@ -50,6 +52,11 @@ step ci/smoke-counters.txt \
   dune exec bin/saturn_cli.exe -- obs --counters-out ci/smoke-counters.txt > /dev/null
 step ci/faults-digest.txt \
   dune exec bin/saturn_cli.exe -- faults --digest-out ci/faults-digest.txt > /dev/null
+step ci/series-digest.txt \
+  sh -c 'for args in "--scenario partition" "--scenario reconfig-cut" \
+           "--scenario partition --system eventual"; do
+           dune exec bin/saturn_cli.exe -- series $args | grep "^series digest:" || exit 1
+         done > ci/series-digest.txt'
 step ci/plan-default.txt \
   sh -c 'dune exec bin/saturn_cli.exe -- plan > ci/plan-default.txt'
 step BENCH_smoke.json \
@@ -63,4 +70,4 @@ step ci/lint-waivers.txt \
 
 echo
 echo "regenerated baselines:"
-git --no-pager diff --stat -- ci/smoke-counters.txt ci/faults-digest.txt ci/plan-default.txt ci/lint-waivers.txt BENCH_smoke.json BENCH_engine.json BENCH_shootout.json
+git --no-pager diff --stat -- ci/smoke-counters.txt ci/faults-digest.txt ci/series-digest.txt ci/plan-default.txt ci/lint-waivers.txt BENCH_smoke.json BENCH_engine.json BENCH_shootout.json

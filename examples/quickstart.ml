@@ -37,7 +37,7 @@ let () =
   let params = Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config in
   let hooks =
     {
-      Saturn.System.on_visible =
+      Saturn.Fabric.on_visible =
         (fun ~dc ~key ~origin_dc ~origin_time ~value ->
           Format.printf "[%a] key %d (payload %d) from %s became visible at %s (+%a)@."
             Sim.Time.pp (Sim.Engine.now engine) key value.Kvstore.Value.payload

@@ -1,18 +1,3 @@
-type params = {
-  topo : Sim.Topology.t;
-  dc_sites : Sim.Topology.site array;
-  partitions : int;
-  frontends : int;
-  cost : Saturn.Cost_model.t;
-  rmap : Kvstore.Replica_map.t;
-  bulk_factor : float;
-}
-
-type hooks = {
-  on_visible :
-    dc:int -> key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
-}
-
 type meta = Sim.Time.t * int
 
 let compare_meta (ta, da) (tb, db) =
@@ -58,31 +43,21 @@ type ('s, 'm, 'b) protocol = {
 
 module Int_tbl = Hashtbl.Make (Int)
 
-(* Every queue of the fabric is typed: the legs and frontends carry client
-   requests, the storage servers requests, remote applies and cold thunks,
-   the bulk channels the protocol's own messages. *)
+(* The shared fabric's legs and frontends carry client requests, its
+   storage servers requests, remote applies and cold thunks, its bulk
+   channels the protocol's own messages. *)
 type ('s, 'm, 'b) t = {
-  engine : Sim.Engine.t;
-  p : params;
-  hooks : hooks;
+  fabric : (('s, 'm, 'b) item, 'b) Saturn.Fabric.t;
+  hooks : Saturn.Fabric.hooks;
   partitioning : Kvstore.Partitioning.t;
   gears : Saturn.Gear.t array array; (* [dc].[partition] *)
   stores : ('m, int) Kvstore.Store.t array array; (* [dc].[partition] *)
   cmp : 'm -> 'm -> int;
-  mutable servers : ('s, 'm, 'b) item Sim.Server.t array array; (* [dc].[partition] *)
-  mutable frontends : ('s, 'm, 'b) item Sim.Server.t array array; (* [dc].[frontend] *)
-  next_frontend : int array;
-  leg_latency : Sim.Time.t array array; (* [home site].[dc], one way *)
-  mutable out_legs : ('s, 'm, 'b) item Sim.Delay_line.t array array; (* [home site].[dc] *)
-  mutable back_legs : ('s, 'm, 'b) item Sim.Delay_line.t array array; (* [dc].[home site] *)
-  bulk_wires : Sim.Link.t array array;
-  mutable bulk : 'b Sim.Link.chan array array; (* the wires' channels *)
   sessions : 's Int_tbl.t; (* client id -> session *)
   new_session : unit -> 's;
   meta_bytes : Stats.Meta_bytes.t option;
-  mutable apply_series : Stats.Series.counter option array; (* per dc *)
+  apply_series : Stats.Series.counter option array; (* per dc *)
   mutable proto : ('s, 'm, 'b) protocol;
-  mutable is_stopped : bool;
 }
 
 let unbound () =
@@ -100,24 +75,17 @@ let unbound () =
   }
 
 let not_a_request () = invalid_arg "Common: not a client request"
+let engine t = Saturn.Fabric.engine t.fabric
+let params t = Saturn.Fabric.params t.fabric
 let partition_of t ~key = Kvstore.Partitioning.responsible t.partitioning ~key
 
 let submit t ~dc ~part ~cost_us item =
-  Sim.Server.submit t.servers.(dc).(part) ~cost:(Sim.Time.of_us cost_us) item
+  Saturn.Fabric.submit t.fabric ~dc ~part ~cost:(Sim.Time.of_us cost_us) item
 
 let reply t item =
   match item with
-  | Op o ->
-    let at = Sim.Time.add (Sim.Engine.now t.engine) t.leg_latency.(o.home).(o.dc) in
-    Sim.Delay_line.push t.back_legs.(o.dc).(o.home) ~at item
+  | Op o -> Saturn.Fabric.reply t.fabric ~home:o.home ~dc:o.dc item
   | Apply _ | Cold _ -> not_a_request ()
-
-(* a request reaches its datacenter: frontend service time, round-robin *)
-let arrive t ~dc item =
-  let fe = t.next_frontend.(dc) in
-  t.next_frontend.(dc) <- (fe + 1) mod t.p.frontends;
-  Sim.Server.submit t.frontends.(dc).(fe)
-    ~cost:(Sim.Time.of_us t.p.cost.Saturn.Cost_model.frontend_us) item
 
 let front t ~dc item =
   match item with
@@ -127,11 +95,7 @@ let front t ~dc item =
     | Read ->
       let part = partition_of t ~key:o.key in
       o.part <- part;
-      let size =
-        match Kvstore.Store.get t.stores.(dc).(part) ~key:o.key with
-        | Some (v, _) -> v.Kvstore.Value.size_bytes
-        | None -> 0
-      in
+      let size = Kvstore.Store.value_size t.stores.(dc).(part) ~key:o.key in
       submit t ~dc ~part ~cost_us:(t.proto.read_us ~size_bytes:size) item
     | Update ->
       let part = partition_of t ~key:o.key in
@@ -159,7 +123,7 @@ let serve t ~dc ~part item =
   | Apply b -> t.proto.apply ~dc ~part b
   | Cold f -> f ()
 
-let back t item =
+let back t ~dc:_ item =
   match item with
   | Op o -> (
     match o.kind with
@@ -175,100 +139,50 @@ let back t item =
       o.k ())
   | Apply _ | Cold _ -> not_a_request ()
 
+let handlers =
+  {
+    Saturn.Fabric.arrive = (fun _ ~dc:_ _ -> ());
+    front;
+    serve;
+    finish = back;
+    deliver = (fun t ~src ~dst b -> t.proto.deliver ~src ~dst b);
+  }
+
 let create ?series ?meta engine p hooks ~cmp ~session =
-  let n = Array.length p.dc_sites in
-  let n_sites = Sim.Topology.n_sites p.topo in
-  let bulk_wires =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            let lat =
-              if i = j then Sim.Time.zero
-              else Sim.Topology.latency p.topo p.dc_sites.(i) p.dc_sites.(j)
-            in
-            let lat = Sim.Time.of_us (int_of_float (float_of_int (Sim.Time.to_us lat) *. p.bulk_factor)) in
-            Sim.Link.create engine ~latency:lat ()))
-  in
+  let n = Array.length p.Saturn.Fabric.dc_sites in
   let t =
-    {
-      engine;
-      p;
-      hooks;
-      partitioning = Kvstore.Partitioning.create ~partitions:p.partitions;
-      gears =
-        Array.init n (fun dc ->
-            let clock = Sim.Clock.create engine in
-            Array.init p.partitions (fun gear_id -> Saturn.Gear.create clock ~dc ~gear_id));
-      stores = Array.init n (fun _ -> Array.init p.partitions (fun _ -> Kvstore.Store.create ()));
-      cmp;
-      servers = [||];
-      frontends = [||];
-      next_frontend = Array.make n 0;
-      leg_latency =
-        Array.init n_sites (fun home ->
-            Array.map
-              (fun site ->
-                if home = site then Sim.Time.of_us p.cost.Saturn.Cost_model.intra_dc_us
-                else Sim.Topology.latency p.topo home site)
-              p.dc_sites);
-      out_legs = [||];
-      back_legs = [||];
-      bulk_wires;
-      bulk = [||];
-      sessions = Int_tbl.create 256;
-      new_session = session;
-      meta_bytes = meta;
-      apply_series = [||];
-      proto = unbound ();
-      is_stopped = false;
-    }
+    Saturn.Fabric.create engine p handlers (fun fabric ->
+        {
+          fabric;
+          hooks;
+          partitioning = Kvstore.Partitioning.create ~partitions:p.partitions;
+          gears =
+            Array.init n (fun dc ->
+                let clock = Sim.Clock.create engine in
+                Array.init p.partitions (fun gear_id -> Saturn.Gear.create clock ~dc ~gear_id));
+          stores =
+            Array.init n (fun _ -> Array.init p.partitions (fun _ -> Kvstore.Store.create ()));
+          cmp;
+          sessions = Int_tbl.create 256;
+          new_session = session;
+          meta_bytes = meta;
+          apply_series =
+            Array.init n (fun dc ->
+                Option.map
+                  (fun sr -> Stats.Series.counter sr (Printf.sprintf "series.apply.dc%d" dc))
+                  series);
+          proto = unbound ();
+        })
   in
-  t.servers <-
-    Array.init n (fun dc ->
-        Array.init p.partitions (fun part ->
-            Sim.Server.create engine (fun item -> serve t ~dc ~part item)));
-  t.frontends <-
-    Array.init n (fun dc ->
-        Array.init p.frontends (fun _ -> Sim.Server.create engine (fun item -> front t ~dc item)));
-  t.out_legs <-
-    Array.init n_sites (fun _ ->
-        Array.init n (fun dc -> Sim.Delay_line.create engine (fun item -> arrive t ~dc item)));
-  t.back_legs <-
-    Array.init n (fun _ -> Array.init n_sites (fun _ -> Sim.Delay_line.create engine (back t)));
-  t.bulk <-
-    Array.mapi
-      (fun src row ->
-        Array.mapi (fun dst w -> Sim.Link.chan w (fun b -> t.proto.deliver ~src ~dst b)) row)
-      bulk_wires;
-  (match series with
-  | Some sr ->
-    (* same series names as the Saturn deployment, so queue dynamics are
-       directly comparable across systems *)
-    let bulk_links = ref [] in
-    for i = n - 1 downto 0 do
-      for j = n - 1 downto 0 do
-        if i <> j then bulk_links := bulk_wires.(i).(j) :: !bulk_links
-      done
-    done;
-    let bulk_links = !bulk_links in
-    Stats.Series.sample sr "series.link.bulk.in_flight" (fun () ->
-        float_of_int
-          (List.fold_left (fun acc l -> acc + Sim.Link.in_flight_count l) 0 bulk_links));
-    Sim.Engine.periodic engine ~every:(Stats.Series.tick_period sr)
-      (fun () -> Stats.Series.tick sr ~now:(Sim.Engine.now engine))
-      ~stop:(fun () -> t.is_stopped)
-  | None -> ());
-  t.apply_series <-
-    Array.init n (fun dc ->
-        Option.map
-          (fun sr -> Stats.Series.counter sr (Printf.sprintf "series.apply.dc%d" dc))
-          series);
+  (* same series names as the Saturn deployment, so queue dynamics are
+     directly comparable across systems *)
+  Option.iter (Saturn.Fabric.drive_series t.fabric) series;
   t
 
 let bind t proto = t.proto <- proto
-let engine t = t.engine
-let n_dcs t = Array.length t.p.dc_sites
-let params t = t.p
-let cost t = t.p.cost
+let shared t = t.fabric
+let n_dcs t = Saturn.Fabric.n_dcs t.fabric
+let cost t = (params t).Saturn.Fabric.cost
 let store t ~dc ~part = t.stores.(dc).(part)
 
 let store_value t ~dc ~key =
@@ -293,8 +207,7 @@ let request t ~kind ~client ~home ~dc ~key ~value ~k ~k_read =
       { kind; session = session t client; home; dc; key; value; k; k_read; part = 0;
         found = None; stamp = 0 }
   in
-  let at = Sim.Time.add (Sim.Engine.now t.engine) t.leg_latency.(home).(dc) in
-  Sim.Delay_line.push t.out_legs.(home).(dc) ~at item
+  Saturn.Fabric.send t.fabric ~home ~dc item
 
 let attach t ~client ~home ~dc ~k =
   request t ~kind:Attach ~client ~home ~dc ~key:0 ~value:no_value ~k ~k_read:no_read
@@ -318,11 +231,9 @@ let gen_ts t ~dc ~part ~floor = Saturn.Gear.generate_ts t.gears.(dc).(part) ~cli
 let dc_floor t ~dc =
   Array.fold_left (fun acc g -> Sim.Time.min acc (Saturn.Gear.floor g)) Sim.Time.infinity t.gears.(dc)
 
-let ship t ~src ~dst ~size_bytes b = Sim.Link.send t.bulk.(src).(dst) ~size_bytes b
-
 let ship_update t ~dc ~key ~part ~ts ~spans ~size_bytes ~meta_bytes b =
-  let rmap = t.p.rmap in
-  let origin_time = Sim.Engine.now t.engine in
+  let rmap = (params t).Saturn.Fabric.rmap in
+  let origin_time = Sim.Engine.now (engine t) in
   let fanout = ref 0 in
   for i = 0 to Kvstore.Replica_map.degree rmap ~key - 1 do
     let dst = Kvstore.Replica_map.replica rmap ~key i in
@@ -331,7 +242,7 @@ let ship_update t ~dc ~key ~part ~ts ~spans ~size_bytes ~meta_bytes b =
       if spans && Sim.Probe.active () then
         Sim.Span.begin_ ~at:origin_time Sim.Span.Sk_bulk ~origin:dc ~seq:(Sim.Time.to_us ts)
           ~aux:part ~site:dc ~peer:dst ~epoch:0;
-      ship t ~src:dc ~dst ~size_bytes b
+      Saturn.Fabric.ship t.fabric ~src:dc ~dst ~size_bytes b
     end
   done;
   match t.meta_bytes with
@@ -346,24 +257,20 @@ let broadcast t ~src ~size_bytes ~heartbeat b =
         if heartbeat then Stats.Meta_bytes.record_heartbeat m ~bytes:size_bytes
         else Stats.Meta_bytes.record_stabilization m ~bytes:size_bytes
       | None -> ());
-      ship t ~src ~dst ~size_bytes b
+      Saturn.Fabric.ship t.fabric ~src ~dst ~size_bytes b
     end
   done
-
-let bulk_link t ~src ~dst =
-  if src = dst then invalid_arg "Common.bulk_link: src = dst";
-  t.bulk_wires.(src).(dst)
 
 let install t ~dc ~part ~key value meta ~origin_dc ~origin_time =
   let _ = Kvstore.Store.put_if_newer t.stores.(dc).(part) ~cmp:t.cmp ~key value meta in
   (match t.apply_series.(dc) with
-  | Some c -> Stats.Series.incr c ~now:(Sim.Engine.now t.engine)
+  | Some c -> Stats.Series.incr c ~now:(Sim.Engine.now (engine t))
   | None -> ());
-  t.hooks.on_visible ~dc ~key ~origin_dc ~origin_time ~value
+  t.hooks.Saturn.Fabric.on_visible ~dc ~key ~origin_dc ~origin_time ~value
 
 let vec_advance t ~dc ~src ts =
   if Sim.Probe.active () then
-    Sim.Probe.emit ~at:(Sim.Engine.now t.engine)
+    Sim.Probe.emit ~at:(Sim.Engine.now (engine t))
       (Sim.Probe.Vec_advance { dc; src; ts = Sim.Time.to_us ts })
 
 let pending_gauge t series count =
@@ -389,7 +296,7 @@ let write_stamped t ~dc ~part ~key value ~floor ~header_bytes ~meta_bytes wrap =
   let ts = gen_ts t ~dc ~part ~floor in
   let meta = (ts, dc) in
   Kvstore.Store.put t.stores.(dc).(part) ~key value meta;
-  let origin_time = Sim.Engine.now t.engine in
+  let origin_time = Sim.Engine.now (engine t) in
   ship_update t ~dc ~key ~part ~ts ~spans:true
     ~size_bytes:(value.Kvstore.Value.size_bytes + header_bytes)
     ~meta_bytes
@@ -401,7 +308,7 @@ let stable_queue () = Sim.Heap.create ~cmp:(fun a b -> compare_meta a.meta b.met
 let park t ~dc ~part q u =
   if Sim.Probe.active () then begin
     let origin, ts = (snd u.meta, fst u.meta) in
-    let at = Sim.Engine.now t.engine in
+    let at = Sim.Engine.now (engine t) in
     Sim.Span.end_ ~at Sim.Span.Sk_bulk ~origin ~seq:(Sim.Time.to_us ts) ~aux:part ~site:origin
       ~peer:dc ~epoch:0;
     Sim.Span.begin_ ~at Sim.Span.Sk_stab ~origin ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc
@@ -414,7 +321,7 @@ let rec flush_stable t ~dc q ~stable =
   | Some u when Sim.Time.compare (fst u.meta) stable <= 0 ->
     let u = Sim.Heap.pop_exn q in
     if Sim.Probe.active () then
-      Sim.Span.end_ ~at:(Sim.Engine.now t.engine) Sim.Span.Sk_stab ~origin:(snd u.meta)
+      Sim.Span.end_ ~at:(Sim.Engine.now (engine t)) Sim.Span.Sk_stab ~origin:(snd u.meta)
         ~seq:(Sim.Time.to_us (fst u.meta)) ~aux:u.part ~site:dc ~peer:(-1) ~epoch:0;
     install t ~dc ~part:u.part ~key:u.key u.value u.meta ~origin_dc:(snd u.meta)
       ~origin_time:u.origin_time;
@@ -428,9 +335,9 @@ let release t waiters ~ready =
 
 (* ---- lifetime ------------------------------------------------------------ *)
 
-let every t period f = Sim.Engine.periodic t.engine ~every:period f ~stop:(fun () -> t.is_stopped)
-let stop t = t.is_stopped <- true
-let stopped t = t.is_stopped
+let every t period f = Saturn.Fabric.every t.fabric period f
+let stop t = Saturn.Fabric.stop t.fabric
+let stopped t = Saturn.Fabric.stopped t.fabric
 
 type ('s, 'm, 'b) fabric = ('s, 'm, 'b) t
 

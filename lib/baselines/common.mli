@@ -1,43 +1,20 @@
-(** Shared data-plane fabric for the baseline protocols.
+(** Shared data plane for the baseline protocols.
 
     Eventual consistency, GentleRain, Cure, Eunomia, Okapi, Orbe and COPS
-    all share the same substrate: partitioned storage servers per
-    datacenter, frontends, client request legs over the latency matrix,
-    bulk links, per-partition monotonic timestamp sources and periodic
-    tasks. They differ only in the metadata attached to versions and in
+    run on {!Saturn.Fabric}, as Saturn does: its request legs, frontends,
+    storage servers and bulk wires carry this module's {!item}s and the
+    protocol's bulk messages. This module adds what the baselines share
+    beyond it: versioned stores, per-partition monotonic timestamp
+    sources, client sessions and the shipping and stabilization helpers.
+    The protocols differ only in the metadata attached to versions and in
     when remote updates become visible; those parts live in the
-    per-protocol modules, which plug into the fabric through a
-    {!protocol} record.
-
-    The fabric passes values, not closures. A client request is one
-    {!item} record: it rides a typed delay line out to its datacenter
-    (one per home site and datacenter, the leg latency is fixed), a
-    frontend and a storage server (typed {!Sim.Server}s), and a delay line
-    back. Remote updates and stabilization messages travel on typed bulk
-    channels (['b Sim.Link.chan]). Each stage is one engine event at the
-    time its step is due, so event counts, sequence numbers and probe
-    digests do not depend on how a request is represented.
+    per-protocol modules, which plug in through a {!protocol} record.
 
     Sessions: a client's protocol state (dependency time, vector, context)
     is created on its first request and found through an int-keyed table.
     A client has at most one request in flight (the harness drives closed
     loops), so a request's frontend and storage stages see the same
     session state. *)
-
-type params = {
-  topo : Sim.Topology.t;
-  dc_sites : Sim.Topology.site array;
-  partitions : int;
-  frontends : int;
-  cost : Saturn.Cost_model.t;
-  rmap : Kvstore.Replica_map.t;
-  bulk_factor : float;  (** bulk-path inflation; 1.0 = shortest path *)
-}
-
-type hooks = {
-  on_visible :
-    dc:int -> key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
-}
 
 (** {2 Shared metadata} *)
 
@@ -104,28 +81,30 @@ type ('s, 'm, 'b) protocol = {
 }
 
 type ('s, 'm, 'b) t
-(** A fabric whose clients hold sessions ['s], whose stores hold
-    versions ['m] and whose bulk channels carry ['b]. *)
+(** A baseline data plane whose clients hold sessions ['s], whose stores
+    hold versions ['m] and whose bulk channels carry ['b]. *)
 
 val create :
   ?series:Stats.Series.t ->
   ?meta:Stats.Meta_bytes.t ->
   Sim.Engine.t ->
-  params ->
-  hooks ->
+  Saturn.Fabric.params ->
+  Saturn.Fabric.hooks ->
   cmp:('m -> 'm -> int) ->
   session:(unit -> 's) ->
   ('s, 'm, 'b) t
 (** [cmp] orders versions for {!install}; [session] makes a client's
-    session. [series], when given, gains a [series.link.bulk.in_flight]
-    gauge over the fabric's links — the same name the Saturn deployment
-    uses, so Saturn-vs-baseline queue dynamics line up — and
-    [series.apply.dc<i>] counters bumped by {!install}; the fabric drives
-    the series sampling tick until {!stop}. [meta] receives the bytes of
+    session. [series], when given, gains [series.apply.dc<i>] counters
+    bumped by {!install} and the fabric's bulk gauge and sampling tick
+    ({!Saturn.Fabric.drive_series}), as the Saturn deployment does, so
+    Saturn-vs-baseline queue dynamics line up. [meta] receives the bytes of
     {!ship_update} and {!broadcast}. *)
 
 val bind : ('s, 'm, 'b) t -> ('s, 'm, 'b) protocol -> unit
 (** Installs the protocol; call it once, right after {!create}. *)
+
+val shared : ('s, 'm, 'b) t -> (('s, 'm, 'b) item, 'b) Saturn.Fabric.t
+(** The request fabric and bulk wires underneath. *)
 
 val attach_now : ('s, 'm, 'b) t -> 's -> dc:int -> ('s, 'm, 'b) item -> unit
 (** [attach] for protocols without a stabilization wait. *)
@@ -168,7 +147,7 @@ val store_value : ('s, 'm, 'b) t -> dc:int -> key:int -> Kvstore.Value.t option
 
 val engine : ('s, 'm, 'b) t -> Sim.Engine.t
 val n_dcs : ('s, 'm, 'b) t -> int
-val params : ('s, 'm, 'b) t -> params
+val params : ('s, 'm, 'b) t -> Saturn.Fabric.params
 val cost : ('s, 'm, 'b) t -> Saturn.Cost_model.t
 val partition_of : ('s, 'm, 'b) t -> key:int -> int
 val store : ('s, 'm, 'b) t -> dc:int -> part:int -> ('m, int) Kvstore.Store.t
@@ -201,10 +180,6 @@ val broadcast : ('s, 'm, 'b) t -> src:int -> size_bytes:int -> heartbeat:bool ->
 (** Ships a message to every other datacenter, recording each as a
     heartbeat or (when [heartbeat] is false) a stabilization message. *)
 
-val bulk_link : ('s, 'm, 'b) t -> src:int -> dst:int -> Sim.Link.t
-(** The directed bulk link [src -> dst], for fault injection.
-    @raise Invalid_argument when [src = dst]. *)
-
 val gen_ts : ('s, 'm, 'b) t -> dc:int -> part:int -> floor:Sim.Time.t -> Sim.Time.t
 (** Monotonic per-gear timestamp strictly greater than [floor]. *)
 
@@ -232,7 +207,7 @@ val pending_gauge : ('s, 'm, 'b) t -> Stats.Series.t option -> (int -> int) -> u
     parked remote updates at each datacenter. *)
 
 val every : ('s, 'm, 'b) t -> Sim.Time.t -> (unit -> unit) -> unit
-(** Periodic task tied to the fabric's lifetime. *)
+(** Periodic task tied to the data plane's lifetime. *)
 
 (** {2 Scalar-stamped updates}
 
@@ -287,7 +262,7 @@ val release :
 type ('s, 'm, 'b) fabric = ('s, 'm, 'b) t
 
 (** What a protocol module shows the harness: the client surface, the
-    bulk links and the stop switch are the fabric's. *)
+    bulk links and the stop switch are its data plane's. *)
 module type S = sig
   type t
   type session

@@ -39,7 +39,7 @@ let add_dep s key version =
    newer one; dependencies on keys this datacenter does not replicate are
    uncheckable (the paper's partial-replication problem) and are skipped *)
 let dep_satisfied t ~dc key version =
-  if not (Kvstore.Replica_map.replicates (Common.params t.geo).Common.rmap ~dc ~key) then true
+  if not (Kvstore.Replica_map.replicates (Common.params t.geo).Saturn.Fabric.rmap ~dc ~key) then true
   else begin
     let part = Common.partition_of t.geo ~key in
     match Kvstore.Store.get (Common.store t.geo ~dc ~part) ~key with
@@ -111,7 +111,7 @@ let create ?series ?meta engine p hooks ~prune_on_write =
       updates_shipped = 0; max_deps = 0 }
   in
   Common.pending_gauge geo series (fun dc -> List.length t.pending.(dc));
-  let cost = p.Common.cost in
+  let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {
       Common.attach = Common.attach_now geo;

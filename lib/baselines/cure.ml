@@ -137,7 +137,7 @@ let attach t (dv : session) ~dc item =
   else d.waiters <- (dv, item) :: d.waiters
 
 let create ?series ?meta engine p hooks =
-  let n = Array.length p.Common.dc_sites in
+  let n = Array.length p.Saturn.Fabric.dc_sites in
   let geo =
     Common.create ?series ?meta engine p hooks ~cmp:compare_version ~session:(fun () ->
         Array.make n Sim.Time.zero)
@@ -149,7 +149,7 @@ let create ?series ?meta engine p hooks =
   in
   let t = { geo; dcs } in
   Common.pending_gauge geo series (fun dc -> List.length t.dcs.(dc).pending);
-  let cost = p.Common.cost in
+  let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {
       Common.attach = attach t;
@@ -171,14 +171,14 @@ let create ?series ?meta engine p hooks =
      task: stabilization pays for its queueing under load *)
   for dc = 0 to n - 1 do
     Common.every geo cost.Saturn.Cost_model.stabilization_period (fun () ->
-        let remaining = ref p.Common.partitions in
+        let remaining = ref p.Saturn.Fabric.partitions in
         let task =
           Common.Cold
             (fun () ->
               decr remaining;
               if !remaining = 0 then finish_stab_round t dc)
         in
-        for part = 0 to p.Common.partitions - 1 do
+        for part = 0 to p.Saturn.Fabric.partitions - 1 do
           Common.submit geo ~dc ~part ~cost_us:(Saturn.Cost_model.cure_stab_us cost ~n_dcs:n) task
         done)
   done;

@@ -13,6 +13,6 @@ type t
 include Common.S with type t := t
 
 val create :
-  ?series:Stats.Series.t -> ?meta:Stats.Meta_bytes.t -> Sim.Engine.t -> Common.params ->
-  Common.hooks -> t
+  ?series:Stats.Series.t -> ?meta:Stats.Meta_bytes.t -> Sim.Engine.t -> Saturn.Fabric.params ->
+  Saturn.Fabric.hooks -> t
 

@@ -116,7 +116,7 @@ let create ?series ?meta engine p hooks =
   in
   let t = { geo; dcs } in
   Common.pending_gauge geo series (fun dc -> Sim.Heap.size t.dcs.(dc).pending);
-  let cost = p.Common.cost in
+  let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {
       Common.attach = attach t;

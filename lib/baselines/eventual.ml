@@ -31,7 +31,7 @@ let deliver geo ~src:_ ~dst (u : Common.shipped) =
 
 let create ?series ?meta engine p hooks =
   let geo = Common.create ?series ?meta engine p hooks ~cmp:Common.compare_meta ~session:ignore in
-  let cost = p.Common.cost in
+  let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {
       Common.attach = Common.attach_now geo;

@@ -79,7 +79,7 @@ let create ?series ?meta engine p hooks =
   in
   let t = { geo; dcs } in
   Common.pending_gauge geo series (fun dc -> Sim.Heap.size t.dcs.(dc).pending);
-  let cost = p.Common.cost in
+  let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {
       Common.attach = attach t;
@@ -104,14 +104,14 @@ let create ?series ?meta engine p hooks =
      observes in Cure's and GentleRain's measured visibility *)
   for dc = 0 to n - 1 do
     Common.every geo cost.Saturn.Cost_model.stabilization_period (fun () ->
-        let remaining = ref p.Common.partitions in
+        let remaining = ref p.Saturn.Fabric.partitions in
         let task =
           Common.Cold
             (fun () ->
               decr remaining;
               if !remaining = 0 then finish_stab_round t dc)
         in
-        for part = 0 to p.Common.partitions - 1 do
+        for part = 0 to p.Saturn.Fabric.partitions - 1 do
           Common.submit geo ~dc ~part ~cost_us:(Saturn.Cost_model.gentlerain_stab_us cost) task
         done)
   done;

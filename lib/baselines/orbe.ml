@@ -125,14 +125,14 @@ let create ?series ?meta engine p hooks =
       geo;
       dcs =
         Array.init n (fun _ ->
-            { applied = Array.init n (fun _ -> Array.make p.Common.partitions 0); pending = [] });
-      seq = Array.init n (fun _ -> Array.make p.Common.partitions 0);
+            { applied = Array.init n (fun _ -> Array.make p.Saturn.Fabric.partitions 0); pending = [] });
+      seq = Array.init n (fun _ -> Array.make p.Saturn.Fabric.partitions 0);
       entries_shipped = 0;
       updates_shipped = 0;
     }
   in
   Common.pending_gauge geo series (fun dc -> List.length t.dcs.(dc).pending);
-  let cost = p.Common.cost in
+  let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {
       Common.attach = Common.attach_now geo;

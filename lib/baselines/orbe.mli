@@ -19,8 +19,8 @@ type t
 include Common.S with type t := t
 
 val create :
-  ?series:Stats.Series.t -> ?meta:Stats.Meta_bytes.t -> Sim.Engine.t -> Common.params ->
-  Common.hooks -> t
+  ?series:Stats.Series.t -> ?meta:Stats.Meta_bytes.t -> Sim.Engine.t -> Saturn.Fabric.params ->
+  Saturn.Fabric.hooks -> t
 
 val mean_matrix_entries : t -> float
 (** Mean number of non-zero dependency-matrix entries shipped per update —

@@ -17,12 +17,17 @@ type item =
     }
   | Stage of Proxy.payload
 
+(* what a bulk wire carries: a shipped update or a heartbeat promise, each
+   stamped with the sender's epoch at send time *)
+type bulk =
+  | Payload of Proxy.payload
+  | Heartbeat of { src : int; epoch : int; floor : Sim.Time.t }
+
 type hooks = {
   ship_payload : dst:int -> Proxy.payload -> unit;
   epoch : unit -> int;
   emit_label : Label.t -> unit;
-  on_remote_visible : key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
-  reply : item -> unit;
+  visible : Fabric.hooks;
 }
 
 let no_value = Kvstore.Value.make ~payload:0 ~size_bytes:0
@@ -41,11 +46,9 @@ type t = {
   hooks : hooks;
   partitioning : Kvstore.Partitioning.t;
   clock : Sim.Clock.t;
-  mutable servers : item Sim.Server.t array;
+  fabric : (item, bulk) Fabric.t;
   stores : (Label.t, int) Kvstore.Store.t array;
   gears : Gear.t array;
-  mutable frontends : item Sim.Server.t array;
-  mutable next_frontend : int;
   mutable next_gear : int;
   sink : Sink.t;
   mutable proxy : Proxy.t;
@@ -62,6 +65,13 @@ let gear_floor t =
   Array.fold_left (fun acc g -> Sim.Time.min acc (Gear.floor g)) Sim.Time.infinity t.gears
 
 let past_ts = function Some (l : Label.t) -> l.Label.ts | None -> Sim.Time.zero
+let submit t ~part ~cost item = Fabric.submit t.fabric ~dc:t.dc ~part ~cost item
+
+(* a served request leaves for its client *)
+let reply t item =
+  match item with
+  | Request r -> Fabric.reply t.fabric ~home:(Client_lib.home_site r.client) ~dc:t.dc item
+  | Stage _ -> not_a_request ()
 
 (* staging pays the remote-apply service time when the payload arrives;
    installation later flips visibility at the payload's position in the
@@ -73,7 +83,7 @@ let stage_remote t (p : Proxy.payload) =
     let cost =
       Sim.Time.of_us (Cost_model.saturn_apply_us t.cost ~size_bytes:p.value.Kvstore.Value.size_bytes)
     in
-    Sim.Server.submit t.servers.(part) ~cost (Stage p)
+    submit t ~part ~cost (Stage p)
   | Label.Migration _ | Label.Epoch_change _ ->
     (* only update payloads travel on the bulk channel *)
     assert false
@@ -83,8 +93,8 @@ let install_remote t (p : Proxy.payload) =
   | Label.Update { key } ->
     let part = responsible t ~key in
     let _ = Kvstore.Store.put_if_newer t.stores.(part) ~cmp:Label.compare ~key p.value p.label in
-    t.hooks.on_remote_visible ~key ~origin_dc:p.label.Label.src_dc ~origin_time:p.origin_time
-      ~value:p.value
+    t.hooks.visible.Fabric.on_visible ~dc:t.dc ~key ~origin_dc:p.label.Label.src_dc
+      ~origin_time:p.origin_time ~value:p.value
   | Label.Migration _ | Label.Epoch_change _ -> assert false
 
 (* Algorithm 1 ATTACH, at frontend completion: a locally generated (or
@@ -92,11 +102,11 @@ let install_remote t (p : Proxy.payload) =
    migration label's application or for per-source stabilization (the
    cold path that still allocates its closure) *)
 let attach t item = function
-  | None -> t.hooks.reply item
+  | None -> reply t item
   | Some (label : Label.t) ->
-    if label.Label.src_dc = t.dc then t.hooks.reply item
+    if label.Label.src_dc = t.dc then reply t item
     else begin
-      let reply () = t.hooks.reply item in
+      let reply () = reply t item in
       match label.Label.target with
       | Label.Migration { dest_dc } when dest_dc = t.dc && Proxy.mode t.proxy = Proxy.Stream ->
         (* the fast path needs the tree to deliver the migration label;
@@ -135,23 +145,18 @@ let front t item =
     | Attach _ -> attach t item r.past
     | Read _ ->
       let part = responsible t ~key:r.key in
-      (* read cost depends on the stored value's size *)
-      let size =
-        match Kvstore.Store.find t.stores.(part) ~key:r.key with
-        | v, _ -> v.Kvstore.Value.size_bytes
-        | exception Not_found -> 0
-      in
+      let size = Kvstore.Store.value_size t.stores.(part) ~key:r.key in
       let cost = Sim.Time.of_us (Cost_model.saturn_read_us t.cost ~size_bytes:size) in
-      Sim.Server.submit t.servers.(part) ~cost item
+      submit t ~part ~cost item
     | Update _ | Update_with_label _ ->
       let cost =
         Sim.Time.of_us (Cost_model.saturn_write_us t.cost ~size_bytes:r.value.Kvstore.Value.size_bytes)
       in
-      Sim.Server.submit t.servers.(responsible t ~key:r.key) ~cost item
+      submit t ~part:(responsible t ~key:r.key) ~cost item
     | Migrate _ ->
       let part = t.next_gear in
       t.next_gear <- (t.next_gear + 1) mod Array.length t.gears;
-      Sim.Server.submit t.servers.(part) ~cost:(Sim.Time.of_us t.cost.Cost_model.scalar_meta_us) item)
+      submit t ~part ~cost:(Sim.Time.of_us t.cost.Cost_model.scalar_meta_us) item)
   | Stage _ -> not_a_request ()
 
 (* a storage server's completion: the read, the Algorithm 2 update or
@@ -175,11 +180,17 @@ let serve t ~part item =
       Sink.offer t.sink label;
       r.label <- label
     | Attach _ -> not_a_request ());
-    t.hooks.reply item
+    reply t item
   | Stage p -> Proxy.staged t.proxy p
 
-let create engine ~dc ~n_dcs ~partitions ~frontends ~cost ~rmap ~hooks ?(clock_offset = Sim.Time.zero)
-    ?registry ?series ?(proxy_mode = Proxy.Stream) () =
+let deliver t = function
+  | Payload payload -> Proxy.on_payload t.proxy payload
+  | Heartbeat { src; epoch; floor } -> Proxy.on_heartbeat t.proxy ~src ~epoch floor
+
+let create engine ~dc ~fabric ~hooks ?(clock_offset = Sim.Time.zero) ?registry ?series
+    ?(proxy_mode = Proxy.Stream) () =
+  let { Fabric.cost; rmap; partitions; _ } = Fabric.params fabric in
+  let n_dcs = Fabric.n_dcs fabric in
   let registry = match registry with Some r -> r | None -> Stats.Registry.create () in
   let clock = Sim.Clock.create ~offset:clock_offset engine in
   let gears = Array.init partitions (fun gear_id -> Gear.create clock ~dc ~gear_id) in
@@ -196,11 +207,9 @@ let create engine ~dc ~n_dcs ~partitions ~frontends ~cost ~rmap ~hooks ?(clock_o
       hooks;
       partitioning = Kvstore.Partitioning.create ~partitions;
       clock;
-      servers = [||];
+      fabric;
       stores = Array.init partitions (fun _ -> Kvstore.Store.create ());
       gears;
-      frontends = [||];
-      next_frontend = 0;
       next_gear = 0;
       sink;
       proxy =
@@ -210,9 +219,6 @@ let create engine ~dc ~n_dcs ~partitions ~frontends ~cost ~rmap ~hooks ?(clock_o
       stopped = false;
     }
   in
-  (* handlers are made once, here: a request is its own server item *)
-  t.servers <- Array.init partitions (fun part -> Sim.Server.create engine (serve t ~part));
-  t.frontends <- Array.init frontends (fun _ -> Sim.Server.create engine (front t));
   (* tie the proxy's staging/install back to the datacenter's servers; only
      this real proxy registers series gauges — the placeholder above must
      not claim the names *)
@@ -227,14 +233,10 @@ let create engine ~dc ~n_dcs ~partitions ~frontends ~cost ~rmap ~hooks ?(clock_o
   t
 
 (* a request reaches the datacenter: it takes the client's causal past
-   with it, then waits for a frontend, round-robin *)
-let arrive t item =
-  (match item with
+   with it to the frontend *)
+let arrive = function
   | Request r -> r.past <- Client_lib.causal_past r.client
-  | Stage _ -> not_a_request ());
-  let fe = t.frontends.(t.next_frontend) in
-  t.next_frontend <- (t.next_frontend + 1) mod Array.length t.frontends;
-  Sim.Server.submit fe ~cost:(Sim.Time.of_us t.cost.Cost_model.frontend_us) item
+  | Stage _ -> not_a_request ()
 
 let emit_epoch_label t ~epoch =
   let gear = t.gears.(0) in

@@ -6,7 +6,8 @@
     exports a serial label stream through its sink.
 
     Networking (client latency, bulk links, the metadata tree) is wired by
-    {!System}; this module owns only intra-datacenter behaviour. *)
+    {!System} over the shared {!Fabric}, which also owns the frontends and
+    storage servers; this module owns what happens at them. *)
 
 type t
 
@@ -21,9 +22,9 @@ type op =
 
 (** A frontend's or storage server's work item. A client op is one
     [Request] record from the client to its storage server and back: it
-    rides {!System}'s request legs, then this datacenter's frontend and
-    storage-server queues, and carries the op's inputs and results, so
-    the path allocates no closure. *)
+    rides the {!Fabric}'s request legs, frontend and storage-server
+    queues, and carries the op's inputs and results, so the path
+    allocates no closure. *)
 type item =
   | Request of {
       op : op;
@@ -36,15 +37,19 @@ type item =
     }
   | Stage of Proxy.payload  (** a remote payload's staging (remote-apply cost) *)
 
+(** What the bulk wires carry, each stamped with the sender's epoch at
+    send time. *)
+type bulk =
+  | Payload of Proxy.payload  (** a shipped update *)
+  | Heartbeat of { src : int; epoch : int; floor : Sim.Time.t }  (** [src]'s gear floor *)
+
 type hooks = {
   ship_payload : dst:int -> Proxy.payload -> unit;
       (** bulk-data transfer of an update to a replica datacenter; one
           payload is shared by every destination of an update *)
   epoch : unit -> int;  (** the configuration epoch stamped on shipped payloads *)
   emit_label : Label.t -> unit;  (** sink output toward the metadata service *)
-  on_remote_visible : key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
-      (** a remote update just became visible locally *)
-  reply : item -> unit;  (** a served [Request] leaves for its client *)
+  visible : Fabric.hooks;  (** remote updates becoming visible here *)
 }
 
 val request : op -> Client_lib.t -> key:int -> value:Kvstore.Value.t -> item
@@ -56,11 +61,7 @@ val no_value : Kvstore.Value.t
 val create :
   Sim.Engine.t ->
   dc:int ->
-  n_dcs:int ->
-  partitions:int ->
-  frontends:int ->
-  cost:Cost_model.t ->
-  rmap:Kvstore.Replica_map.t ->
+  fabric:(item, bulk) Fabric.t ->
   hooks:hooks ->
   ?clock_offset:Sim.Time.t ->
   ?registry:Stats.Registry.t ->
@@ -68,8 +69,10 @@ val create :
   ?proxy_mode:Proxy.mode ->
   unit ->
   t
-(** [registry] collects the datacenter's counters and those of its sink and
-    proxy, scoped by datacenter id ([dc0.updates_originated],
+(** The datacenter takes its frontends, storage servers (one per
+    partition and gear) and request legs from [fabric]. [registry]
+    collects the datacenter's counters and those of its sink and proxy,
+    scoped by datacenter id ([dc0.updates_originated],
     [sink.dc0.emitted], [proxy.dc0.applied_updates], …); a private registry
     is created when omitted. [series] is forwarded to the sink and proxy
     for windowed queue-depth / apply-throughput telemetry. *)
@@ -79,19 +82,22 @@ val store_of_key : t -> key:int -> (Label.t, int) Kvstore.Store.t
 val gear_floor : t -> Sim.Time.t
 (** min over gears — the datacenter's bulk-heartbeat promise. *)
 
-(** {2 Client requests} *)
-
-val arrive : t -> item -> unit
-(** A [Request] reaches the datacenter: it snapshots the client's causal
-    past, then takes frontend service time (round-robin). At the frontend
-    an attach runs Algorithm 1 ATTACH: it replies at once for a locally
+(** {2 Client requests}: the fabric's handlers at this datacenter. On
+    [arrive] a request snapshots the client's causal past. At [front] an
+    attach runs Algorithm 1 ATTACH: it replies at once for a locally
     generated (or empty) causal past, and otherwise waits for the
     migration label's application or for per-source timestamp
-    stabilization. Reads, updates (Algorithm 2 UPDATE: mint the label,
-    persist, ship one payload to the replicas, sink the label) and
-    migrations (Algorithm 2 MIGRATION) then take storage-server service
-    time. Every request ends with [hooks.reply].
-    @raise Invalid_argument on a [Stage] item. *)
+    stabilization; the other requests move on to a storage server. At
+    [serve] a read, an Algorithm 2 UPDATE (mint the label, persist, ship
+    one payload to the replicas, sink the label) or MIGRATION runs, or a
+    remote payload finishes staging. Every request ends with its reply on
+    the fabric. [arrive] and [front] raise [Invalid_argument] on a [Stage]
+    item. [deliver] takes a bulk message arriving here. *)
+
+val arrive : item -> unit
+val front : t -> item -> unit
+val serve : t -> part:int -> item -> unit
+val deliver : t -> bulk -> unit
 
 val emit_epoch_label : t -> epoch:int -> Label.t
 (** Mints an epoch-change label (§6.2) and hands it to the sink; returns it

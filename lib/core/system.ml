@@ -1,63 +1,31 @@
 type params = {
-  topo : Sim.Topology.t;
-  dc_sites : Sim.Topology.site array;
-  partitions : int;
-  frontends : int;
-  cost : Cost_model.t;
-  rmap : Kvstore.Replica_map.t;
+  geo : Fabric.params;
   config : Config.t;
   serializer_replicas : int;
   peer_mode : bool;
-  bulk_factor : float;
   clock_offsets : Sim.Time.t array option;
 }
 
 let default_params ~topo ~dc_sites ~rmap ~config =
   {
-    topo;
-    dc_sites;
-    partitions = 4;
-    frontends = 2;
-    cost = Cost_model.default;
-    rmap;
+    geo = Fabric.default_params ~topo ~dc_sites ~rmap;
     config;
     serializer_replicas = 1;
     peer_mode = false;
-    bulk_factor = 1.0;
     clock_offsets = None;
   }
 
-type hooks = {
-  on_visible :
-    dc:int -> key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
-}
-
-let no_hooks = { on_visible = (fun ~dc:_ ~key:_ ~origin_dc:_ ~origin_time:_ ~value:_ -> ()) }
-
 type route = { mutable to_next : bool; mutable marker : Label.t option }
 
-(* what a bulk wire carries: a shipped update or a heartbeat promise, each
-   stamped with the sender's epoch at send time *)
-type bulk_msg =
-  | Payload of Proxy.payload
-  | Heartbeat of { src : int; epoch : int; floor : Sim.Time.t }
-
 type t = {
-  engine : Sim.Engine.t;
   p : params;
-  hooks : hooks;
   registry : Stats.Registry.t;
+  fabric : (Datacenter.item, Datacenter.bulk) Fabric.t;
   mutable dcs : Datacenter.t array;
-  bulk_wires : Sim.Link.t array array; (* [src].[dst]; diagonal unused *)
-  mutable bulk : bulk_msg Sim.Link.chan array array; (* the wires' channels *)
-  leg_latency : Sim.Time.t array array; (* [home site].[dc], one way *)
-  mutable out_legs : Datacenter.item Sim.Delay_line.t array array; (* [home site].[dc] *)
-  mutable back_legs : Datacenter.item Sim.Delay_line.t array array; (* [dc].[home site] *)
   mutable service : Service.t option;
   mutable next_service : Service.t option;
   routes : route array; (* per-dc: which tree the sink currently feeds *)
   mutable epoch : int;
-  mutable stopped : bool;
   (* reconfiguration observability: the dual-tree overlap window is open
      from [switch_config] until the last proxy completes its migration *)
   mutable switch_at : Sim.Time.t option;
@@ -73,16 +41,13 @@ let datacenter t i = t.dcs.(i)
 let service t = t.service
 let next_service t = t.next_service
 let params t = t.p
-
-let bulk_link t ~src ~dst =
-  if src = dst then invalid_arg "System.bulk_link: src = dst";
-  t.bulk_wires.(src).(dst)
+let fabric t = t.fabric
 
 let interest_of p label =
   match label.Label.target with
-  | Label.Update { key } -> Kvstore.Replica_map.mask p.rmap ~key
+  | Label.Update { key } -> Kvstore.Replica_map.mask p.geo.Fabric.rmap ~key
   | Label.Migration { dest_dc } -> 1 lsl dest_dc
-  | Label.Epoch_change _ -> (1 lsl Array.length p.dc_sites) - 1
+  | Label.Epoch_change _ -> (1 lsl Array.length p.geo.Fabric.dc_sites) - 1
 
 let deliver_current t ~dc label = Proxy.on_label (Datacenter.proxy t.dcs.(dc)) label
 let deliver_next t ~dc label = Proxy.on_label_next (Datacenter.proxy t.dcs.(dc)) label
@@ -106,33 +71,14 @@ let route_label t dc label =
   | Some m when Label.equal m label -> route.to_next <- true
   | Some _ | None -> ()
 
-let on_bulk t dst = function
-  | Payload payload -> Proxy.on_payload (Datacenter.proxy t.dcs.(dst)) payload
-  | Heartbeat { src; epoch; floor } ->
-    Proxy.on_heartbeat (Datacenter.proxy t.dcs.(dst)) ~src ~epoch floor
-
 (* ---- client operations -------------------------------------------------- *)
 
-(* Each op is one [Datacenter.Request] record on two request legs: a
-   delay line per (home site, dc) to the datacenter and one per (dc, home
-   site) back. A leg's latency is fixed per pair, so due times never
-   decrease, and every push lands at the point and time of the closure it
-   replaced. *)
+(* Each op is one [Datacenter.Request] record on the fabric's request
+   legs, from the client's home site and back. *)
 
 let not_a_request () = invalid_arg "System: not a client request"
 
-let send t client ~dc item =
-  let home = Client_lib.home_site client in
-  let at = Sim.Time.add (Sim.Engine.now t.engine) t.leg_latency.(home).(dc) in
-  Sim.Delay_line.push t.out_legs.(home).(dc) ~at item
-
-let reply t dc item =
-  match item with
-  | Datacenter.Request r ->
-    let home = Client_lib.home_site r.client in
-    let at = Sim.Time.add (Sim.Engine.now t.engine) t.leg_latency.(home).(dc) in
-    Sim.Delay_line.push t.back_legs.(dc).(home) ~at item
-  | Datacenter.Stage _ -> not_a_request ()
+let send t client ~dc item = Fabric.send t.fabric ~home:(Client_lib.home_site client) ~dc item
 
 let attach t client ~dc ~k =
   send t client ~dc (Datacenter.request (Attach k) client ~key:0 ~value:Datacenter.no_value)
@@ -163,7 +109,7 @@ let migrate t client ~dest_dc ~k =
   else attach t client ~dc:dest_dc ~k
 
 (* the back legs' one handler: the reply reaches the client at [dc] *)
-let finish t dc item =
+let finish t ~dc item =
   match item with
   | Datacenter.Request r -> (
     match r.op with
@@ -187,6 +133,15 @@ let finish t dc item =
       attach t r.client ~dc:dest_dc ~k)
   | Datacenter.Stage _ -> not_a_request ()
 
+let handlers =
+  {
+    Fabric.arrive = (fun _ ~dc:_ item -> Datacenter.arrive item);
+    front = (fun t ~dc item -> Datacenter.front t.dcs.(dc) item);
+    serve = (fun t ~dc ~part item -> Datacenter.serve t.dcs.(dc) ~part item);
+    finish;
+    deliver = (fun t ~src:_ ~dst b -> Datacenter.deliver t.dcs.(dst) b);
+  }
+
 let heartbeat_wire_bytes = 12 (* floor ts (8) + src dc (2) + epoch tag (2) *)
 
 let create ?registry ?series engine p hooks =
@@ -197,45 +152,25 @@ let create ?registry ?series engine p hooks =
      as per-update wire bytes), so the stabilization counter stays 0 by
      construction and only heartbeats add background bytes. *)
   let meta = Stats.Meta_bytes.create registry ~system:"saturn" in
-  let n = Array.length p.dc_sites in
-  let n_sites = Sim.Topology.n_sites p.topo in
-  let bulk_wires =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            let lat =
-              if i = j then Sim.Time.zero else Sim.Topology.latency p.topo p.dc_sites.(i) p.dc_sites.(j)
-            in
-            let lat = Sim.Time.of_us (int_of_float (float_of_int (Sim.Time.to_us lat) *. p.bulk_factor)) in
-            Sim.Link.create engine ~latency:lat ()))
-  in
+  let n = Array.length p.geo.Fabric.dc_sites in
   let t =
-    {
-      engine;
-      p;
-      hooks;
-      registry;
-      dcs = [||];
-      bulk_wires;
-      bulk = [||];
-      leg_latency =
-        Array.init n_sites (fun home ->
-            Array.init n (fun dc ->
-                if home = p.dc_sites.(dc) then Sim.Time.of_us p.cost.Cost_model.intra_dc_us
-                else Sim.Topology.latency p.topo home p.dc_sites.(dc)));
-      out_legs = [||];
-      back_legs = [||];
-      service = None;
-      next_service = None;
-      routes = Array.init n (fun _ -> { to_next = false; marker = None });
-      epoch = 0;
-      stopped = false;
-      switch_at = None;
-      switch_pending_dcs = 0;
-      switches_counter = Stats.Registry.counter registry "reconfig.switches";
-      labels_old_counter = Stats.Registry.counter registry "reconfig.labels_old_tree";
-      labels_new_counter = Stats.Registry.counter registry "reconfig.labels_new_tree";
-      dual_window_counter = Stats.Registry.counter registry "reconfig.dual_window_us";
-    }
+    Fabric.create engine p.geo handlers (fun fabric ->
+        {
+          p;
+          registry;
+          fabric;
+          dcs = [||];
+          service = None;
+          next_service = None;
+          routes = Array.init n (fun _ -> { to_next = false; marker = None });
+          epoch = 0;
+          switch_at = None;
+          switch_pending_dcs = 0;
+          switches_counter = Stats.Registry.counter registry "reconfig.switches";
+          labels_old_counter = Stats.Registry.counter registry "reconfig.labels_old_tree";
+          labels_new_counter = Stats.Registry.counter registry "reconfig.labels_new_tree";
+          dual_window_counter = Stats.Registry.counter registry "reconfig.dual_window_us";
+        })
   in
   t.dcs <-
     Array.init n (fun dc ->
@@ -252,74 +187,47 @@ let create ?registry ?series engine p hooks =
                     ~origin:l.Label.src_dc ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear
                     ~site:l.Label.src_dc ~peer:dst ~epoch:0
                 end;
-                Sim.Link.send t.bulk.(dc).(dst) ~size_bytes:size (Payload payload));
+                Fabric.ship t.fabric ~src:dc ~dst ~size_bytes:size (Datacenter.Payload payload));
             epoch = (fun () -> t.epoch);
             emit_label = (fun label -> route_label t dc label);
-            on_remote_visible =
-              (fun ~key ~origin_dc ~origin_time ~value ->
-                hooks.on_visible ~dc ~key ~origin_dc ~origin_time ~value);
-            reply = (fun item -> reply t dc item);
+            visible = hooks;
           }
         in
         let clock_offset =
           match p.clock_offsets with Some offs -> offs.(dc) | None -> Sim.Time.zero
         in
-        Datacenter.create engine ~dc ~n_dcs:n ~partitions:p.partitions ~frontends:p.frontends
-          ~cost:p.cost ~rmap:p.rmap ~hooks:hooks_dc ~clock_offset ~registry ?series
+        Datacenter.create engine ~dc ~fabric:t.fabric ~hooks:hooks_dc ~clock_offset ~registry ?series
           ~proxy_mode:(if p.peer_mode then Proxy.Fallback else Proxy.Stream)
           ());
-  t.out_legs <-
-    Array.init n_sites (fun _ ->
-        Array.init n (fun dc -> Sim.Delay_line.create engine (Datacenter.arrive t.dcs.(dc))));
-  t.back_legs <- Array.init n (fun dc -> Array.init n_sites (fun _ -> Sim.Delay_line.create engine (finish t dc)));
-  t.bulk <- Array.map (Array.mapi (fun dst w -> Sim.Link.chan w (on_bulk t dst))) bulk_wires;
   if not p.peer_mode then
     t.service <-
       Some
-        (Service.create engine ~topo:p.topo ~config:p.config ~interest:(interest_of p)
+        (Service.create engine ~topo:p.geo.Fabric.topo ~config:p.config ~interest:(interest_of p)
            ~deliver:(fun ~dc label -> deliver_current t ~dc label)
            ~serializer_replicas:p.serializer_replicas ~registry ?series ~name:"service"
            ~instance:0 ());
   (match series with
   | Some sr ->
-    (* datastore-plane wire depth: every inter-dc bulk link, flattened in
-       (src, dst) order once at startup *)
-    let bulk_links = ref [] in
-    for i = n - 1 downto 0 do
-      for j = n - 1 downto 0 do
-        if i <> j then bulk_links := bulk_wires.(i).(j) :: !bulk_links
-      done
-    done;
-    let bulk_links = !bulk_links in
-    Stats.Series.sample sr "series.link.bulk.in_flight" (fun () ->
-        float_of_int
-          (List.fold_left (fun acc l -> acc + Sim.Link.in_flight_count l) 0 bulk_links));
+    Fabric.drive_series t.fabric sr;
     (* dual-tree overlap: 1 while a reconfiguration is migrating (both trees
        carry traffic), 0 at steady state *)
     Stats.Series.sample sr "series.reconfig.dual_tree" (fun () ->
-        if t.switch_at <> None && t.switch_pending_dcs > 0 then 1.0 else 0.0);
-    (* drive the sampling clock: ticks only read state and emit no probe
-       events, so the trace digest is unchanged by instrumentation *)
-    Sim.Engine.periodic engine ~every:(Stats.Series.tick_period sr)
-      (fun () -> Stats.Series.tick sr ~now:(Sim.Engine.now engine))
-      ~stop:(fun () -> t.stopped)
+        if t.switch_at <> None && t.switch_pending_dcs > 0 then 1.0 else 0.0)
   | None -> ());
   (* bulk-channel heartbeats: each datacenter periodically promises its gear
      floor to every other datacenter (liveness for attach stabilization and
      for the timestamp fallback) *)
   for dc = 0 to n - 1 do
-    Sim.Engine.periodic engine ~every:p.cost.Cost_model.heartbeat_period
-      (fun () ->
+    Fabric.every t.fabric p.geo.Fabric.cost.Cost_model.heartbeat_period (fun () ->
         (* the epoch is captured at send time, like payload tags; one
            message serves every destination *)
-        let beat = Heartbeat { src = dc; epoch = t.epoch; floor = Datacenter.gear_floor t.dcs.(dc) } in
+        let beat = Datacenter.Heartbeat { src = dc; epoch = t.epoch; floor = Datacenter.gear_floor t.dcs.(dc) } in
         for dst = 0 to n - 1 do
           if dst <> dc then begin
             Stats.Meta_bytes.record_heartbeat meta ~bytes:heartbeat_wire_bytes;
-            Sim.Link.send t.bulk.(dc).(dst) ~size_bytes:heartbeat_wire_bytes beat
+            Fabric.ship t.fabric ~src:dc ~dst ~size_bytes:heartbeat_wire_bytes beat
           end
         done)
-      ~stop:(fun () -> t.stopped)
   done;
   t
 
@@ -328,13 +236,14 @@ let create ?registry ?series engine p hooks =
 let switch_config t config2 ~graceful =
   t.epoch <- t.epoch + 1;
   let epoch = t.epoch in
-  let now = Sim.Engine.now t.engine in
+  let engine = Fabric.engine t.fabric in
+  let now = Sim.Engine.now engine in
   Stats.Registry.incr t.switches_counter;
   t.switch_at <- Some now;
   t.switch_pending_dcs <- Array.length t.dcs;
   if Sim.Probe.active () then Sim.Probe.emit ~at:now (Sim.Probe.Switch_begin { epoch; graceful });
   let service2 =
-    Service.create t.engine ~topo:t.p.topo ~config:config2 ~interest:(interest_of t.p)
+    Service.create engine ~topo:t.p.geo.Fabric.topo ~config:config2 ~interest:(interest_of t.p)
       ~deliver:(fun ~dc label -> deliver_next t ~dc label)
       ~serializer_replicas:t.p.serializer_replicas ~registry:t.registry
       ~name:(Printf.sprintf "service.e%d" epoch) ~instance:epoch ()
@@ -349,7 +258,7 @@ let switch_config t config2 ~graceful =
           if t.switch_pending_dcs = 0 then
             match t.switch_at with
             | Some t0 ->
-              let dual_us = Sim.Time.to_us (Sim.Engine.now t.engine) - Sim.Time.to_us t0 in
+              let dual_us = Sim.Time.to_us (Sim.Engine.now engine) - Sim.Time.to_us t0 in
               Stats.Registry.incr ~by:dual_us t.dual_window_counter
             | None -> ());
       if graceful then begin
@@ -377,7 +286,7 @@ let enter_fallback t =
   Array.iter (fun dcx -> Proxy.set_mode (Datacenter.proxy dcx) Proxy.Fallback) t.dcs
 
 let stop t =
-  t.stopped <- true;
+  Fabric.stop t.fabric;
   Array.iter Datacenter.stop t.dcs;
   Option.iter Service.shutdown t.service;
   Option.iter Service.shutdown t.next_service

@@ -8,21 +8,12 @@
     harness. *)
 
 type params = {
-  topo : Sim.Topology.t;
-  dc_sites : Sim.Topology.site array;  (** geographic site of each datacenter *)
-  partitions : int;
-  frontends : int;
-  cost : Cost_model.t;
-  rmap : Kvstore.Replica_map.t;
+  geo : Fabric.params;  (** the deployment's geometry, shared with the baselines *)
   config : Config.t;
   serializer_replicas : int;
   peer_mode : bool;
       (** true = P-configuration: no serializer tree; remote updates applied
           in conservative timestamp order from the bulk channel only *)
-  bulk_factor : float;
-      (** bulk-data path inflation over the shortest-path latency matrix:
-          bulk transfers do not necessarily take the shortest path (§5.3),
-          which is when artificial delays δ earn their keep *)
   clock_offsets : Sim.Time.t array option;
       (** per-datacenter physical-clock skew (NTP residue); [None] = all
           synchronized. Gears discipline timestamps regardless. *)
@@ -35,17 +26,11 @@ val default_params :
   config:Config.t ->
   params
 
-type hooks = {
-  on_visible :
-    dc:int -> key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
-}
-
-val no_hooks : hooks
-
 type t
 
 val create :
-  ?registry:Stats.Registry.t -> ?series:Stats.Series.t -> Sim.Engine.t -> params -> hooks -> t
+  ?registry:Stats.Registry.t -> ?series:Stats.Series.t -> Sim.Engine.t -> params -> Fabric.hooks ->
+  t
 (** [series], when given, receives windowed queue-depth and throughput
     telemetry from every layer (sink hold queues, proxy pending sets,
     serializer ingress/backlog, metadata and bulk link in-flight counts)
@@ -65,19 +50,14 @@ val next_service : t -> Service.t option
     Fault registries bind its serializers and links so faults compose with
     the migration window. *)
 
-val bulk_link : t -> src:int -> dst:int -> Sim.Link.t
-(** The directed bulk-data link between two datacenters — the handle a
-    fault registry cuts, heals and degrades.
-    @raise Invalid_argument when [src = dst]. *)
+val fabric : t -> (Datacenter.item, Datacenter.bulk) Fabric.t
+(** The request fabric and bulk wires the deployment runs on. *)
 
 val params : t -> params
 
-(** {2 Client operations} (continuation-passing; includes network latency
-    from the client's home site to the target datacenter). Each op
-    travels as one {!Datacenter.Request} record: out on a delay line per
-    (home site, datacenter), through the datacenter's frontend and
-    storage server, and back on a delay line per (datacenter, home site),
-    so the path allocates no closure of its own. *)
+(** {2 Client operations} (continuation-passing). Each op travels as one
+    {!Datacenter.Request} record over the {!Fabric}'s request path from
+    the client's home site, so it allocates no closure of its own. *)
 
 val attach : t -> Client_lib.t -> dc:int -> k:(unit -> unit) -> unit
 val read : t -> Client_lib.t -> key:int -> k:(Kvstore.Value.t option -> unit) -> unit

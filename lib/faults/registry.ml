@@ -75,14 +75,16 @@ let links_crossing t ~side =
 
 (* ---- binding built deployments ------------------------------------------ *)
 
-let register_bulk t ~dc_sites ~bulk_link =
+let bind_fabric t fabric =
+  let dc_sites = (Saturn.Fabric.params fabric).Saturn.Fabric.dc_sites in
   let n = Array.length dc_sites in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       if i <> j then
         register_link t
           ~name:(Printf.sprintf "bulk.dc%d->dc%d" i j)
-          ~site_a:dc_sites.(i) ~site_b:dc_sites.(j) (bulk_link ~src:i ~dst:j)
+          ~site_a:dc_sites.(i) ~site_b:dc_sites.(j)
+          (Saturn.Fabric.bulk_link fabric ~src:i ~dst:j)
     done
   done
 
@@ -125,25 +127,24 @@ let register_service t ~prefix ~dc_sites service =
     dc_sites
 
 let bind_system t system =
-  let p = Saturn.System.params system in
-  register_bulk t ~dc_sites:p.Saturn.System.dc_sites
-    ~bulk_link:(fun ~src ~dst -> Saturn.System.bulk_link system ~src ~dst);
+  let dc_sites = (Saturn.System.params system).Saturn.System.geo.Saturn.Fabric.dc_sites in
+  bind_fabric t (Saturn.System.fabric system);
   Array.iteri
     (fun dc _ ->
       let dcx = Saturn.System.datacenter system dc in
       register_clock t ~name:(Printf.sprintf "clock.dc%d" dc)
         ~bump:(fun d -> Saturn.Datacenter.bump_clock dcx d))
-    p.Saturn.System.dc_sites;
+    dc_sites;
   match Saturn.System.service system with
   | None -> ()
   | Some service ->
-    register_service t ~prefix:"" ~dc_sites:p.Saturn.System.dc_sites service;
+    register_service t ~prefix:"" ~dc_sites service;
     t.switch <-
       Some
         (fun ~graceful config ->
           Saturn.System.switch_config system config ~graceful;
           match Saturn.System.next_service system with
-          | Some s2 -> register_service t ~prefix:"e2." ~dc_sites:p.Saturn.System.dc_sites s2
+          | Some s2 -> register_service t ~prefix:"e2." ~dc_sites s2
           | None -> ())
 
 let can_switch t = t.switch <> None
@@ -152,8 +153,3 @@ let switch_config t ~graceful config =
   match t.switch with
   | Some f -> f ~graceful config
   | None -> invalid_arg "Faults.Registry: no reconfigurable system bound (switch-config)"
-
-let bind_fabric t fabric =
-  let p = Baselines.Common.params fabric in
-  register_bulk t ~dc_sites:p.Baselines.Common.dc_sites
-    ~bulk_link:(fun ~src ~dst -> Baselines.Common.bulk_link fabric ~src ~dst)

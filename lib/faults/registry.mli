@@ -12,8 +12,8 @@
     returns every registered link with exactly one endpoint inside the
     given side, and the injector cuts them all.
 
-    {!bind_system} (and {!bind_fabric} for the baselines' shared data
-    plane) walk a built deployment and perform the registrations; they are
+    {!bind_system} (and {!bind_fabric} for a baseline's data plane) walk
+    a built deployment and perform the registrations; they are
     invoked by [Harness.Build] when a registry is threaded into the build,
     the same way [?registry] threads the metric registry. *)
 
@@ -79,6 +79,6 @@ val switch_config : t -> graceful:bool -> Saturn.Config.t -> unit
     registers the epoch-2 pieces under the [e2.] prefix.
     @raise Invalid_argument when no reconfigurable system is bound. *)
 
-val bind_fabric : t -> ('s, 'm, 'b) Baselines.Common.t -> unit
-(** Registers a baseline's shared data plane: its [bulk.dc<i>->dc<j>]
-    links. Baselines have no serializers or disciplined clocks to break. *)
+val bind_fabric : t -> ('i, 'b) Saturn.Fabric.t -> unit
+(** Registers a request fabric's [bulk.dc<i>->dc<j>] wires: all a baseline
+    has to break, and the bulk half of {!bind_system}. *)

@@ -46,15 +46,14 @@ type report = {
 
 (* ---- the optimum ---------------------------------------------------------- *)
 
-let scaled_us ~bulk_factor t =
-  int_of_float (float_of_int (Sim.Time.to_us t) *. bulk_factor)
-
 let optimal_matrix ~topo ~dc_sites ~bulk_factor =
   let n = Array.length dc_sites in
   let m =
     Array.init n (fun i ->
         Array.init n (fun j ->
-            scaled_us ~bulk_factor (Sim.Topology.latency topo dc_sites.(i) dc_sites.(j))))
+            Sim.Time.to_us
+              (Saturn.Fabric.bulk_latency ~bulk_factor
+                 (Sim.Topology.latency topo dc_sites.(i) dc_sites.(j)))))
   in
   (* Floyd–Warshall: the bulk fabric is a full mesh of direct links, but a
      geography violating the triangle inequality makes a relayed path the

@@ -50,10 +50,15 @@ let backup_config ~dc_sites =
     ~placement:[| dc_sites.(0); dc_sites.(2) |]
     ~dc_sites:(Array.copy dc_sites) ()
 
+(* the deployment's geometry, as every system's fabric takes it *)
+let geo spec =
+  let { topo; dc_sites; partitions; frontends; cost; rmap; bulk_factor; _ } = spec in
+  { Saturn.Fabric.topo; dc_sites = Array.copy dc_sites; partitions; frontends; cost; rmap; bulk_factor }
+
 let solve_config spec =
   let bulk i j =
-    let lat = Sim.Topology.latency spec.topo spec.dc_sites.(i) spec.dc_sites.(j) in
-    Sim.Time.of_us (int_of_float (float_of_int (Sim.Time.to_us lat) *. spec.bulk_factor))
+    Saturn.Fabric.bulk_latency ~bulk_factor:spec.bulk_factor
+      (Sim.Topology.latency spec.topo spec.dc_sites.(i) spec.dc_sites.(j))
   in
   let crit = Saturn.Mismatch.of_replica_map spec.rmap ~bulk in
   let crit =
@@ -79,7 +84,7 @@ let solve_config spec =
 
 let hooks_of_metrics metrics =
   {
-    Saturn.System.on_visible =
+    Saturn.Fabric.on_visible =
       (fun ~dc ~key ~origin_dc ~origin_time ~value ->
         Metrics.on_visible metrics ~dc ~key ~origin_dc ~origin_time ~value);
   }
@@ -102,16 +107,10 @@ let saturn_with ~peer ?registry ?series ?faults engine spec metrics =
   in
   let params =
     {
-      Saturn.System.topo = spec.topo;
-      dc_sites = Array.copy spec.dc_sites;
-      partitions = spec.partitions;
-      frontends = spec.frontends;
-      cost = spec.cost;
-      rmap = spec.rmap;
+      Saturn.System.geo = geo spec;
       config;
       serializer_replicas = spec.serializer_replicas;
       peer_mode = peer;
-      bulk_factor = spec.bulk_factor;
       clock_offsets = None;
     }
   in
@@ -159,28 +158,10 @@ let saturn ?registry ?series ?faults engine spec metrics =
 let saturn_peer ?registry ?series ?faults engine spec metrics =
   saturn_with ~peer:true ?registry ?series ?faults engine spec metrics
 
-let baseline_params spec =
-  {
-    Baselines.Common.topo = spec.topo;
-    dc_sites = Array.copy spec.dc_sites;
-    partitions = spec.partitions;
-    frontends = spec.frontends;
-    cost = spec.cost;
-    rmap = spec.rmap;
-    bulk_factor = spec.bulk_factor;
-  }
-
-let baseline_hooks metrics =
-  {
-    Baselines.Common.on_visible =
-      (fun ~dc ~key ~origin_dc ~origin_time ~value ->
-        Metrics.on_visible metrics ~dc ~key ~origin_dc ~origin_time ~value);
-  }
-
-(* One Api.t over any baseline: the client surface is the fabric's *)
+(* One Api.t over any baseline: the client surface is its data plane's *)
 let of_baseline (type a) (module B : Baselines.Common.S with type t = a) ?faults (sys : a) =
   let geo = B.fabric sys in
-  Option.iter (fun f -> Faults.Registry.bind_fabric f geo) faults;
+  Option.iter (fun f -> Faults.Registry.bind_fabric f (Baselines.Common.shared geo)) faults;
   let attach (c : Client.t) ~dc ~k =
     Baselines.Common.attach geo ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
         c.Client.current_dc <- dc;
@@ -207,23 +188,23 @@ let meta_of ?registry system =
 
 let eventual ?registry ?series ?faults engine spec metrics =
   let meta = meta_of ?registry Baselines.Eventual.name in
-  Baselines.Eventual.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
+  Baselines.Eventual.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
   |> of_baseline (module Baselines.Eventual) ?faults
 
 let gentlerain ?registry ?series engine spec metrics =
   let meta = meta_of ?registry Baselines.Gentlerain.name in
-  Baselines.Gentlerain.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
+  Baselines.Gentlerain.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
   |> of_baseline (module Baselines.Gentlerain)
 
 let cure ?registry ?series engine spec metrics =
   let meta = meta_of ?registry Baselines.Cure.name in
-  Baselines.Cure.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
+  Baselines.Cure.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
   |> of_baseline (module Baselines.Cure)
 
 let cops ?registry ?series engine spec metrics ~prune_on_write =
   let meta = meta_of ?registry Baselines.Cops.name in
   let sys =
-    Baselines.Cops.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
+    Baselines.Cops.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
       ~prune_on_write
   in
   (of_baseline (module Baselines.Cops) sys, sys)
@@ -231,14 +212,14 @@ let cops ?registry ?series engine spec metrics ~prune_on_write =
 let orbe ?registry ?series engine spec metrics =
   let meta = meta_of ?registry Baselines.Orbe.name in
   let sys =
-    Baselines.Orbe.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
+    Baselines.Orbe.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
   in
   (of_baseline (module Baselines.Orbe) sys, sys)
 
 let eunomia ?registry ?series ?faults engine spec metrics =
   let meta = meta_of ?registry Baselines.Eunomia.name in
   let sys =
-    Baselines.Eunomia.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
+    Baselines.Eunomia.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
   in
   let api = of_baseline (module Baselines.Eunomia) ?faults sys in
   Option.iter
@@ -260,5 +241,5 @@ let eunomia ?registry ?series ?faults engine spec metrics =
 
 let okapi ?registry ?series ?faults engine spec metrics =
   let meta = meta_of ?registry Baselines.Okapi.name in
-  Baselines.Okapi.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
+  Baselines.Okapi.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
   |> of_baseline (module Baselines.Okapi) ?faults

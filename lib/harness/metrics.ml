@@ -64,8 +64,8 @@ let on_visible t ~dc ~key ~origin_dc ~origin_time ~value =
     let now = Sim.Engine.now t.engine in
     let latency = Sim.Time.sub now origin_time in
     let optimal =
-      let lat = Sim.Topology.latency t.topo t.dc_sites.(origin_dc) t.dc_sites.(dc) in
-      Sim.Time.of_us (int_of_float (float_of_int (Sim.Time.to_us lat) *. t.bulk_factor))
+      Saturn.Fabric.bulk_latency ~bulk_factor:t.bulk_factor
+        (Sim.Topology.latency t.topo t.dc_sites.(origin_dc) t.dc_sites.(dc))
     in
     Stats.Registry.incr t.count;
     Stats.Sample.add_time t.visibility latency;

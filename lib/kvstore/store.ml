@@ -20,6 +20,12 @@ let put_if_newer t ~cmp ~key v m =
 
 let get t ~key = Hashtbl.find_opt t.tbl key
 let find t ~key = Hashtbl.find t.tbl key
+
+let value_size t ~key =
+  match Hashtbl.find t.tbl key with
+  | v, _ -> v.Value.size_bytes
+  | exception Not_found -> 0
+
 let mem t ~key = Hashtbl.mem t.tbl key
 let size t = Hashtbl.length t.tbl
 

@@ -26,6 +26,10 @@ val find : ('meta, int) t -> key:int -> Value.t * 'meta
 (** The stored pair itself, as {!get} without the [Some]: allocates
     nothing. @raise Not_found when the key is absent. *)
 
+val value_size : ('meta, int) t -> key:int -> int
+(** The stored value's size in bytes, 0 when the key is absent — what a
+    frontend prices a read by. Allocates nothing. *)
+
 val mem : ('meta, int) t -> key:int -> bool
 val size : ('meta, int) t -> int
 

@@ -19,14 +19,11 @@ let star_system ?(n_dcs = 3) ?(n_keys = 64) ?(partitions = 2) ?(peer_mode = fals
   let config =
     Saturn.Config.create ~tree ~placement:[| dc_sites.(0) |] ~dc_sites:(Array.copy dc_sites) ()
   in
+  let p = Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config in
   let params =
-    { (Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config) with
-      partitions;
-      peer_mode;
-      serializer_replicas;
-    }
+    { p with geo = { p.geo with partitions }; peer_mode; serializer_replicas }
   in
-  let hooks = match hooks with Some h -> h | None -> Saturn.System.no_hooks in
+  let hooks = match hooks with Some h -> h | None -> Saturn.Fabric.no_hooks in
   let system = Saturn.System.create engine params hooks in
   (engine, system)
 

@@ -15,6 +15,7 @@ let () =
       ("integration", Test_integration.suite);
       ("system", Test_system.suite);
       ("baselines", Test_baselines.suite);
+      ("fabric", Test_fabric.suite);
       ("workload", Test_workload.suite);
       ("scale", Test_scale.suite);
       ("reconfig", Test_reconfig.suite);

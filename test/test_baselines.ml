@@ -332,7 +332,7 @@ let counting_fabric () =
   let dc_sites = Array.of_list (Sim.Ec2.first_n 3) in
   let p =
     {
-      Baselines.Common.topo = Sim.Ec2.topology;
+      Saturn.Fabric.topo = Sim.Ec2.topology;
       dc_sites;
       partitions = 2;
       frontends = 2;
@@ -342,7 +342,7 @@ let counting_fabric () =
     }
   in
   let hooks =
-    { Baselines.Common.on_visible = (fun ~dc:_ ~key:_ ~origin_dc:_ ~origin_time:_ ~value:_ -> ()) }
+    { Saturn.Fabric.on_visible = (fun ~dc:_ ~key:_ ~origin_dc:_ ~origin_time:_ ~value:_ -> ()) }
   in
   let geo = Baselines.Common.create engine p hooks ~cmp:Int.compare ~session:ignore in
   let delivered = ref 0 and applied = ref 0 in
@@ -362,7 +362,8 @@ let counting_fabric () =
 
 (* As test_sim pins Link.send: shipping a preallocated bulk message to a
    key's replicas and its deliveries allocate nothing, and neither does a
-   storage-server submit of a preallocated item and its completion. *)
+   submit of a preallocated item to the shared fabric's storage servers
+   and its completion. *)
 let test_fabric_allocates_nothing () =
   let engine, geo, delivered, applied = counting_fabric () in
   let msg = ref 0 (* a boxed message, made once *) in
@@ -379,9 +380,10 @@ let test_fabric_allocates_nothing () =
   Alcotest.(check (float 0.)) "ship_update and deliveries" 0. words;
   Alcotest.(check int) "every replica reached" (8 * (rounds + 1)) !delivered;
   let item = Baselines.Common.Apply msg in
+  let shared = Baselines.Common.shared geo in
   let submit_burst () =
     for i = 0 to 63 do
-      Baselines.Common.submit geo ~dc:(i mod 3) ~part:(i land 1) ~cost_us:(i land 3) item
+      Saturn.Fabric.submit shared ~dc:(i mod 3) ~part:(i land 1) ~cost:(Sim.Time.of_us (i land 3)) item
     done;
     drain engine
   in

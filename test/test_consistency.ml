@@ -208,7 +208,7 @@ let saturn_switching_build engine spec metrics =
        (fun phase ->
          if phase = 0 then begin
            let n_dcs = Saturn.System.n_dcs system in
-           let dc_sites = (Saturn.System.params system).Saturn.System.dc_sites in
+           let dc_sites = (Saturn.System.params system).Saturn.System.geo.Saturn.Fabric.dc_sites in
            let alt =
              if n_dcs < 3 then
                Saturn.Config.create ~tree:(Saturn.Tree.star ~n_dcs)

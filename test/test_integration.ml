@@ -26,7 +26,7 @@ let test_causal_order_across_dcs () =
   let visible : (int * int * Sim.Time.t) list ref = ref [] in
   let hooks =
     {
-      Saturn.System.on_visible =
+      Saturn.Fabric.on_visible =
         (fun ~dc ~key ~origin_dc:_ ~origin_time:_ ~value:_ ->
           visible := (dc, key, Sim.Engine.now engine) :: !visible);
     }
@@ -124,7 +124,7 @@ let test_partial_replication_no_leak () =
   let leaked = ref false in
   let hooks =
     {
-      Saturn.System.on_visible =
+      Saturn.Fabric.on_visible =
         (fun ~dc ~key:_ ~origin_dc:_ ~origin_time:_ ~value:_ -> if dc = 2 then leaked := true);
     }
   in

@@ -235,14 +235,15 @@ let test_engine_step_api () =
 
 let test_attach_semantics_matrix () =
   (* Algorithm 1's three cases, exercised directly against a datacenter:
-     an attach request arrives there and its reply rides the back leg *)
+     an attach request enters the fabric for it at the client's home site
+     and its reply rides the back leg *)
   let engine, system = Helpers.star_system () in
-  let dcx = Saturn.System.datacenter system 1 in
+  let fabric = Saturn.System.fabric system in
   let hits = ref [] in
   let attach ~id ?past hit =
     let c = Helpers.client ~id ~dc:1 in
     Option.iter (Saturn.Client_lib.observe c) past;
-    Saturn.Datacenter.arrive dcx
+    Saturn.Fabric.send fabric ~home:(Saturn.Client_lib.home_site c) ~dc:1
       (Saturn.Datacenter.request
          (Saturn.Datacenter.Attach (fun () -> hits := hit :: !hits))
          c ~key:0 ~value:Saturn.Datacenter.no_value)

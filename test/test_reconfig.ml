@@ -82,7 +82,7 @@ let test_causality_across_graceful_switch () =
   let visible = ref [] in
   let hooks =
     {
-      Saturn.System.on_visible =
+      Saturn.Fabric.on_visible =
         (fun ~dc ~key ~origin_dc:_ ~origin_time:_ ~value:_ ->
           visible := (dc, key) :: !visible);
     }
@@ -132,11 +132,9 @@ let test_tree_partition_heals () =
   let dc_sites = Array.of_list (Sim.Ec2.first_n n_dcs) in
   let rmap = Kvstore.Replica_map.full ~n_dcs ~n_keys:16 in
   let config = alt_config ~dc_sites in
-  let params =
-    { (Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config) with
-      Saturn.System.partitions = 2 }
-  in
-  let system = Saturn.System.create engine params Saturn.System.no_hooks in
+  let p = Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config in
+  let params = { p with geo = { p.geo with partitions = 2 } } in
+  let system = Saturn.System.create engine params Saturn.Fabric.no_hooks in
   let issued = start_writers engine system ~n_dcs ~until:1.5 in
   (match Saturn.System.service system with
   | Some service ->

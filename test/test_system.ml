@@ -78,7 +78,7 @@ let test_clock_skew_preserves_causality () =
   let visible = ref [] in
   let hooks =
     {
-      Saturn.System.on_visible =
+      Saturn.Fabric.on_visible =
         (fun ~dc ~key ~origin_dc:_ ~origin_time:_ ~value:_ -> visible := (dc, key) :: !visible);
     }
   in
@@ -145,15 +145,13 @@ let test_bulk_factor_slows_bulk_only () =
   let seen_at = ref None in
   let hooks =
     {
-      Saturn.System.on_visible =
+      Saturn.Fabric.on_visible =
         (fun ~dc:_ ~key:_ ~origin_dc:_ ~origin_time ~value:_ ->
           seen_at := Some (Sim.Time.sub (Sim.Engine.now engine) origin_time));
     }
   in
-  let params =
-    { (Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config) with
-      Saturn.System.bulk_factor = 2.0 }
-  in
+  let p = Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config in
+  let params = { p with geo = { p.geo with bulk_factor = 2.0 } } in
   let system = Saturn.System.create engine params hooks in
   let c = client ~id:0 ~dc:0 in
   Saturn.System.attach system c ~dc:0 ~k:(fun () ->
@@ -234,16 +232,20 @@ let test_read_round_trip_words () =
   let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys:8 in
   let tree = Saturn.Tree.star ~n_dcs:3 in
   let config = Saturn.Config.create ~tree ~placement:[| dc_sites.(0) |] ~dc_sites () in
+  let p = Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config in
   let params =
-    { (Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config) with
-      Saturn.System.cost =
-        { Saturn.Cost_model.default with
-          sink_period = minute;
-          heartbeat_period = minute;
-          stabilization_period = minute };
+    { p with
+      geo =
+        { p.geo with
+          cost =
+            { Saturn.Cost_model.default with
+              sink_period = minute;
+              heartbeat_period = minute;
+              stabilization_period = minute };
+        };
     }
   in
-  let system = Saturn.System.create engine params Saturn.System.no_hooks in
+  let system = Saturn.System.create engine params Saturn.Fabric.no_hooks in
   let c = client ~id:0 ~dc:0 in
   let got = ref None in
   let k v = got := v in
