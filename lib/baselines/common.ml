@@ -270,8 +270,7 @@ let install t ~dc ~part ~key value meta ~origin_dc ~origin_time =
 
 let vec_advance t ~dc ~src ts =
   if Sim.Probe.active () then
-    Sim.Probe.emit ~at:(Sim.Engine.now (engine t))
-      (Sim.Probe.Vec_advance { dc; src; ts = Sim.Time.to_us ts })
+    Sim.Probe.vec_advance ~at:(Sim.Engine.now (engine t)) ~dc ~src ~ts:(Sim.Time.to_us ts)
 
 let pending_gauge t series count =
   Option.iter

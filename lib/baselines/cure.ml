@@ -52,9 +52,7 @@ let finish_stab_round t dc =
        scalar GST of the GentleRain probe *)
     let oldest = ref Sim.Time.infinity in
     Array.iter (fun x -> oldest := Sim.Time.min !oldest x) d.gsv;
-    Sim.Probe.emit
-      ~at:(Sim.Engine.now (Common.engine geo))
-      (Sim.Probe.Stab_round { dc; gst = Sim.Time.to_us !oldest })
+    Sim.Probe.stab_round ~at:(Sim.Engine.now (Common.engine geo)) ~dc ~gst:(Sim.Time.to_us !oldest)
   end;
   (* a remote update is visible once the GSV dominates its dependency
      vector on every entry but its own *)

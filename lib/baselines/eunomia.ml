@@ -38,9 +38,7 @@ let advance t dc =
   if n > 1 && Sim.Time.compare !gst d.gst > 0 then begin
     d.gst <- !gst;
     if Sim.Probe.active () then
-      Sim.Probe.emit
-        ~at:(Sim.Engine.now (Common.engine geo))
-        (Sim.Probe.Stab_round { dc; gst = Sim.Time.to_us d.gst })
+      Sim.Probe.stab_round ~at:(Sim.Engine.now (Common.engine geo)) ~dc ~gst:(Sim.Time.to_us d.gst)
   end;
   Common.flush_stable geo ~dc d.pending ~stable:d.gst;
   d.waiters <-

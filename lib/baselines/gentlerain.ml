@@ -28,9 +28,7 @@ let finish_stab_round t dc =
   done;
   if n > 1 then d.gst <- Sim.Time.max d.gst !gst;
   if Sim.Probe.active () then
-    Sim.Probe.emit
-      ~at:(Sim.Engine.now (Common.engine geo))
-      (Sim.Probe.Stab_round { dc; gst = Sim.Time.to_us d.gst });
+    Sim.Probe.stab_round ~at:(Sim.Engine.now (Common.engine geo)) ~dc ~gst:(Sim.Time.to_us d.gst);
   (* flush newly-stable remote updates *)
   Common.flush_stable geo ~dc d.pending ~stable:d.gst;
   d.waiters <-

@@ -63,9 +63,7 @@ let finish_stab_round t dc =
   let floor = Common.dc_floor geo ~dc in
   if Sim.Time.compare floor d.known.(dc).(dc) > 0 then d.known.(dc).(dc) <- floor;
   if Sim.Probe.active () then
-    Sim.Probe.emit
-      ~at:(Sim.Engine.now (Common.engine geo))
-      (Sim.Probe.Stab_round { dc; gst = Sim.Time.to_us d.ust });
+    Sim.Probe.stab_round ~at:(Sim.Engine.now (Common.engine geo)) ~dc ~gst:(Sim.Time.to_us d.ust);
   Common.broadcast geo ~src:dc ~size_bytes:(row_wire_bytes (Common.n_dcs geo)) ~heartbeat:false
     (Row (Array.copy d.known.(dc)));
   advance t dc

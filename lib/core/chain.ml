@@ -111,7 +111,7 @@ let rec try_commit t =
       | confirm ->
         Int_tbl.remove t.confirms seq;
         if Sim.Probe.active () then
-          Sim.Probe.emit ~at:(Sim.Engine.now t.engine) (Sim.Probe.Chain_ack { seq });
+          Sim.Probe.chain_ack ~at:(Sim.Engine.now t.engine) ~seq;
         (* the commit ack travels back up the chain before the external
            sender is acknowledged *)
         let upstream_hops = t.n_alive - 1 in

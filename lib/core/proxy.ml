@@ -116,16 +116,13 @@ let create engine ~dc ~n_dcs ~stage_update ~install_update ?registry ?series ?(m
 
 let probe_mode t m =
   if Sim.Probe.active () then
-    Sim.Probe.emit ~at:(Sim.Engine.now t.engine)
-      (Sim.Probe.Proxy_mode
-         { dc = t.dc; mode = (match m with Stream -> Sim.Probe.Stream | Fallback -> Sim.Probe.Fallback) })
+    Sim.Probe.proxy_mode ~at:(Sim.Engine.now t.engine) ~dc:t.dc
+      ~mode:(match m with Stream -> Sim.Probe.Stream | Fallback -> Sim.Probe.Fallback)
 
 let probe_apply t (label : Label.t) ~fallback =
   if Sim.Probe.active () then
-    Sim.Probe.emit ~at:(Sim.Engine.now t.engine)
-      (Sim.Probe.Proxy_apply
-         { dc = t.dc; src_dc = label.Label.src_dc; gear = label.Label.src_gear;
-           ts = Sim.Time.to_us label.Label.ts; fallback })
+    Sim.Probe.proxy_apply ~at:(Sim.Engine.now t.engine) ~dc:t.dc ~src_dc:label.Label.src_dc
+      ~gear:label.Label.src_gear ~ts:(Sim.Time.to_us label.Label.ts) ~fallback
 
 let span_label ~at ph t (label : Label.t) =
   let origin = label.Label.src_dc and seq = Sim.Time.to_us label.Label.ts in
@@ -364,8 +361,7 @@ and complete_switch t =
   t.switch <- None;
   t.switch_done <- true;
   if Sim.Probe.active () then
-    Sim.Probe.emit ~at:(Sim.Engine.now t.engine)
-      (Sim.Probe.Switch_done { dc = t.dc; epoch = t.target_epoch });
+    Sim.Probe.switch_done ~at:(Sim.Engine.now t.engine) ~dc:t.dc ~epoch:t.target_epoch;
   (match t.switch_done_hook with Some f -> f () | None -> ());
   let drained = ref [] in
   Queue.iter (fun l -> drained := l :: !drained) t.next_buffer;

@@ -168,7 +168,7 @@ let rec arm_timer s =
               (fun e ->
                 if Sim.Time.compare (Sim.Time.sub now e.last_sent) s.resend_period >= 0 then begin
                   if Sim.Probe.active () then
-                    Sim.Probe.emit ~at:now (Sim.Probe.Fifo_resend { sender = s.s_id; seq = e.seq });
+                    Sim.Probe.fifo_resend ~at:now ~sender:s.s_id ~seq:e.seq;
                   transmit s route e
                 end)
               s.unacked);

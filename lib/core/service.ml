@@ -51,8 +51,7 @@ let resend_period lat = Sim.Time.add (Sim.Time.add lat lat) (Sim.Time.of_ms 50)
 
 let probe_delay t s delta =
   if Sim.Time.compare delta Sim.Time.zero > 0 then
-    Sim.Probe.emit ~at:(Sim.Engine.now t.engine)
-      (Sim.Probe.Delay_wait { serializer = s; us = Sim.Time.to_us delta })
+    Sim.Probe.delay_wait ~at:(Sim.Engine.now t.engine) ~serializer:s ~us:(Sim.Time.to_us delta)
 
 let positive delta = Sim.Time.compare delta Sim.Time.zero > 0
 
@@ -68,7 +67,7 @@ let route t s msg =
   let origin, oseq = msg.uid in
   let now = Sim.Engine.now t.engine in
   if Sim.Probe.active () then begin
-    Sim.Probe.emit ~at:now (Sim.Probe.Ser_commit { ser = s; origin; oseq; epoch = t.instance });
+    Sim.Probe.ser_commit ~at:now ~ser:s ~origin ~oseq ~epoch:t.instance;
     Sim.Span.end_ ~at:now Sim.Span.Sk_chain ~origin ~seq:oseq ~aux:t.instance ~site:s ~peer:(-1)
       ~epoch:t.instance
   end;
@@ -78,7 +77,7 @@ let route t s msg =
     if msg.targets land (1 lsl dc) <> 0 then begin
       let delta = t.egress_delta.(dc) in
       if Sim.Probe.active () then begin
-        Sim.Probe.emit ~at:now (Sim.Probe.Serializer_deliver { dc });
+        Sim.Probe.serializer_deliver ~at:now ~dc;
         probe_delay t s delta;
         if positive delta then
           Sim.Span.begin_ ~at:now Sim.Span.Sk_delay_egress ~origin ~seq:oseq ~aux:t.instance
@@ -94,7 +93,7 @@ let route t s msg =
       let b = neighbours.(i) in
       let delta = deltas.(i) in
       if Sim.Probe.active () then begin
-        Sim.Probe.emit ~at:now (Sim.Probe.Serializer_hop { from_ser = s; to_ser = b });
+        Sim.Probe.serializer_hop ~at:now ~from_ser:s ~to_ser:b;
         probe_delay t s delta;
         if positive delta then
           Sim.Span.begin_ ~at:now Sim.Span.Sk_delay_hop ~origin ~seq:oseq ~aux:t.instance ~site:s
@@ -237,8 +236,7 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
     (fun s chain ->
       Chain.set_on_head_change chain (fun () ->
           Stats.Registry.incr t.head_change_counter;
-          if Sim.Probe.active () then
-            Sim.Probe.emit ~at:(Sim.Engine.now engine) (Sim.Probe.Head_change { ser = s });
+          if Sim.Probe.active () then Sim.Probe.head_change ~at:(Sim.Engine.now engine) ~ser:s;
           List.iter
             (fun recv -> Reliable_fifo.redeliver_unconfirmed recv ~deliver:(ingest s))
             ingress_receivers.(s)))
@@ -347,10 +345,8 @@ let input t ~dc label =
   let oseq = if targets = 0 then -1 else t.uid_counter.(dc) in
   if Sim.Probe.active () then begin
     let at = Sim.Engine.now t.engine in
-    Sim.Probe.emit ~at
-      (Sim.Probe.Label_forward
-         { dc; gear = label.Label.src_gear; ts = Sim.Time.to_us label.Label.ts; oseq;
-           inst = t.instance; epoch = t.instance });
+    Sim.Probe.label_forward ~at ~dc ~gear:label.Label.src_gear ~ts:(Sim.Time.to_us label.Label.ts)
+      ~oseq ~inst:t.instance ~epoch:t.instance;
     if oseq >= 0 then
       Sim.Span.begin_ ~at Sim.Span.Sk_attach ~origin:dc ~seq:oseq ~aux:t.instance ~site:dc
         ~epoch:t.instance

@@ -26,7 +26,7 @@ let flush t =
         Sim.Span.end_ ~at Sim.Span.Sk_sink_hold ~origin:l.Label.src_dc
           ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear ~site:l.Label.src_dc
           ~peer:(-1) ~epoch:0;
-        Sim.Probe.emit ~at (Sim.Probe.Sink_emit { dc = l.Label.src_dc; ts = Sim.Time.to_us l.Label.ts })
+        Sim.Probe.sink_emit ~at ~dc:l.Label.src_dc ~ts:(Sim.Time.to_us l.Label.ts)
       end;
       t.emit l;
       drain ()

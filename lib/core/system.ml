@@ -241,7 +241,7 @@ let switch_config t config2 ~graceful =
   Stats.Registry.incr t.switches_counter;
   t.switch_at <- Some now;
   t.switch_pending_dcs <- Array.length t.dcs;
-  if Sim.Probe.active () then Sim.Probe.emit ~at:now (Sim.Probe.Switch_begin { epoch; graceful });
+  if Sim.Probe.active () then Sim.Probe.switch_begin ~at:now ~epoch ~graceful;
   let service2 =
     Service.create engine ~topo:t.p.geo.Fabric.topo ~config:config2 ~interest:(interest_of t.p)
       ~deliver:(fun ~dc label -> deliver_next t ~dc label)

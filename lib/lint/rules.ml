@@ -510,6 +510,9 @@ let check_ship ~file ~items toks =
 
 (* ---- R8 cross-file half: every probe constructor has a consumer ------------ *)
 
+(* A consumer that matches on a probe view's [Kind] constant counts: each
+   is named like its event constructor. *)
+
 let probe_consumer_suffixes = [ "faults/checker.ml"; "harness/journey.ml"; "harness/chrome.ml" ]
 
 let check_probe_consumers sources =

@@ -49,8 +49,7 @@ let step t =
     let at = Time.of_us (Heap.Keyed.popped_k1 t.queue) in
     t.now <- at;
     t.processed <- t.processed + 1;
-    if Probe.active () then
-      Probe.emit ~at (Probe.Engine_step { seq = Heap.Keyed.popped_k2 t.queue });
+    if Probe.active () then Probe.engine_step ~at ~seq:(Heap.Keyed.popped_k2 t.queue);
     run ();
     true
   end

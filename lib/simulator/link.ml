@@ -87,12 +87,12 @@ let fire c =
        drops the rest, exactly as per-message events did *)
     if w.up && w.epoch = epoch then begin
       w.delivered <- w.delivered + 1;
-      if Probe.active () then Probe.emit ~at Probe.Link_deliver;
+      if Probe.active () then Probe.link_deliver ~at;
       c.deliver m
     end
     else begin
       w.dropped_cut <- w.dropped_cut + 1;
-      if Probe.active () then Probe.emit ~at (Probe.Link_drop { in_flight = true })
+      if Probe.active () then Probe.link_drop ~at ~in_flight:true
     end
   done
 
@@ -125,11 +125,10 @@ let send c ~size_bytes msg =
   let t = c.wire in
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size_bytes;
-  if Probe.active () then Probe.emit ~at:(Engine.now t.engine) (Probe.Link_send { size_bytes });
+  if Probe.active () then Probe.link_send ~at:(Engine.now t.engine) ~size_bytes;
   if not t.up then begin
     t.dropped_down <- t.dropped_down + 1;
-    if Probe.active () then
-      Probe.emit ~at:(Engine.now t.engine) (Probe.Link_drop { in_flight = false })
+    if Probe.active () then Probe.link_drop ~at:(Engine.now t.engine) ~in_flight:false
   end
   else begin
     let now = Engine.now t.engine in

@@ -76,43 +76,97 @@ type event =
   | Span_begin of span
   | Span_end of span
 
-(* Interned kind ids: per-event counting bumps a dense [int array] slot
-   instead of hashing the kind string. Span begins and ends share one
-   "span.<kind>" bucket, matching [kind]. *)
+module Kind = struct
+  type t =
+    | Engine_step
+    | Link_send
+    | Link_deliver
+    | Link_drop
+    | Fifo_resend
+    | Label_forward
+    | Serializer_hop
+    | Serializer_deliver
+    | Delay_wait
+    | Chain_ack
+    | Ser_commit
+    | Head_change
+    | Sink_emit
+    | Proxy_apply
+    | Proxy_mode
+    | Stab_round
+    | Vec_advance
+    | Switch_begin
+    | Switch_done
+    | Span_begin
+    | Span_end
+end
+
+(* The flyweight an event is recorded from: the kind, its flag and up to
+   six int fields, in the order of its line (see [descs]). A probe owns
+   one and every emission overwrites it, so recording builds no value. *)
+type view = {
+  mutable kind : Kind.t;
+  mutable span_kind : span_kind;
+  mutable flag : bool;
+  mutable f0 : int;
+  mutable f1 : int;
+  mutable f2 : int;
+  mutable f3 : int;
+  mutable f4 : int;
+  mutable f5 : int;
+}
+
+let view () =
+  { kind = Kind.Engine_step; span_kind = Sk_sink_hold; flag = false; f0 = 0; f1 = 0; f2 = 0;
+    f3 = 0; f4 = 0; f5 = 0 }
+
+let arg v = function 0 -> v.f0 | 1 -> v.f1 | 2 -> v.f2 | 3 -> v.f3 | 4 -> v.f4 | _ -> v.f5
+
+let set_arg v i x =
+  match i with
+  | 0 -> v.f0 <- x
+  | 1 -> v.f1 <- x
+  | 2 -> v.f2 <- x
+  | 3 -> v.f3 <- x
+  | 4 -> v.f4 <- x
+  | _ -> v.f5 <- x
+
+(* A tag names one line shape: the 19 point kinds in [Kind] order, then a
+   span begin per span kind, then a span end per span kind. It indexes
+   [descs] and is the kept trace's tag byte. Per-event counting bumps a
+   dense bucket per tag, where a span's begin and end share one
+   "span.<kind>" bucket. *)
 let n_point_kinds = 19
 let n_kinds = n_point_kinds + n_span_kinds
+let n_tags = n_kinds + n_span_kinds
 
-let kind_id = function
-  | Engine_step _ -> 0
-  | Link_send _ -> 1
-  | Link_deliver -> 2
-  | Link_drop _ -> 3
-  | Fifo_resend _ -> 4
-  | Label_forward _ -> 5
-  | Serializer_hop _ -> 6
-  | Serializer_deliver _ -> 7
-  | Delay_wait _ -> 8
-  | Chain_ack _ -> 9
-  | Ser_commit _ -> 10
-  | Head_change _ -> 11
-  | Sink_emit _ -> 12
-  | Proxy_apply _ -> 13
-  | Proxy_mode _ -> 14
-  | Stab_round _ -> 15
-  | Vec_advance _ -> 16
-  | Switch_begin _ -> 17
-  | Switch_done _ -> 18
-  | Span_begin s | Span_end s -> n_point_kinds + span_kind_id s.sk
+(* a point kind's tag; a span's tag adds its [span_kind_id] *)
+let kind_tag : Kind.t -> int = function
+  | Kind.Engine_step -> 0
+  | Kind.Link_send -> 1
+  | Kind.Link_deliver -> 2
+  | Kind.Link_drop -> 3
+  | Kind.Fifo_resend -> 4
+  | Kind.Label_forward -> 5
+  | Kind.Serializer_hop -> 6
+  | Kind.Serializer_deliver -> 7
+  | Kind.Delay_wait -> 8
+  | Kind.Chain_ack -> 9
+  | Kind.Ser_commit -> 10
+  | Kind.Head_change -> 11
+  | Kind.Sink_emit -> 12
+  | Kind.Proxy_apply -> 13
+  | Kind.Proxy_mode -> 14
+  | Kind.Stab_round -> 15
+  | Kind.Vec_advance -> 16
+  | Kind.Switch_begin -> 17
+  | Kind.Switch_done -> 18
+  | Kind.Span_begin -> n_point_kinds
+  | Kind.Span_end -> n_kinds
 
-let kind_names =
-  Array.append
-    [| "engine_step"; "link_send"; "link_deliver"; "link_drop"; "fifo_resend"; "label_forward";
-       "serializer_hop"; "serializer_deliver"; "delay_wait"; "chain_ack"; "ser_commit";
-       "head_change"; "sink_emit"; "proxy_apply"; "proxy_mode"; "stab_round"; "vec_advance";
-       "switch_begin"; "switch_done" |]
-    (Array.of_list (List.map (fun sk -> "span." ^ span_kind_name sk) span_kinds))
+let bucket tag = if tag < n_kinds then tag else tag - n_span_kinds
 
-(* ---- the line format: one walk digests and renders ---------------------- *)
+(* ---- the digest walk: literals and ints ----------------------------------- *)
 
 (* A [writer] is a growable [Bytes] that receives a rendered line; the
    record path owns one only while a [stream_jsonl] channel is attached. *)
@@ -161,10 +215,15 @@ type lit = { text : string; mutable table : Bytes.t }
 let lit_pk = 128 * 8
 let lits = ref [] (* every literal, for [fill_tables]; grown only at module initialisation *)
 
+(* literals are shared by text: [,"ts":] is one table however many kinds
+   carry a [ts] field *)
 let lit text =
-  let l = { text; table = Bytes.empty } in
-  lits := l :: !lits;
-  l
+  match List.find_opt (fun l -> String.equal l.text text) !lits with
+  | Some l -> l
+  | None ->
+    let l = { text; table = Bytes.empty } in
+    lits := l :: !lits;
+    l
 
 let fill l =
   let k = String.length l.text in
@@ -248,137 +307,187 @@ let field s l v =
   add_lit s l;
   add_int s v
 
-(* Every literal of the line format, declared once. Each one runs from
-   the end of an int field to the start of the next, so an event folds
-   one literal per field plus the closing one. *)
+(* ---- the line format: one descriptor per tag ------------------------------ *)
+
+(* Every line is [{"t":<time>], its tag's [head], its fields (the first
+   right after the head, each later one after its literal in [keys]), the
+   flag's literal if the kind has a flag, and [}\n]. So each literal runs
+   from the end of an int field to the start of the next, and a line folds
+   one literal per int field, the flag's if any, and the closing one.
+   FNV-1a folds bytes in order, so where the line is cut into literals
+   does not change the digest. *)
+type desc = {
+  kind : Kind.t;
+  sk : span_kind; (* a span tag's span kind; [Sk_sink_hold] on point tags *)
+  name : string; (* the tag's counts bucket *)
+  head : lit;
+  keys : lit array;
+  arity : int;
+  choice : (lit * lit) option; (* the flag's literal when it is set, and when clear *)
+}
+
 let l_t = lit {|{"t":|}
 let l_close = lit "}\n"
-let l_engine_step = lit {|,"ev":"engine_step","seq":|}
-let l_link_send = lit {|,"ev":"link_send","bytes":|}
-let l_link_deliver = lit {|,"ev":"link_deliver"|}
-let l_drop_cut = lit {|,"ev":"link_drop","why":"cut"|}
-let l_drop_down = lit {|,"ev":"link_drop","why":"down"|}
-let l_fifo_resend = lit {|,"ev":"fifo_resend","sender":|}
-let l_label_forward = lit {|,"ev":"label_forward","dc":|}
-let l_serializer_hop = lit {|,"ev":"serializer_hop","from":|}
-let l_serializer_deliver = lit {|,"ev":"serializer_deliver","dc":|}
-let l_delay_wait = lit {|,"ev":"delay_wait","serializer":|}
-let l_chain_ack = lit {|,"ev":"chain_ack","seq":|}
-let l_ser_commit = lit {|,"ev":"ser_commit","ser":|}
-let l_head_change = lit {|,"ev":"head_change","ser":|}
-let l_sink_emit = lit {|,"ev":"sink_emit","dc":|}
-let l_proxy_apply = lit {|,"ev":"proxy_apply","dc":|}
-let l_proxy_mode = lit {|,"ev":"proxy_mode","dc":|}
-let l_stab_round = lit {|,"ev":"stab_round","dc":|}
-let l_vec_advance = lit {|,"ev":"vec_advance","dc":|}
-let l_switch_begin = lit {|,"ev":"switch_begin","epoch":|}
-let l_switch_done = lit {|,"ev":"switch_done","dc":|}
-let l_seq = lit {|,"seq":|}
-let l_gear = lit {|,"gear":|}
-let l_ts = lit {|,"ts":|}
-let l_oseq = lit {|,"oseq":|}
-let l_inst = lit {|,"inst":|}
-let l_epoch = lit {|,"epoch":|}
-let l_to = lit {|,"to":|}
-let l_us = lit {|,"us":|}
-let l_origin = lit {|,"origin":|}
-let l_src = lit {|,"src":|}
-let l_gst = lit {|,"gst":|}
-let l_aux = lit {|,"aux":|}
-let l_site = lit {|,"site":|}
-let l_peer = lit {|,"peer":|}
-let l_via_fallback = lit {|,"via":"fallback"|}
-let l_via_stream = lit {|,"via":"stream"|}
-let l_mode_stream = lit {|,"mode":"stream"|}
-let l_mode_fallback = lit {|,"mode":"fallback"|}
-let l_mode_graceful = lit {|,"mode":"graceful"|}
-let l_mode_forced = lit {|,"mode":"forced"|}
 
-(* a span's head, up to its first field, per phase and [span_kind_id] *)
-let span_heads ph =
-  let head sk = lit ({|,"ev":"|} ^ ph ^ {|","kind":"|} ^ span_kind_name sk ^ {|","origin":|}) in
-  Array.of_list (List.map head span_kinds)
+let desc ?(sk = Sk_sink_hold) ?(sub = "") ?flag kind ~name ~ev fields =
+  let key f = Printf.sprintf {|,"%s":|} f in
+  let first, rest = match fields with [] -> ("", []) | f :: rest -> (key f, rest) in
+  let choice (field, on, off) =
+    let l v = lit (Printf.sprintf {|,"%s":"%s"|} field v) in
+    (l on, l off)
+  in
+  { kind; sk; name; head = lit (Printf.sprintf {|,"ev":"%s"%s%s|} ev sub first);
+    keys = Array.of_list (List.map (fun f -> lit (key f)) rest); arity = List.length fields;
+    choice = Option.map choice flag }
 
-let l_span_begin = span_heads "span_begin"
-let l_span_end = span_heads "span_end"
+let point ?flag kind ev fields = desc ?flag kind ~name:ev ~ev fields
 
-let walk_span s heads { sk; origin; seq; aux; site; peer; epoch } =
-  field s heads.(span_kind_id sk) origin;
-  field s l_seq seq;
-  field s l_aux aux;
-  field s l_site site;
-  field s l_peer peer;
-  field s l_epoch epoch
+let spans kind ev =
+  List.map
+    (fun sk ->
+      let n = span_kind_name sk in
+      desc ~sk ~sub:(Printf.sprintf {|,"kind":"%s"|} n) kind ~name:("span." ^ n) ~ev
+        [ "origin"; "seq"; "aux"; "site"; "peer"; "epoch" ])
+    span_kinds
 
-(* The one definition of an event's JSONL line, newline included: it
-   always folds the line into [s]'s hash and writes it to [s.out] when
-   one is given, so the digested bytes and every exported line cannot
-   drift apart. *)
-let walk s at ev =
+(* The one definition of the line format. A flag is given as (field, value
+   when set, value when clear). *)
+let descs =
+  let a =
+    Array.of_list
+      ([ point Kind.Engine_step "engine_step" [ "seq" ];
+         point Kind.Link_send "link_send" [ "bytes" ];
+         point Kind.Link_deliver "link_deliver" [];
+         point Kind.Link_drop "link_drop" [] ~flag:("why", "cut", "down");
+         point Kind.Fifo_resend "fifo_resend" [ "sender"; "seq" ];
+         point Kind.Label_forward "label_forward" [ "dc"; "gear"; "ts"; "oseq"; "inst"; "epoch" ];
+         point Kind.Serializer_hop "serializer_hop" [ "from"; "to" ];
+         point Kind.Serializer_deliver "serializer_deliver" [ "dc" ];
+         point Kind.Delay_wait "delay_wait" [ "serializer"; "us" ];
+         point Kind.Chain_ack "chain_ack" [ "seq" ];
+         point Kind.Ser_commit "ser_commit" [ "ser"; "origin"; "oseq"; "epoch" ];
+         point Kind.Head_change "head_change" [ "ser" ];
+         point Kind.Sink_emit "sink_emit" [ "dc"; "ts" ];
+         point Kind.Proxy_apply "proxy_apply" [ "dc"; "src"; "gear"; "ts" ]
+           ~flag:("via", "fallback", "stream");
+         point Kind.Proxy_mode "proxy_mode" [ "dc" ] ~flag:("mode", "fallback", "stream");
+         point Kind.Stab_round "stab_round" [ "dc"; "gst" ];
+         point Kind.Vec_advance "vec_advance" [ "dc"; "src"; "ts" ];
+         point Kind.Switch_begin "switch_begin" [ "epoch" ] ~flag:("mode", "graceful", "forced");
+         point Kind.Switch_done "switch_done" [ "dc"; "epoch" ] ]
+      @ spans Kind.Span_begin "span_begin"
+      @ spans Kind.Span_end "span_end")
+  in
+  Array.iteri
+    (fun tag d ->
+      if kind_tag d.kind + span_kind_id d.sk <> tag then
+        invalid_arg "Probe: descriptor out of order")
+    a;
+  a
+
+let kind_names = Array.init n_kinds (fun tag -> descs.(tag).name)
+
+(* The one walk over a line: it folds the line into [s]'s hash, newline
+   included, and writes it to [s.out] when one is given, so the digested
+   bytes and every exported line cannot drift apart. *)
+let walk s at d (v : view) =
   field s l_t (Time.to_us at);
-  (match ev with
-  | Engine_step { seq } -> field s l_engine_step seq
-  | Link_send { size_bytes } -> field s l_link_send size_bytes
-  | Link_deliver -> add_lit s l_link_deliver
-  | Link_drop { in_flight } -> add_lit s (if in_flight then l_drop_cut else l_drop_down)
-  | Fifo_resend { sender; seq } ->
-    field s l_fifo_resend sender;
-    field s l_seq seq
-  | Label_forward { dc; gear; ts; oseq; inst; epoch } ->
-    field s l_label_forward dc;
-    field s l_gear gear;
-    field s l_ts ts;
-    field s l_oseq oseq;
-    field s l_inst inst;
-    field s l_epoch epoch
-  | Serializer_hop { from_ser; to_ser } ->
-    field s l_serializer_hop from_ser;
-    field s l_to to_ser
-  | Serializer_deliver { dc } -> field s l_serializer_deliver dc
-  | Delay_wait { serializer; us } ->
-    field s l_delay_wait serializer;
-    field s l_us us
-  | Chain_ack { seq } -> field s l_chain_ack seq
-  | Ser_commit { ser; origin; oseq; epoch } ->
-    field s l_ser_commit ser;
-    field s l_origin origin;
-    field s l_oseq oseq;
-    field s l_epoch epoch
-  | Head_change { ser } -> field s l_head_change ser
-  | Sink_emit { dc; ts } ->
-    field s l_sink_emit dc;
-    field s l_ts ts
-  | Proxy_apply { dc; src_dc; gear; ts; fallback } ->
-    field s l_proxy_apply dc;
-    field s l_src src_dc;
-    field s l_gear gear;
-    field s l_ts ts;
-    add_lit s (if fallback then l_via_fallback else l_via_stream)
-  | Proxy_mode { dc; mode } ->
-    field s l_proxy_mode dc;
-    add_lit s (match mode with Stream -> l_mode_stream | Fallback -> l_mode_fallback)
-  | Stab_round { dc; gst } ->
-    field s l_stab_round dc;
-    field s l_gst gst
-  | Vec_advance { dc; src; ts } ->
-    field s l_vec_advance dc;
-    field s l_src src;
-    field s l_ts ts
-  | Switch_begin { epoch; graceful } ->
-    field s l_switch_begin epoch;
-    add_lit s (if graceful then l_mode_graceful else l_mode_forced)
-  | Switch_done { dc; epoch } ->
-    field s l_switch_done dc;
-    field s l_epoch epoch
-  | Span_begin sp -> walk_span s l_span_begin sp
-  | Span_end sp -> walk_span s l_span_end sp);
+  add_lit s d.head;
+  if d.arity > 0 then add_int s v.f0;
+  for i = 1 to d.arity - 1 do
+    field s d.keys.(i - 1) (arg v i)
+  done;
+  (match d.choice with None -> () | Some (on, off) -> add_lit s (if v.flag then on else off));
   add_lit s l_close
+
+(* ---- events and views ----------------------------------------------------- *)
+
+(* [fill] writes an event's flag and fields into a view and returns its
+   tag: the one write of every typed emitter, and of [load]. Loading an
+   event into a view, and building one back from it, are the cold paths
+   of [emit], [iter] and [to_json]. *)
+let fill (v : view) kind flag a b c d e f =
+  v.flag <- flag;
+  v.f0 <- a;
+  v.f1 <- b;
+  v.f2 <- c;
+  v.f3 <- d;
+  v.f4 <- e;
+  v.f5 <- f;
+  kind_tag kind
+
+let fill_span v kind { sk; origin; seq; aux; site; peer; epoch } =
+  fill v kind false origin seq aux site peer epoch + span_kind_id sk
+
+let load v = function
+  | Engine_step { seq } -> fill v Kind.Engine_step false seq 0 0 0 0 0
+  | Link_send { size_bytes } -> fill v Kind.Link_send false size_bytes 0 0 0 0 0
+  | Link_deliver -> fill v Kind.Link_deliver false 0 0 0 0 0 0
+  | Link_drop { in_flight } -> fill v Kind.Link_drop in_flight 0 0 0 0 0 0
+  | Fifo_resend { sender; seq } -> fill v Kind.Fifo_resend false sender seq 0 0 0 0
+  | Label_forward { dc; gear; ts; oseq; inst; epoch } ->
+    fill v Kind.Label_forward false dc gear ts oseq inst epoch
+  | Serializer_hop { from_ser; to_ser } -> fill v Kind.Serializer_hop false from_ser to_ser 0 0 0 0
+  | Serializer_deliver { dc } -> fill v Kind.Serializer_deliver false dc 0 0 0 0 0
+  | Delay_wait { serializer; us } -> fill v Kind.Delay_wait false serializer us 0 0 0 0
+  | Chain_ack { seq } -> fill v Kind.Chain_ack false seq 0 0 0 0 0
+  | Ser_commit { ser; origin; oseq; epoch } ->
+    fill v Kind.Ser_commit false ser origin oseq epoch 0 0
+  | Head_change { ser } -> fill v Kind.Head_change false ser 0 0 0 0 0
+  | Sink_emit { dc; ts } -> fill v Kind.Sink_emit false dc ts 0 0 0 0
+  | Proxy_apply { dc; src_dc; gear; ts; fallback } ->
+    fill v Kind.Proxy_apply fallback dc src_dc gear ts 0 0
+  | Proxy_mode { dc; mode } ->
+    fill v Kind.Proxy_mode (match mode with Fallback -> true | Stream -> false) dc 0 0 0 0 0
+  | Stab_round { dc; gst } -> fill v Kind.Stab_round false dc gst 0 0 0 0
+  | Vec_advance { dc; src; ts } -> fill v Kind.Vec_advance false dc src ts 0 0 0
+  | Switch_begin { epoch; graceful } -> fill v Kind.Switch_begin graceful epoch 0 0 0 0 0
+  | Switch_done { dc; epoch } -> fill v Kind.Switch_done false dc epoch 0 0 0 0
+  | Span_begin s -> fill_span v Kind.Span_begin s
+  | Span_end s -> fill_span v Kind.Span_end s
+
+let span_of_view (v : view) =
+  { sk = v.span_kind; origin = v.f0; seq = v.f1; aux = v.f2; site = v.f3; peer = v.f4;
+    epoch = v.f5 }
+
+let event_of_view (v : view) =
+  match v.kind with
+  | Kind.Engine_step -> Engine_step { seq = v.f0 }
+  | Kind.Link_send -> Link_send { size_bytes = v.f0 }
+  | Kind.Link_deliver -> Link_deliver
+  | Kind.Link_drop -> Link_drop { in_flight = v.flag }
+  | Kind.Fifo_resend -> Fifo_resend { sender = v.f0; seq = v.f1 }
+  | Kind.Label_forward ->
+    Label_forward { dc = v.f0; gear = v.f1; ts = v.f2; oseq = v.f3; inst = v.f4; epoch = v.f5 }
+  | Kind.Serializer_hop -> Serializer_hop { from_ser = v.f0; to_ser = v.f1 }
+  | Kind.Serializer_deliver -> Serializer_deliver { dc = v.f0 }
+  | Kind.Delay_wait -> Delay_wait { serializer = v.f0; us = v.f1 }
+  | Kind.Chain_ack -> Chain_ack { seq = v.f0 }
+  | Kind.Ser_commit -> Ser_commit { ser = v.f0; origin = v.f1; oseq = v.f2; epoch = v.f3 }
+  | Kind.Head_change -> Head_change { ser = v.f0 }
+  | Kind.Sink_emit -> Sink_emit { dc = v.f0; ts = v.f1 }
+  | Kind.Proxy_apply ->
+    Proxy_apply { dc = v.f0; src_dc = v.f1; gear = v.f2; ts = v.f3; fallback = v.flag }
+  | Kind.Proxy_mode -> Proxy_mode { dc = v.f0; mode = (if v.flag then Fallback else Stream) }
+  | Kind.Stab_round -> Stab_round { dc = v.f0; gst = v.f1 }
+  | Kind.Vec_advance -> Vec_advance { dc = v.f0; src = v.f1; ts = v.f2 }
+  | Kind.Switch_begin -> Switch_begin { epoch = v.f0; graceful = v.flag }
+  | Kind.Switch_done -> Switch_done { dc = v.f0; epoch = v.f1 }
+  | Kind.Span_begin -> Span_begin (span_of_view v)
+  | Kind.Span_end -> Span_end (span_of_view v)
+
+(* a view's tag, for walks that start from a view alone *)
+let tag_of_view (v : view) = kind_tag v.kind + span_kind_id v.span_kind
 
 (* one line without its newline, folded into a throwaway hash *)
 let to_json at ev =
   fill_tables ();
+  let v = view () in
+  let d = descs.(load v ev) in
+  v.kind <- d.kind;
+  v.span_kind <- d.sk;
   let w = writer () in
-  walk (scribe (Some w)) at ev;
+  walk (scribe (Some w)) at d v;
   Bytes.sub_string w.wb 0 (w.wn - 1)
 
 (* ---- the packed kept trace ---------------------------------------------- *)
@@ -388,13 +497,12 @@ let to_json at ev =
    one boxed block per event for the major GC to mark. An event is
    encoded as one tag byte, then the zigzag-LEB128 delta of its time from
    the previous event's, then each int field as a zigzag-LEB128 varint.
-   The tag is the [kind_id] (span ends take [n_span_kinds] more than
-   begins); the bool-like field of [Link_drop], [Proxy_apply],
-   [Proxy_mode] and [Switch_begin] rides in the tag's [tag_flag] bit. A
-   varint of a 63-bit int is at most 9 bytes, so an event — tag, time and
-   at most six fields — is at most [max_event_bytes]: a chunk is sealed
-   with [end_of_chunk] once the next event might not fit, and no event
-   straddles two chunks. *)
+   The tag byte is the event's tag; the flag of [Link_drop],
+   [Proxy_apply], [Proxy_mode] and [Switch_begin] rides in its
+   [tag_flag] bit. A varint of a 63-bit int is at most 9 bytes, so an
+   event — tag, time and at most six fields — is at most
+   [max_event_bytes]: a chunk is sealed with [end_of_chunk] once the next
+   event might not fit, and no event straddles two chunks. *)
 let chunk_size = 65536
 let max_event_bytes = 1 + (9 * 7)
 let tag_flag = 0x80
@@ -414,46 +522,7 @@ let put_uleb b p v =
 (* zigzag: small magnitudes of either sign get short varints *)
 let put b p n = put_uleb b p ((n lsl 1) lxor (n asr 62))
 
-let tag_of kid = function
-  | Span_end _ -> kid + n_span_kinds
-  | Link_drop { in_flight = true }
-  | Proxy_apply { fallback = true; _ }
-  | Proxy_mode { mode = Fallback; _ }
-  | Switch_begin { graceful = true; _ } ->
-    kid lor tag_flag
-  | _ -> kid
-
-(* the fields after the tag and time; returns the position after them *)
-let put_fields b p = function
-  | Engine_step { seq } -> put b p seq
-  | Link_send { size_bytes } -> put b p size_bytes
-  | Link_deliver | Link_drop _ -> p
-  | Fifo_resend { sender; seq } -> put b (put b p sender) seq
-  | Label_forward { dc; gear; ts; oseq; inst; epoch } ->
-    let p = put b (put b (put b p dc) gear) ts in
-    put b (put b (put b p oseq) inst) epoch
-  | Serializer_hop { from_ser; to_ser } -> put b (put b p from_ser) to_ser
-  | Serializer_deliver { dc } -> put b p dc
-  | Delay_wait { serializer; us } -> put b (put b p serializer) us
-  | Chain_ack { seq } -> put b p seq
-  | Ser_commit { ser; origin; oseq; epoch } -> put b (put b (put b (put b p ser) origin) oseq) epoch
-  | Head_change { ser } -> put b p ser
-  | Sink_emit { dc; ts } -> put b (put b p dc) ts
-  | Proxy_apply { dc; src_dc; gear; ts; fallback = _ } ->
-    put b (put b (put b (put b p dc) src_dc) gear) ts
-  | Proxy_mode { dc; mode = _ } -> put b p dc
-  | Stab_round { dc; gst } -> put b (put b p dc) gst
-  | Vec_advance { dc; src; ts } -> put b (put b (put b p dc) src) ts
-  | Switch_begin { epoch; graceful = _ } -> put b p epoch
-  | Switch_done { dc; epoch } -> put b (put b p dc) epoch
-  | Span_begin { sk = _; origin; seq; aux; site; peer; epoch }
-  | Span_end { sk = _; origin; seq; aux; site; peer; epoch } ->
-    let p = put b (put b (put b p origin) seq) aux in
-    put b (put b (put b p site) peer) epoch
-
-(* decoding reads through a cursor; fields are bound in encoding order
-   with [let], never inside one constructor application, whose argument
-   order OCaml leaves unspecified *)
+(* decoding reads through a cursor *)
 type cursor = { mutable cb : Bytes.t; mutable cp : int }
 
 let rec get_uleb c acc shift =
@@ -466,185 +535,19 @@ let get c =
   let v = get_uleb c 0 0 in
   (v lsr 1) lxor -(v land 1)
 
-let span_kind_of_id = Array.of_list span_kinds
-
-let get_span c sk =
-  let origin = get c in
-  let seq = get c in
-  let aux = get c in
-  let site = get c in
-  let peer = get c in
-  let epoch = get c in
-  { sk; origin; seq; aux; site; peer; epoch }
-
-let get_event c tag =
-  let flag = tag land tag_flag <> 0 in
-  match tag land lnot tag_flag with
-  | 0 -> Engine_step { seq = get c }
-  | 1 -> Link_send { size_bytes = get c }
-  | 2 -> Link_deliver
-  | 3 -> Link_drop { in_flight = flag }
-  | 4 ->
-    let sender = get c in
-    let seq = get c in
-    Fifo_resend { sender; seq }
-  | 5 ->
-    let dc = get c in
-    let gear = get c in
-    let ts = get c in
-    let oseq = get c in
-    let inst = get c in
-    let epoch = get c in
-    Label_forward { dc; gear; ts; oseq; inst; epoch }
-  | 6 ->
-    let from_ser = get c in
-    let to_ser = get c in
-    Serializer_hop { from_ser; to_ser }
-  | 7 -> Serializer_deliver { dc = get c }
-  | 8 ->
-    let serializer = get c in
-    let us = get c in
-    Delay_wait { serializer; us }
-  | 9 -> Chain_ack { seq = get c }
-  | 10 ->
-    let ser = get c in
-    let origin = get c in
-    let oseq = get c in
-    let epoch = get c in
-    Ser_commit { ser; origin; oseq; epoch }
-  | 11 -> Head_change { ser = get c }
-  | 12 ->
-    let dc = get c in
-    let ts = get c in
-    Sink_emit { dc; ts }
-  | 13 ->
-    let dc = get c in
-    let src_dc = get c in
-    let gear = get c in
-    let ts = get c in
-    Proxy_apply { dc; src_dc; gear; ts; fallback = flag }
-  | 14 -> Proxy_mode { dc = get c; mode = (if flag then Fallback else Stream) }
-  | 15 ->
-    let dc = get c in
-    let gst = get c in
-    Stab_round { dc; gst }
-  | 16 ->
-    let dc = get c in
-    let src = get c in
-    let ts = get c in
-    Vec_advance { dc; src; ts }
-  | 17 -> Switch_begin { epoch = get c; graceful = flag }
-  | 18 ->
-    let dc = get c in
-    let epoch = get c in
-    Switch_done { dc; epoch }
-  | k when k < n_point_kinds + n_span_kinds ->
-    Span_begin (get_span c span_kind_of_id.(k - n_point_kinds))
-  | k when k < n_kinds + n_span_kinds -> Span_end (get_span c span_kind_of_id.(k - n_kinds))
-  | k -> invalid_arg (Printf.sprintf "Probe.iter: corrupt trace tag %d" k)
+(* the fields of the event whose tag byte was [byte], into [v] *)
+let get_fields c byte (v : view) =
+  let tag = byte land lnot tag_flag in
+  if tag >= n_tags then invalid_arg (Printf.sprintf "Probe.iter: corrupt trace tag %d" tag);
+  let d = descs.(tag) in
+  v.kind <- d.kind;
+  v.span_kind <- d.sk;
+  v.flag <- byte land tag_flag <> 0;
+  for i = 0 to 5 do
+    set_arg v i (if i < d.arity then get c else 0)
+  done
 
 (* ---- the probe ------------------------------------------------------------ *)
-
-(* The open spans, keyed by all seven span fields, in one flat [int array]
-   with linear probing. Slot [i] is the [slot_ints] ints from
-   [i * slot_ints]: the kind id + 1 (0 marks a free slot), the six int
-   fields, and the begin time. A begin and an end each walk one probe
-   sequence and allocate nothing beyond the occasional doubling; the table
-   keeps no pointer to the event. An end frees its slot by shifting the
-   rest of the probe run back, so no tombstones build up. *)
-module Open_spans = struct
-  type t = { mutable a : int array; mutable bits : int; mutable n : int }
-
-  let slot_ints = 8
-
-  let create () = { a = Array.make (slot_ints lsl 6) 0; bits = 6; n = 0 }
-
-  (* Fibonacci hashing: the top [bits] bits of a multiplicative mix *)
-  let home bits k origin seq aux site peer epoch =
-    let mix h x = (h lxor x) * 0x1e3779b97f4a7c15 in
-    mix (mix (mix (mix (mix (mix (mix 0 k) origin) seq) aux) site) peer) epoch
-    lsr (Sys.int_size - bits)
-
-  let home_of_slot bits a o =
-    home bits a.(o) a.(o + 1) a.(o + 2) a.(o + 3) a.(o + 4) a.(o + 5) a.(o + 6)
-
-  (* the slot holding span [s] of kind id [kid], or the free slot that
-     ends its probe run *)
-  let find t kid s =
-    let a = t.a in
-    let k = kid + 1 in
-    let mask = (1 lsl t.bits) - 1 in
-    let i = ref (home t.bits k s.origin s.seq s.aux s.site s.peer s.epoch) in
-    while
-      let o = !i * slot_ints in
-      let ko = Array.unsafe_get a o in
-      ko <> 0
-      && not
-           (ko = k
-           && Array.unsafe_get a (o + 1) = s.origin
-           && Array.unsafe_get a (o + 2) = s.seq
-           && Array.unsafe_get a (o + 3) = s.aux
-           && Array.unsafe_get a (o + 4) = s.site
-           && Array.unsafe_get a (o + 5) = s.peer
-           && Array.unsafe_get a (o + 6) = s.epoch)
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  let is_free t i = t.a.(i * slot_ints) = 0
-  let began t i = t.a.((i * slot_ints) + 7)
-
-  let grow t =
-    let old = t.a in
-    let bits = t.bits + 1 in
-    let a = Array.make (slot_ints lsl bits) 0 in
-    let mask = (1 lsl bits) - 1 in
-    for o = 0 to (Array.length old / slot_ints) - 1 do
-      let o = o * slot_ints in
-      if old.(o) <> 0 then begin
-        let i = ref (home_of_slot bits old o) in
-        while a.(!i * slot_ints) <> 0 do
-          i := (!i + 1) land mask
-        done;
-        Array.blit old o a (!i * slot_ints) slot_ints
-      end
-    done;
-    t.a <- a;
-    t.bits <- bits
-
-  (* open span [s] at free slot [i] (from [find]) *)
-  let add t i kid s at =
-    let a = t.a and o = i * slot_ints in
-    a.(o) <- kid + 1;
-    a.(o + 1) <- s.origin;
-    a.(o + 2) <- s.seq;
-    a.(o + 3) <- s.aux;
-    a.(o + 4) <- s.site;
-    a.(o + 5) <- s.peer;
-    a.(o + 6) <- s.epoch;
-    a.(o + 7) <- at;
-    t.n <- t.n + 1;
-    if 2 * t.n > 1 lsl t.bits then grow t
-
-  (* free occupied slot [i]: each later entry of the probe run moves into
-     the hole unless its home lies cyclically in (hole, j] *)
-  let remove t i =
-    let a = t.a in
-    let mask = (1 lsl t.bits) - 1 in
-    let hole = ref i and j = ref ((i + 1) land mask) in
-    while a.(!j * slot_ints) <> 0 do
-      let h = home_of_slot t.bits a (!j * slot_ints) in
-      let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
-      if not stays then begin
-        Array.blit a (!j * slot_ints) a (!hole * slot_ints) slot_ints;
-        hole := !j
-      end;
-      j := (!j + 1) land mask
-    done;
-    a.(!hole * slot_ints) <- 0;
-    t.n <- t.n - 1
-end
 
 type t = {
   keep : bool;
@@ -658,25 +561,26 @@ type t = {
   mutable last_us : int; (* the previous kept event's time, for the delta *)
   mutable len : int;
   sc : scribe; (* the running digest; writes only while streaming *)
-  counts : int array; (* indexed by [kind_id] *)
+  counts : int array; (* indexed by [bucket] *)
   (* span pairing state: lives in the probe (not in the kept trace) so
      matched totals are available even on count-only (~keep:false) probes,
      which is what bench's flame table runs under *)
-  open_spans : Open_spans.t;
+  open_spans : Flat_table.t; (* (span kind id, the six fields) -> begin µs *)
   span_us : int array; (* indexed by [span_kind_id] *)
   span_n : int array;
   mutable span_orphans : int;
   mutable stream : (out_channel * writer) option;
-  mutable subscribers : (Time.t -> event -> unit) list; (* in subscription order *)
+  mutable subscribers : (Time.t -> view -> unit) list; (* in subscription order *)
+  slot : view; (* the event being recorded *)
 }
 
 let create ?(keep = true) () =
   fill_tables ();
   (* [pos = chunk_size] makes the first kept event allocate the first chunk *)
   { keep; chunks = [||]; n_chunks = 0; cur = Bytes.empty; pos = chunk_size; last_us = 0; len = 0;
-    sc = scribe None; counts = Array.make n_kinds 0; open_spans = Open_spans.create ();
+    sc = scribe None; counts = Array.make n_kinds 0; open_spans = Flat_table.create ();
     span_us = Array.make n_span_kinds 0; span_n = Array.make n_span_kinds 0; span_orphans = 0;
-    stream = None; subscribers = [] }
+    stream = None; subscribers = []; slot = view () }
 
 let count t = t.len
 
@@ -687,10 +591,14 @@ let stream_jsonl t oc =
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
+(* The chunk table starts above [Max_young_wosize] entries, so it is born
+   on the major heap and growing it never allocates on the minor heap. *)
+let min_chunk_table = 512
+
 let new_chunk t =
   if t.pos < chunk_size then Bytes.unsafe_set t.cur t.pos (Char.unsafe_chr end_of_chunk);
   if t.n_chunks = Array.length t.chunks then begin
-    let a = Array.make (max 8 (2 * t.n_chunks)) Bytes.empty in
+    let a = Array.make (max min_chunk_table (2 * t.n_chunks)) Bytes.empty in
     Array.blit t.chunks 0 a 0 t.n_chunks;
     t.chunks <- a
   end;
@@ -700,71 +608,84 @@ let new_chunk t =
   t.cur <- b;
   t.pos <- 0
 
-let keep_event t kid at ev =
+let keep_event t at tag d (v : view) =
   if t.pos + max_event_bytes > chunk_size then new_chunk t;
   let b = t.cur in
   let us = Time.to_us at in
-  Bytes.unsafe_set b t.pos (Char.unsafe_chr (tag_of kid ev));
-  let p = put b (t.pos + 1) (us - t.last_us) in
-  t.pos <- put_fields b p ev;
+  Bytes.unsafe_set b t.pos (Char.unsafe_chr (if v.flag then tag lor tag_flag else tag));
+  let p = ref (put b (t.pos + 1) (us - t.last_us)) in
+  for i = 0 to d.arity - 1 do
+    p := put b !p (arg v i)
+  done;
+  t.pos <- !p;
   t.last_us <- us
+
+let pair_span t at tag d (v : view) =
+  let sid = span_kind_id d.sk and spans = t.open_spans in
+  let i = Flat_table.find spans sid v.f0 v.f1 v.f2 v.f3 v.f4 v.f5 in
+  if tag < n_kinds then begin
+    (* keep the first begin: duplicates (none are expected from the core
+       instrumentation) must not reset an open interval *)
+    if not (Flat_table.found spans i) then
+      Flat_table.set spans i sid v.f0 v.f1 v.f2 v.f3 v.f4 v.f5 (Time.to_us at)
+  end
+  else if not (Flat_table.found spans i) then t.span_orphans <- t.span_orphans + 1
+  else begin
+    t.span_us.(sid) <- t.span_us.(sid) + (Time.to_us at - Flat_table.value spans i);
+    t.span_n.(sid) <- t.span_n.(sid) + 1;
+    Flat_table.remove spans i
+  end
 
 (* a direct loop: a [List.iter] over a partial application would allocate
    a closure per event *)
-let rec notify at ev = function
+let rec notify at v = function
   | [] -> ()
   | f :: rest ->
-    f at ev;
-    notify at ev rest
+    f at v;
+    notify at v rest
 
-let record t at ev =
+(* All the per-event work, from the fields already in [t.slot]: digest
+   (and stream), count, pair spans, keep, notify. *)
+let record t at tag =
+  let v = t.slot and d = descs.(tag) in
+  v.kind <- d.kind;
+  v.span_kind <- d.sk;
   (match t.stream with
-  | None -> walk t.sc at ev
+  | None -> walk t.sc at d v
   | Some (oc, w) ->
     w.wn <- 0;
-    walk t.sc at ev;
+    walk t.sc at d v;
     output oc w.wb 0 w.wn);
-  let kid = kind_id ev in
-  t.counts.(kid) <- t.counts.(kid) + 1;
-  (match ev with
-  | Span_begin s ->
-    (* keep the first begin: duplicates (none are expected from the core
-       instrumentation) must not reset an open interval *)
-    let i = Open_spans.find t.open_spans (span_kind_id s.sk) s in
-    if Open_spans.is_free t.open_spans i then
-      Open_spans.add t.open_spans i (span_kind_id s.sk) s (Time.to_us at)
-  | Span_end s ->
-    let sid = span_kind_id s.sk in
-    let i = Open_spans.find t.open_spans sid s in
-    if Open_spans.is_free t.open_spans i then t.span_orphans <- t.span_orphans + 1
-    else begin
-      t.span_us.(sid) <- t.span_us.(sid) + (Time.to_us at - Open_spans.began t.open_spans i);
-      t.span_n.(sid) <- t.span_n.(sid) + 1;
-      Open_spans.remove t.open_spans i
-    end
-  | _ -> ());
-  if t.keep then keep_event t kid at ev;
+  let b = bucket tag in
+  t.counts.(b) <- t.counts.(b) + 1;
+  if tag >= n_point_kinds then pair_span t at tag d v;
+  if t.keep then keep_event t at tag d v;
   t.len <- t.len + 1;
-  notify at ev t.subscribers
+  notify at v t.subscribers
 
 let require_kept t fn =
   if not t.keep then invalid_arg ("Probe." ^ fn ^ ": probe created with ~keep:false")
 
-let iter t f =
-  require_kept t "iter";
-  let c = { cb = Bytes.empty; cp = 0 } in
+(* decodes the packed trace into one view, calling [f at v] per event *)
+let decode t fn f =
+  require_kept t fn;
+  let c = { cb = Bytes.empty; cp = 0 } and v = view () in
   let last_us = ref 0 in
   for i = 0 to t.n_chunks - 1 do
     c.cb <- t.chunks.(i);
     c.cp <- 0;
     let limit = if i = t.n_chunks - 1 then t.pos else chunk_size in
     while c.cp < limit && Bytes.get_uint8 c.cb c.cp <> end_of_chunk do
-      let tag = Bytes.get_uint8 c.cb c.cp in
+      let byte = Bytes.get_uint8 c.cb c.cp in
       c.cp <- c.cp + 1;
       last_us := !last_us + get c;
-      f (Time.of_us !last_us) (get_event c tag)
+      get_fields c byte v;
+      f (Time.of_us !last_us) v
     done
   done
+
+let iter_views t f = decode t "iter_views" f
+let iter t f = decode t "iter" (fun at v -> f at (event_of_view v))
 
 (* rebuild the historical (name, count) view: nonzero slots only, so
    kinds a run never emitted stay absent, name-sorted *)
@@ -775,22 +696,22 @@ let sorted_nonzero names arr =
   done;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
+let span_kind_of_id = Array.of_list span_kinds
 let span_name_of_id i = span_kind_name span_kind_of_id.(i)
 let counts_by_kind t = sorted_nonzero (fun i -> kind_names.(i)) t.counts
 let span_totals_us t = sorted_nonzero span_name_of_id t.span_us
 let span_counts t = sorted_nonzero span_name_of_id t.span_n
 let span_orphans t = t.span_orphans
-let open_span_count t = t.open_spans.Open_spans.n
+let open_span_count t = Flat_table.length t.open_spans
 
 let digest t = Printf.sprintf "%016Lx" (Bytes.get_int64_le t.sc.st 0)
 
 let write_jsonl t oc =
-  require_kept t "write_jsonl";
   let w = writer () in
   let s = scribe (Some w) in
-  iter t (fun at ev ->
+  decode t "write_jsonl" (fun at v ->
       w.wn <- 0;
-      walk s at ev;
+      walk s at descs.(tag_of_view v) v;
       output oc w.wb 0 w.wn)
 
 (* ---- the global sink ---------------------------------------------------- *)
@@ -806,9 +727,60 @@ let install t = current := Some t
 let uninstall () = current := None
 let active () = match !current with None -> false | Some _ -> true (* no polymorphic compare *)
 
-let emit ~at ev = match !current with None -> () | Some t -> record t at ev
-
 let with_probe t f =
   let prev = !current in
   current := Some t;
   Fun.protect ~finally:(fun () -> current := prev) f
+
+let emit ~at ev = match !current with None -> () | Some t -> record t at (load t.slot ev)
+
+(* ---- typed emitters --------------------------------------------------------- *)
+
+(* Every emitter reads the process-wide sink exactly once, here, and
+   passes its fields as unboxed ints: unused ones as 0. *)
+let point kind ~at ~flag a b c d e f =
+  match !current with None -> () | Some t -> record t at (fill t.slot kind flag a b c d e f)
+
+let engine_step ~at ~seq = point Kind.Engine_step ~at ~flag:false seq 0 0 0 0 0
+let link_send ~at ~size_bytes = point Kind.Link_send ~at ~flag:false size_bytes 0 0 0 0 0
+let link_deliver ~at = point Kind.Link_deliver ~at ~flag:false 0 0 0 0 0 0
+let link_drop ~at ~in_flight = point Kind.Link_drop ~at ~flag:in_flight 0 0 0 0 0 0
+let fifo_resend ~at ~sender ~seq = point Kind.Fifo_resend ~at ~flag:false sender seq 0 0 0 0
+
+let label_forward ~at ~dc ~gear ~ts ~oseq ~inst ~epoch =
+  point Kind.Label_forward ~at ~flag:false dc gear ts oseq inst epoch
+
+let serializer_hop ~at ~from_ser ~to_ser =
+  point Kind.Serializer_hop ~at ~flag:false from_ser to_ser 0 0 0 0
+
+let serializer_deliver ~at ~dc = point Kind.Serializer_deliver ~at ~flag:false dc 0 0 0 0 0
+let delay_wait ~at ~serializer ~us = point Kind.Delay_wait ~at ~flag:false serializer us 0 0 0 0
+let chain_ack ~at ~seq = point Kind.Chain_ack ~at ~flag:false seq 0 0 0 0 0
+
+let ser_commit ~at ~ser ~origin ~oseq ~epoch =
+  point Kind.Ser_commit ~at ~flag:false ser origin oseq epoch 0 0
+
+let head_change ~at ~ser = point Kind.Head_change ~at ~flag:false ser 0 0 0 0 0
+let sink_emit ~at ~dc ~ts = point Kind.Sink_emit ~at ~flag:false dc ts 0 0 0 0
+
+let proxy_apply ~at ~dc ~src_dc ~gear ~ts ~fallback =
+  point Kind.Proxy_apply ~at ~flag:fallback dc src_dc gear ts 0 0
+
+let proxy_mode ~at ~dc ~mode =
+  point Kind.Proxy_mode ~at ~flag:(match mode with Fallback -> true | Stream -> false) dc 0 0 0 0 0
+
+let stab_round ~at ~dc ~gst = point Kind.Stab_round ~at ~flag:false dc gst 0 0 0 0
+let vec_advance ~at ~dc ~src ~ts = point Kind.Vec_advance ~at ~flag:false dc src ts 0 0 0
+let switch_begin ~at ~epoch ~graceful = point Kind.Switch_begin ~at ~flag:graceful epoch 0 0 0 0 0
+let switch_done ~at ~dc ~epoch = point Kind.Switch_done ~at ~flag:false dc epoch 0 0 0 0
+
+let span kind ~at ~aux ~site ~peer ~epoch sk ~origin ~seq =
+  match !current with
+  | None -> ()
+  | Some t -> record t at (fill t.slot kind false origin seq aux site peer epoch + span_kind_id sk)
+
+let span_begin ~at ~aux ~site ~peer ~epoch sk ~origin ~seq =
+  span Kind.Span_begin ~at ~aux ~site ~peer ~epoch sk ~origin ~seq
+
+let span_end ~at ~aux ~site ~peer ~epoch sk ~origin ~seq =
+  span Kind.Span_end ~at ~aux ~site ~peer ~epoch sk ~origin ~seq

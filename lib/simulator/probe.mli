@@ -15,29 +15,43 @@
     ergonomic emit helpers instrumentation sites use.
 
     The facility is zero-cost when disabled: instrumentation points guard
-    with {!active} (one ref read and a branch) and allocate nothing unless
-    a sink is installed. Exactly one process-wide sink can be installed at
+    with {!active} (one ref read and a branch) and call nothing unless a
+    sink is installed. Exactly one process-wide sink can be installed at
     a time, in the style of a [Logs] reporter.
 
-    Recording digests each event without rendering it. One walker per
-    event kind defines the JSONL line as literals and int fields; it
-    folds FNV-1a straight from the event's fields, and writes bytes only
-    when a writer is given. A literal folds in one multiply and one
-    lookup in a 128-entry table, filled on the first {!create}; digits
-    fold one byte at a time. The walker writes only while a
-    {!stream_jsonl} channel is attached, and the same walker backs
+    {b Emission allocates nothing.} Sites call one typed emitter per
+    kind ({!engine_step}, {!proxy_apply}, …, and {!Span.begin_} /
+    {!Span.end_}) with the event's fields as unboxed ints. The emitter
+    writes the kind, its flag and up to six ints into the probe's one
+    {!view}, a flyweight reused by every event, and one record step does
+    all the per-event work from it: the digest, the counts, span pairing,
+    the packed kept trace and the subscribers. No [event] value is built;
+    that variant survives for the cold consumers ({!iter}, {!to_json},
+    tests that plant streams through {!emit}). On the seed-42 fault
+    matrix (52.8 events per op) the boxed events cost about 209 words
+    per op; with them gone, and the fault checker's key tuples too, the
+    benchmark's fault-matrix words per op fell from 555 to 333.
+
+    Recording digests each event without rendering it. One descriptor per
+    line shape — the head literal, the literal before each further field,
+    the flag's two literals — defines the JSONL line as literals and int
+    fields; the walk folds FNV-1a straight from the view, and writes
+    bytes only when a writer is given. A literal folds in one multiply
+    and one lookup in a 128-entry table, filled on the first {!create};
+    digits fold one byte at a time. The walk writes only while a
+    {!stream_jsonl} channel is attached, and the same walk backs
     {!to_json} and {!write_jsonl}, so the digested bytes and every export
-    are the same bytes. Recording allocates nothing; span pairing keeps
-    its open spans in a flat open-addressing table. That per-event cost
-    is what the benchmark's [obs.tax_ratio] measures.
+    are the same bytes. Span pairing keeps its open spans in a flat
+    open-addressing table. That per-event cost is what the benchmark's
+    [obs.tax_ratio] measures.
 
     A kept probe stores its trace packed, not as OCaml values: each event
     is appended to fixed 64 KiB [Bytes] chunks as a tag byte, a
     zigzag-LEB128 time delta and one zigzag varint per field — about 7
     bytes per event on the fault matrix. The GC never scans or promotes
-    those chunks. {!iter} decodes them back into events; analyzers that
-    only need one pass should {!subscribe} instead and see each event as
-    it is recorded. *)
+    those chunks. {!iter_views} decodes them back into a view and {!iter}
+    into events; analyzers that only need one pass should {!subscribe}
+    instead and see each event as it is recorded. *)
 
 type mode = Stream | Fallback
 
@@ -127,6 +141,56 @@ type event =
   | Span_begin of span  (** simulated time starts accruing to [span.sk] *)
   | Span_end of span  (** …and stops; must match an open begin field-for-field *)
 
+(** The kind of an event, one constant per {!event} constructor, named
+    alike: what a {!view} carries and what analyzers match on. *)
+module Kind : sig
+  type t =
+    | Engine_step
+    | Link_send
+    | Link_deliver
+    | Link_drop
+    | Fifo_resend
+    | Label_forward
+    | Serializer_hop
+    | Serializer_deliver
+    | Delay_wait
+    | Chain_ack
+    | Ser_commit
+    | Head_change
+    | Sink_emit
+    | Proxy_apply
+    | Proxy_mode
+    | Stab_round
+    | Vec_advance
+    | Switch_begin
+    | Switch_done
+    | Span_begin
+    | Span_end
+end
+
+(** One event, unboxed: its kind, a flag and up to six int fields in the
+    order of the matching {!event} constructor's fields (and of its JSONL
+    line), unused ones 0. The flag is [Link_drop]'s [in_flight],
+    [Proxy_apply]'s [fallback], [Proxy_mode]'s [mode = Fallback] and
+    [Switch_begin]'s [graceful]; it is false on every other kind. A span
+    carries [origin; seq; aux; site; peer; epoch] in [f0..f5] and its
+    {!span_kind}, which is [Sk_sink_hold] on point kinds.
+
+    A view is a flyweight: the probe (or the decoder) overwrites it with
+    the next event, so a callback that is handed one must read what it
+    needs before it returns and must not keep it. *)
+type view = private {
+  mutable kind : Kind.t;
+  mutable span_kind : span_kind;
+  mutable flag : bool;
+  mutable f0 : int;
+  mutable f1 : int;
+  mutable f2 : int;
+  mutable f3 : int;
+  mutable f4 : int;
+  mutable f5 : int;
+}
+
 type t
 
 val create : ?keep:bool -> unit -> t
@@ -141,33 +205,86 @@ val install : t -> unit
 val uninstall : unit -> unit
 
 val active : unit -> bool
-(** Cheap guard for instrumentation points: check before building an
-    event so disabled probes cost one branch and no allocation. *)
+(** Cheap guard for instrumentation points: check it before calling an
+    emitter, so that disabled probes cost one branch and no call. *)
 
 val emit : at:Time.t -> event -> unit
-(** Records into the installed sink, if any. *)
+(** Records a prebuilt event into the installed sink, if any: the cold
+    adapter onto the typed path, for tests and tools that plant a
+    stream. Instrumentation sites call the typed emitters. *)
 
 val with_probe : t -> (unit -> 'a) -> 'a
 (** Installs [t] for the duration of the callback, restoring the previous
     sink afterwards (exception-safe). *)
 
+(** {2 Typed emitters}
+
+    One per point kind, named after it, with the {!event} constructor's
+    fields as labelled arguments. Each records into the installed sink, if
+    any, and allocates nothing. The span emitters are {!Span.begin_} and
+    {!Span.end_}. *)
+
+val engine_step : at:Time.t -> seq:int -> unit
+val link_send : at:Time.t -> size_bytes:int -> unit
+val link_deliver : at:Time.t -> unit
+val link_drop : at:Time.t -> in_flight:bool -> unit
+val fifo_resend : at:Time.t -> sender:int -> seq:int -> unit
+
+val label_forward :
+  at:Time.t -> dc:int -> gear:int -> ts:int -> oseq:int -> inst:int -> epoch:int -> unit
+
+val serializer_hop : at:Time.t -> from_ser:int -> to_ser:int -> unit
+val serializer_deliver : at:Time.t -> dc:int -> unit
+val delay_wait : at:Time.t -> serializer:int -> us:int -> unit
+val chain_ack : at:Time.t -> seq:int -> unit
+val ser_commit : at:Time.t -> ser:int -> origin:int -> oseq:int -> epoch:int -> unit
+val head_change : at:Time.t -> ser:int -> unit
+val sink_emit : at:Time.t -> dc:int -> ts:int -> unit
+
+val proxy_apply :
+  at:Time.t -> dc:int -> src_dc:int -> gear:int -> ts:int -> fallback:bool -> unit
+
+val proxy_mode : at:Time.t -> dc:int -> mode:mode -> unit
+val stab_round : at:Time.t -> dc:int -> gst:int -> unit
+val vec_advance : at:Time.t -> dc:int -> src:int -> ts:int -> unit
+val switch_begin : at:Time.t -> epoch:int -> graceful:bool -> unit
+val switch_done : at:Time.t -> dc:int -> epoch:int -> unit
+
+val span_begin :
+  at:Time.t -> aux:int -> site:int -> peer:int -> epoch:int -> span_kind -> origin:int -> seq:int ->
+  unit
+(** What {!Span.begin_} calls. *)
+
+val span_end :
+  at:Time.t -> aux:int -> site:int -> peer:int -> epoch:int -> span_kind -> origin:int -> seq:int ->
+  unit
+(** What {!Span.end_} calls. *)
+
 (** {2 Reading a probe} *)
 
 val count : t -> int
 
-val iter : t -> (Time.t -> event -> unit) -> unit
-(** [iter t f] decodes the packed trace and calls [f at ev] on every kept
-    event, in emission order, building no list. Each call allocates the
-    decoded event; [f] sees values structurally equal to the ones
-    emitted.
+val iter_views : t -> (Time.t -> view -> unit) -> unit
+(** [iter_views t f] decodes the packed trace and calls [f at v] on every
+    kept event, in emission order, with [v] holding what the event's
+    emitter recorded. One view is reused for the whole pass (see
+    {!view}), so the pass allocates nothing per event.
     @raise Invalid_argument if the probe was created with [~keep:false]. *)
 
-val subscribe : t -> (Time.t -> event -> unit) -> unit
-(** [subscribe t f] calls [f at ev] on every event recorded {e from now
+val iter : t -> (Time.t -> event -> unit) -> unit
+(** [iter t f] is {!iter_views} building each event back: [f] sees values
+    structurally equal to the ones emitted. Each call allocates the
+    decoded event.
+    @raise Invalid_argument if the probe was created with [~keep:false]. *)
+
+val subscribe : t -> (Time.t -> view -> unit) -> unit
+(** [subscribe t f] calls [f at v] on every event recorded {e from now
     on}, as it is recorded and after the probe's own accounting,
-    regardless of [keep]. Subscribers run in subscription order, and
-    notifying them allocates nothing per event: a streaming analyzer
-    costs only what [f] itself does. *)
+    regardless of [keep]. [v] is the probe's own flyweight {!view}: it is
+    valid only until [f] returns, and the next event overwrites it.
+    Subscribers run in subscription order, and notifying them allocates
+    nothing per event: a streaming analyzer costs only what [f] itself
+    does. *)
 
 val counts_by_kind : t -> (string * int) list
 (** Event counts grouped by {!kind}, name-sorted. Available regardless of
@@ -198,12 +315,6 @@ val digest : t -> string
 
 val to_json : Time.t -> event -> string
 (** One JSON object, e.g. [{"t":1200,"ev":"serializer_hop","from":0,"to":1}]. *)
-
-(** {2 Interned kind ids}
-
-    The set of event kinds is closed, so per-event accounting uses a dense
-    integer id instead of the kind string: {!record} bumps [counts.(kind_id
-    ev)] — no hashing, no allocation on the per-event path. *)
 
 val write_jsonl : t -> out_channel -> unit
 (** One {!to_json} line per recorded event, in emission order.

@@ -11,7 +11,7 @@ type kind = Probe.span_kind =
   | Sk_stab
 
 let begin_ ~at ~aux ~site ~peer ~epoch sk ~origin ~seq =
-  Probe.emit ~at (Probe.Span_begin { Probe.sk; origin; seq; aux; site; peer; epoch })
+  Probe.span_begin ~at ~aux ~site ~peer ~epoch sk ~origin ~seq
 
 let end_ ~at ~aux ~site ~peer ~epoch sk ~origin ~seq =
-  Probe.emit ~at (Probe.Span_end { Probe.sk; origin; seq; aux; site; peer; epoch })
+  Probe.span_end ~at ~aux ~site ~peer ~epoch sk ~origin ~seq

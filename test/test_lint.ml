@@ -560,6 +560,25 @@ let test_r8_probe_constructor_needs_consumer () =
   Alcotest.(check bool) "names the constructor" true
     (Lint.Rules.matches ~pattern:"*Pong*" f.Lint.Rules.message)
 
+(* consumers match on the view's [Kind] constants, which are named like
+   the event constructors: a kind matched through [Kind] is consumed, and
+   a kind nobody matches still fires, once *)
+let test_r8_view_kind_is_a_consumer () =
+  let r =
+    run
+      [
+        ( "lib/simulator/probe.mli",
+          "type event = Ping | Pong of int\nmodule Kind : sig type t = Ping | Pong end\n" );
+        ( "lib/faults/checker.ml",
+          "let score (v : Sim.Probe.view) =\n\
+           \  match v.kind with Sim.Probe.Kind.Ping -> 1 | _ -> 0\n" );
+      ]
+  in
+  Alcotest.(check int) "only the unmatched kind flagged" 1 (count_rule Lint.Rules.r_proto r);
+  let f = List.hd r.findings in
+  Alcotest.(check bool) "names the constructor" true
+    (Lint.Rules.matches ~pattern:"*Pong*" f.Lint.Rules.message)
+
 (* ---- R9: dead-export ------------------------------------------------------- *)
 
 let dead_export_sources =
@@ -964,6 +983,7 @@ let suite =
     Alcotest.test_case "R8 fully threaded ship" `Quick test_r8_ship_fully_threaded;
     Alcotest.test_case "R8 epoch only required in core" `Quick
       test_r8_epoch_only_required_in_core;
+    Alcotest.test_case "R8 view kind is a consumer" `Quick test_r8_view_kind_is_a_consumer;
     Alcotest.test_case "R8 probe constructor needs consumer" `Quick
       test_r8_probe_constructor_needs_consumer;
     Alcotest.test_case "R9 dead mli val" `Quick test_r9_dead_mli_val;

@@ -403,82 +403,152 @@ let words f =
   let _, promoted1, major1 = Gc.counters () in
   (minor1 -. minor0, major1 -. major0 -. (promoted1 -. promoted0))
 
-(* Span pairing allocates nothing per event either: a begin/end pair,
-   and an end that matches no begin, each cost 0 minor words once the
-   open-span table has settled, on a count-only probe and on a kept one
-   with a subscriber. The spans are built before the loop, as they would
-   be at an emission site. *)
-let span_pair_alloc () =
+let span_kinds =
+  Sim.Probe.
+    [| Sk_sink_hold; Sk_attach; Sk_chain; Sk_delay_hop; Sk_hop; Sk_delay_egress; Sk_egress;
+       Sk_proxy_order; Sk_bulk; Sk_stab |]
+
+let emits_per_round = 22 + (2 * Array.length span_kinds) + 1
+
+(* One round of every kind through its typed emitter, at time [r]: each
+   point kind (with sends enough to cover the round's deliver and drops),
+   a begin/end pair per span kind, and an end that matches no begin. The
+   stream is clean for [Faults.Checker] for rounds 1, 2, …: sequence
+   numbers and timestamps advance with [r], and epoch [r] is announced
+   before it is done. *)
+let emit_round r =
   let open Sim.Probe in
-  let spans =
-    Array.init 16 (fun i ->
-        { sk = (if i mod 2 = 0 then Sk_chain else Sk_egress); origin = i mod 3; seq = 1_000 + i;
-          aux = i mod 2; site = i mod 5; peer = -1; epoch = 0 })
-  in
-  let begins = Array.map (fun s -> Span_begin s) spans in
-  let ends = Array.map (fun s -> Span_end s) spans in
-  let orphan = Span_end { spans.(0) with seq = -7 } in
-  let n = 100_000 in
+  let at = Sim.Time.of_us r in
+  let odd = r land 1 = 1 in
+  engine_step ~at ~seq:r;
+  link_send ~at ~size_bytes:48;
+  link_send ~at ~size_bytes:48;
+  link_send ~at ~size_bytes:48;
+  link_deliver ~at;
+  link_drop ~at ~in_flight:true;
+  link_drop ~at ~in_flight:false;
+  fifo_resend ~at ~sender:1 ~seq:r;
+  label_forward ~at ~dc:1 ~gear:0 ~ts:r ~oseq:r ~inst:1 ~epoch:1;
+  serializer_hop ~at ~from_ser:0 ~to_ser:1;
+  serializer_deliver ~at ~dc:2;
+  delay_wait ~at ~serializer:1 ~us:250;
+  chain_ack ~at ~seq:r;
+  ser_commit ~at ~ser:1 ~origin:1 ~oseq:r ~epoch:1;
+  head_change ~at ~ser:0;
+  sink_emit ~at ~dc:1 ~ts:r;
+  proxy_apply ~at ~dc:0 ~src_dc:1 ~gear:0 ~ts:r ~fallback:odd;
+  proxy_mode ~at ~dc:0 ~mode:(if odd then Fallback else Stream);
+  stab_round ~at ~dc:0 ~gst:r;
+  vec_advance ~at ~dc:0 ~src:1 ~ts:r;
+  switch_begin ~at ~epoch:r ~graceful:odd;
+  switch_done ~at ~dc:0 ~epoch:r;
+  for k = 0 to Array.length span_kinds - 1 do
+    Sim.Span.begin_ ~at ~aux:k ~site:0 ~peer:(-1) ~epoch:0 span_kinds.(k) ~origin:1 ~seq:r
+  done;
+  let until = Sim.Time.of_us (r + 1) in
+  for k = 0 to Array.length span_kinds - 1 do
+    Sim.Span.end_ ~at:until ~aux:k ~site:0 ~peer:(-1) ~epoch:0 span_kinds.(k) ~origin:1 ~seq:r
+  done;
+  Sim.Span.end_ ~at:until ~aux:0 ~site:0 ~peer:(-1) ~epoch:0 Sk_stab ~origin:1 ~seq:(-r)
+
+(* Emission allocates nothing: after a warm-up that settles every table's
+   size, each kind costs 0 minor words per emit, on a count-only probe, on
+   a kept probe with a no-op subscriber, and on a kept probe with the
+   fault checker subscribed. Without the checker, the packed chunks are
+   the only major-heap growth, well under a word per event; the checker's
+   own tables grow on the major heap with the fresh keys of every round. *)
+let test_emit_alloc () =
+  let warm = 2_000 and n = 5_000 in
+  let checker = Faults.Checker.create () in
   List.iter
-    (fun (name, p) ->
+    (fun (name, checked, p) ->
       let minor, major =
-        with_probe p (fun () ->
-            (* one warm-up round settles the open-span table's size *)
-            Array.iter (emit ~at:Sim.Time.zero) begins;
-            Array.iter (emit ~at:Sim.Time.zero) ends;
+        Sim.Probe.with_probe p (fun () ->
+            for r = 1 to warm do
+              emit_round r
+            done;
             words (fun () ->
-                for i = 1 to n do
-                  let k = i land 15 in
-                  emit ~at:(Sim.Time.of_us (i * 3)) begins.(k);
-                  emit ~at:(Sim.Time.of_us ((i * 3) + 2)) ends.(k);
-                  emit ~at:(Sim.Time.of_us ((i * 3) + 2)) orphan
+                for r = warm + 1 to warm + n do
+                  emit_round r
                 done))
       in
-      Alcotest.(check int) (name ^ ": pairs") (n + 16)
-        (List.fold_left (fun acc (_, c) -> acc + c) 0 (span_counts p));
-      Alcotest.(check int) (name ^ ": orphans") n (span_orphans p);
-      Alcotest.(check int) (name ^ ": none open") 0 (open_span_count p);
-      (* 0 words per pair and per orphan end: only the kept probe's chunk
-         table (doubling up to 128 chunks here) may grow on the minor heap *)
-      if minor > 512. then
-        Alcotest.failf "%s: %.0f minor words over %d pairs and orphan ends" name minor n;
-      if major > 2. *. float_of_int (3 * n) then
-        Alcotest.failf "%s: %.0f major words over %d pairs and orphan ends" name major n)
-    [ ("count-only", create ~keep:false ());
-      ( "kept",
-        let p = create () in
-        subscribe p (fun _ _ -> ());
-        p ) ]
+      let rounds = warm + n in
+      Alcotest.(check int) (name ^ ": recorded") (rounds * emits_per_round) (Sim.Probe.count p);
+      Alcotest.(check int)
+        (name ^ ": pairs")
+        (rounds * Array.length span_kinds)
+        (List.fold_left (fun acc (_, c) -> acc + c) 0 (Sim.Probe.span_counts p));
+      Alcotest.(check int) (name ^ ": orphans") rounds (Sim.Probe.span_orphans p);
+      Alcotest.(check int) (name ^ ": none open") 0 (Sim.Probe.open_span_count p);
+      Alcotest.(check (float 0.)) (name ^ ": minor words per emit") 0.
+        (minor /. float_of_int (n * emits_per_round));
+      if (not checked) && major > float_of_int (n * emits_per_round) then
+        Alcotest.failf "%s: %.0f major words over %d emits" name major (n * emits_per_round))
+    [ ("count-only", false, Sim.Probe.create ~keep:false ());
+      ( "kept, no-op subscriber",
+        false,
+        let p = Sim.Probe.create () in
+        Sim.Probe.subscribe p (fun _ _ -> ());
+        p );
+      ( "kept, checker subscribed",
+        true,
+        let p = Sim.Probe.create () in
+        Sim.Probe.subscribe p (Faults.Checker.step checker);
+        p ) ];
+  let r = Faults.Checker.report checker in
+  Alcotest.(check bool) "checker: clean" true (Faults.Checker.ok r);
+  Alcotest.(check int) "checker: commits" (warm + n) r.Faults.Checker.commits
 
-(* Recording into a kept probe with a subscriber attached must allocate
-   nothing on the minor heap per event; the packed chunks are the only
-   major-heap growth, well under a word per event. Span pairs follow. *)
-let test_kept_record_alloc () =
-  let open Sim.Probe in
-  let evs =
-    [| Engine_step { seq = 3 }; Link_send { size_bytes = 120 }; Link_deliver;
-       Link_drop { in_flight = true };
-       Label_forward { dc = 1; gear = 0; ts = 1_234_567; oseq = 42; inst = 0; epoch = 1 };
-       Ser_commit { ser = 2; origin = 1; oseq = 42; epoch = 1 };
-       Proxy_apply { dc = 0; src_dc = 1; gear = 0; ts = 1_234_567; fallback = false };
-       Sink_emit { dc = 1; ts = 1_234_567 } |]
+(* The codec on real traffic: the seed-42 reconfig-forced Saturn row
+   carries flagged events, a reconfiguration switch and every span kind
+   but the baselines' stabilization hold, which the seq-crash Eunomia row
+   adds. Decoding each row's kept trace and re-recording it into a fresh
+   probe must reproduce the digest, the per-kind counts, the span totals
+   and the checker's report. *)
+let test_codec_roundtrip_real_traffic () =
+  let rows =
+    List.map
+      (fun (scenario, system) -> Harness.Fault_run.run_scenario ~seed:42 ~scenario ~system ())
+      [ ("reconfig-forced", `Saturn); ("seq-crash", `Eunomia) ]
   in
-  let p = create () in
-  subscribe p (fun _ _ -> ());
-  let n = 200_000 in
-  let minor, major =
-    with_probe p (fun () ->
-        emit ~at:Sim.Time.zero Link_deliver;
-        words (fun () ->
-            for i = 1 to n do
-              emit ~at:(Sim.Time.of_us (i * 7)) evs.(i mod Array.length evs)
-            done))
+  let kinds =
+    List.concat_map
+      (fun o -> List.map fst (Sim.Probe.counts_by_kind o.Harness.Fault_run.probe))
+      rows
   in
-  Alcotest.(check int) "recorded" (n + 1) (count p);
-  (* growing the chunk table is the only minor allocation *)
-  if minor > 64. then Alcotest.failf "%.0f minor words over %d events" minor n;
-  if major > 2. *. float_of_int n then Alcotest.failf "%.0f major words over %d events" major n;
-  span_pair_alloc ()
+  List.iter
+    (fun k -> Alcotest.(check bool) ("carries " ^ k) true (List.mem k kinds))
+    ("switch_begin" :: "switch_done"
+    :: Array.to_list (Array.map (fun sk -> "span." ^ Sim.Probe.span_kind_name sk) span_kinds));
+  let flagged = ref 0 in
+  List.iter
+    (fun o ->
+      Sim.Probe.iter_views o.Harness.Fault_run.probe (fun _ v ->
+          if v.Sim.Probe.flag then incr flagged))
+    rows;
+  Alcotest.(check bool) "carries flagged events" true (!flagged > 0);
+  List.iter
+    (fun o ->
+      let p = o.Harness.Fault_run.probe in
+      let row = o.Harness.Fault_run.scenario ^ "/" ^ o.Harness.Fault_run.system in
+      let q = Sim.Probe.create () in
+      let c = Faults.Checker.create () in
+      Sim.Probe.subscribe q (Faults.Checker.step c);
+      Sim.Probe.with_probe q (fun () -> Sim.Probe.iter p (fun at ev -> Sim.Probe.emit ~at ev));
+      Alcotest.(check int) (row ^ ": count") (Sim.Probe.count p) (Sim.Probe.count q);
+      Alcotest.(check string) (row ^ ": digest") (Sim.Probe.digest p) (Sim.Probe.digest q);
+      Alcotest.(check (list (pair string int)))
+        (row ^ ": counts by kind") (Sim.Probe.counts_by_kind p) (Sim.Probe.counts_by_kind q);
+      Alcotest.(check (list (pair string int)))
+        (row ^ ": span totals") (Sim.Probe.span_totals_us p) (Sim.Probe.span_totals_us q);
+      let same_report what r =
+        if r <> o.Harness.Fault_run.report then
+          Alcotest.failf "%s: %s differs:@.%a@.against@.%a" row what Faults.Checker.pp r
+            Faults.Checker.pp o.Harness.Fault_run.report
+      in
+      same_report "re-recorded, streamed checker" (Faults.Checker.report c);
+      same_report "re-recorded, analyzed checker" (Faults.Checker.analyze q))
+    rows
 
 let test_probe_unbuffered () =
   let p = Sim.Probe.create ~keep:false () in
@@ -580,7 +650,9 @@ let suite =
     qtest prop_render_matches_reference;
     qtest prop_kept_trace_roundtrip;
     Alcotest.test_case "kept trace chunk edges" `Quick test_kept_trace_chunk_edges;
-    Alcotest.test_case "kept record allocation" `Quick test_kept_record_alloc;
+    Alcotest.test_case "emit allocation, every kind" `Quick test_emit_alloc;
+    Alcotest.test_case "codec round trip on reconfig-forced traffic" `Slow
+      test_codec_roundtrip_real_traffic;
     Alcotest.test_case "probe unbuffered mode" `Quick test_probe_unbuffered;
     Alcotest.test_case "smoke counters nonzero" `Slow test_smoke_counters_nonzero;
     Alcotest.test_case "smoke digest pinned (seed 42)" `Slow test_smoke_digest_pinned;
