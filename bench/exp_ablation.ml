@@ -15,11 +15,11 @@ let run_delays () =
      (§5.3, bulk data "is not necessarily sent through the shortest path") —
      the bulk path is inflated by 40% here *)
   let setup = { Util.quick_setup with Scenario.bulk_factor = 1.4 } in
-  let with_delays = Scenario.run Scenario.Saturn_sys setup in
+  let with_delays = Scenario.run `Saturn setup in
   let config = Saturn.Config.copy (Scenario.solved_config setup) in
   Saturn.Config.clear_delays config;
   let without =
-    Scenario.run Scenario.Saturn_sys { setup with Scenario.saturn_config = Some config }
+    Scenario.run `Saturn { setup with Scenario.saturn_config = Some config }
   in
   let table =
     Stats.Table.create ~title:"remote update visibility"
@@ -138,7 +138,7 @@ let run_chain () =
   List.iter
     (fun replicas ->
       let o =
-        Scenario.run Scenario.Saturn_sys
+        Scenario.run `Saturn
           { Util.quick_setup with Scenario.serializer_replicas = replicas }
       in
       Stats.Table.add_row table

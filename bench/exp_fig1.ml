@@ -19,9 +19,9 @@ let run_a () =
   List.iter
     (fun n_dcs ->
       let setup = setup_for ~n_dcs ~correlation:Workload.Keyspace.Full in
-      let ev = Scenario.run Scenario.Eventual setup in
-      let gr = Scenario.run Scenario.Gentlerain setup in
-      let cu = Scenario.run Scenario.Cure setup in
+      let ev = Scenario.run `Eventual setup in
+      let gr = Scenario.run `Gentlerain setup in
+      let cu = Scenario.run `Cure setup in
       let pen o = Util.pct_vs ev.Scenario.throughput o.Scenario.throughput in
       let ovh o = Util.pct_vs ev.Scenario.mean_visibility_ms o.Scenario.mean_visibility_ms in
       Stats.Table.add_row tput
@@ -46,9 +46,9 @@ let run_b () =
           ~dc_sites:(Scenario.dc_sites setup) ~n_keys:setup.Scenario.n_keys ~degree
       in
       let run sys = Scenario.run_with ~rmap sys setup in
-      let ev = run Scenario.Eventual in
-      let gr = run Scenario.Gentlerain in
-      let cu = run Scenario.Cure in
+      let ev = run `Eventual in
+      let gr = run `Gentlerain in
+      let cu = run `Cure in
       let ovh o = Util.pct_vs ev.Scenario.mean_visibility_ms o.Scenario.mean_visibility_ms in
       Stats.Table.add_row table
         [ string_of_int degree; Printf.sprintf "%+.1f" (ovh gr); Printf.sprintf "%+.1f" (ovh cu) ])

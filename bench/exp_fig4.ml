@@ -17,9 +17,9 @@ let run () =
   let s_conf = { setup with Scenario.saturn_config = Some (star_at Sim.Ec2.i ~dc_sites) } in
   let runs =
     [
-      ("M-conf", Scenario.run Scenario.Saturn_sys setup);
-      ("S-conf", Scenario.run Scenario.Saturn_sys s_conf);
-      ("P-conf", Scenario.run Scenario.Saturn_peer setup);
+      ("M-conf", Scenario.run `Saturn setup);
+      ("S-conf", Scenario.run `Saturn s_conf);
+      ("P-conf", Scenario.run `Saturn_peer setup);
     ]
   in
   List.iter

@@ -5,7 +5,7 @@
 open Harness
 
 let throughput_table ~title ~param_name points run_point =
-  let columns = param_name :: List.map Scenario.system_name Scenario.all_systems in
+  let columns = param_name :: List.map Build.label Scenario.all_systems in
   let table = Stats.Table.create ~title ~columns in
   List.iter
     (fun (label, setup) ->

@@ -29,11 +29,7 @@ let run_one ~topo ~serializer_site system_kind =
   let spec =
     { (Build.default_spec ~topo ~dc_sites ~rmap) with Build.saturn_config = Some config }
   in
-  let api =
-    match system_kind with
-    | `Saturn -> fst (Build.saturn engine spec metrics)
-    | `Eventual -> Build.eventual engine spec metrics
-  in
+  let api = Build.make system_kind engine spec metrics in
   let workload =
     Workload.Synthetic.create
       { Workload.Synthetic.default with Workload.Synthetic.n_keys; seed = 23 }

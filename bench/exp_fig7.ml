@@ -17,7 +17,7 @@ let run () =
       List.iter
         (fun o ->
           let sample = Metrics.pair_visibility o.Scenario.metrics ~origin ~dest in
-          Stats.Table.add_row table (Util.cdf_row (Scenario.system_name o.Scenario.system) sample))
+          Stats.Table.add_row table (Util.cdf_row (Build.label o.Scenario.system) sample))
         outcomes;
       Util.print_table table)
     [
@@ -32,7 +32,7 @@ let run () =
     (fun o ->
       Stats.Table.add_row summary
         [
-          Scenario.system_name o.Scenario.system;
+          Build.label o.Scenario.system;
           Printf.sprintf "%.1f" o.Scenario.extra_visibility_ms;
         ])
     outcomes;

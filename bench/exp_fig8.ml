@@ -8,7 +8,7 @@ open Harness
 
 let run_a () =
   Util.section "Figure 8a: Facebook benchmark throughput vs max replicas per item";
-  let columns = "max replicas" :: List.map Scenario.system_name Scenario.all_systems in
+  let columns = "max replicas" :: List.map Build.label Scenario.all_systems in
   let table = Stats.Table.create ~title:"ops/s (min replicas = 2)" ~columns in
   List.iter
     (fun max_replicas ->
@@ -36,7 +36,7 @@ let run_b () =
       List.iter
         (fun o ->
           let sample = Metrics.pair_visibility o.Scenario.metrics ~origin ~dest in
-          Stats.Table.add_row table (Util.cdf_row (Scenario.system_name o.Scenario.system) sample))
+          Stats.Table.add_row table (Util.cdf_row (Build.label o.Scenario.system) sample))
         outcomes;
       Util.print_table table)
     [
@@ -51,7 +51,7 @@ let run_b () =
     (fun o ->
       Stats.Table.add_row summary
         [
-          Scenario.system_name o.Scenario.system;
+          Build.label o.Scenario.system;
           Printf.sprintf "%.1f" o.Scenario.extra_visibility_ms;
         ])
     outcomes;

@@ -87,11 +87,7 @@ let run_stabilization_period () =
         let spec =
           { (Build.default_spec ~topo:Sim.Ec2.topology ~dc_sites:sites ~rmap) with Build.cost = cost }
         in
-        let api =
-          match sys with
-          | `Gr -> Build.gentlerain engine spec metrics
-          | `Cure -> Build.cure engine spec metrics
-        in
+        let api = Build.make sys engine spec metrics in
         let workload =
           Workload.Synthetic.create
             { Workload.Synthetic.default with Workload.Synthetic.n_keys = setup.Scenario.n_keys }
@@ -105,7 +101,7 @@ let run_stabilization_period () =
         in
         (Stats.Sample.mean (Metrics.extra_visibility metrics), r.Driver.throughput)
       in
-      let gr_extra, gr_tput = run `Gr in
+      let gr_extra, gr_tput = run `Gentlerain in
       let cure_extra, cure_tput = run `Cure in
       Stats.Table.add_row table
         [

@@ -106,7 +106,7 @@ let quick_setup =
 
 let outcome_row (o : Harness.Scenario.outcome) ~tput_baseline ~vis_baseline =
   [
-    Harness.Scenario.system_name o.Harness.Scenario.system;
+    Harness.Build.label o.Harness.Scenario.system;
     Printf.sprintf "%.0f" o.Harness.Scenario.throughput;
     Printf.sprintf "%+.1f%%" (pct_vs tput_baseline o.Harness.Scenario.throughput);
     Printf.sprintf "%.1f" o.Harness.Scenario.mean_visibility_ms;

@@ -77,16 +77,7 @@ let plan_cmd =
 (* ---- bench ------------------------------------------------------------------ *)
 
 let system_conv =
-  Arg.enum
-    [
-      ("saturn", Harness.Scenario.Saturn_sys);
-      ("saturn-peer", Harness.Scenario.Saturn_peer);
-      ("eventual", Harness.Scenario.Eventual);
-      ("gentlerain", Harness.Scenario.Gentlerain);
-      ("cure", Harness.Scenario.Cure);
-      ("eunomia", Harness.Scenario.Eunomia);
-      ("okapi", Harness.Scenario.Okapi);
-    ]
+  Arg.enum (List.map (fun s -> (Harness.Build.name s, s)) Harness.Scenario.systems)
 
 let correlation_conv =
   Arg.enum
@@ -119,7 +110,7 @@ let bench systems n_dcs correlation value_size read_pct remote_pct clients measu
       let o = Harness.Scenario.run sys setup in
       Stats.Table.add_row table
         [
-          Harness.Scenario.system_name sys;
+          Harness.Build.label sys;
           Printf.sprintf "%.0f" o.Harness.Scenario.throughput;
           Printf.sprintf "%.1f" o.Harness.Scenario.mean_visibility_ms;
           Printf.sprintf "%.1f" o.Harness.Scenario.extra_visibility_ms;
@@ -165,7 +156,7 @@ let social systems users max_replicas =
       let o = Harness.Scenario.run_social sys setup in
       Stats.Table.add_row table
         [
-          Harness.Scenario.system_name sys;
+          Harness.Build.label sys;
           Printf.sprintf "%.0f" o.Harness.Scenario.throughput;
           Printf.sprintf "%.1f" o.Harness.Scenario.mean_visibility_ms;
           Printf.sprintf "%.1f" o.Harness.Scenario.extra_visibility_ms;
@@ -218,16 +209,7 @@ let trace_replay path n_dcs sys =
   let metrics = Harness.Metrics.create engine ~topo:Sim.Ec2.topology ~dc_sites in
   Harness.Metrics.set_window metrics ~start_at:Sim.Time.zero ~end_at:Sim.Time.infinity;
   let spec = Harness.Build.default_spec ~topo:Sim.Ec2.topology ~dc_sites ~rmap in
-  let api =
-    match sys with
-    | Harness.Scenario.Saturn_sys -> fst (Harness.Build.saturn engine spec metrics)
-    | Harness.Scenario.Saturn_peer -> fst (Harness.Build.saturn_peer engine spec metrics)
-    | Harness.Scenario.Eventual -> Harness.Build.eventual engine spec metrics
-    | Harness.Scenario.Gentlerain -> Harness.Build.gentlerain engine spec metrics
-    | Harness.Scenario.Cure -> Harness.Build.cure engine spec metrics
-    | Harness.Scenario.Eunomia -> Harness.Build.eunomia engine spec metrics
-    | Harness.Scenario.Okapi -> Harness.Build.okapi engine spec metrics
-  in
+  let api = Harness.Build.make sys engine spec metrics in
   let total = Workload.Trace.remaining trace in
   let clients = List.init (3 * n_dcs) (fun i ->
       Harness.Client.create ~id:i ~home_site:dc_sites.(i mod n_dcs) ~preferred_dc:(i mod n_dcs))
@@ -411,6 +393,13 @@ let bench_check_cmd =
 let scenario_enum = List.map (fun s -> (s, s)) (Harness.Fault_run.scenario_names @ [ "smoke" ])
 let scenario_doc = String.concat "|" (List.map fst scenario_enum)
 
+(* likewise the fault-matrix systems, named through Harness.Build *)
+let system_enum =
+  List.map (fun s -> (Harness.Build.name (s :> Harness.Build.system), s)) Harness.Fault_run.systems
+
+let system_doc =
+  String.concat "|" (List.map fst system_enum) ^ " (ignored by the smoke scenario)."
+
 let series_of_run ~scenario ~system ~seed =
   if String.equal scenario "smoke" then
     ((Harness.Obs.smoke ~seed ()).Harness.Obs.series, None)
@@ -474,9 +463,7 @@ let series_cmd =
     Arg.(value & opt (enum scenario_enum) "partition" & info [ "scenario" ] ~doc:scenario_doc)
   in
   let system =
-    Arg.(value & opt (enum [ ("saturn", `Saturn); ("eventual", `Eventual);
-                             ("eunomia", `Eunomia); ("okapi", `Okapi) ]) `Saturn
-         & info [ "system" ] ~doc:"saturn|eventual|eunomia|okapi (ignored by the smoke scenario).")
+    Arg.(value & opt (enum system_enum) `Saturn & info [ "system" ] ~doc:system_doc)
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Scenario seed.") in
   let csv =
@@ -575,7 +562,7 @@ let trace_cmd =
     let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
     let n_dcs = Arg.(value & opt int 3 & info [ "dcs" ] ~doc:"Datacenters (must match the recording).") in
     let sys =
-      Arg.(value & opt system_conv Harness.Scenario.Saturn_sys & info [ "s"; "system" ] ~doc:"System.")
+      Arg.(value & opt system_conv `Saturn & info [ "s"; "system" ] ~doc:"System.")
     in
     Cmd.v (Cmd.info "replay" ~doc:"Replay FILE against a system.")
       Term.(const trace_replay $ path $ n_dcs $ sys)
@@ -654,9 +641,7 @@ let blame_cmd =
     Arg.(value & opt (enum scenario_enum) "smoke" & info [ "scenario" ] ~doc:scenario_doc)
   in
   let system =
-    Arg.(value & opt (enum [ ("saturn", `Saturn); ("eventual", `Eventual);
-                             ("eunomia", `Eunomia); ("okapi", `Okapi) ]) `Saturn
-         & info [ "system" ] ~doc:"saturn|eventual|eunomia|okapi (ignored by the smoke scenario).")
+    Arg.(value & opt (enum system_enum) `Saturn & info [ "system" ] ~doc:system_doc)
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Scenario seed.") in
   let top =

@@ -23,12 +23,12 @@ let record_trace () =
   let clients = List.init 9 Fun.id in
   (rmap, Workload.Trace.record ~clients ~next:(fun ~client -> Workload.Synthetic.next w ~dc:(client mod n_dcs)) ~ops_per_client:200)
 
-let replay name build rmap trace_text =
+let replay system rmap trace_text =
   let trace = Workload.Trace.of_string trace_text in
   let engine = Sim.Engine.create () in
   let metrics = Harness.Metrics.create engine ~topo:Sim.Ec2.topology ~dc_sites in
   let spec = Harness.Build.default_spec ~topo:Sim.Ec2.topology ~dc_sites ~rmap in
-  let api : Harness.Api.t = build engine spec metrics in
+  let api = Harness.Build.make system engine spec metrics in
   let clients =
     List.init 9 (fun i ->
         Harness.Client.create ~id:i ~home_site:dc_sites.(i mod n_dcs) ~preferred_dc:(i mod n_dcs))
@@ -52,8 +52,8 @@ let replay name build rmap trace_text =
   Sim.Engine.run ~until:(Sim.Time.of_sec 30.) engine;
   api.Harness.Api.stop ();
   Sim.Engine.run ~until:(Sim.Time.of_sec 32.) engine;
-  Printf.printf "  %-10s completed %4d ops in %.3fs simulated; %d remote updates observed\n" name
-    !done_ops
+  Printf.printf "  %-10s completed %4d ops in %.3fs simulated; %d remote updates observed\n"
+    (Harness.Build.name system) !done_ops
     (Sim.Time.to_sec_float (Sim.Engine.now engine))
     (Harness.Metrics.visible_count metrics)
 
@@ -65,6 +65,6 @@ let () =
   Printf.printf "saved to %s (%d bytes)\n\n" path (In_channel.with_open_text path In_channel.length |> Int64.to_int);
   let text = In_channel.with_open_text path In_channel.input_all in
   Printf.printf "replaying the identical trace against two systems:\n";
-  replay "saturn" (fun e s m -> fst (Harness.Build.saturn e s m)) rmap text;
-  replay "eventual" Harness.Build.eventual rmap text;
+  replay `Saturn rmap text;
+  replay `Eventual rmap text;
   Sys.remove path

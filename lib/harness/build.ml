@@ -1,3 +1,30 @@
+type system =
+  [ `Saturn | `Saturn_peer | `Eventual | `Gentlerain | `Cure | `Eunomia | `Okapi | `Orbe | `Cops ]
+
+(* the one table of systems: each one's name (Api.name, the
+   meta.bytes.<name>.* counters, CLI flags, result rows) and display label *)
+let row : system -> string * string = function
+  | `Saturn -> ("saturn", "Saturn")
+  | `Saturn_peer -> ("saturn-peer", "Saturn-P")
+  | `Eventual -> (Baselines.Eventual.name, "Eventual")
+  | `Gentlerain -> (Baselines.Gentlerain.name, "GentleRain")
+  | `Cure -> (Baselines.Cure.name, "Cure")
+  | `Eunomia -> (Baselines.Eunomia.name, "Eunomia")
+  | `Okapi -> (Baselines.Okapi.name, "Okapi")
+  | `Orbe -> (Baselines.Orbe.name, "Orbe")
+  | `Cops -> (Baselines.Cops.name, "COPS")
+
+let name s = fst (row s)
+let label s = snd (row s)
+let all = [ `Saturn; `Saturn_peer; `Eventual; `Gentlerain; `Cure; `Eunomia; `Okapi; `Orbe; `Cops ]
+
+let by_name = List.map (fun s -> (name s, s)) all
+
+let of_name n =
+  match List.assoc_opt n by_name with
+  | Some s -> s
+  | None -> invalid_arg ("Build.of_name: unknown system " ^ n)
+
 type spec = {
   topo : Sim.Topology.t;
   dc_sites : Sim.Topology.site array;
@@ -130,7 +157,7 @@ let saturn_with ~peer ?registry ?series ?faults engine spec metrics =
   in
   let api =
     {
-      Api.name = (if peer then "saturn-peer" else "saturn");
+      Api.name = name (if peer then `Saturn_peer else `Saturn);
       attach =
         (fun c ~dc ~k ->
           Saturn.System.attach system (lib c) ~dc ~k:(fun () ->
@@ -152,11 +179,7 @@ let saturn_with ~peer ?registry ?series ?faults engine spec metrics =
   in
   (api, system)
 
-let saturn ?registry ?series ?faults engine spec metrics =
-  saturn_with ~peer:false ?registry ?series ?faults engine spec metrics
-
-let saturn_peer ?registry ?series ?faults engine spec metrics =
-  saturn_with ~peer:true ?registry ?series ?faults engine spec metrics
+let saturn = saturn_with ~peer:false
 
 (* One Api.t over any baseline: the client surface is its data plane's *)
 let of_baseline (type a) (module B : Baselines.Common.S with type t = a) ?faults (sys : a) =
@@ -183,63 +206,46 @@ let of_baseline (type a) (module B : Baselines.Common.S with type t = a) ?faults
     store_value = (fun ~dc ~key -> Baselines.Common.store_value geo ~dc ~key);
   }
 
-let meta_of ?registry system =
-  Option.map (fun r -> Stats.Meta_bytes.create r ~system) registry
+(* A baseline's Api.t and handle: its [meta.bytes.<name>.*] counters first
+   when a registry is given, then [create] over the deployment's geometry *)
+let baseline (type a) (module B : Baselines.Common.S with type t = a) create ?registry ?series
+    ?faults engine spec metrics =
+  let meta = Option.map (fun r -> Stats.Meta_bytes.create r ~system:B.name) registry in
+  let sys : a = create ?series ?meta engine (geo spec) (hooks_of_metrics metrics) in
+  (of_baseline (module B) ?faults sys, sys)
 
-let eventual ?registry ?series ?faults engine spec metrics =
-  let meta = meta_of ?registry Baselines.Eventual.name in
-  Baselines.Eventual.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
-  |> of_baseline (module Baselines.Eventual) ?faults
+let cops ~prune_on_write = baseline (module Baselines.Cops) (Baselines.Cops.create ~prune_on_write)
+let orbe = baseline (module Baselines.Orbe) Baselines.Orbe.create
 
-let gentlerain ?registry ?series engine spec metrics =
-  let meta = meta_of ?registry Baselines.Gentlerain.name in
-  Baselines.Gentlerain.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
-  |> of_baseline (module Baselines.Gentlerain)
+(* each per-DC sequencer registers as a crashable serializer: the ser-crash
+   scenario shape applies to Eunomia's single point of order, with the
+   backup takeover as the recovery path *)
+let bind_sequencers faults spec sys =
+  Array.iteri
+    (fun dc site ->
+      Faults.Registry.register_serializer faults
+        ~name:(Printf.sprintf "seq%d" dc)
+        ~site
+        ~crash_all:(fun () -> Baselines.Eunomia.sequencer_crash sys ~dc)
+        ~crash_replica:(fun _ -> Baselines.Eunomia.sequencer_crash sys ~dc)
+        ~down:(fun () -> Baselines.Eunomia.sequencer_down sys ~dc))
+    spec.dc_sites
 
-let cure ?registry ?series engine spec metrics =
-  let meta = meta_of ?registry Baselines.Cure.name in
-  Baselines.Cure.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
-  |> of_baseline (module Baselines.Cure)
-
-let cops ?registry ?series engine spec metrics ~prune_on_write =
-  let meta = meta_of ?registry Baselines.Cops.name in
-  let sys =
-    Baselines.Cops.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
-      ~prune_on_write
-  in
-  (of_baseline (module Baselines.Cops) sys, sys)
-
-let orbe ?registry ?series engine spec metrics =
-  let meta = meta_of ?registry Baselines.Orbe.name in
-  let sys =
-    Baselines.Orbe.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
-  in
-  (of_baseline (module Baselines.Orbe) sys, sys)
-
-let eunomia ?registry ?series ?faults engine spec metrics =
-  let meta = meta_of ?registry Baselines.Eunomia.name in
-  let sys =
-    Baselines.Eunomia.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
-  in
-  let api = of_baseline (module Baselines.Eunomia) ?faults sys in
-  Option.iter
-    (fun f ->
-      (* each per-DC sequencer registers as a crashable serializer: the
-         ser-crash scenario shape applies to Eunomia's single point of
-         order, with the backup takeover as the recovery path *)
-      Array.iteri
-        (fun dc site ->
-          Faults.Registry.register_serializer f
-            ~name:(Printf.sprintf "seq%d" dc)
-            ~site
-            ~crash_all:(fun () -> Baselines.Eunomia.sequencer_crash sys ~dc)
-            ~crash_replica:(fun _ -> Baselines.Eunomia.sequencer_crash sys ~dc)
-            ~down:(fun () -> Baselines.Eunomia.sequencer_down sys ~dc))
-        spec.dc_sites)
-    faults;
-  api
-
-let okapi ?registry ?series ?faults engine spec metrics =
-  let meta = meta_of ?registry Baselines.Okapi.name in
-  Baselines.Okapi.create ?series ?meta engine (geo spec) (hooks_of_metrics metrics)
-  |> of_baseline (module Baselines.Okapi) ?faults
+let make ?registry ?series ?faults system engine spec metrics =
+  let api m create = fst (baseline m create ?registry ?series ?faults engine spec metrics) in
+  match system with
+  | `Saturn -> fst (saturn ?registry ?series ?faults engine spec metrics)
+  | `Saturn_peer -> fst (saturn_with ~peer:true ?registry ?series ?faults engine spec metrics)
+  | `Eventual -> api (module Baselines.Eventual) Baselines.Eventual.create
+  | `Gentlerain -> api (module Baselines.Gentlerain) Baselines.Gentlerain.create
+  | `Cure -> api (module Baselines.Cure) Baselines.Cure.create
+  | `Eunomia ->
+    let api, sys =
+      baseline (module Baselines.Eunomia) Baselines.Eunomia.create ?registry ?series ?faults engine
+        spec metrics
+    in
+    Option.iter (fun f -> bind_sequencers f spec sys) faults;
+    api
+  | `Okapi -> api (module Baselines.Okapi) Baselines.Okapi.create
+  | `Orbe -> fst (orbe ?registry ?series ?faults engine spec metrics)
+  | `Cops -> fst (cops ~prune_on_write:false ?registry ?series ?faults engine spec metrics)

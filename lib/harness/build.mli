@@ -1,4 +1,29 @@
-(** Builders: instantiate each system behind the uniform {!Api.t}. *)
+(** The one table of systems: which exist, what each is called, and how
+    each is built behind the uniform {!Api.t} over a shared deployment
+    {!spec}. {!make} is the only builder every caller needs; {!saturn},
+    {!cops} and {!orbe} also return the handle their callers read. *)
+
+type system =
+  [ `Saturn | `Saturn_peer | `Eventual | `Gentlerain | `Cure | `Eunomia | `Okapi | `Orbe | `Cops ]
+(** Saturn (with its serializer tree), Saturn's P-configuration (timestamp
+    order only, no tree), and the seven baselines. *)
+
+val all : system list
+(** Every system, in constructor order. *)
+
+val name : system -> string
+(** The lowercase name: [Api.name] of the built system, the
+    [meta.bytes.<name>.*] counters its builder registers (the
+    P-configuration counts under Saturn's), the CLI's [--system] values and
+    the shootout and fault-matrix rows (["saturn"], ["saturn-peer"],
+    ["gentlerain"], …). *)
+
+val label : system -> string
+(** The display label the experiment tables print (["Saturn"],
+    ["Saturn-P"], ["GentleRain"], …). *)
+
+val of_name : string -> system
+(** Inverse of {!name}. @raise Invalid_argument on any other string. *)
 
 type spec = {
   topo : Sim.Topology.t;
@@ -38,6 +63,32 @@ val solve_config : spec -> Saturn.Config.t
 (** Runs the configuration generator (Algorithm 3) for the spec's
     datacenters, weighting pairs by shared keys. *)
 
+val make :
+  ?registry:Stats.Registry.t ->
+  ?series:Stats.Series.t ->
+  ?faults:Faults.Registry.t ->
+  system ->
+  Sim.Engine.t ->
+  spec ->
+  Metrics.t ->
+  Api.t
+(** Builds [system] on the deployment. The observers are all optional:
+    - [registry] collects the deployment's counters: Saturn's through
+      {!Saturn.System.create}; for a baseline, its per-op metadata bytes as
+      [meta.bytes.<name>.*] counters (see {!Stats.Meta_bytes});
+    - [series] receives windowed queue-depth and throughput telemetry (see
+      {!Stats.Series});
+    - [faults] receives the deployment's breakable pieces, so a fault plan
+      can be armed against it: Saturn's links and serializers
+      ({!Faults.Registry.bind_system}), a baseline's bulk links
+      ({!Faults.Registry.bind_fabric}), and for Eunomia also one crashable
+      serializer per datacenter ([seq0], [seq1], …) that maps
+      serializer-crash plan events onto sequencer failover.
+
+    Saturn solves its configuration with {!solve_config} unless the spec
+    carries one; COPS builds with [prune_on_write:false]; Orbe is sound under
+    full replication only (see {!Baselines.Orbe}). *)
+
 val saturn :
   ?registry:Stats.Registry.t ->
   ?series:Stats.Series.t ->
@@ -46,81 +97,26 @@ val saturn :
   spec ->
   Metrics.t ->
   Api.t * Saturn.System.t
-(** [registry] collects the deployment's counters (see
-    {!Saturn.System.create}); [series] receives windowed queue-depth and
-    throughput telemetry (see {!Stats.Series}); [faults] receives the
-    deployment's breakable
-    pieces via {!Faults.Registry.bind_system}, so a fault plan can be armed
-    against it. *)
-
-val saturn_peer :
-  ?registry:Stats.Registry.t ->
-  ?series:Stats.Series.t ->
-  ?faults:Faults.Registry.t ->
-  Sim.Engine.t ->
-  spec ->
-  Metrics.t ->
-  Api.t * Saturn.System.t
-(** The P-configuration: timestamp order only, no serializer tree. *)
-
-val eventual :
-  ?registry:Stats.Registry.t ->
-  ?series:Stats.Series.t ->
-  ?faults:Faults.Registry.t ->
-  Sim.Engine.t ->
-  spec ->
-  Metrics.t ->
-  Api.t
-(** [faults] receives the baseline's bulk links via
-    {!Faults.Registry.bind_fabric}. For every baseline builder, [registry]
-    enables per-op metadata-byte accounting: the builder registers
-    [meta.bytes.<system>.*] counters via {!Stats.Meta_bytes}. *)
-
-val gentlerain :
-  ?registry:Stats.Registry.t -> ?series:Stats.Series.t -> Sim.Engine.t -> spec -> Metrics.t -> Api.t
-
-val cure :
-  ?registry:Stats.Registry.t -> ?series:Stats.Series.t -> Sim.Engine.t -> spec -> Metrics.t -> Api.t
+(** [make `Saturn] with the deployment handle. *)
 
 val cops :
+  prune_on_write:bool ->
   ?registry:Stats.Registry.t ->
   ?series:Stats.Series.t ->
+  ?faults:Faults.Registry.t ->
   Sim.Engine.t ->
   spec ->
   Metrics.t ->
-  prune_on_write:bool ->
   Api.t * Baselines.Cops.t
+(** COPS with the handle, for its dependency statistics; [make `Cops] is
+    [cops ~prune_on_write:false]. *)
 
 val orbe :
   ?registry:Stats.Registry.t ->
   ?series:Stats.Series.t ->
+  ?faults:Faults.Registry.t ->
   Sim.Engine.t ->
   spec ->
   Metrics.t ->
   Api.t * Baselines.Orbe.t
-(** Dependency-matrix explicit checking; sound under full replication only
-    (see {!Baselines.Orbe}). *)
-
-val eunomia :
-  ?registry:Stats.Registry.t ->
-  ?series:Stats.Series.t ->
-  ?faults:Faults.Registry.t ->
-  Sim.Engine.t ->
-  spec ->
-  Metrics.t ->
-  Api.t
-(** Deferred update stabilization via per-DC sequencers. [faults] receives
-    the bulk links ({!Faults.Registry.bind_fabric}) plus one crashable
-    serializer per datacenter ([seq0], [seq1], …) mapping serializer-crash
-    plan events onto sequencer failover. *)
-
-val okapi :
-  ?registry:Stats.Registry.t ->
-  ?series:Stats.Series.t ->
-  ?faults:Faults.Registry.t ->
-  Sim.Engine.t ->
-  spec ->
-  Metrics.t ->
-  Api.t
-(** Hybrid vector/scalar stable time with a universal stability condition
-    (see {!Baselines.Okapi}). *)
+(** [make `Orbe] with the handle, for its matrix statistics. *)

@@ -50,7 +50,7 @@ let run_tier ?(now_s = fun () -> 0.) ?(stream_ops = 200_000) ~seed tier =
   (* phase C — simulation: the smoke geometry (three sites, explicit
      serializer chain) under the tier's key space, probe off, measuring the
      flattened event path itself *)
-  let topo = Obs.topo3 () in
+  let topo = Build.topo3 () in
   let dc_sites = [| 0; 1; 2 |] in
   let rmap =
     Kvstore.Replica_map.create ~n_dcs ~n_keys:(Scale.Ops.n_keys g) ~assign:(fun key ->
@@ -61,7 +61,7 @@ let run_tier ?(now_s = fun () -> 0.) ?(stream_ops = 200_000) ~seed tier =
   let spec =
     {
       (Build.default_spec ~topo ~dc_sites ~rmap) with
-      Build.saturn_config = Some (Obs.chain_config ~dc_sites);
+      Build.saturn_config = Some (Build.chain_config ~dc_sites);
       partitions = 2;
       frontends = 2;
     }

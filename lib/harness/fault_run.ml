@@ -17,6 +17,10 @@ type outcome = {
   probe : Sim.Probe.t;
 }
 
+type system = [ `Saturn | `Eventual | `Eunomia | `Okapi ]
+
+let systems = [ `Saturn; `Eventual; `Eunomia; `Okapi ]
+
 let scenario_names =
   [
     "ser-crash"; "seq-crash"; "partition"; "latency-spike"; "reconfig-graceful"; "reconfig-cut";
@@ -221,12 +225,12 @@ let run_one ~seed ~scenario ~system ~busiest =
   let heal_at_us = ref None in
   let ops =
     Sim.Probe.with_probe probe (fun () ->
+        (* the registry goes to Saturn rows only, so the baseline rows count
+           no meta bytes: see [outcome.registry] *)
+        let meta_registry = if system = `Saturn then Some registry else None in
         let api =
-          match system with
-          | `Saturn -> fst (Build.saturn ~registry ~series ~faults:freg engine spec metrics)
-          | `Eventual -> Build.eventual ~series ~faults:freg engine spec metrics
-          | `Eunomia -> Build.eunomia ~series ~faults:freg engine spec metrics
-          | `Okapi -> Build.okapi ~series ~faults:freg engine spec metrics
+          Build.make ?registry:meta_registry ~series ~faults:freg (system :> Build.system) engine
+            spec metrics
         in
         let plan = plan_for ~scenario ~busiest freg system in
         let (_ : Faults.Injector.t) = Faults.Injector.arm ~registry engine freg plan in
@@ -283,12 +287,7 @@ let run_one ~seed ~scenario ~system ~busiest =
   let vis = Metrics.visibility metrics in
   {
     scenario;
-    system =
-      (match system with
-      | `Saturn -> "saturn"
-      | `Eventual -> "eventual"
-      | `Eunomia -> "eunomia"
-      | `Okapi -> "okapi");
+    system = Build.name (system :> Build.system);
     ops;
     vis_mean_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.mean vis);
     vis_p99_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.percentile vis 99.);

@@ -42,6 +42,14 @@ type outcome = {
   flame : (string * int) list;  (** probe event counts by kind, name-sorted *)
   span_us : (string * int) list;  (** matched-span µs by span kind, name-sorted *)
   registry : Stats.Registry.t;
+      (** the run's counters: [metrics.*], the injector's fault counters,
+          [probe.*] event counts and the [faults.recovery_ms] histogram. Only Saturn
+          rows hand it to {!Build.make}, so only they carry deployment
+          counters such as [meta.bytes.saturn.*]. The five baseline rows
+          (ser-crash/eventual, seq-crash/eunomia, partition/eventual,
+          partition/okapi, latency-spike/eventual) register no
+          [meta.bytes.*] counter, so a matrix-wide mean of metadata bytes
+          per op averages five zeros in with the seven Saturn rows. *)
   series : Stats.Series.t;
       (** windowed telemetry of this run (queue depths, apply throughput,
           [series.vis_ms] visibility latency), sealed at run end *)
@@ -53,6 +61,13 @@ type outcome = {
       (** the run's kept trace — what [saturn-cli blame --scenario] feeds
           through {!Journey.analyze} and {!Blame.analyze} *)
 }
+
+type system = [ `Saturn | `Eventual | `Eunomia | `Okapi ]
+(** The systems the matrix runs. *)
+
+val systems : system list
+(** [[`Saturn; `Eventual; `Eunomia; `Okapi]] — the single source the CLI
+    builds its [--system] enum and help text from, through {!Build.name}. *)
 
 val scenario_names : string list
 (** [["ser-crash"; "seq-crash"; "partition"; "latency-spike";
@@ -70,7 +85,7 @@ val run_matrix : ?seed:int -> unit -> outcome list
 val run_scenario :
   ?seed:int ->
   scenario:string ->
-  system:[ `Saturn | `Eventual | `Eunomia | `Okapi ] ->
+  system:system ->
   unit ->
   outcome
 (** One cell of the matrix (default seed 42). Only the latency-spike and

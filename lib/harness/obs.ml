@@ -8,13 +8,8 @@ type result = {
   blame : Blame.report;
 }
 
-(* the shared deployment shapes live in Build so the fault matrix can use
-   them without depending on this module; re-exported here for callers *)
-let topo3 = Build.topo3
-let chain_config = Build.chain_config
-
 let smoke ?(seed = 42) () =
-  let topo = topo3 () in
+  let topo = Build.topo3 () in
   let dc_sites = [| 0; 1; 2 |] in
   let n_keys = 24 in
   (* full replication: every update interests both remote datacenters, so
@@ -28,7 +23,7 @@ let smoke ?(seed = 42) () =
   let spec =
     {
       (Build.default_spec ~topo ~dc_sites ~rmap) with
-      Build.saturn_config = Some (chain_config ~dc_sites);
+      Build.saturn_config = Some (Build.chain_config ~dc_sites);
       partitions = 2;
       frontends = 2;
     }

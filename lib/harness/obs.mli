@@ -21,15 +21,6 @@ type result = {
           the counter baseline as the [blame.*] family *)
 }
 
-val topo3 : unit -> Sim.Topology.t
-(** The three-site (west/central/east) geography the smoke and fault
-    scenarios share: unequal latencies, so tree placement matters. *)
-
-val chain_config : dc_sites:Sim.Topology.site array -> Saturn.Config.t
-(** An explicit three-serializer chain (0–1–2, one per datacenter) with
-    small artificial delays — guarantees serializer-to-serializer hops,
-    which a solved three-site configuration may optimize away. *)
-
 val smoke : ?seed:int -> unit -> result
 (** Runs the scenario (default seed 42). Pure apart from simulation. The
     registry also collects per-subsystem matched-span time as

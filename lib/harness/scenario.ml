@@ -1,15 +1,5 @@
-type system = Saturn_sys | Saturn_peer | Eventual | Gentlerain | Cure | Eunomia | Okapi
-
-let system_name = function
-  | Saturn_sys -> "Saturn"
-  | Saturn_peer -> "Saturn-P"
-  | Eventual -> "Eventual"
-  | Gentlerain -> "GentleRain"
-  | Cure -> "Cure"
-  | Eunomia -> "Eunomia"
-  | Okapi -> "Okapi"
-
-let all_systems = [ Eventual; Saturn_sys; Gentlerain; Eunomia; Okapi; Cure ]
+let all_systems = [ `Eventual; `Saturn; `Gentlerain; `Eunomia; `Okapi; `Cure ]
+let systems = [ `Saturn; `Saturn_peer; `Eventual; `Gentlerain; `Cure; `Eunomia; `Okapi ]
 
 type setup = {
   n_dcs : int;
@@ -49,7 +39,7 @@ let default_setup =
   }
 
 type outcome = {
-  system : system;
+  system : Build.system;
   throughput : float;
   ops : int;
   mean_visibility_ms : float;
@@ -103,23 +93,14 @@ let run_with ?rmap system setup =
   let saturn_config =
     match (setup.saturn_config, system) with
     | Some c, _ -> Some c
-    | None, Saturn_sys ->
+    | None, `Saturn ->
       (* Algorithm 3 is deterministic; memoize for repeated sweeps over the
          same deployment *)
       Some (if rmap_overridden then Build.solve_config spec else solved_config setup)
-    | None, (Saturn_peer | Eventual | Gentlerain | Cure | Eunomia | Okapi) -> None
+    | None, _ -> None
   in
   let spec = { spec with Build.saturn_config } in
-  let api =
-    match system with
-    | Saturn_sys -> fst (Build.saturn engine spec metrics)
-    | Saturn_peer -> fst (Build.saturn_peer engine spec metrics)
-    | Eventual -> Build.eventual engine spec metrics
-    | Gentlerain -> Build.gentlerain engine spec metrics
-    | Cure -> Build.cure engine spec metrics
-    | Eunomia -> Build.eunomia engine spec metrics
-    | Okapi -> Build.okapi engine spec metrics
-  in
+  let api = Build.make system engine spec metrics in
   let workload =
     Workload.Synthetic.create
       {
@@ -209,19 +190,10 @@ let run_social system s =
     }
   in
   let saturn_config =
-    match system with Saturn_sys -> Some (Build.solve_config spec) | _ -> None
+    match system with `Saturn -> Some (Build.solve_config spec) | _ -> None
   in
   let spec = { spec with Build.saturn_config } in
-  let api =
-    match system with
-    | Saturn_sys -> fst (Build.saturn engine spec metrics)
-    | Saturn_peer -> fst (Build.saturn_peer engine spec metrics)
-    | Eventual -> Build.eventual engine spec metrics
-    | Gentlerain -> Build.gentlerain engine spec metrics
-    | Cure -> Build.cure engine spec metrics
-    | Eunomia -> Build.eunomia engine spec metrics
-    | Okapi -> Build.okapi engine spec metrics
-  in
+  let api = Build.make system engine spec metrics in
   let ops = Workload.Social_ops.create part ~value_size:s.value_size ~seed:(s.s_seed + 2) in
   (* sample active users per datacenter, keyed by master placement *)
   let by_dc = Array.make 7 [] in

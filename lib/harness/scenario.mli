@@ -2,12 +2,14 @@
     and the larger tests. One [setup] describes a deployment + workload;
     {!run} executes it for one system and returns the measurements. *)
 
-type system = Saturn_sys | Saturn_peer | Eventual | Gentlerain | Cure | Eunomia | Okapi
-
-val system_name : system -> string
-val all_systems : system list
+val all_systems : Build.system list
 (** Eventual, Saturn, GentleRain, Eunomia, Okapi, Cure — the Figures 5, 7, 8
     lineup extended with the two follow-up protocols. *)
+
+val systems : Build.system list
+(** The systems the CLI offers for these runs, in its flag order:
+    {!all_systems} plus Saturn's P-configuration. Orbe and COPS run in the
+    stabilization shootout instead, whose full replication Orbe needs. *)
 
 type setup = {
   n_dcs : int;
@@ -33,7 +35,7 @@ val default_setup : setup
     short-but-stable simulated window. *)
 
 type outcome = {
-  system : system;
+  system : Build.system;
   throughput : float;
   ops : int;
   mean_visibility_ms : float;
@@ -46,9 +48,9 @@ val dc_sites : setup -> Sim.Topology.site array
 val replica_map : setup -> Kvstore.Replica_map.t
 (** Deterministic in the setup's seed. *)
 
-val run : system -> setup -> outcome
+val run : Build.system -> setup -> outcome
 
-val run_with : ?rmap:Kvstore.Replica_map.t -> system -> setup -> outcome
+val run_with : ?rmap:Kvstore.Replica_map.t -> Build.system -> setup -> outcome
 (** Like {!run} with an explicit replica map (overrides the correlation
     pattern). *)
 
@@ -74,6 +76,6 @@ type social_setup = {
 
 val default_social_setup : social_setup
 
-val run_social : system -> social_setup -> outcome
+val run_social : Build.system -> social_setup -> outcome
 (** Synthetic Facebook graph + Benevenuto op mix + replication-constrained
     partitioning over the seven EC2 regions. *)

@@ -14,7 +14,7 @@ type row = {
 (* fixed order: cheapest metadata family first, matching the Table 2
    hierarchy the shootout is built to reproduce *)
 let systems =
-  [ "eventual"; "gentlerain"; "eunomia"; "saturn"; "okapi"; "cure"; "orbe"; "cops" ]
+  List.map Build.name [ `Eventual; `Gentlerain; `Eunomia; `Saturn; `Okapi; `Cure; `Orbe; `Cops ]
 
 let n_keys = 24
 let dc_sites = [| 0; 1; 2 |]
@@ -31,24 +31,12 @@ let star_config ~dc_sites =
   Saturn.Config.create ~tree ~placement:[| 1 |] ~dc_sites ()
 
 let spec () =
-  let topo = Obs.topo3 () in
+  let topo = Build.topo3 () in
   let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys in
   {
     (Build.default_spec ~topo ~dc_sites ~rmap) with
     Build.saturn_config = Some (star_config ~dc_sites);
   }
-
-let build_api name ~registry engine spec metrics =
-  match name with
-  | "eventual" -> Build.eventual ~registry engine spec metrics
-  | "gentlerain" -> Build.gentlerain ~registry engine spec metrics
-  | "eunomia" -> Build.eunomia ~registry engine spec metrics
-  | "saturn" -> fst (Build.saturn ~registry engine spec metrics)
-  | "okapi" -> Build.okapi ~registry engine spec metrics
-  | "cure" -> Build.cure ~registry engine spec metrics
-  | "orbe" -> fst (Build.orbe ~registry engine spec metrics)
-  | "cops" -> fst (Build.cops ~registry engine spec metrics ~prune_on_write:false)
-  | s -> invalid_arg ("Shootout: unknown system " ^ s)
 
 let run_system ?(seed = 42) name =
   if not (List.mem name systems) then invalid_arg ("Shootout: unknown system " ^ name);
@@ -56,7 +44,7 @@ let run_system ?(seed = 42) name =
   let engine = Sim.Engine.create () in
   let registry = Stats.Registry.create () in
   let metrics = Metrics.create ~registry engine ~topo:spec.Build.topo ~dc_sites in
-  let api = build_api name ~registry engine spec metrics in
+  let api = Build.make ~registry (Build.of_name name) engine spec metrics in
   let clients = Driver.make_clients ~dc_sites ~per_dc:4 in
   let syn =
     Workload.Synthetic.create

@@ -3,7 +3,7 @@
     fixed deployment, measuring what each protocol's stabilization design
     costs in metadata bytes and buys in visibility.
 
-    All systems share the three-site geography ({!Obs.topo3}), full
+    All systems share the three-site geography ({!Build.topo3}), full
     replication, the same synthetic workload and the same measurement
     window. Saturn runs its {e star} configuration (one central serializer,
     no serializer-to-serializer hops): the shootout compares metadata

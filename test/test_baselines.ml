@@ -14,7 +14,7 @@ let v n = Kvstore.Value.make ~payload:n ~size_bytes:2
 let test_eventual_visibility_is_bulk_latency () =
   let engine, dc_sites, spec, metrics = fixture () in
   Harness.Metrics.set_window metrics ~start_at:Sim.Time.zero ~end_at:Sim.Time.infinity;
-  let api = Harness.Build.eventual engine spec metrics in
+  let api = Harness.Build.make `Eventual engine spec metrics in
   let c = Harness.Client.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
   api.Harness.Api.attach c ~dc:0 ~k:(fun () ->
       api.Harness.Api.update c ~key:1 ~value:(v 1) ~k:(fun () -> ()));
@@ -32,7 +32,7 @@ let test_gentlerain_visibility_bounded_by_furthest () =
      regardless of the originator (§7.3.1) *)
   let engine, dc_sites, spec, metrics = fixture ~n_dcs:4 () in
   Harness.Metrics.set_window metrics ~start_at:Sim.Time.zero ~end_at:Sim.Time.infinity;
-  let api = Harness.Build.gentlerain engine spec metrics in
+  let api = Harness.Build.make `Gentlerain engine spec metrics in
   let c = Harness.Client.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
   (* NV -> NC bulk is 37 ms, but dc3 is Ireland: lat(I, NC) = 74 ms, so the
      GST at NC lags ~84ms (Frankfurt not in this 4-dc set; max into NC is I at 74) *)
@@ -51,7 +51,7 @@ let test_cure_visibility_near_direct () =
   (* Cure's lower bound is the direct latency plus a stabilization round *)
   let engine, dc_sites, spec, metrics = fixture ~n_dcs:4 () in
   Harness.Metrics.set_window metrics ~start_at:Sim.Time.zero ~end_at:Sim.Time.infinity;
-  let api = Harness.Build.cure engine spec metrics in
+  let api = Harness.Build.make `Cure engine spec metrics in
   let c = Harness.Client.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
   api.Harness.Api.attach c ~dc:0 ~k:(fun () ->
       api.Harness.Api.update c ~key:1 ~value:(v 1) ~k:(fun () -> ()));
@@ -66,7 +66,7 @@ let test_cure_visibility_near_direct () =
 
 let test_gentlerain_attach_waits_for_gst () =
   let engine, dc_sites, spec, metrics = fixture ~n_dcs:3 () in
-  let api = Harness.Build.gentlerain engine spec metrics in
+  let api = Harness.Build.make `Gentlerain engine spec metrics in
   let c = Harness.Client.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
   let attached_at = ref None in
   api.Harness.Api.attach c ~dc:0 ~k:(fun () ->
@@ -90,7 +90,7 @@ let test_gentlerain_attach_waits_for_gst () =
 
 let test_eventual_attach_immediate () =
   let engine, dc_sites, spec, metrics = fixture ~n_dcs:3 () in
-  let api = Harness.Build.eventual engine spec metrics in
+  let api = Harness.Build.make `Eventual engine spec metrics in
   let c = Harness.Client.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
   let attached_at = ref None in
   api.Harness.Api.attach c ~dc:0 ~k:(fun () ->
@@ -113,7 +113,7 @@ let test_eunomia_visibility_gated_by_furthest () =
      the furthest datacenter, not the origin *)
   let engine, dc_sites, spec, metrics = fixture ~n_dcs:4 () in
   Harness.Metrics.set_window metrics ~start_at:Sim.Time.zero ~end_at:Sim.Time.infinity;
-  let api = Harness.Build.eunomia engine spec metrics in
+  let api = Harness.Build.make `Eunomia engine spec metrics in
   let c = Harness.Client.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
   api.Harness.Api.attach c ~dc:0 ~k:(fun () ->
       api.Harness.Api.update c ~key:1 ~value:(v 1) ~k:(fun () -> ()));
@@ -128,7 +128,7 @@ let test_eunomia_visibility_gated_by_furthest () =
 
 let test_eunomia_attach_waits_for_stable_time () =
   let engine, dc_sites, spec, metrics = fixture ~n_dcs:3 () in
-  let api = Harness.Build.eunomia engine spec metrics in
+  let api = Harness.Build.make `Eunomia engine spec metrics in
   let c = Harness.Client.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
   let attached_at = ref None in
   api.Harness.Api.attach c ~dc:0 ~k:(fun () ->
@@ -150,9 +150,9 @@ let test_eunomia_attach_waits_for_stable_time () =
 let test_eunomia_write_cheaper_than_gentlerain_visibility_equal () =
   (* the point of Eunomia: local update latency stays near the eventual
      baseline because stabilization happens off the client path *)
-  let run build =
+  let run system =
     let engine, dc_sites, spec, metrics = fixture ~n_dcs:3 () in
-    let api = build engine spec metrics in
+    let api = Harness.Build.make system engine spec metrics in
     let c = Harness.Client.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
     let done_at = ref None in
     api.Harness.Api.attach c ~dc:0 ~k:(fun () ->
@@ -166,8 +166,8 @@ let test_eunomia_write_cheaper_than_gentlerain_visibility_equal () =
     | None -> Alcotest.fail "update never completed"
     | Some d -> Sim.Time.to_us d
   in
-  let eunomia = run Harness.Build.eunomia in
-  let gentlerain = run Harness.Build.gentlerain in
+  let eunomia = run `Eunomia in
+  let gentlerain = run `Gentlerain in
   if eunomia > gentlerain then
     Alcotest.failf "Eunomia's write path (%dus) should not exceed GentleRain's (%dus)" eunomia
       gentlerain
@@ -177,7 +177,7 @@ let test_okapi_visibility_waits_for_ust () =
      payload lands, so visibility exceeds the bulk latency *)
   let engine, dc_sites, spec, metrics = fixture ~n_dcs:3 () in
   Harness.Metrics.set_window metrics ~start_at:Sim.Time.zero ~end_at:Sim.Time.infinity;
-  let api = Harness.Build.okapi engine spec metrics in
+  let api = Harness.Build.make `Okapi engine spec metrics in
   let c = Harness.Client.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
   api.Harness.Api.attach c ~dc:0 ~k:(fun () ->
       api.Harness.Api.update c ~key:1 ~value:(v 1) ~k:(fun () -> ()));
@@ -196,7 +196,7 @@ let test_okapi_visibility_waits_for_ust () =
 
 let test_okapi_attach_waits_for_ust () =
   let engine, dc_sites, spec, metrics = fixture ~n_dcs:3 () in
-  let api = Harness.Build.okapi engine spec metrics in
+  let api = Harness.Build.make `Okapi engine spec metrics in
   let c = Harness.Client.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
   let attached_at = ref None in
   api.Harness.Api.attach c ~dc:0 ~k:(fun () ->
@@ -243,7 +243,7 @@ let test_cops_checks_dependencies () =
   let order = ref [] in
   Harness.Metrics.subscribe metrics (fun ~dc ~key ~origin_dc:_ ~origin_time:_ ~value:_ ->
       if dc = 2 then order := key :: !order);
-  let api, _ = Harness.Build.cops engine spec metrics ~prune_on_write:false in
+  let api = Harness.Build.make `Cops engine spec metrics in
   let c0 = Harness.Client.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
   let c1 = Harness.Client.create ~id:1 ~home_site:dc_sites.(1) ~preferred_dc:1 in
   api.Harness.Api.attach c0 ~dc:0 ~k:(fun () ->

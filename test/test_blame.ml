@@ -13,7 +13,7 @@ let smoke = lazy (Harness.Obs.smoke ())
 (* ---- optimal matrix -------------------------------------------------------- *)
 
 let test_optimal_matrix_topo3 () =
-  let topo = Harness.Obs.topo3 () in
+  let topo = Harness.Build.topo3 () in
   let m = Blame.optimal_matrix ~topo ~dc_sites:[| 0; 1; 2 |] ~bulk_factor:1.0 in
   (* topo3 respects the triangle inequality, so optimal = direct *)
   Alcotest.(check (array (array int)))
@@ -75,7 +75,7 @@ let test_smoke_blame_deterministic () =
   (* re-deriving the report from the same probe must reproduce the digest
      bit-for-bit — the property the CI double-run blame gate leans on *)
   let optimal =
-    Blame.optimal_matrix ~topo:(Harness.Obs.topo3 ()) ~dc_sites:[| 0; 1; 2 |] ~bulk_factor:1.0
+    Blame.optimal_matrix ~topo:(Harness.Build.topo3 ()) ~dc_sites:[| 0; 1; 2 |] ~bulk_factor:1.0
   in
   let again = Blame.analyze ~optimal (Harness.Journey.analyze r.Harness.Obs.probe) in
   Alcotest.(check string) "digest replays" (Blame.digest r.Harness.Obs.blame) (Blame.digest again);

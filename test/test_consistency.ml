@@ -169,9 +169,6 @@ let run_system ?(full_replication = false) ?(crash_replicas = false) ~seed ~buil
   (match !diverged with [] -> () | d :: _ -> Alcotest.failf "replicas diverged: %s" d);
   if !next_payload < 50 then Alcotest.failf "too few updates issued (%d): broken driver" !next_payload
 
-let saturn_build engine spec metrics = fst (Harness.Build.saturn engine spec metrics)
-let peer_build engine spec metrics = fst (Harness.Build.saturn_peer engine spec metrics)
-
 let saturn_replicated_build engine spec metrics =
   let api, system =
     Harness.Build.saturn engine { spec with Harness.Build.serializer_replicas = 3 } metrics
@@ -196,8 +193,6 @@ let test_sys ?full_replication ?crash_replicas ~name ~build ~check_causality () 
         `Slow
         (fun () -> run_system ?full_replication ?crash_replicas ~seed ~build ~check_causality ()))
     [ 1; 2; 3 ]
-
-let orbe_build engine spec metrics = fst (Harness.Build.orbe engine spec metrics)
 
 let saturn_switching_build engine spec metrics =
   (* mid-run graceful tree switch: the oracle keeps checking causality
@@ -227,16 +222,17 @@ let saturn_switching_build engine spec metrics =
   api
 
 let suite =
-  test_sys ~name:"saturn" ~build:saturn_build ~check_causality:true ()
-  @ test_sys ~name:"saturn-peer" ~build:peer_build ~check_causality:true ()
-  @ test_sys ~name:"gentlerain" ~build:Harness.Build.gentlerain ~check_causality:true ()
-  @ test_sys ~name:"cure" ~build:Harness.Build.cure ~check_causality:true ()
-  @ test_sys ~name:"eunomia" ~build:Harness.Build.eunomia ~check_causality:true ()
-  @ test_sys ~name:"okapi" ~build:Harness.Build.okapi ~check_causality:true ()
-  @ test_sys ~name:"orbe (full replication)" ~full_replication:true ~build:orbe_build
-      ~check_causality:true ()
+  test_sys ~name:"saturn" ~build:(Harness.Build.make `Saturn) ~check_causality:true ()
+  @ test_sys ~name:"saturn-peer" ~build:(Harness.Build.make `Saturn_peer) ~check_causality:true ()
+  @ test_sys ~name:"gentlerain" ~build:(Harness.Build.make `Gentlerain) ~check_causality:true ()
+  @ test_sys ~name:"cure" ~build:(Harness.Build.make `Cure) ~check_causality:true ()
+  @ test_sys ~name:"eunomia" ~build:(Harness.Build.make `Eunomia) ~check_causality:true ()
+  @ test_sys ~name:"okapi" ~build:(Harness.Build.make `Okapi) ~check_causality:true ()
+  @ test_sys ~name:"orbe (full replication)" ~full_replication:true
+      ~build:(Harness.Build.make `Orbe) ~check_causality:true ()
   @ test_sys ~name:"saturn + replica crashes" ~crash_replicas:true ~build:saturn_replicated_build
       ~check_causality:true ()
   @ test_sys ~name:"saturn + graceful tree switch" ~crash_replicas:true
       ~build:saturn_switching_build ~check_causality:true ()
-  @ test_sys ~name:"eventual (convergence only)" ~build:Harness.Build.eventual ~check_causality:false ()
+  @ test_sys ~name:"eventual (convergence only)" ~build:(Harness.Build.make `Eventual)
+      ~check_causality:false ()

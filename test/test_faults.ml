@@ -627,7 +627,7 @@ let test_checker_step_alloc () =
    the plan breaks, every serializer must commit each origin's labels
    exactly once, in FIFO order *)
 let run_random_plan ~seed =
-  let topo = Harness.Obs.topo3 () in
+  let topo = Harness.Build.topo3 () in
   let dc_sites = [| 0; 1; 2 |] in
   let n_keys = 24 in
   let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys in
@@ -639,7 +639,7 @@ let run_random_plan ~seed =
   let spec =
     {
       (Harness.Build.default_spec ~topo ~dc_sites ~rmap) with
-      Harness.Build.saturn_config = Some (Harness.Obs.chain_config ~dc_sites);
+      Harness.Build.saturn_config = Some (Harness.Build.chain_config ~dc_sites);
       serializer_replicas = 2;
     }
   in

@@ -40,7 +40,7 @@ let test_driver_counts_window_only () =
   let rmap = Kvstore.Replica_map.full ~n_dcs:2 ~n_keys:8 in
   let metrics = Harness.Metrics.create engine ~topo:Sim.Ec2.topology ~dc_sites in
   let spec = Harness.Build.default_spec ~topo:Sim.Ec2.topology ~dc_sites ~rmap in
-  let api = Harness.Build.eventual engine spec metrics in
+  let api = Harness.Build.make `Eventual engine spec metrics in
   let clients = Harness.Driver.make_clients ~dc_sites ~per_dc:2 in
   Alcotest.(check int) "client count" 4 (List.length clients);
   let w =
@@ -71,10 +71,10 @@ let test_scenario_smoke () =
       cooldown = Sim.Time.of_ms 100;
     }
   in
-  let ev = Harness.Scenario.run Harness.Scenario.Eventual setup in
-  let sat = Harness.Scenario.run Harness.Scenario.Saturn_sys setup in
-  let gr = Harness.Scenario.run Harness.Scenario.Gentlerain setup in
-  let cu = Harness.Scenario.run Harness.Scenario.Cure setup in
+  let ev = Harness.Scenario.run `Eventual setup in
+  let sat = Harness.Scenario.run `Saturn setup in
+  let gr = Harness.Scenario.run `Gentlerain setup in
+  let cu = Harness.Scenario.run `Cure setup in
   let t (o : Harness.Scenario.outcome) = o.Harness.Scenario.throughput in
   if t ev < t sat then Alcotest.fail "eventual should be the throughput upper bound";
   if t sat <= t cu then Alcotest.fail "saturn should beat cure on throughput";
@@ -137,6 +137,81 @@ let test_cli_help_lists_subcommands () =
         (String.length s.Harness.Cli_spec.summary > 0))
     Harness.Cli_spec.subs
 
+(* ---- the system table in Build ------------------------------------------ *)
+
+let test_system_names_round_trip () =
+  let open Harness in
+  let system = Alcotest.testable (fun ppf s -> Format.pp_print_string ppf (Build.label s)) ( = ) in
+  let distinct f = List.length (List.sort_uniq String.compare (List.map f Build.all)) in
+  Alcotest.(check int) "nine systems" 9 (List.length Build.all);
+  List.iter
+    (fun s -> Alcotest.check system (Build.name s) s (Build.of_name (Build.name s)))
+    Build.all;
+  Alcotest.(check int) "names distinct" 9 (distinct Build.name);
+  Alcotest.(check int) "labels distinct" 9 (distinct Build.label);
+  Alcotest.check_raises "unknown name" (Invalid_argument "Build.of_name: unknown system nope")
+    (fun () -> ignore (Build.of_name "nope"))
+
+(* the CLI flag sets and the shootout lineup, each read off the table *)
+let test_system_lineups () =
+  let open Harness in
+  Alcotest.(check (list string)) "scenario --system values"
+    [ "saturn"; "saturn-peer"; "eventual"; "gentlerain"; "cure"; "eunomia"; "okapi" ]
+    (List.map Build.name Scenario.systems);
+  Alcotest.(check (list string)) "fault-matrix --system values"
+    [ "saturn"; "eventual"; "eunomia"; "okapi" ]
+    (List.map (fun s -> Build.name (s :> Build.system)) Fault_run.systems);
+  Alcotest.(check (list string)) "shootout rows"
+    [ "eventual"; "gentlerain"; "eunomia"; "saturn"; "okapi"; "cure"; "orbe"; "cops" ]
+    Shootout.systems
+
+(* every system builds through make, names its Api.t after the table, and
+   completes operations on the shared three-site deployment *)
+let test_make_runs system () =
+  let open Harness in
+  let engine = Sim.Engine.create () in
+  let dc_sites = [| 0; 1; 2 |] in
+  let topo = Build.topo3 () in
+  let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys:12 in
+  let metrics = Metrics.create engine ~topo ~dc_sites in
+  let spec = Build.default_spec ~topo ~dc_sites ~rmap in
+  let api = Build.make system engine spec metrics in
+  Alcotest.(check string) "Api.name" (Build.name system) api.Api.name;
+  let w =
+    Workload.Synthetic.create
+      { Workload.Synthetic.default with Workload.Synthetic.n_keys = 12; read_ratio = 0.5 }
+      ~rmap ~topo ~dc_sites
+  in
+  let r =
+    Driver.run engine api metrics ~clients:(Driver.make_clients ~dc_sites ~per_dc:2)
+      ~next_op:(fun c -> Workload.Synthetic.next w ~dc:c.Client.preferred_dc)
+      ~warmup:(Sim.Time.of_ms 100) ~measure:(Sim.Time.of_ms 300) ~cooldown:(Sim.Time.of_ms 100)
+  in
+  if r.Driver.ops_completed <= 0 then Alcotest.failf "%s completed no ops" (Build.name system)
+
+(* the shootout reads meta.bytes.<name>.* by name, and Registry.counter
+   creates a missing counter, so a renamed system would read 0 silently:
+   check the builder registered them, through the snapshot *)
+let test_make_registers_meta_bytes () =
+  let open Harness in
+  List.iter
+    (fun name ->
+      let engine = Sim.Engine.create () in
+      let dc_sites = [| 0; 1; 2 |] in
+      let topo = Build.topo3 () in
+      let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys:12 in
+      let metrics = Metrics.create engine ~topo ~dc_sites in
+      let registry = Stats.Registry.create () in
+      let spec = Build.default_spec ~topo ~dc_sites ~rmap in
+      let (_ : Api.t) = Build.make ~registry (Build.of_name name) engine spec metrics in
+      let names = List.map fst (Stats.Registry.snapshot registry) in
+      List.iter
+        (fun suffix ->
+          let counter = Printf.sprintf "meta.bytes.%s.%s" name suffix in
+          if not (List.mem counter names) then Alcotest.failf "%s not registered" counter)
+        [ "attached"; "stabilization"; "heartbeat" ])
+    Harness.Shootout.systems
+
 let suite =
   [
     Alcotest.test_case "metrics windowing" `Quick test_metrics_windowing;
@@ -144,4 +219,14 @@ let suite =
     Alcotest.test_case "driver counts only the window" `Quick test_driver_counts_window_only;
     Alcotest.test_case "scenario smoke: headline ordering" `Slow test_scenario_smoke;
     Alcotest.test_case "cli --help lists every subcommand" `Quick test_cli_help_lists_subcommands;
+    Alcotest.test_case "system table: names round-trip" `Quick test_system_names_round_trip;
+    Alcotest.test_case "system table: CLI and shootout lineups" `Quick test_system_lineups;
+    Alcotest.test_case "system table: shootout systems register meta bytes" `Quick
+      test_make_registers_meta_bytes;
   ]
+  @ List.map
+      (fun s ->
+        Alcotest.test_case
+          (Printf.sprintf "system table: make %s runs" (Harness.Build.name s))
+          `Quick (test_make_runs s))
+      Harness.Build.all

@@ -17,7 +17,7 @@ let test_runs_are_deterministic () =
         cooldown = Sim.Time.of_ms 50;
       }
     in
-    let o = Harness.Scenario.run Harness.Scenario.Saturn_sys setup in
+    let o = Harness.Scenario.run `Saturn setup in
     (o.Harness.Scenario.ops, Harness.Metrics.visible_count o.Harness.Scenario.metrics,
      o.Harness.Scenario.mean_visibility_ms)
   in

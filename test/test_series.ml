@@ -256,7 +256,7 @@ let test_csv_shape () =
 (* one Saturn run under a random fault plan, returning the sealed series
    digest; the same seed must reproduce it bit-for-bit *)
 let series_digest_of_random_plan ~seed =
-  let topo = Harness.Obs.topo3 () in
+  let topo = Harness.Build.topo3 () in
   let dc_sites = [| 0; 1; 2 |] in
   let n_keys = 24 in
   let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys in
@@ -267,7 +267,7 @@ let series_digest_of_random_plan ~seed =
   let spec =
     {
       (Harness.Build.default_spec ~topo ~dc_sites ~rmap) with
-      Harness.Build.saturn_config = Some (Harness.Obs.chain_config ~dc_sites);
+      Harness.Build.saturn_config = Some (Harness.Build.chain_config ~dc_sites);
       serializer_replicas = 2;
     }
   in

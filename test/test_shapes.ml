@@ -19,9 +19,9 @@ let test_fig1_directions () =
   (* GentleRain: flat throughput penalty, staleness grows with #DCs;
      Cure: growing throughput penalty, flat staleness *)
   let at n sys = Scenario.run sys (mini_setup ~n_dcs:n ~correlation:Workload.Keyspace.Full) in
-  let ev3 = at 3 Scenario.Eventual and ev5 = at 5 Scenario.Eventual in
-  let gr3 = at 3 Scenario.Gentlerain and gr5 = at 5 Scenario.Gentlerain in
-  let cu3 = at 3 Scenario.Cure and cu5 = at 5 Scenario.Cure in
+  let ev3 = at 3 `Eventual and ev5 = at 5 `Eventual in
+  let gr3 = at 3 `Gentlerain and gr5 = at 5 `Gentlerain in
+  let cu3 = at 3 `Cure and cu5 = at 5 `Cure in
   let pen (ev : Scenario.outcome) (o : Scenario.outcome) =
     (ev.Scenario.throughput -. o.Scenario.throughput) /. ev.Scenario.throughput
   in
@@ -34,10 +34,10 @@ let test_fig1_directions () =
 let test_saturn_sweet_spot () =
   (* the paper's core claim at 5 DCs, exponential correlation *)
   let setup = mini_setup ~n_dcs:5 ~correlation:Workload.Keyspace.Exponential in
-  let ev = Scenario.run Scenario.Eventual setup in
-  let sat = Scenario.run Scenario.Saturn_sys setup in
-  let gr = Scenario.run Scenario.Gentlerain setup in
-  let cu = Scenario.run Scenario.Cure setup in
+  let ev = Scenario.run `Eventual setup in
+  let sat = Scenario.run `Saturn setup in
+  let gr = Scenario.run `Gentlerain setup in
+  let cu = Scenario.run `Cure setup in
   let t (o : Scenario.outcome) = o.Scenario.throughput in
   let extra (o : Scenario.outcome) = o.Scenario.extra_visibility_ms in
   if t sat < 0.95 *. t ev then Alcotest.fail "Saturn throughput must be within 5% of eventual";
@@ -49,7 +49,7 @@ let test_saturn_sweet_spot () =
 let test_pconf_matches_longest_latency () =
   (* the P-configuration tends to the longest inter-DC travel time *)
   let setup = mini_setup ~n_dcs:5 ~correlation:Workload.Keyspace.Full in
-  let o = Scenario.run Scenario.Saturn_peer setup in
+  let o = Scenario.run `Saturn_peer setup in
   (* per destination the timestamp fallback waits for the slowest incoming
      promise; averaged over the NV NC O I F pairs that sits in the 65-110ms
      band, far above the ~50ms mean bulk latency *)

@@ -355,7 +355,7 @@ let test_chrome_roundtrip () =
 
 (* the shared 3-DC chain deployment under a fault plan; returns the probe *)
 let run_faulted ~seed ~plan_of =
-  let topo = Harness.Obs.topo3 () in
+  let topo = Harness.Build.topo3 () in
   let dc_sites = [| 0; 1; 2 |] in
   let n_keys = 24 in
   let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys in
@@ -366,7 +366,7 @@ let run_faulted ~seed ~plan_of =
   let spec =
     {
       (Harness.Build.default_spec ~topo ~dc_sites ~rmap) with
-      Harness.Build.saturn_config = Some (Harness.Obs.chain_config ~dc_sites);
+      Harness.Build.saturn_config = Some (Harness.Build.chain_config ~dc_sites);
       serializer_replicas = 2;
     }
   in
