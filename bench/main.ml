@@ -20,95 +20,14 @@ let experiments =
     ("fig8a", "Figure 8a: Facebook benchmark throughput", Exp_fig8.run_a);
     ("fig8b", "Figure 8b: Facebook benchmark visibility", Exp_fig8.run_b);
     ("table2", "Table 2: systems classification + COPS metadata growth", Exp_table2.run);
+    ( "shootout",
+      "Stabilization shootout: metadata bytes/op of all eight systems (BENCH_shootout.json)",
+      fun () -> Harness.Shootout.print (List.map Harness.Shootout.run_system Harness.Shootout.systems) );
     ("faults", "Fault injection: crash / partition / latency-spike matrix", Exp_faults.run);
     ("ablation", "Design ablations (delays, migration labels, chains)", Exp_ablation.run);
     ("sensitivity", "Sensitivity: partial-replication traffic, stabilization/sink periods", Exp_sensitivity.run);
     ("micro", "Bechamel microbenchmarks", Micro.run);
   ]
-
-(* dune exec bench/main.exe -- smoke [--seed N] [--out DIR] [--bench-out FILE]
-   The observability smoke run: fixed-seed scenario, registry table,
-   trace.jsonl + trace.digest. CI runs it twice and diffs the digests.
-   --bench-out writes the run's headline numbers — throughput, visibility
-   p50/p99, optimality-gap p50/p99/p99.9, per-series peak queue depth — as
-   one machine-readable JSON object, the repo's benchmark trajectory
-   format (BENCH_smoke.json). *)
-let smoke_measure_s = 1.0
-
-let smoke_bench_json (r : Harness.Obs.result) ~seed =
-  let b = Buffer.create 1024 in
-  let vis =
-    (* get-or-create returns the hist the run already filled *)
-    Stats.Registry.histogram r.Harness.Obs.registry "smoke.visibility_ms" ~lo:0. ~hi:1000.
-      ~buckets:40
-  in
-  let sr = r.Harness.Obs.series in
-  Buffer.add_string b "{\"schema\":\"saturn-bench-smoke/1\",";
-  Buffer.add_string b (Printf.sprintf "\"seed\":%d,\"ops\":%d," seed r.Harness.Obs.ops);
-  Buffer.add_string b
-    (Printf.sprintf "\"throughput_ops_s\":%.1f," (float_of_int r.Harness.Obs.ops /. smoke_measure_s));
-  Buffer.add_string b
-    (Printf.sprintf "\"visibility_ms\":{\"n\":%d,\"mean\":%.3f,\"p50\":%.3f,\"p99\":%.3f},"
-       (Stats.Histogram.count vis) (Stats.Histogram.mean vis)
-       (Stats.Histogram.percentile vis 50.) (Stats.Histogram.percentile vis 99.));
-  (* the avoidable part of visibility: per-journey gap over the shortest
-     bulk path, from the blame pass the smoke run already performed *)
-  let gap = r.Harness.Obs.blame.Harness.Blame.gap_hist in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"gap_ms\":{\"n\":%d,\"mean\":%.3f,\"p50\":%.3f,\"p99\":%.3f,\"p999\":%.3f},"
-       (Stats.Hdr.count gap)
-       (Stats.Hdr.mean gap /. 1000.)
-       (Stats.Hdr.percentile gap 50. /. 1000.)
-       (Stats.Hdr.percentile gap 99. /. 1000.)
-       (Stats.Hdr.percentile gap 99.9 /. 1000.));
-  Buffer.add_string b
-    (Printf.sprintf "\"series\":{\"window_us\":%d,\"windows\":%d,\"peak\":["
-       (Sim.Time.to_us (Stats.Series.window sr))
-       (Stats.Series.n_windows sr));
-  let first = ref true in
-  List.iter
-    (fun name ->
-      if Stats.Series.kind_of sr name = Some Stats.Series.Gauge then begin
-        let peak = Array.fold_left max 0. (Stats.Series.primary sr name) in
-        if not !first then Buffer.add_char b ',';
-        first := false;
-        Buffer.add_string b (Printf.sprintf "{\"name\":%S,\"peak\":%.3f}" name peak)
-      end)
-    (Stats.Series.names sr);
-  Buffer.add_string b "]}}\n";
-  Buffer.contents b
-
-let smoke_cmd rest =
-  let seed = ref 42 and out_dir = ref None and bench_out = ref None in
-  let rec parse = function
-    | "--seed" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n -> seed := n
-      | None ->
-        Printf.eprintf "smoke: --seed expects an integer, got %S\n" n;
-        exit 2);
-      parse rest
-    | "--out" :: dir :: rest ->
-      out_dir := Some dir;
-      parse rest
-    | "--bench-out" :: path :: rest ->
-      bench_out := Some path;
-      parse rest
-    | [] -> ()
-    | x :: _ ->
-      Printf.eprintf "smoke: unknown argument %S (expected --seed N / --out DIR / --bench-out FILE)\n" x;
-      exit 2
-  in
-  parse rest;
-  let r = Harness.Obs.run_smoke ~seed:!seed ?out_dir:!out_dir () in
-  match !bench_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (smoke_bench_json r ~seed:!seed);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
 
 (* dune exec bench/main.exe -- engine [--tiers 61k,250k,1m] [--seed N] [--out FILE]
    Raw engine speed per scale tier: graph generation, op streaming and a
@@ -166,69 +85,9 @@ let engine_cmd rest =
     close_out oc;
     Printf.printf "wrote %s\n" path
 
-(* dune exec bench/main.exe -- shootout [--seed N] [--out FILE]
-   The stabilization shootout: every system on one fixed deployment,
-   visibility + metadata bytes/op per protocol, with the family-ordering
-   verdict. Fully simulated time, so the JSON (BENCH_shootout.json) is
-   byte-reproducible and gated by saturn-cli bench-check. *)
-let shootout_cmd rest =
-  let seed = ref 42 and out = ref None and systems = ref Harness.Shootout.systems in
-  let rec parse = function
-    | "--seed" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n -> seed := n
-      | None ->
-        Printf.eprintf "shootout: --seed expects an integer, got %S\n" n;
-        exit 2);
-      parse rest
-    | "--systems" :: spec :: rest ->
-      let names = String.split_on_char ',' spec in
-      List.iter
-        (fun s ->
-          if not (List.mem s Harness.Shootout.systems) then begin
-            Printf.eprintf "shootout: unknown system %S (expected %s)\n" s
-              (String.concat "/" Harness.Shootout.systems);
-            exit 2
-          end)
-        names;
-      systems := names;
-      parse rest
-    | "--out" :: path :: rest ->
-      out := Some path;
-      parse rest
-    | [] -> ()
-    | x :: _ ->
-      Printf.eprintf
-        "shootout: unknown argument %S (expected --seed N / --systems LIST / --out FILE)\n" x;
-      exit 2
-  in
-  parse rest;
-  let rows =
-    List.map
-      (fun name ->
-        Printf.printf "shootout: %s...%!" name;
-        let t0 = Unix.gettimeofday () in
-        let r = Harness.Shootout.run_system ~seed:!seed name in
-        Printf.printf " %d ops, %.2f B/op (%.1fs)\n%!" r.Harness.Shootout.ops
-          r.Harness.Shootout.bytes_per_op
-          (Unix.gettimeofday () -. t0);
-        r)
-      !systems
-  in
-  Harness.Shootout.print rows;
-  match !out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Harness.Shootout.to_json ~seed:!seed rows);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-
 let () =
   match List.tl (Array.to_list Sys.argv) with
-  | "smoke" :: rest -> smoke_cmd rest
   | "engine" :: rest -> engine_cmd rest
-  | "shootout" :: rest -> shootout_cmd rest
   | args ->
   (* --csv DIR: additionally write every printed table as a CSV artifact *)
   let rec extract_csv acc = function

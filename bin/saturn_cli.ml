@@ -33,38 +33,8 @@ let plan regions seed =
   let dc_sites =
     match regions with [] -> Array.of_list (Sim.Ec2.first_n 7) | rs -> Array.of_list rs
   in
-  let n = Array.length dc_sites in
-  if n < 2 then (prerr_endline "need at least 2 regions"; exit 2);
-  let name i = Sim.Topology.name Sim.Ec2.topology dc_sites.(i) in
-  let bulk i j = Sim.Topology.latency Sim.Ec2.topology dc_sites.(i) dc_sites.(j) in
-  let problem =
-    {
-      Saturn.Config_solver.topo = Sim.Ec2.topology;
-      dc_sites = Array.copy dc_sites;
-      candidates = Saturn.Config_solver.default_candidates ~dc_sites;
-      crit = Saturn.Mismatch.uniform ~n_dcs:n ~bulk;
-    }
-  in
-  let config, score = Saturn.Config_gen.find_configuration ~seed problem in
-  Format.printf "%a@.weighted mismatch: %.1f ms@.@." Saturn.Config.pp config score;
-  let table =
-    Stats.Table.create ~title:"metadata vs bulk (ms)" ~columns:[ "pair"; "metadata"; "bulk"; "gap" ]
-  in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j then begin
-        let meta =
-          Sim.Time.to_ms_float
-            (Saturn.Config.metadata_latency config Sim.Ec2.topology ~src_dc:i ~dst_dc:j)
-        in
-        let b = Sim.Time.to_ms_float (bulk i j) in
-        Stats.Table.add_row table
-          [ Printf.sprintf "%s->%s" (name i) (name j); Printf.sprintf "%.0f" meta;
-            Printf.sprintf "%.0f" b; Printf.sprintf "%+.0f" (meta -. b) ]
-      end
-    done
-  done;
-  Stats.Table.print table
+  if Array.length dc_sites < 2 then (prerr_endline "need at least 2 regions"; exit 2);
+  print_string (Harness.Scenario.plan_report ~seed dc_sites)
 
 let plan_cmd =
   let doc = Harness.Cli_spec.summary "plan" in
@@ -239,57 +209,26 @@ let trace_replay path n_dcs sys =
 
 (* ---- obs -------------------------------------------------------------------- *)
 
-let obs seed out spans spans_out check counters_out counters_baseline tolerance =
-  let r = Harness.Obs.run_smoke ~seed ?out_dir:out () in
-  (if spans || spans_out <> None then begin
-     let report = Harness.Journey.analyze r.Harness.Obs.probe in
-     let rendered = Stats.Table.render (Harness.Journey.table report) in
-     if spans then print_string (rendered ^ "\n");
-     (match spans_out with
-     | Some path ->
-       let oc = open_out path in
-       output_string oc (rendered ^ "\n");
-       close_out oc;
-       Printf.printf "wrote decomposition table to %s\n" path
-     | None -> ());
-     match Harness.Journey.check report with
-     | Ok () ->
-       Printf.printf "decomposition check: OK (%d journeys tile exactly)\n"
-         (List.length report.Harness.Journey.journeys)
-     | Error mismatches ->
-       Printf.printf "decomposition check: FAILED\n";
-       List.iter (fun m -> Printf.printf "  %s\n" m) mismatches;
-       exit 1
-   end);
-  if check then begin
-    (* determinism self-check: a second same-seed run must match *)
-    let r2 = Harness.Obs.smoke ~seed () in
-    if String.equal r.Harness.Obs.digest r2.Harness.Obs.digest then
-      Printf.printf "determinism check: OK (%s)\n" r.Harness.Obs.digest
-    else begin
-      Printf.printf "determinism check: FAILED (%s vs %s)\n" r.Harness.Obs.digest
-        r2.Harness.Obs.digest;
+let obs seed out spans =
+  let r = Harness.Obs.smoke ~seed () in
+  Stats.Registry.print ~title:(Printf.sprintf "smoke seed=%d" seed) r.Harness.Obs.registry;
+  Printf.printf "trace: %d events, digest %s\n" r.Harness.Obs.n_events r.Harness.Obs.digest;
+  Option.iter
+    (fun dir ->
+      Printf.printf "wrote %s\n" (String.concat ", " (Harness.Obs.write_artifacts r ~out_dir:dir)))
+    out;
+  if spans then begin
+    let report = r.Harness.Obs.journeys in
+    print_string (Stats.Table.render (Harness.Journey.table report) ^ "\n");
+    match Harness.Journey.check report with
+    | Ok () ->
+      Printf.printf "decomposition check: OK (%d journeys tile exactly)\n"
+        (List.length report.Harness.Journey.journeys)
+    | Error mismatches ->
+      Printf.printf "decomposition check: FAILED\n";
+      List.iter (fun m -> Printf.printf "  %s\n" m) mismatches;
       exit 1
-    end
-  end;
-  (match counters_out with
-  | Some path ->
-    Harness.Obs.write_counters r ~path;
-    Printf.printf "wrote counter baseline to %s\n" path
-  | None -> ());
-  match counters_baseline with
-  | None -> ()
-  | Some baseline -> (
-    match Harness.Obs.check_counters r ~baseline ~tolerance with
-    | Ok () -> Printf.printf "counter baseline check: OK (tolerance %.0f%%)\n" (tolerance *. 100.)
-    | Error failures ->
-      Printf.printf "counter baseline check: FAILED\n";
-      List.iter (fun f -> Printf.printf "  %s\n" f) failures;
-      Printf.printf
-        "hint: if the drift is expected (new instrumentation, changed batching), regenerate every \
-         checked-in baseline with: ci/regen.sh (baseline: %s)\n"
-        baseline;
-      exit 1)
+  end
 
 let obs_cmd =
   let doc = Harness.Cli_spec.summary "obs" in
@@ -304,38 +243,13 @@ let obs_cmd =
            ~doc:"Print the per-label visibility-latency decomposition table and verify that every \
                  journey's segments sum to its measured latency.")
   in
-  let spans_out =
-    Arg.(value & opt (some string) None & info [ "spans-out" ] ~docv:"FILE"
-           ~doc:"Write the decomposition table to FILE (implies the tiling check).")
-  in
-  let check =
-    Arg.(value & flag & info [ "check" ] ~doc:"Run the scenario twice and assert digest equality.")
-  in
-  let counters_out =
-    Arg.(value & opt (some string) None & info [ "counters-out" ] ~docv:"FILE"
-           ~doc:"Write the run's counters as a baseline file.")
-  in
-  let counters_baseline =
-    Arg.(value & opt (some string) None & info [ "check-counters" ] ~docv:"FILE"
-           ~doc:"Fail if the run's counters drift from FILE beyond the tolerance.")
-  in
-  let tolerance =
-    Arg.(value & opt float 0.25 & info [ "tolerance" ]
-           ~doc:"Allowed relative counter drift for --check-counters.")
-  in
-  Cmd.v (Cmd.info "obs" ~doc)
-    Term.(const obs $ seed $ out $ spans $ spans_out $ check $ counters_out $ counters_baseline
-          $ tolerance)
+  Cmd.v (Cmd.info "obs" ~doc) Term.(const obs $ seed $ out $ spans)
 
 (* ---- bench-check ------------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let bench_check baseline_path fresh_path tolerance =
+let bench_check baseline_path fresh_path =
   let baseline =
     try read_file baseline_path
     with Sys_error e -> Printf.eprintf "bench-check: %s\n" e; exit 2
@@ -343,6 +257,7 @@ let bench_check baseline_path fresh_path tolerance =
   let fresh =
     try read_file fresh_path with Sys_error e -> Printf.eprintf "bench-check: %s\n" e; exit 2
   in
+  let tolerance = Harness.Engine_bench.tolerance in
   let r =
     try Harness.Engine_bench.check ~baseline ~fresh ~tolerance
     with Failure e -> Printf.eprintf "bench-check: %s\n" e; exit 2
@@ -367,8 +282,9 @@ let bench_check_cmd =
       `S Manpage.s_description;
       `P
         "Compare a fresh engine-bench JSON (bench -- engine --out) against the checked-in \
-         baseline. Deterministic fields (counts, words/op) gate hard within the tolerance; \
-         wall-clock fields are reported but never fail the check.";
+         baseline. Deterministic fields (counts, words/op) gate hard within 2% (an absolute \
+         floor of the same magnitude for near-zero baselines); wall-clock fields are reported \
+         but never fail the check.";
     ]
   in
   let baseline =
@@ -379,12 +295,7 @@ let bench_check_cmd =
     Arg.(required & opt (some string) None & info [ "fresh" ] ~docv:"FILE"
            ~doc:"Freshly generated engine-bench JSON.")
   in
-  let tolerance =
-    Arg.(value & opt float 0.02 & info [ "tolerance" ]
-           ~doc:"Allowed relative drift for deterministic fields (absolute floor of the same \
-                 magnitude for near-zero baselines).")
-  in
-  Cmd.v (Cmd.info "bench-check" ~doc ~man) Term.(const bench_check $ baseline $ fresh $ tolerance)
+  Cmd.v (Cmd.info "bench-check" ~doc ~man) Term.(const bench_check $ baseline $ fresh)
 
 (* ---- series ------------------------------------------------------------------ *)
 
@@ -407,10 +318,10 @@ let series_of_run ~scenario ~system ~seed =
     let o = Harness.Fault_run.run_scenario ~seed ~scenario ~system () in
     (o.Harness.Fault_run.series, Some o)
 
-let series scenario system seed csv json out check =
+let series scenario system seed out =
   let sr, outcome = series_of_run ~scenario ~system ~seed in
   (match outcome with
-  | Some o -> Harness.Fault_run.print_timeline o
+  | Some o -> print_string (Harness.Fault_run.timeline_string o)
   | None ->
     Stats.Table.print
       (Stats.Series.to_table ~title:(Printf.sprintf "smoke series (seed %d)" seed) sr));
@@ -420,33 +331,16 @@ let series scenario system seed csv json out check =
     close_out oc;
     Printf.printf "wrote %s\n" path
   in
-  let csv, json =
-    match out with
-    | None -> (csv, json)
-    | Some dir ->
+  Option.iter
+    (fun dir ->
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      ( Some (Option.value csv ~default:(Filename.concat dir "series.csv")),
-        Some (Option.value json ~default:(Filename.concat dir "series.json")) )
-  in
-  Option.iter (fun p -> write p (Stats.Series.to_csv sr)) csv;
-  Option.iter (fun p -> write p (Stats.Series.to_json sr)) json;
-  (match (out, outcome) with
-  | Some dir, Some o ->
-    write (Filename.concat dir "timeline.txt") (Harness.Fault_run.timeline_string o)
-  | _ -> ());
-  Printf.printf "series digest: %s (%d series x %d windows)\n" (Stats.Series.digest sr)
-    (List.length (Stats.Series.names sr))
-    (Stats.Series.n_windows sr);
-  if check then begin
-    let sr2, _ = series_of_run ~scenario ~system ~seed in
-    if String.equal (Stats.Series.digest sr) (Stats.Series.digest sr2) then
-      Printf.printf "determinism check: OK (%s)\n" (Stats.Series.digest sr)
-    else begin
-      Printf.printf "determinism check: FAILED (%s vs %s)\n" (Stats.Series.digest sr)
-        (Stats.Series.digest sr2);
-      exit 1
-    end
-  end
+      write (Filename.concat dir "series.csv") (Stats.Series.to_csv sr);
+      write (Filename.concat dir "series.json") (Stats.Series.to_json sr);
+      Option.iter
+        (fun o -> write (Filename.concat dir "timeline.txt") (Harness.Fault_run.timeline_string o))
+        outcome)
+    out;
+  print_string (Harness.Gate.series_digest_line sr)
 
 let series_cmd =
   let doc = Harness.Cli_spec.summary "series" in
@@ -466,52 +360,25 @@ let series_cmd =
     Arg.(value & opt (enum system_enum) `Saturn & info [ "system" ] ~doc:system_doc)
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Scenario seed.") in
-  let csv =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
-           ~doc:"Write the long-form CSV dump to FILE.")
-  in
-  let json =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Write the JSON dump to FILE.")
-  in
   let out =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR"
            ~doc:"Write series.csv, series.json and (for fault scenarios) timeline.txt under DIR \
                  (created if missing).")
   in
-  let check =
-    Arg.(value & flag & info [ "check" ]
-           ~doc:"Run the scenario twice and assert the series digests are byte-identical.")
-  in
   Cmd.v (Cmd.info "series" ~doc ~man)
-    Term.(const series $ scenario $ system $ seed $ csv $ json $ out $ check)
+    Term.(const series $ scenario $ system $ seed $ out)
 
 (* ---- faults ------------------------------------------------------------------ *)
 
-let faults seed check digest_out =
+let faults seed =
   let outcomes = Harness.Fault_run.run_matrix ~seed () in
-  Harness.Fault_run.print outcomes;
-  let digest = Harness.Fault_run.matrix_digest outcomes in
-  (match digest_out with
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (digest ^ "\n");
-    close_out oc
-  | None -> ());
+  print_string (Harness.Fault_run.render outcomes);
   let v = Harness.Fault_run.violations outcomes in
   if v > 0 then begin
     Printf.printf "invariant check: %d violation(s)\n" v;
     exit 1
   end;
-  Printf.printf "invariant check: OK\n";
-  if check then begin
-    let digest2 = Harness.Fault_run.matrix_digest (Harness.Fault_run.run_matrix ~seed ()) in
-    if String.equal digest digest2 then Printf.printf "determinism check: OK (%s)\n" digest
-    else begin
-      Printf.printf "determinism check: FAILED (%s vs %s)\n" digest digest2;
-      exit 1
-    end
-  end
+  Printf.printf "invariant check: OK\n"
 
 let faults_cmd =
   let doc = Harness.Cli_spec.summary "faults" in
@@ -525,28 +392,7 @@ let faults_cmd =
     ]
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Scenario seed.") in
-  let check =
-    Arg.(value & flag & info [ "check" ] ~doc:"Run the matrix twice and assert digest equality.")
-  in
-  let digest_out =
-    Arg.(value & opt (some string) None & info [ "digest-out" ] ~docv:"FILE"
-           ~doc:"Write the matrix digest to FILE (for cross-run diffing in CI).")
-  in
-  Cmd.v (Cmd.info "faults" ~doc ~man) Term.(const faults $ seed $ check $ digest_out)
-
-(* `saturn-cli trace --chrome out.json`: run the observability smoke scenario
-   and export its span trace as Chrome trace-event JSON, viewable in Perfetto
-   (https://ui.perfetto.dev) or chrome://tracing *)
-let trace_chrome chrome seed =
-  match chrome with
-  | None ->
-    prerr_endline "trace: use a subcommand (record|replay) or --chrome FILE; see --help";
-    exit 2
-  | Some path ->
-    let r = Harness.Obs.smoke ~seed () in
-    Harness.Chrome.write_file r.Harness.Obs.probe ~path;
-    Printf.printf "wrote Chrome trace-event JSON for the smoke run (seed %d) to %s\n" seed path;
-    Printf.printf "open it in https://ui.perfetto.dev or chrome://tracing\n"
+  Cmd.v (Cmd.info "faults" ~doc ~man) Term.(const faults $ seed)
 
 let trace_cmd =
   let doc = Harness.Cli_spec.summary "trace" in
@@ -567,15 +413,7 @@ let trace_cmd =
     Cmd.v (Cmd.info "replay" ~doc:"Replay FILE against a system.")
       Term.(const trace_replay $ path $ n_dcs $ sys)
   in
-  let chrome =
-    Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"FILE"
-           ~doc:"Run the observability smoke scenario and write its span trace as Chrome \
-                 trace-event JSON to FILE (open in Perfetto or chrome://tracing).")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Smoke scenario seed for --chrome.") in
-  Cmd.group
-    ~default:Term.(const trace_chrome $ chrome $ seed)
-    (Cmd.info "trace" ~doc) [ record; replay ]
+  Cmd.group (Cmd.info "trace" ~doc) [ record; replay ]
 
 (* ---- blame ------------------------------------------------------------------- *)
 
@@ -584,7 +422,7 @@ let blame_report ~scenario ~system ~seed =
   else
     Harness.Fault_run.blame (Harness.Fault_run.run_scenario ~seed ~scenario ~system ())
 
-let blame scenario system seed top out check =
+let blame scenario system seed top out =
   let r = blame_report ~scenario ~system ~seed in
   print_string (Harness.Blame.render ~top r);
   (* the tiling invariant is not optional: a blame table whose parts do
@@ -611,16 +449,7 @@ let blame scenario system seed top out check =
     write "gap.csv" (Harness.Blame.gap_csv r)
   | None -> ());
   Printf.printf "blame digest: %s (%d journeys)\n" (Harness.Blame.digest r)
-    (List.length r.Harness.Blame.blamed);
-  if check then begin
-    let r2 = blame_report ~scenario ~system ~seed in
-    if String.equal (Harness.Blame.digest r) (Harness.Blame.digest r2) then
-      Printf.printf "determinism check: OK (%s)\n" (Harness.Blame.digest r)
-    else begin
-      Printf.printf "determinism check: FAILED (%s vs %s)\n" (Harness.Blame.digest r) (Harness.Blame.digest r2);
-      exit 1
-    end
-  end
+    (List.length r.Harness.Blame.blamed)
 
 let blame_cmd =
   let doc = Harness.Cli_spec.summary "blame" in
@@ -651,12 +480,8 @@ let blame_cmd =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR"
            ~doc:"Write blame.txt and gap.csv under DIR (created if missing).")
   in
-  let check =
-    Arg.(value & flag & info [ "check" ]
-           ~doc:"Run the scenario twice and assert the blame digests are byte-identical.")
-  in
   Cmd.v (Cmd.info "blame" ~doc ~man)
-    Term.(const blame $ scenario $ system $ seed $ top $ out $ check)
+    Term.(const blame $ scenario $ system $ seed $ top $ out)
 
 (* ---- diff -------------------------------------------------------------------- *)
 
@@ -704,6 +529,46 @@ let diff_cmd =
   let b = Arg.(required & pos 1 (some string) None & info [] ~docv:"B") in
   Cmd.v (Cmd.info "diff" ~doc ~man) Term.(const diff $ a $ b)
 
+(* ---- gate -------------------------------------------------------------------- *)
+
+let gate out write =
+  match Harness.Gate.run ~write ~root:"." ~out_dir:out () with
+  | [] ->
+    Printf.printf "gate: OK (manifest under %s%s)\n" out
+      (if write then "; checked-in baselines regenerated" else "")
+  | findings ->
+    Printf.printf "gate: FAILED (%d finding(s))\n" (List.length findings);
+    List.iter (fun f -> Printf.printf "  %s\n" f) findings;
+    if not write then
+      Printf.printf
+        "hint: if the drift is expected (new instrumentation, changed batching), regenerate the \
+         checked-in baselines with: ci/regen.sh\n";
+    exit 1
+
+let gate_cmd =
+  let doc = Harness.Cli_spec.summary "gate" in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Run the fault matrix, the smoke scenario, the stabilization shootout and the default \
+         plan once each at seed 42, write their artifacts as a manifest under DIR, check \
+         journey and blame tiling and the fault invariants, and compare the six checked-in \
+         baselines (smoke counters within 25%, BENCH_shootout.json within 2% per row and \
+         metric, then every byte). Reports every finding; exits 1 on any.";
+    ]
+  in
+  let out =
+    Arg.(required & opt (some string) None & info [ "out" ] ~docv:"DIR"
+           ~doc:"Write the manifest under DIR (created if missing).")
+  in
+  let write =
+    Arg.(value & flag & info [ "write" ]
+           ~doc:"Regenerate the checked-in baselines from this run instead of comparing them; \
+                 the run's own checks still apply. Run from the repository root.")
+  in
+  Cmd.v (Cmd.info "gate" ~doc ~man) Term.(const gate $ out $ write)
+
 (* ---- main -------------------------------------------------------------------- *)
 
 let () =
@@ -718,7 +583,7 @@ let () =
   let info = Cmd.info "saturn-cli" ~version:"1.0.0" ~doc ~man in
   let cmds =
     [ matrix_cmd; plan_cmd; bench_cmd; bench_check_cmd; social_cmd; trace_cmd; obs_cmd;
-      faults_cmd; series_cmd; blame_cmd; diff_cmd ]
+      faults_cmd; series_cmd; blame_cmd; diff_cmd; gate_cmd ]
   in
   (* the registered surface must equal the spec — a drift in either
      direction is a build bug, caught before any dispatch *)

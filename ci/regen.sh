@@ -6,11 +6,14 @@
 #   ci/series-digest.txt    series digests of the partition, reconfig-cut
 #                           and eventual-partition runs, one line each
 #   ci/plan-default.txt     saturn-cli plan's default Algorithm-3 solve
-#   ci/lint-waivers.txt     saturn-lint waiver inventory (the ratchet)
 #   BENCH_smoke.json        smoke-run headline numbers (saturn-bench-smoke/1)
-#   BENCH_engine.json       per-tier engine speed (saturn-bench-engine/1)
 #   BENCH_shootout.json     per-system visibility + metadata bytes/op
 #                           (saturn-bench-shootout/1)
+#   BENCH_engine.json       per-tier engine speed (saturn-bench-engine/1)
+#   ci/lint-waivers.txt     saturn-lint waiver inventory (the ratchet)
+#
+# The first six are written by one `saturn-cli gate --write` run, the same
+# run and map from scenario to baseline that CI's gate compares against.
 #
 # Run this after any change that legitimately shifts the gated numbers
 # (new instrumentation, different event batching, a workload change) and
@@ -39,32 +42,21 @@ step() {
   if ! "$@"; then
     echo >&2
     echo "regen.sh: FAILED regenerating $baseline" >&2
-    echo "hint: the checked-in $baseline is now STALE — fix the failure above" >&2
-    echo "      and re-run ci/regen.sh before committing, or CI's gate on" >&2
-    echo "      $baseline will compare against the old numbers." >&2
+    echo "hint: fix the failure above and re-run ci/regen.sh before committing;" >&2
+    echo "      until then CI gates $baseline against stale numbers." >&2
     exit 1
   fi
 }
 
 step "(build)" dune build bin bench
 
-step ci/smoke-counters.txt \
-  dune exec bin/saturn_cli.exe -- obs --counters-out ci/smoke-counters.txt > /dev/null
-step ci/faults-digest.txt \
-  dune exec bin/saturn_cli.exe -- faults --digest-out ci/faults-digest.txt > /dev/null
-step ci/series-digest.txt \
-  sh -c 'for args in "--scenario partition" "--scenario reconfig-cut" \
-           "--scenario partition --system eventual"; do
-           dune exec bin/saturn_cli.exe -- series $args | grep "^series digest:" || exit 1
-         done > ci/series-digest.txt'
-step ci/plan-default.txt \
-  sh -c 'dune exec bin/saturn_cli.exe -- plan > ci/plan-default.txt'
-step BENCH_smoke.json \
-  dune exec bench/main.exe -- smoke --bench-out BENCH_smoke.json > /dev/null
+# the six scenario baselines come from one gate run; its manifest is scratch
+gate_dir=$(mktemp -d)
+trap 'rm -rf "$gate_dir"' EXIT
+step "the six gate baselines" \
+  dune exec bin/saturn_cli.exe -- gate --write --out "$gate_dir" > /dev/null
 step BENCH_engine.json \
   dune exec bench/main.exe -- engine --out BENCH_engine.json
-step BENCH_shootout.json \
-  dune exec bench/main.exe -- shootout --out BENCH_shootout.json > /dev/null
 step ci/lint-waivers.txt \
   dune exec bin/saturn_lint.exe -- --root . --waivers-out ci/lint-waivers.txt lib bin > /dev/null
 

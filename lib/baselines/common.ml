@@ -335,6 +335,25 @@ let release t waiters ~ready =
 (* ---- lifetime ------------------------------------------------------------ *)
 
 let every t period f = Saturn.Fabric.every t.fabric period f
+
+(* one stabilization round per period at every dc: a shared countdown task
+   queued on each partition in turn, the round finishing when the last
+   partition has run it *)
+let stab_rounds t ~cost_us finish =
+  let parts = (params t).Saturn.Fabric.partitions in
+  for dc = 0 to n_dcs t - 1 do
+    every t (cost t).Saturn.Cost_model.stabilization_period (fun () ->
+        let remaining = ref parts in
+        let task =
+          Cold
+            (fun () ->
+              decr remaining;
+              if !remaining = 0 then finish dc)
+        in
+        for part = 0 to parts - 1 do
+          submit t ~dc ~part ~cost_us task
+        done)
+  done
 let stop t = Saturn.Fabric.stop t.fabric
 let stopped t = Saturn.Fabric.stopped t.fabric
 

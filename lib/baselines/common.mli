@@ -209,6 +209,12 @@ val pending_gauge : ('s, 'm, 'b) t -> Stats.Series.t option -> (int -> int) -> u
 val every : ('s, 'm, 'b) t -> Sim.Time.t -> (unit -> unit) -> unit
 (** Periodic task tied to the data plane's lifetime. *)
 
+val stab_rounds : ('s, 'm, 'b) t -> cost_us:int -> (int -> unit) -> unit
+(** Stabilization rounds, every [stabilization_period] at each datacenter:
+    one shared [Cold] task of [cost_us] is submitted to every partition in
+    order, and [finish dc] runs when the last of them has been served — a
+    loaded partition delays the round. *)
+
 (** {2 Scalar-stamped updates}
 
     Eventual, GentleRain, Eunomia and Okapi ship the same update record;

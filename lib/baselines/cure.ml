@@ -167,17 +167,5 @@ let create ?series ?meta engine p hooks =
   done;
   (* the GSV advances only after every partition finishes its aggregation
      task: stabilization pays for its queueing under load *)
-  for dc = 0 to n - 1 do
-    Common.every geo cost.Saturn.Cost_model.stabilization_period (fun () ->
-        let remaining = ref p.Saturn.Fabric.partitions in
-        let task =
-          Common.Cold
-            (fun () ->
-              decr remaining;
-              if !remaining = 0 then finish_stab_round t dc)
-        in
-        for part = 0 to p.Saturn.Fabric.partitions - 1 do
-          Common.submit geo ~dc ~part ~cost_us:(Saturn.Cost_model.cure_stab_us cost ~n_dcs:n) task
-        done)
-  done;
+  Common.stab_rounds geo ~cost_us:(Saturn.Cost_model.cure_stab_us cost ~n_dcs:n) (finish_stab_round t);
   t

@@ -126,17 +126,5 @@ let create ?series ?meta engine p hooks =
   (* stable-time rounds: like Cure the round only completes once every
      partition has finished its (cheaper, one-entry) aggregation task; the
      completed round broadcasts this DC's matrix row. No heartbeats. *)
-  for dc = 0 to n - 1 do
-    Common.every geo cost.Saturn.Cost_model.stabilization_period (fun () ->
-        let remaining = ref p.Saturn.Fabric.partitions in
-        let task =
-          Common.Cold
-            (fun () ->
-              decr remaining;
-              if !remaining = 0 then finish_stab_round t dc)
-        in
-        for part = 0 to p.Saturn.Fabric.partitions - 1 do
-          Common.submit geo ~dc ~part ~cost_us:(Saturn.Cost_model.okapi_stab_us cost) task
-        done)
-  done;
+  Common.stab_rounds geo ~cost_us:(Saturn.Cost_model.okapi_stab_us cost) (finish_stab_round t);
   t

@@ -10,8 +10,8 @@ let subs =
       summary = "gate a fresh engine-bench JSON against the checked-in baseline";
     };
     { name = "social"; summary = "run the Facebook-like benchmark (§7.4)" };
-    { name = "trace"; summary = "record / replay operation traces, or export the smoke span trace" };
-    { name = "obs"; summary = "observability smoke run: deterministic trace + counter gate" };
+    { name = "trace"; summary = "record / replay operation traces" };
+    { name = "obs"; summary = "observability smoke run: registry table, deterministic trace, artifacts" };
     { name = "faults"; summary = "fault-injection scenario matrix with invariant checking" };
     { name = "series"; summary = "windowed telemetry timelines (queue depths, recovery points)" };
     {
@@ -19,6 +19,10 @@ let subs =
       summary = "per-journey optimality-gap attribution, culprit ranking, top-K critical paths";
     };
     { name = "diff"; summary = "localize the first divergence between two runs' artifacts" };
+    {
+      name = "gate";
+      summary = "run every gated scenario once, write a manifest, compare the checked-in baselines";
+    };
   ]
 
 let names = List.map (fun s -> s.name) subs

@@ -16,8 +16,12 @@ let differs ?(file = "") kind where a b = Differs { file; kind; where; a; b }
 
 (* ---- generic: first differing line ---------------------------------------- *)
 
+(* numbered as in the file: blank lines count, the final newline does not *)
 let lines ?(file = "") a b =
-  let la = split_lines a and lb = split_lines b in
+  let physical s =
+    match List.rev (String.split_on_char '\n' s) with "" :: rest -> List.rev rest | l -> List.rev l
+  in
+  let la = physical a and lb = physical b in
   let rec go i la lb =
     match (la, lb) with
     | [], [] -> Same
@@ -136,49 +140,49 @@ let ends_with ~suffix s =
   let ls = String.length suffix and l = String.length s in
   l >= ls && String.equal (String.sub s (l - ls) ls) suffix
 
+(* identical bytes short-circuit: no localizer splits a 45 MB trace twice
+   just to find nothing *)
 let content ~file a b =
-  match basename file with
-  | "series.csv" -> series_csv ~file a b
-  | "gap.csv" -> journeys ~file a b
-  | base when ends_with ~suffix:"counters.txt" base || ends_with ~suffix:".counters" base ->
-    counters ~file a b
-  | _ -> lines ~file a b
+  if String.equal a b then Same
+  else
+    match basename file with
+    | "series.csv" -> series_csv ~file a b
+    | "gap.csv" -> journeys ~file a b
+    | base when ends_with ~suffix:"counters.txt" base || ends_with ~suffix:".counters" base ->
+      counters ~file a b
+    | _ -> lines ~file a b
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let files ~a ~b =
-  match (read_file a, read_file b) with
-  | ca, cb -> content ~file:(basename a) ca cb
+let files ~a ~b = content ~file:(basename a) (read_file a) (read_file b)
 
-(* compare two artifact directories: every file present in either side,
-   name-sorted, one finding per differing or one-sided file *)
+(* compare two artifact trees: every entry present on either side, keyed by
+   its path relative to the roots and name-sorted per directory; one finding
+   per differing file and per entry on one side only (a one-sided
+   subdirectory is one finding, not one per file inside it) *)
 let dirs a b =
-  let list d =
-    if Sys.file_exists d && Sys.is_directory d then
-      Sys.readdir d |> Array.to_list
-      |> List.filter (fun f -> not (Sys.is_directory (Filename.concat d f)))
-      |> List.sort String.compare
-    else []
+  let is_dir p = Sys.file_exists p && Sys.is_directory p in
+  let list d = if is_dir d then Array.to_list (Sys.readdir d) else [] in
+  let rec walk rel a b =
+    let fa = list a and fb = list b in
+    List.concat_map
+      (fun f ->
+        let pa = Filename.concat a f and pb = Filename.concat b f in
+        let name = if rel = "" then f else Filename.concat rel f in
+        let side p = if is_dir p then "directory" else if Sys.file_exists p then "present" else "<absent>" in
+        match (List.mem f fa && List.mem f fb, is_dir pa, is_dir pb) with
+        | true, true, true -> walk name pa pb
+        | true, false, false -> (
+          match content ~file:name (read_file pa) (read_file pb) with
+          | Same -> []
+          | Differs d -> [ d ])
+        | _ ->
+          (* one side only, or a file on one side and a directory on the other *)
+          let where = if is_dir pa || is_dir pb then "directory" else "file" in
+          [ { file = name; kind = "missing"; where; a = side pa; b = side pb } ])
+      (List.sort_uniq String.compare (fa @ fb))
   in
-  let fa = list a and fb = list b in
-  let all = List.sort_uniq String.compare (fa @ fb) in
-  List.filter_map
-    (fun f ->
-      let ina = List.mem f fa and inb = List.mem f fb in
-      if not ina then Some { file = f; kind = "missing"; where = "file"; a = "<absent>"; b = "present" }
-      else if not inb then
-        Some { file = f; kind = "missing"; where = "file"; a = "present"; b = "<absent>" }
-      else
-        match
-          content ~file:f (read_file (Filename.concat a f)) (read_file (Filename.concat b f))
-        with
-        | Same -> None
-        | Differs d -> Some d)
-    all
+  walk "" a b
 
 let render f =
   let where = if f.file = "" then f.where else Printf.sprintf "%s: %s" f.file f.where in

@@ -14,7 +14,7 @@
       is one finding, not a cascade);
     - journey gap CSV → the first diverging journey, named by identity
       and the first column that differs ("journey dc0#17 -> dc2 gap_us");
-    - anything else → the first differing line number.
+    - anything else → the first differing line, numbered as in the file.
 
     All localizers are pure string functions ({!content} dispatches on
     basename); {!files}/{!dirs} add the IO. Deterministic throughout. *)
@@ -42,9 +42,12 @@ val files : a:string -> b:string -> result
 (** Read both paths and localize ([a]'s basename picks the format). *)
 
 val dirs : string -> string -> finding list
-(** Compare two artifact directories file-by-file (union of both sides,
-    name-sorted): one finding per differing file — its first divergence —
-    or per file present on only one side. Empty means identical. *)
+(** Compare two artifact trees file by file, recursing into
+    subdirectories (union of both sides, name-sorted per directory;
+    [file] is the path relative to the roots): one finding per differing
+    file — its first divergence — and one ["missing"] finding per entry,
+    file or whole directory, present on only one side. Empty means
+    identical. *)
 
 val render : finding -> string
 (** Three lines: locator, A value, B value. *)

@@ -271,6 +271,8 @@ end
 
 type check_result = { failures : string list; notes : string list }
 
+let tolerance = 0.02
+
 let check ~baseline ~fresh ~tolerance =
   let b = Json.parse baseline and f = Json.parse fresh in
   let failures = ref [] and notes = ref [] in

@@ -64,6 +64,10 @@ type check_result = {
   notes : string list;  (** advisory wall-clock deltas *)
 }
 
+val tolerance : float
+(** 0.02 — the band [saturn-cli bench-check] and [saturn-cli gate] apply
+    to every deterministic field. *)
+
 val check : baseline:string -> fresh:string -> tolerance:float -> check_result
 (** Compares two [saturn-bench-engine/1] documents (raw JSON strings).
     Every "det" field of every baseline tier must exist in the fresh run

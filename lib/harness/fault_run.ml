@@ -411,8 +411,6 @@ let timeline_string o =
   end;
   Buffer.contents buf
 
-let print_timeline o = print_string (timeline_string o)
-
 (* one row per (scenario, system) pair that exercises something: every
    scenario runs Saturn and the eventual control, the sequencer crash adds
    the Eunomia row it was built for, and the partition adds an Okapi row
@@ -445,7 +443,7 @@ let matrix_digest outcomes =
 let violations outcomes =
   List.fold_left (fun n o -> n + List.length o.report.Faults.Checker.violations) 0 outcomes
 
-let print outcomes =
+let render outcomes =
   let table =
     Stats.Table.create ~title:"fault scenario matrix"
       ~columns:
@@ -473,14 +471,16 @@ let print outcomes =
           string_of_int (List.length r.Faults.Checker.violations);
         ])
     outcomes;
-  Stats.Table.print table;
-  List.iter
-    (fun o ->
-      if not (Faults.Checker.ok o.report) then begin
-        Printf.printf "%s/%s:\n" o.scenario o.system;
-        Format.printf "%a@." Faults.Checker.pp o.report
-      end)
-    outcomes;
-  Printf.printf "matrix digest: %s (%d probe events)\n"
-    (matrix_digest outcomes)
-    (List.fold_left (fun n o -> n + o.n_events) 0 outcomes)
+  let reports =
+    List.filter_map
+      (fun o ->
+        if Faults.Checker.ok o.report then None
+        else Some (Format.asprintf "%s/%s:\n%a\n" o.scenario o.system Faults.Checker.pp o.report))
+      outcomes
+  in
+  String.concat ""
+    ((Stats.Table.render table :: reports)
+    @ [
+        Printf.sprintf "matrix digest: %s (%d probe events)\n" (matrix_digest outcomes)
+          (List.fold_left (fun n o -> n + o.n_events) 0 outcomes);
+      ])

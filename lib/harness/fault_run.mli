@@ -20,8 +20,9 @@
     it replicates over — its only channel, and an unreliable one, which is
     the point of the comparison.
 
-    The matrix is deterministic in its seed: CI runs it twice and asserts
-    the combined digest is byte-identical. *)
+    The matrix is deterministic in its seed: [saturn-cli gate] pins the
+    combined digest in [ci/faults-digest.txt], and CI compares two gate
+    runs. *)
 
 type outcome = {
   scenario : string;
@@ -129,15 +130,12 @@ val timeline_string : outcome -> string
     graceful, [F] forced — from the series' annotations), and the
     {!series_recovery_ms} / [recovery_ms] cross-check. *)
 
-val print_timeline : outcome -> unit
-(** {!timeline_string} on stdout. *)
-
 val matrix_digest : outcome list -> string
 (** Digest over every run's probe digest — one string for the CI
     determinism gate. *)
 
 val violations : outcome list -> int
 
-val print : outcome list -> unit
-(** The results table, per-run fault counters, invariant verdicts and the
-    combined digest, on stdout. *)
+val render : outcome list -> string
+(** The results table, per-run fault counters, the checker report of every
+    row with a violation, and the combined digest. *)

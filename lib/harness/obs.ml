@@ -5,6 +5,7 @@ type result = {
   registry : Stats.Registry.t;
   series : Stats.Series.t;
   probe : Sim.Probe.t;
+  journeys : Journey.report;
   blame : Blame.report;
 }
 
@@ -77,7 +78,8 @@ let smoke ?(seed = 42) () =
   (* the blame pass: optimality-gap attribution over the journey report,
      with its aggregates folded into the counter baseline so a silent
      attribution change trips the probe-counter gate *)
-  let blame = Blame.analyze ~optimal (Journey.analyze probe) in
+  let journeys = Journey.analyze probe in
+  let blame = Blame.analyze ~optimal journeys in
   Blame.fold_counters blame registry;
   {
     digest = Sim.Probe.digest probe;
@@ -86,10 +88,11 @@ let smoke ?(seed = 42) () =
     registry;
     series;
     probe;
+    journeys;
     blame;
   }
 
-let write_artifacts r ~out_dir =
+let write_artifacts ?reconfig r ~out_dir =
   if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
   let file name writer =
     let path = Filename.concat out_dir name in
@@ -102,83 +105,94 @@ let write_artifacts r ~out_dir =
     file "trace.digest" (fun oc -> output_string oc (r.digest ^ "\n"));
     file "trace.chrome.json" (fun oc -> Chrome.write r.probe oc);
     file "decomposition.txt" (fun oc ->
-        output_string oc (Stats.Table.render (Journey.table (Journey.analyze r.probe)));
+        output_string oc (Stats.Table.render (Journey.table r.journeys));
         output_char oc '\n');
     file "series.csv" (fun oc -> output_string oc (Stats.Series.to_csv r.series));
     file "series.json" (fun oc -> output_string oc (Stats.Series.to_json r.series));
     file "blame.txt" (fun oc -> output_string oc (Blame.render r.blame));
     file "gap.csv" (fun oc -> output_string oc (Blame.gap_csv r.blame));
     file "reconfig.timeline.txt" (fun oc ->
-        (* the migration view rides along with the smoke artifacts: a fresh
+        (* the migration view rides along with the smoke artifacts: the
            fixed-seed reconfig-cut run (graceful epoch switch composed with
            a metadata-tree cut), rendered as the same timeline
            `saturn-cli series --scenario reconfig-cut` prints *)
-        let o = Fault_run.run_scenario ~scenario:"reconfig-cut" ~system:`Saturn () in
+        let o =
+          match reconfig with
+          | Some o -> o
+          | None -> Fault_run.run_scenario ~scenario:"reconfig-cut" ~system:`Saturn ()
+        in
         output_string oc (Fault_run.timeline_string o));
   ]
 
+(* ---- BENCH_smoke.json ----------------------------------------------------- *)
+
+let bench_json ~seed r =
+  (* get-or-create returns the hist the run already filled *)
+  let vis = Stats.Registry.histogram r.registry "smoke.visibility_ms" ~lo:0. ~hi:1000. ~buckets:40 in
+  (* the avoidable part of visibility: per-journey gap over the shortest
+     bulk path, from the blame pass the smoke run already performed *)
+  let gap = r.blame.Blame.gap_hist in
+  let gap_ms p = Stats.Hdr.percentile gap p /. 1000. in
+  let peaks =
+    List.filter_map
+      (fun name ->
+        if Stats.Series.kind_of r.series name = Some Stats.Series.Gauge then
+          let peak = Array.fold_left max 0. (Stats.Series.primary r.series name) in
+          Some (Printf.sprintf "{\"name\":%S,\"peak\":%.3f}" name peak)
+        else None)
+      (Stats.Series.names r.series)
+  in
+  (* throughput over the 1 simulated-second measurement window *)
+  Printf.sprintf
+    "{\"schema\":\"saturn-bench-smoke/1\",\"seed\":%d,\"ops\":%d,\"throughput_ops_s\":%.1f,\"visibility_ms\":{\"n\":%d,\"mean\":%.3f,\"p50\":%.3f,\"p99\":%.3f},\"gap_ms\":{\"n\":%d,\"mean\":%.3f,\"p50\":%.3f,\"p99\":%.3f,\"p999\":%.3f},\"series\":{\"window_us\":%d,\"windows\":%d,\"peak\":[%s]}}\n"
+    seed r.ops (float_of_int r.ops) (Stats.Histogram.count vis) (Stats.Histogram.mean vis)
+    (Stats.Histogram.percentile vis 50.) (Stats.Histogram.percentile vis 99.)
+    (Stats.Hdr.count gap) (Stats.Hdr.mean gap /. 1000.) (gap_ms 50.) (gap_ms 99.) (gap_ms 99.9)
+    (Sim.Time.to_us (Stats.Series.window r.series))
+    (Stats.Series.n_windows r.series) (String.concat "," peaks)
+
 (* ---- probe-counter regression gate ------------------------------------- *)
 
-let counter_lines registry =
-  List.filter_map
-    (fun (name, v) ->
-      match v with
-      | Stats.Registry.Counter n -> Some (Printf.sprintf "%s %d" name n)
-      | Stats.Registry.Gauge _ | Stats.Registry.Hist _ -> None)
-    (Stats.Registry.snapshot registry)
+let counter_tolerance = 0.25
 
-let write_counters r ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "# smoke-run counter baseline; regenerate every baseline with\n";
-      output_string oc "#   ci/regen.sh   (or just this file: saturn-cli obs --counters-out <path>)\n";
-      List.iter (fun l -> output_string oc (l ^ "\n")) (counter_lines r.registry))
+let counters_text r =
+  String.concat ""
+    ("# smoke-run counter baseline, gated at +-25% by saturn-cli gate;\n"
+    :: "# regenerate it with every other baseline: ci/regen.sh\n"
+    :: List.filter_map
+         (function
+           | name, Stats.Registry.Counter n -> Some (Printf.sprintf "%s %d\n" name n)
+           | _, (Stats.Registry.Gauge _ | Stats.Registry.Hist _) -> None)
+         (Stats.Registry.snapshot r.registry))
 
-let check_counters r ~baseline ~tolerance =
-  let ic = open_in baseline in
-  let lines = ref [] in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try
-        while true do
-          lines := input_line ic :: !lines
-        done
-      with End_of_file -> ());
-  let failures = ref [] in
-  List.iter
+(* "name value" lines, blank and '#' lines skipped; a line without a space
+   or with a non-integer value is a finding, not an exception *)
+let parse_counters ~side text =
+  List.partition_map
     (fun line ->
-      let line = String.trim line in
-      if line <> "" && line.[0] <> '#' then
-        match String.rindex_opt line ' ' with
-        | None -> failures := Printf.sprintf "malformed baseline line %S" line :: !failures
-        | Some i ->
-          let name = String.sub line 0 i in
-          let expect = int_of_string (String.sub line (i + 1) (String.length line - i - 1)) in
-          let got =
-            match Stats.Registry.find r.registry name with
-            | Some (Stats.Registry.Counter n) -> Some n
-            | _ -> None
-          in
-          (match got with
-          | None -> failures := Printf.sprintf "counter %s missing from run" name :: !failures
-          | Some got ->
-            let slack = Stdlib.max 1. (tolerance *. float_of_int expect) in
-            if Float.abs (float_of_int (got - expect)) > slack then
-              failures :=
-                Printf.sprintf "counter %s drifted: baseline %d, run %d (tolerance %.0f%%)" name
-                  expect got (tolerance *. 100.)
-                :: !failures))
-    (List.rev !lines);
-  match List.rev !failures with [] -> Ok () | fs -> Error fs
+      match String.rindex_opt line ' ' with
+      | Some i -> (
+        match int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1)) with
+        | Some v -> Left (String.sub line 0 i, v)
+        | None -> Right (Printf.sprintf "malformed %s line %S" side line))
+      | None -> Right (Printf.sprintf "malformed %s line %S" side line))
+    (List.filter
+       (fun l -> l <> "" && l.[0] <> '#')
+       (List.map String.trim (String.split_on_char '\n' text)))
 
-let run_smoke ?(seed = 42) ?out_dir () =
-  let r = smoke ~seed () in
-  Stats.Registry.print ~title:(Printf.sprintf "smoke seed=%d" seed) r.registry;
-  Printf.printf "trace: %d events, digest %s\n" r.n_events r.digest;
-  (match out_dir with
-  | Some dir -> Printf.printf "wrote %s\n" (String.concat ", " (write_artifacts r ~out_dir:dir))
-  | None -> ());
-  r
+let check_counters ~baseline run =
+  let want, bad_want = parse_counters ~side:"baseline" baseline in
+  let got, bad_got = parse_counters ~side:"run" run in
+  bad_want @ bad_got
+  @ List.filter_map
+      (fun (name, expect) ->
+        match List.assoc_opt name got with
+        | None -> Some (Printf.sprintf "counter %s missing from run" name)
+        | Some got ->
+          let slack = Stdlib.max 1. (counter_tolerance *. float_of_int expect) in
+          if Float.abs (float_of_int (got - expect)) <= slack then None
+          else
+            Some
+              (Printf.sprintf "counter %s drifted: baseline %d, run %d (tolerance %.0f%%)" name
+                 expect got (counter_tolerance *. 100.)))
+      want

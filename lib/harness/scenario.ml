@@ -224,3 +224,36 @@ let run_social system s =
     p90_visibility_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.percentile vis 90.);
     metrics;
   }
+
+(* Algorithm 3 over EC2 regions with uniform pair weights: the solved
+   configuration, its objective and the metadata-vs-bulk latency table *)
+let plan_report ?(seed = 11) dc_sites =
+  let topo = Sim.Ec2.topology in
+  let n = Array.length dc_sites in
+  let bulk i j = Sim.Topology.latency topo dc_sites.(i) dc_sites.(j) in
+  let problem =
+    {
+      Saturn.Config_solver.topo;
+      dc_sites = Array.copy dc_sites;
+      candidates = Saturn.Config_solver.default_candidates ~dc_sites;
+      crit = Saturn.Mismatch.uniform ~n_dcs:n ~bulk;
+    }
+  in
+  let config, score = Saturn.Config_gen.find_configuration ~seed problem in
+  let table =
+    Stats.Table.create ~title:"metadata vs bulk (ms)" ~columns:[ "pair"; "metadata"; "bulk"; "gap" ]
+  in
+  let name i = Sim.Topology.name topo dc_sites.(i) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then begin
+        let meta = Sim.Time.to_ms_float (Saturn.Config.metadata_latency config topo ~src_dc:i ~dst_dc:j) in
+        let b = Sim.Time.to_ms_float (bulk i j) in
+        Stats.Table.add_row table
+          [ Printf.sprintf "%s->%s" (name i) (name j); Printf.sprintf "%.0f" meta;
+            Printf.sprintf "%.0f" b; Printf.sprintf "%+.0f" (meta -. b) ]
+      end
+    done
+  done;
+  Format.asprintf "%a@.weighted mismatch: %.1f ms@.@." Saturn.Config.pp config score
+  ^ Stats.Table.render table

@@ -79,3 +79,10 @@ val default_social_setup : social_setup
 val run_social : Build.system -> social_setup -> outcome
 (** Synthetic Facebook graph + Benevenuto op mix + replication-constrained
     partitioning over the seven EC2 regions. *)
+
+val plan_report : ?seed:int -> Sim.Topology.site array -> string
+(** Algorithm 3 (default search seed 11) over the given EC2 regions with
+    uniform pair weights, rendered: the configuration, its weighted
+    mismatch, and the per-pair metadata-vs-bulk latency table — what
+    [saturn-cli plan] prints, and over all seven regions the gate's pinned
+    [plan-default.txt]. Needs at least two regions. *)

@@ -12,9 +12,9 @@
     single-sequencer deployment point.
 
     Every number is a pure function of the seed (simulated time
-    throughout), so the emitted JSON is byte-reproducible and CI both
-    double-runs it and gates it against the checked-in
-    [BENCH_shootout.json] with [saturn-cli bench-check]. *)
+    throughout), so the emitted JSON is byte-reproducible: [saturn-cli gate]
+    writes it and checks it against the checked-in [BENCH_shootout.json]
+    (see {!Gate}). *)
 
 type row = {
   system : string;

@@ -21,6 +21,7 @@ let () =
       ("reconfig", Test_reconfig.suite);
       ("consistency", Test_consistency.suite);
       ("harness", Test_harness.suite);
+      ("gate", Test_gate.suite);
       ("faults", Test_faults.suite);
       ("more", Test_more.suite);
       ("sessions", Test_sessions.suite);
