@@ -11,7 +11,13 @@
     and deduplicated by origin key.
 
     With [replicas = 1] (the common experimental setup) the chain degrades
-    to a plain process with one intra-site hop worth of latency removed. *)
+    to a plain process with one intra-site hop worth of latency removed.
+
+    The per-message path allocates nothing once the chain's tables have
+    grown to their peak: stores, origin keys and pending confirms are held
+    per sequence number in {!Sim.Seq_ring}s, a {!Sim.Flat_table} indexes
+    the origin keys, and forwards and commit acks ride
+    {!Sim.Delay_line}s. *)
 
 type 'msg t
 
@@ -20,16 +26,22 @@ val create :
   replicas:int ->
   intra_latency:Sim.Time.t ->
   deliver:('msg -> unit) ->
+  confirm:(peer:int -> seq:int -> unit) ->
   unit ->
   'msg t
 (** [deliver] fires exactly once per committed message, in commit order.
+    [confirm ~peer ~seq] acknowledges a committed message to its external
+    sender, named by the token {!input} was given.
     @raise Invalid_argument when [replicas < 1]. *)
 
-val input : 'msg t -> ext_key:int * int -> 'msg -> confirm:(unit -> unit) -> unit
-(** Hands a message to the current head. [ext_key] identifies the message
-    at its origin (sender id × sequence) so that retransmissions after a
-    head crash are not committed twice. [confirm] fires at commit (used to
-    acknowledge the external sender). *)
+val input : 'msg t -> origin:int -> oseq:int -> 'msg -> peer:int -> seq:int -> unit
+(** Hands a message to the current head. [origin] and [oseq] identify the
+    message at its origin so that retransmissions after a head crash are
+    not committed twice. [peer] (non-negative) and [seq] are its confirm
+    token: [confirm ~peer ~seq] fires at commit, after the commit ack has
+    travelled back up the chain, or at once for a retransmission of a
+    message already committed. A retransmission of a message not yet
+    committed replaces its pending token. *)
 
 val set_on_head_change : 'msg t -> (unit -> unit) -> unit
 (** Invoked after a head crash heals the chain. Sequence numbers the dead

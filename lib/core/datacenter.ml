@@ -24,7 +24,7 @@ type bulk =
   | Heartbeat of { src : int; epoch : int; floor : Sim.Time.t }
 
 type hooks = {
-  ship_payload : dst:int -> Proxy.payload -> unit;
+  meta : Stats.Meta_bytes.t;
   epoch : unit -> int;
   emit_label : Label.t -> unit;
   visible : Fabric.hooks;
@@ -128,9 +128,19 @@ let mint_update t ~part ~key ~value ~past =
     let payload =
       { Proxy.label; value; origin_time = Sim.Engine.now t.engine; epoch = t.hooks.epoch () }
     in
+    let wire = Payload payload in
+    let size_bytes = value.Kvstore.Value.size_bytes + Label.size_bytes in
     for i = 0 to Kvstore.Replica_map.degree t.rmap ~key - 1 do
       let dst = Kvstore.Replica_map.replica t.rmap ~key i in
-      if dst <> t.dc then t.hooks.ship_payload ~dst payload
+      if dst <> t.dc then begin
+        Stats.Meta_bytes.record_op t.hooks.meta ~bytes:Label.size_bytes ~fanout:1;
+        if Sim.Probe.active () then
+          (* closed at [dst] once the payload finishes staging *)
+          Sim.Span.begin_ ~at:(Sim.Engine.now t.engine) Sim.Span.Sk_bulk ~origin:label.Label.src_dc
+            ~seq:(Sim.Time.to_us label.Label.ts) ~aux:label.Label.src_gear ~site:label.Label.src_dc
+            ~peer:dst ~epoch:0;
+        Fabric.ship t.fabric ~src:t.dc ~dst ~size_bytes wire
+      end
     done
   end;
   Sink.offer t.sink label;

@@ -44,9 +44,10 @@ type bulk =
   | Heartbeat of { src : int; epoch : int; floor : Sim.Time.t }  (** [src]'s gear floor *)
 
 type hooks = {
-  ship_payload : dst:int -> Proxy.payload -> unit;
-      (** bulk-data transfer of an update to a replica datacenter; one
-          payload is shared by every destination of an update *)
+  meta : Stats.Meta_bytes.t;
+      (** metadata-byte accounting: every update shipped to a replica
+          datacenter records the label it carries. One [Payload] message
+          serves every destination of an update. *)
   epoch : unit -> int;  (** the configuration epoch stamped on shipped payloads *)
   emit_label : Label.t -> unit;  (** sink output toward the metadata service *)
   visible : Fabric.hooks;  (** remote updates becoming visible here *)

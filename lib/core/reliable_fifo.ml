@@ -13,12 +13,13 @@ type 'msg entry = { seq : int; size : int; msg : 'msg; mutable last_sent : Sim.T
    instead of five polymorphic-hash probes keyed by [sender] or
    [(sender, seq)]. *)
 type 'msg peer = {
+  id : int; (* the sender's id *)
   mutable expected : int; (* next seq to deliver *)
   buffer : 'msg Int_tbl.t; (* out-of-order arrivals: seq -> msg *)
-  (* deferred mode: next seq to confirm, delivered-but-unconfirmed
-     messages, and the latest ack channel *)
+  (* deferred mode: confirmations so far, and the delivered-but-unconfirmed
+     messages by seq *)
   mutable confirmed : int;
-  unconfirmed : 'msg Int_tbl.t;
+  unconfirmed : 'msg Sim.Seq_ring.t;
   mutable ack : int Sim.Link.chan;
 }
 
@@ -51,36 +52,40 @@ let make_receiver r_engine ~deferred ~deliver =
 let receiver r_engine ~deliver =
   make_receiver r_engine ~deferred:false ~deliver:(fun _ ~seq:_ msg -> deliver msg)
 
+let confirm_peer p ~seq =
+  if Sim.Seq_ring.mem p.unconfirmed seq then begin
+    Sim.Seq_ring.remove p.unconfirmed seq;
+    let confirmed = p.confirmed in
+    p.confirmed <- confirmed + 1;
+    Sim.Link.send p.ack ~size_bytes:0 confirmed
+  end
+
+let confirm recv ~peer ~seq =
+  match Int_tbl.find recv.r_peers peer with
+  | p -> confirm_peer p ~seq
+  | exception Not_found -> invalid_arg "Reliable_fifo.confirm: no such peer"
+
 let deliver_deferred consumer p ~seq msg =
-  let confirm () =
-    if Int_tbl.mem p.unconfirmed seq then begin
-      Int_tbl.remove p.unconfirmed seq;
-      let confirmed = p.confirmed in
-      p.confirmed <- confirmed + 1;
-      Sim.Link.send p.ack ~size_bytes:0 confirmed
-    end
-  in
-  Int_tbl.replace p.unconfirmed seq msg;
-  consumer msg ~confirm
+  Sim.Seq_ring.set p.unconfirmed seq msg;
+  consumer msg ~peer:p.id ~seq
 
 let receiver_deferred r_engine ~deliver =
   make_receiver r_engine ~deferred:true ~deliver:(fun p ~seq msg ->
       deliver_deferred deliver p ~seq msg)
 
 let redeliver_unconfirmed recv ~deliver =
-  (* replay delivered-but-unconfirmed messages in sequence order per
-     sender: the consumer (a healed chain) may have lost them *)
-  let pending =
-    Int_tbl.fold
-      (fun id p acc -> Int_tbl.fold (fun seq m acc -> ((id, seq), p, m) :: acc) p.unconfirmed acc)
-      recv.r_peers []
+  (* replay delivered-but-unconfirmed messages in (sender id, seq) order:
+     the consumer (a healed chain) may have lost them. A replayed message
+     can only be confirmed during its own replay, so walking the live
+     rings replays exactly what was unconfirmed when the replay began. *)
+  let peers =
+    List.sort
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (Int_tbl.fold (fun id p acc -> (id, p) :: acc) recv.r_peers [])
   in
   List.iter
-    (fun ((_, seq), p, msg) -> deliver_deferred deliver p ~seq msg)
-    (List.sort
-       (fun ((s1, q1), _, _) ((s2, q2), _, _) ->
-         match Int.compare s1 s2 with 0 -> Int.compare q1 q2 | c -> c)
-       pending)
+    (fun (_, p) -> Sim.Seq_ring.iter (fun seq msg -> deliver_deferred deliver p ~seq msg) p.unconfirmed)
+    peers
 
 let delivered r = r.r_delivered
 
@@ -91,8 +96,8 @@ let peer recv sender_id ~ack =
     p
   | exception Not_found ->
     let p =
-      { expected = 0; buffer = Int_tbl.create 8; confirmed = 0;
-        unconfirmed = Int_tbl.create 8; ack }
+      { id = sender_id; expected = 0; buffer = Int_tbl.create 8; confirmed = 0;
+        unconfirmed = Sim.Seq_ring.create (); ack }
     in
     Int_tbl.add recv.r_peers sender_id p;
     p
@@ -139,6 +144,7 @@ let sender s_engine ~resend_period =
   { s_engine; s_id = Sim.Engine.fresh_id s_engine; resend_period; next_seq = 0;
     unacked = Sim.Ring.create (); route = None; stopped = false; timer_running = false }
 
+let sender_id s = s.s_id
 let unacked s = Sim.Ring.length s.unacked
 
 let transmit s data entry =

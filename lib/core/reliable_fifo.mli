@@ -23,12 +23,23 @@ val receiver : Sim.Engine.t -> deliver:('msg -> unit) -> 'msg receiver
     (possible only across reconnects) are buffered. *)
 
 val receiver_deferred :
-  Sim.Engine.t -> deliver:('msg -> confirm:(unit -> unit) -> unit) -> 'msg receiver
+  Sim.Engine.t -> deliver:('msg -> peer:int -> seq:int -> unit) -> 'msg receiver
 (** Like {!receiver}, but a message is only acknowledged to the sender once
-    the consumer calls [confirm]. A chain-replicated serializer confirms at
+    the consumer calls {!confirm} with the [peer] (the sender's id) and
+    [seq] it was delivered with. A chain-replicated serializer confirms at
     chain commit, so a head crash between delivery and replication makes
-    the sender retransmit instead of losing the label. Confirms must be
-    issued in delivery order per sender. *)
+    the sender retransmit instead of losing the label. Each confirmation
+    of a delivered-but-unconfirmed message acknowledges the next prefix
+    position, so confirms must be issued in delivery order per sender.
+    Delivered-but-unconfirmed messages are held per sender in a
+    {!Sim.Seq_ring}, so deliver and confirm allocate nothing once it has
+    grown. *)
+
+val confirm : 'msg receiver -> peer:int -> seq:int -> unit
+(** Confirms the message [peer] sent as [seq]; a no-op when it is not
+    delivered-but-unconfirmed (already confirmed, or confirmed again by a
+    replay). @raise Invalid_argument when no message from [peer] has
+    arrived. *)
 
 val sender : Sim.Engine.t -> resend_period:Sim.Time.t -> 'msg sender
 (** Unacknowledged messages are retransmitted every [resend_period]. *)
@@ -45,12 +56,16 @@ val send : 'msg sender -> size_bytes:int -> 'msg -> unit
 (** Queues and transmits; [size_bytes] is the message's wire size. @raise Invalid_argument before the first
     {!connect}. *)
 
+val sender_id : 'msg sender -> int
+(** The engine-scoped id a deferred receiver passes its consumer as
+    [peer]. *)
+
 val unacked : 'msg sender -> int
 val delivered : 'msg receiver -> int
 
-val redeliver_unconfirmed : 'msg receiver -> deliver:('msg -> confirm:(unit -> unit) -> unit) -> unit
+val redeliver_unconfirmed : 'msg receiver -> deliver:('msg -> peer:int -> seq:int -> unit) -> unit
 (** Replays every delivered-but-unconfirmed message (deferred receivers
-    only), in per-sender sequence order. Used when the consumer — a
+    only), in (sender id, sequence) order. Used when the consumer — a
     chain-replicated serializer — lost unreplicated state in a head crash:
     the replayed messages are re-ingested and deduplicated downstream. *)
 

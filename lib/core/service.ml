@@ -1,6 +1,18 @@
-(* [targets] is a bitmask over datacenter ids: bit [dc] set when [dc]
-   still has to receive the label through this subtree *)
-type msg = { uid : int * int; label : Label.t; targets : int }
+(* A label on the tree, named by its origin datacenter and that
+   datacenter's label count [oseq]. [targets] is the bitmask over
+   datacenter ids computed at input: bit [dc] set when [dc] must receive
+   the label. One record serves every hop: a serializer forwards it
+   toward the neighbours with a target behind them, except back toward
+   the origin. *)
+type msg = { origin : int; oseq : int; label : Label.t; targets : int }
+
+(* sender ids, dense engine-scoped ints *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x
+end)
 
 type attach_links = {
   in_data : Sim.Link.t;
@@ -17,6 +29,9 @@ type t = {
   deliver : dc:int -> Label.t -> unit;
   interest : Label.t -> int;
   mutable chains : msg Chain.t array;
+  (* every serializer ingress channel's receiver, by its sender's id: a
+     chain confirms a committed label to the channel it arrived on *)
+  ingress : msg Reliable_fifo.receiver Int_tbl.t;
   (* serializer and datacenter id spaces are dense, so the per-hop routing
      tables are plain arrays indexed [from].[to] — no (int*int) hashing on
      the per-label path *)
@@ -63,8 +78,11 @@ let mask dcs = List.fold_left (fun m dc -> m lor (1 lsl dc)) 0 dcs
 (* a datacenter mask must fit an OCaml int with room to spare *)
 let max_dcs = 62
 
+(* In a tree, the neighbour with the origin behind it is the edge the
+   label arrived on, and the targets behind every other neighbour are the
+   ones the sender's own route meant for this subtree. *)
 let route t s msg =
-  let origin, oseq = msg.uid in
+  let origin = msg.origin and oseq = msg.oseq in
   let now = Sim.Engine.now t.engine in
   if Sim.Probe.active () then begin
     Sim.Probe.ser_commit ~at:now ~ser:s ~origin ~oseq ~epoch:t.instance;
@@ -88,8 +106,8 @@ let route t s msg =
   done;
   let neighbours = t.neighbours.(s) and behind = t.behind.(s) and deltas = t.hop_delta.(s) in
   for i = 0 to Array.length neighbours - 1 do
-    let sub = msg.targets land behind.(i) in
-    if sub <> 0 then begin
+    let behind = behind.(i) in
+    if behind land (1 lsl origin) = 0 && msg.targets land behind <> 0 then begin
       let b = neighbours.(i) in
       let delta = deltas.(i) in
       if Sim.Probe.active () then begin
@@ -99,8 +117,7 @@ let route t s msg =
           Sim.Span.begin_ ~at:now Sim.Span.Sk_delay_hop ~origin ~seq:oseq ~aux:t.instance ~site:s
             ~peer:b ~epoch:t.instance
       end;
-      Sim.Delay_line.push t.hop_lines.(s).(i) ~at:(Sim.Time.add now (due delta))
-        { msg with targets = sub }
+      Sim.Delay_line.push t.hop_lines.(s).(i) ~at:(Sim.Time.add now (due delta)) msg
     end
   done
 
@@ -110,7 +127,7 @@ let egress_line t ~s ~dc ~delta sender =
   Sim.Delay_line.create t.engine (fun msg ->
       if Sim.Probe.active () then begin
         let at = Sim.Engine.now t.engine in
-        let origin, oseq = msg.uid in
+        let origin = msg.origin and oseq = msg.oseq in
         if positive delta then
           Sim.Span.end_ ~at Sim.Span.Sk_delay_egress ~origin ~seq:oseq ~aux:t.instance ~site:s
             ~peer:dc ~epoch:t.instance;
@@ -126,7 +143,7 @@ let hop_line t ~s ~b ~delta sender =
   Sim.Delay_line.create t.engine (fun msg ->
       if Sim.Probe.active () then begin
         let at = Sim.Engine.now t.engine in
-        let origin, oseq = msg.uid in
+        let origin = msg.origin and oseq = msg.oseq in
         if positive delta then
           Sim.Span.end_ ~at Sim.Span.Sk_delay_hop ~origin ~seq:oseq ~aux:t.instance ~site:s
             ~peer:b ~epoch:t.instance;
@@ -160,6 +177,7 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
       deliver;
       interest;
       chains = [||];
+      ingress = Int_tbl.create 16;
       edge_senders = Array.init n_ser (fun _ -> Array.make n_ser None);
       edge_links = Array.init n_ser (fun _ -> Array.make n_ser None);
       dc_in_senders = Array.make n_dcs (Reliable_fifo.sender engine ~resend_period:(Sim.Time.of_ms 100));
@@ -194,6 +212,7 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
     Array.init n_ser (fun s ->
         Chain.create engine ~replicas:serializer_replicas ~intra_latency
           ~deliver:(fun msg -> route t s msg)
+          ~confirm:(fun ~peer ~seq -> Reliable_fifo.confirm (Int_tbl.find t.ingress peer) ~peer ~seq)
           ());
   let register_sender s = t.all_senders <- (fun () -> Reliable_fifo.stop s) :: t.all_senders in
   let ingress_receivers : msg Reliable_fifo.receiver list array = Array.make n_ser [] in
@@ -202,14 +221,16 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
      crashes: in a real deployment the healed chain re-syncs senders from
      its committed prefix, and the chain's dedup-by-origin already gives the
      exactly-once commit that such a re-sync provides. *)
-  let ingest s msg ~confirm = Chain.input t.chains.(s) ~ext_key:msg.uid msg ~confirm in
+  let ingest s msg ~peer ~seq =
+    Chain.input t.chains.(s) ~origin:msg.origin ~oseq:msg.oseq msg ~peer ~seq
+  in
   (* [from] names the inbound channel so the span layer can close the right
      in-flight segment (attach from a datacenter, hop from a serializer)
      and open the chain span at the same instant *)
-  let chain_ingress s ~from =
-    let deliver msg ~confirm =
+  let chain_ingress s ~from sender =
+    let deliver msg ~peer ~seq =
       if Sim.Probe.active () then begin
-        let origin, oseq = msg.uid in
+        let origin = msg.origin and oseq = msg.oseq in
         let at = Sim.Engine.now engine in
         (match from with
         | `Dc dc ->
@@ -224,10 +245,11 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
       (match ser_ingress.(s) with
       | Some c -> Stats.Series.incr c ~now:(Sim.Engine.now engine)
       | None -> ());
-      ingest s msg ~confirm
+      ingest s msg ~peer ~seq
     in
     let recv = Reliable_fifo.receiver_deferred engine ~deliver in
     ingress_receivers.(s) <- recv :: ingress_receivers.(s);
+    Int_tbl.replace t.ingress (Reliable_fifo.sender_id sender) recv;
     recv
   in
   (* a head crash loses sequence numbers the dead head never replicated;
@@ -251,7 +273,7 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
           let ack = Sim.Link.create engine ~latency:lat () in
           t.edge_links.(x).(y) <- Some (data, ack);
           let sender = Reliable_fifo.sender engine ~resend_period:(resend_period lat) in
-          Reliable_fifo.connect sender ~data ~ack (chain_ingress y ~from:(`Ser x));
+          Reliable_fifo.connect sender ~data ~ack (chain_ingress y ~from:(`Ser x) sender);
           t.edge_senders.(x).(y) <- Some sender;
           register_sender sender)
         [ (a, b); (b, a) ])
@@ -265,7 +287,7 @@ let create engine ~topo ~config ~interest ~deliver ?(serializer_replicas = 1)
         let data = Sim.Link.create engine ~latency:lat () in
         let ack = Sim.Link.create engine ~latency:lat () in
         let sender = Reliable_fifo.sender engine ~resend_period:(resend_period lat) in
-        Reliable_fifo.connect sender ~data ~ack (chain_ingress s ~from:(`Dc dc));
+        Reliable_fifo.connect sender ~data ~ack (chain_ingress s ~from:(`Dc dc) sender);
         t.dc_in_senders.(dc) <- sender;
         register_sender sender;
         let out_data = Sim.Link.create engine ~latency:lat () in
@@ -353,9 +375,9 @@ let input t ~dc label =
         ~peer:(Tree.serializer_of (Config.tree t.config) ~dc)
   end;
   if targets <> 0 then begin
-    let uid = (dc, oseq) in
     t.uid_counter.(dc) <- oseq + 1;
-    Reliable_fifo.send t.dc_in_senders.(dc) ~size_bytes:Label.size_bytes { uid; label; targets }
+    Reliable_fifo.send t.dc_in_senders.(dc) ~size_bytes:Label.size_bytes
+      { origin = dc; oseq; label; targets }
   end
 
 let config t = t.config

@@ -11,12 +11,12 @@ type t = {
 let stable_ts t =
   Array.fold_left (fun acc g -> Sim.Time.min acc (Gear.floor g)) Sim.Time.infinity t.gears
 
-let flush t =
-  let stable = stable_ts t in
-  let rec drain () =
-    match Sim.Heap.Keyed.peek t.buffer with
-    | Some l when Sim.Time.compare l.Label.ts stable <= 0 ->
-      let l = Sim.Heap.Keyed.pop_exn t.buffer in
+(* emits every buffered label at or below [stable], in (ts, src) order *)
+let rec drain t stable =
+  if not (Sim.Heap.Keyed.is_empty t.buffer) then begin
+    let l = Sim.Heap.Keyed.min_payload t.buffer in
+    if Sim.Time.compare l.Label.ts stable <= 0 then begin
+      ignore (Sim.Heap.Keyed.pop_exn t.buffer);
       (* the stability rule guarantees monotone emission *)
       assert (Sim.Time.compare l.Label.ts t.last_emitted_ts >= 0);
       t.last_emitted_ts <- l.Label.ts;
@@ -29,10 +29,11 @@ let flush t =
         Sim.Probe.sink_emit ~at ~dc:l.Label.src_dc ~ts:(Sim.Time.to_us l.Label.ts)
       end;
       t.emit l;
-      drain ()
-    | Some _ | None -> ()
-  in
-  drain ()
+      drain t stable
+    end
+  end
+
+let flush t = drain t (stable_ts t)
 
 let create engine ~gears ~period ~emit ?registry ?series ?(name = "sink") () =
   let registry = match registry with Some r -> r | None -> Stats.Registry.create () in

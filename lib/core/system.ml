@@ -176,18 +176,7 @@ let create ?registry ?series engine p hooks =
     Array.init n (fun dc ->
         let hooks_dc =
           {
-            Datacenter.ship_payload =
-              (fun ~dst payload ->
-                let size = payload.Proxy.value.Kvstore.Value.size_bytes + Label.size_bytes in
-                Stats.Meta_bytes.record_op meta ~bytes:Label.size_bytes ~fanout:1;
-                if Sim.Probe.active () then begin
-                  (* closed at [dst] once the payload finishes staging *)
-                  let l = payload.Proxy.label in
-                  Sim.Span.begin_ ~at:(Sim.Engine.now engine) Sim.Span.Sk_bulk
-                    ~origin:l.Label.src_dc ~seq:(Sim.Time.to_us l.Label.ts) ~aux:l.Label.src_gear
-                    ~site:l.Label.src_dc ~peer:dst ~epoch:0
-                end;
-                Fabric.ship t.fabric ~src:dc ~dst ~size_bytes:size (Datacenter.Payload payload));
+            Datacenter.meta;
             epoch = (fun () -> t.epoch);
             emit_label = (fun label -> route_label t dc label);
             visible = hooks;
@@ -259,7 +248,7 @@ let switch_config t config2 ~graceful =
             match t.switch_at with
             | Some t0 ->
               let dual_us = Sim.Time.to_us (Sim.Engine.now engine) - Sim.Time.to_us t0 in
-              Stats.Registry.incr ~by:dual_us t.dual_window_counter
+              Stats.Registry.incr_by t.dual_window_counter dual_us
             | None -> ());
       if graceful then begin
         Proxy.start_graceful_switch proxy ~epoch;

@@ -17,7 +17,7 @@ type report = {
 module Keyed = struct
   type t = Sim.Flat_table.t
 
-  let create = Sim.Flat_table.create
+  let create () = Sim.Flat_table.create ~fields:4
   let find t k0 k1 k2 k3 = Sim.Flat_table.find t k0 k1 k2 k3 0 0 0
   let found = Sim.Flat_table.found
   let value = Sim.Flat_table.value

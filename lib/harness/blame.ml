@@ -429,14 +429,16 @@ let render ?(top = 5) r =
 (* registration names stay literal (or sprintf-literal) at the call site:
    saturn-lint's counter-name pass globs these against the smoke baseline *)
 let fold_counters r registry =
-  Stats.Registry.incr ~by:(List.length r.blamed)
-    (Stats.Registry.counter registry "blame.journeys");
-  Stats.Registry.incr
-    ~by:(List.fold_left (fun acc b -> acc + b.gap_us) 0 r.blamed)
-    (Stats.Registry.counter registry "blame.gap.us");
-  Stats.Registry.incr ~by:r.optimal_total_us (Stats.Registry.counter registry "blame.optimal.us");
+  Stats.Registry.incr_by
+    (Stats.Registry.counter registry "blame.journeys")
+    (List.length r.blamed);
+  Stats.Registry.incr_by
+    (Stats.Registry.counter registry "blame.gap.us")
+    (List.fold_left (fun acc b -> acc + b.gap_us) 0 r.blamed);
+  Stats.Registry.incr_by (Stats.Registry.counter registry "blame.optimal.us") r.optimal_total_us;
   List.iter
     (fun s ->
-      Stats.Registry.incr ~by:s.total_us
-        (Stats.Registry.counter registry (Printf.sprintf "blame.part.%s.us" (part_name s.part))))
+      Stats.Registry.incr_by
+        (Stats.Registry.counter registry (Printf.sprintf "blame.part.%s.us" (part_name s.part)))
+        s.total_us)
     r.per_part

@@ -282,7 +282,7 @@ let run_one ~seed ~scenario ~system ~busiest =
   in
   Stats.Histogram.add recovery_hist recovery_ms;
   List.iter
-    (fun (k, n) -> Stats.Registry.incr ~by:n (Stats.Registry.counter registry ("probe." ^ k)))
+    (fun (k, n) -> Stats.Registry.incr_by (Stats.Registry.counter registry ("probe." ^ k)) n)
     (Sim.Probe.counts_by_kind probe);
   let vis = Metrics.visibility metrics in
   {

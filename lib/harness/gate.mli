@@ -13,7 +13,7 @@
 
 type rule =
   | Exact  (** byte-identical, localized by {!Diff.content} *)
-  | Counters  (** {!Obs.check_counters}: each counter within ±25 % *)
+  | Counters  (** {!Obs.check_counters}: each counter within a factor of 1.25 *)
   | Bench  (** {!Engine_bench.check} per row and metric, then byte-identical *)
 
 type baseline = {

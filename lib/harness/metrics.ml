@@ -69,7 +69,7 @@ let on_visible t ~dc ~key ~origin_dc ~origin_time ~value =
     in
     Stats.Registry.incr t.count;
     Stats.Sample.add_time t.visibility latency;
-    Stats.Sample.add t.extra (Sim.Time.to_ms_float (Sim.Time.sub latency optimal));
+    Stats.Sample.add_us t.extra (Sim.Time.to_us (Sim.Time.sub latency optimal));
     Stats.Sample.add_time (pair_visibility t ~origin:origin_dc ~dest:dc) latency
   end
 

@@ -60,12 +60,12 @@ let smoke ?(seed = 42) () =
   (* fold the per-kind trace counts into the registry so one table shows
      engine, link, tree and proxy activity side by side *)
   List.iter
-    (fun (k, n) -> Stats.Registry.incr ~by:n (Stats.Registry.counter registry ("probe." ^ k)))
+    (fun (k, n) -> Stats.Registry.incr_by (Stats.Registry.counter registry ("probe." ^ k)) n)
     (Sim.Probe.counts_by_kind probe);
   (* matched-span time per subsystem: the simulated-time face of the flame
      table, and counter-gated in CI like every other probe statistic *)
   List.iter
-    (fun (k, us) -> Stats.Registry.incr ~by:us (Stats.Registry.counter registry ("span." ^ k ^ ".us")))
+    (fun (k, us) -> Stats.Registry.incr_by (Stats.Registry.counter registry ("span." ^ k ^ ".us")) us)
     (Sim.Probe.span_totals_us probe);
   Stats.Series.seal series ~now:(Sim.Engine.now engine);
   (* fold each series' total event/sample count into the registry, so the
@@ -73,7 +73,7 @@ let smoke ?(seed = 42) () =
   List.iter
     (fun name ->
       let total = Array.fold_left (fun acc p -> acc + p.Stats.Series.count) 0 (Stats.Series.points series name) in
-      Stats.Registry.incr ~by:total (Stats.Registry.counter registry (name ^ ".n")))
+      Stats.Registry.incr_by (Stats.Registry.counter registry (name ^ ".n")) total)
     (Stats.Series.names series);
   (* the blame pass: optimality-gap attribution over the journey report,
      with its aggregates folded into the counter baseline so a silent
@@ -189,8 +189,10 @@ let check_counters ~baseline run =
         match List.assoc_opt name got with
         | None -> Some (Printf.sprintf "counter %s missing from run" name)
         | Some got ->
-          let slack = Stdlib.max 1. (counter_tolerance *. float_of_int expect) in
-          if Float.abs (float_of_int (got - expect)) <= slack then None
+          (* symmetric: the larger side may exceed the smaller by the
+             tolerance, whichever side it is *)
+          let lo = Stdlib.min got expect and hi = Stdlib.max got expect in
+          if hi - lo <= 1 || float_of_int hi <= (1. +. counter_tolerance) *. float_of_int lo then None
           else
             Some
               (Printf.sprintf "counter %s drifted: baseline %d, run %d (tolerance %.0f%%)" name

@@ -60,6 +60,8 @@ val counters_text : result -> string
 
 val check_counters : baseline:string -> string -> string list
 (** [check_counters ~baseline run] over two counter files' contents: every
-    baseline counter must be in [run] within ±25 % (at least ±1, so zero
-    baselines are not brittle). A line without a space or an integer value
-    is a ["malformed baseline line"] (or [run]) finding. Empty means OK. *)
+    baseline counter must be in [run], and the larger of the two values at
+    most 1.25 times the smaller, whichever side it is on (or the two at
+    most 1 apart, so zero baselines are not brittle). A line without a
+    space or an integer value is a ["malformed baseline line"] (or [run])
+    finding. Empty means OK. *)

@@ -1,17 +1,23 @@
-(** A map from seven int key fields to an int, in one flat [int array]
-    probed linearly. A lookup hashes and compares the key fields in place,
-    so it builds no key value and allocates nothing; the table holds no
-    pointer for the GC to follow, and only its occasional doubling
-    allocates. Keys of fewer fields pass 0 for the rest.
+(** A map from up to seven int key fields to an int, in one flat
+    [int array] probed linearly. A lookup hashes and compares the key
+    fields in place, so it builds no key value and allocates nothing; the
+    table holds no pointer for the GC to follow, and only its occasional
+    doubling allocates. A table stores the number of key fields it was
+    created with; callers pass 0 for the rest.
 
     The probe keys its open spans by a span's kind and six fields; the
-    fault checker keys its state by up to four of an event's ints.
+    fault checker keys its state by up to four of an event's ints; a
+    serializer chain keys the seq it assigned by the message's origin
+    and its sequence number there.
 
     A slot index from {!find} is valid until the table next changes. *)
 
 type t
 
-val create : unit -> t
+val create : fields:int -> t
+(** A table of keys of [fields] fields, 1 to 7: each slot holds that many
+    key ints, the value and a used mark.
+    @raise Invalid_argument outside 1..7. *)
 
 val find : t -> int -> int -> int -> int -> int -> int -> int -> int
 (** [find t k0 k1 k2 k3 k4 k5 k6] is the slot holding that key, or the

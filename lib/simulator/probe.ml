@@ -578,7 +578,7 @@ let create ?(keep = true) () =
   fill_tables ();
   (* [pos = chunk_size] makes the first kept event allocate the first chunk *)
   { keep; chunks = [||]; n_chunks = 0; cur = Bytes.empty; pos = chunk_size; last_us = 0; len = 0;
-    sc = scribe None; counts = Array.make n_kinds 0; open_spans = Flat_table.create ();
+    sc = scribe None; counts = Array.make n_kinds 0; open_spans = Flat_table.create ~fields:7;
     span_us = Array.make n_span_kinds 0; span_n = Array.make n_span_kinds 0; span_orphans = 0;
     stream = None; subscribers = []; slot = view () }
 

@@ -1,10 +1,14 @@
+(* The running sum lives in an all-float record, stored flat, so adding
+   to it boxes nothing. *)
+type acc = { mutable sum : float }
+
 type t = {
   lo : float;
   hi : float;
   width : float;
   counts : int array;
   mutable n : int;
-  mutable sum : float;
+  acc : acc;
   mutable under : int;
   mutable over : int;
 }
@@ -18,14 +22,14 @@ let create ~lo ~hi ~buckets =
     width = (hi -. lo) /. float_of_int buckets;
     counts = Array.make buckets 0;
     n = 0;
-    sum = 0.;
+    acc = { sum = 0. };
     under = 0;
     over = 0;
   }
 
-let add t x =
+let[@inline] add t x =
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
+  t.acc.sum <- t.acc.sum +. x;
   if x < t.lo then t.under <- t.under + 1
   else if x >= t.hi then t.over <- t.over + 1
   else begin
@@ -34,8 +38,10 @@ let add t x =
     t.counts.(idx) <- t.counts.(idx) + 1
   end
 
+(* the float is made here: one passed across modules is boxed *)
+let add_int t n = add t (float_of_int n)
 let count t = t.n
-let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
+let mean t = if t.n = 0 then 0. else t.acc.sum /. float_of_int t.n
 
 let percentile t p =
   if t.n = 0 then invalid_arg "Histogram.percentile: empty";
@@ -65,7 +71,7 @@ let merge a b =
   let m = create ~lo:a.lo ~hi:a.hi ~buckets:(Array.length a.counts) in
   Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;
   m.n <- a.n + b.n;
-  m.sum <- a.sum +. b.sum;
+  m.acc.sum <- a.acc.sum +. b.acc.sum;
   m.under <- a.under + b.under;
   m.over <- a.over + b.over;
   m

@@ -11,6 +11,10 @@ val create : lo:float -> hi:float -> buckets:int -> t
 (** @raise Invalid_argument if [hi <= lo] or [buckets < 1]. *)
 
 val add : t -> float -> unit
+
+val add_int : t -> int -> unit
+(** [add_int t n] is [add t (float_of_int n)], allocating nothing. *)
+
 val count : t -> int
 val mean : t -> float
 

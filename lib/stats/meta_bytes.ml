@@ -20,16 +20,16 @@ let create registry ~system =
 let record_op t ~bytes ~fanout =
   if bytes < 0 || fanout < 0 then invalid_arg "Meta_bytes.record_op: negative bytes or fanout";
   let total = bytes * fanout in
-  if total > 0 then Registry.incr ~by:total t.attached;
-  Histogram.add t.per_op (float_of_int total)
+  if total > 0 then Registry.incr_by t.attached total;
+  Histogram.add_int t.per_op total
 
 let record_stabilization t ~bytes =
   if bytes < 0 then invalid_arg "Meta_bytes.record_stabilization: negative bytes";
-  if bytes > 0 then Registry.incr ~by:bytes t.stabilization
+  if bytes > 0 then Registry.incr_by t.stabilization bytes
 
 let record_heartbeat t ~bytes =
   if bytes < 0 then invalid_arg "Meta_bytes.record_heartbeat: negative bytes";
-  if bytes > 0 then Registry.incr ~by:bytes t.heartbeat
+  if bytes > 0 then Registry.incr_by t.heartbeat bytes
 
 let attached_bytes t = Registry.counter_value t.attached
 let stabilization_bytes t = Registry.counter_value t.stabilization

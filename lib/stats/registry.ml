@@ -40,7 +40,8 @@ let counter t name =
     Hashtbl.replace t.metrics name (M_counter c);
     c
 
-let incr ?(by = 1) c = c.n <- c.n + by
+let incr c = c.n <- c.n + 1
+let incr_by c n = c.n <- c.n + n
 let counter_value c = c.n
 let counter_name c = c.cname
 
@@ -61,9 +62,9 @@ let intern t name =
     Hashtbl.replace t.ids name id;
     id
 
-let incr_id ?(by = 1) t id =
+let incr_id t id =
   let c = t.dense.(id) in
-  c.n <- c.n + by
+  c.n <- c.n + 1
 
 let gauge t name =
   match Hashtbl.find_opt t.metrics name with

@@ -23,7 +23,12 @@ type counter
 val counter : t -> string -> counter
 (** Get-or-create. @raise Invalid_argument if the name holds another kind. *)
 
-val incr : ?by:int -> counter -> unit
+val incr : counter -> unit
+
+val incr_by : counter -> int -> unit
+(** Adds [n]; a required argument, since an optional one passed at a call
+    allocates its [Some]. *)
+
 val counter_value : counter -> int
 val counter_name : counter -> string
 
@@ -39,7 +44,7 @@ val intern : t -> string -> int
 (** Get-or-create the dense id for counter [name].
     @raise Invalid_argument if the name holds a non-counter metric. *)
 
-val incr_id : ?by:int -> t -> int -> unit
+val incr_id : t -> int -> unit
 
 (** {2 Gauges} *)
 

@@ -1,13 +1,17 @@
+(* The running total lives in an all-float record, stored flat, so
+   adding to it boxes nothing. *)
+type sum = { mutable total : float }
+
 type t = {
   mutable data : float array;
   mutable len : int;
   mutable sorted : float array option;
-  mutable total : float;
+  sum : sum;
 }
 
-let create () = { data = [||]; len = 0; sorted = None; total = 0. }
+let create () = { data = [||]; len = 0; sorted = None; sum = { total = 0. } }
 
-let add t x =
+let[@inline] add t x =
   let cap = Array.length t.data in
   if t.len = cap then begin
     let ncap = if cap = 0 then 64 else cap * 2 in
@@ -17,14 +21,18 @@ let add t x =
   end;
   t.data.(t.len) <- x;
   t.len <- t.len + 1;
-  t.total <- t.total +. x;
+  t.sum.total <- t.sum.total +. x;
   t.sorted <- None
 
-let add_time t d = add t (Sim.Time.to_ms_float d)
+(* [Sim.Time.to_ms_float]'s arithmetic, made here: a float passed or
+   returned across modules is boxed *)
+let add_us t us = add t (float_of_int us /. 1_000.)
+
+let add_time t d = add_us t (Sim.Time.to_us d)
 let count t = t.len
 let is_empty t = t.len = 0
-let mean t = if t.len = 0 then 0. else t.total /. float_of_int t.len
-let total t = t.total
+let mean t = if t.len = 0 then 0. else t.sum.total /. float_of_int t.len
+let total t = t.sum.total
 
 (* In-place heap sort in [Float.compare] order. Monomorphic, so no
    element is boxed: [Array.sort Float.compare] boxes both floats of every

@@ -10,7 +10,12 @@ type t
 val create : unit -> t
 val add : t -> float -> unit
 val add_time : t -> Sim.Time.t -> unit
-(** Records a simulated duration in milliseconds. *)
+(** Records a simulated duration in milliseconds, as {!add_us} does. *)
+
+val add_us : t -> int -> unit
+(** [add_us t us] records [us] microseconds in milliseconds, bit for bit
+    [add t (Sim.Time.to_ms_float (Sim.Time.of_us us))], allocating
+    nothing once the sample's array has grown. *)
 
 val count : t -> int
 val is_empty : t -> bool

@@ -73,6 +73,38 @@ let test_counters_malformed () =
   | [ f ] -> Alcotest.(check bool) "no value at all" true (contains ~sub:"malformed baseline line" f)
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
+(* The band is a ratio, the same on both sides: a run 30 % above its
+   baseline and one 23 % below (the baseline 30 % above the run) both
+   fail; 20 % either way passes. *)
+let test_counters_symmetric () =
+  let run = "blame.journeys 7811\n" in
+  let check baseline =
+    Obs.check_counters ~baseline:(Printf.sprintf "blame.journeys %d\n" baseline) run
+  in
+  List.iter
+    (fun baseline ->
+      match check baseline with
+      | [ f ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "baseline %d fails" baseline)
+          true
+          (contains ~sub:"counter blame.journeys drifted" f)
+      | fs -> Alcotest.failf "baseline %d: expected one finding, got %d" baseline (List.length fs))
+    [ 6008; 10154 ];
+  List.iter
+    (fun baseline ->
+      Alcotest.(check (list string)) (Printf.sprintf "baseline %d passes" baseline) [] (check baseline))
+    [ 6249; 9373 ];
+  (* and with the sides swapped: the run 20 % above or below its baseline *)
+  List.iter
+    (fun got ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "run %d passes" got)
+        []
+        (Obs.check_counters ~baseline:"blame.journeys 1000\n"
+           (Printf.sprintf "blame.journeys %d\n" got)))
+    [ 800; 1200 ]
+
 (* ---- Gate.compare ------------------------------------------------------------ *)
 
 let shootout_doc ~bytes_per_op =
@@ -160,6 +192,7 @@ let suite =
     Alcotest.test_case "counters: malformed baseline lines" `Quick test_counters_malformed;
     Alcotest.test_case "gate: write then compare is clean" `Quick test_write_then_compare;
     Alcotest.test_case "gate: counter tolerance and missing counter" `Quick test_counter_tolerance;
+    Alcotest.test_case "gate: counter band is symmetric" `Quick test_counters_symmetric;
     Alcotest.test_case "gate: byte-identical baselines named by line" `Quick test_exact_baselines;
     Alcotest.test_case "gate: shootout drift named by row and metric" `Quick test_shootout_row_metric;
     Alcotest.test_case "gate: missing baseline files" `Quick test_missing_baseline;

@@ -82,16 +82,17 @@ let test_chain_compact_long_run () =
   let chain =
     Saturn.Chain.create engine ~replicas:2 ~intra_latency:(Sim.Time.of_us 10)
       ~deliver:(fun _ -> incr committed)
+      ~confirm:(fun ~peer:_ ~seq:_ -> ())
       ()
   in
   for i = 1 to 5_000 do
     Sim.Engine.schedule engine ~delay:(Sim.Time.of_us (i * 30)) (fun () ->
-        Saturn.Chain.input chain ~ext_key:(0, i) i ~confirm:(fun () -> ()))
+        Saturn.Chain.input chain ~origin:0 ~oseq:i i ~peer:0 ~seq:i)
   done;
   Sim.Engine.run engine;
   Alcotest.(check int) "all committed" 5_000 !committed;
   (* a retransmission inside the retention window still dedups *)
-  Saturn.Chain.input chain ~ext_key:(0, 5_000) 5_000 ~confirm:(fun () -> ());
+  Saturn.Chain.input chain ~origin:0 ~oseq:5_000 5_000 ~peer:0 ~seq:5_000;
   Sim.Engine.run engine;
   Alcotest.(check int) "windowed dedup" 5_000 !committed
 

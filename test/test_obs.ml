@@ -9,7 +9,7 @@ let test_registry_counters () =
   let c = Stats.Registry.counter r "a.hits" in
   Alcotest.(check int) "fresh counter" 0 (Stats.Registry.counter_value c);
   Stats.Registry.incr c;
-  Stats.Registry.incr ~by:4 c;
+  Stats.Registry.incr_by c 4;
   Alcotest.(check int) "incremented" 5 (Stats.Registry.counter_value c);
   Alcotest.(check string) "name" "a.hits" (Stats.Registry.counter_name c);
   (* get-or-create: same name is the same counter *)
@@ -19,7 +19,7 @@ let test_registry_counters () =
 
 let test_registry_snapshot () =
   let r = Stats.Registry.create () in
-  Stats.Registry.incr ~by:2 (Stats.Registry.counter r "z.count");
+  Stats.Registry.incr_by (Stats.Registry.counter r "z.count") 2;
   Stats.Registry.set (Stats.Registry.gauge r "a.level") 1.5;
   let snap = Stats.Registry.snapshot r in
   Alcotest.(check (list string)) "name-sorted" [ "a.level"; "z.count" ] (List.map fst snap);
@@ -51,9 +51,9 @@ let test_registry_pull () =
 
 let test_registry_sum_prefix () =
   let r = Stats.Registry.create () in
-  Stats.Registry.incr ~by:3 (Stats.Registry.counter r "proxy.dc0.applied");
-  Stats.Registry.incr ~by:4 (Stats.Registry.counter r "proxy.dc1.applied");
-  Stats.Registry.incr ~by:9 (Stats.Registry.counter r "sink.dc0.emitted");
+  Stats.Registry.incr_by (Stats.Registry.counter r "proxy.dc0.applied") 3;
+  Stats.Registry.incr_by (Stats.Registry.counter r "proxy.dc1.applied") 4;
+  Stats.Registry.incr_by (Stats.Registry.counter r "sink.dc0.emitted") 9;
   Alcotest.(check int) "proxy total" 7 (Stats.Registry.sum_counters r ~prefix:"proxy.");
   Alcotest.(check int) "no match" 0 (Stats.Registry.sum_counters r ~prefix:"nope.")
 

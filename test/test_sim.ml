@@ -177,6 +177,113 @@ let test_event_path_allocates_nothing () =
   Alcotest.(check (float 0.)) "Engine.step" 0. step_words;
   Alcotest.(check int) "queue stayed full" 1000 (Sim.Engine.pending e)
 
+(* ---- Seq_ring ------------------------------------------------------------ *)
+
+(* Seq_ring against an association-list model: seqs drift upward as a
+   chain's or a receiver's do, with some below the lowest held and some
+   far above, so the window re-lays in both directions. *)
+type seq_op = Set of int * int | Remove of int | Drop_below of int
+
+let seq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map2 (fun s v -> Set (s, v)) (int_range (-20) 300) (int_bound 1000));
+        (3, map (fun s -> Remove s) (int_range (-20) 300));
+        (1, map (fun s -> Drop_below s) (int_range (-20) 300)) ])
+
+let seq_op_print = function
+  | Set (s, v) -> Printf.sprintf "Set(%d,%d)" s v
+  | Remove s -> Printf.sprintf "Remove %d" s
+  | Drop_below s -> Printf.sprintf "Drop_below %d" s
+
+let prop_seq_ring_model =
+  QCheck.Test.make ~name:"seq ring matches a map model under set/remove/drop_below" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list seq_op_print) QCheck.Gen.(list_size (int_bound 150) seq_op_gen))
+    (fun ops ->
+      let r = Sim.Seq_ring.create () in
+      let model = ref [] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun op ->
+          (match op with
+          | Set (s, v) ->
+            Sim.Seq_ring.set r s v;
+            model := (s, v) :: List.remove_assoc s !model
+          | Remove s ->
+            Sim.Seq_ring.remove r s;
+            model := List.remove_assoc s !model
+          | Drop_below s ->
+            Sim.Seq_ring.drop_below r s;
+            model := List.filter (fun (s', _) -> s' >= s) !model);
+          for s = -25 to 305 do
+            match List.assoc_opt s !model with
+            | Some v -> expect (Sim.Seq_ring.mem r s && Sim.Seq_ring.get r s = v)
+            | None ->
+              expect (not (Sim.Seq_ring.mem r s));
+              expect (match Sim.Seq_ring.get r s with _ -> false | exception Not_found -> true)
+          done;
+          let seen = ref [] in
+          Sim.Seq_ring.iter (fun s v -> seen := (s, v) :: !seen) r;
+          expect (List.rev !seen = List.sort compare !model))
+        ops;
+      !ok)
+
+(* ---- Flat_table ---------------------------------------------------------- *)
+
+(* Flat_table against an association-list model, at the chain's two key
+   fields and the probe's seven: small keys collide and form long probe
+   runs, so removal's backward shift and growth's re-insertion both run. *)
+type flat_op = Bind of int * int * int | Unbind of int * int
+
+let flat_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map3 (fun a b v -> Bind (a, b, v)) (int_bound 5) (int_bound 40) (int_bound 1000));
+        (2, map2 (fun a b -> Unbind (a, b)) (int_bound 5) (int_bound 40)) ])
+
+let flat_op_print = function
+  | Bind (a, b, v) -> Printf.sprintf "Bind(%d,%d,%d)" a b v
+  | Unbind (a, b) -> Printf.sprintf "Unbind(%d,%d)" a b
+
+let prop_flat_table_model =
+  QCheck.Test.make ~name:"flat table matches a map model at two and seven fields" ~count:200
+    (QCheck.make ~print:QCheck.Print.(list flat_op_print) QCheck.Gen.(list_size (int_bound 300) flat_op_gen))
+    (fun ops ->
+      List.for_all
+        (fun fields ->
+          let t = Sim.Flat_table.create ~fields in
+          (* at seven fields the key's later fields are a function of its first two *)
+          let extra a b = if fields = 7 then (a + b, a * b, 1, 2, a) else (0, 0, 0, 0, 0) in
+          let find a b =
+            let k2, k3, k4, k5, k6 = extra a b in
+            Sim.Flat_table.find t a b k2 k3 k4 k5 k6
+          in
+          let model = ref [] in
+          let ok = ref true in
+          List.iter
+            (fun op ->
+              match op with
+              | Bind (a, b, v) ->
+                let k2, k3, k4, k5, k6 = extra a b in
+                Sim.Flat_table.set t (find a b) a b k2 k3 k4 k5 k6 v;
+                model := ((a, b), v) :: List.remove_assoc (a, b) !model
+              | Unbind (a, b) ->
+                let i = find a b in
+                if Sim.Flat_table.found t i then Sim.Flat_table.remove t i;
+                model := List.remove_assoc (a, b) !model)
+            ops;
+          for a = 0 to 5 do
+            for b = 0 to 40 do
+              let i = find a b in
+              match List.assoc_opt (a, b) !model with
+              | Some v -> if not (Sim.Flat_table.found t i && Sim.Flat_table.value t i = v) then ok := false
+              | None -> if Sim.Flat_table.found t i then ok := false
+            done
+          done;
+          !ok && Sim.Flat_table.length t = List.length !model)
+        [ 2; 7 ])
+
 (* ---- Rng ----------------------------------------------------------------- *)
 
 let test_rng_deterministic () =
@@ -654,6 +761,8 @@ let suite =
     Alcotest.test_case "keyed heap basics" `Quick test_keyed_heap_basic;
     qtest prop_keyed_heap_sorts;
     qtest prop_keyed_heap_model;
+    qtest prop_seq_ring_model;
+    qtest prop_flat_table_model;
     Alcotest.test_case "event path allocates nothing" `Quick test_event_path_allocates_nothing;
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;

@@ -265,8 +265,38 @@ let test_table_render () =
   Alcotest.(check bool) "x row before longer row" true
     (String.length (List.nth lines 3) >= 1 && (List.nth lines 3).[0] = 'x')
 
+(* The int adders make their float inside the module: a float passed or
+   returned across modules is boxed. They record what the float adders
+   would, bit for bit, and allocate nothing. *)
+let test_int_adders () =
+  let s = Stats.Sample.create () and s' = Stats.Sample.create () in
+  let h = Stats.Histogram.create ~lo:0. ~hi:2048. ~buckets:128 in
+  let h' = Stats.Histogram.create ~lo:0. ~hi:2048. ~buckets:128 in
+  let xs = [ 0; 1; 999; 1_001; 123_457; 3_000_000 ] in
+  List.iter
+    (fun us ->
+      Stats.Sample.add_us s us;
+      Stats.Sample.add s' (Sim.Time.to_ms_float (Sim.Time.of_us us));
+      Stats.Histogram.add_int h us;
+      Stats.Histogram.add h' (float_of_int us))
+    xs;
+  Alcotest.(check (array (float 0.))) "sample values" (Stats.Sample.values s') (Stats.Sample.values s);
+  Alcotest.(check (float 0.)) "sample total" (Stats.Sample.total s') (Stats.Sample.total s);
+  Alcotest.(check (float 0.)) "histogram mean" (Stats.Histogram.mean h') (Stats.Histogram.mean h);
+  Alcotest.(check (float 0.)) "histogram p50" (Stats.Histogram.percentile h' 50.)
+    (Stats.Histogram.percentile h 50.);
+  let words =
+    Helpers.allocated (fun () ->
+        for i = 1 to 50 do
+          Stats.Sample.add_us s i;
+          Stats.Histogram.add_int h i
+        done)
+  in
+  Alcotest.(check (float 0.)) "int adders allocate nothing" 0. words
+
 let suite =
   [
+    Alcotest.test_case "int adders: bit-identical, allocation-free" `Quick test_int_adders;
     Alcotest.test_case "sample basics" `Quick test_sample_basic;
     Alcotest.test_case "sample error cases" `Quick test_sample_errors;
     Alcotest.test_case "sample stddev" `Quick test_sample_stddev;

@@ -3,14 +3,22 @@
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* a deferred receiver whose consumer [f] confirms each message on arrival *)
+let confirming_receiver e f =
+  let confirm = ref (fun ~peer:_ ~seq:_ -> ()) in
+  let recv =
+    Saturn.Reliable_fifo.receiver_deferred e ~deliver:(fun m ~peer ~seq ->
+        f m;
+        !confirm ~peer ~seq)
+  in
+  confirm := Saturn.Reliable_fifo.confirm recv;
+  recv
+
 let make_channel ?(latency = Sim.Time.of_ms 5) ?(deferred = false) e received =
   let data = Sim.Link.create e ~latency () in
   let ack = Sim.Link.create e ~latency () in
   let recv =
-    if deferred then
-      Saturn.Reliable_fifo.receiver_deferred e ~deliver:(fun m ~confirm ->
-          received := m :: !received;
-          confirm ())
+    if deferred then confirming_receiver e (fun m -> received := m :: !received)
     else Saturn.Reliable_fifo.receiver e ~deliver:(fun m -> received := m :: !received)
   in
   let sender = Saturn.Reliable_fifo.sender e ~resend_period:(Sim.Time.of_ms 30) in
@@ -81,8 +89,8 @@ let test_fifo_deferred_ack () =
   let data = Sim.Link.create e ~latency:(Sim.Time.of_ms 1) () in
   let ack = Sim.Link.create e ~latency:(Sim.Time.of_ms 1) () in
   let recv =
-    Saturn.Reliable_fifo.receiver_deferred e ~deliver:(fun m ~confirm ->
-        confirms := (m, confirm) :: !confirms)
+    Saturn.Reliable_fifo.receiver_deferred e ~deliver:(fun m ~peer ~seq ->
+        confirms := (m, peer, seq) :: !confirms)
   in
   let sender = Saturn.Reliable_fifo.sender e ~resend_period:(Sim.Time.of_ms 500) in
   Saturn.Reliable_fifo.connect sender ~data ~ack recv;
@@ -90,7 +98,7 @@ let test_fifo_deferred_ack () =
   Sim.Engine.run ~until:(Sim.Time.of_ms 50) e;
   Alcotest.(check int) "unacked until confirmed" 1 (Saturn.Reliable_fifo.unacked sender);
   (match !confirms with
-  | [ (_, confirm) ] -> confirm ()
+  | [ (_, peer, seq) ] -> Saturn.Reliable_fifo.confirm recv ~peer ~seq
   | _ -> Alcotest.fail "expected one delivery");
   Sim.Engine.run ~until:(Sim.Time.of_ms 100) e;
   Saturn.Reliable_fifo.stop sender;
@@ -126,13 +134,17 @@ let test_fifo_reconnect () =
    (5 words; the size is not a constant, as in the service, and costs
    nothing since [~size_bytes] is required); the resend timer's closure,
    armed once per burst, adds 11 words over the 64 messages of a burst.
-   Channels, rings, acks and the receiver's peer lookup add nothing. *)
-let test_fifo_words_per_message () =
+   Channels, rings, acks and the receiver's peer lookup add nothing; nor
+   do a deferred receiver's unconfirmed ring and its confirms. *)
+let fifo_words_per_message ~deferred () =
   let e = Sim.Engine.create () in
   let received = ref 0 in
   let data = Sim.Link.create e ~latency:(Sim.Time.of_ms 1) () in
   let ack = Sim.Link.create e ~latency:(Sim.Time.of_ms 1) () in
-  let recv = Saturn.Reliable_fifo.receiver e ~deliver:(fun m -> received := !received + m) in
+  let recv =
+    if deferred then confirming_receiver e (fun m -> received := !received + m)
+    else Saturn.Reliable_fifo.receiver e ~deliver:(fun m -> received := !received + m)
+  in
   let sender = Saturn.Reliable_fifo.sender e ~resend_period:(Sim.Time.of_ms 30) in
   Saturn.Reliable_fifo.connect sender ~data ~ack recv;
   let burst () =
@@ -154,18 +166,59 @@ let test_fifo_words_per_message () =
   Alcotest.(check int) "all acked" 0 (Saturn.Reliable_fifo.unacked sender);
   Alcotest.(check (float 1e-9)) "words per message" (5. +. (11. /. 64.)) per_message
 
+(* Input to commit, forwards down a three-replica chain and commit acks
+   back up included, allocates nothing once the rings and the origin-key
+   table have grown: over 6 400 messages and 25 compactions. Counted
+   minor and direct-to-major, so a table that kept growing would show. *)
+let test_chain_words_per_message () =
+  List.iter
+    (fun replicas ->
+      let e = Sim.Engine.create () in
+      let committed = ref 0 and confirmed = ref 0 in
+      let chain =
+        Saturn.Chain.create e ~replicas ~intra_latency:(Sim.Time.of_us 10)
+          ~deliver:(fun m -> committed := !committed + m)
+          ~confirm:(fun ~peer:_ ~seq:_ -> incr confirmed)
+          ()
+      in
+      let next = ref 0 in
+      let burst () =
+        for _ = 1 to 64 do
+          let i = !next in
+          next := i + 1;
+          Saturn.Chain.input chain ~origin:3 ~oseq:i 1 ~peer:7 ~seq:i
+        done;
+        while Sim.Engine.step e do
+          ()
+        done
+      in
+      (* warm-up past the first compactions: every ring at its peak *)
+      for _ = 1 to 40 do
+        burst ()
+      done;
+      let words =
+        Helpers.allocated (fun () ->
+            for _ = 1 to 100 do
+              burst ()
+            done)
+      in
+      Alcotest.(check int) "all committed" (64 * 140) !committed;
+      Alcotest.(check int) "all confirmed" (64 * 140) !confirmed;
+      Alcotest.(check (float 0.)) (Printf.sprintf "words at %d replicas" replicas) 0. words)
+    [ 1; 3 ]
+
 (* ---- chain replication ----------------------------------------------------- *)
 
-let make_chain ?(replicas = 3) e committed =
+let make_chain ?(replicas = 3) ?(confirm = fun ~peer:_ ~seq:_ -> ()) e committed =
   Saturn.Chain.create e ~replicas ~intra_latency:(Sim.Time.of_us 300)
     ~deliver:(fun m -> committed := m :: !committed)
-    ()
+    ~confirm ()
 
 let feed chain e xs =
   List.iteri
     (fun i x ->
       Sim.Engine.schedule e ~delay:(Sim.Time.of_us (i * 100)) (fun () ->
-          Saturn.Chain.input chain ~ext_key:(0, i) x ~confirm:(fun () -> ())))
+          Saturn.Chain.input chain ~origin:0 ~oseq:i x ~peer:0 ~seq:i))
     xs
 
 let test_chain_commit_order () =
@@ -181,9 +234,11 @@ let test_chain_commit_order () =
 let test_chain_confirm_after_commit () =
   let e = Sim.Engine.create () in
   let committed = ref [] in
-  let chain = make_chain e committed in
   let confirmed_at = ref (-1) in
-  Saturn.Chain.input chain ~ext_key:(1, 0) "m" ~confirm:(fun () -> confirmed_at := Sim.Engine.now e);
+  let chain =
+    make_chain ~confirm:(fun ~peer:_ ~seq:_ -> confirmed_at := Sim.Engine.now e) e committed
+  in
+  Saturn.Chain.input chain ~origin:1 ~oseq:0 "m" ~peer:0 ~seq:0;
   Sim.Engine.run e;
   (* 2 hops down + 2 hops of commit-ack back up = 4 x 300us *)
   Alcotest.(check int) "ack after full chain round" 1_200 !confirmed_at
@@ -191,15 +246,20 @@ let test_chain_confirm_after_commit () =
 let test_chain_dedup () =
   let e = Sim.Engine.create () in
   let committed = ref [] in
-  let chain = make_chain e committed in
-  Saturn.Chain.input chain ~ext_key:(0, 0) "m" ~confirm:(fun () -> ());
-  Saturn.Chain.input chain ~ext_key:(0, 0) "m" ~confirm:(fun () -> ());
+  let confirmed = ref [] in
+  let chain =
+    make_chain ~confirm:(fun ~peer ~seq -> confirmed := (peer, seq) :: !confirmed) e committed
+  in
+  Saturn.Chain.input chain ~origin:0 ~oseq:0 "m" ~peer:1 ~seq:0;
+  Saturn.Chain.input chain ~origin:0 ~oseq:0 "m" ~peer:1 ~seq:1;
   Sim.Engine.run e;
   Alcotest.(check (list string)) "retransmission not re-committed" [ "m" ] !committed;
+  (* the retransmission's token replaced the first one's *)
+  Alcotest.(check (list (pair int int))) "one confirm, the latest token" [ (1, 1) ] !confirmed;
   (* late retransmission after commit confirms immediately *)
-  let confirmed = ref false in
-  Saturn.Chain.input chain ~ext_key:(0, 0) "m" ~confirm:(fun () -> confirmed := true);
-  Alcotest.(check bool) "post-commit retransmission confirmed" true !confirmed
+  Saturn.Chain.input chain ~origin:0 ~oseq:0 "m" ~peer:2 ~seq:7;
+  Alcotest.(check (list (pair int int))) "post-commit retransmission confirmed" [ (2, 7); (1, 1) ]
+    !confirmed
 
 let crash_test ~replica_to_crash () =
   let e = Sim.Engine.create () in
@@ -220,13 +280,13 @@ let test_chain_crash_tail () = crash_test ~replica_to_crash:2 ()
 let test_chain_all_crash () =
   let e = Sim.Engine.create () in
   let committed = ref [] in
-  let chain = make_chain ~replicas:2 e committed in
+  let confirmed = ref false in
+  let chain = make_chain ~replicas:2 ~confirm:(fun ~peer:_ ~seq:_ -> confirmed := true) e committed in
   Saturn.Chain.crash_replica chain 0;
   Saturn.Chain.crash_replica chain 1;
   Alcotest.(check bool) "down" true (Saturn.Chain.is_down chain);
   (* inputs are silently dropped (no ack -> sender would retransmit) *)
-  let confirmed = ref false in
-  Saturn.Chain.input chain ~ext_key:(0, 0) "x" ~confirm:(fun () -> confirmed := true);
+  Saturn.Chain.input chain ~origin:0 ~oseq:0 "x" ~peer:0 ~seq:0;
   Sim.Engine.run e;
   Alcotest.(check bool) "no confirm while down" false !confirmed;
   Alcotest.check_raises "double crash rejected"
@@ -240,14 +300,16 @@ let prop_chain_random_crashes =
       let e = Sim.Engine.create () in
       let rng = Sim.Rng.create ~seed in
       let committed = ref [] in
-      let chain = make_chain e committed in
       (* the chain promises order only to a sender that replays its
          unconfirmed messages at head change, which is exactly what the
          service's reliable channels do (Reliable_fifo.redeliver_unconfirmed) *)
       let unconfirmed : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+      let chain =
+        make_chain ~confirm:(fun ~peer:_ ~seq -> Hashtbl.remove unconfirmed seq) e committed
+      in
       let submit i =
         Hashtbl.replace unconfirmed i ();
-        Saturn.Chain.input chain ~ext_key:(0, i) i ~confirm:(fun () -> Hashtbl.remove unconfirmed i)
+        Saturn.Chain.input chain ~origin:0 ~oseq:i i ~peer:0 ~seq:i
       in
       Saturn.Chain.set_on_head_change chain (fun () ->
           let pending = List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) unconfirmed []) in
@@ -373,6 +435,49 @@ let test_service_preserves_order () =
   Alcotest.(check (list int)) "dc1 in order" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] (keys_at 1);
   Alcotest.(check (list int)) "dc2 in order" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] (keys_at 2)
 
+(* A label's whole trip through the service, from input over a tree hop
+   to two egress channels, costs its message (5 words) and one 5-word
+   retransmission entry per channel send: the ingress, the hop and the two
+   egresses. The chain, the deferred receivers' confirms and the routing
+   add nothing, and one message serves every hop. Each of the four
+   senders arms its resend timer (11 words) once per burst of 64. *)
+let test_service_words_per_label () =
+  let e = Sim.Engine.create () in
+  let tree = Saturn.Tree.create ~n_serializers:2 ~edges:[ (0, 1) ] ~attach:[| 0; 0; 1 |] in
+  let config =
+    Saturn.Config.create ~tree ~placement:[| Sim.Ec2.nv; Sim.Ec2.i |]
+      ~dc_sites:[| Sim.Ec2.nv; Sim.Ec2.nc; Sim.Ec2.i |] ()
+  in
+  let delivered = ref 0 in
+  let service =
+    Saturn.Service.create e ~topo:Sim.Ec2.topology ~config
+      ~interest:(fun _ -> 0b111)
+      ~deliver:(fun ~dc:_ _ -> incr delivered)
+      ()
+  in
+  let label = update_label ~ts:10 ~src:0 ~key:1 in
+  let burst () =
+    for _ = 1 to 64 do
+      Saturn.Service.input service ~dc:0 label
+    done;
+    while Sim.Engine.step e do
+      ()
+    done
+  in
+  (* warm-up past the chains' first compactions: every ring at its peak *)
+  for _ = 1 to 40 do
+    burst ()
+  done;
+  let rounds = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    burst ()
+  done;
+  let per_label = (Gc.minor_words () -. before) /. float_of_int (64 * rounds) in
+  Saturn.Service.shutdown service;
+  Alcotest.(check int) "two deliveries per label" (2 * 64 * (40 + rounds)) !delivered;
+  Alcotest.(check (float 1e-9)) "words per label" (25. +. (4. *. 11. /. 64.)) per_label
+
 let test_service_edge_cut_transparent () =
   (* a chain tree: dc0 - s0 - s1 - dc1/dc2; cutting s0-s1 delays but never
      loses labels *)
@@ -487,15 +592,114 @@ let prop_service_cross_dc_causality =
       done;
       !ok)
 
+(* The routing rule before labels stopped being copied per hop, kept here
+   as the reference: each hop carried a copy of the label whose targets
+   were cut down to the datacenters behind the edge it took. Returns the
+   labels each directed serializer edge carries and the copies each
+   datacenter receives. *)
+let reference_route tree ~origin ~targets =
+  let mask dcs = List.fold_left (fun m dc -> m lor (1 lsl dc)) 0 dcs in
+  let hops = Hashtbl.create 8 and received = Array.make (Saturn.Tree.n_dcs tree) 0 in
+  let rec visit s targets =
+    List.iter
+      (fun dc -> if targets land (1 lsl dc) <> 0 then received.(dc) <- received.(dc) + 1)
+      (Saturn.Tree.dcs_at tree s);
+    List.iter
+      (fun b ->
+        let sub = targets land mask (Saturn.Tree.dcs_behind tree ~from:s ~via:b) in
+        if sub <> 0 then begin
+          Hashtbl.replace hops (s, b) (1 + Option.value ~default:0 (Hashtbl.find_opt hops (s, b)));
+          visit b sub
+        end)
+      (Saturn.Tree.neighbors tree s)
+  in
+  visit (Saturn.Tree.serializer_of tree ~dc:origin) targets;
+  (hops, received)
+
+(* The service forwards one record per label: at each serializer, toward
+   every neighbour with a target behind it, except back toward the
+   origin. On random trees and interest masks it takes exactly the
+   reference's hops, and each target datacenter receives each label
+   once. *)
+let prop_service_route_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* n = 1 -- 6 in
+      let* parents = list_repeat (n - 1) (int_bound 1000) in
+      let edges = List.mapi (fun i p -> (i + 1, p mod (i + 1))) parents in
+      let* n_dcs = 2 -- 7 in
+      let* attach = list_repeat n_dcs (int_bound (n - 1)) in
+      let* sites = list_repeat n (int_bound 6) in
+      let* labels = list_size (1 -- 12) (pair (int_bound (n_dcs - 1)) (int_bound ((1 lsl n_dcs) - 1))) in
+      return (n, edges, Array.of_list attach, Array.of_list sites, n_dcs, labels))
+  in
+  QCheck.Test.make ~name:"service: copy-free route takes the reference's hops" ~count:80
+    (QCheck.make gen) (fun (n, edges, attach, placement, n_dcs, labels) ->
+      let tree = Saturn.Tree.create ~n_serializers:n ~edges ~attach in
+      let dc_sites = Array.init n_dcs (fun i -> i mod 7) in
+      let config = Saturn.Config.create ~tree ~placement ~dc_sites () in
+      let e = Sim.Engine.create () in
+      let masks = Array.of_list (List.map snd labels) in
+      let received = Hashtbl.create 16 in
+      let svc =
+        Saturn.Service.create e ~topo:Sim.Ec2.topology ~config
+          ~interest:(fun l ->
+            match l.Saturn.Label.target with
+            | Saturn.Label.Update { key } -> masks.(key)
+            | Saturn.Label.Migration _ | Saturn.Label.Epoch_change _ -> 0)
+          ~deliver:(fun ~dc l ->
+            match l.Saturn.Label.target with
+            | Saturn.Label.Update { key } ->
+              Hashtbl.replace received (key, dc)
+                (1 + Option.value ~default:0 (Hashtbl.find_opt received (key, dc)))
+            | Saturn.Label.Migration _ | Saturn.Label.Epoch_change _ -> ())
+          ()
+      in
+      List.iteri
+        (fun key (origin, _) ->
+          Saturn.Service.input svc ~dc:origin (update_label ~ts:(1000 + key) ~src:origin ~key))
+        labels;
+      Sim.Engine.run ~until:(Sim.Time.of_sec 3.) e;
+      Saturn.Service.shutdown svc;
+      Sim.Engine.run e;
+      let want_hops = Hashtbl.create 8 in
+      let ok = ref true in
+      List.iteri
+        (fun key (origin, mask) ->
+          let targets = mask land lnot (1 lsl origin) in
+          let hops, copies = reference_route tree ~origin ~targets in
+          Hashtbl.iter
+            (fun edge k ->
+              Hashtbl.replace want_hops edge (k + Option.value ~default:0 (Hashtbl.find_opt want_hops edge)))
+            hops;
+          Array.iteri
+            (fun dc want ->
+              let got = Option.value ~default:0 (Hashtbl.find_opt received (key, dc)) in
+              (* the reference delivers each target once, the service too *)
+              if want <> (if targets land (1 lsl dc) <> 0 then 1 else 0) || got <> want then ok := false)
+            copies)
+        labels;
+      List.iter
+        (fun (edge, got) ->
+          if got <> Option.value ~default:0 (Hashtbl.find_opt want_hops edge) then ok := false)
+        (Saturn.Service.edge_traffic svc);
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "reliable fifo basics" `Quick test_fifo_basic;
+    QCheck_alcotest.to_alcotest prop_service_route_matches_reference;
     QCheck_alcotest.to_alcotest prop_service_cross_dc_causality;
     Alcotest.test_case "reliable fifo survives cuts" `Quick test_fifo_survives_cut;
     qtest prop_fifo_exactly_once_under_cuts;
     Alcotest.test_case "deferred acknowledgements" `Quick test_fifo_deferred_ack;
     Alcotest.test_case "reliable fifo re-targets over fresh wires" `Quick test_fifo_reconnect;
-    Alcotest.test_case "reliable fifo words per message" `Quick test_fifo_words_per_message;
+    Alcotest.test_case "reliable fifo words per message" `Quick
+      (fifo_words_per_message ~deferred:false);
+    Alcotest.test_case "deferred fifo words per message" `Quick
+      (fifo_words_per_message ~deferred:true);
+    Alcotest.test_case "chain input to commit allocates nothing" `Quick
+      test_chain_words_per_message;
     Alcotest.test_case "chain commit order" `Quick test_chain_commit_order;
     Alcotest.test_case "chain confirms after commit" `Quick test_chain_confirm_after_commit;
     Alcotest.test_case "chain dedups retransmissions" `Quick test_chain_dedup;
@@ -509,6 +713,8 @@ let suite =
     Alcotest.test_case "service rejects over 62 datacenters" `Quick test_service_rejects_wide_trees;
     Alcotest.test_case "service skips targetless labels" `Quick test_service_skips_labels_without_targets;
     Alcotest.test_case "service preserves per-dc order" `Quick test_service_preserves_order;
+    Alcotest.test_case "service: a label costs its message and channel entries" `Quick
+      test_service_words_per_label;
     Alcotest.test_case "service edge cut is transparent" `Quick test_service_edge_cut_transparent;
     Alcotest.test_case "service chain replica crash: no loss" `Quick test_service_chain_replica_crash_no_loss;
   ]
