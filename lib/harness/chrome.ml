@@ -5,6 +5,8 @@
    (instant) marks for orientation. Timestamps are already µs, the unit
    Chrome expects. *)
 
+module Kind = Sim.Probe.Kind
+
 let sites_pid = 1
 let serializers_pid = 2
 
@@ -29,22 +31,24 @@ let x_event (s : Sim.Probe.span) t0 t1 =
     (Sim.Time.to_us t1 - Sim.Time.to_us t0)
     pid tid s.origin s.seq s.aux s.site s.peer
 
-let instant_event at ev =
-  let t = Sim.Time.to_us at in
+(* the instant mark a view is drawn as, with its track, if it is one *)
+let instant_event at (v : Sim.Probe.view) =
   let mk name pid tid args =
     Some
-      (Printf.sprintf {|{"name":"%s","cat":"probe","ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{%s}}|}
-         name t pid tid args)
+      ( (pid, tid),
+        Printf.sprintf
+          {|{"name":"%s","cat":"probe","ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{%s}}|}
+          name (Sim.Time.to_us at) pid tid args )
   in
-  match ev with
-  | Sim.Probe.Sink_emit { dc; ts } -> mk "sink_emit" sites_pid dc (Printf.sprintf {|"ts":%d|} ts)
-  | Sim.Probe.Ser_commit { ser; origin; oseq; epoch = _ } ->
-    mk "ser_commit" serializers_pid ser (Printf.sprintf {|"origin":%d,"oseq":%d|} origin oseq)
-  | Sim.Probe.Head_change { ser } -> mk "head_change" serializers_pid ser ""
-  | Sim.Probe.Proxy_apply { dc; src_dc; ts; fallback; gear = _ } ->
-    mk "proxy_apply" sites_pid dc
-      (Printf.sprintf {|"src":%d,"ts":%d,"fallback":%b|} src_dc ts fallback)
-  | Sim.Probe.Stab_round { dc; gst } -> mk "stab_round" sites_pid dc (Printf.sprintf {|"gst":%d|} gst)
+  match v.kind with
+  | Kind.Sink_emit -> mk "sink_emit" sites_pid v.f0 (Printf.sprintf {|"ts":%d|} v.f1)
+  | Kind.Ser_commit ->
+    mk "ser_commit" serializers_pid v.f0 (Printf.sprintf {|"origin":%d,"oseq":%d|} v.f1 v.f2)
+  | Kind.Head_change -> mk "head_change" serializers_pid v.f0 ""
+  | Kind.Proxy_apply ->
+    mk "proxy_apply" sites_pid v.f0
+      (Printf.sprintf {|"src":%d,"ts":%d,"fallback":%b|} v.f1 v.f3 v.flag)
+  | Kind.Stab_round -> mk "stab_round" sites_pid v.f0 (Printf.sprintf {|"gst":%d|} v.f1)
   | _ -> None
 
 let write probe oc =
@@ -52,15 +56,15 @@ let write probe oc =
   (* metadata: name every track that appears, sorted for determinism *)
   let tids = Hashtbl.create 16 in
   List.iter (fun (s, _, _) -> Hashtbl.replace tids (track s) ()) spans;
-  (* exactly the events [instant_event] draws, on the tracks it draws them *)
-  Sim.Probe.iter probe (fun _ ev ->
-      match ev with
-      | Sim.Probe.Sink_emit { dc; _ } | Sim.Probe.Proxy_apply { dc; _ } | Sim.Probe.Stab_round { dc; _ }
-        ->
-        Hashtbl.replace tids (sites_pid, dc) ()
-      | Sim.Probe.Ser_commit { ser; _ } | Sim.Probe.Head_change { ser } ->
-        Hashtbl.replace tids (serializers_pid, ser) ()
-      | _ -> ());
+  (* the instant marks, each after its separator: they follow the spans *)
+  let instants = Buffer.create 4096 in
+  Sim.Probe.iter_views probe (fun at v ->
+      match instant_event at v with
+      | Some (tr, line) ->
+        Hashtbl.replace tids tr ();
+        Buffer.add_string instants ",\n";
+        Buffer.add_string instants line
+      | None -> ());
   let tracks = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tids []) in
   let buf = Buffer.create 4096 in
   let first = ref true in
@@ -83,15 +87,10 @@ let write probe oc =
            pid tid name))
     tracks;
   List.iter (fun (s, t0, t1) -> push (x_event s t0 t1)) spans;
-  Sim.Probe.iter probe (fun at ev ->
-      match instant_event at ev with Some line -> push line | None -> ());
   output_string oc {|{"traceEvents":[
 |};
   Buffer.output_buffer oc buf;
+  Buffer.output_buffer oc instants;
   output_string oc {|
 ],"displayTimeUnit":"ms"}
 |}
-
-let write_file probe ~path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write probe oc)

@@ -1,3 +1,5 @@
+module Kind = Sim.Probe.Kind
+
 type segment =
   | Sink_hold
   | Attach
@@ -46,10 +48,13 @@ type report = {
 let spans probe =
   let opens = Hashtbl.create 1024 in
   let out = ref [] in
-  Sim.Probe.iter probe (fun at ev ->
-      match ev with
-      | Sim.Probe.Span_begin s -> if not (Hashtbl.mem opens s) then Hashtbl.replace opens s at
-      | Sim.Probe.Span_end s -> (
+  Sim.Probe.iter_views probe (fun at v ->
+      match v.kind with
+      | Kind.Span_begin ->
+        let s = Sim.Probe.span_of_view v in
+        if not (Hashtbl.mem opens s) then Hashtbl.replace opens s at
+      | Kind.Span_end -> (
+        let s = Sim.Probe.span_of_view v in
         match Hashtbl.find_opt opens s with
         | Some t0 ->
           Hashtbl.remove opens s;
@@ -60,7 +65,6 @@ let spans probe =
 
 let analyze probe =
   (* ---- pass 1: matched span intervals + join/apply points --------------- *)
-  let opens = Hashtbl.create 1024 in
   (* secondary indexes over matched intervals, in µs. uid-keyed spans are
      keyed (inst, origin, oseq, ...); lid-keyed spans (origin, ts, gear, ...) *)
   let sink = Hashtbl.create 1024 in (* lid -> iv *)
@@ -73,33 +77,28 @@ let analyze probe =
   let proxy = Hashtbl.create 1024 in (* lid * dst -> iv *)
   let forwards = ref [] in (* (inst, origin, oseq, gear, ts) *)
   let applied = Hashtbl.create 1024 in (* lid * dst -> fallback *)
-  let record (s : Sim.Probe.span) iv =
-    let open Sim.Probe in
-    match s.sk with
-    | Sk_sink_hold -> Hashtbl.replace sink (s.origin, s.seq, s.aux) iv
-    | Sk_attach -> Hashtbl.replace attach (s.aux, s.origin, s.seq) (s.site, s.peer, iv)
-    | Sk_chain -> Hashtbl.replace chain (s.aux, s.origin, s.seq, s.site) iv
-    | Sk_delay_hop -> Hashtbl.replace delay_hop (s.aux, s.origin, s.seq, s.site, s.peer) iv
-    | Sk_hop -> Hashtbl.replace hop_into (s.aux, s.origin, s.seq, s.peer) (s.site, iv)
-    | Sk_delay_egress -> Hashtbl.replace delay_eg (s.aux, s.origin, s.seq, s.site, s.peer) iv
-    | Sk_egress -> Hashtbl.replace egress (s.origin, s.seq, s.aux, s.peer) (s.site, iv)
-    | Sk_proxy_order -> Hashtbl.replace proxy (s.origin, s.seq, s.aux, s.site) iv
-    | Sk_bulk | Sk_stab -> ()
-  in
-  Sim.Probe.iter probe (fun at ev ->
-      match ev with
-      | Sim.Probe.Span_begin s -> if not (Hashtbl.mem opens s) then Hashtbl.replace opens s at
-      | Sim.Probe.Span_end s -> (
-        match Hashtbl.find_opt opens s with
-        | Some t0 ->
-          Hashtbl.remove opens s;
-          record s (Sim.Time.to_us t0, Sim.Time.to_us at)
-        | None -> ())
-      | Sim.Probe.Label_forward { dc; gear; ts; oseq; inst; epoch = _ } ->
+  List.iter
+    (fun ((s : Sim.Probe.span), t0, t1) ->
+      let iv = (Sim.Time.to_us t0, Sim.Time.to_us t1) in
+      match s.sk with
+      | Sk_sink_hold -> Hashtbl.replace sink (s.origin, s.seq, s.aux) iv
+      | Sk_attach -> Hashtbl.replace attach (s.aux, s.origin, s.seq) (s.site, s.peer, iv)
+      | Sk_chain -> Hashtbl.replace chain (s.aux, s.origin, s.seq, s.site) iv
+      | Sk_delay_hop -> Hashtbl.replace delay_hop (s.aux, s.origin, s.seq, s.site, s.peer) iv
+      | Sk_hop -> Hashtbl.replace hop_into (s.aux, s.origin, s.seq, s.peer) (s.site, iv)
+      | Sk_delay_egress -> Hashtbl.replace delay_eg (s.aux, s.origin, s.seq, s.site, s.peer) iv
+      | Sk_egress -> Hashtbl.replace egress (s.origin, s.seq, s.aux, s.peer) (s.site, iv)
+      | Sk_proxy_order -> Hashtbl.replace proxy (s.origin, s.seq, s.aux, s.site) iv
+      | Sk_bulk | Sk_stab -> ())
+    (spans probe);
+  Sim.Probe.iter_views probe (fun _ v ->
+      match v.kind with
+      | Kind.Label_forward ->
+        let dc = v.f0 and gear = v.f1 and ts = v.f2 and oseq = v.f3 and inst = v.f4 in
         if oseq >= 0 then forwards := (inst, dc, oseq, gear, ts) :: !forwards
-      | Sim.Probe.Proxy_apply { dc; src_dc; gear; ts; fallback } ->
-        if not (Hashtbl.mem applied (src_dc, ts, gear, dc)) then
-          Hashtbl.replace applied (src_dc, ts, gear, dc) fallback
+      | Kind.Proxy_apply ->
+        let lid_dst = (v.f1, v.f3, v.f2, v.f0) (* (src_dc, ts, gear, dc) *) in
+        if not (Hashtbl.mem applied lid_dst) then Hashtbl.replace applied lid_dst v.flag
       | _ -> ());
   (* destination sets per lid, from both apply events and egress spans (a
      label can be in flight toward a destination it never reached) *)

@@ -1,9 +1,10 @@
 (** Per-label journey reconstruction and visibility-latency decomposition.
 
-    Replays a kept probe trace and rebuilds, for every label the metadata
-    service forwarded, the end-to-end path to each destination it was
-    applied at — then attributes every simulated microsecond of its
-    visibility latency to one of the {!segment}s below. The segments of a
+    Replays a kept probe trace's views ({!Sim.Probe.iter_views}) and
+    rebuilds, for every label the metadata service forwarded, the
+    end-to-end path to each destination it was applied at — then
+    attributes every simulated microsecond of its visibility latency to
+    one of the {!segment}s below. The segments of a
     stream-ordered journey tile its latency exactly: consecutive spans
     share boundary instants, so the sum telescopes to
     [apply time - update time]. {!analyze} verifies that invariant per
@@ -65,7 +66,9 @@ type report = {
 }
 
 val analyze : Sim.Probe.t -> report
-(** @raise Invalid_argument if the probe was created with [~keep:false]
+(** Folds over {!spans}'s matched intervals, then reads the
+    [Label_forward] and [Proxy_apply] views in one more pass.
+    @raise Invalid_argument if the probe was created with [~keep:false]
     (journeys need the buffered event stream). *)
 
 val spans : Sim.Probe.t -> (Sim.Probe.span * Sim.Time.t * Sim.Time.t) list

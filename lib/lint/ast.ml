@@ -315,25 +315,43 @@ let module_type_vals toks ~name =
 
 (* The constructors of [type <type_name> = C1 | C2 of …] in an interface
    or implementation (capitalized idents directly after [=] or [|] at the
-   declaration's depth, until the next structure item). *)
+   declaration's depth, until the next declaration or the end of the
+   signature it sits in). A qualified [M.t] names the type [t] declared in
+   the signature of the top-level [module M]. *)
 let variant_constructors (toks : Token.t array) ~type_name =
   let its = items toks in
-  match
-    List.find_opt
-      (fun it -> it.it_kind = K_type && List.exists (fun (nm, _) -> nm = type_name) it.it_names)
-      its
-  with
+  let named kind name it = it.it_kind = kind && List.exists (fun (nm, _) -> nm = name) it.it_names in
+  let decl =
+    match String.split_on_char '.' type_name with
+    | [ ty ] -> Option.map (fun it -> it.it_start) (List.find_opt (named K_type ty) its)
+    | [ m; ty ] ->
+      Option.bind (List.find_opt (named K_module m) its) (fun it ->
+          let rec find j =
+            if j + 1 >= it.it_stop then None
+            else if toks.(j).kind = Token.Ident && toks.(j).text = "type" && toks.(j + 1).text = ty
+            then Some j
+            else find (j + 1)
+          in
+          find it.it_start)
+    | _ -> None
+  in
+  match decl with
   | None -> []
-  | Some it ->
+  | Some start ->
     let out = ref [] in
-    let d = toks.(it.it_start).depth in
-    for j = it.it_start + 1 to it.it_stop - 1 do
-      let t = toks.(j) in
+    let d = toks.(start).depth in
+    let inside (t : Token.t) =
+      t.depth > d || (t.depth = d && not (t.kind = Token.Ident && List.mem t.text item_starter))
+    in
+    let j = ref (start + 1) in
+    while !j < Array.length toks && inside toks.(!j) do
+      let t = toks.(!j) and p = toks.(!j - 1) in
       if
-        is_upper_ident t && t.depth = d && j > it.it_start
-        && (let p = toks.(j - 1) in
-            (p.kind = Token.Punct && (p.text = "|" || p.text = "=")))
+        is_upper_ident t && t.depth = d
+        && p.kind = Token.Punct
+        && (p.text = "|" || p.text = "=")
         && not (String.contains t.text '.')
-      then out := (t.text, t.line) :: !out
+      then out := (t.text, t.line) :: !out;
+      incr j
     done;
     List.rev !out

@@ -55,4 +55,6 @@ val module_type_vals : Token.t array -> name:string -> string list
     of an interface. *)
 
 val variant_constructors : Token.t array -> type_name:string -> (string * int) list
-(** Constructors of [type <type_name> = C1 | C2 of …], with lines. *)
+(** Constructors of [type <type_name> = C1 | C2 of …], with lines. A
+    qualified [type_name] such as ["Kind.t"] names the type declared in
+    the signature of a top-level module. *)

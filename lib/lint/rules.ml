@@ -508,10 +508,7 @@ let check_ship ~file ~items toks =
     toks;
   List.rev !out
 
-(* ---- R8 cross-file half: every probe constructor has a consumer ------------ *)
-
-(* A consumer that matches on a probe view's [Kind] constant counts: each
-   is named like its event constructor. *)
+(* ---- R8 cross-file half: every probe kind has a consumer ------------------- *)
 
 let probe_consumer_suffixes = [ "faults/checker.ml"; "harness/journey.ml"; "harness/chrome.ml" ]
 
@@ -521,7 +518,7 @@ let check_probe_consumers sources =
   with
   | None -> []
   | Some (pfile, ptoks) ->
-    let ctors = Ast.variant_constructors ptoks ~type_name:"event" in
+    let ctors = Ast.variant_constructors ptoks ~type_name:"Kind.t" in
     let consumers =
       List.filter
         (fun (f, _) ->
@@ -548,8 +545,8 @@ let check_probe_consumers sources =
               line;
               message =
                 Printf.sprintf
-                  "Probe.%s has no consumer in Faults.Checker, Harness.Journey or Harness.Chrome \
-                   — an event nobody checks or renders is dead telemetry"
+                  "Probe.Kind.%s has no consumer in Faults.Checker, Harness.Journey or \
+                   Harness.Chrome — an event nobody checks or renders is dead telemetry"
                   c;
             })
       ctors

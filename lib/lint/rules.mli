@@ -41,7 +41,7 @@
     - [protocol-invariant] (R8): every [ship]/bulk-send call site passes
       [~size_bytes], records [Stats.Meta_bytes] in its enclosing
       definition, and — in [lib/core] — threads an epoch; every
-      [Probe.event] constructor has a consumer in [Faults.Checker],
+      [Probe.Kind] constant has a consumer in [Faults.Checker],
       [Harness.Journey] or [Harness.Chrome] (front-runs the
       metadata-bytes and fault-matrix gates).
     - [dead-export] (R9): [.mli] values never referenced outside their
@@ -89,7 +89,7 @@ val check_baseline : file:string -> string list -> reg_pattern list -> finding l
 (** Cross-file half of R4: [lines] is [ci/smoke-counters.txt]. *)
 
 val check_probe_consumers : (string * Token.t array) list -> finding list
-(** Cross-file half of R8: every [Probe.event] constructor (from the
+(** Cross-file half of R8: every [Probe.Kind.t] constant (from the
     scanned [simulator/probe.mli]) must appear in at least one of
     [faults/checker.ml], [harness/journey.ml], [harness/chrome.ml]. *)
 

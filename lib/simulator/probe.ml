@@ -53,29 +53,6 @@ type span = {
   epoch : int;
 }
 
-type event =
-  | Engine_step of { seq : int }
-  | Link_send of { size_bytes : int }
-  | Link_deliver
-  | Link_drop of { in_flight : bool }
-  | Fifo_resend of { sender : int; seq : int }
-  | Label_forward of { dc : int; gear : int; ts : int; oseq : int; inst : int; epoch : int }
-  | Serializer_hop of { from_ser : int; to_ser : int }
-  | Serializer_deliver of { dc : int }
-  | Delay_wait of { serializer : int; us : int }
-  | Chain_ack of { seq : int }
-  | Ser_commit of { ser : int; origin : int; oseq : int; epoch : int }
-  | Head_change of { ser : int }
-  | Sink_emit of { dc : int; ts : int }
-  | Proxy_apply of { dc : int; src_dc : int; gear : int; ts : int; fallback : bool }
-  | Proxy_mode of { dc : int; mode : mode }
-  | Stab_round of { dc : int; gst : int }
-  | Vec_advance of { dc : int; src : int; ts : int }
-  | Switch_begin of { epoch : int; graceful : bool }
-  | Switch_done of { dc : int; epoch : int }
-  | Span_begin of span
-  | Span_end of span
-
 module Kind = struct
   type t =
     | Engine_step
@@ -208,8 +185,8 @@ let fnv_prime = 0x100000001b3L
 
    A [lit] holds a literal's text and that table: 128 little-endian
    int64s, then [p^k] at [lit_pk]. The tables (1 KiB each) are filled on
-   the first [create] or [to_json], not at module initialisation, so a
-   binary that never installs a probe pays nothing for them. *)
+   the first [create], not at module initialisation, so a binary that
+   never installs a probe pays nothing for them. *)
 type lit = { text : string; mutable table : Bytes.t }
 
 let lit_pk = 128 * 8
@@ -400,12 +377,10 @@ let walk s at d (v : view) =
   (match d.choice with None -> () | Some (on, off) -> add_lit s (if v.flag then on else off));
   add_lit s l_close
 
-(* ---- events and views ----------------------------------------------------- *)
+(* ---- views ---------------------------------------------------------------- *)
 
 (* [fill] writes an event's flag and fields into a view and returns its
-   tag: the one write of every typed emitter, and of [load]. Loading an
-   event into a view, and building one back from it, are the cold paths
-   of [emit], [iter] and [to_json]. *)
+   tag: the one write of every typed emitter. *)
 let fill (v : view) kind flag a b c d e f =
   v.flag <- flag;
   v.f0 <- a;
@@ -416,85 +391,18 @@ let fill (v : view) kind flag a b c d e f =
   v.f5 <- f;
   kind_tag kind
 
-let fill_span v kind { sk; origin; seq; aux; site; peer; epoch } =
-  fill v kind false origin seq aux site peer epoch + span_kind_id sk
-
-let load v = function
-  | Engine_step { seq } -> fill v Kind.Engine_step false seq 0 0 0 0 0
-  | Link_send { size_bytes } -> fill v Kind.Link_send false size_bytes 0 0 0 0 0
-  | Link_deliver -> fill v Kind.Link_deliver false 0 0 0 0 0 0
-  | Link_drop { in_flight } -> fill v Kind.Link_drop in_flight 0 0 0 0 0 0
-  | Fifo_resend { sender; seq } -> fill v Kind.Fifo_resend false sender seq 0 0 0 0
-  | Label_forward { dc; gear; ts; oseq; inst; epoch } ->
-    fill v Kind.Label_forward false dc gear ts oseq inst epoch
-  | Serializer_hop { from_ser; to_ser } -> fill v Kind.Serializer_hop false from_ser to_ser 0 0 0 0
-  | Serializer_deliver { dc } -> fill v Kind.Serializer_deliver false dc 0 0 0 0 0
-  | Delay_wait { serializer; us } -> fill v Kind.Delay_wait false serializer us 0 0 0 0
-  | Chain_ack { seq } -> fill v Kind.Chain_ack false seq 0 0 0 0 0
-  | Ser_commit { ser; origin; oseq; epoch } ->
-    fill v Kind.Ser_commit false ser origin oseq epoch 0 0
-  | Head_change { ser } -> fill v Kind.Head_change false ser 0 0 0 0 0
-  | Sink_emit { dc; ts } -> fill v Kind.Sink_emit false dc ts 0 0 0 0
-  | Proxy_apply { dc; src_dc; gear; ts; fallback } ->
-    fill v Kind.Proxy_apply fallback dc src_dc gear ts 0 0
-  | Proxy_mode { dc; mode } ->
-    fill v Kind.Proxy_mode (match mode with Fallback -> true | Stream -> false) dc 0 0 0 0 0
-  | Stab_round { dc; gst } -> fill v Kind.Stab_round false dc gst 0 0 0 0
-  | Vec_advance { dc; src; ts } -> fill v Kind.Vec_advance false dc src ts 0 0 0
-  | Switch_begin { epoch; graceful } -> fill v Kind.Switch_begin graceful epoch 0 0 0 0 0
-  | Switch_done { dc; epoch } -> fill v Kind.Switch_done false dc epoch 0 0 0 0
-  | Span_begin s -> fill_span v Kind.Span_begin s
-  | Span_end s -> fill_span v Kind.Span_end s
-
 let span_of_view (v : view) =
   { sk = v.span_kind; origin = v.f0; seq = v.f1; aux = v.f2; site = v.f3; peer = v.f4;
     epoch = v.f5 }
 
-let event_of_view (v : view) =
-  match v.kind with
-  | Kind.Engine_step -> Engine_step { seq = v.f0 }
-  | Kind.Link_send -> Link_send { size_bytes = v.f0 }
-  | Kind.Link_deliver -> Link_deliver
-  | Kind.Link_drop -> Link_drop { in_flight = v.flag }
-  | Kind.Fifo_resend -> Fifo_resend { sender = v.f0; seq = v.f1 }
-  | Kind.Label_forward ->
-    Label_forward { dc = v.f0; gear = v.f1; ts = v.f2; oseq = v.f3; inst = v.f4; epoch = v.f5 }
-  | Kind.Serializer_hop -> Serializer_hop { from_ser = v.f0; to_ser = v.f1 }
-  | Kind.Serializer_deliver -> Serializer_deliver { dc = v.f0 }
-  | Kind.Delay_wait -> Delay_wait { serializer = v.f0; us = v.f1 }
-  | Kind.Chain_ack -> Chain_ack { seq = v.f0 }
-  | Kind.Ser_commit -> Ser_commit { ser = v.f0; origin = v.f1; oseq = v.f2; epoch = v.f3 }
-  | Kind.Head_change -> Head_change { ser = v.f0 }
-  | Kind.Sink_emit -> Sink_emit { dc = v.f0; ts = v.f1 }
-  | Kind.Proxy_apply ->
-    Proxy_apply { dc = v.f0; src_dc = v.f1; gear = v.f2; ts = v.f3; fallback = v.flag }
-  | Kind.Proxy_mode -> Proxy_mode { dc = v.f0; mode = (if v.flag then Fallback else Stream) }
-  | Kind.Stab_round -> Stab_round { dc = v.f0; gst = v.f1 }
-  | Kind.Vec_advance -> Vec_advance { dc = v.f0; src = v.f1; ts = v.f2 }
-  | Kind.Switch_begin -> Switch_begin { epoch = v.f0; graceful = v.flag }
-  | Kind.Switch_done -> Switch_done { dc = v.f0; epoch = v.f1 }
-  | Kind.Span_begin -> Span_begin (span_of_view v)
-  | Kind.Span_end -> Span_end (span_of_view v)
-
 (* a view's tag, for walks that start from a view alone *)
 let tag_of_view (v : view) = kind_tag v.kind + span_kind_id v.span_kind
-
-(* one line without its newline, folded into a throwaway hash *)
-let to_json at ev =
-  fill_tables ();
-  let v = view () in
-  let d = descs.(load v ev) in
-  v.kind <- d.kind;
-  v.span_kind <- d.sk;
-  let w = writer () in
-  walk (scribe (Some w)) at d v;
-  Bytes.sub_string w.wb 0 (w.wn - 1)
 
 (* ---- the packed kept trace ---------------------------------------------- *)
 
 (* A kept event is appended to fixed-size [Bytes] chunks: the GC never
-   scans or promotes their contents, where an [event array] would hold
-   one boxed block per event for the major GC to mark. An event is
+   scans or promotes their contents, where an array of boxed events would
+   hold one block per event for the major GC to mark. An event is
    encoded as one tag byte, then the zigzag-LEB128 delta of its time from
    the previous event's, then each int field as a zigzag-LEB128 varint.
    The tag byte is the event's tag; the flag of [Link_drop],
@@ -538,7 +446,7 @@ let get c =
 (* the fields of the event whose tag byte was [byte], into [v] *)
 let get_fields c byte (v : view) =
   let tag = byte land lnot tag_flag in
-  if tag >= n_tags then invalid_arg (Printf.sprintf "Probe.iter: corrupt trace tag %d" tag);
+  if tag >= n_tags then invalid_arg (Printf.sprintf "Probe: corrupt trace tag %d" tag);
   let d = descs.(tag) in
   v.kind <- d.kind;
   v.span_kind <- d.sk;
@@ -685,7 +593,6 @@ let decode t fn f =
   done
 
 let iter_views t f = decode t "iter_views" f
-let iter t f = decode t "iter" (fun at v -> f at (event_of_view v))
 
 (* rebuild the historical (name, count) view: nonzero slots only, so
    kinds a run never emitted stay absent, name-sorted *)
@@ -723,16 +630,12 @@ let write_jsonl t oc =
    the observability entry points (smoke runs, tests). *)
 let current : t option ref = ref None
 
-let install t = current := Some t
-let uninstall () = current := None
 let active () = match !current with None -> false | Some _ -> true (* no polymorphic compare *)
 
 let with_probe t f =
   let prev = !current in
   current := Some t;
   Fun.protect ~finally:(fun () -> current := prev) f
-
-let emit ~at ev = match !current with None -> () | Some t -> record t at (load t.slot ev)
 
 (* ---- typed emitters --------------------------------------------------------- *)
 

@@ -8,7 +8,7 @@
     byte-identical traces, which CI asserts as a regression oracle.
 
     Besides point events, the probe understands {e spans}: matched
-    {!Span_begin}/{!Span_end} pairs that attribute simulated time to a
+    [Span_begin]/[Span_end] pairs that attribute simulated time to a
     subsystem. Pairing happens inside the probe as events arrive, so
     per-kind span totals ({!span_totals_us}) are available even on
     count-only ([~keep:false]) probes. The {!Span} module provides the
@@ -25,11 +25,11 @@
     writes the kind, its flag and up to six ints into the probe's one
     {!view}, a flyweight reused by every event, and one record step does
     all the per-event work from it: the digest, the counts, span pairing,
-    the packed kept trace and the subscribers. No [event] value is built;
-    that variant survives for the cold consumers ({!iter}, {!to_json},
-    tests that plant streams through {!emit}). On the seed-42 fault
-    matrix (52.8 events per op) the boxed events cost about 209 words
-    per op; with them gone, and the fault checker's key tuples too, the
+    the packed kept trace and the subscribers. The view is the probe's one
+    event representation: recording, the kept trace, export and every
+    analyzer read it, and no event value is built. On the seed-42 fault
+    matrix (52.8 events per op) boxed events cost about 209 words per op;
+    with them gone, and the fault checker's key tuples too, the
     benchmark's fault-matrix words per op fell from 555 to 333.
 
     Recording digests each event without rendering it. One descriptor per
@@ -40,8 +40,8 @@
     and one lookup in a 128-entry table, filled on the first {!create};
     digits fold one byte at a time. The walk writes only while a
     {!stream_jsonl} channel is attached, and the same walk backs
-    {!to_json} and {!write_jsonl}, so the digested bytes and every export
-    are the same bytes. Span pairing keeps its open spans in a flat
+    {!write_jsonl}, so the digested bytes and every export are the same
+    bytes. Span pairing keeps its open spans in a flat
     open-addressing table. That per-event cost is what the benchmark's
     [obs.tax_ratio] measures.
 
@@ -49,9 +49,9 @@
     is appended to fixed 64 KiB [Bytes] chunks as a tag byte, a
     zigzag-LEB128 time delta and one zigzag varint per field — about 7
     bytes per event on the fault matrix. The GC never scans or promotes
-    those chunks. {!iter_views} decodes them back into a view and {!iter}
-    into events; analyzers that only need one pass should {!subscribe}
-    instead and see each event as it is recorded. *)
+    those chunks. {!iter_views} decodes them back into a view; analyzers
+    that only need one pass should {!subscribe} instead and see each
+    event as it is recorded. *)
 
 type mode = Stream | Fallback
 
@@ -87,7 +87,8 @@ val span_kind_name : span_kind -> string
     [site]/[peer] locate the span (serializer or datacenter ids; -1 when
     unused). [epoch] is the configuration epoch the span's work belongs to
     (0 for spans whose begin/end sites cannot both know it).
-    [Harness.Journey] joins the two keyings via {!Label_forward}. *)
+    [Harness.Journey] joins the two keyings via the [Label_forward]
+    event. *)
 type span = {
   sk : span_kind;
   origin : int;
@@ -98,79 +99,48 @@ type span = {
   epoch : int;
 }
 
-type event =
-  | Engine_step of { seq : int }  (** the event loop dispatched one event *)
-  | Link_send of { size_bytes : int }  (** message entered a FIFO link *)
-  | Link_deliver  (** message came out the far end *)
-  | Link_drop of { in_flight : bool }
-      (** message lost: [in_flight] = true means it was mid-flight when the
-          link was cut, false means it was sent while the link was down —
-          the distinction fault counters and the invariant checker need to
-          tell loss-by-cut from loss-by-outage *)
-  | Fifo_resend of { sender : int; seq : int }
-      (** a reliable-FIFO sender retransmitted an unacknowledged message *)
-  | Label_forward of { dc : int; gear : int; ts : int; oseq : int; inst : int; epoch : int }
-      (** label [(dc, gear, ts)] entered the metadata service at [dc]. When
-          it had remote targets it was assigned uid [(dc, oseq)] by service
-          instance [inst]; [oseq] = -1 means local-only, never forwarded.
-          [epoch] is the configuration epoch of the tree it entered. This
-          event is the lid→uid join point for journey reconstruction. *)
-  | Serializer_hop of { from_ser : int; to_ser : int }  (** serializer-to-serializer forward *)
-  | Serializer_deliver of { dc : int }  (** service egress toward [dc]'s proxy *)
-  | Delay_wait of { serializer : int; us : int }  (** artificial delay δ applied on a hop *)
-  | Chain_ack of { seq : int }  (** chain commit acknowledged back to the sender *)
-  | Ser_commit of { ser : int; origin : int; oseq : int; epoch : int }
-      (** serializer [ser]'s chain committed the [oseq]-th label that origin
-          datacenter [origin] pushed into the service — the exactly-once,
-          FIFO-per-origin oracle the fault checker asserts over. [epoch] is
-          the tree's configuration epoch; serializer ids and oseq counters
-          both restart per epoch, so cross-epoch analysis keys on it *)
-  | Head_change of { ser : int }  (** chain head crashed and the chain healed *)
-  | Sink_emit of { dc : int; ts : int }  (** label sink emitted a stable label *)
-  | Proxy_apply of { dc : int; src_dc : int; gear : int; ts : int; fallback : bool }
-      (** remote update installed; [fallback] tells which path ordered it *)
-  | Proxy_mode of { dc : int; mode : mode }  (** proxy switched ordering modes *)
-  | Stab_round of { dc : int; gst : int }  (** baseline stabilization round completed *)
-  | Vec_advance of { dc : int; src : int; ts : int }  (** baseline version-vector advance *)
-  | Switch_begin of { epoch : int; graceful : bool }
-      (** online reconfiguration (paper §6.2) started: the system begins
-          migrating from epoch-1 trees to the [epoch] configuration *)
-  | Switch_done of { dc : int; epoch : int }
-      (** datacenter [dc]'s proxy finished its migration into [epoch] —
-          the old tree carries no more of its traffic *)
-  | Span_begin of span  (** simulated time starts accruing to [span.sk] *)
-  | Span_end of span  (** …and stops; must match an open begin field-for-field *)
-
-(** The kind of an event, one constant per {!event} constructor, named
-    alike: what a {!view} carries and what analyzers match on. *)
+(** The kind of an event: what a {!view} carries and what analyzers
+    match on. Each is named after its typed emitter, whose labelled
+    arguments are the event's fields. *)
 module Kind : sig
   type t =
-    | Engine_step
-    | Link_send
-    | Link_deliver
+    | Engine_step  (** the event loop dispatched one event *)
+    | Link_send  (** a message entered a FIFO link *)
+    | Link_deliver  (** a message came out the far end *)
     | Link_drop
-    | Fifo_resend
+        (** a message was lost: [in_flight] is true when it was mid-flight
+            as the link was cut, false when it was sent while the link was
+            down — how fault counters and the checker tell the two apart *)
+    | Fifo_resend  (** a reliable-FIFO sender retransmitted an unacknowledged message *)
     | Label_forward
-    | Serializer_hop
-    | Serializer_deliver
-    | Delay_wait
-    | Chain_ack
+        (** label [(dc, gear, ts)] entered the metadata service at [dc]. With
+            remote targets it got uid [(dc, oseq)] from service instance
+            [inst] of the tree of configuration [epoch]; [oseq] = -1 means
+            local-only. The lid→uid join point of journey reconstruction *)
+    | Serializer_hop  (** serializer-to-serializer forward *)
+    | Serializer_deliver  (** service egress toward [dc]'s proxy *)
+    | Delay_wait  (** artificial delay δ applied on a hop *)
+    | Chain_ack  (** chain commit acknowledged back to the sender *)
     | Ser_commit
-    | Head_change
-    | Sink_emit
-    | Proxy_apply
-    | Proxy_mode
-    | Stab_round
-    | Vec_advance
-    | Switch_begin
-    | Switch_done
-    | Span_begin
-    | Span_end
+        (** serializer [ser]'s chain committed the [oseq]-th label origin
+            [origin] pushed into the tree of [epoch]: the exactly-once,
+            FIFO-per-origin oracle of the fault checker. Serializer ids and
+            oseqs restart per epoch *)
+    | Head_change  (** a chain head crashed and the chain healed *)
+    | Sink_emit  (** a label sink emitted a stable label *)
+    | Proxy_apply  (** a remote update was installed; [fallback] tells which path ordered it *)
+    | Proxy_mode  (** a proxy switched ordering modes *)
+    | Stab_round  (** a baseline stabilization round completed *)
+    | Vec_advance  (** a baseline version vector advanced *)
+    | Switch_begin  (** online reconfiguration (paper §6.2) toward [epoch] started *)
+    | Switch_done  (** [dc]'s proxy finished its migration into [epoch] *)
+    | Span_begin  (** simulated time starts accruing to a span's kind *)
+    | Span_end  (** …and stops; must match an open begin field for field *)
 end
 
 (** One event, unboxed: its kind, a flag and up to six int fields in the
-    order of the matching {!event} constructor's fields (and of its JSONL
-    line), unused ones 0. The flag is [Link_drop]'s [in_flight],
+    order of its typed emitter's arguments (and of its JSONL line),
+    unused ones 0. The flag is [Link_drop]'s [in_flight],
     [Proxy_apply]'s [fallback], [Proxy_mode]'s [mode = Fallback] and
     [Switch_begin]'s [graceful]; it is false on every other kind. A span
     carries [origin; seq; aux; site; peer; epoch] in [f0..f5] and its
@@ -194,24 +164,16 @@ type view = private {
 type t
 
 val create : ?keep:bool -> unit -> t
-(** [keep] (default true) keeps every event for {!iter} and
+(** [keep] (default true) keeps every event for {!iter_views} and
     {!write_jsonl}. With [~keep:false] only the running digest, per-kind
     counts and span totals are maintained, and no kept-event storage is
     allocated, so unbounded runs stay O(1) space. *)
 
 (** {2 The process-wide sink} *)
 
-val install : t -> unit
-val uninstall : unit -> unit
-
 val active : unit -> bool
 (** Cheap guard for instrumentation points: check it before calling an
     emitter, so that disabled probes cost one branch and no call. *)
-
-val emit : at:Time.t -> event -> unit
-(** Records a prebuilt event into the installed sink, if any: the cold
-    adapter onto the typed path, for tests and tools that plant a
-    stream. Instrumentation sites call the typed emitters. *)
 
 val with_probe : t -> (unit -> 'a) -> 'a
 (** Installs [t] for the duration of the callback, restoring the previous
@@ -219,8 +181,8 @@ val with_probe : t -> (unit -> 'a) -> 'a
 
 (** {2 Typed emitters}
 
-    One per point kind, named after it, with the {!event} constructor's
-    fields as labelled arguments. Each records into the installed sink, if
+    One per point kind, named after it, with the event's fields as
+    labelled arguments. Each records into the installed sink, if
     any, and allocates nothing. The span emitters are {!Span.begin_} and
     {!Span.end_}. *)
 
@@ -271,11 +233,9 @@ val iter_views : t -> (Time.t -> view -> unit) -> unit
     {!view}), so the pass allocates nothing per event.
     @raise Invalid_argument if the probe was created with [~keep:false]. *)
 
-val iter : t -> (Time.t -> event -> unit) -> unit
-(** [iter t f] is {!iter_views} building each event back: [f] sees values
-    structurally equal to the ones emitted. Each call allocates the
-    decoded event.
-    @raise Invalid_argument if the probe was created with [~keep:false]. *)
+val span_of_view : view -> span
+(** The span a [Span_begin] or [Span_end] view carries, as a value that
+    outlives the view. *)
 
 val subscribe : t -> (Time.t -> view -> unit) -> unit
 (** [subscribe t f] calls [f at v] on every event recorded {e from now
@@ -287,7 +247,7 @@ val subscribe : t -> (Time.t -> view -> unit) -> unit
     does. *)
 
 val counts_by_kind : t -> (string * int) list
-(** Event counts grouped by {!kind}, name-sorted. Available regardless of
+(** Event counts grouped by kind, name-sorted. Available regardless of
     [keep]. Span begins and ends share one ["span.<kind>"] bucket. *)
 
 val span_totals_us : t -> (string * int) list
@@ -313,11 +273,9 @@ val digest : t -> string
 
 (** {2 Export} *)
 
-val to_json : Time.t -> event -> string
-(** One JSON object, e.g. [{"t":1200,"ev":"serializer_hop","from":0,"to":1}]. *)
-
 val write_jsonl : t -> out_channel -> unit
-(** One {!to_json} line per recorded event, in emission order.
+(** One JSON object per recorded event, one per line, in emission order:
+    e.g. [{"t":1200,"ev":"serializer_hop","from":0,"to":1}].
     @raise Invalid_argument if the probe was created with [~keep:false].
     For count-only probes use {!stream_jsonl} instead. *)
 

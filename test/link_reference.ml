@@ -93,12 +93,13 @@ let fire t b =
        drops the rest, exactly as per-message events did *)
     if t.up && t.epoch = b.b_epoch then begin
       t.delivered <- t.delivered + 1;
-      if Probe.active () then Probe.emit ~at Probe.Link_deliver;
+      if Probe.active () then Probe_reference.record ~at Probe_reference.Link_deliver;
       b.b_items.(i) ()
     end
     else begin
       t.dropped_cut <- t.dropped_cut + 1;
-      if Probe.active () then Probe.emit ~at (Probe.Link_drop { in_flight = true })
+      if Probe.active () then
+        Probe_reference.record ~at (Probe_reference.Link_drop { in_flight = true })
     end;
     b.b_items.(i) <- nop
   done
@@ -106,11 +107,13 @@ let fire t b =
 let send t ?(size_bytes = 0) deliver =
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size_bytes;
-  if Probe.active () then Probe.emit ~at:(Engine.now t.engine) (Probe.Link_send { size_bytes });
+  if Probe.active () then
+    Probe_reference.record ~at:(Engine.now t.engine) (Probe_reference.Link_send { size_bytes });
   if not t.up then begin
     t.dropped_down <- t.dropped_down + 1;
     if Probe.active () then
-      Probe.emit ~at:(Engine.now t.engine) (Probe.Link_drop { in_flight = false })
+      Probe_reference.record ~at:(Engine.now t.engine)
+        (Probe_reference.Link_drop { in_flight = false })
   end
   else begin
     let now = Engine.now t.engine in

@@ -2,7 +2,7 @@
    Every bulk shipment must pass ~size_bytes so Meta_bytes can attribute
    it, record Stats.Meta_bytes in its enclosing definition, and — in
    lib/core, where shipments cross reconfiguration epochs — thread an
-   epoch. Separately, every Probe.event constructor needs a consumer in
+   epoch. Separately, every Probe.Kind constant needs a consumer in
    Faults.Checker, Harness.Journey or Harness.Chrome. *)
 (* --bad-- *)
 (* @file lib/core/fixture.ml *)

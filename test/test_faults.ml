@@ -28,8 +28,8 @@ let test_link_drop_reasons () =
   Alcotest.(check int) "while-down drop" 1 (Sim.Link.dropped_down_count link);
   Alcotest.(check int) "total" 2 (Sim.Link.dropped_count link);
   let drops = ref [] in
-  Sim.Probe.iter probe (fun _ ev ->
-      match ev with Sim.Probe.Link_drop { in_flight } -> drops := in_flight :: !drops | _ -> ());
+  Sim.Probe.iter_views probe (fun _ v ->
+      match v.kind with Sim.Probe.Kind.Link_drop -> drops := v.flag :: !drops | _ -> ());
   (* the down-drop is recorded at send time, the cut-drop when its delivery
      would have fired — hence the order *)
   Alcotest.(check (list bool)) "drop reasons traced" [ false; true ] (List.rev !drops)
@@ -314,6 +314,8 @@ let test_double_switch_rejected () =
 
 (* ---- checker ------------------------------------------------------------- *)
 
+module Ev = Probe_reference
+
 (* A checker subscribed to [probe] as it records, and [Checker.analyze]
    over the kept trace afterwards, must agree report for report: every
    planted violation below exercises both. *)
@@ -332,14 +334,14 @@ let with_events emits =
   let probe = Sim.Probe.create () in
   let c = subscribed_checker probe in
   Sim.Probe.with_probe probe (fun () ->
-      List.iter (fun (us, ev) -> Sim.Probe.emit ~at:(Sim.Time.of_us us) ev) emits);
+      List.iter (fun (us, ev) -> Ev.record ~at:(Sim.Time.of_us us) ev) emits);
   streamed_report probe c
 
-let commit ser origin oseq = Sim.Probe.Ser_commit { ser; origin; oseq; epoch = 0 }
-let commit_e epoch ser origin oseq = Sim.Probe.Ser_commit { ser; origin; oseq; epoch }
+let commit ser origin oseq = Ev.Ser_commit { ser; origin; oseq; epoch = 0 }
+let commit_e epoch ser origin oseq = Ev.Ser_commit { ser; origin; oseq; epoch }
 
 let forward ?(gear = 0) ~dc ~oseq ~epoch () =
-  Sim.Probe.Label_forward { dc; gear; ts = oseq; oseq; inst = epoch; epoch }
+  Ev.Label_forward { dc; gear; ts = oseq; oseq; inst = epoch; epoch }
 
 let marker = forward ~gear:Saturn.Label.marker_gear
 
@@ -361,11 +363,11 @@ let test_checker_clean_stream () =
         (3, commit 0 2 1);
         (* gaps are legal: partial replication skips uninterested subtrees *)
         (4, commit 0 1 5);
-        (5, Sim.Probe.Sink_emit { dc = 0; ts = 10 });
-        (6, Sim.Probe.Sink_emit { dc = 0; ts = 10 });
+        (5, Ev.Sink_emit { dc = 0; ts = 10 });
+        (6, Ev.Sink_emit { dc = 0; ts = 10 });
         (* equal sink ts fine *)
-        (7, Sim.Probe.Proxy_apply { dc = 0; src_dc = 1; gear = 0; ts = 4; fallback = false });
-        (8, Sim.Probe.Proxy_apply { dc = 0; src_dc = 1; gear = 0; ts = 9; fallback = true });
+        (7, Ev.Proxy_apply { dc = 0; src_dc = 1; gear = 0; ts = 4; fallback = false });
+        (8, Ev.Proxy_apply { dc = 0; src_dc = 1; gear = 0; ts = 9; fallback = true });
       ]
   in
   Alcotest.(check bool) "ok" true (Faults.Checker.ok r);
@@ -381,20 +383,20 @@ let test_checker_flags_duplicate_commit () =
 let test_checker_flags_reorder () =
   let r = with_events [ (1, commit 0 1 3); (2, commit 0 1 2) ] in
   Alcotest.(check int) "fifo violation" 1 (List.length r.Faults.Checker.violations);
-  let r2 = with_events [ (1, Sim.Probe.Sink_emit { dc = 2; ts = 9 });
-                         (2, Sim.Probe.Sink_emit { dc = 2; ts = 8 }) ] in
+  let r2 = with_events [ (1, Ev.Sink_emit { dc = 2; ts = 9 });
+                         (2, Ev.Sink_emit { dc = 2; ts = 8 }) ] in
   Alcotest.(check int) "sink violation" 1 (List.length r2.Faults.Checker.violations)
 
 let test_checker_counts () =
   let r =
     with_events
       [
-        (1, Sim.Probe.Fifo_resend { sender = 0; seq = 1 });
-        (2, Sim.Probe.Link_drop { in_flight = true });
-        (3, Sim.Probe.Link_drop { in_flight = false });
-        (4, Sim.Probe.Head_change { ser = 0 });
-        (5, Sim.Probe.Proxy_mode { dc = 0; mode = Sim.Probe.Fallback });
-        (6, Sim.Probe.Proxy_mode { dc = 0; mode = Sim.Probe.Stream });
+        (1, Ev.Fifo_resend { sender = 0; seq = 1 });
+        (2, Ev.Link_drop { in_flight = true });
+        (3, Ev.Link_drop { in_flight = false });
+        (4, Ev.Head_change { ser = 0 });
+        (5, Ev.Proxy_mode { dc = 0; mode = Sim.Probe.Fallback });
+        (6, Ev.Proxy_mode { dc = 0; mode = Sim.Probe.Stream });
       ]
   in
   Alcotest.(check int) "resends" 1 r.Faults.Checker.resends;
@@ -454,7 +456,7 @@ let test_checker_route_monotone_and_duplicate_apply () =
     with_events [ (1, forward ~dc:2 ~oseq:1 ~epoch:1 ()); (2, forward ~dc:2 ~oseq:2 ~epoch:0 ()) ]
   in
   Alcotest.(check bool) "route regression flagged" true (has_violation r "route regression");
-  let apply ts = Sim.Probe.Proxy_apply { dc = 2; src_dc = 1; gear = 0; ts; fallback = false } in
+  let apply ts = Ev.Proxy_apply { dc = 2; src_dc = 1; gear = 0; ts; fallback = false } in
   let r2 = with_events [ (1, apply 7); (2, apply 7) ] in
   Alcotest.(check bool) "old/new tree race installing a label twice flagged" true
     (has_violation r2 "installed twice")
@@ -475,32 +477,32 @@ let check_flags events want =
        r.Faults.Checker.violations)
 
 let test_checker_flags_proxy_order () =
-  let apply ~gear ts = Sim.Probe.Proxy_apply { dc = 0; src_dc = 1; gear; ts; fallback = false } in
+  let apply ~gear ts = Ev.Proxy_apply { dc = 0; src_dc = 1; gear; ts; fallback = false } in
   check_flags
     [ (1, apply ~gear:0 9); (2, apply ~gear:0 5); (3, apply ~gear:1 9);
       (* another origin has its own order *)
-      (4, Sim.Probe.Proxy_apply { dc = 0; src_dc = 2; gear = 0; ts = 1; fallback = true }) ]
+      (4, Ev.Proxy_apply { dc = 0; src_dc = 2; gear = 0; ts = 1; fallback = true }) ]
     [ (2, "proxy order violation at dc0: src dc1 ts 5 after ts 9");
       (3, "proxy order violation at dc0: src dc1 ts 9 after ts 9") ]
 
 let test_checker_flags_vec_regression () =
-  let adv ts = Sim.Probe.Vec_advance { dc = 2; src = 1; ts } in
+  let adv ts = Ev.Vec_advance { dc = 2; src = 1; ts } in
   check_flags
     [ (1, adv 5); (2, adv 5); (3, adv 3); (4, adv 8);
-      (5, Sim.Probe.Vec_advance { dc = 2; src = 0; ts = 1 }) ]
+      (5, Ev.Vec_advance { dc = 2; src = 0; ts = 1 }) ]
     [ (2, "version vector regression at dc2: entry for dc1 moved 5 -> 5");
       (3, "version vector regression at dc2: entry for dc1 moved 5 -> 3") ]
 
 let test_checker_flags_switch_done () =
-  let fin dc epoch = Sim.Probe.Switch_done { dc; epoch } in
+  let fin dc epoch = Ev.Switch_done { dc; epoch } in
   check_flags
-    [ (1, fin 1 2); (2, Sim.Probe.Switch_begin { epoch = 2; graceful = true }); (3, fin 1 2);
+    [ (1, fin 1 2); (2, Ev.Switch_begin { epoch = 2; graceful = true }); (3, fin 1 2);
       (4, fin 0 2); (5, fin 1 2) ]
     [ (1, "dc1 finished migrating to epoch 2 that no Switch_begin announced");
       (5, "dc1 finished migrating to epoch 2 twice") ]
 
 let test_checker_flags_step_order () =
-  let step seq = Sim.Probe.Engine_step { seq } in
+  let step seq = Ev.Engine_step { seq } in
   check_flags
     [ (10, step 5); (10, step 6); (10, step 6); (9, step 7); (11, step 0) ]
     [ (10, "event loop order regression: step (t=10us, seq 6) after (t=10us, seq 6)");
@@ -508,36 +510,36 @@ let test_checker_flags_step_order () =
 
 let test_checker_flags_link_conservation () =
   check_flags
-    [ (1, Sim.Probe.Link_send { size_bytes = 10 }); (2, Sim.Probe.Link_deliver);
-      (3, Sim.Probe.Link_deliver); (4, Sim.Probe.Link_drop { in_flight = true }) ]
+    [ (1, Ev.Link_send { size_bytes = 10 }); (2, Ev.Link_deliver);
+      (3, Ev.Link_deliver); (4, Ev.Link_drop { in_flight = true }) ]
     [ (3, "link conservation violated: 2 delivered + 0 dropped > 1 sent");
       (4, "link conservation violated: 2 delivered + 1 dropped > 1 sent") ]
 
 let test_checker_flags_negative_link_size () =
   check_flags
-    [ (1, Sim.Probe.Link_send { size_bytes = 0 }); (2, Sim.Probe.Link_send { size_bytes = -3 }) ]
+    [ (1, Ev.Link_send { size_bytes = 0 }); (2, Ev.Link_send { size_bytes = -3 }) ]
     [ (2, "link send with negative size: -3 bytes") ]
 
 let test_checker_flags_self_hop () =
   check_flags
-    [ (1, Sim.Probe.Serializer_hop { from_ser = 1; to_ser = 2 });
-      (2, Sim.Probe.Serializer_hop { from_ser = 2; to_ser = 2 }) ]
+    [ (1, Ev.Serializer_hop { from_ser = 1; to_ser = 2 });
+      (2, Ev.Serializer_hop { from_ser = 2; to_ser = 2 }) ]
     [ (2, "serializer self-hop: ser2 forwarded to itself") ]
 
 let test_checker_flags_invalid_egress () =
   check_flags
-    [ (1, Sim.Probe.Serializer_deliver { dc = 0 }); (2, Sim.Probe.Serializer_deliver { dc = -1 }) ]
+    [ (1, Ev.Serializer_deliver { dc = 0 }); (2, Ev.Serializer_deliver { dc = -1 }) ]
     [ (2, "serializer egress toward invalid dc-1") ]
 
 let test_checker_flags_negative_delay () =
   check_flags
-    [ (1, Sim.Probe.Delay_wait { serializer = 3; us = 0 });
-      (2, Sim.Probe.Delay_wait { serializer = 3; us = -5 }) ]
+    [ (1, Ev.Delay_wait { serializer = 3; us = 0 });
+      (2, Ev.Delay_wait { serializer = 3; us = -5 }) ]
     [ (2, "negative artificial delay at ser3: -5us") ]
 
 let test_checker_flags_invalid_chain_ack () =
   check_flags
-    [ (1, Sim.Probe.Chain_ack { seq = 0 }); (2, Sim.Probe.Chain_ack { seq = -1 }) ]
+    [ (1, Ev.Chain_ack { seq = 0 }); (2, Ev.Chain_ack { seq = -1 }) ]
     [ (2, "chain ack for invalid seq -1") ]
 
 (* The checker's per-source runs of applied labels against a hash-set
@@ -572,7 +574,7 @@ let prop_apply_rules_match_model =
         with_events
           (List.mapi
              (fun i (dc, src_dc, ts, gear) ->
-               (i, Sim.Probe.Proxy_apply { dc; src_dc; gear; ts; fallback = false }))
+               (i, Ev.Proxy_apply { dc; src_dc; gear; ts; fallback = false }))
              applies)
       in
       List.map
@@ -595,23 +597,23 @@ let test_checker_step_alloc () =
     Array.init (8 * rounds) (fun i ->
         let r = i / 8 in
         match i mod 8 with
-        | 0 -> Sim.Probe.Engine_step { seq = i }
-        | 1 -> Sim.Probe.Link_send { size_bytes = 48 }
-        | 2 -> Sim.Probe.Link_deliver
+        | 0 -> Ev.Engine_step { seq = i }
+        | 1 -> Ev.Link_send { size_bytes = 48 }
+        | 2 -> Ev.Link_deliver
         | 3 ->
-          Sim.Probe.Label_forward { dc = r mod 3; gear = 0; ts = r; oseq = r; inst = 0; epoch = 0 }
+          Ev.Label_forward { dc = r mod 3; gear = 0; ts = r; oseq = r; inst = 0; epoch = 0 }
         | 4 -> commit (r mod 2) (r mod 3) r
-        | 5 -> Sim.Probe.Sink_emit { dc = r mod 3; ts = r }
+        | 5 -> Ev.Sink_emit { dc = r mod 3; ts = r }
         | 6 ->
-          Sim.Probe.Proxy_apply { dc = r mod 3; src_dc = 1; gear = 0; ts = r; fallback = false }
-        | _ -> Sim.Probe.Vec_advance { dc = r mod 3; src = 1; ts = r })
+          Ev.Proxy_apply { dc = r mod 3; src_dc = 1; gear = 0; ts = r; fallback = false }
+        | _ -> Ev.Vec_advance { dc = r mod 3; src = 1; ts = r })
   in
   let probe = Sim.Probe.create () in
   let c = subscribed_checker probe in
   let minor =
     Sim.Probe.with_probe probe (fun () ->
         let minor0 = Gc.minor_words () in
-        Array.iteri (fun i ev -> Sim.Probe.emit ~at:(Sim.Time.of_us i) ev) evs;
+        Array.iteri (fun i ev -> Ev.record ~at:(Sim.Time.of_us i) ev) evs;
         Gc.minor_words () -. minor0)
   in
   let r = streamed_report probe c in

@@ -551,8 +551,8 @@ let test_r8_probe_constructor_needs_consumer () =
   let r =
     run
       [
-        ("lib/simulator/probe.mli", "type event = Ping | Pong of int\n");
-        ("lib/faults/checker.ml", "let score = function Ping -> 1 | _ -> 0\n");
+        ("lib/simulator/probe.mli", "type t\nmodule Kind : sig type t = Ping | Pong end\n");
+        ("lib/faults/checker.ml", "let score = function Kind.Ping -> 1 | _ -> 0\n");
       ]
   in
   Alcotest.(check int) "unconsumed constructor flagged" 1 (count_rule Lint.Rules.r_proto r);
@@ -560,15 +560,13 @@ let test_r8_probe_constructor_needs_consumer () =
   Alcotest.(check bool) "names the constructor" true
     (Lint.Rules.matches ~pattern:"*Pong*" f.Lint.Rules.message)
 
-(* consumers match on the view's [Kind] constants, which are named like
-   the event constructors: a kind matched through [Kind] is consumed, and
-   a kind nobody matches still fires, once *)
+(* consumers match on the view's [Kind] constants: a kind matched through
+   its full path is consumed, and a kind nobody matches still fires, once *)
 let test_r8_view_kind_is_a_consumer () =
   let r =
     run
       [
-        ( "lib/simulator/probe.mli",
-          "type event = Ping | Pong of int\nmodule Kind : sig type t = Ping | Pong end\n" );
+        ("lib/simulator/probe.mli", "module Kind : sig type t = Ping | Pong end\n");
         ( "lib/faults/checker.ml",
           "let score (v : Sim.Probe.view) =\n\
            \  match v.kind with Sim.Probe.Kind.Ping -> 1 | _ -> 0\n" );

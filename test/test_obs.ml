@@ -61,11 +61,10 @@ let test_registry_sum_prefix () =
 
 let test_probe_record_and_digest () =
   let p = Sim.Probe.create () in
-  Sim.Probe.install p;
-  Alcotest.(check bool) "active" true (Sim.Probe.active ());
-  Sim.Probe.emit ~at:(Sim.Time.of_us 5) (Sim.Probe.Engine_step { seq = 0 });
-  Sim.Probe.emit ~at:(Sim.Time.of_us 9) (Sim.Probe.Serializer_hop { from_ser = 0; to_ser = 1 });
-  Sim.Probe.uninstall ();
+  Sim.Probe.with_probe p (fun () ->
+      Alcotest.(check bool) "active" true (Sim.Probe.active ());
+      Sim.Probe.engine_step ~at:(Sim.Time.of_us 5) ~seq:0;
+      Sim.Probe.serializer_hop ~at:(Sim.Time.of_us 9) ~from_ser:0 ~to_ser:1);
   Alcotest.(check bool) "inactive" false (Sim.Probe.active ());
   Alcotest.(check int) "count" 2 (Sim.Probe.count p);
   Alcotest.(check (list (pair string int)))
@@ -75,66 +74,14 @@ let test_probe_record_and_digest () =
   (* same events, same digest; one more event, different digest *)
   let q = Sim.Probe.create () in
   Sim.Probe.with_probe q (fun () ->
-      Sim.Probe.emit ~at:(Sim.Time.of_us 5) (Sim.Probe.Engine_step { seq = 0 });
-      Sim.Probe.emit ~at:(Sim.Time.of_us 9) (Sim.Probe.Serializer_hop { from_ser = 0; to_ser = 1 }));
+      Sim.Probe.engine_step ~at:(Sim.Time.of_us 5) ~seq:0;
+      Sim.Probe.serializer_hop ~at:(Sim.Time.of_us 9) ~from_ser:0 ~to_ser:1);
   Alcotest.(check string) "replayed digest" (Sim.Probe.digest p) (Sim.Probe.digest q);
-  Sim.Probe.with_probe q (fun () -> Sim.Probe.emit ~at:(Sim.Time.of_us 11) Sim.Probe.Link_deliver);
+  Sim.Probe.with_probe q (fun () -> Sim.Probe.link_deliver ~at:(Sim.Time.of_us 11));
   Alcotest.(check bool) "digest moved" false
     (String.equal (Sim.Probe.digest p) (Sim.Probe.digest q))
 
 (* ---- probe rendering -------------------------------------------------------- *)
-
-(* The probe's original Printf renderer, kept as the reference: the
-   buffer-backed renderer must reproduce it byte for byte, because the
-   digest hashes these bytes and CI compares digests across commits. *)
-let reference_json at ev =
-  let open Sim.Probe in
-  let t = Sim.Time.to_us at in
-  let span_json ph { sk; origin; seq; aux; site; peer; epoch } =
-    Printf.sprintf
-      {|{"t":%d,"ev":"span_%s","kind":"%s","origin":%d,"seq":%d,"aux":%d,"site":%d,"peer":%d,"epoch":%d}|}
-      t ph (span_kind_name sk) origin seq aux site peer epoch
-  in
-  match ev with
-  | Engine_step { seq } -> Printf.sprintf {|{"t":%d,"ev":"engine_step","seq":%d}|} t seq
-  | Link_send { size_bytes } -> Printf.sprintf {|{"t":%d,"ev":"link_send","bytes":%d}|} t size_bytes
-  | Link_deliver -> Printf.sprintf {|{"t":%d,"ev":"link_deliver"}|} t
-  | Link_drop { in_flight } ->
-    Printf.sprintf {|{"t":%d,"ev":"link_drop","why":"%s"}|} t (if in_flight then "cut" else "down")
-  | Fifo_resend { sender; seq } ->
-    Printf.sprintf {|{"t":%d,"ev":"fifo_resend","sender":%d,"seq":%d}|} t sender seq
-  | Label_forward { dc; gear; ts; oseq; inst; epoch } ->
-    Printf.sprintf
-      {|{"t":%d,"ev":"label_forward","dc":%d,"gear":%d,"ts":%d,"oseq":%d,"inst":%d,"epoch":%d}|} t
-      dc gear ts oseq inst epoch
-  | Serializer_hop { from_ser; to_ser } ->
-    Printf.sprintf {|{"t":%d,"ev":"serializer_hop","from":%d,"to":%d}|} t from_ser to_ser
-  | Serializer_deliver { dc } -> Printf.sprintf {|{"t":%d,"ev":"serializer_deliver","dc":%d}|} t dc
-  | Delay_wait { serializer; us } ->
-    Printf.sprintf {|{"t":%d,"ev":"delay_wait","serializer":%d,"us":%d}|} t serializer us
-  | Chain_ack { seq } -> Printf.sprintf {|{"t":%d,"ev":"chain_ack","seq":%d}|} t seq
-  | Ser_commit { ser; origin; oseq; epoch } ->
-    Printf.sprintf {|{"t":%d,"ev":"ser_commit","ser":%d,"origin":%d,"oseq":%d,"epoch":%d}|} t ser
-      origin oseq epoch
-  | Head_change { ser } -> Printf.sprintf {|{"t":%d,"ev":"head_change","ser":%d}|} t ser
-  | Sink_emit { dc; ts } -> Printf.sprintf {|{"t":%d,"ev":"sink_emit","dc":%d,"ts":%d}|} t dc ts
-  | Proxy_apply { dc; src_dc; gear; ts; fallback } ->
-    Printf.sprintf {|{"t":%d,"ev":"proxy_apply","dc":%d,"src":%d,"gear":%d,"ts":%d,"via":"%s"}|} t
-      dc src_dc gear ts
-      (if fallback then "fallback" else "stream")
-  | Proxy_mode { dc; mode } ->
-    Printf.sprintf {|{"t":%d,"ev":"proxy_mode","dc":%d,"mode":"%s"}|} t dc
-      (match mode with Stream -> "stream" | Fallback -> "fallback")
-  | Stab_round { dc; gst } -> Printf.sprintf {|{"t":%d,"ev":"stab_round","dc":%d,"gst":%d}|} t dc gst
-  | Vec_advance { dc; src; ts } ->
-    Printf.sprintf {|{"t":%d,"ev":"vec_advance","dc":%d,"src":%d,"ts":%d}|} t dc src ts
-  | Switch_begin { epoch; graceful } ->
-    Printf.sprintf {|{"t":%d,"ev":"switch_begin","epoch":%d,"mode":"%s"}|} t epoch
-      (if graceful then "graceful" else "forced")
-  | Switch_done { dc; epoch } ->
-    Printf.sprintf {|{"t":%d,"ev":"switch_done","dc":%d,"epoch":%d}|} t dc epoch
-  | Span_begin s -> span_json "begin" s
-  | Span_end s -> span_json "end" s
 
 (* 64-bit FNV-1a over a string: what [Probe.digest] must equal over the
    JSONL form of the stream *)
@@ -148,9 +95,15 @@ let reference_fnv s =
 let span sk ~origin ~seq ~aux ~site ~peer ~epoch =
   { Sim.Probe.sk; origin; seq; aux; site; peer; epoch }
 
+(* plants a stamped stream into [p] through the typed emitters *)
+let record_all p stamped =
+  Sim.Probe.with_probe p (fun () ->
+      List.iter (fun (t, ev) -> Probe_reference.record ~at:(Sim.Time.of_us t) ev) stamped)
+
 (* every constructor, every span kind, and the integer edges: 0, one and
    many digits, negatives and Time.infinity = max_int *)
 let golden =
+  let open Probe_reference in
   let open Sim.Probe in
   let inf = Sim.Time.to_us Sim.Time.infinity in
   [
@@ -242,17 +195,19 @@ let jsonl_of p =
   Sys.remove path;
   written
 
+(* the digest hashes this rendering: lock the format, as each kind's typed
+   emitter writes it *)
 let test_probe_json_stable () =
-  (* the digest hashes this rendering: lock the format *)
-  List.iter
-    (fun (t, ev, want) ->
-      let at = Sim.Time.of_us t in
-      Alcotest.(check string) "golden line" want (Sim.Probe.to_json at ev);
-      Alcotest.(check string) "reference agrees" want (reference_json at ev))
-    golden;
   let p = Sim.Probe.create () in
-  Sim.Probe.with_probe p (fun () ->
-      List.iter (fun (t, ev, _) -> Sim.Probe.emit ~at:(Sim.Time.of_us t) ev) golden);
+  record_all p (List.map (fun (t, ev, _) -> (t, ev)) golden);
+  let lines = String.split_on_char '\n' (jsonl_of p) in
+  List.iteri
+    (fun i (t, ev, want) ->
+      Alcotest.(check string) "golden line" want (List.nth lines i);
+      Alcotest.(check string)
+        "reference agrees" want
+        (Probe_reference.to_json (Sim.Time.of_us t) ev))
+    golden;
   (* 19 point kinds + 10 span kinds (begins and ends share a bucket) *)
   Alcotest.(check int) "every kind covered" 29 (List.length (Sim.Probe.counts_by_kind p));
   (* write_jsonl and the digest see the same lines *)
@@ -266,6 +221,7 @@ let gen_int =
 
 let gen_event =
   let open QCheck.Gen in
+  let open Probe_reference in
   let open Sim.Probe in
   let gen_span =
     map
@@ -312,59 +268,55 @@ let gen_event =
 let gen_stamped =
   QCheck.Gen.(pair (frequency [ (4, nat); (1, oneofl [ 0; Sim.Time.to_us Sim.Time.infinity ]) ]) gen_event)
 
-(* A digest folds each literal of the line format through a 256-entry
-   table indexed by the low byte of the running hash, so a case starts
-   after a random prefix of events: over the cases that byte takes many
-   values. A count-only probe and one streaming its JSONL must both
-   digest the reference bytes, and the streamed bytes must be them. *)
+(* A digest folds each literal of the line format through a 128-entry
+   table indexed by the low bits of the running hash, so a case starts
+   after a random prefix of events: over the cases those bits take many
+   values. Both probes record through the typed emitters: a count-only
+   probe and one streaming its JSONL must both digest the reference
+   bytes, and the streamed bytes must be them. *)
 let prop_render_matches_reference =
   QCheck.Test.make ~name:"buffer renderer and digest match the Printf reference" ~count:300
     (QCheck.make
        ~print:(fun (prefix, evs) ->
-         let line (t, ev) = reference_json (Sim.Time.of_us t) ev in
+         let line (t, ev) = Probe_reference.to_json (Sim.Time.of_us t) ev in
          Printf.sprintf "after a %d-event prefix:\n%s" (List.length prefix)
            (String.concat "\n" (List.map line evs)))
        QCheck.Gen.(
          pair (list_size (int_range 0 8) gen_stamped) (list_size (int_range 0 20) gen_stamped)))
     (fun (prefix, evs) ->
       let all = prefix @ evs in
-      let emit_all p =
-        Sim.Probe.with_probe p (fun () ->
-            List.iter (fun (t, ev) -> Sim.Probe.emit ~at:(Sim.Time.of_us t) ev) all)
-      in
       let p = Sim.Probe.create ~keep:false () in
-      emit_all p;
+      record_all p all;
       let path = Filename.temp_file "probe" ".jsonl" in
       let oc = open_out_bin path in
       let q = Sim.Probe.create ~keep:false () in
       Sim.Probe.stream_jsonl q oc;
-      emit_all q;
+      record_all q all;
       close_out oc;
       let ic = open_in_bin path in
       let streamed = really_input_string ic (in_channel_length ic) in
       close_in ic;
       Sys.remove path;
-      let lines = List.map (fun (t, ev) -> reference_json (Sim.Time.of_us t) ev) all in
+      let lines = List.map (fun (t, ev) -> Probe_reference.to_json (Sim.Time.of_us t) ev) all in
       let jsonl = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
-      List.for_all2
-        (fun (t, ev) want -> String.equal (Sim.Probe.to_json (Sim.Time.of_us t) ev) want)
-        all lines
-      && String.equal (Sim.Probe.digest p) (reference_fnv jsonl)
+      String.equal (Sim.Probe.digest p) (reference_fnv jsonl)
       && String.equal streamed jsonl
       && String.equal (reference_fnv streamed) (Sim.Probe.digest q))
 
 (* the packed kept trace round-trips *)
 let kept_trace_roundtrips stamped =
   let p = Sim.Probe.create () in
-  Sim.Probe.with_probe p (fun () ->
-      List.iter (fun (t, ev) -> Sim.Probe.emit ~at:(Sim.Time.of_us t) ev) stamped);
+  record_all p stamped;
   let back = ref [] in
-  Sim.Probe.iter p (fun at ev -> back := (Sim.Time.to_us at, ev) :: !back);
-  let want = List.map (fun (t, ev) -> Sim.Probe.to_json (Sim.Time.of_us t) ev ^ "\n") stamped in
+  Sim.Probe.iter_views p (fun at v ->
+      back := (Sim.Time.to_us at, Probe_reference.of_view v) :: !back);
+  let want =
+    List.map (fun (t, ev) -> Probe_reference.to_json (Sim.Time.of_us t) ev ^ "\n") stamped
+  in
   List.rev !back = stamped && String.equal (jsonl_of p) (String.concat "" want)
 
-(* [iter] returns exactly the emitted stream and [write_jsonl] is the
-   [to_json] lines, over every constructor with fields at the integer
+(* [iter_views] returns exactly the emitted stream and [write_jsonl] is
+   the reference lines, over every constructor with fields at the integer
    edges. Times are drawn from the same edges — [min_int] after [max_int]
    wraps the stored time delta — and 10k–20k events average well over
    the 64 KiB chunk, so every case seals several chunks. *)
@@ -380,6 +332,7 @@ let prop_kept_trace_roundtrip =
    alternate, so each delta is [min_int]) and of the narrowest
    (a two-byte [Link_deliver] at an unchanged time) *)
 let test_kept_trace_chunk_edges () =
+  let open Probe_reference in
   let open Sim.Probe in
   let wide i =
     let s = { sk = Sk_stab; origin = min_int; seq = max_int; aux = min_int; site = max_int;
@@ -534,7 +487,9 @@ let test_codec_roundtrip_real_traffic () =
       let q = Sim.Probe.create () in
       let c = Faults.Checker.create () in
       Sim.Probe.subscribe q (Faults.Checker.step c);
-      Sim.Probe.with_probe q (fun () -> Sim.Probe.iter p (fun at ev -> Sim.Probe.emit ~at ev));
+      Sim.Probe.with_probe q (fun () ->
+          Sim.Probe.iter_views p (fun at v ->
+              Probe_reference.record ~at (Probe_reference.of_view v)));
       Alcotest.(check int) (row ^ ": count") (Sim.Probe.count p) (Sim.Probe.count q);
       Alcotest.(check string) (row ^ ": digest") (Sim.Probe.digest p) (Sim.Probe.digest q);
       Alcotest.(check (list (pair string int)))
@@ -553,20 +508,20 @@ let test_codec_roundtrip_real_traffic () =
 let test_probe_unbuffered () =
   let p = Sim.Probe.create ~keep:false () in
   Sim.Probe.with_probe p (fun () ->
-      Sim.Probe.emit ~at:Sim.Time.zero Sim.Probe.Link_deliver;
-      Sim.Probe.emit ~at:Sim.Time.zero (Sim.Probe.Link_drop { in_flight = false }));
+      Sim.Probe.link_deliver ~at:Sim.Time.zero;
+      Sim.Probe.link_drop ~at:Sim.Time.zero ~in_flight:false);
   Alcotest.(check int) "counted" 2 (Sim.Probe.count p);
   Alcotest.(check (list (pair string int)))
     "kinds survive" [ ("link_deliver", 1); ("link_drop", 1) ]
     (Sim.Probe.counts_by_kind p);
   Alcotest.check_raises "no kept events to iterate"
-    (Invalid_argument "Probe.iter: probe created with ~keep:false") (fun () ->
-      Sim.Probe.iter p (fun _ _ -> ()));
+    (Invalid_argument "Probe.iter_views: probe created with ~keep:false") (fun () ->
+      Sim.Probe.iter_views p (fun _ _ -> ()));
   (* digest matches a buffered probe over the same stream *)
   let q = Sim.Probe.create () in
   Sim.Probe.with_probe q (fun () ->
-      Sim.Probe.emit ~at:Sim.Time.zero Sim.Probe.Link_deliver;
-      Sim.Probe.emit ~at:Sim.Time.zero (Sim.Probe.Link_drop { in_flight = false }));
+      Sim.Probe.link_deliver ~at:Sim.Time.zero;
+      Sim.Probe.link_drop ~at:Sim.Time.zero ~in_flight:false);
   Alcotest.(check string) "keep-independent digest" (Sim.Probe.digest q) (Sim.Probe.digest p)
 
 let prop_smoke_digest_deterministic =

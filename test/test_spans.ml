@@ -133,18 +133,19 @@ let test_stream_jsonl () =
   Sim.Probe.stream_jsonl probe oc;
   let evs =
     [
-      (us 10, Sim.Probe.Sink_emit { dc = 0; ts = 10 });
-      (us 20, Sim.Probe.Span_begin { Sim.Probe.sk = Sim.Probe.Sk_sink_hold; origin = 0; seq = 10;
-                                     aux = 1; site = 0; peer = -1; epoch = 0 });
-      (us 30, Sim.Probe.Span_end { Sim.Probe.sk = Sim.Probe.Sk_sink_hold; origin = 0; seq = 10;
-                                   aux = 1; site = 0; peer = -1; epoch = 0 });
+      (us 10, Probe_reference.Sink_emit { dc = 0; ts = 10 });
+      (us 20, Probe_reference.Span_begin { Sim.Probe.sk = Sim.Probe.Sk_sink_hold; origin = 0;
+                                           seq = 10; aux = 1; site = 0; peer = -1; epoch = 0 });
+      (us 30, Probe_reference.Span_end { Sim.Probe.sk = Sim.Probe.Sk_sink_hold; origin = 0;
+                                         seq = 10; aux = 1; site = 0; peer = -1; epoch = 0 });
     ]
   in
-  Sim.Probe.with_probe probe (fun () -> List.iter (fun (at, e) -> Sim.Probe.emit ~at e) evs);
+  Sim.Probe.with_probe probe (fun () ->
+      List.iter (fun (at, e) -> Probe_reference.record ~at e) evs);
   close_out oc;
   Alcotest.(check (list string))
     "streamed lines match to_json"
-    (List.map (fun (at, e) -> Sim.Probe.to_json at e) evs)
+    (List.map (fun (at, e) -> Probe_reference.to_json at e) evs)
     (read_lines path);
   Sys.remove path;
   (* span totals survive keep:false; the buffered export rightly does not *)
@@ -154,8 +155,8 @@ let test_stream_jsonl () =
     (Invalid_argument "Probe.write_jsonl: probe created with ~keep:false")
     (fun () -> Sim.Probe.write_jsonl probe stdout);
   Alcotest.check_raises "iter refuses count-only probes too"
-    (Invalid_argument "Probe.iter: probe created with ~keep:false")
-    (fun () -> Sim.Probe.iter probe (fun _ _ -> ()))
+    (Invalid_argument "Probe.iter_views: probe created with ~keep:false")
+    (fun () -> Sim.Probe.iter_views probe (fun _ _ -> ()))
 
 (* ---- smoke-run decomposition ----------------------------------------------- *)
 
@@ -310,7 +311,10 @@ let is_int f = Float.equal f (Float.round f)
 let test_chrome_roundtrip () =
   let r = Lazy.force smoke in
   let path = Filename.temp_file "trace" ".chrome.json" in
-  Harness.Chrome.write_file r.Harness.Obs.probe ~path;
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> Harness.Chrome.write r.Harness.Obs.probe oc);
   let ic = open_in_bin path in
   let raw = really_input_string ic (in_channel_length ic) in
   close_in ic;
