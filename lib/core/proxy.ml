@@ -10,11 +10,14 @@ type entry = { label : Label.t; mutable state : state }
 type switch_state = Graceful of { epoch : int; seen : bool array } | Forced
 
 (* A label's progress at this datacenter, one table entry per label from
-   the payload's arrival until [compact] drops it long after it was
-   applied. *)
+   the first of its stream entry and its payload to arrive until [compact]
+   drops it long after it was applied. [listed] records that the label
+   waits in the stream, so its ordering-wait span was opened. *)
 type progress =
-  | Arrived of payload (* held; the server-side staging is running *)
-  | Staged of payload (* held and staged: installable at its position *)
+  | Listed (* waiting in the stream; the payload has not arrived *)
+  | Held of { mutable p : payload; mutable staged : bool; mutable listed : bool }
+      (* the payload is here; [staged] once the server-side staging ran,
+         installable at its position from then on *)
   | Done (* applied *)
 
 module Label_tbl = Hashtbl.Make (struct
@@ -40,7 +43,7 @@ type t = {
   mutable mode : mode;
   stream : stream;
   labels : progress Label_tbl.t;
-  mutable held : int; (* labels [Arrived] or [Staged] *)
+  mutable held : int; (* labels [Held] *)
   applied_wm : Sim.Time.t array; (* per-source applied watermark *)
   bulk_floor : Sim.Time.t array; (* per-source promise carried by bulk channel *)
   bulk_epoch : int array; (* per-source highest epoch tag seen on bulk traffic *)
@@ -154,7 +157,7 @@ let pending_stream t =
 let label_was_applied t l =
   match Label_tbl.find t.labels l with
   | Done -> true
-  | Arrived _ | Staged _ -> false
+  | Listed | Held _ -> false
   | exception Not_found -> false
 
 (* ---- watermarks and waiters ------------------------------------------- *)
@@ -206,18 +209,23 @@ let fire_label_waiters t label =
   | None -> ()
 
 let mark_applied t (label : Label.t) =
-  (* ordering-wait span: opened by [append_label] for entries that had to
-     wait; in fallback mode the stream is not appended, so no begin exists
-     and no end is owed *)
-  if t.mode = Stream && Sim.Probe.active () then
+  let listed =
+    match Label_tbl.find t.labels label with
+    | Held { p; listed; _ } ->
+      t.held <- t.held - 1;
+      (match t.switch with
+      | Some Forced when p.epoch < t.target_epoch -> t.old_pending <- t.old_pending - 1
+      | Some Forced | Some (Graceful _) | None -> ());
+      listed
+    | Listed -> true
+    | Done | (exception Not_found) -> false
+  in
+  (* ordering-wait span: opened by [append_label] for a label that had to
+     wait in the stream. The timestamp path can install a payload before
+     its label is listed, and in fallback mode the stream is not appended:
+     neither opened a span, so no end is owed *)
+  if listed && t.mode = Stream && Sim.Probe.active () then
     span_label ~at:(Sim.Engine.now t.engine) `End t label;
-  (match Label_tbl.find t.labels label with
-  | Arrived p | Staged p ->
-    t.held <- t.held - 1;
-    (match t.switch with
-    | Some Forced when p.epoch < t.target_epoch -> t.old_pending <- t.old_pending - 1
-    | Some Forced | Some (Graceful _) | None -> ())
-  | Done | (exception Not_found) -> ());
   Label_tbl.replace t.labels label Done;
   (* any label from a source advances its watermark: sinks emit per-source
      labels in timestamp order *)
@@ -312,13 +320,14 @@ and try_apply t e =
     | Done ->
       e.state <- Applied;
       true
-    | Staged p ->
+    | Held { p; staged = true; _ } ->
       e.state <- Applied;
       t.install_update p;
       probe_apply t label ~fallback:false;
       mark_applied t label;
       true
-    | Arrived _ | (exception Not_found) -> false (* bulk transfer / staging not completed yet *))
+    | Held { staged = false; _ } | Listed | (exception Not_found) ->
+      false (* bulk transfer / staging not completed yet *))
   | Label.Migration { dest_dc } ->
     e.state <- Applied;
     if dest_dc = t.dc then (match t.migration_hook with Some f -> f label | None -> ());
@@ -370,7 +379,17 @@ and complete_switch t =
   scan t
 
 and append_label t label =
-  let state = if label_was_applied t label then Applied else Waiting in
+  let state =
+    match Label_tbl.find t.labels label with
+    | Done -> Applied
+    | Held h ->
+      h.listed <- true;
+      Waiting
+    | Listed -> Waiting
+    | exception Not_found ->
+      Label_tbl.add t.labels label Listed;
+      Waiting
+  in
   if state = Waiting && Sim.Probe.active () then
     span_label ~at:(Sim.Engine.now t.engine) `Begin t label;
   stream_push t.stream { label; state }
@@ -417,41 +436,47 @@ let rec try_fallback t =
       (* in-ts-order install; if the next payload is still staging we wait
          for its staging continuation to re-enter *)
       match Label_tbl.find t.labels l with
-      | Staged p ->
+      | Held { p; staged = true; _ } ->
         t.install_update p;
         probe_apply t l ~fallback:true;
         mark_applied t l;
         (match t.mode with Stream -> scan t | Fallback -> ());
         check_switch_completion t;
         try_fallback t
-      | Arrived _ | Done | (exception Not_found) -> ()
+      | Held { staged = false; _ } | Listed | Done | (exception Not_found) -> ()
   end
 
 (* ---- inputs ------------------------------------------------------------ *)
+
+let hold t (p : payload) ~listed =
+  t.held <- t.held + 1;
+  (match t.switch with
+  | Some Forced when p.epoch < t.target_epoch -> t.old_pending <- t.old_pending + 1
+  | Some Forced | Some (Graceful _) | None -> ());
+  Label_tbl.replace t.labels p.label (Held { p; staged = false; listed })
 
 let on_payload t (p : payload) =
   let src = p.label.Label.src_dc in
   t.bulk_floor.(src) <- Sim.Time.max t.bulk_floor.(src) p.label.Label.ts;
   if p.epoch > t.bulk_epoch.(src) then t.bulk_epoch.(src) <- p.epoch;
-  let progress =
+  let held =
     match Label_tbl.find t.labels p.label with
-    | Done -> Done
-    | Arrived _ -> Arrived p
-    | Staged _ -> Staged p (* a duplicate shipment after staging *)
+    | Done -> false
+    | Held h ->
+      h.p <- p (* a duplicate shipment *);
+      true
+    | Listed ->
+      hold t p ~listed:true;
+      true
     | exception Not_found ->
-      t.held <- t.held + 1;
-      (match t.switch with
-      | Some Forced when p.epoch < t.target_epoch -> t.old_pending <- t.old_pending + 1
-      | Some Forced | Some (Graceful _) | None -> ());
-      Arrived p
+      hold t p ~listed:false;
+      true
   in
-  (match progress with
-  | Done -> ()
-  | Arrived _ | Staged _ ->
-    Label_tbl.replace t.labels p.label progress;
+  if held then begin
     Sim.Heap.Keyed.push t.pending_by_src.(src) ~k1:(Label.key_ts p.label)
       ~k2:(Label.key_src p.label) p.label;
-    t.stage_update p);
+    t.stage_update p
+  end;
   check_ts_waiters t;
   (match t.mode with Stream -> scan t | Fallback -> ());
   try_fallback t;
@@ -468,8 +493,8 @@ let staged t (p : payload) =
         ~epoch:0
     end;
     (match Label_tbl.find t.labels p.label with
-    | Arrived q -> Label_tbl.replace t.labels p.label (Staged q)
-    | Staged _ | Done | (exception Not_found) -> ());
+    | Held h -> h.staged <- true
+    | Listed | Done | (exception Not_found) -> ());
     (match t.mode with Stream -> scan t | Fallback -> ());
     try_fallback t
   end
@@ -499,7 +524,7 @@ let compact t =
           (fun (l : Label.t) progress acc ->
             match progress with
             | Done when Sim.Time.compare l.Label.ts cutoff < 0 -> l :: acc
-            | Done | Arrived _ | Staged _ -> acc)
+            | Done | Listed | Held _ -> acc)
           t.labels []
       in
       List.iter (Label_tbl.remove t.labels) stale
@@ -534,8 +559,8 @@ let start_forced_switch t ~epoch =
     Label_tbl.fold
       (fun _ progress acc ->
         match progress with
-        | (Arrived p | Staged p) when p.epoch < epoch -> acc + 1
-        | Arrived _ | Staged _ | Done -> acc)
+        | Held { p; _ } when p.epoch < epoch -> acc + 1
+        | Held _ | Listed | Done -> acc)
       t.labels 0;
   t.switch <- Some Forced;
   if t.mode <> Fallback then probe_mode t Fallback;

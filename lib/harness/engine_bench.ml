@@ -18,8 +18,11 @@ type tier_result = {
    would otherwise be counted twice). The minor count comes from
    Gc.minor_words (), which is exact: quick_stat's moves only at minor
    collections, so a phase allocating less than a minor heap would read
-   as zero or as a whole heap. *)
+   as zero or as a whole heap. quick_stat's major and promoted counts lag
+   the same way, so each read first empties the minor heap: otherwise a
+   phase's figure depends on what the phase before it left there. *)
 let words () =
+  Gc.minor ();
   let s = Gc.quick_stat () in
   Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
@@ -70,19 +73,7 @@ let run_tier ?(now_s = fun () -> 0.) ?(stream_ops = 200_000) ~seed tier =
   let api, _system = Build.saturn ~registry engine spec metrics in
   let clients = Driver.make_clients ~dc_sites ~per_dc in
   let sim_ops_src = Scale.Ops.create g ~n_dcs ~value_size ~seed:(seed + 2) in
-  (* per-kind accounting through the interned fast path: one id lookup at
-     setup, one array bump per op *)
-  let read_id = Stats.Registry.intern registry "bench.engine.ops.read" in
-  let write_id = Stats.Registry.intern registry "bench.engine.ops.write" in
-  let remote_id = Stats.Registry.intern registry "bench.engine.ops.remote_read" in
-  let next_op c =
-    let op = Scale.Ops.next sim_ops_src ~dc:c.Client.preferred_dc in
-    (match op with
-    | Workload.Op.Read _ -> Stats.Registry.incr_id registry read_id
-    | Workload.Op.Write _ -> Stats.Registry.incr_id registry write_id
-    | Workload.Op.Remote_read _ -> Stats.Registry.incr_id registry remote_id);
-    op
-  in
+  let next_op c = Scale.Ops.next sim_ops_src ~dc:c.Client.preferred_dc in
   let t0 = now_s () and w0 = words () in
   let driver_result =
     Driver.run engine api metrics ~clients ~next_op ~warmup:(Sim.Time.of_ms 200)

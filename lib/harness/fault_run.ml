@@ -211,9 +211,6 @@ let run_one ~seed ~scenario ~system ~busiest =
   Sim.Probe.subscribe probe (Faults.Checker.step checker);
   let freg = Faults.Registry.create () in
   let metrics = Metrics.create ~registry engine ~topo:spec.Build.topo ~dc_sites in
-  let recovery_hist =
-    Stats.Registry.histogram registry "faults.recovery_ms" ~lo:0. ~hi:2000. ~buckets:40
-  in
   let recovery = ref None in
   let series = Stats.Series.create () in
   let vis_series = Stats.Series.hist series "series.vis_ms" in
@@ -280,7 +277,6 @@ let run_one ~seed ~scenario ~system ~busiest =
   let recovery_ms =
     match !recovery with None -> 0. | Some lag -> Sim.Time.to_ms_float lag
   in
-  Stats.Histogram.add recovery_hist recovery_ms;
   List.iter
     (fun (k, n) -> Stats.Registry.incr_by (Stats.Registry.counter registry ("probe." ^ k)) n)
     (Sim.Probe.counts_by_kind probe);

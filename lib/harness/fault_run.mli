@@ -33,8 +33,7 @@ type outcome = {
   recovery_ms : float;
       (** time after the last restorative plan event until the last
           fault-era update (origin time before that event) became visible;
-          0 when nothing was left to drain. Recorded in the registry's
-          [faults.recovery_ms] histogram. *)
+          0 when nothing was left to drain. *)
   report : Faults.Checker.report;
       (** the subscribed checker's verdict; equal to
           [Faults.Checker.analyze probe] *)
@@ -43,10 +42,10 @@ type outcome = {
   flame : (string * int) list;  (** probe event counts by kind, name-sorted *)
   span_us : (string * int) list;  (** matched-span µs by span kind, name-sorted *)
   registry : Stats.Registry.t;
-      (** the run's counters: [metrics.*], the injector's fault counters,
-          [probe.*] event counts and the [faults.recovery_ms] histogram. Only Saturn
-          rows hand it to {!Build.make}, so only they carry deployment
-          counters such as [meta.bytes.saturn.*]. The five baseline rows
+      (** the run's counters: [metrics.*], the injector's fault counters
+          and [probe.*] event counts. Only Saturn rows hand it to
+          {!Build.make}, so only they carry deployment counters such as
+          [meta.bytes.saturn.*]. The five baseline rows
           (ser-crash/eventual, seq-crash/eunomia, partition/eventual,
           partition/okapi, latency-spike/eventual) register no
           [meta.bytes.*] counter, so a matrix-wide mean of metadata bytes

@@ -72,6 +72,14 @@ let write_baselines ~root ~manifest =
 
 (* ---- the scenarios ----------------------------------------------------------- *)
 
+let orphan_findings runs =
+  List.filter_map
+    (fun (run, probe) ->
+      match Sim.Probe.span_orphans probe with
+      | 0 -> None
+      | n -> Some (Printf.sprintf "%s: %d span end(s) matched no open begin" run n))
+    runs
+
 let faults_stage dir =
   let outcomes = Fault_run.run_matrix ~seed () in
   let matrix = Fault_run.render outcomes in
@@ -106,6 +114,11 @@ let faults_stage dir =
             (Printf.sprintf "fault matrix %s/%s: %d invariant violation(s), first: %s" o.scenario
                o.system (List.length vs) v.Faults.Checker.what))
       outcomes
+    @ orphan_findings
+        (List.map
+           (fun (o : Fault_run.outcome) ->
+             (Printf.sprintf "fault matrix %s/%s" o.scenario o.system, o.probe))
+           outcomes)
   in
   (findings, row ("reconfig-cut", `Saturn))
 
@@ -125,6 +138,7 @@ let smoke_stage dir ~reconfig =
   in
   failed "decomposition tiling" (Journey.check r.Obs.journeys)
   @ failed "blame tiling" (Blame.check r.Obs.blame)
+  @ orphan_findings [ ("smoke", r.Obs.probe) ]
 
 let shootout_stage dir =
   let rows = List.map (Shootout.run_system ~seed) Shootout.systems in

@@ -39,9 +39,16 @@ val compare : root:string -> manifest:string -> string list
 val write_baselines : root:string -> manifest:string -> unit
 (** Copies each baseline from the manifest over its checked-in path. *)
 
+val orphan_findings : (string * Sim.Probe.t) list -> string list
+(** One finding per named run whose probe recorded a span end that matched
+    no open begin ({!Sim.Probe.span_orphans}), naming the run and the
+    count. A spurious end hides a real pairing bug among its peers, so
+    every gated probe must end only what it began. *)
+
 val run : ?write:bool -> root:string -> out_dir:string -> unit -> string list
 (** Runs the scenarios and writes the manifest, then returns every finding:
-    journey and blame tiling on the smoke run, fault-matrix invariant
-    violations, and {!compare} — or, with [~write:true],
+    journey and blame tiling and {!orphan_findings} on the smoke run,
+    fault-matrix invariant violations and {!orphan_findings} on every
+    matrix row, and {!compare} — or, with [~write:true],
     {!write_baselines} instead of {!compare}. Prints progress, the matrix
     and the shootout table. *)

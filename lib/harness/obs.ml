@@ -2,6 +2,7 @@ type result = {
   digest : string;
   n_events : int;
   ops : int;
+  visibility : Stats.Hdr.t;
   registry : Stats.Registry.t;
   series : Stats.Series.t;
   probe : Sim.Probe.t;
@@ -30,7 +31,7 @@ let smoke ?(seed = 42) () =
     }
   in
   let metrics = Metrics.create ~registry engine ~topo ~dc_sites in
-  let vis_hist = Stats.Registry.histogram registry "smoke.visibility_ms" ~lo:0. ~hi:1000. ~buckets:40 in
+  let visibility = Stats.Hdr.create () in
   let series = Stats.Series.create () in
   let vis_series = Stats.Series.hist series "series.vis_ms" in
   (* the optimality floor per (origin, dst): shortest bulk path, the same
@@ -39,8 +40,9 @@ let smoke ?(seed = 42) () =
   let gap_series = Stats.Series.hist series "series.gap_ms" in
   Metrics.subscribe metrics (fun ~dc ~key:_ ~origin_dc ~origin_time ~value:_ ->
       let now = Sim.Engine.now engine in
-      let ms = Sim.Time.to_ms_float (Sim.Time.sub now origin_time) in
-      Stats.Histogram.add vis_hist ms;
+      let lag = Sim.Time.sub now origin_time in
+      Stats.Hdr.add visibility (Sim.Time.to_us lag);
+      let ms = Sim.Time.to_ms_float lag in
       Stats.Series.observe vis_series ~now ms;
       Stats.Series.observe gap_series ~now
         (ms -. (float_of_int optimal.(origin_dc).(dc) /. 1000.)));
@@ -85,6 +87,7 @@ let smoke ?(seed = 42) () =
     digest = Sim.Probe.digest probe;
     n_events = Sim.Probe.count probe;
     ops = driver_result.Driver.ops_completed;
+    visibility;
     registry;
     series;
     probe;
@@ -127,8 +130,8 @@ let write_artifacts ?reconfig r ~out_dir =
 (* ---- BENCH_smoke.json ----------------------------------------------------- *)
 
 let bench_json ~seed r =
-  (* get-or-create returns the hist the run already filled *)
-  let vis = Stats.Registry.histogram r.registry "smoke.visibility_ms" ~lo:0. ~hi:1000. ~buckets:40 in
+  let vis = r.visibility in
+  let vis_ms p = Stats.Hdr.percentile vis p /. 1000. in
   (* the avoidable part of visibility: per-journey gap over the shortest
      bulk path, from the blame pass the smoke run already performed *)
   let gap = r.blame.Blame.gap_hist in
@@ -145,8 +148,8 @@ let bench_json ~seed r =
   (* throughput over the 1 simulated-second measurement window *)
   Printf.sprintf
     "{\"schema\":\"saturn-bench-smoke/1\",\"seed\":%d,\"ops\":%d,\"throughput_ops_s\":%.1f,\"visibility_ms\":{\"n\":%d,\"mean\":%.3f,\"p50\":%.3f,\"p99\":%.3f},\"gap_ms\":{\"n\":%d,\"mean\":%.3f,\"p50\":%.3f,\"p99\":%.3f,\"p999\":%.3f},\"series\":{\"window_us\":%d,\"windows\":%d,\"peak\":[%s]}}\n"
-    seed r.ops (float_of_int r.ops) (Stats.Histogram.count vis) (Stats.Histogram.mean vis)
-    (Stats.Histogram.percentile vis 50.) (Stats.Histogram.percentile vis 99.)
+    seed r.ops (float_of_int r.ops) (Stats.Hdr.count vis) (Stats.Hdr.mean vis /. 1000.)
+    (vis_ms 50.) (vis_ms 99.)
     (Stats.Hdr.count gap) (Stats.Hdr.mean gap /. 1000.) (gap_ms 50.) (gap_ms 99.) (gap_ms 99.9)
     (Sim.Time.to_us (Stats.Series.window r.series))
     (Stats.Series.n_windows r.series) (String.concat "," peaks)
@@ -162,7 +165,7 @@ let counters_text r =
     :: List.filter_map
          (function
            | name, Stats.Registry.Counter n -> Some (Printf.sprintf "%s %d\n" name n)
-           | _, (Stats.Registry.Gauge _ | Stats.Registry.Hist _) -> None)
+           | _, Stats.Registry.Gauge _ -> None)
          (Stats.Registry.snapshot r.registry))
 
 (* "name value" lines, blank and '#' lines skipped; a line without a space

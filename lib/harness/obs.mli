@@ -12,6 +12,9 @@ type result = {
   digest : string;  (** FNV-1a digest of the JSONL trace *)
   n_events : int;  (** probe events recorded *)
   ops : int;  (** client operations completed in the measurement window *)
+  visibility : Stats.Hdr.t;
+      (** remote-update visibility latency in simulated µs, one observation
+          per visible remote update — [BENCH_smoke.json]'s [visibility_ms] *)
   registry : Stats.Registry.t;
   series : Stats.Series.t;  (** windowed telemetry, sealed at run end *)
   probe : Sim.Probe.t;
@@ -43,7 +46,8 @@ val write_artifacts : ?reconfig:Fault_run.outcome -> result -> out_dir:string ->
 
 val bench_json : seed:int -> result -> string
 (** The one-line [saturn-bench-smoke/1] document ([BENCH_smoke.json]):
-    throughput, visibility and gap percentiles, each gauge series' peak. *)
+    throughput, visibility percentiles (read from [visibility], in ms),
+    gap percentiles, each gauge series' peak. *)
 
 (** {2 Probe-counter regression gate}
 

@@ -356,10 +356,8 @@ let sink_of (t : Token.t) =
     else if has_component "Span" t.text && List.mem last [ "begin_"; "end_" ] then
       Some "span attribution"
     else if
-      has_component "Registry" t.text
-      && List.mem last [ "incr"; "incr_by"; "incr_id"; "set"; "observe"; "register_pull" ]
+      has_component "Registry" t.text && List.mem last [ "incr"; "incr_by"; "register_pull" ]
     then Some "registry telemetry"
-    else if has_component "Histogram" t.text && last = "observe" then Some "registry telemetry"
     else if
       has_component "Series" t.text && List.mem last [ "incr"; "sample"; "observe"; "annotate" ]
     then Some "series telemetry"

@@ -214,8 +214,8 @@ let pair_spans (sites : span_site list) =
 
 let registration_call text =
   match String.split_on_char '.' text with
-  | [ _; "Registry"; ("counter" | "gauge" | "histogram" | "register_pull") ]
-  | [ "Registry"; ("counter" | "gauge" | "histogram" | "register_pull") ] ->
+  | [ _; "Registry"; ("counter" | "register_pull") ]
+  | [ "Registry"; ("counter" | "register_pull") ] ->
     true
   | _ -> false
 

@@ -53,8 +53,8 @@ let max_value t = if t.n = 0 then 0 else t.vmax
 let min_value t = if t.n = 0 then 0 else t.vmin
 let negatives t = t.neg
 
-(* bucket midpoint, the same convention as Histogram.percentile: exact for
-   the unit buckets, low-edge + half-width above them *)
+(* bucket midpoint: exact for the unit buckets, low-edge + half-width
+   above them *)
 let representative t idx =
   if idx < t.sub then float_of_int idx
   else begin

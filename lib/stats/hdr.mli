@@ -1,8 +1,11 @@
-(** HDR-style log-bucketed histogram over non-negative integers.
+(** HDR-style log-bucketed histogram over non-negative integers: the one
+    bucketed distribution in [Stats] (smoke visibility, blame gaps, the
+    windowed {!Series} histograms, host-span durations).
 
-    Where {!Histogram} trades resolution for a fixed linear geometry (1 ms
-    buckets saturate the moment a run's tail crosses the range), an [Hdr.t]
-    keeps a {e constant relative} error everywhere: each power-of-two
+    Linear buckets trade resolution for a fixed geometry (25 ms buckets
+    report every median between 50 and 75 ms as 62.5 ms, and saturate the
+    moment a run's tail crosses their range); an [Hdr.t] keeps a
+    {e constant relative} error everywhere: each power-of-two
     octave is split into [2^sub_bits] sub-buckets, so a recorded value is
     off from its bucket's representative by at most [2^-sub_bits] of
     itself. Values up to 32 µs land in exact unit buckets; a 40 ms hop and
@@ -32,8 +35,7 @@ val mean : t -> float
 
 val percentile : t -> float -> float
 (** Representative value (bucket midpoint; exact below [2^sub_bits]) of
-    the bucket containing the rank, like {!Histogram.percentile} but with
-    log geometry. The top rank reports the exact recorded maximum.
+    the bucket containing the rank, with log geometry. The top rank reports the exact recorded maximum.
     @raise Invalid_argument on an empty histogram or [p] outside [0,100]. *)
 
 val max_value : t -> int

@@ -11,9 +11,7 @@
       [meta.bytes.<system>.stabilization]
       [meta.bytes.<system>.heartbeat]
 
-    plus a per-op histogram [meta.bytes.<system>.per_op] of the attached
-    bytes each update ships across all its replica destinations. The split
-    matters because the three grow differently: attached bytes scale with
+    The split matters because the three grow differently: attached bytes scale with
     operation rate and metadata width, stabilization and heartbeat bytes
     scale with topology and period but not with load.
 
@@ -33,15 +31,15 @@
 type t
 
 val create : Registry.t -> system:string -> t
-(** Registers the three counters and the per-op histogram under
-    [meta.bytes.<system>.*]. Get-or-create: two systems sharing a registry
-    and a name share the metrics. *)
+(** Registers the three counters under [meta.bytes.<system>.*].
+    Get-or-create: two systems sharing a registry and a name share the
+    counters. *)
 
 val record_op : t -> bytes:int -> fanout:int -> unit
 (** One update shipped [bytes] of attached metadata to each of [fanout]
-    remote destinations: adds [bytes * fanout] to the attached counter and
-    observes [bytes * fanout] in the per-op histogram. [fanout = 0] (a key
-    replicated nowhere remote) still counts the op with 0 bytes. *)
+    remote destinations: adds [bytes * fanout] to the attached counter.
+    [fanout = 0] (a key replicated nowhere remote) adds nothing. Allocates
+    nothing. *)
 
 val record_stabilization : t -> bytes:int -> unit
 (** One stabilization message (sequencer announcement, stable-vector or
@@ -54,11 +52,3 @@ val attached_bytes : t -> int
 
 val total_bytes : t -> int
 (** [attached + stabilization + heartbeat]. *)
-
-val ops : t -> int
-(** Number of [record_op] calls (the per-op histogram's count). *)
-
-val attached_per_op : t -> float
-(** Mean attached bytes per recorded op; 0 when no ops were recorded. *)
-
-val per_op_hist : t -> Histogram.t

@@ -1,12 +1,15 @@
-(** Named metric registry: counters, gauges and histograms that subsystems
+(** Named metric registry: counters and pull gauges that subsystems
     register into, replacing ad-hoc [mutable count] fields scattered through
-    the engine, the Saturn core and the harness.
+    the engine, the Saturn core and the harness. Distributions are not
+    registry metrics: a run that needs one holds a {!Hdr.t} (or a windowed
+    {!Series} histogram) itself.
 
     Metrics are keyed by dotted names ([proxy.dc0.applied_updates],
-    [service.labels_input], …). Lookups are get-or-create, so independent
-    components that agree on a name share (and jointly increment) one
-    metric; components that must stay distinguishable scope their names.
-    Registering the same name with two different kinds raises.
+    [service.labels_input], …). Counter lookups are get-or-create, so
+    independent components that agree on a name share (and jointly
+    increment) one counter; components that must stay distinguishable
+    scope their names. Registering the same name with two different kinds
+    raises.
 
     Pull gauges ([register_pull]) sample a closure at snapshot time — the
     bridge for values owned by layers the registry cannot depend on, such
@@ -21,7 +24,7 @@ val create : unit -> t
 type counter
 
 val counter : t -> string -> counter
-(** Get-or-create. @raise Invalid_argument if the name holds another kind. *)
+(** Get-or-create. @raise Invalid_argument if the name holds a pull gauge. *)
 
 val incr : counter -> unit
 
@@ -32,39 +35,17 @@ val incr_by : counter -> int -> unit
 val counter_value : counter -> int
 val counter_name : counter -> string
 
-(** {3 Interned counter ids}
-
-    For per-op paths that index counters dynamically (by op kind, by dc) and
-    cannot hold one [counter] handle per site, [intern] maps a name to a
-    dense integer id once, and [incr_id] bumps a flat array slot — no string
-    hashing on the hot path. Ids share the counter namespace: an interned
-    name and [counter] on the same name hit the same metric. *)
-
-val intern : t -> string -> int
-(** Get-or-create the dense id for counter [name].
-    @raise Invalid_argument if the name holds a non-counter metric. *)
-
-val incr_id : t -> int -> unit
-
-(** {2 Gauges} *)
-
-type gauge
-
-val gauge : t -> string -> gauge
-val set : gauge -> float -> unit
+(** {2 Pull gauges} *)
 
 val register_pull : t -> string -> (unit -> float) -> unit
 (** Registers a gauge whose value is sampled on demand.
     @raise Invalid_argument if the name is already registered. *)
 
-(** {2 Histograms} *)
-
-val histogram : t -> string -> lo:float -> hi:float -> buckets:int -> Histogram.t
-(** Get-or-create; the geometry arguments only apply on creation. *)
-
 (** {2 Reading} *)
 
-type value = Counter of int | Gauge of float | Hist of Histogram.t
+type value =
+  | Counter of int
+  | Gauge of float  (** a pull gauge, sampled when read *)
 
 val find : t -> string -> value option
 val snapshot : t -> (string * value) list

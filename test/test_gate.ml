@@ -186,6 +186,26 @@ let test_missing_baseline () =
   has_finding "manifest side" ~all:[ "BENCH_smoke.json"; "missing from the manifest" ] findings;
   Alcotest.(check int) "every finding reported" 2 (List.length findings)
 
+(* ---- zero-orphan check ------------------------------------------------------- *)
+
+let test_orphan_named () =
+  let clean = Sim.Probe.create () and planted = Sim.Probe.create () in
+  Sim.Probe.with_probe clean (fun () ->
+      Sim.Span.begin_ ~at:Sim.Time.zero Sim.Span.Sk_proxy_order ~origin:1 ~seq:10 ~aux:0 ~site:0
+        ~peer:(-1) ~epoch:0;
+      Sim.Span.end_ ~at:(Sim.Time.of_us 5) Sim.Span.Sk_proxy_order ~origin:1 ~seq:10 ~aux:0 ~site:0
+        ~peer:(-1) ~epoch:0);
+  (* an end whose begin was never emitted *)
+  Sim.Probe.with_probe planted (fun () ->
+      Sim.Span.end_ ~at:(Sim.Time.of_us 5) Sim.Span.Sk_proxy_order ~origin:2 ~seq:20 ~aux:0 ~site:0
+        ~peer:(-1) ~epoch:0);
+  let findings =
+    Gate.orphan_findings [ ("smoke", clean); ("fault matrix partition/saturn", planted) ]
+  in
+  Alcotest.(check int) "one finding" 1 (List.length findings);
+  has_finding "planted orphan" ~all:[ "fault matrix partition/saturn"; "1 span end" ] findings;
+  Alcotest.(check (list string)) "a clean probe passes" [] (Gate.orphan_findings [ ("smoke", clean) ])
+
 let suite =
   [
     Alcotest.test_case "diff: directories recurse" `Quick test_dirs_recurse;
@@ -196,4 +216,5 @@ let suite =
     Alcotest.test_case "gate: byte-identical baselines named by line" `Quick test_exact_baselines;
     Alcotest.test_case "gate: shootout drift named by row and metric" `Quick test_shootout_row_metric;
     Alcotest.test_case "gate: missing baseline files" `Quick test_missing_baseline;
+    Alcotest.test_case "gate: a planted orphan span end is named" `Quick test_orphan_named;
   ]

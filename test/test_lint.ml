@@ -328,13 +328,13 @@ let test_r4_meta_bytes_grammar () =
     [
       ( "lib/a.ml",
         {|let c reg system = Stats.Registry.counter reg (Printf.sprintf "meta.bytes.%s.attached" system)
-let h reg system =
-  Stats.Registry.histogram reg (Printf.sprintf "meta.bytes.%s.per_op" system) ~lo:0. ~hi:1. ~buckets:2
+let s reg system =
+  Stats.Registry.counter reg (Printf.sprintf "meta.bytes.%s.stabilization" system)
 |}
       );
     ]
   in
-  let covered = "meta.bytes.saturn.attached 17\nmeta.bytes.okapi.per_op 3\n" in
+  let covered = "meta.bytes.saturn.attached 17\nmeta.bytes.okapi.stabilization 3\n" in
   let r = run ~baseline:("ci/smoke-counters.txt", covered) sources in
   Alcotest.check slist "meta.bytes baseline names covered" [] (rules_of r);
   let stale = "meta.bytes.saturn.heartbeat 12\n" in
@@ -404,7 +404,7 @@ let test_r6_fold_taint_reaches_registry () =
         ( "lib/x.ml",
           {|let record reg tbl =
   let ks = Hashtbl.fold (fun k _ a -> k :: a) tbl [] in
-  Stats.Registry.set reg (List.length ks)
+  Stats.Registry.incr_by (Stats.Registry.counter reg "x.keys") (List.length ks)
 |}
         );
       ]
@@ -419,7 +419,7 @@ let test_r6_sort_kills_taint () =
         ( "lib/x.ml",
           {|let record reg tbl =
   let ks = List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) tbl []) in
-  Stats.Registry.set reg (List.length ks)
+  Stats.Registry.incr_by (Stats.Registry.counter reg "x.keys") (List.length ks)
 |}
         );
       ]

@@ -20,7 +20,7 @@ let test_registry_counters () =
 let test_registry_snapshot () =
   let r = Stats.Registry.create () in
   Stats.Registry.incr_by (Stats.Registry.counter r "z.count") 2;
-  Stats.Registry.set (Stats.Registry.gauge r "a.level") 1.5;
+  Stats.Registry.register_pull r "a.level" (fun () -> 1.5);
   let snap = Stats.Registry.snapshot r in
   Alcotest.(check (list string)) "name-sorted" [ "a.level"; "z.count" ] (List.map fst snap);
   (match Stats.Registry.find r "z.count" with
@@ -33,9 +33,13 @@ let test_registry_snapshot () =
 let test_registry_kind_clash () =
   let r = Stats.Registry.create () in
   ignore (Stats.Registry.counter r "x");
-  Alcotest.check_raises "gauge over counter"
-    (Invalid_argument "Registry: \"x\" already registered as a counter, not a gauge") (fun () ->
-      ignore (Stats.Registry.gauge r "x"))
+  Alcotest.check_raises "pull gauge over counter"
+    (Invalid_argument "Registry: \"x\" already registered as a counter, not a pull gauge")
+    (fun () -> Stats.Registry.register_pull r "x" (fun () -> 0.));
+  Stats.Registry.register_pull r "y" (fun () -> 0.);
+  Alcotest.check_raises "counter over pull gauge"
+    (Invalid_argument "Registry: \"y\" already registered as a pull gauge, not a counter")
+    (fun () -> ignore (Stats.Registry.counter r "y"))
 
 let test_registry_pull () =
   let r = Stats.Registry.create () in
@@ -536,12 +540,14 @@ let prop_smoke_digest_deterministic =
 let smoke42 = lazy (Harness.Obs.smoke ~seed:42 ())
 
 (* An absolute pin, unlike the run-twice gates: a renderer that changed
-   the traced bytes consistently would pass those, not this. The value is
-   the smoke digest before the probe's record path went allocation-free. *)
+   the traced bytes consistently would pass those, not this. The value was
+   pinned before the probe's record path went allocation-free; it moved
+   once since, when the proxy stopped ending ordering-wait spans it had
+   never begun (7 458 fewer span ends). *)
 let test_smoke_digest_pinned () =
   let r = Lazy.force smoke42 in
-  Alcotest.(check int) "events" 733819 r.Harness.Obs.n_events;
-  Alcotest.(check string) "digest" "d57f934e89308c2c" r.Harness.Obs.digest
+  Alcotest.(check int) "events" 726361 r.Harness.Obs.n_events;
+  Alcotest.(check string) "digest" "1bee91b3f2a5edb6" r.Harness.Obs.digest
 
 (* CI's double-run gates compare the code against itself, so a decode
    bug that is deterministic passes them; this compares the exported bytes
@@ -565,6 +571,33 @@ let test_smoke_counters_nonzero () =
   Alcotest.(check bool) "proxies applied" true (Stats.Registry.sum_counters reg ~prefix:"proxy." > 0);
   Alcotest.(check bool) "different seed, different digest" false
     (String.equal r.Harness.Obs.digest (Harness.Obs.smoke ~seed:7 ()).Harness.Obs.digest)
+
+(* BENCH_smoke.json's visibility figures come from the run's own [Hdr]; it
+   must hold every visible remote update the windowed series saw, with the
+   same extremes, and the percentiles the JSON prints must be its own *)
+let test_smoke_visibility_hdr () =
+  let r = Lazy.force smoke42 in
+  let vis = r.Harness.Obs.visibility in
+  let points = Stats.Series.points r.Harness.Obs.series "series.vis_ms" in
+  let seen = Array.fold_left (fun a (p : Stats.Series.point) -> a + p.count) 0 points in
+  Alcotest.(check bool) "visibility observed" true (Stats.Hdr.count vis > 0);
+  Alcotest.(check int) "hdr count = series observations" seen (Stats.Hdr.count vis);
+  let peak = Array.fold_left (fun a (p : Stats.Series.point) -> Float.max a p.vmax) 0. points in
+  Alcotest.(check (float 1e-9)) "hdr max = series max (ms)" peak
+    (float_of_int (Stats.Hdr.max_value vis) /. 1000.);
+  let json = Harness.Obs.bench_json ~seed:42 r in
+  let expect =
+    Printf.sprintf "\"visibility_ms\":{\"n\":%d,\"mean\":%.3f,\"p50\":%.3f,\"p99\":%.3f}"
+      (Stats.Hdr.count vis) (Stats.Hdr.mean vis /. 1000.)
+      (Stats.Hdr.percentile vis 50. /. 1000.)
+      (Stats.Hdr.percentile vis 99. /. 1000.)
+  in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) ("bench json carries " ^ expect) true (contains json expect)
 
 (* ---- metrics window edges --------------------------------------------------- *)
 
@@ -612,6 +645,8 @@ let suite =
     Alcotest.test_case "smoke counters nonzero" `Slow test_smoke_counters_nonzero;
     Alcotest.test_case "smoke digest pinned (seed 42)" `Slow test_smoke_digest_pinned;
     Alcotest.test_case "smoke export matches digest (seed 42)" `Slow test_smoke_export_matches_digest;
+    Alcotest.test_case "smoke visibility hdr matches series and json" `Slow
+      test_smoke_visibility_hdr;
     qtest prop_smoke_digest_deterministic;
     Alcotest.test_case "metrics window edges" `Quick test_metrics_window_edges;
     Alcotest.test_case "time infinity" `Quick test_time_infinity;

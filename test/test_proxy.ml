@@ -255,6 +255,42 @@ let test_duplicate_staged_after_apply () =
   Alcotest.(check int) "no orphan span end" 0 (Sim.Probe.span_orphans probe);
   Alcotest.(check int) "no open span" 0 (Sim.Probe.open_span_count probe)
 
+let test_fallback_before_label_no_orphan () =
+  (* stream mode: the timestamp path installs a payload before its label
+     arrives, so the label is never listed as waiting and no ordering-wait
+     span is open for it; a label that did wait in the stream gets exactly
+     one begin/end pair *)
+  let ctx = make_ctx () in
+  let early = ulabel ~ts:10 ~src:1 ~key:1 and waited = ulabel ~ts:30 ~src:2 ~key:2 in
+  let probe = Sim.Probe.create () in
+  let pairs () =
+    Option.value ~default:0 (List.assoc_opt "proxy_order" (Sim.Probe.span_counts probe))
+  in
+  (* the origin's ship hook opens the bulk-transfer span staging closes *)
+  let ship (l : Saturn.Label.t) =
+    Sim.Span.begin_ ~at:(Sim.Engine.now ctx.engine) Sim.Span.Sk_bulk ~origin:l.src_dc
+      ~seq:(Sim.Time.to_us l.ts) ~aux:0 ~site:l.src_dc ~peer:0 ~epoch:0;
+    Saturn.Proxy.on_payload ctx.proxy (payload l)
+  in
+  Sim.Probe.with_probe probe (fun () ->
+      ship early;
+      Saturn.Proxy.on_heartbeat ctx.proxy ~src:1 (Sim.Time.of_ms 20);
+      Saturn.Proxy.on_heartbeat ctx.proxy ~src:2 (Sim.Time.of_ms 20);
+      Sim.Engine.run ctx.engine;
+      Alcotest.(check (list int)) "installed by the timestamp path" [ ts_us 10 ] !(ctx.installed);
+      Saturn.Proxy.on_label ctx.proxy early;
+      Sim.Engine.run ctx.engine;
+      Alcotest.(check int) "late label: no orphan span end" 0 (Sim.Probe.span_orphans probe);
+      Alcotest.(check int) "late label: no open span" 0 (Sim.Probe.open_span_count probe);
+      Alcotest.(check int) "late label: no ordering-wait pair" 0 (pairs ());
+      Saturn.Proxy.on_label ctx.proxy waited;
+      ship waited;
+      Sim.Engine.run ctx.engine);
+  Alcotest.(check (list int)) "both installed" [ ts_us 10; ts_us 30 ] (List.rev !(ctx.installed));
+  Alcotest.(check int) "waited label: one ordering-wait pair" 1 (pairs ());
+  Alcotest.(check int) "no orphan span end" 0 (Sim.Probe.span_orphans probe);
+  Alcotest.(check int) "no open span" 0 (Sim.Probe.open_span_count probe)
+
 let suite =
   [
     Alcotest.test_case "stream applies in order" `Quick test_stream_applies_in_order;
@@ -270,4 +306,6 @@ let suite =
     Alcotest.test_case "forced epoch switch" `Quick test_epoch_forced_switch;
     Alcotest.test_case "no duplicate installs across paths" `Quick test_no_duplicate_install_across_paths;
     Alcotest.test_case "duplicate staged after apply is a no-op" `Quick test_duplicate_staged_after_apply;
+    Alcotest.test_case "stream: timestamp-path install before its label opens no span" `Quick
+      test_fallback_before_label_no_orphan;
   ]

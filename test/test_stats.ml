@@ -59,57 +59,16 @@ let prop_cdf_monotone =
       in
       mono cdf && snd (List.nth cdf (List.length cdf - 1)) = 1.)
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.6; 9.9; -1.; 42. ];
-  Alcotest.(check int) "count includes outliers" 6 (Stats.Histogram.count h);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 1 (Stats.Histogram.overflow h);
-  let p50 = Stats.Histogram.percentile h 50. in
-  if p50 < 1.0 || p50 > 2.0 then Alcotest.failf "p50 should land in the 1-2 bucket: %f" p50
-
-let test_histogram_merge () =
-  let a = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:5 in
-  let b = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:5 in
-  Stats.Histogram.add a 1.;
-  Stats.Histogram.add b 9.;
-  let m = Stats.Histogram.merge a b in
-  Alcotest.(check int) "merged count" 2 (Stats.Histogram.count m);
-  Alcotest.(check (float 1e-9)) "merged mean" 5. (Stats.Histogram.mean m);
-  let c = Stats.Histogram.create ~lo:0. ~hi:5. ~buckets:5 in
-  Alcotest.check_raises "geometry mismatch" (Invalid_argument "Histogram.merge: geometry mismatch")
-    (fun () -> ignore (Stats.Histogram.merge a c))
-
-let prop_histogram_percentile_in_range =
-  QCheck.Test.make ~name:"histogram percentile within [lo,hi]" ~count:100
-    QCheck.(list_of_size Gen.(1 -- 40) (float_bound_exclusive 10.))
-    (fun xs ->
-      let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:20 in
-      List.iter (Stats.Histogram.add h) xs;
-      let p = Stats.Histogram.percentile h 90. in
-      p >= 0. && p <= 10.)
-
 let test_meta_bytes_tiling () =
-  (* the attached counter must tile the per-op histogram's total: every
-     recorded op contributes bytes x fanout to both, so the headline
-     bytes-per-op figure is consistent with the counter breakdown *)
+  (* the attached counter must tile the per-op totals: every recorded op
+     contributes bytes x fanout, so the headline bytes-per-op figure is
+     consistent with the counter breakdown *)
   let registry = Stats.Registry.create () in
   let m = Stats.Meta_bytes.create registry ~system:"testsys" in
   let ops = [ (12, 2); (12, 1); (0, 2); (24, 3); (17, 1) ] in
   List.iter (fun (bytes, fanout) -> Stats.Meta_bytes.record_op m ~bytes ~fanout) ops;
   let expected_attached = List.fold_left (fun a (b, f) -> a + (b * f)) 0 ops in
   Alcotest.(check int) "attached tiles the ops" expected_attached (Stats.Meta_bytes.attached_bytes m);
-  Alcotest.(check int) "every op counted (zero-byte ones too)" (List.length ops)
-    (Stats.Meta_bytes.ops m);
-  let hist_total =
-    Stats.Histogram.mean (Stats.Meta_bytes.per_op_hist m)
-    *. float_of_int (Stats.Histogram.count (Stats.Meta_bytes.per_op_hist m))
-  in
-  Alcotest.(check (float 1e-6)) "histogram sum = attached counter"
-    (float_of_int expected_attached) hist_total;
-  Alcotest.(check (float 1e-6)) "attached per op"
-    (float_of_int expected_attached /. float_of_int (List.length ops))
-    (Stats.Meta_bytes.attached_per_op m);
   Stats.Meta_bytes.record_stabilization m ~bytes:40;
   Stats.Meta_bytes.record_heartbeat m ~bytes:12;
   Stats.Meta_bytes.record_heartbeat m ~bytes:12;
@@ -267,32 +226,28 @@ let test_table_render () =
 
 (* The int adders make their float inside the module: a float passed or
    returned across modules is boxed. They record what the float adders
-   would, bit for bit, and allocate nothing. *)
+   would, bit for bit, and allocate nothing; so does the per-update
+   metadata accounting. *)
 let test_int_adders () =
   let s = Stats.Sample.create () and s' = Stats.Sample.create () in
-  let h = Stats.Histogram.create ~lo:0. ~hi:2048. ~buckets:128 in
-  let h' = Stats.Histogram.create ~lo:0. ~hi:2048. ~buckets:128 in
+  let m = Stats.Meta_bytes.create (Stats.Registry.create ()) ~system:"testsys" in
   let xs = [ 0; 1; 999; 1_001; 123_457; 3_000_000 ] in
   List.iter
     (fun us ->
       Stats.Sample.add_us s us;
-      Stats.Sample.add s' (Sim.Time.to_ms_float (Sim.Time.of_us us));
-      Stats.Histogram.add_int h us;
-      Stats.Histogram.add h' (float_of_int us))
+      Stats.Sample.add s' (Sim.Time.to_ms_float (Sim.Time.of_us us)))
     xs;
   Alcotest.(check (array (float 0.))) "sample values" (Stats.Sample.values s') (Stats.Sample.values s);
   Alcotest.(check (float 0.)) "sample total" (Stats.Sample.total s') (Stats.Sample.total s);
-  Alcotest.(check (float 0.)) "histogram mean" (Stats.Histogram.mean h') (Stats.Histogram.mean h);
-  Alcotest.(check (float 0.)) "histogram p50" (Stats.Histogram.percentile h' 50.)
-    (Stats.Histogram.percentile h 50.);
   let words =
     Helpers.allocated (fun () ->
         for i = 1 to 50 do
           Stats.Sample.add_us s i;
-          Stats.Histogram.add_int h i
+          Stats.Meta_bytes.record_op m ~bytes:i ~fanout:2
         done)
   in
-  Alcotest.(check (float 0.)) "int adders allocate nothing" 0. words
+  Alcotest.(check (float 0.)) "int adders allocate nothing" 0. words;
+  Alcotest.(check int) "meta bytes recorded" (2 * 50 * 51 / 2) (Stats.Meta_bytes.attached_bytes m)
 
 let suite =
   [
@@ -306,9 +261,6 @@ let suite =
     qtest prop_sort_floats_matches_array_sort;
     Alcotest.test_case "percentile allocates only the sorted copy" `Quick
       test_percentile_allocates_only_the_copy;
-    Alcotest.test_case "histogram buckets" `Quick test_histogram;
-    Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
-    qtest prop_histogram_percentile_in_range;
     Alcotest.test_case "hdr basics, negatives and reset" `Quick test_hdr_basics;
     Alcotest.test_case "hdr constant relative error" `Quick test_hdr_relative_error;
     Alcotest.test_case "hdr merge" `Quick test_hdr_merge;
