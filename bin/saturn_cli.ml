@@ -553,7 +553,8 @@ let gate_cmd =
       `P
         "Run the fault matrix, the smoke scenario, the stabilization shootout and the default \
          plan once each at seed 42, write their artifacts as a manifest under DIR, check \
-         journey and blame tiling and the fault invariants, and compare the six checked-in \
+         journey and blame tiling on the smoke run and every Saturn matrix row and the fault \
+         invariants, and compare the six checked-in \
          baselines (smoke counters within 25%, BENCH_shootout.json within 2% per row and \
          metric, then every byte). Reports every finding; exits 1 on any.";
     ]

@@ -372,13 +372,18 @@ and complete_switch t =
   if Sim.Probe.active () then
     Sim.Probe.switch_done ~at:(Sim.Engine.now t.engine) ~dc:t.dc ~epoch:t.target_epoch;
   (match t.switch_done_hook with Some f -> f () | None -> ());
-  let drained = ref [] in
-  Queue.iter (fun l -> drained := l :: !drained) t.next_buffer;
+  (* [on_label_next] listed each buffered label and opened its span *)
+  Queue.iter
+    (fun label ->
+      let state = if label_was_applied t label then Applied else Waiting in
+      stream_push t.stream { label; state })
+    t.next_buffer;
   Queue.clear t.next_buffer;
-  List.iter (fun l -> append_label t l) (List.rev !drained);
   scan t
 
-and append_label t label =
+(* Records that [label] waits in the stream and opens its ordering-wait
+   span; [Applied] when it was already applied. *)
+and list_label t label =
   let state =
     match Label_tbl.find t.labels label with
     | Done -> Applied
@@ -392,7 +397,9 @@ and append_label t label =
   in
   if state = Waiting && Sim.Probe.active () then
     span_label ~at:(Sim.Engine.now t.engine) `Begin t label;
-  stream_push t.stream { label; state }
+  state
+
+and append_label t label = stream_push t.stream { label; state = list_label t label }
 
 let on_label t label =
   match t.mode with
@@ -542,7 +549,15 @@ let wait_for_ts t ts k = if ts_satisfied t ts then k () else t.ts_waiters <- (ts
 
 (* ---- reconfiguration --------------------------------------------------- *)
 
-let on_label_next t label = if t.switch_done then on_label t label else Queue.push label t.next_buffer
+(* A next-epoch label arriving before the switch completes waits in
+   [next_buffer], and its ordering wait starts now: listing it here opens
+   the span that [mark_applied] ends, so the wait tiles its journey. *)
+let on_label_next t label =
+  if t.switch_done then on_label t label
+  else begin
+    ignore (list_label t label);
+    Queue.push label t.next_buffer
+  end
 
 let on_switch_done t f = t.switch_done_hook <- Some f
 

@@ -80,6 +80,17 @@ let orphan_findings runs =
       | n -> Some (Printf.sprintf "%s: %d span end(s) matched no open begin" run n))
     runs
 
+(* a broken tiling breaks thousands of journeys alike: name the first few *)
+let tiling_findings run ~journeys ~blame =
+  let failed what = function
+    | Ok () -> []
+    | Error ms ->
+      let n = List.length ms in
+      let more = if n > 5 then [ Printf.sprintf "... %d more" (n - 5) ] else [] in
+      List.map (Printf.sprintf "%s %s: %s" run what) (List.filteri (fun i _ -> i < 5) ms @ more)
+  in
+  failed "decomposition tiling" (Journey.check journeys) @ failed "blame tiling" (Blame.check blame)
+
 let faults_stage dir =
   let outcomes = Fault_run.run_matrix ~seed () in
   let matrix = Fault_run.render outcomes in
@@ -114,6 +125,14 @@ let faults_stage dir =
             (Printf.sprintf "fault matrix %s/%s: %d invariant violation(s), first: %s" o.scenario
                o.system (List.length vs) v.Faults.Checker.what))
       outcomes
+    @ List.concat_map
+        (fun (o : Fault_run.outcome) ->
+          if String.equal o.system (Build.name `Saturn) then
+            tiling_findings
+              (Printf.sprintf "fault matrix %s/%s" o.scenario o.system)
+              ~journeys:(Journey.analyze o.probe) ~blame:(Fault_run.blame o)
+          else [])
+        outcomes
     @ orphan_findings
         (List.map
            (fun (o : Fault_run.outcome) ->
@@ -128,16 +147,7 @@ let smoke_stage dir ~reconfig =
   write (Filename.concat dir "blame.digest") (Blame.digest r.Obs.blame ^ "\n");
   write (Filename.concat dir "smoke-counters.txt") (Obs.counters_text r);
   write (Filename.concat dir "BENCH_smoke.json") (Obs.bench_json ~seed r);
-  (* a broken tiling breaks thousands of journeys alike: name the first few *)
-  let failed what = function
-    | Ok () -> []
-    | Error ms ->
-      let n = List.length ms in
-      let more = if n > 5 then [ Printf.sprintf "... %d more" (n - 5) ] else [] in
-      List.map (Printf.sprintf "smoke %s: %s" what) (List.filteri (fun i _ -> i < 5) ms @ more)
-  in
-  failed "decomposition tiling" (Journey.check r.Obs.journeys)
-  @ failed "blame tiling" (Blame.check r.Obs.blame)
+  tiling_findings "smoke" ~journeys:r.Obs.journeys ~blame:r.Obs.blame
   @ orphan_findings [ ("smoke", r.Obs.probe) ]
 
 let shootout_stage dir =

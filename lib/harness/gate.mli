@@ -47,8 +47,8 @@ val orphan_findings : (string * Sim.Probe.t) list -> string list
 
 val run : ?write:bool -> root:string -> out_dir:string -> unit -> string list
 (** Runs the scenarios and writes the manifest, then returns every finding:
-    journey and blame tiling and {!orphan_findings} on the smoke run,
-    fault-matrix invariant violations and {!orphan_findings} on every
-    matrix row, and {!compare} — or, with [~write:true],
+    journey and blame tiling on the smoke run and on every Saturn matrix
+    row, fault-matrix invariant violations, {!orphan_findings} on the
+    smoke run and every matrix row, and {!compare} — or, with [~write:true],
     {!write_baselines} instead of {!compare}. Prints progress, the matrix
     and the shootout table. *)

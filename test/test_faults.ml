@@ -701,7 +701,7 @@ let test_matrix_smoke () =
   Alcotest.(check int) "twelve runs" 12 (List.length outcomes);
   Alcotest.(check int) "no violations" 0 (Harness.Fault_run.violations outcomes);
   (* an absolute pin beside ci/faults-digest.txt's seed-42 one *)
-  Alcotest.(check string) "matrix digest (seed 7)" "3d4bab50b62d50086e3361b3d1700ced"
+  Alcotest.(check string) "matrix digest (seed 7)" "86d59926fce77636ba45cbb30a3c1955"
     (Harness.Fault_run.matrix_digest outcomes);
   List.iter
     (fun (o : Harness.Fault_run.outcome) ->
@@ -713,7 +713,14 @@ let test_matrix_smoke () =
       Alcotest.(check bool)
         (o.Harness.Fault_run.scenario ^ "/" ^ o.Harness.Fault_run.system ^ " streamed = analyzed")
         true
-        (o.Harness.Fault_run.report = Faults.Checker.analyze o.Harness.Fault_run.probe))
+        (o.Harness.Fault_run.report = Faults.Checker.analyze o.Harness.Fault_run.probe);
+      (* every Saturn row's journeys tile, reconfiguration included: a
+         label buffered for the next epoch waits inside its ordering span *)
+      if String.equal o.Harness.Fault_run.system "saturn" then
+        Alcotest.(check (list string))
+          (o.Harness.Fault_run.scenario ^ " blame tiles")
+          []
+          (Harness.Fault_run.blame o).Harness.Blame.mismatches)
     outcomes;
   let crash_run = List.hd outcomes in
   Alcotest.(check int) "head change healed the chain" 1
