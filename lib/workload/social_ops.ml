@@ -38,15 +38,13 @@ type t = {
   part : Social_partition.t;
   value_size : int;
   rng : Sim.Rng.t;
-  nearest_holder : (int * int, int) Hashtbl.t; (* (dc, key) memo *)
   mutable payload : int;
   mutable ops : int;
   mutable remote : int;
 }
 
 let create part ~value_size ~seed =
-  { part; value_size; rng = Sim.Rng.create ~seed; nearest_holder = Hashtbl.create 4096;
-    payload = 0; ops = 0; remote = 0 }
+  { part; value_size; rng = Sim.Rng.create ~seed; payload = 0; ops = 0; remote = 0 }
 
 let fresh_value t =
   t.payload <- t.payload + 1;
@@ -56,24 +54,14 @@ let random_friend t user =
   let friends = Social_graph.friends (Social_partition.graph t.part) user in
   if Array.length friends = 0 then user else Sim.Rng.pick t.rng friends
 
-let holder_near t ~dc ~key =
-  match Hashtbl.find_opt t.nearest_holder (dc, key) with
-  | Some h -> h
-  | None ->
-    let rmap = Social_partition.replica_map t.part in
-    let holders = Kvstore.Replica_map.replicas rmap ~key in
-    (* without a topology handle we take the first holder; the driver's
-       latency model still charges the WAN round-trip *)
-    let h = match holders with h :: _ -> h | [] -> dc in
-    Hashtbl.replace t.nearest_holder (dc, key) h;
-    h
-
 let resolve_read t ~dc key =
   let rmap = Social_partition.replica_map t.part in
   if Kvstore.Replica_map.replicates rmap ~dc ~key then Op.Read { key }
   else begin
     t.remote <- t.remote + 1;
-    Op.Remote_read { key; at = holder_near t ~dc ~key }
+    (* without a topology handle we read from the lowest-numbered holder;
+       the driver's latency model still charges the WAN round-trip *)
+    Op.Remote_read { key; at = Kvstore.Replica_map.replica rmap ~key 0 }
   end
 
 let next t ~user =
