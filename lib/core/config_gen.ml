@@ -99,13 +99,14 @@ let fuse config =
   in
   step config
 
-let find_configurations ?(threshold = 25.0) ?(pool = 10) ?(seed = 42) ?insertion_order ~top problem =
+(* FILTER's ranking-gap cutoff (weighted ms) and the cap on surviving
+   trees per iteration *)
+let threshold = 25.0
+let pool = 10
+
+let find_configurations ?(seed = 42) ~top problem =
   let n = Array.length problem.Config_solver.dc_sites in
   if n < 2 then invalid_arg "Config_gen.find_configuration: need at least 2 datacenters";
-  let order = match insertion_order with Some o -> o | None -> List.init n Fun.id in
-  (match List.sort_uniq Int.compare order with
-  | sorted when sorted = List.init n Fun.id -> ()
-  | _ -> invalid_arg "Config_gen.find_configuration: order must be a permutation of dcs");
   let rng = Sim.Rng.create ~seed in
   (* rank a partial tree on the sub-problem over the leaves it contains *)
   let rank bt =
@@ -144,7 +145,7 @@ let find_configurations ?(threshold = 25.0) ?(pool = 10) ?(seed = 42) ?insertion
     in
     match sorted with [] -> [] | (t, s) :: rest -> (t, s) :: keep s 1 rest
   in
-  match order with
+  match List.init n Fun.id with
   | first :: second :: rest ->
     let init = Node (Leaf first, Leaf second) in
     let final_pool =
@@ -169,7 +170,7 @@ let find_configurations ?(threshold = 25.0) ?(pool = 10) ?(seed = 42) ?insertion
     | ranked -> List.filteri (fun i _ -> i < top) ranked)
   | _ -> invalid_arg "Config_gen.find_configurations: need at least 2 datacenters"
 
-let find_configuration ?threshold ?pool ?seed ?insertion_order problem =
-  match find_configurations ?threshold ?pool ?seed ?insertion_order ~top:1 problem with
+let find_configuration ?seed problem =
+  match find_configurations ?seed ~top:1 problem with
   | best :: _ -> best
   | [] -> assert false

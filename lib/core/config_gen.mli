@@ -24,23 +24,14 @@ val fuse : Config.t -> Config.t
 (** Contracts every serializer edge whose endpoints share a site and have
     zero artificial delay between them (shape change only; same behaviour). *)
 
-val find_configuration :
-  ?threshold:float ->
-  ?pool:int ->
-  ?seed:int ->
-  ?insertion_order:int list ->
-  Config_solver.problem ->
-  Config.t * float
-(** Runs Algorithm 3 and returns the best configuration found with its
-    Weighted-Minimal-Mismatch objective (weighted ms). [threshold] is the
-    ranking-gap cutoff used by FILTER (default 25.0), [pool] caps the
-    surviving trees per iteration (default 10). *)
+val find_configuration : ?seed:int -> Config_solver.problem -> Config.t * float
+(** Runs Algorithm 3, inserting datacenters in id order, and returns the
+    best configuration found with its Weighted-Minimal-Mismatch objective
+    (weighted ms). FILTER cuts at the first ranking gap wider than 25.0
+    and keeps at most 10 trees per iteration. *)
 
 val find_configurations :
-  ?threshold:float ->
-  ?pool:int ->
   ?seed:int ->
-  ?insertion_order:int list ->
   top:int ->
   Config_solver.problem ->
   (Config.t * float) list

@@ -31,7 +31,6 @@ type series = {
 
 type t = {
   window_us : int;
-  samples_per_window : int;
   tbl : (string, series) Hashtbl.t;
   mutable rev_ordered : series list; (* registration order, reversed *)
   mutable rev_annotations : (int * string) list; (* (us, name), emission order reversed *)
@@ -40,15 +39,16 @@ type t = {
 type counter = series
 type hist = series
 
-let create ?(window = Sim.Time.of_ms 50) ?(samples_per_window = 5) () =
+(* gauge samples per window: the [tick] cadence *)
+let samples_per_window = 5
+
+let create ?(window = Sim.Time.of_ms 50) () =
   let window_us = Sim.Time.to_us window in
   if window_us <= 0 then invalid_arg "Series.create: window must be positive";
-  if samples_per_window <= 0 then invalid_arg "Series.create: samples_per_window must be positive";
-  { window_us; samples_per_window; tbl = Hashtbl.create 32; rev_ordered = [];
-    rev_annotations = [] }
+  { window_us; tbl = Hashtbl.create 32; rev_ordered = []; rev_annotations = [] }
 
 let window t = Sim.Time.of_us t.window_us
-let tick_period t = Sim.Time.of_us (max 1 (t.window_us / t.samples_per_window))
+let tick_period t = Sim.Time.of_us (max 1 (t.window_us / samples_per_window))
 
 let kind_name = function Counter -> "counter" | Gauge -> "gauge" | Hist -> "hist"
 

@@ -32,15 +32,14 @@
 
 type t
 
-val create : ?window:Sim.Time.t -> ?samples_per_window:int -> unit -> t
-(** [window] defaults to 50 sim-ms; [samples_per_window] (default 5) sets
-    the intended [tick] cadence, exposed as [tick_period].
-    @raise Invalid_argument if the window or sample count is not positive. *)
+val create : ?window:Sim.Time.t -> unit -> t
+(** [window] defaults to 50 sim-ms.
+    @raise Invalid_argument if the window is not positive. *)
 
 val window : t -> Sim.Time.t
 val tick_period : t -> Sim.Time.t
-(** [window t / samples_per_window] — the cadence the owning system should
-    schedule [tick] at. *)
+(** [window t / 5] — the cadence the owning system should schedule [tick]
+    at, five gauge samples per window. *)
 
 (** {2 Registration and recording}
 

@@ -200,8 +200,8 @@ let optimize_placement ?(fast = false) ?(restarts = 3) ~rng (problem : Config_so
   !best
 
 (* Config_gen.find_configurations' search loop over the reference solver. *)
-let find_configurations ?(threshold = 25.0) ?(pool = 10) ?(seed = 42) ~top
-    (problem : Config_solver.problem) =
+let find_configurations ?(seed = 42) ~top (problem : Config_solver.problem) =
+  let threshold = 25.0 and pool = 10 in
   let n = Array.length problem.dc_sites in
   let rng = Sim.Rng.create ~seed in
   let rank bt =

@@ -474,8 +474,8 @@ let prop_solver_matches_reference =
         (placed Saturn.Config_solver.optimize_placement);
       let ranked f = String.concat "\n" (List.map render (f ~top:3 i.problem)) in
       check_same "find_configurations"
-        (ranked (Solver_reference.find_configurations ?threshold:None ?pool:None ~seed:i.seed))
-        (ranked (Saturn.Config_gen.find_configurations ?threshold:None ?pool:None ?insertion_order:None ~seed:i.seed));
+        (ranked (Solver_reference.find_configurations ~seed:i.seed))
+        (ranked (Saturn.Config_gen.find_configurations ~seed:i.seed));
       true)
 
 (* Scenario.solved_config memoizes per setup shape; the replica map, and so
