@@ -32,7 +32,6 @@ let add_time t d = add_us t (Sim.Time.to_us d)
 let count t = t.len
 let is_empty t = t.len = 0
 let mean t = if t.len = 0 then 0. else t.sum.total /. float_of_int t.len
-let total t = t.sum.total
 
 (* In-place heap sort in [Float.compare] order. Monomorphic, so no
    element is boxed: [Array.sort Float.compare] boxes both floats of every
@@ -76,9 +75,6 @@ let sorted t =
     t.sorted <- Some s;
     s
 
-let min_value t = if t.len = 0 then 0. else (sorted t).(0)
-let max_value t = if t.len = 0 then 0. else (sorted t).(t.len - 1)
-
 let percentile t p =
   if t.len = 0 then invalid_arg "Sample.percentile: empty sample";
   if p < 0. || p > 100. then invalid_arg "Sample.percentile: p out of [0,100]";
@@ -92,26 +88,3 @@ let percentile t p =
     let frac = rank -. float_of_int lo in
     s.(lo) +. (frac *. (s.(hi) -. s.(lo)))
   end
-
-let median t = percentile t 50.
-
-let stddev t =
-  if t.len < 2 then 0.
-  else begin
-    let m = mean t in
-    let acc = ref 0. in
-    for i = 0 to t.len - 1 do
-      let d = t.data.(i) -. m in
-      acc := !acc +. (d *. d)
-    done;
-    sqrt (!acc /. float_of_int (t.len - 1))
-  end
-
-let cdf t ?(points = 100) () =
-  if t.len = 0 then []
-  else
-    List.init points (fun i ->
-        let frac = float_of_int (i + 1) /. float_of_int points in
-        (percentile t (frac *. 100.), frac))
-
-let values t = Array.sub t.data 0 t.len

@@ -23,24 +23,9 @@ val is_empty : t -> bool
 val mean : t -> float
 (** 0 on an empty sample. *)
 
-val total : t -> float
-val min_value : t -> float
-val max_value : t -> float
-
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [0,100]; linear interpolation between
     ranks. @raise Invalid_argument on an empty sample or out-of-range p. *)
-
-val median : t -> float
-val stddev : t -> float
-
-val cdf : t -> ?points:int -> unit -> (float * float) list
-(** [(value, cumulative fraction)] pairs suitable for plotting a CDF;
-    [points] evenly spaced quantiles (default 100). Empty list on an empty
-    sample. *)
-
-val values : t -> float array
-(** Copy of the raw observations in insertion order. *)
 
 val sort_floats : float array -> unit
 (** Sorts in place into [Float.compare] order, as

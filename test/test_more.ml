@@ -155,9 +155,8 @@ let test_sample_misc () =
   let s = Stats.Sample.create () in
   Stats.Sample.add_time s (Sim.Time.of_ms 3);
   Stats.Sample.add s 5.;
-  Alcotest.(check (float 1e-9)) "total" 8. (Stats.Sample.total s);
-  Alcotest.(check (array (float 1e-9))) "values in insertion order" [| 3.; 5. |]
-    (Stats.Sample.values s)
+  Alcotest.(check (float 1e-9)) "mean" 4. (Stats.Sample.mean s);
+  Alcotest.(check (float 1e-9)) "add_time records ms" 3. (Stats.Sample.percentile s 0.)
 
 let test_table_csv () =
   let t = Stats.Table.create ~title:"x" ~columns:[ "a"; "b" ] in
@@ -307,7 +306,7 @@ let suite =
     Alcotest.test_case "link set_latency" `Quick test_link_set_latency;
     Alcotest.test_case "server backlog accounting" `Quick test_server_backlog;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independence;
-    Alcotest.test_case "sample totals and values" `Quick test_sample_misc;
+    Alcotest.test_case "sample add_time and add" `Quick test_sample_misc;
     Alcotest.test_case "table csv escaping" `Quick test_table_csv;
     Alcotest.test_case "value/label printers" `Quick test_value_pp_and_label_pp;
     Alcotest.test_case "nearest-degree caps at n_dcs" `Quick test_keyspace_nearest_degree_caps;
