@@ -11,12 +11,12 @@
 
 let () =
   Printf.printf "building a social graph (2000 users, Facebook statistics)...\n%!";
-  let graph = Workload.Social_graph.facebook_scaled ~n_users:2000 ~seed:42 in
+  let graph = Workload.Scale.generate ~n_users:2000 ~seed:42 () in
   Printf.printf "  %d users, %d friendships, mean degree %.1f (max %d)\n%!"
-    (Workload.Social_graph.n_users graph)
-    (Workload.Social_graph.n_edges graph)
-    (Workload.Social_graph.mean_degree graph)
-    (Workload.Social_graph.max_degree graph);
+    (Workload.Scale.n_users graph)
+    (Workload.Scale.n_edges graph)
+    (Workload.Scale.mean_degree graph)
+    (Workload.Scale.max_degree graph);
 
   Printf.printf "partitioning across 7 regions (2..4 replicas per user)...\n%!";
   let part =
@@ -41,7 +41,7 @@ let () =
   Printf.printf "driving the Benevenuto op mix (100 active users per region, 1s)...\n%!";
   let ops = Workload.Social_ops.create part ~value_size:64 ~seed:44 in
   let by_dc = Array.make 7 [] in
-  for u = Workload.Social_graph.n_users graph - 1 downto 0 do
+  for u = Workload.Scale.n_users graph - 1 downto 0 do
     let m = Workload.Social_partition.master part ~user:u in
     by_dc.(m) <- u :: by_dc.(m)
   done;

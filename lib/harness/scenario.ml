@@ -160,28 +160,14 @@ let default_social_setup =
     s_seed = 29;
   }
 
-(* graph generation and partitioning are deterministic; memoize across the
-   per-system runs of one experiment point *)
-let social_cache : (int * int * int * int, Workload.Social_partition.t) Hashtbl.t =
-  Hashtbl.create 8
-
-let social_partition s =
-  let key = (s.n_users, s.min_replicas, s.max_replicas, s.s_seed) in
-  match Hashtbl.find_opt social_cache key with
-  | Some p -> p
-  | None ->
-    let graph = Workload.Social_graph.facebook_scaled ~n_users:s.n_users ~seed:s.s_seed in
-    let p =
-      Workload.Social_partition.partition graph ~n_dcs:7 ~min_replicas:s.min_replicas
-        ~max_replicas:s.max_replicas ~seed:(s.s_seed + 1)
-    in
-    Hashtbl.replace social_cache key p;
-    p
-
 let run_social system s =
   let engine = Sim.Engine.create () in
   let sites = Array.of_list (Sim.Ec2.first_n 7) in
-  let part = social_partition s in
+  let graph = Workload.Scale.generate ~n_users:s.n_users ~seed:s.s_seed () in
+  let part =
+    Workload.Social_partition.partition graph ~n_dcs:7 ~min_replicas:s.min_replicas
+      ~max_replicas:s.max_replicas ~seed:(s.s_seed + 1)
+  in
   let rmap = Workload.Social_partition.replica_map part in
   let metrics = Metrics.create engine ~topo:Sim.Ec2.topology ~dc_sites:sites in
   let spec =
@@ -197,7 +183,7 @@ let run_social system s =
   let ops = Workload.Social_ops.create part ~value_size:s.value_size ~seed:(s.s_seed + 2) in
   (* sample active users per datacenter, keyed by master placement *)
   let by_dc = Array.make 7 [] in
-  for u = Workload.Social_graph.n_users (Workload.Social_partition.graph part) - 1 downto 0 do
+  for u = Workload.Scale.n_users graph - 1 downto 0 do
     let m = Workload.Social_partition.master part ~user:u in
     by_dc.(m) <- u :: by_dc.(m)
   done;

@@ -120,14 +120,14 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
         add_edge u v
       end
     done;
-    (* guarantee connectivity, as Social_graph does *)
+    (* guarantee connectivity *)
     if !added = 0 then add_edge u (Sim.Rng.int rng u);
     Array.fill round 0 !added (-1)
   done;
   Array.iter (fun v -> v.a <- [||]; v.n <- 0) comm_pool;
   (* CSR build: prefix-sum offsets, then scatter both directions of every
      edge in generation order, then sort each row in place (ascending
-     neighbors, matching Social_graph.friends). A row arrives as its
+     neighbors). A row arrives as its
      node's own-round targets (at most m, all lower, unsorted) followed by
      every later node that attached to it (ascending), so an insertion
      sort costs O(degree + m²) per row. *)
@@ -181,11 +181,49 @@ let iter_friends t u f =
     f t.adj.(i)
   done
 
+let community t u = u mod t.n_communities
+
 let friend t rng u =
   let d = degree t u in
   if d = 0 then u else t.adj.(t.offsets.(u) + Sim.Rng.int rng d)
 
 let digest t = Printf.sprintf "%016Lx" t.edge_hash
+
+type kind =
+  | Browse_friend_wall
+  | Browse_friend_albums
+  | Read_own_wall
+  | Universal_search
+  | Update_own_wall
+  | Write_friend_wall
+  | Upload_album
+
+let mix =
+  [
+    (Browse_friend_wall, 0.52);
+    (Browse_friend_albums, 0.15);
+    (Read_own_wall, 0.17);
+    (Universal_search, 0.06);
+    (Update_own_wall, 0.05);
+    (Write_friend_wall, 0.03);
+    (Upload_album, 0.02);
+  ]
+
+(* [mix] as flat tables: [cumulative.(i)] is the running sum of the first
+   i+1 shares, accumulated left to right, so a draw picks the same kind a
+   walk down the list would *)
+let kinds = Array.of_list (List.map fst mix)
+
+let cumulative =
+  let acc = ref 0. in
+  Array.of_list (List.map (fun (_, p) -> acc := !acc +. p; !acc) mix)
+
+let kind_of_draw x =
+  let i = ref 0 in
+  while !i < Array.length cumulative && x >= cumulative.(!i) do
+    incr i
+  done;
+  if !i < Array.length kinds then kinds.(!i) else Upload_album
 
 module Ops = struct
   type graph = t
@@ -248,16 +286,16 @@ module Ops = struct
   let next t ~dc =
     t.ops <- t.ops + 1;
     let user = user_at t ~dc in
-    match Social_ops.kind_of_draw (Sim.Rng.float t.rng 1.0) with
-    | Social_ops.Browse_friend_wall ->
+    match kind_of_draw (Sim.Rng.float t.rng 1.0) with
+    | Browse_friend_wall ->
       resolve_read t ~dc (wall_key t.g ~user:(friend t.g t.rng user))
-    | Social_ops.Browse_friend_albums ->
+    | Browse_friend_albums ->
       resolve_read t ~dc (album_key t.g ~user:(friend t.g t.rng user))
-    | Social_ops.Read_own_wall -> Op.Read { key = wall_key t.g ~user }
-    | Social_ops.Universal_search ->
+    | Read_own_wall -> Op.Read { key = wall_key t.g ~user }
+    | Universal_search ->
       resolve_read t ~dc (wall_key t.g ~user:(Sim.Rng.int t.rng t.g.n_users))
-    | Social_ops.Update_own_wall -> Op.Write { key = wall_key t.g ~user; value = fresh_value t }
-    | Social_ops.Write_friend_wall ->
+    | Update_own_wall -> Op.Write { key = wall_key t.g ~user; value = fresh_value t }
+    | Write_friend_wall ->
       (* writes must land on locally-mastered data; a friend mastered
          elsewhere gets the post on our own wall instead *)
       let fr = friend t.g t.rng user in
@@ -266,7 +304,7 @@ module Ops = struct
         else wall_key t.g ~user
       in
       Op.Write { key; value = fresh_value t }
-    | Social_ops.Upload_album -> Op.Write { key = album_key t.g ~user; value = fresh_value t }
+    | Upload_album -> Op.Write { key = album_key t.g ~user; value = fresh_value t }
 
   let ops_issued t = t.ops
   let remote_fraction t = if t.ops = 0 then 0. else float_of_int t.remote /. float_of_int t.ops

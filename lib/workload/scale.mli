@@ -1,15 +1,19 @@
-(** Million-user scale tier: streaming social-graph generation and op
-    streams with O(edges) memory.
+(** The synthetic social graph — the stand-in for the (no longer
+    distributed) New Orleans Facebook dataset [52] — with streaming
+    generation and op streams in O(edges) memory.
 
-    {!Social_graph} reproduces the New Orleans statistics faithfully but
-    materialises an [Array.of_list] of the whole endpoint pool {e per
-    attachment pick} — quadratic work that tops out around 10⁴ users. This
-    module generates the same family of graphs (preferential attachment,
-    round-robin communities, locality bias) against flat preallocated int
-    arrays: the edge list itself doubles as the degree-proportional
-    endpoint pool, so a pick is one array index. Generation is O(edges)
-    time and memory, and streaming operations out of the finished graph
-    allocates O(1) per op — no per-op list, no per-op closure.
+    The original network has 61,096 users and 905,565 edges (mean degree
+    ≈ 29.6) with a heavy-tailed degree distribution and strong community
+    structure. Users join communities round-robin and attach by
+    preferential attachment, biased toward their own community, which
+    yields a power-law tail plus locality. Generation runs against flat
+    preallocated int arrays: the edge list itself doubles as the
+    degree-proportional endpoint pool, so a pick is one array index.
+    Generation is O(edges) time and memory, and streaming operations out
+    of the finished graph allocates O(1) per op — no per-op list, no
+    per-op closure. §7.4's benchmark partitions this graph with
+    {!Social_partition} and draws its ops from {!Social_ops}; the scale
+    tiers draw theirs from {!Ops}.
 
     The CSR build sorts no row copy. Scattering the edge stream in
     generation order leaves each row as its node's own-round targets (at
@@ -37,9 +41,11 @@ type t
 
 val generate :
   n_users:int -> ?mean_degree:int -> ?locality:float -> ?communities:int -> seed:int -> unit -> t
-(** Streaming preferential attachment. Defaults reproduce
-    [Social_graph.facebook_scaled]: mean degree 30, communities ≈ n/250,
-    locality 0.8. @raise Invalid_argument on nonsensical parameters. *)
+(** Streaming preferential attachment. Defaults reproduce the New
+    Orleans statistics at [n_users]: mean degree 30, communities ≈ n/250
+    (at least 2), locality 0.8 (the share of attachment picks drawn from
+    the user's own community). @raise Invalid_argument on nonsensical
+    parameters. *)
 
 val of_tier : tier -> seed:int -> t
 (** [generate] at the tier's user count with facebook-shaped defaults. *)
@@ -50,13 +56,44 @@ val degree : t -> int -> int
 val mean_degree : t -> float
 val max_degree : t -> int
 
+val community : t -> int -> int
+(** A user's community, [user mod communities]. *)
+
 val iter_friends : t -> int -> (int -> unit) -> unit
 (** Neighbors of a user, ascending, straight out of the CSR row — no
     per-call array. *)
 
+val friend : t -> Sim.Rng.t -> int -> int
+(** [friend t rng user] is a uniform draw from the user's neighbors, or
+    [user] itself when it has none. *)
+
 val digest : t -> string
 (** FNV-1a (64-bit hex) over the edge stream in generation order — the
     fixed-seed determinism oracle for this generator. *)
+
+(** {2 Operation mix (§7.4)}
+
+    Based on the characterization of Benevenuto et al. [15]: sessions are
+    dominated by browsing (~92% reads), most activity targets friends'
+    content, a small share is universal (random-user) browsing, and writes
+    split between own content, friends' walls and album uploads. *)
+
+type kind =
+  | Browse_friend_wall  (** 52% — read a friend's wall *)
+  | Browse_friend_albums  (** 15% — read a friend's albums *)
+  | Read_own_wall  (** 17% — read own wall/profile *)
+  | Universal_search  (** 6% — read a random user's wall *)
+  | Update_own_wall  (** 5% — write own wall (status, settings) *)
+  | Write_friend_wall  (** 3% — message/comment on a friend's wall *)
+  | Upload_album  (** 2% — write own albums object *)
+
+val mix : (kind * float) list
+(** The percentages above; sums to 1. *)
+
+val kind_of_draw : float -> kind
+(** [kind_of_draw x] for a uniform draw [x] in [\[0, 1)]: the first kind
+    whose running share in [mix] exceeds [x]. Allocates nothing, so every
+    op stream over the mix picks through it. *)
 
 (** Streaming operation source over a scale graph.
 
@@ -82,7 +119,7 @@ module Ops : sig
 
   val next : t -> dc:int -> Op.t
   (** Next operation issued from a client homed at [dc], following the
-      {!Social_ops.mix} distribution. Reads of keys not replicated at [dc]
+      {!mix} distribution. Reads of keys not replicated at [dc]
       become remote reads at the key's master. *)
 
   val ops_issued : t -> int

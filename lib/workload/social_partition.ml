@@ -1,5 +1,5 @@
 type t = {
-  g : Social_graph.t;
+  g : Scale.t;
   n_dcs : int;
   masters : int array;
   rmap : Kvstore.Replica_map.t;
@@ -9,12 +9,12 @@ let partition g ~n_dcs ~min_replicas ~max_replicas ~seed =
   if min_replicas < 1 then invalid_arg "Social_partition.partition: min_replicas < 1";
   if min_replicas > max_replicas then
     invalid_arg "Social_partition.partition: min_replicas > max_replicas";
-  let n = Social_graph.n_users g in
+  let n = Scale.n_users g in
   let rng = Sim.Rng.create ~seed in
   (* masters: start from communities spread round-robin over datacenters,
      then greedy local moves toward the majority of friends (bounded-size
      label propagation, the greedy heart of [46]) *)
-  let masters = Array.init n (fun u -> Social_graph.community g u mod n_dcs) in
+  let masters = Array.init n (fun u -> Scale.community g u mod n_dcs) in
   let capacity = (n / n_dcs) + (n / (n_dcs * 4)) + 1 in
   let load = Array.make n_dcs 0 in
   Array.iter (fun m -> load.(m) <- load.(m) + 1) masters;
@@ -24,7 +24,7 @@ let partition g ~n_dcs ~min_replicas ~max_replicas ~seed =
     Array.iter
       (fun u ->
         let counts = Array.make n_dcs 0 in
-        Array.iter (fun v -> counts.(masters.(v)) <- counts.(masters.(v)) + 1) (Social_graph.friends g u);
+        Scale.iter_friends g u (fun v -> counts.(masters.(v)) <- counts.(masters.(v)) + 1);
         let cur = masters.(u) in
         let best = ref cur in
         Array.iteri
@@ -41,7 +41,7 @@ let partition g ~n_dcs ~min_replicas ~max_replicas ~seed =
   (* replica sets: master + datacenters hosting most friends, capped *)
   let replica_set u =
     let counts = Array.make n_dcs 0 in
-    Array.iter (fun v -> counts.(masters.(v)) <- counts.(masters.(v)) + 1) (Social_graph.friends g u);
+    Scale.iter_friends g u (fun v -> counts.(masters.(v)) <- counts.(masters.(v)) + 1);
     let master = masters.(u) in
     let candidates =
       List.filter (fun dc -> dc <> master && counts.(dc) > 0) (List.init n_dcs Fun.id)
@@ -70,18 +70,16 @@ let master t ~user = t.masters.(user)
 let graph t = t.g
 let replica_map t = t.rmap
 let wall_key _ ~user = user
-let album_key t ~user = Social_graph.n_users t.g + user
+let album_key t ~user = Scale.n_users t.g + user
 
 let locality t =
   let total = ref 0 and local = ref 0 in
-  for u = 0 to Social_graph.n_users t.g - 1 do
-    Array.iter
-      (fun v ->
+  for u = 0 to Scale.n_users t.g - 1 do
+    Scale.iter_friends t.g u (fun v ->
         if v > u then begin
           incr total;
           if t.masters.(u) = t.masters.(v) then incr local
         end)
-      (Social_graph.friends t.g u)
   done;
   if !total = 0 then 1. else float_of_int !local /. float_of_int !total
 

@@ -17,12 +17,12 @@
 type t
 
 val partition :
-  Social_graph.t -> n_dcs:int -> min_replicas:int -> max_replicas:int -> seed:int -> t
+  Scale.t -> n_dcs:int -> min_replicas:int -> max_replicas:int -> seed:int -> t
 (** @raise Invalid_argument when [min_replicas > max_replicas] or
     [min_replicas < 1]. *)
 
 val master : t -> user:int -> int
-val graph : t -> Social_graph.t
+val graph : t -> Scale.t
 val replica_map : t -> Kvstore.Replica_map.t
 (** Over [2 × n_users] keys: walls then albums. *)
 

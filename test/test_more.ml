@@ -266,7 +266,7 @@ let test_attach_semantics_matrix () =
 
 let test_social_ops_kind_distribution () =
   (* the Benevenuto mix actually drives the generated kinds *)
-  let graph = Workload.Social_graph.facebook_scaled ~n_users:600 ~seed:21 in
+  let graph = Workload.Scale.generate ~n_users:600 ~seed:21 () in
   let part = Workload.Social_partition.partition graph ~n_dcs:7 ~min_replicas:2 ~max_replicas:4 ~seed:22 in
   let ops = Workload.Social_ops.create part ~value_size:8 ~seed:23 in
   let rng = Sim.Rng.create ~seed:24 in

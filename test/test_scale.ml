@@ -24,10 +24,12 @@ let test_determinism () =
     Alcotest.fail "different seeds produced identical edge streams"
 
 (* the 61k tier is the real New Orleans network's size; its generated shape
-   must carry the facebook_scaled statistics — mean degree 30, a heavy tail,
+   must carry the New Orleans statistics — mean degree 30, a heavy tail,
    and no isolated users *)
+let tier_61k = lazy (Scale.of_tier Scale.T61k ~seed:42)
+
 let test_tier_shape () =
-  let g = Scale.of_tier Scale.T61k ~seed:42 in
+  let g = Lazy.force tier_61k in
   Alcotest.(check int) "users" 61_096 (Scale.n_users g);
   let mean = Scale.mean_degree g in
   if Float.abs (mean -. 30.) > 1. then Alcotest.failf "mean degree %.2f, expected ~30" mean;
@@ -37,7 +39,7 @@ let test_tier_shape () =
   for u = 0 to Scale.n_users g - 1 do
     if Scale.degree g u = 0 then Alcotest.failf "user %d is isolated" u
   done;
-  (* CSR rows are sorted ascending, like Social_graph.friends *)
+  (* CSR rows are sorted ascending *)
   let prev = ref (-1) in
   Scale.iter_friends g 0 (fun v ->
       if v <= !prev then Alcotest.failf "row 0 not sorted: %d after %d" v !prev;
@@ -47,7 +49,7 @@ let test_tier_shape () =
    rewrite of the generator (or of Sim.Rng underneath it) must replay the
    graph bit for bit, not just agree with itself *)
 let test_pinned_digest () =
-  let g = Scale.of_tier Scale.T61k ~seed:42 in
+  let g = Lazy.force tier_61k in
   Alcotest.(check string) "digest" "4430a691bc2b66e0" (Scale.digest g);
   Alcotest.(check int) "edges" 916_320 (Scale.n_edges g);
   (* the digest covers the edge stream; this fingerprint covers the CSR
@@ -58,8 +60,24 @@ let test_pinned_digest () =
   done;
   Alcotest.(check int) "adjacency fingerprint" 0x915b319562e !h
 
-(* every CSR row is ascending, row lengths are the degrees and add up to
-   both ends of every edge, and u lists v exactly as often as v lists u *)
+(* §7.4's partitioner at the real network's size: every user's replica
+   set honours the bounds and every master is a datacenter *)
+let test_tier_partition () =
+  let part =
+    Workload.Social_partition.partition (Lazy.force tier_61k) ~n_dcs:7 ~min_replicas:2
+      ~max_replicas:5 ~seed:43
+  in
+  let rm = Workload.Social_partition.replica_map part in
+  for user = 0 to 61_095 do
+    let m = Workload.Social_partition.master part ~user in
+    if m < 0 || m >= 7 then Alcotest.failf "user %d: master %d" user m;
+    let d = Kvstore.Replica_map.degree rm ~key:(Workload.Social_partition.wall_key part ~user) in
+    if d < 2 || d > 5 then Alcotest.failf "user %d: %d replicas" user d
+  done
+
+(* every CSR row is ascending and loop-free, row lengths are the degrees
+   and add up to both ends of every edge, and u lists v exactly as often
+   as v lists u *)
 let prop_csr_rows =
   QCheck.Test.make ~name:"CSR rows ascending and symmetric" ~count:30
     QCheck.(
@@ -75,6 +93,7 @@ let prop_csr_rows =
         Scale.iter_friends g u (fun v ->
             if v < !prev then QCheck.Test.fail_reportf "row %d: %d after %d" u v !prev;
             if v < 0 || v >= n_users then QCheck.Test.fail_reportf "row %d: neighbor %d" u v;
+            if v = u then QCheck.Test.fail_reportf "row %d: self loop" u;
             prev := v;
             incr len;
             Hashtbl.replace mult (u, v) (1 + Option.value ~default:0 (Hashtbl.find_opt mult (u, v))));
@@ -91,8 +110,8 @@ let prop_csr_rows =
       true)
 
 (* generation memory is O(edges): words allocated per edge must not grow
-   with the user count (the quadratic Social_graph would blow this bound
-   immediately). The flat arrays cost about 7 words per edge; 16 leaves
+   with the user count (a per-pick copy of the endpoint pool would blow
+   this bound immediately). The flat arrays cost about 7 words per edge; 16 leaves
    room for pool regrowth but not for a per-draw or per-edge box *)
 let prop_generation_linear =
   QCheck.Test.make ~name:"generation allocates O(1) words per edge" ~count:5
@@ -257,6 +276,7 @@ let suite =
     Alcotest.test_case "fixed-seed determinism digest" `Quick test_determinism;
     Alcotest.test_case "61k tier reference shape" `Quick test_tier_shape;
     Alcotest.test_case "61k seed-42 digest pinned" `Quick test_pinned_digest;
+    Alcotest.test_case "61k partition within replica bounds" `Quick test_tier_partition;
     qtest prop_csr_rows;
     qtest prop_generation_linear;
     qtest prop_stream_constant_alloc;

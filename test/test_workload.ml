@@ -94,30 +94,17 @@ let prop_synthetic_ops_well_formed =
 
 (* ---- social graph ----------------------------------------------------------- *)
 
-let graph = Workload.Social_graph.facebook_scaled ~n_users:1200 ~seed:11
+let graph = Workload.Scale.generate ~n_users:1200 ~seed:11 ()
 
+(* the New Orleans statistics at a small scale: mean degree ~30 and a
+   heavy tail *)
 let test_social_graph_stats () =
-  Alcotest.(check int) "users" 1200 (Workload.Social_graph.n_users graph);
-  let mean = Workload.Social_graph.mean_degree graph in
+  Alcotest.(check int) "users" 1200 (Workload.Scale.n_users graph);
+  let mean = Workload.Scale.mean_degree graph in
   if mean < 20. || mean > 40. then Alcotest.failf "mean degree should be ~30, got %.1f" mean;
   (* heavy tail: the max degree should far exceed the mean *)
-  let mx = Workload.Social_graph.max_degree graph in
+  let mx = Workload.Scale.max_degree graph in
   if float_of_int mx < 3. *. mean then Alcotest.failf "no heavy tail: max %d vs mean %.1f" mx mean
-
-let test_social_graph_symmetry () =
-  for u = 0 to Workload.Social_graph.n_users graph - 1 do
-    Array.iter
-      (fun v ->
-        if not (Array.exists (fun w -> w = u) (Workload.Social_graph.friends graph v)) then
-          Alcotest.failf "asymmetric edge %d-%d" u v;
-        if v = u then Alcotest.failf "self loop at %d" u)
-      (Workload.Social_graph.friends graph u)
-  done
-
-let test_social_graph_deterministic () =
-  let g2 = Workload.Social_graph.facebook_scaled ~n_users:1200 ~seed:11 in
-  Alcotest.(check int) "same edge count" (Workload.Social_graph.n_edges graph)
-    (Workload.Social_graph.n_edges g2)
 
 (* ---- social partition ------------------------------------------------------- *)
 
@@ -155,22 +142,22 @@ let test_partition_more_replicas_more_coverage () =
 (* ---- social ops -------------------------------------------------------------- *)
 
 let test_social_ops_mix_sums () =
-  let total = List.fold_left (fun acc (_, p) -> acc +. p) 0. Workload.Social_ops.mix in
+  let total = List.fold_left (fun acc (_, p) -> acc +. p) 0. Workload.Scale.mix in
   Alcotest.(check (float 1e-9)) "mix sums to 1" 1.0 total
 
 (* kind_of_draw must pick exactly what a walk down [mix] picks: the list
    walk below is the pre-table definition, summed in the same order *)
 let walk_mix x =
   let rec walk acc = function
-    | [] -> Workload.Social_ops.Upload_album
+    | [] -> Workload.Scale.Upload_album
     | (k, p) :: rest -> if x < acc +. p then k else walk (acc +. p) rest
   in
-  walk 0. Workload.Social_ops.mix
+  walk 0. Workload.Scale.mix
 
 let prop_kind_of_draw_matches_walk =
   QCheck.Test.make ~name:"kind_of_draw matches the mix walk" ~count:2000
     (QCheck.float_range 0. 1.)
-    (fun x -> Workload.Social_ops.kind_of_draw x = walk_mix x)
+    (fun x -> Workload.Scale.kind_of_draw x = walk_mix x)
 
 let test_kind_of_draw_thresholds () =
   (* at and either side of every running share, where an off-by-one would show *)
@@ -180,12 +167,12 @@ let test_kind_of_draw_thresholds () =
       acc := !acc +. p;
       List.iter
         (fun x ->
-          if Workload.Social_ops.kind_of_draw x <> walk_mix x then
+          if Workload.Scale.kind_of_draw x <> walk_mix x then
             Alcotest.failf "kind_of_draw %h disagrees with the walk" x)
         [ !acc; Float.pred !acc; Float.succ !acc ])
-    Workload.Social_ops.mix;
-  let zero = Workload.Social_ops.kind_of_draw 0. in
-  if zero <> Workload.Social_ops.Browse_friend_wall then Alcotest.fail "draw 0 is not the first kind"
+    Workload.Scale.mix;
+  let zero = Workload.Scale.kind_of_draw 0. in
+  if zero <> Workload.Scale.Browse_friend_wall then Alcotest.fail "draw 0 is not the first kind"
 
 let test_social_ops_shape () =
   let ops = Workload.Social_ops.create part ~value_size:64 ~seed:13 in
@@ -290,8 +277,6 @@ let suite =
     Alcotest.test_case "synthetic generator ratios" `Quick test_synthetic_ratios;
     qtest prop_synthetic_ops_well_formed;
     Alcotest.test_case "social graph statistics" `Quick test_social_graph_stats;
-    Alcotest.test_case "social graph symmetry" `Quick test_social_graph_symmetry;
-    Alcotest.test_case "social graph determinism" `Quick test_social_graph_deterministic;
     Alcotest.test_case "partition replica bounds" `Quick test_partition_replica_bounds;
     Alcotest.test_case "partition locality" `Quick test_partition_locality;
     Alcotest.test_case "partition replication knob" `Quick test_partition_more_replicas_more_coverage;
