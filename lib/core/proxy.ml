@@ -12,9 +12,11 @@ type switch_state = Graceful of { epoch : int; seen : bool array } | Forced
 (* A label's progress at this datacenter, one table entry per label from
    the first of its stream entry and its payload to arrive until [compact]
    drops it long after it was applied. [listed] records that the label
-   waits in the stream, so its ordering-wait span was opened. *)
+   waits in the stream or the next-epoch buffer, so its ordering-wait
+   span was opened. *)
 type progress =
-  | Listed (* waiting in the stream; the payload has not arrived *)
+  | Listed (* waiting in the stream or the next-epoch buffer; the payload
+              has not arrived *)
   | Held of { mutable p : payload; mutable staged : bool; mutable listed : bool }
       (* the payload is here; [staged] once the server-side staging ran,
          installable at its position from then on *)
@@ -220,10 +222,11 @@ let mark_applied t (label : Label.t) =
     | Listed -> true
     | Done | (exception Not_found) -> false
   in
-  (* ordering-wait span: opened by [append_label] for a label that had to
-     wait in the stream. The timestamp path can install a payload before
-     its label is listed, and in fallback mode the stream is not appended:
-     neither opened a span, so no end is owed *)
+  (* ordering-wait span: opened by [list_label] for a label that had to
+     wait in the stream or the next-epoch buffer. The timestamp path can
+     install a payload before its label is listed, and in fallback mode
+     the stream is not appended: neither opened a span, so no end is
+     owed *)
   if listed && t.mode = Stream && Sim.Probe.active () then
     span_label ~at:(Sim.Engine.now t.engine) `End t label;
   Label_tbl.replace t.labels label Done;
