@@ -106,6 +106,41 @@ let test_social_graph_stats () =
   let mx = Workload.Scale.max_degree graph in
   if float_of_int mx < 3. *. mean then Alcotest.failf "no heavy tail: max %d vs mean %.1f" mx mean
 
+let test_social_graph_symmetry () =
+  for u = 0 to Workload.Scale.n_users graph - 1 do
+    Workload.Scale.iter_friends graph u (fun v ->
+        let back = ref false in
+        Workload.Scale.iter_friends graph v (fun w -> if w = u then back := true);
+        if not !back then Alcotest.failf "asymmetric edge %d-%d" u v;
+        if v = u then Alcotest.failf "self loop at %d" u)
+  done
+
+let test_social_graph_deterministic () =
+  let g2 = Workload.Scale.generate ~n_users:1200 ~seed:11 () in
+  Alcotest.(check int) "same edge count" (Workload.Scale.n_edges graph) (Workload.Scale.n_edges g2);
+  Alcotest.(check string) "same edge stream" (Workload.Scale.digest graph) (Workload.Scale.digest g2)
+
+(* Social_ops draws friends through [friend]: every draw is one of the
+   user's neighbors, and every neighbor is reachable; [community] is the
+   round-robin assignment, so consecutive users fall in different ones *)
+let test_social_graph_friend_draw () =
+  let rng = Sim.Rng.create ~seed:14 in
+  for u = 0 to 99 do
+    let seen = Hashtbl.create 64 in
+    for _ = 1 to 40 * Workload.Scale.degree graph u do
+      let v = Workload.Scale.friend graph rng u in
+      let adjacent = ref false in
+      Workload.Scale.iter_friends graph u (fun w -> if w = v then adjacent := true);
+      if not !adjacent then Alcotest.failf "user %d drew non-friend %d" u v;
+      Hashtbl.replace seen v ()
+    done;
+    Workload.Scale.iter_friends graph u (fun w ->
+        if not (Hashtbl.mem seen w) then Alcotest.failf "user %d never drew friend %d" u w)
+  done;
+  let c0 = Workload.Scale.community graph 0 in
+  Alcotest.(check int) "user 0 community" 0 c0;
+  if Workload.Scale.community graph 1 = c0 then Alcotest.fail "users 0 and 1 share a community"
+
 (* ---- social partition ------------------------------------------------------- *)
 
 let part = Workload.Social_partition.partition graph ~n_dcs:7 ~min_replicas:2 ~max_replicas:4 ~seed:12
@@ -277,6 +312,9 @@ let suite =
     Alcotest.test_case "synthetic generator ratios" `Quick test_synthetic_ratios;
     qtest prop_synthetic_ops_well_formed;
     Alcotest.test_case "social graph statistics" `Quick test_social_graph_stats;
+    Alcotest.test_case "social graph symmetry" `Quick test_social_graph_symmetry;
+    Alcotest.test_case "social graph determinism" `Quick test_social_graph_deterministic;
+    Alcotest.test_case "social graph friend draws" `Quick test_social_graph_friend_draw;
     Alcotest.test_case "partition replica bounds" `Quick test_partition_replica_bounds;
     Alcotest.test_case "partition locality" `Quick test_partition_locality;
     Alcotest.test_case "partition replication knob" `Quick test_partition_more_replicas_more_coverage;
