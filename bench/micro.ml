@@ -49,7 +49,8 @@ let test_sink =
         let clock = Sim.Clock.create engine in
         let gears = [| Saturn.Gear.create clock ~dc:0 ~gear_id:0 |] in
         let sink =
-          Saturn.Sink.create engine ~gears ~period:(Sim.Time.of_ms 1) ~emit:(fun _ -> ()) ()
+          Saturn.Sink.create engine ~gears ~period:(Sim.Time.of_ms 1) ~emit:(fun _ -> ())
+            ~observer:(Stats.Observer.create ()) ()
         in
         let i = ref 0 in
         fun () ->

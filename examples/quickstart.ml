@@ -45,7 +45,7 @@ let () =
             Sim.Time.pp (Sim.Time.sub (Sim.Engine.now engine) origin_time));
     }
   in
-  let system = Saturn.System.create engine params hooks in
+  let system = Saturn.System.create ~observer:(Stats.Observer.create ()) engine params hooks in
 
   (* 4. a client in Virginia writes; a client in Oregon polls until it
      observes the write, then writes a causally dependent key *)

@@ -25,7 +25,9 @@ let () =
       ~dc_sites:(Array.copy dc_sites) ()
   in
   let params = Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config:star in
-  let system = Saturn.System.create engine params Saturn.Fabric.no_hooks in
+  let system =
+    Saturn.System.create ~observer:(Stats.Observer.create ()) engine params Saturn.Fabric.no_hooks
+  in
   let say fmt = Format.printf ("[%a] " ^^ fmt ^^ "@.") Sim.Time.pp (Sim.Engine.now engine) in
 
   (* live writers *)

@@ -55,7 +55,8 @@ type ('s, 'm, 'b) t = {
   cmp : 'm -> 'm -> int;
   sessions : 's Int_tbl.t; (* client id -> session *)
   new_session : unit -> 's;
-  meta_bytes : Stats.Meta_bytes.t option;
+  meta_bytes : Stats.Meta_bytes.t;
+  series : Stats.Series.t option;
   apply_series : Stats.Series.counter option array; (* per dc *)
   mutable proto : ('s, 'm, 'b) protocol;
 }
@@ -148,7 +149,8 @@ let handlers =
     deliver = (fun t ~src ~dst b -> t.proto.deliver ~src ~dst b);
   }
 
-let create ?series ?meta engine p hooks ~cmp ~session =
+let create ~observer ~name engine p hooks ~cmp ~session =
+  let { Stats.Observer.registry; series } = observer in
   let n = Array.length p.Saturn.Fabric.dc_sites in
   let t =
     Saturn.Fabric.create engine p handlers (fun fabric ->
@@ -165,7 +167,8 @@ let create ?series ?meta engine p hooks ~cmp ~session =
           cmp;
           sessions = Int_tbl.create 256;
           new_session = session;
-          meta_bytes = meta;
+          meta_bytes = Stats.Meta_bytes.create registry ~system:name;
+          series;
           apply_series =
             Array.init n (fun dc ->
                 Option.map
@@ -245,18 +248,13 @@ let ship_update t ~dc ~key ~part ~ts ~spans ~size_bytes ~meta_bytes b =
       Saturn.Fabric.ship t.fabric ~src:dc ~dst ~size_bytes b
     end
   done;
-  match t.meta_bytes with
-  | Some m -> Stats.Meta_bytes.record_op m ~bytes:meta_bytes ~fanout:!fanout
-  | None -> ()
+  Stats.Meta_bytes.record_op t.meta_bytes ~bytes:meta_bytes ~fanout:!fanout
 
 let broadcast t ~src ~size_bytes ~heartbeat b =
   for dst = 0 to n_dcs t - 1 do
     if dst <> src then begin
-      (match t.meta_bytes with
-      | Some m ->
-        if heartbeat then Stats.Meta_bytes.record_heartbeat m ~bytes:size_bytes
-        else Stats.Meta_bytes.record_stabilization m ~bytes:size_bytes
-      | None -> ());
+      if heartbeat then Stats.Meta_bytes.record_heartbeat t.meta_bytes ~bytes:size_bytes
+      else Stats.Meta_bytes.record_stabilization t.meta_bytes ~bytes:size_bytes;
       Saturn.Fabric.ship t.fabric ~src ~dst ~size_bytes b
     end
   done
@@ -272,14 +270,14 @@ let vec_advance t ~dc ~src ts =
   if Sim.Probe.active () then
     Sim.Probe.vec_advance ~at:(Sim.Engine.now (engine t)) ~dc ~src ~ts:(Sim.Time.to_us ts)
 
-let pending_gauge t series count =
+let pending_gauge t count =
   Option.iter
     (fun sr ->
       for dc = 0 to n_dcs t - 1 do
         Stats.Series.sample sr (Printf.sprintf "series.pending.dc%d" dc) (fun () ->
             float_of_int (count dc))
       done)
-    series
+    t.series
 
 (* ---- the scalar-stamped update ------------------------------------------ *)
 

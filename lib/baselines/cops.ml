@@ -101,16 +101,16 @@ let write t s ~dc ~part ~key value =
   add_dep s key version;
   ts
 
-let create ?series ?meta engine p hooks ~prune_on_write =
+let create ~observer engine p hooks ~prune_on_write =
   let geo =
-    Common.create ?series ?meta engine p hooks ~cmp:Common.compare_meta ~session:(fun () ->
+    Common.create ~observer ~name engine p hooks ~cmp:Common.compare_meta ~session:(fun () ->
         { ctx = Int_map.empty })
   in
   let t =
     { geo; prune_on_write; pending = Array.make (Common.n_dcs geo) []; deps_shipped = 0;
       updates_shipped = 0; max_deps = 0 }
   in
-  Common.pending_gauge geo series (fun dc -> List.length t.pending.(dc));
+  Common.pending_gauge geo (fun dc -> List.length t.pending.(dc));
   let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {

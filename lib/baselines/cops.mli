@@ -16,8 +16,8 @@ type t
 include Common.S with type t := t
 
 val create :
-  ?series:Stats.Series.t -> ?meta:Stats.Meta_bytes.t -> Sim.Engine.t -> Saturn.Fabric.params ->
-  Saturn.Fabric.hooks -> prune_on_write:bool -> t
+  observer:Stats.Observer.t -> Sim.Engine.t -> Saturn.Fabric.params -> Saturn.Fabric.hooks ->
+  prune_on_write:bool -> t
 
 val mean_dependency_size : t -> float
 (** Mean number of dependencies attached to shipped updates. *)

@@ -134,10 +134,10 @@ let attach t (dv : session) ~dc item =
   if dominated ~except:dc dv ~by:d.gsv then Common.reply t.geo item
   else d.waiters <- (dv, item) :: d.waiters
 
-let create ?series ?meta engine p hooks =
+let create ~observer engine p hooks =
   let n = Array.length p.Saturn.Fabric.dc_sites in
   let geo =
-    Common.create ?series ?meta engine p hooks ~cmp:compare_version ~session:(fun () ->
+    Common.create ~observer ~name engine p hooks ~cmp:compare_version ~session:(fun () ->
         Array.make n Sim.Time.zero)
   in
   let dcs =
@@ -146,7 +146,7 @@ let create ?series ?meta engine p hooks =
           waiters = [] })
   in
   let t = { geo; dcs } in
-  Common.pending_gauge geo series (fun dc -> List.length t.dcs.(dc).pending);
+  Common.pending_gauge geo (fun dc -> List.length t.dcs.(dc).pending);
   let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {

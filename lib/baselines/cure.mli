@@ -13,6 +13,5 @@ type t
 include Common.S with type t := t
 
 val create :
-  ?series:Stats.Series.t -> ?meta:Stats.Meta_bytes.t -> Sim.Engine.t -> Saturn.Fabric.params ->
-  Saturn.Fabric.hooks -> t
+  observer:Stats.Observer.t -> Sim.Engine.t -> Saturn.Fabric.params -> Saturn.Fabric.hooks -> t
 

@@ -114,9 +114,9 @@ let stamp_read t ~dc ~part (_, origin) = t.dcs.(dc).applied.(origin).(part)
 let learn_read s ~key:_ ~part (_, origin) ~stamp =
   if stamp > 0 then s.ctx <- merge_entry s.ctx (origin, part) stamp
 
-let create ?series ?meta engine p hooks =
+let create ~observer engine p hooks =
   let geo =
-    Common.create ?series ?meta engine p hooks ~cmp:Common.compare_meta ~session:(fun () ->
+    Common.create ~observer ~name engine p hooks ~cmp:Common.compare_meta ~session:(fun () ->
         { ctx = Dm.empty })
   in
   let n = Common.n_dcs geo in
@@ -131,7 +131,7 @@ let create ?series ?meta engine p hooks =
       updates_shipped = 0;
     }
   in
-  Common.pending_gauge geo series (fun dc -> List.length t.dcs.(dc).pending);
+  Common.pending_gauge geo (fun dc -> List.length t.dcs.(dc).pending);
   let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {

@@ -64,19 +64,18 @@ val create :
   dc:int ->
   fabric:(item, bulk) Fabric.t ->
   hooks:hooks ->
-  ?clock_offset:Sim.Time.t ->
-  ?registry:Stats.Registry.t ->
-  ?series:Stats.Series.t ->
-  ?proxy_mode:Proxy.mode ->
-  unit ->
+  observer:Stats.Observer.t ->
+  clock_offset:Sim.Time.t ->
+  proxy_mode:Proxy.mode ->
   t
 (** The datacenter takes its frontends, storage servers (one per
-    partition and gear) and request legs from [fabric]. [registry]
-    collects the datacenter's counters and those of its sink and proxy,
-    scoped by datacenter id ([dc0.updates_originated],
-    [sink.dc0.emitted], [proxy.dc0.applied_updates], …); a private registry
-    is created when omitted. [series] is forwarded to the sink and proxy
-    for windowed queue-depth / apply-throughput telemetry. *)
+    partition and gear) and request legs from [fabric]. [observer]'s
+    registry collects the datacenter's counters and those of its sink and
+    proxy, scoped by datacenter id ([dc0.updates_originated],
+    [sink.dc0.emitted], [proxy.dc0.applied_updates], …); its series, when
+    present, reaches the sink and proxy for windowed queue-depth /
+    apply-throughput telemetry. [clock_offset] skews the datacenter's
+    physical clock; [proxy_mode] is the proxy's starting mode. *)
 
 val proxy : t -> Proxy.t
 val store_of_key : t -> key:int -> (Label.t, int) Kvstore.Store.t

@@ -69,9 +69,8 @@ type t = {
   mutable need_rescan : bool;
 }
 
-let create engine ~dc ~n_dcs ~stage_update ~install_update ?registry ?series ?(mode = Stream) ()
-    =
-  let registry = match registry with Some r -> r | None -> Stats.Registry.create () in
+let create engine ~dc ~n_dcs ~stage_update ~install_update ~observer ?(mode = Stream) () =
+  let { Stats.Observer.registry; series } = observer in
   let t =
     {
     engine;

@@ -46,8 +46,7 @@ val create :
   n_dcs:int ->
   stage_update:(payload -> unit) ->
   install_update:(payload -> unit) ->
-  ?registry:Stats.Registry.t ->
-  ?series:Stats.Series.t ->
+  observer:Stats.Observer.t ->
   ?mode:mode ->
   unit ->
   t
@@ -59,11 +58,11 @@ val create :
     stream's ordered installs off the storage servers' queues — remote
     updates are staged in parallel as they arrive and exposed in order, as
     in the paper's remote-proxy parallelism discussion (§4.3). Defaults to
-    [Stream] mode. [registry] receives the proxy's counters, scoped
-    [proxy.dc<k>.*]; a private registry is created when omitted. [series],
-    when given, gains a [series.pending.dc<k>] queue-depth gauge (stream
-    entries waiting + payloads held) and a [series.apply.dc<k>] per-window
-    apply-throughput counter. Applies and mode transitions are also traced
+    [Stream] mode. [observer]'s registry receives the proxy's counters,
+    scoped [proxy.dc<k>.*]; its series, when present, gains a
+    [series.pending.dc<k>] queue-depth gauge (stream entries waiting +
+    payloads held) and a [series.apply.dc<k>] per-window apply-throughput
+    counter. Applies and mode transitions are also traced
     through {!Sim.Probe} when a probe is installed. *)
 
 val mode : t -> mode

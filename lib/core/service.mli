@@ -21,10 +21,8 @@ val create :
   config:Config.t ->
   interest:(Label.t -> int) ->
   deliver:(dc:int -> Label.t -> unit) ->
+  observer:Stats.Observer.t ->
   ?serializer_replicas:int ->
-  ?intra_latency:Sim.Time.t ->
-  ?registry:Stats.Registry.t ->
-  ?series:Stats.Series.t ->
   ?name:string ->
   ?instance:int ->
   unit ->
@@ -41,13 +39,14 @@ val create :
     {!Sim.Delay_line} per hop, so forwarding allocates no closure per
     label. [deliver] is invoked
     at each interested datacenter, in that datacenter's serialization
-    order. [registry] receives the service's counters under [name]
-    (default ["service"]); a private registry is created when omitted.
-    [series], when given, gains per-serializer [series.ser<k>.ingress]
-    (per-window chain-ingress rate) and [series.ser<k>.pending] (unacked
-    backlog on the channels feeding [k]) plus [series.link.meta.in_flight]
-    (labels on the wire across the whole metadata plane). Pass it only to
-    one service instance per run: gauge names would collide across epochs.
+    order. Replicas of one serializer chain are 300 µs apart.
+    [observer]'s registry receives the service's counters under [name]
+    (default ["service"]). Its series, when present, gains per-serializer
+    [series.ser<k>.ingress] (per-window chain-ingress rate) and
+    [series.ser<k>.pending] (unacked backlog on the channels feeding [k])
+    plus [series.link.meta.in_flight] (labels on the wire across the whole
+    metadata plane). Give a series to one service instance per run only:
+    gauge names would collide across epochs.
     Label ingress, serializer hops and artificial-delay waits are traced
     through {!Sim.Probe} when a probe is installed, and every leg of a
     forwarded label's trip (attach, chain, δ-waits, hops, egress) is

@@ -35,8 +35,8 @@ let rec drain t stable =
 
 let flush t = drain t (stable_ts t)
 
-let create engine ~gears ~period ~emit ?registry ?series ?(name = "sink") () =
-  let registry = match registry with Some r -> r | None -> Stats.Registry.create () in
+let create engine ~gears ~period ~emit ~observer ?(name = "sink") () =
+  let { Stats.Observer.registry; series } = observer in
   let t =
     {
       engine;

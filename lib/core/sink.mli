@@ -15,17 +15,16 @@ val create :
   gears:Gear.t array ->
   period:Sim.Time.t ->
   emit:(Label.t -> unit) ->
-  ?registry:Stats.Registry.t ->
-  ?series:Stats.Series.t ->
+  observer:Stats.Observer.t ->
   ?name:string ->
   unit ->
   t
 (** [emit] receives labels in non-decreasing (ts, src) order; it typically
     feeds {!Service.input}. The periodic flush stops after {!stop}.
-    [registry] receives the sink's counters under [name] (default
-    ["sink"], e.g. ["sink.dc0"] when scoped by the datacenter); a private
-    registry is created when omitted. [series], when given, gains a
-    [series.<name>.depth] gauge sampling the hold-queue depth. *)
+    [observer]'s registry receives the sink's counters under [name]
+    (default ["sink"], e.g. ["sink.dc0"] when scoped by the datacenter);
+    its series, when present, gains a [series.<name>.depth] gauge sampling
+    the hold-queue depth. *)
 
 val offer : t -> Label.t -> unit
 (** Called by a gear right after persisting the update (same site; modelled

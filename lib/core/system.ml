@@ -19,7 +19,7 @@ type route = { mutable to_next : bool; mutable marker : Label.t option }
 
 type t = {
   p : params;
-  registry : Stats.Registry.t;
+  observer : Stats.Observer.t;
   fabric : (Datacenter.item, Datacenter.bulk) Fabric.t;
   mutable dcs : Datacenter.t array;
   mutable service : Service.t option;
@@ -144,8 +144,8 @@ let handlers =
 
 let heartbeat_wire_bytes = 12 (* floor ts (8) + src dc (2) + epoch tag (2) *)
 
-let create ?registry ?series engine p hooks =
-  let registry = match registry with Some r -> r | None -> Stats.Registry.create () in
+let create ~observer engine p hooks =
+  let { Stats.Observer.registry; series } = observer in
   (* Metadata-byte accounting: Saturn attaches one constant label per
      remote payload shipment; the metadata tree itself is the
      stabilization mechanism (its cost shows up as tree-hop latency, not
@@ -157,7 +157,7 @@ let create ?registry ?series engine p hooks =
     Fabric.create engine p.geo handlers (fun fabric ->
         {
           p;
-          registry;
+          observer;
           fabric;
           dcs = [||];
           service = None;
@@ -185,16 +185,14 @@ let create ?registry ?series engine p hooks =
         let clock_offset =
           match p.clock_offsets with Some offs -> offs.(dc) | None -> Sim.Time.zero
         in
-        Datacenter.create engine ~dc ~fabric:t.fabric ~hooks:hooks_dc ~clock_offset ~registry ?series
-          ~proxy_mode:(if p.peer_mode then Proxy.Fallback else Proxy.Stream)
-          ());
+        Datacenter.create engine ~dc ~fabric:t.fabric ~hooks:hooks_dc ~observer ~clock_offset
+          ~proxy_mode:(if p.peer_mode then Proxy.Fallback else Proxy.Stream));
   if not p.peer_mode then
     t.service <-
       Some
         (Service.create engine ~topo:p.geo.Fabric.topo ~config:p.config ~interest:(interest_of p)
            ~deliver:(fun ~dc label -> deliver_current t ~dc label)
-           ~serializer_replicas:p.serializer_replicas ~registry ?series ~name:"service"
-           ~instance:0 ());
+           ~observer ~serializer_replicas:p.serializer_replicas ~name:"service" ~instance:0 ());
   (match series with
   | Some sr ->
     Fabric.drive_series t.fabric sr;
@@ -234,7 +232,9 @@ let switch_config t config2 ~graceful =
   let service2 =
     Service.create engine ~topo:t.p.geo.Fabric.topo ~config:config2 ~interest:(interest_of t.p)
       ~deliver:(fun ~dc label -> deliver_next t ~dc label)
-      ~serializer_replicas:t.p.serializer_replicas ~registry:t.registry
+      (* the first tree owns the run's series names *)
+      ~observer:{ t.observer with Stats.Observer.series = None }
+      ~serializer_replicas:t.p.serializer_replicas
       ~name:(Printf.sprintf "service.e%d" epoch) ~instance:epoch ()
   in
   t.next_service <- Some service2;

@@ -73,11 +73,13 @@ val make :
   Metrics.t ->
   Api.t
 (** Builds [system] on the deployment. The observers are all optional:
-    - [registry] collects the deployment's counters: Saturn's through
-      {!Saturn.System.create}; for a baseline, its per-op metadata bytes as
-      [meta.bytes.<name>.*] counters (see {!Stats.Meta_bytes});
-    - [series] receives windowed queue-depth and throughput telemetry (see
-      {!Stats.Series});
+    - [registry] and [series] become the one {!Stats.Observer.t} every
+      layer of the deployment reports through. The registry collects the
+      deployment's counters: Saturn's through {!Saturn.System.create}, a
+      baseline's per-op metadata bytes as [meta.bytes.<name>.*] counters
+      (see {!Stats.Meta_bytes}). Without it they go to a private registry.
+      The series receives windowed queue-depth and throughput telemetry
+      (see {!Stats.Series});
     - [faults] receives the deployment's breakable pieces, so a fault plan
       can be armed against it: Saturn's links and serializers
       ({!Faults.Registry.bind_system}), a baseline's bulk links

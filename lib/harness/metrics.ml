@@ -8,13 +8,12 @@ type t = {
   visibility : Stats.Sample.t;
   extra : Stats.Sample.t;
   pairs : Stats.Sample.t option array; (* [origin * n_dcs + dest], made on first use *)
-  count : Stats.Registry.counter;
+  count : Stats.Registry.counter option;
   mutable observers :
     (dc:int -> key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit) list;
 }
 
 let create ?(bulk_factor = 1.0) ?registry engine ~topo ~dc_sites =
-  let registry = match registry with Some r -> r | None -> Stats.Registry.create () in
   {
     engine;
     topo;
@@ -25,7 +24,7 @@ let create ?(bulk_factor = 1.0) ?registry engine ~topo ~dc_sites =
     visibility = Stats.Sample.create ();
     extra = Stats.Sample.create ();
     pairs = Array.make (Array.length dc_sites * Array.length dc_sites) None;
-    count = Stats.Registry.counter registry "metrics.visible_in_window";
+    count = Option.map (fun r -> Stats.Registry.counter r "metrics.visible_in_window") registry;
     observers = [];
   }
 
@@ -67,7 +66,7 @@ let on_visible t ~dc ~key ~origin_dc ~origin_time ~value =
       Saturn.Fabric.bulk_latency ~bulk_factor:t.bulk_factor
         (Sim.Topology.latency t.topo t.dc_sites.(origin_dc) t.dc_sites.(dc))
     in
-    Stats.Registry.incr t.count;
+    Option.iter Stats.Registry.incr t.count;
     Stats.Sample.add_time t.visibility latency;
     Stats.Sample.add_us t.extra (Sim.Time.to_us (Sim.Time.sub latency optimal));
     Stats.Sample.add_time (pair_visibility t ~origin:origin_dc ~dest:dc) latency
@@ -75,4 +74,4 @@ let on_visible t ~dc ~key ~origin_dc ~origin_time ~value =
 
 let visibility t = t.visibility
 let extra_visibility t = t.extra
-let visible_count t = Stats.Registry.counter_value t.count
+let visible_count t = Stats.Sample.count t.visibility

@@ -12,9 +12,9 @@ val create :
   dc_sites:Sim.Topology.site array ->
   t
 (** [bulk_factor] scales the optimal (bulk) latency used for the
-    extra-visibility computation; default 1.0. [registry] receives the
-    windowed visibility counter as [metrics.visible_in_window]; a private
-    registry is created when omitted. *)
+    extra-visibility computation; default 1.0. [registry], when given,
+    receives the windowed visibility counter as
+    [metrics.visible_in_window]. *)
 
 val set_window : t -> start_at:Sim.Time.t -> end_at:Sim.Time.t -> unit
 (** Only observations inside the window are recorded. *)

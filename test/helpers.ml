@@ -24,7 +24,7 @@ let star_system ?(n_dcs = 3) ?(n_keys = 64) ?(partitions = 2) ?(peer_mode = fals
     { p with geo = { p.geo with partitions }; peer_mode; serializer_replicas }
   in
   let hooks = match hooks with Some h -> h | None -> Saturn.Fabric.no_hooks in
-  let system = Saturn.System.create engine params hooks in
+  let system = Saturn.System.create ~observer:(Stats.Observer.create ()) engine params hooks in
   (engine, system)
 
 let client ~id ~dc =
@@ -41,7 +41,7 @@ let run_until_some engine result =
 let instant_proxy ?mode engine ~n_dcs ~install_update =
   let rec proxy =
     lazy
-      (Saturn.Proxy.create engine ~dc:0 ~n_dcs
+      (Saturn.Proxy.create engine ~observer:(Stats.Observer.create ()) ~dc:0 ~n_dcs
          ~stage_update:(fun p -> Saturn.Proxy.staged (Lazy.force proxy) p)
          ~install_update ?mode ())
   in

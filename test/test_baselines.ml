@@ -344,7 +344,10 @@ let counting_fabric () =
   let hooks =
     { Saturn.Fabric.on_visible = (fun ~dc:_ ~key:_ ~origin_dc:_ ~origin_time:_ ~value:_ -> ()) }
   in
-  let geo = Baselines.Common.create engine p hooks ~cmp:Int.compare ~session:ignore in
+  let geo =
+    Baselines.Common.create ~observer:(Stats.Observer.create ()) ~name:"test" engine p hooks
+      ~cmp:Int.compare ~session:ignore
+  in
   let delivered = ref 0 and applied = ref 0 in
   Baselines.Common.bind geo
     {

@@ -139,7 +139,10 @@ let test_sink_stop () =
   let e = Sim.Engine.create () in
   let gears = [| Saturn.Gear.create (Sim.Clock.create e) ~dc:0 ~gear_id:0 |] in
   let emitted = ref 0 in
-  let sink = Saturn.Sink.create e ~gears ~period:(Sim.Time.of_ms 1) ~emit:(fun _ -> incr emitted) () in
+  let sink =
+    Saturn.Sink.create e ~observer:(Stats.Observer.create ()) ~gears ~period:(Sim.Time.of_ms 1)
+      ~emit:(fun _ -> incr emitted) ()
+  in
   Saturn.Sink.stop sink;
   Sim.Engine.schedule e ~delay:(Sim.Time.of_ms 10) (fun () ->
       let ts = Saturn.Gear.generate_ts gears.(0) ~client_ts:Sim.Time.zero in
@@ -156,7 +159,7 @@ let test_sink_orders_by_ts () =
   let gears = Array.init 2 (fun gear_id -> Saturn.Gear.create clock ~dc:0 ~gear_id) in
   let emitted = ref [] in
   let sink =
-    Saturn.Sink.create e ~gears ~period:(Sim.Time.of_ms 1)
+    Saturn.Sink.create e ~observer:(Stats.Observer.create ()) ~gears ~period:(Sim.Time.of_ms 1)
       ~emit:(fun l -> emitted := l :: !emitted)
       ()
   in
@@ -181,7 +184,8 @@ let test_sink_holds_unstable_labels () =
   let slow = Saturn.Gear.create (Sim.Clock.create ~offset:(Sim.Time.of_ms (-20)) e) ~dc:0 ~gear_id:1 in
   let emitted = ref 0 in
   let sink =
-    Saturn.Sink.create e ~gears:[| fast; slow |] ~period:(Sim.Time.of_ms 1)
+    Saturn.Sink.create e ~observer:(Stats.Observer.create ()) ~gears:[| fast; slow |]
+      ~period:(Sim.Time.of_ms 1)
       ~emit:(fun _ -> incr emitted)
       ()
   in
@@ -206,7 +210,7 @@ let prop_sink_emits_sorted =
       let gears = Array.init 4 (fun gear_id -> Saturn.Gear.create clock ~dc:0 ~gear_id) in
       let emitted = ref [] in
       let sink =
-        Saturn.Sink.create e ~gears ~period:(Sim.Time.of_ms 1)
+        Saturn.Sink.create e ~observer:(Stats.Observer.create ()) ~gears ~period:(Sim.Time.of_ms 1)
           ~emit:(fun l -> emitted := l :: !emitted)
           ()
       in

@@ -21,7 +21,7 @@ let make_ctx ?(n_dcs = 3) ?(mode = Saturn.Proxy.Stream) () =
   let installed = ref [] in
   let ctx_ref = ref None in
   let proxy =
-    Saturn.Proxy.create engine ~dc:0 ~n_dcs
+    Saturn.Proxy.create engine ~observer:(Stats.Observer.create ()) ~dc:0 ~n_dcs
       ~stage_update:(fun p ->
         match !ctx_ref with
         | Some ctx ->

@@ -134,7 +134,9 @@ let test_tree_partition_heals () =
   let config = alt_config ~dc_sites in
   let p = Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config in
   let params = { p with geo = { p.geo with partitions = 2 } } in
-  let system = Saturn.System.create engine params Saturn.Fabric.no_hooks in
+  let system =
+    Saturn.System.create ~observer:(Stats.Observer.create ()) engine params Saturn.Fabric.no_hooks
+  in
   let issued = start_writers engine system ~n_dcs ~until:1.5 in
   (match Saturn.System.service system with
   | Some service ->

@@ -88,7 +88,7 @@ let test_clock_skew_preserves_causality () =
         Some [| Sim.Time.of_ms 20; Sim.Time.of_ms (-15); Sim.Time.zero |];
     }
   in
-  let system = Saturn.System.create engine params hooks in
+  let system = Saturn.System.create ~observer:(Stats.Observer.create ()) engine params hooks in
   (* the classic chain: write at the fast-clock DC, read at the slow-clock
      DC, dependent write there; causal order must still hold at dc2 *)
   let c0 = client ~id:0 ~dc:0 and c1 = client ~id:1 ~dc:1 in
@@ -152,7 +152,7 @@ let test_bulk_factor_slows_bulk_only () =
   in
   let p = Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config in
   let params = { p with geo = { p.geo with bulk_factor = 2.0 } } in
-  let system = Saturn.System.create engine params hooks in
+  let system = Saturn.System.create ~observer:(Stats.Observer.create ()) engine params hooks in
   let c = client ~id:0 ~dc:0 in
   Saturn.System.attach system c ~dc:0 ~k:(fun () ->
       Saturn.System.update system c ~key:1 ~value:(value 1) ~k:(fun () -> ()));
@@ -245,7 +245,9 @@ let test_read_round_trip_words () =
         };
     }
   in
-  let system = Saturn.System.create engine params Saturn.Fabric.no_hooks in
+  let system =
+    Saturn.System.create ~observer:(Stats.Observer.create ()) engine params Saturn.Fabric.no_hooks
+  in
   let c = client ~id:0 ~dc:0 in
   let got = ref None in
   let k v = got := v in

@@ -331,7 +331,8 @@ let star_service ?(serializer_replicas = 1) ~interest e delivered =
     Saturn.Config.create ~tree ~placement:[| Sim.Ec2.nv |]
       ~dc_sites:[| Sim.Ec2.nv; Sim.Ec2.nc; Sim.Ec2.o |] ()
   in
-  Saturn.Service.create e ~topo:Sim.Ec2.topology ~config ~interest
+  Saturn.Service.create e ~observer:(Stats.Observer.create ()) ~topo:Sim.Ec2.topology ~config
+    ~interest
     ~deliver:(fun ~dc label -> delivered := (dc, label) :: !delivered)
     ~serializer_replicas ()
 
@@ -371,7 +372,8 @@ let test_service_rejects_wide_trees () =
   Alcotest.check_raises "63 datacenters"
     (Invalid_argument "Service.create: more than 62 datacenters") (fun () ->
       ignore
-        (Saturn.Service.create (Sim.Engine.create ()) ~topo:Sim.Ec2.topology ~config
+        (Saturn.Service.create (Sim.Engine.create ()) ~observer:(Stats.Observer.create ())
+           ~topo:Sim.Ec2.topology ~config
            ~interest:(fun _ -> 0) ~deliver:(fun ~dc:_ _ -> ()) ()))
 
 let test_service_migration_targeted () =
@@ -450,7 +452,7 @@ let test_service_words_per_label () =
   in
   let delivered = ref 0 in
   let service =
-    Saturn.Service.create e ~topo:Sim.Ec2.topology ~config
+    Saturn.Service.create e ~observer:(Stats.Observer.create ()) ~topo:Sim.Ec2.topology ~config
       ~interest:(fun _ -> 0b111)
       ~deliver:(fun ~dc:_ _ -> incr delivered)
       ()
@@ -489,7 +491,7 @@ let test_service_edge_cut_transparent () =
       ~dc_sites:[| Sim.Ec2.nv; Sim.Ec2.nc; Sim.Ec2.o |] ()
   in
   let service =
-    Saturn.Service.create e ~topo:Sim.Ec2.topology ~config
+    Saturn.Service.create e ~observer:(Stats.Observer.create ()) ~topo:Sim.Ec2.topology ~config
       ~interest:(fun _ -> 0b111)
       ~deliver:(fun ~dc label -> delivered := (dc, label) :: !delivered)
       ()
@@ -560,7 +562,7 @@ let prop_service_cross_dc_causality =
       let delivered = ref [] in
       let service = ref None in
       let svc =
-        Saturn.Service.create e ~topo:Sim.Ec2.topology ~config
+        Saturn.Service.create e ~observer:(Stats.Observer.create ()) ~topo:Sim.Ec2.topology ~config
           ~interest:(fun _ -> (1 lsl n_dcs) - 1)
           ~deliver:(fun ~dc label ->
             delivered := (dc, label) :: !delivered;
@@ -642,7 +644,7 @@ let prop_service_route_matches_reference =
       let masks = Array.of_list (List.map snd labels) in
       let received = Hashtbl.create 16 in
       let svc =
-        Saturn.Service.create e ~topo:Sim.Ec2.topology ~config
+        Saturn.Service.create e ~observer:(Stats.Observer.create ()) ~topo:Sim.Ec2.topology ~config
           ~interest:(fun l ->
             match l.Saturn.Label.target with
             | Saturn.Label.Update { key } -> masks.(key)

@@ -281,7 +281,9 @@ let test_backup_tree_switch () =
     Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites:(Array.copy dc_sites) ~rmap
       ~config:primary
   in
-  let system = Saturn.System.create engine params Saturn.Fabric.no_hooks in
+  let system =
+    Saturn.System.create ~observer:(Stats.Observer.create ()) engine params Saturn.Fabric.no_hooks
+  in
   let c = Saturn.Client_lib.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
   let wrote_after_switch = ref false in
   Saturn.System.attach system c ~dc:0 ~k:(fun () ->
