@@ -420,7 +420,8 @@ let trace_cmd =
 let blame_report ~scenario ~system ~seed =
   if String.equal scenario "smoke" then (Harness.Obs.smoke ~seed ()).Harness.Obs.blame
   else
-    Harness.Fault_run.blame (Harness.Fault_run.run_scenario ~seed ~scenario ~system ())
+    let o = Harness.Fault_run.run_scenario ~seed ~scenario ~system () in
+    Harness.Fault_run.blame (Harness.Journey.analyze o.Harness.Fault_run.probe)
 
 let blame scenario system seed top out =
   let r = blame_report ~scenario ~system ~seed in

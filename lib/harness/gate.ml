@@ -128,9 +128,10 @@ let faults_stage dir =
     @ List.concat_map
         (fun (o : Fault_run.outcome) ->
           if String.equal o.system (Build.name `Saturn) then
+            let journeys = Journey.analyze o.probe in
             tiling_findings
               (Printf.sprintf "fault matrix %s/%s" o.scenario o.system)
-              ~journeys:(Journey.analyze o.probe) ~blame:(Fault_run.blame o)
+              ~journeys ~blame:(Fault_run.blame journeys)
           else [])
         outcomes
     @ orphan_findings
