@@ -40,16 +40,20 @@ let () =
 
   Printf.printf "driving the Benevenuto op mix (100 active users per region, 1s)...\n%!";
   let ops = Workload.Social_ops.create part ~value_size:64 ~seed:44 in
-  let by_dc = Array.make 7 [] in
-  for u = Workload.Scale.n_users graph - 1 downto 0 do
-    let m = Workload.Social_partition.master part ~user:u in
-    by_dc.(m) <- u :: by_dc.(m)
-  done;
+  (* each region's active users, drawn uniformly from the users it masters *)
+  let active =
+    Harness.Scenario.active_users
+      { Harness.Scenario.default_social_setup with social_clients_per_dc = 100; s_seed = 42 }
+      graph part
+  in
   let clients =
     List.concat
-      (List.init 7 (fun dc ->
-           List.filteri (fun i _ -> i < 100) by_dc.(dc)
-           |> List.map (fun u -> Harness.Client.create ~id:u ~home_site:dc_sites.(dc) ~preferred_dc:dc)))
+      (List.mapi
+         (fun dc users ->
+           List.map
+             (fun u -> Harness.Client.create ~id:u ~home_site:dc_sites.(dc) ~preferred_dc:dc)
+             users)
+         (Array.to_list active))
   in
   let result =
     Harness.Driver.run engine api metrics ~clients

@@ -48,6 +48,19 @@ type outcome = {
   metrics : Metrics.t;
 }
 
+(* a run's row: the driver's window and the metrics' visibility figures *)
+let outcome system metrics (result : Driver.result) =
+  let vis = Metrics.visibility metrics in
+  {
+    system;
+    throughput = result.throughput;
+    ops = result.ops_completed;
+    mean_visibility_ms = Stats.Sample.mean vis;
+    extra_visibility_ms = Stats.Sample.mean (Metrics.extra_visibility metrics);
+    p90_visibility_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.percentile vis 90.);
+    metrics;
+  }
+
 let dc_sites setup = Array.of_list (Sim.Ec2.first_n setup.n_dcs)
 
 let replica_map setup =
@@ -114,21 +127,9 @@ let run_with ?rmap system setup =
   in
   let clients = Driver.make_clients ~dc_sites:sites ~per_dc:setup.clients_per_dc in
   let next_op (c : Client.t) = Workload.Synthetic.next workload ~dc:c.Client.preferred_dc in
-  let result =
-    Driver.run engine api metrics ~clients ~next_op ~warmup:setup.warmup ~measure:setup.measure
-      ~cooldown:setup.cooldown
-  in
-  let vis = Metrics.visibility metrics in
-  let extra = Metrics.extra_visibility metrics in
-  {
-    system;
-    throughput = result.Driver.throughput;
-    ops = result.Driver.ops_completed;
-    mean_visibility_ms = Stats.Sample.mean vis;
-    extra_visibility_ms = Stats.Sample.mean extra;
-    p90_visibility_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.percentile vis 90.);
-    metrics;
-  }
+  outcome system metrics
+    (Driver.run engine api metrics ~clients ~next_op ~warmup:setup.warmup ~measure:setup.measure
+       ~cooldown:setup.cooldown)
 
 let run system setup = run_with system setup
 let run_all setup = List.map (fun s -> run s setup) all_systems
@@ -160,6 +161,24 @@ let default_social_setup =
     s_seed = 29;
   }
 
+(* each datacenter's active clients, drawn uniformly from the users it
+   masters: preferential attachment makes low ids the oldest, best-connected
+   users, so a prefix would drive the hubs *)
+let active_users s graph part =
+  let rng = Sim.Rng.create ~seed:(s.s_seed + 3) in
+  let by_dc = Array.make 7 [] in
+  for u = Workload.Scale.n_users graph - 1 downto 0 do
+    let m = Workload.Social_partition.master part ~user:u in
+    by_dc.(m) <- u :: by_dc.(m)
+  done;
+  Array.map
+    (fun users ->
+      let users = Array.of_list users in
+      Sim.Rng.shuffle rng users;
+      List.sort Int.compare
+        (Array.to_list (Array.sub users 0 (min s.social_clients_per_dc (Array.length users)))))
+    by_dc
+
 let run_social system s =
   let engine = Sim.Engine.create () in
   let sites = Array.of_list (Sim.Ec2.first_n 7) in
@@ -170,46 +189,21 @@ let run_social system s =
   in
   let rmap = Workload.Social_partition.replica_map part in
   let metrics = Metrics.create engine ~topo:Sim.Ec2.topology ~dc_sites:sites in
-  let spec =
-    { (Build.default_spec ~topo:Sim.Ec2.topology ~dc_sites:sites ~rmap) with
-      Build.saturn_config = None;
-    }
-  in
-  let saturn_config =
-    match system with `Saturn -> Some (Build.solve_config spec) | _ -> None
-  in
-  let spec = { spec with Build.saturn_config } in
+  (* no configuration in the spec: Build solves Saturn's with Algorithm 3 *)
+  let spec = Build.default_spec ~topo:Sim.Ec2.topology ~dc_sites:sites ~rmap in
   let api = Build.make system engine spec metrics in
   let ops = Workload.Social_ops.create part ~value_size:s.value_size ~seed:(s.s_seed + 2) in
-  (* sample active users per datacenter, keyed by master placement *)
-  let by_dc = Array.make 7 [] in
-  for u = Workload.Scale.n_users graph - 1 downto 0 do
-    let m = Workload.Social_partition.master part ~user:u in
-    by_dc.(m) <- u :: by_dc.(m)
-  done;
   let clients =
     List.concat
-      (List.init 7 (fun dc ->
-           let users = by_dc.(dc) in
-           List.filteri (fun i _ -> i < s.social_clients_per_dc) users
-           |> List.map (fun u -> Client.create ~id:u ~home_site:sites.(dc) ~preferred_dc:dc)))
+      (List.mapi
+         (fun dc users ->
+           List.map (fun u -> Client.create ~id:u ~home_site:sites.(dc) ~preferred_dc:dc) users)
+         (Array.to_list (active_users s graph part)))
   in
   let next_op (c : Client.t) = Workload.Social_ops.next ops ~user:c.Client.id in
-  let result =
-    Driver.run engine api metrics ~clients ~next_op ~warmup:s.s_warmup ~measure:s.s_measure
-      ~cooldown:s.s_cooldown
-  in
-  let vis = Metrics.visibility metrics in
-  let extra = Metrics.extra_visibility metrics in
-  {
-    system;
-    throughput = result.Driver.throughput;
-    ops = result.Driver.ops_completed;
-    mean_visibility_ms = Stats.Sample.mean vis;
-    extra_visibility_ms = Stats.Sample.mean extra;
-    p90_visibility_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.percentile vis 90.);
-    metrics;
-  }
+  outcome system metrics
+    (Driver.run engine api metrics ~clients ~next_op ~warmup:s.s_warmup ~measure:s.s_measure
+       ~cooldown:s.s_cooldown)
 
 (* Algorithm 3 over EC2 regions with uniform pair weights: the solved
    configuration, its objective and the metadata-vs-bulk latency table *)

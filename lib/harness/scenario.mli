@@ -76,6 +76,12 @@ type social_setup = {
 
 val default_social_setup : social_setup
 
+val active_users :
+  social_setup -> Workload.Scale.t -> Workload.Social_partition.t -> int list array
+(** Per datacenter, the ascending ids of its active clients:
+    [social_clients_per_dc] of the users it masters (all of them when it
+    masters fewer), drawn uniformly with a generator seeded [s_seed + 3]. *)
+
 val run_social : Build.system -> social_setup -> outcome
 (** Synthetic Facebook graph + Benevenuto op mix + replication-constrained
     partitioning over the seven EC2 regions. *)
