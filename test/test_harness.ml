@@ -212,6 +212,102 @@ let test_make_registers_meta_bytes () =
         [ "attached"; "stabilization"; "heartbeat" ])
     Harness.Shootout.systems
 
+(* one Saturn deployment on its own engine, registry and series, built
+   now and run by the returned thunk *)
+let saturn_deployment () =
+  let open Harness in
+  let engine = Sim.Engine.create () in
+  let dc_sites = [| 0; 1; 2 |] in
+  let topo = Build.topo3 () in
+  let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys:12 in
+  let registry = Stats.Registry.create () in
+  let series = Stats.Series.create () in
+  let metrics = Metrics.create ~registry engine ~topo ~dc_sites in
+  let spec =
+    {
+      (Build.default_spec ~topo ~dc_sites ~rmap) with
+      Build.saturn_config = Some (Build.chain_config ~dc_sites);
+    }
+  in
+  let api, _system = Build.saturn ~registry ~series engine spec metrics in
+  let run () =
+    let w =
+      Workload.Synthetic.create
+        { Workload.Synthetic.default with Workload.Synthetic.n_keys = 12; read_ratio = 0.5 }
+        ~rmap ~topo ~dc_sites
+    in
+    ignore
+      (Driver.run engine api metrics ~clients:(Driver.make_clients ~dc_sites ~per_dc:2)
+         ~next_op:(fun c -> Workload.Synthetic.next w ~dc:c.Client.preferred_dc)
+         ~warmup:(Sim.Time.of_ms 100) ~measure:(Sim.Time.of_ms 300) ~cooldown:(Sim.Time.of_ms 100));
+    Stats.Series.seal series ~now:(Sim.Engine.now engine)
+  in
+  (registry, series, run)
+
+let snapshot_lines registry =
+  List.map
+    (fun (name, v) ->
+      match v with
+      | Stats.Registry.Counter n -> Printf.sprintf "%s %d" name n
+      | Stats.Registry.Gauge g -> Printf.sprintf "%s %g" name g)
+    (Stats.Registry.snapshot registry)
+
+(* each deployment reports through its own observer value: a second
+   deployment built beside the first neither receives the first's counts
+   nor changes what the first records *)
+let test_two_deployments_in_one_process () =
+  let registry, series, run = saturn_deployment () in
+  let idle_registry, _idle_series, _idle_run = saturn_deployment () in
+  run ();
+  let idle = snapshot_lines idle_registry in
+  if idle = [] then Alcotest.fail "the idle deployment registered no counters";
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | Stats.Registry.Counter 0 -> ()
+      | Stats.Registry.Counter n -> Alcotest.failf "idle deployment: %s = %d" name n
+      | Stats.Registry.Gauge _ -> Alcotest.failf "idle deployment: unexpected gauge %s" name)
+    (Stats.Registry.snapshot idle_registry);
+  let solo_registry, solo_series, solo_run = saturn_deployment () in
+  solo_run ();
+  Alcotest.(check (list string)) "snapshot equals a solo run's" (snapshot_lines solo_registry)
+    (snapshot_lines registry);
+  Alcotest.(check string) "series digest equals a solo run's" (Stats.Series.digest solo_series)
+    (Stats.Series.digest series)
+
+(* Fig 8's active clients are a uniform sample of each datacenter's users,
+   not the low-id hubs preferential attachment makes *)
+let test_social_active_users_unbiased () =
+  let open Harness in
+  let s = Scenario.default_social_setup in
+  let graph = Workload.Scale.generate ~n_users:s.Scenario.n_users ~seed:s.Scenario.s_seed () in
+  let part =
+    Workload.Social_partition.partition graph ~n_dcs:7 ~min_replicas:s.Scenario.min_replicas
+      ~max_replicas:s.Scenario.max_replicas ~seed:(s.Scenario.s_seed + 1)
+  in
+  let active = Scenario.active_users s graph part in
+  Array.iteri
+    (fun dc users ->
+      if List.length users > s.Scenario.social_clients_per_dc then
+        Alcotest.failf "dc %d: %d active users" dc (List.length users);
+      List.iter
+        (fun u ->
+          if Workload.Social_partition.master part ~user:u <> dc then
+            Alcotest.failf "user %d is active at dc %d, which is not its master" u dc)
+        users)
+    active;
+  let sample = List.concat (Array.to_list active) in
+  Alcotest.(check int) "no user drawn twice" (List.length sample)
+    (List.length (List.sort_uniq Int.compare sample));
+  let mean =
+    float_of_int (List.fold_left (fun acc u -> acc + Workload.Scale.degree graph u) 0 sample)
+    /. float_of_int (List.length sample)
+  in
+  let population = Workload.Scale.mean_degree graph in
+  if Float.abs (mean -. population) > 0.1 *. population then
+    Alcotest.failf "active users' mean degree %.1f is not within 10%% of the population's %.1f"
+      mean population
+
 let suite =
   [
     Alcotest.test_case "metrics windowing" `Quick test_metrics_windowing;
@@ -223,6 +319,10 @@ let suite =
     Alcotest.test_case "system table: CLI and shootout lineups" `Quick test_system_lineups;
     Alcotest.test_case "system table: shootout systems register meta bytes" `Quick
       test_make_registers_meta_bytes;
+    Alcotest.test_case "two deployments in one process" `Quick
+      test_two_deployments_in_one_process;
+    Alcotest.test_case "social active users are a uniform sample" `Quick
+      test_social_active_users_unbiased;
   ]
   @ List.map
       (fun s ->
