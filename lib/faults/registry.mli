@@ -14,8 +14,8 @@
 
     {!bind_system} (and {!bind_fabric} for a baseline's data plane) walk
     a built deployment and perform the registrations; they are
-    invoked by [Harness.Build] when a registry is threaded into the build,
-    the same way [?registry] threads the metric registry. *)
+    invoked by [Harness.Build] when a fault registry is given to the
+    build. *)
 
 type t
 

@@ -65,8 +65,6 @@ let run_tier ?(now_s = fun () -> 0.) ?(stream_ops = 200_000) ~seed tier =
     {
       (Build.default_spec ~topo ~dc_sites ~rmap) with
       Build.saturn_config = Some (Build.chain_config ~dc_sites);
-      partitions = 2;
-      frontends = 2;
     }
   in
   let metrics = Metrics.create ~registry engine ~topo ~dc_sites in
