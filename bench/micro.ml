@@ -35,12 +35,12 @@ let test_tree_routing =
 let test_heap =
   Test.make ~name:"event-queue heap push+pop"
     (Staged.stage
-       (let heap = Sim.Heap.create ~cmp:Int.compare () in
+       (let heap = Sim.Heap.Keyed.create ~dummy:0 () in
         let i = ref 0 in
         fun () ->
           incr i;
-          Sim.Heap.push heap (!i * 7919 mod 1000);
-          if Sim.Heap.size heap > 64 then ignore (Sim.Heap.pop_exn heap)))
+          Sim.Heap.Keyed.push heap ~k1:(!i * 7919 mod 1000) ~k2:!i !i;
+          if Sim.Heap.Keyed.size heap > 64 then ignore (Sim.Heap.Keyed.pop_exn heap)))
 
 let test_sink =
   Test.make ~name:"label sink offer+flush"

@@ -48,25 +48,26 @@ let () =
   let system = Saturn.System.create ~observer:(Stats.Observer.create ()) engine params hooks in
 
   (* 4. a client in Virginia writes; a client in Oregon polls until it
-     observes the write, then writes a causally dependent key *)
-  let alice = Saturn.Client_lib.create ~id:1 ~home_site:dc_sites.(0) ~preferred_dc:0 in
-  let bob = Saturn.Client_lib.create ~id:2 ~home_site:dc_sites.(2) ~preferred_dc:2 in
-  Saturn.System.attach system alice ~dc:0 ~k:(fun () ->
+     observes the write, then writes a causally dependent key. A client is
+     an id and a home site; the system keeps its causal past, and each op
+     names the datacenter the client is attached to *)
+  let alice = 1 and bob = 2 in
+  Saturn.System.attach system ~client:alice ~home:dc_sites.(0) ~dc:0 ~k:(fun () ->
       Format.printf "[%a] alice writes key 7 at %s@." Sim.Time.pp (Sim.Engine.now engine) (region 0);
-      Saturn.System.update system alice ~key:7
+      Saturn.System.update system ~client:alice ~home:dc_sites.(0) ~dc:0 ~key:7
         ~value:(Kvstore.Value.make ~payload:1 ~size_bytes:64)
         ~k:(fun () -> ()));
   let rec poll () =
-    Saturn.System.read system bob ~key:7 ~k:(function
+    Saturn.System.read system ~client:bob ~home:dc_sites.(2) ~dc:2 ~key:7 ~k:(function
       | Some v ->
         Format.printf "[%a] bob reads key 7 at %s: payload %d — writing dependent key 8@."
           Sim.Time.pp (Sim.Engine.now engine) (region 2) v.Kvstore.Value.payload;
-        Saturn.System.update system bob ~key:8
+        Saturn.System.update system ~client:bob ~home:dc_sites.(2) ~dc:2 ~key:8
           ~value:(Kvstore.Value.make ~payload:2 ~size_bytes:64)
           ~k:(fun () -> ())
       | None -> Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 10) poll)
   in
-  Saturn.System.attach system bob ~dc:2 ~k:poll;
+  Saturn.System.attach system ~client:bob ~home:dc_sites.(2) ~dc:2 ~k:poll;
 
   Sim.Engine.run ~until:(Sim.Time.of_sec 2.) engine;
   Saturn.System.stop system;

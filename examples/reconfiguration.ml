@@ -34,19 +34,18 @@ let () =
   let issued = ref 0 in
   let stop_at = Sim.Time.of_sec 3. in
   let payload = ref 0 in
-  let rec writer c () =
+  let rec writer dc () =
     if Sim.Time.compare (Sim.Engine.now engine) stop_at < 0 then begin
       incr payload;
-      Saturn.System.update system c ~key:(!payload mod n_keys)
+      Saturn.System.update system ~client:dc ~home:dc_sites.(dc) ~dc ~key:(!payload mod n_keys)
         ~value:(Kvstore.Value.make ~payload:!payload ~size_bytes:8)
         ~k:(fun () ->
           incr issued;
-          Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 2) (writer c))
+          Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 2) (writer dc))
     end
   in
   for dc = 0 to n_dcs - 1 do
-    let c = Saturn.Client_lib.create ~id:dc ~home_site:dc_sites.(dc) ~preferred_dc:dc in
-    Saturn.System.attach system c ~dc ~k:(writer c)
+    Saturn.System.attach system ~client:dc ~home:dc_sites.(dc) ~dc ~k:(writer dc)
   done;
 
   Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 500) (fun () ->

@@ -27,31 +27,35 @@ let () =
   let _, system =
     Harness.Build.saturn engine { spec with Harness.Build.saturn_config = Some config } metrics
   in
-  let c = Saturn.Client_lib.create ~id:1 ~home_site:dc_sites.(Sim.Ec2.i) ~preferred_dc:Sim.Ec2.i in
+  (* client 1 lives in Ireland; each op names where it is attached *)
+  let client = 1 and home = dc_sites.(Sim.Ec2.i) in
   let t0 () = Sim.Engine.now engine in
   let say fmt = Format.printf ("[%a] " ^^ fmt ^^ "@.") Sim.Time.pp (t0 ()) in
-  Saturn.System.attach system c ~dc:Sim.Ec2.i ~k:(fun () ->
+  Saturn.System.attach system ~client ~home ~dc:Sim.Ec2.i ~k:(fun () ->
       say "attached at %s (home)" (region Sim.Ec2.i);
-      Saturn.System.update system c ~key:3 ~value:(Kvstore.Value.make ~payload:100 ~size_bytes:8)
+      Saturn.System.update system ~client ~home ~dc:Sim.Ec2.i ~key:3
+        ~value:(Kvstore.Value.make ~payload:100 ~size_bytes:8)
         ~k:(fun () ->
           say "wrote key 3 at home; causal past now includes it";
           let before = t0 () in
           (* migration label: minted at Ireland, targeted at Sydney *)
-          Saturn.System.migrate system c ~dest_dc:Sim.Ec2.s ~k:(fun () ->
+          Saturn.System.migrate system ~client ~home ~dc:Sim.Ec2.i ~preferred_dc:Sim.Ec2.i
+            ~dest_dc:Sim.Ec2.s ~k:(fun () ->
               say "attached at %s after %a (migration label beat the conservative wait)"
                 (region Sim.Ec2.s)
                 Sim.Time.pp (Sim.Time.sub (t0 ()) before);
-              Saturn.System.update system c ~key:40
+              Saturn.System.update system ~client ~home ~dc:Sim.Ec2.s ~key:40
                 ~value:(Kvstore.Value.make ~payload:200 ~size_bytes:8)
                 ~k:(fun () ->
                   say "wrote key 40 in Sydney (only replicated in AP)";
                   let back = t0 () in
                   (* the causal past was minted at Sydney now; going home
                      uses the conservative attach (Algorithm 1) *)
-                  Saturn.System.migrate system c ~dest_dc:Sim.Ec2.i ~k:(fun () ->
+                  Saturn.System.migrate system ~client ~home ~dc:Sim.Ec2.s ~preferred_dc:Sim.Ec2.i
+                    ~dest_dc:Sim.Ec2.i ~k:(fun () ->
                       say "back at %s after %a" (region Sim.Ec2.i)
                         Sim.Time.pp (Sim.Time.sub (t0 ()) back);
-                      Saturn.System.read system c ~key:3 ~k:(function
+                      Saturn.System.read system ~client ~home ~dc:Sim.Ec2.i ~key:3 ~k:(function
                         | Some v ->
                           say "read-your-writes at home: key 3 payload %d" v.Kvstore.Value.payload
                         | None -> say "BUG: lost our own write!"))))));

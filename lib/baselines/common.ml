@@ -41,20 +41,16 @@ type ('s, 'm, 'b) protocol = {
   deliver : src:int -> dst:int -> 'b -> unit;
 }
 
-module Int_tbl = Hashtbl.Make (Int)
-
 (* The shared fabric's legs and frontends carry client requests, its
    storage servers requests, remote applies and cold thunks, its bulk
    channels the protocol's own messages. *)
 type ('s, 'm, 'b) t = {
-  fabric : (('s, 'm, 'b) item, 'b) Saturn.Fabric.t;
+  fabric : ('s, ('s, 'm, 'b) item, 'b) Saturn.Fabric.t;
   hooks : Saturn.Fabric.hooks;
   partitioning : Kvstore.Partitioning.t;
   gears : Saturn.Gear.t array array; (* [dc].[partition] *)
   stores : ('m, int) Kvstore.Store.t array array; (* [dc].[partition] *)
   cmp : 'm -> 'm -> int;
-  sessions : 's Int_tbl.t; (* client id -> session *)
-  new_session : unit -> 's;
   meta_bytes : Stats.Meta_bytes.t;
   series : Stats.Series.t option;
   apply_series : Stats.Series.counter option array; (* per dc *)
@@ -153,7 +149,7 @@ let create ~observer ~name engine p hooks ~cmp ~session =
   let { Stats.Observer.registry; series } = observer in
   let n = Array.length p.Saturn.Fabric.dc_sites in
   let t =
-    Saturn.Fabric.create engine p handlers (fun fabric ->
+    Saturn.Fabric.create engine p handlers ~session:(fun ~home:_ -> session ()) (fun fabric ->
         {
           fabric;
           hooks;
@@ -165,8 +161,6 @@ let create ~observer ~name engine p hooks ~cmp ~session =
           stores =
             Array.init n (fun _ -> Array.init p.partitions (fun _ -> Kvstore.Store.create ()));
           cmp;
-          sessions = Int_tbl.create 256;
-          new_session = session;
           meta_bytes = Stats.Meta_bytes.create registry ~system:name;
           series;
           apply_series =
@@ -193,22 +187,25 @@ let store_value t ~dc ~key =
 
 (* ---- client requests ---------------------------------------------------- *)
 
-let session t client =
-  match Int_tbl.find t.sessions client with
-  | s -> s
-  | exception Not_found ->
-    let s = t.new_session () in
-    Int_tbl.replace t.sessions client s;
-    s
-
 let no_value = Kvstore.Value.make ~payload:0 ~size_bytes:0
 let no_read (_ : Kvstore.Value.t option) = ()
 
 let request t ~kind ~client ~home ~dc ~key ~value ~k ~k_read =
   let item =
     Op
-      { kind; session = session t client; home; dc; key; value; k; k_read; part = 0;
-        found = None; stamp = 0 }
+      {
+        kind;
+        session = Saturn.Fabric.session t.fabric ~client ~home;
+        home;
+        dc;
+        key;
+        value;
+        k;
+        k_read;
+        part = 0;
+        found = None;
+        stamp = 0;
+      }
   in
   Saturn.Fabric.send t.fabric ~home ~dc item
 
@@ -300,7 +297,13 @@ let write_stamped t ~dc ~part ~key value ~floor ~header_bytes ~meta_bytes wrap =
     (wrap { key; value; meta; part; origin_time });
   ts
 
-let stable_queue () = Sim.Heap.create ~cmp:(fun a b -> compare_meta a.meta b.meta) ()
+(* parked updates keyed by their meta, (timestamp, origin dc): the
+   {!compare_meta} order *)
+let stable_queue () =
+  let dummy =
+    { key = 0; value = no_value; meta = (Sim.Time.zero, 0); part = 0; origin_time = Sim.Time.zero }
+  in
+  Sim.Heap.Keyed.create ~dummy ()
 
 let park t ~dc ~part q u =
   if Sim.Probe.active () then begin
@@ -311,19 +314,19 @@ let park t ~dc ~part q u =
     Sim.Span.begin_ ~at Sim.Span.Sk_stab ~origin ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc
       ~peer:(-1) ~epoch:0
   end;
-  Sim.Heap.push q u
+  Sim.Heap.Keyed.push q ~k1:(Sim.Time.to_us (fst u.meta)) ~k2:(snd u.meta) u
 
 let rec flush_stable t ~dc q ~stable =
-  match Sim.Heap.peek q with
-  | Some u when Sim.Time.compare (fst u.meta) stable <= 0 ->
-    let u = Sim.Heap.pop_exn q in
+  if (not (Sim.Heap.Keyed.is_empty q)) && Sim.Heap.Keyed.min_k1 q <= Sim.Time.to_us stable
+  then begin
+    let u = Sim.Heap.Keyed.pop_exn q in
     if Sim.Probe.active () then
       Sim.Span.end_ ~at:(Sim.Engine.now (engine t)) Sim.Span.Sk_stab ~origin:(snd u.meta)
         ~seq:(Sim.Time.to_us (fst u.meta)) ~aux:u.part ~site:dc ~peer:(-1) ~epoch:0;
     install t ~dc ~part:u.part ~key:u.key u.value u.meta ~origin_dc:(snd u.meta)
       ~origin_time:u.origin_time;
     flush_stable t ~dc q ~stable
-  | Some _ | None -> ()
+  end
 
 let release t waiters ~ready =
   let go, still = List.partition ready waiters in

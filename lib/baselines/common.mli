@@ -11,10 +11,8 @@
     per-protocol modules, which plug in through a {!protocol} record.
 
     Sessions: a client's protocol state (dependency time, vector, context)
-    is created on its first request and found through an int-keyed table.
-    A client has at most one request in flight (the harness drives closed
-    loops), so a request's frontend and storage stages see the same
-    session state. *)
+    lives in the fabric's session table ({!Saturn.Fabric.session}), as
+    Saturn's causal past does. *)
 
 (** {2 Shared metadata} *)
 
@@ -94,7 +92,7 @@ val create :
   session:(unit -> 's) ->
   ('s, 'm, 'b) t
 (** [cmp] orders versions for {!install}; [session] makes a client's
-    session. [observer]'s registry gains [meta.bytes.<name>.*]
+    session on its first request. [observer]'s registry gains [meta.bytes.<name>.*]
     ({!Stats.Meta_bytes}), which count the bytes of {!ship_update} and
     {!broadcast}. Its series, when present, gains [series.apply.dc<i>]
     counters bumped by {!install} and the fabric's bulk gauge and sampling
@@ -104,7 +102,7 @@ val create :
 val bind : ('s, 'm, 'b) t -> ('s, 'm, 'b) protocol -> unit
 (** Installs the protocol; call it once, right after {!create}. *)
 
-val shared : ('s, 'm, 'b) t -> (('s, 'm, 'b) item, 'b) Saturn.Fabric.t
+val shared : ('s, 'm, 'b) t -> ('s, ('s, 'm, 'b) item, 'b) Saturn.Fabric.t
 (** The request fabric and bulk wires underneath. *)
 
 val attach_now : ('s, 'm, 'b) t -> 's -> dc:int -> ('s, 'm, 'b) item -> unit
@@ -246,14 +244,15 @@ val write_stamped :
     [header_bytes] on the wire beside the value, [meta_bytes] of them
     causal. Returns the timestamp. *)
 
-val stable_queue : unit -> shipped Sim.Heap.t
+val stable_queue : unit -> shipped Sim.Heap.Keyed.t
 (** Parked updates in {!compare_meta} order. *)
 
-val park : ('s, meta, 'b) t -> dc:int -> part:int -> shipped Sim.Heap.t -> shipped -> unit
+val park : ('s, meta, 'b) t -> dc:int -> part:int -> shipped Sim.Heap.Keyed.t -> shipped -> unit
 (** An applied update waits at [dc] for a stable time that covers it:
     closes its bulk span and opens its stabilization hold. *)
 
-val flush_stable : ('s, meta, 'b) t -> dc:int -> shipped Sim.Heap.t -> stable:Sim.Time.t -> unit
+val flush_stable :
+  ('s, meta, 'b) t -> dc:int -> shipped Sim.Heap.Keyed.t -> stable:Sim.Time.t -> unit
 (** Installs, in order, every parked update whose timestamp is at most
     [stable], closing its stabilization span. *)
 

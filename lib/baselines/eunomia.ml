@@ -11,7 +11,7 @@ type dc_state = {
   mutable announced : Sim.Time.t; (* own sequencer's last announced stable ts *)
   stable : Sim.Time.t array; (* stable.(src): src's announced stable ts, as received here *)
   mutable gst : Sim.Time.t;
-  pending : Common.shipped Sim.Heap.t; (* applied payloads awaiting GST *)
+  pending : Common.shipped Sim.Heap.Keyed.t; (* applied payloads awaiting GST *)
   mutable waiters : (Sim.Time.t * (session, version, bulk) Common.item) list; (* attach waits *)
 }
 
@@ -113,7 +113,7 @@ let create ~observer engine p hooks =
         })
   in
   let t = { geo; dcs } in
-  Common.pending_gauge geo (fun dc -> Sim.Heap.size t.dcs.(dc).pending);
+  Common.pending_gauge geo (fun dc -> Sim.Heap.Keyed.size t.dcs.(dc).pending);
   let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {

@@ -8,7 +8,7 @@ type bulk =
 type dc_state = {
   vv : Sim.Time.t array; (* max ts received from each remote dc *)
   mutable gst : Sim.Time.t;
-  pending : Common.shipped Sim.Heap.t; (* applied payloads awaiting GST *)
+  pending : Common.shipped Sim.Heap.Keyed.t; (* applied payloads awaiting GST *)
   mutable waiters : (Sim.Time.t * (session, version, bulk) Common.item) list; (* attach waits *)
 }
 
@@ -76,7 +76,7 @@ let create ~observer engine p hooks =
           waiters = [] })
   in
   let t = { geo; dcs } in
-  Common.pending_gauge geo (fun dc -> Sim.Heap.size t.dcs.(dc).pending);
+  Common.pending_gauge geo (fun dc -> Sim.Heap.Keyed.size t.dcs.(dc).pending);
   let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {

@@ -8,7 +8,7 @@ type bulk =
 type dc_state = {
   known : Sim.Time.t array array; (* known.(i).(k): what DC i has received from k *)
   mutable ust : Sim.Time.t; (* min over the whole matrix *)
-  pending : Common.shipped Sim.Heap.t; (* applied payloads awaiting UST *)
+  pending : Common.shipped Sim.Heap.Keyed.t; (* applied payloads awaiting UST *)
   mutable waiters : (Sim.Time.t * (session, version, bulk) Common.item) list; (* attach waits *)
 }
 
@@ -109,7 +109,7 @@ let create ~observer engine p hooks =
           pending = Common.stable_queue (); waiters = [] })
   in
   let t = { geo; dcs } in
-  Common.pending_gauge geo (fun dc -> Sim.Heap.size t.dcs.(dc).pending);
+  Common.pending_gauge geo (fun dc -> Sim.Heap.Keyed.size t.dcs.(dc).pending);
   let cost = p.Saturn.Fabric.cost in
   Common.bind geo
     {

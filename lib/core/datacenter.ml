@@ -1,3 +1,12 @@
+type session = { home : Sim.Topology.site; mutable past : Label.t option }
+
+let session ~home = { home; past = None }
+
+let observe s label =
+  match s.past with
+  | None -> s.past <- Some label
+  | Some current -> if Label.compare label current > 0 then s.past <- Some label
+
 type op =
   | Attach of (unit -> unit)
   | Read of (Kvstore.Value.t option -> unit)
@@ -8,7 +17,7 @@ type op =
 type item =
   | Request of {
       op : op;
-      client : Client_lib.t;
+      session : session;
       key : int;
       mutable value : Kvstore.Value.t; (* the update's value; a read's result *)
       mutable past : Label.t option; (* the client's causal past on arrival *)
@@ -33,8 +42,8 @@ type hooks = {
 let no_value = Kvstore.Value.make ~payload:0 ~size_bytes:0
 let no_label = Label.update ~ts:Sim.Time.zero ~src_dc:0 ~src_gear:0 ~key:0
 
-let request op client ~key ~value =
-  Request { op; client; key; value; past = None; label = no_label; hit = false }
+let request op session ~key ~value =
+  Request { op; session; key; value; past = None; label = no_label; hit = false }
 
 let not_a_request () = invalid_arg "Datacenter: not a client request"
 
@@ -46,7 +55,7 @@ type t = {
   hooks : hooks;
   partitioning : Kvstore.Partitioning.t;
   clock : Sim.Clock.t;
-  fabric : (item, bulk) Fabric.t;
+  fabric : (session, item, bulk) Fabric.t;
   stores : (Label.t, int) Kvstore.Store.t array;
   gears : Gear.t array;
   mutable next_gear : int;
@@ -70,7 +79,7 @@ let submit t ~part ~cost item = Fabric.submit t.fabric ~dc:t.dc ~part ~cost item
 (* a served request leaves for its client *)
 let reply t item =
   match item with
-  | Request r -> Fabric.reply t.fabric ~home:(Client_lib.home_site r.client) ~dc:t.dc item
+  | Request r -> Fabric.reply t.fabric ~home:r.session.home ~dc:t.dc item
   | Stage _ -> not_a_request ()
 
 (* staging pays the remote-apply service time when the payload arrives;
@@ -241,7 +250,7 @@ let create engine ~dc ~fabric ~hooks ~observer ~clock_offset ~proxy_mode =
 (* a request reaches the datacenter: it takes the client's causal past
    with it to the frontend *)
 let arrive = function
-  | Request r -> r.past <- Client_lib.causal_past r.client
+  | Request r -> r.past <- r.session.past
   | Stage _ -> not_a_request ()
 
 let emit_epoch_label t ~epoch =

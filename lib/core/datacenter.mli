@@ -11,6 +11,25 @@
 
 type t
 
+(** A client's session (§2, §4.1). Clients never talk to each other: all
+    communication goes through the storage system. A client's only
+    protocol state is its causal past, the greatest label it has
+    observed: raised on reads (when the read version's label is greater)
+    and on every write and migration (whose label is greater by
+    construction). It rides every request and is what makes safe
+    datacenter migration possible. The session also holds the client's
+    home site, where its replies go. *)
+type session = {
+  home : Sim.Topology.site;
+  mutable past : Label.t option;  (** [None] until the client has observed a labelled op *)
+}
+
+val session : home:Sim.Topology.site -> session
+(** A fresh session with an empty causal past. *)
+
+val observe : session -> Label.t -> unit
+(** Merges a label into the causal past: replaces it iff greater. *)
+
 (** What one client request asks for, with the caller's continuation. *)
 type op =
   | Attach of (unit -> unit)
@@ -28,7 +47,7 @@ type op =
 type item =
   | Request of {
       op : op;
-      client : Client_lib.t;
+      session : session;
       key : int;  (** read or update key *)
       mutable value : Kvstore.Value.t;  (** the update's value; a read's result *)
       mutable past : Label.t option;  (** the client's causal past, taken on {!arrive} *)
@@ -53,7 +72,7 @@ type hooks = {
   visible : Fabric.hooks;  (** remote updates becoming visible here *)
 }
 
-val request : op -> Client_lib.t -> key:int -> value:Kvstore.Value.t -> item
+val request : op -> session -> key:int -> value:Kvstore.Value.t -> item
 (** A fresh [Request]; [key] and [value] are ignored by ops that take
     none (pass {!no_value}). *)
 
@@ -62,7 +81,7 @@ val no_value : Kvstore.Value.t
 val create :
   Sim.Engine.t ->
   dc:int ->
-  fabric:(item, bulk) Fabric.t ->
+  fabric:(session, item, bulk) Fabric.t ->
   hooks:hooks ->
   observer:Stats.Observer.t ->
   clock_offset:Sim.Time.t ->

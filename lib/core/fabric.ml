@@ -29,10 +29,12 @@ type ('c, 'i, 'b) handlers = {
   deliver : 'c -> src:int -> dst:int -> 'b -> unit;
 }
 
+module Int_tbl = Hashtbl.Make (Int)
+
 (* Every queue is typed: the legs, frontends and servers carry the
    system's items, the bulk channels its messages. Each queue's handler is
    one closure made at [create]. *)
-type ('i, 'b) t = {
+type ('s, 'i, 'b) t = {
   engine : Sim.Engine.t;
   p : params;
   leg_latency : Sim.Time.t array array; (* [home site].[dc], one way *)
@@ -43,6 +45,8 @@ type ('i, 'b) t = {
   mutable servers : 'i Sim.Server.t array array; (* [dc].[partition] *)
   wires : Sim.Link.t array array; (* [src].[dst]; diagonal unused *)
   mutable bulk : 'b Sim.Link.chan array array; (* the wires' channels *)
+  sessions : 's Int_tbl.t; (* client id -> session, int equality per op *)
+  new_session : home:Sim.Topology.site -> 's;
   mutable stopped : bool;
 }
 
@@ -54,7 +58,7 @@ let enter t h c ~dc item =
   t.next_frontend.(dc) <- (fe + 1) mod t.p.frontends;
   Sim.Server.submit t.frontends.(dc).(fe) ~cost:(Sim.Time.of_us t.p.cost.Cost_model.frontend_us) item
 
-let create engine p h make =
+let create engine p h ~session make =
   let n = Array.length p.dc_sites in
   let n_sites = Sim.Topology.n_sites p.topo in
   let t =
@@ -79,6 +83,8 @@ let create engine p h make =
                 let lat = Sim.Topology.latency p.topo p.dc_sites.(i) p.dc_sites.(j) in
                 Sim.Link.create engine ~latency:(bulk_latency ~bulk_factor:p.bulk_factor lat) ()));
       bulk = [||];
+      sessions = Int_tbl.create 256;
+      new_session = session;
       stopped = false;
     }
   in
@@ -105,6 +111,14 @@ let create engine p h make =
 let params t = t.p
 let engine t = t.engine
 let n_dcs t = Array.length t.p.dc_sites
+
+let session t ~client ~home =
+  match Int_tbl.find t.sessions client with
+  | s -> s
+  | exception Not_found ->
+    let s = t.new_session ~home in
+    Int_tbl.replace t.sessions client s;
+    s
 
 let send t ~home ~dc item =
   let at = Sim.Time.add (Sim.Engine.now t.engine) t.leg_latency.(home).(dc) in

@@ -12,7 +12,14 @@
     The fabric decides where an item waits and for how long; the system's
     {!handlers}, given once at {!create}, decide what happens at each
     stop. Each queue's handler is one closure made there, so the path
-    allocates nothing beyond the item. *)
+    allocates nothing beyond the item.
+
+    Sessions: a client's protocol state (Saturn's causal past, a
+    baseline's dependency time, vector or context) lives in the fabric's
+    one table, keyed by client id: {!session} makes it on the client's
+    first request and returns the same value on every later one. A client
+    has at most one request in flight (the harness drives closed loops),
+    so a request's stages all see the same session state. *)
 
 (** The deployment's geometry. *)
 type params = {
@@ -54,41 +61,53 @@ type ('c, 'i, 'b) handlers = {
   deliver : 'c -> src:int -> dst:int -> 'b -> unit;  (** a bulk message arrived *)
 }
 
-type ('i, 'b) t
-(** A fabric whose queues carry items ['i], its bulk channels ['b]. *)
+type ('s, 'i, 'b) t
+(** A fabric whose clients hold sessions ['s], whose queues carry items
+    ['i] and whose bulk channels carry ['b]. *)
 
-val create : Sim.Engine.t -> params -> ('c, 'i, 'b) handlers -> (('i, 'b) t -> 'c) -> 'c
-(** [create engine p handlers make] builds the fabric, passes it to [make]
-    to build the system around it, wires the [handlers] to the queues and
-    returns the system. It schedules nothing. *)
+val create :
+  Sim.Engine.t ->
+  params ->
+  ('c, 'i, 'b) handlers ->
+  session:(home:Sim.Topology.site -> 's) ->
+  (('s, 'i, 'b) t -> 'c) ->
+  'c
+(** [create engine p handlers ~session make] builds the fabric, passes it
+    to [make] to build the system around it, wires the [handlers] to the
+    queues and returns the system. [session] makes a client's session
+    from its home site. It schedules nothing. *)
 
-val params : ('i, 'b) t -> params
-val engine : ('i, 'b) t -> Sim.Engine.t
-val n_dcs : ('i, 'b) t -> int
+val session : ('s, 'i, 'b) t -> client:int -> home:Sim.Topology.site -> 's
+(** The session of client [client]: made by [create]'s [session] on the
+    first call for that id, the same value on every later one. *)
 
-val send : ('i, 'b) t -> home:Sim.Topology.site -> dc:int -> 'i -> unit
+val params : ('s, 'i, 'b) t -> params
+val engine : ('s, 'i, 'b) t -> Sim.Engine.t
+val n_dcs : ('s, 'i, 'b) t -> int
+
+val send : ('s, 'i, 'b) t -> home:Sim.Topology.site -> dc:int -> 'i -> unit
 (** A request from a client at [home] to datacenter [dc]. *)
 
-val reply : ('i, 'b) t -> home:Sim.Topology.site -> dc:int -> 'i -> unit
+val reply : ('s, 'i, 'b) t -> home:Sim.Topology.site -> dc:int -> 'i -> unit
 (** The reply from [dc] to a client at [home]. *)
 
-val submit : ('i, 'b) t -> dc:int -> part:int -> cost:Sim.Time.t -> 'i -> unit
+val submit : ('s, 'i, 'b) t -> dc:int -> part:int -> cost:Sim.Time.t -> 'i -> unit
 (** Consumes [cost] of storage-server time on partition [part] of [dc]. *)
 
-val ship : ('i, 'b) t -> src:int -> dst:int -> size_bytes:int -> 'b -> unit
+val ship : ('s, 'i, 'b) t -> src:int -> dst:int -> size_bytes:int -> 'b -> unit
 (** Sends a bulk message [src -> dst]; the caller accounts its bytes. *)
 
-val bulk_link : ('i, 'b) t -> src:int -> dst:int -> Sim.Link.t
+val bulk_link : ('s, 'i, 'b) t -> src:int -> dst:int -> Sim.Link.t
 (** The directed bulk wire [src -> dst], for fault injection.
     @raise Invalid_argument when [src = dst]. *)
 
-val every : ('i, 'b) t -> Sim.Time.t -> (unit -> unit) -> unit
+val every : ('s, 'i, 'b) t -> Sim.Time.t -> (unit -> unit) -> unit
 (** A periodic task, first run one period from now, last before {!stop}. *)
 
-val drive_series : ('i, 'b) t -> Stats.Series.t -> unit
+val drive_series : ('s, 'i, 'b) t -> Stats.Series.t -> unit
 (** Registers the [series.link.bulk.in_flight] gauge over every bulk wire
     and drives the series sampling tick until {!stop}. The tick only reads
     state and emits no probe events, so trace digests are unchanged. *)
 
-val stop : ('i, 'b) t -> unit
-val stopped : ('i, 'b) t -> bool
+val stop : ('s, 'i, 'b) t -> unit
+val stopped : ('s, 'i, 'b) t -> bool

@@ -20,7 +20,7 @@ type route = { mutable to_next : bool; mutable marker : Label.t option }
 type t = {
   p : params;
   observer : Stats.Observer.t;
-  fabric : (Datacenter.item, Datacenter.bulk) Fabric.t;
+  fabric : (Datacenter.session, Datacenter.item, Datacenter.bulk) Fabric.t;
   mutable dcs : Datacenter.t array;
   mutable service : Service.t option;
   mutable next_service : Service.t option;
@@ -74,28 +74,29 @@ let route_label t dc label =
 (* ---- client operations -------------------------------------------------- *)
 
 (* Each op is one [Datacenter.Request] record on the fabric's request
-   legs, from the client's home site and back. *)
+   legs, from the client's home site and back, carrying the client's
+   session from the fabric's table. *)
 
 let not_a_request () = invalid_arg "System: not a client request"
 
-let send t client ~dc item = Fabric.send t.fabric ~home:(Client_lib.home_site client) ~dc item
+let send t session ~dc op ~key ~value =
+  Fabric.send t.fabric ~home:session.Datacenter.home ~dc (Datacenter.request op session ~key ~value)
 
-let attach t client ~dc ~k =
-  send t client ~dc (Datacenter.request (Attach k) client ~key:0 ~value:Datacenter.no_value)
+let request t ~client ~home ~dc op ~key ~value =
+  send t (Fabric.session t.fabric ~client ~home) ~dc op ~key ~value
 
-let read t client ~key ~k =
-  send t client ~dc:(Client_lib.current_dc client)
-    (Datacenter.request (Read k) client ~key ~value:Datacenter.no_value)
+let attach t ~client ~home ~dc ~k =
+  request t ~client ~home ~dc (Attach k) ~key:0 ~value:Datacenter.no_value
 
-let update t client ~key ~value ~k =
-  send t client ~dc:(Client_lib.current_dc client) (Datacenter.request (Update k) client ~key ~value)
+let read t ~client ~home ~dc ~key ~k =
+  request t ~client ~home ~dc (Read k) ~key ~value:Datacenter.no_value
 
-let update_with_label t client ~key ~value ~k =
-  send t client ~dc:(Client_lib.current_dc client)
-    (Datacenter.request (Update_with_label k) client ~key ~value)
+let update t ~client ~home ~dc ~key ~value ~k = request t ~client ~home ~dc (Update k) ~key ~value
 
-let migrate t client ~dest_dc ~k =
-  let dc = Client_lib.current_dc client in
+let update_with_label t ~client ~home ~dc ~key ~value ~k =
+  request t ~client ~home ~dc (Update_with_label k) ~key ~value
+
+let migrate t ~client ~home ~dc ~preferred_dc ~dest_dc ~k =
   (* Migration labels are an optimization (§4.4), not a requirement: they
      pay one request round-trip to the current datacenter. That is free
      when the client is at its preferred site, but from a remote datacenter
@@ -103,34 +104,31 @@ let migrate t client ~dest_dc ~k =
      attach it would save — so a returning client attaches directly
      (Algorithm 1 handles its label: instantly when the causal past was
      generated at the destination, per-source stabilization otherwise). *)
-  if dc = Client_lib.preferred_dc client && not t.p.peer_mode then
-    send t client ~dc
-      (Datacenter.request (Migrate { dest_dc; k }) client ~key:0 ~value:Datacenter.no_value)
-  else attach t client ~dc:dest_dc ~k
+  if dc = preferred_dc && not t.p.peer_mode then
+    request t ~client ~home ~dc (Migrate { dest_dc; k }) ~key:0 ~value:Datacenter.no_value
+  else attach t ~client ~home ~dc:dest_dc ~k
 
-(* the back legs' one handler: the reply reaches the client at [dc] *)
-let finish t ~dc item =
+(* the back legs' one handler: the reply reaches the client *)
+let finish t ~dc:_ item =
   match item with
   | Datacenter.Request r -> (
     match r.op with
-    | Attach k ->
-      Client_lib.set_current_dc r.client dc;
-      k ()
+    | Attach k -> k ()
     | Read k ->
       if r.hit then begin
-        Client_lib.observe r.client r.label;
+        Datacenter.observe r.session r.label;
         k (Some r.value)
       end
       else k None
     | Update k ->
-      Client_lib.observe r.client r.label;
+      Datacenter.observe r.session r.label;
       k ()
     | Update_with_label k ->
-      Client_lib.observe r.client r.label;
+      Datacenter.observe r.session r.label;
       k r.label
     | Migrate { dest_dc; k } ->
-      Client_lib.observe r.client r.label;
-      attach t r.client ~dc:dest_dc ~k)
+      Datacenter.observe r.session r.label;
+      send t r.session ~dc:dest_dc (Attach k) ~key:0 ~value:Datacenter.no_value)
   | Datacenter.Stage _ -> not_a_request ()
 
 let handlers =
@@ -154,7 +152,7 @@ let create ~observer engine p hooks =
   let meta = Stats.Meta_bytes.create registry ~system:"saturn" in
   let n = Array.length p.geo.Fabric.dc_sites in
   let t =
-    Fabric.create engine p.geo handlers (fun fabric ->
+    Fabric.create engine p.geo handlers ~session:Datacenter.session (fun fabric ->
         {
           p;
           observer;

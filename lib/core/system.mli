@@ -51,30 +51,69 @@ val next_service : t -> Service.t option
     Fault registries bind its serializers and links so faults compose with
     the migration window. *)
 
-val fabric : t -> (Datacenter.item, Datacenter.bulk) Fabric.t
+val fabric : t -> (Datacenter.session, Datacenter.item, Datacenter.bulk) Fabric.t
 (** The request fabric and bulk wires the deployment runs on. *)
 
 val params : t -> params
 
-(** {2 Client operations} (continuation-passing). Each op travels as one
-    {!Datacenter.Request} record over the {!Fabric}'s request path from
-    the client's home site, so it allocates no closure of its own. *)
+(** {2 Client operations} (continuation-passing). A client is its id,
+    its home site and the datacenter it is attached to, [dc], which the
+    caller tracks. Its causal past ({!Datacenter.session}) lives in the
+    fabric's session table ({!Fabric.session}), made on its first
+    request. Each op travels as one {!Datacenter.Request} record over the
+    {!Fabric}'s request path from [home], so it allocates no closure of
+    its own. *)
 
-val attach : t -> Client_lib.t -> dc:int -> k:(unit -> unit) -> unit
-val read : t -> Client_lib.t -> key:int -> k:(Kvstore.Value.t option -> unit) -> unit
-(** At the client's current datacenter. *)
+val attach : t -> client:int -> home:Sim.Topology.site -> dc:int -> k:(unit -> unit) -> unit
+(** Algorithm 1 ATTACH at [dc]: [k] runs once [dc] has caught up with the
+    client's causal past. *)
 
-val update : t -> Client_lib.t -> key:int -> value:Kvstore.Value.t -> k:(unit -> unit) -> unit
+val read :
+  t ->
+  client:int ->
+  home:Sim.Topology.site ->
+  dc:int ->
+  key:int ->
+  k:(Kvstore.Value.t option -> unit) ->
+  unit
+
+val update :
+  t ->
+  client:int ->
+  home:Sim.Topology.site ->
+  dc:int ->
+  key:int ->
+  value:Kvstore.Value.t ->
+  k:(unit -> unit) ->
+  unit
 
 val update_with_label :
-  t -> Client_lib.t -> key:int -> value:Kvstore.Value.t -> k:(Label.t -> unit) -> unit
+  t ->
+  client:int ->
+  home:Sim.Topology.site ->
+  dc:int ->
+  key:int ->
+  value:Kvstore.Value.t ->
+  k:(Label.t -> unit) ->
+  unit
 (** Like {!update} but hands the minted label to the continuation, as the
     paper's frontend does (Algorithm 1 returns the label to the client
     library). Useful for tools and session-guarantee checks. *)
 
-val migrate : t -> Client_lib.t -> dest_dc:int -> k:(unit -> unit) -> unit
-(** Issues the migration label at the current datacenter, then attaches at
-    [dest_dc]; on completion the client is attached there. *)
+val migrate :
+  t ->
+  client:int ->
+  home:Sim.Topology.site ->
+  dc:int ->
+  preferred_dc:int ->
+  dest_dc:int ->
+  k:(unit -> unit) ->
+  unit
+(** Moves a client attached at [dc] to [dest_dc]; [k] runs once it is
+    attached there. At its [preferred_dc] (and outside peer mode) the
+    client first has [dc] issue a migration label (§4.4); elsewhere it
+    attaches at [dest_dc] directly, since the label's round trip would
+    cross the WAN. *)
 
 (** {2 Online reconfiguration (§6.2)} *)
 

@@ -79,6 +79,6 @@ val switch_config : t -> graceful:bool -> Saturn.Config.t -> unit
     registers the epoch-2 pieces under the [e2.] prefix.
     @raise Invalid_argument when no reconfigurable system is bound. *)
 
-val bind_fabric : t -> ('i, 'b) Saturn.Fabric.t -> unit
+val bind_fabric : t -> ('s, 'i, 'b) Saturn.Fabric.t -> unit
 (** Registers a request fabric's [bulk.dc<i>->dc<j>] wires: all a baseline
     has to break, and the bulk half of {!bind_system}. *)

@@ -116,10 +116,6 @@ let hooks_of_metrics metrics =
         Metrics.on_visible metrics ~dc ~key ~origin_dc ~origin_time ~value);
   }
 
-(* client id -> library state, with int equality instead of the
-   polymorphic compare per op *)
-module Int_tbl = Hashtbl.Make (Int)
-
 (* the one observer value every layer of a deployment reports through;
    without a registry, the counters go to a private one nobody reads *)
 let observer registry series =
@@ -129,6 +125,34 @@ let observer registry series =
 (* a builder taking the observer value, behind Build's public arguments *)
 let with_observer build ?registry ?series ?faults engine spec metrics =
   build (observer registry series) faults engine spec metrics
+
+(* The one Api.t over every system. Each protocol's client surface takes
+   the client's id, home site and datacenter, and keeps the client's
+   session in its fabric's table; this adapter alone moves the harness
+   client's [current_dc]. *)
+let client_api ~name ~attach ~read ~update ~migrate ~stop ~store_value =
+  {
+    Api.name;
+    attach =
+      (fun c ~dc ~k ->
+        attach ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
+            c.Client.current_dc <- dc;
+            k ()));
+    read =
+      (fun c ~key ~k ->
+        read ~client:c.Client.id ~home:c.Client.home_site ~dc:c.Client.current_dc ~key ~k);
+    update =
+      (fun c ~key ~value ~k ->
+        update ~client:c.Client.id ~home:c.Client.home_site ~dc:c.Client.current_dc ~key ~value ~k);
+    migrate =
+      (fun c ~dest_dc ~k ->
+        migrate ~client:c.Client.id ~home:c.Client.home_site ~dc:c.Client.current_dc
+          ~preferred_dc:c.Client.preferred_dc ~dest_dc ~k:(fun () ->
+            c.Client.current_dc <- dest_dc;
+            k ()));
+    stop;
+    store_value;
+  }
 
 let saturn_with ~peer observer faults engine spec metrics =
   let config =
@@ -153,68 +177,31 @@ let saturn_with ~peer observer faults engine spec metrics =
   in
   let system = Saturn.System.create ~observer engine params (hooks_of_metrics metrics) in
   Option.iter (fun f -> Faults.Registry.bind_system f system) faults;
-  let table : Saturn.Client_lib.t Int_tbl.t = Int_tbl.create 256 in
-  let lib (c : Client.t) =
-    match Int_tbl.find table c.Client.id with
-    | l -> l
-    | exception Not_found ->
-      let l =
-        Saturn.Client_lib.create ~id:c.Client.id ~home_site:c.Client.home_site
-          ~preferred_dc:c.Client.preferred_dc
-      in
-      Int_tbl.replace table c.Client.id l;
-      l
-  in
   let api =
-    {
-      Api.name = name (if peer then `Saturn_peer else `Saturn);
-      attach =
-        (fun c ~dc ~k ->
-          Saturn.System.attach system (lib c) ~dc ~k:(fun () ->
-              c.Client.current_dc <- dc;
-              k ()));
-      read = (fun c ~key ~k -> Saturn.System.read system (lib c) ~key ~k);
-      update = (fun c ~key ~value ~k -> Saturn.System.update system (lib c) ~key ~value ~k);
-      migrate =
-        (fun c ~dest_dc ~k ->
-          Saturn.System.migrate system (lib c) ~dest_dc ~k:(fun () ->
-              c.Client.current_dc <- dest_dc;
-              k ()));
-      stop = (fun () -> Saturn.System.stop system);
-      store_value =
-        (fun ~dc ~key ->
-          let store = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system dc) ~key in
-          Option.map fst (Kvstore.Store.get store ~key));
-    }
+    client_api
+      ~name:(name (if peer then `Saturn_peer else `Saturn))
+      ~attach:(Saturn.System.attach system) ~read:(Saturn.System.read system)
+      ~update:(Saturn.System.update system) ~migrate:(Saturn.System.migrate system)
+      ~stop:(fun () -> Saturn.System.stop system)
+      ~store_value:(fun ~dc ~key ->
+        let store = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system dc) ~key in
+        Option.map fst (Kvstore.Store.get store ~key))
   in
   (api, system)
 
 let saturn = with_observer (saturn_with ~peer:false)
 
-(* One Api.t over any baseline: the client surface is its data plane's *)
+(* a baseline's client surface is its data plane's; it has no migration
+   fast path, so a migration is an attach at the destination *)
 let of_baseline (type a) (module B : Baselines.Common.S with type t = a) faults (sys : a) =
   let geo = B.fabric sys in
   Option.iter (fun f -> Faults.Registry.bind_fabric f (Baselines.Common.shared geo)) faults;
-  let attach (c : Client.t) ~dc ~k =
-    Baselines.Common.attach geo ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
-        c.Client.current_dc <- dc;
-        k ())
-  in
-  {
-    Api.name = B.name;
-    attach;
-    read =
-      (fun c ~key ~k ->
-        Baselines.Common.read geo ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~k);
-    update =
-      (fun c ~key ~value ~k ->
-        Baselines.Common.update geo ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~value ~k);
-    migrate = (fun c ~dest_dc ~k -> attach c ~dc:dest_dc ~k);
-    stop = (fun () -> Baselines.Common.stop geo);
-    store_value = (fun ~dc ~key -> Baselines.Common.store_value geo ~dc ~key);
-  }
+  client_api ~name:B.name ~attach:(Baselines.Common.attach geo) ~read:(Baselines.Common.read geo)
+    ~update:(Baselines.Common.update geo)
+    ~migrate:(fun ~client ~home ~dc:_ ~preferred_dc:_ ~dest_dc ~k ->
+      Baselines.Common.attach geo ~client ~home ~dc:dest_dc ~k)
+    ~stop:(fun () -> Baselines.Common.stop geo)
+    ~store_value:(Baselines.Common.store_value geo)
 
 (* A baseline's Api.t and handle: [create] over the deployment's geometry *)
 let baseline (type a) (module B : Baselines.Common.S with type t = a) create observer faults engine

@@ -1,7 +1,13 @@
 (** The one table of systems: which exist, what each is called, and how
     each is built behind the uniform {!Api.t} over a shared deployment
     {!spec}. {!make} is the only builder every caller needs; {!saturn},
-    {!cops} and {!orbe} also return the handle their callers read. *)
+    {!cops} and {!orbe} also return the handle their callers read.
+
+    Every system's {!Api.t} comes from one adapter. Each protocol keeps
+    its clients' sessions in its fabric's table ({!Saturn.Fabric.session})
+    and takes a client as its id, home site and datacenter; the adapter
+    passes those from the {!Client.t} and alone moves its [current_dc]
+    when an attach or migration completes. *)
 
 type system =
   [ `Saturn | `Saturn_peer | `Eventual | `Gentlerain | `Cure | `Eunomia | `Okapi | `Orbe | `Cops ]

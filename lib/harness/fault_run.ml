@@ -61,8 +61,8 @@ let busiest_edge ~seed =
   let spec = spec () in
   let engine = Sim.Engine.create () in
   let metrics = Metrics.create engine ~topo:spec.Build.topo ~dc_sites in
-  let _api, system = Build.saturn engine spec metrics in
-  ignore (run_driver engine _api metrics ~seed ~rmap:spec.Build.rmap ~topo:spec.Build.topo);
+  let api, system = Build.saturn engine spec metrics in
+  ignore (run_driver engine api metrics ~seed ~rmap:spec.Build.rmap ~topo:spec.Build.topo);
   match Saturn.System.service system with
   | None -> assert false
   | Some service ->
@@ -269,7 +269,7 @@ let run_one ~seed ~scenario ~system ~busiest =
     scenario;
     system = Build.name (system :> Build.system);
     ops;
-    vis_mean_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.mean vis);
+    vis_mean_ms = Stats.Sample.mean vis;
     vis_p99_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.percentile vis 99.);
     recovery_ms;
     report = Faults.Checker.report checker;

@@ -70,7 +70,7 @@ let run_system ?(seed = 42) name =
     system = name;
     ops = r.Driver.ops_completed;
     throughput = r.Driver.throughput;
-    vis_mean_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.mean vis);
+    vis_mean_ms = Stats.Sample.mean vis;
     vis_p50_ms = pct 50.;
     vis_p99_ms = pct 99.;
     attached_bytes;

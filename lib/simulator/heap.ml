@@ -1,76 +1,3 @@
-type 'a t = {
-  cmp : 'a -> 'a -> int;
-  mutable data : 'a array;
-  mutable len : int;
-}
-
-let create ~cmp () = { cmp; data = [||]; len = 0 }
-let size h = h.len
-let is_empty h = h.len = 0
-
-let grow h x =
-  let cap = Array.length h.data in
-  if h.len = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let ndata = Array.make ncap x in
-    Array.blit h.data 0 ndata 0 h.len;
-    h.data <- ndata
-  end
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if h.cmp h.data.(i) h.data.(parent) < 0 then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.len && h.cmp h.data.(l) h.data.(!smallest) < 0 then smallest := l;
-  if r < h.len && h.cmp h.data.(r) h.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
-
-let push h x =
-  grow h x;
-  h.data.(h.len) <- x;
-  h.len <- h.len + 1;
-  sift_up h (h.len - 1)
-
-let peek h = if h.len = 0 then None else Some h.data.(0)
-
-let pop h =
-  if h.len = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.data.(0) <- h.data.(h.len);
-      sift_down h 0
-    end;
-    Some top
-  end
-
-let pop_exn h =
-  match pop h with
-  | Some x -> x
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
-
-let clear h = h.len <- 0
-
-let to_list h =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (h.data.(i) :: acc) in
-  loop (h.len - 1) []
-
 module Keyed = struct
   (* Heap positions hold only ints: keys in two parallel [int array]s and,
      beside them, the payload's slot. Payloads sit in a slot-indexed array

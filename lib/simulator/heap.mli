@@ -1,35 +1,8 @@
-(** Array-based binary min-heap, polymorphic in the element type.
-
-    The ordering function is supplied at creation time. Used by the event
-    queue and by the statistics modules; kept generic so it can be
-    property-tested in isolation. *)
-
-type 'a t
-
-val create : cmp:('a -> 'a -> int) -> unit -> 'a t
-(** Fresh empty heap ordered by [cmp] (smallest element at the top). *)
-
-val size : 'a t -> int
-val is_empty : 'a t -> bool
-
-val push : 'a t -> 'a -> unit
-
-val peek : 'a t -> 'a option
-(** Smallest element without removing it. *)
-
-val pop : 'a t -> 'a option
-(** Removes and returns the smallest element. *)
-
-val pop_exn : 'a t -> 'a
-(** @raise Invalid_argument on an empty heap. *)
-
-val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** Elements in unspecified order; does not modify the heap. *)
+(** The simulator's binary min-heap: {!Keyed}, with integer keys. *)
 
 (** Min-heap keyed by a pair of unboxed integers, compared lexicographically
-    [(k1, k2)] — the engine's event queue and the sink/proxy label buffers.
+    [(k1, k2)] — the engine's event queue, the sink/proxy label buffers
+    and the baselines' stable queues.
 
     Heap positions hold only ints: [k1], [k2] and the payload's {e slot}.
     A payload stays in a slot-indexed array for its whole time in the

@@ -27,8 +27,9 @@ let star_system ?(n_dcs = 3) ?(n_keys = 64) ?(partitions = 2) ?(peer_mode = fals
   let system = Saturn.System.create ~observer:(Stats.Observer.create ()) engine params hooks in
   (engine, system)
 
-let client ~id ~dc =
-  Saturn.Client_lib.create ~id ~home_site:(List.nth (Sim.Ec2.first_n 7) dc) ~preferred_dc:dc
+(* the home site of a client of datacenter [dc]: [Saturn.System]'s client
+   ops take it beside the client's id *)
+let home dc = List.nth (Sim.Ec2.first_n 7) dc
 
 (* Run the engine until the continuation result materialises. *)
 let run_until_some engine result =

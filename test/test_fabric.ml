@@ -8,7 +8,7 @@ let server_us = 7
 
 (* the system is the fabric itself: every item goes to partition 0 of its
    datacenter, then straight back to a client at [home] *)
-let fabric ?(frontends = 2) ~home () =
+let fabric_with ~session ?(frontends = 2) ~home () =
   let engine = Sim.Engine.create () in
   let now fab = Sim.Engine.now (Saturn.Fabric.engine fab) in
   let p =
@@ -32,7 +32,9 @@ let fabric ?(frontends = 2) ~home () =
       deliver = (fun _ ~src:_ ~dst:_ () -> ());
     }
   in
-  (engine, Saturn.Fabric.create engine p handlers Fun.id)
+  (engine, Saturn.Fabric.create engine p handlers ~session Fun.id)
+
+let fabric ?frontends ~home () = fabric_with ~session:(fun ~home:_ -> ()) ?frontends ~home ()
 
 let drain engine =
   while Sim.Engine.step engine do
@@ -85,9 +87,40 @@ let test_round_trip_allocates_nothing () =
   let words = Helpers.allocated (fun () -> for _ = 1 to 2_000 do round () done) in
   Alcotest.(check (float 0.)) "send, frontend, server and reply" 0. words
 
+(* The session table: a client's session is made on its first request
+   and the same value serves every later one, whatever the datacenter *)
+let test_one_session_per_client () =
+  let made = ref 0 in
+  let engine, fab =
+    fabric_with ~home
+      ~session:(fun ~home ->
+        incr made;
+        (home, ref 0))
+      ()
+  in
+  Alcotest.(check int) "nothing made before a request" 0 !made;
+  let request ~client ~dc =
+    let ((_, ops) as s) = Saturn.Fabric.session fab ~client ~home in
+    incr ops;
+    Saturn.Fabric.send fab ~home ~dc (fresh ());
+    drain engine;
+    s
+  in
+  let first = List.map (fun client -> request ~client ~dc:0) [ 4; 9; 2 ] in
+  Alcotest.(check int) "one per client id" 3 !made;
+  let later =
+    List.map (fun (client, dc) -> request ~client ~dc) [ (9, 1); (4, 2); (2, 1); (9, 0) ]
+  in
+  Alcotest.(check int) "no more on later requests" 3 !made;
+  Alcotest.(check bool) "later requests get the first session" true
+    (List.for_all2 ( == ) (List.map (List.nth first) [ 1; 0; 2; 1 ]) later);
+  Alcotest.(check (list int)) "each session saw its client's requests" [ 2; 3; 2 ]
+    (List.map (fun (_, ops) -> !ops) first)
+
 let suite =
   [
     Alcotest.test_case "round trip: 2 x leg + frontend + server" `Quick test_round_trip_time;
     Alcotest.test_case "frontends take requests round-robin" `Quick test_frontends_round_robin;
     Alcotest.test_case "round trip allocates nothing" `Quick test_round_trip_allocates_nothing;
+    Alcotest.test_case "one session per client id" `Quick test_one_session_per_client;
   ]

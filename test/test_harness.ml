@@ -189,6 +189,42 @@ let test_make_runs system () =
   in
   if r.Driver.ops_completed <= 0 then Alcotest.failf "%s completed no ops" (Build.name system)
 
+(* the one client adapter moves the harness client's current_dc for
+   every system: attach at dc 0, migrate to dc 2, read there. Key 0 lives
+   only at dc 2, so the read finds the value only if dc 2 serves it. *)
+let test_client_follows_migration system () =
+  let open Harness in
+  let engine = Sim.Engine.create () in
+  let dc_sites = [| 0; 1; 2 |] in
+  let topo = Build.topo3 () in
+  let rmap =
+    Kvstore.Replica_map.create ~n_dcs:3 ~n_keys:4 ~assign:(fun key ->
+        if key = 0 then [ 2 ] else [ 0; 1; 2 ])
+  in
+  let metrics = Metrics.create engine ~topo ~dc_sites in
+  let api = Build.make system engine (Build.default_spec ~topo ~dc_sites ~rmap) metrics in
+  let writer = Client.create ~id:1 ~home_site:2 ~preferred_dc:2 in
+  let c = Client.create ~id:0 ~home_site:0 ~preferred_dc:0 in
+  let steps = ref [] and read = ref None in
+  let step name = steps := (name, c.Client.current_dc) :: !steps in
+  api.Api.attach writer ~dc:2 ~k:(fun () ->
+      api.Api.update writer ~key:0 ~value:(Kvstore.Value.make ~payload:42 ~size_bytes:8)
+        ~k:(fun () ->
+          api.Api.attach c ~dc:0 ~k:(fun () ->
+              step "attach";
+              api.Api.migrate c ~dest_dc:2 ~k:(fun () ->
+                  step "migrate";
+                  api.Api.read c ~key:0 ~k:(fun v ->
+                      step "read";
+                      read := Some v)))));
+  Sim.Engine.run ~until:(Sim.Time.of_sec 5.) engine;
+  api.Api.stop ();
+  Alcotest.(check (list (pair string int))) "current_dc after each step"
+    [ ("attach", 0); ("migrate", 2); ("read", 2) ]
+    (List.rev !steps);
+  Alcotest.(check (option (option int))) "read served at dc 2" (Some (Some 42))
+    (Option.map (Option.map (fun v -> v.Kvstore.Value.payload)) !read)
+
 (* the shootout reads meta.bytes.<name>.* by name, and Registry.counter
    creates a missing counter, so a renamed system would read 0 silently:
    check the builder registered them, through the snapshot *)
@@ -329,4 +365,11 @@ let suite =
         Alcotest.test_case
           (Printf.sprintf "system table: make %s runs" (Harness.Build.name s))
           `Quick (test_make_runs s))
+      Harness.Build.all
+  @ List.map
+      (fun s ->
+        Alcotest.test_case
+          (Printf.sprintf "client adapter: %s keeps current_dc through a migration"
+             (Harness.Build.name s))
+          `Quick (test_client_follows_migration s))
       Harness.Build.all

@@ -5,10 +5,10 @@ open Helpers
 
 let test_write_becomes_visible () =
   let engine, system = star_system () in
-  let c0 = client ~id:0 ~dc:0 in
   let done_ = ref None in
-  Saturn.System.attach system c0 ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c0 ~key:7 ~value:(value 100) ~k:(fun () -> done_ := Some ()));
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:7 ~value:(value 100)
+          ~k:(fun () -> done_ := Some ()));
   run_until_some engine done_;
   Sim.Engine.run ~until:(Sim.Time.of_sec 2.) engine;
   (* the update must be installed at every replica *)
@@ -36,19 +36,19 @@ let test_causal_order_across_dcs () =
     ignore (engine, system);
     star_system ~hooks ()
   in
-  let c0 = client ~id:0 ~dc:0 in
-  let c1 = client ~id:1 ~dc:1 in
   let step = ref 0 in
-  Saturn.System.attach system c0 ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c0 ~key:1 ~value:(value 11) ~k:(fun () -> step := 1));
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:1 ~value:(value 11)
+          ~k:(fun () -> step := 1));
   (* c1 polls key 1 at dc1 until it sees the write, then writes key 2 *)
   let rec poll () =
-    Saturn.System.read system c1 ~key:1 ~k:(fun v ->
+    Saturn.System.read system ~client:1 ~home:(home 1) ~dc:1 ~key:1 ~k:(fun v ->
         match v with
-        | Some _ -> Saturn.System.update system c1 ~key:2 ~value:(value 22) ~k:(fun () -> step := 2)
+        | Some _ -> Saturn.System.update system ~client:1 ~home:(home 1) ~dc:1 ~key:2
+            ~value:(value 22) ~k:(fun () -> step := 2)
         | None -> Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 5) poll)
   in
-  Saturn.System.attach system c1 ~dc:1 ~k:poll;
+  Saturn.System.attach system ~client:1 ~home:(home 1) ~dc:1 ~k:poll;
   Sim.Engine.run ~until:(Sim.Time.of_sec 10.) engine;
   Alcotest.(check int) "both updates issued" 2 !step;
   (* at dc2 (replicates both), key 2 must become visible after key 1 *)
@@ -67,12 +67,14 @@ let test_migration_attach () =
   (* a client writes at dc0, migrates to dc1, and must be able to read its
      own write immediately after attach *)
   let engine, system = star_system () in
-  let c = client ~id:0 ~dc:0 in
   let result = ref None in
-  Saturn.System.attach system c ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c ~key:3 ~value:(value 33) ~k:(fun () ->
-          Saturn.System.migrate system c ~dest_dc:1 ~k:(fun () ->
-              Saturn.System.read system c ~key:3 ~k:(fun v -> result := Some v))));
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:3 ~value:(value 33)
+          ~k:(fun () ->
+          Saturn.System.migrate system ~client:0 ~home:(home 0) ~dc:0 ~preferred_dc:0 ~dest_dc:1
+              ~k:(fun () ->
+              Saturn.System.read system ~client:0 ~home:(home 0) ~dc:1 ~key:3
+                  ~k:(fun v -> result := Some v))));
   let v = run_until_some engine result in
   match v with
   | Some v -> Alcotest.(check int) "own write visible after migration" 33 v.Kvstore.Value.payload
@@ -82,10 +84,10 @@ let test_peer_mode_converges () =
   (* P-configuration: no serializer tree at all; timestamp fallback must
      still deliver and converge *)
   let engine, system = star_system ~peer_mode:true () in
-  let c = client ~id:0 ~dc:0 in
   let done_ = ref None in
-  Saturn.System.attach system c ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c ~key:9 ~value:(value 99) ~k:(fun () -> done_ := Some ()));
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:9 ~value:(value 99)
+          ~k:(fun () -> done_ := Some ()));
   run_until_some engine done_;
   Sim.Engine.run ~until:(Sim.Time.of_sec 2.) engine;
   for dc = 1 to 2 do
@@ -99,12 +101,12 @@ let test_serializer_crash_fallback () =
   (* crash the only serializer: the tree is down, but after switching the
      proxies to fallback, updates still become visible via timestamp order *)
   let engine, system = star_system () in
-  let c = client ~id:0 ~dc:0 in
   Saturn.System.crash_serializer system 0;
   Saturn.System.enter_fallback system;
   let done_ = ref None in
-  Saturn.System.attach system c ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c ~key:5 ~value:(value 55) ~k:(fun () -> done_ := Some ()));
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:5 ~value:(value 55)
+          ~k:(fun () -> done_ := Some ()));
   run_until_some engine done_;
   Sim.Engine.run ~until:(Sim.Time.of_sec 3.) engine;
   for dc = 1 to 2 do
@@ -129,10 +131,10 @@ let test_partial_replication_no_leak () =
     }
   in
   let engine, system = star_system ~rmap ~hooks ~n_keys () in
-  let c = client ~id:0 ~dc:0 in
   let done_ = ref None in
-  Saturn.System.attach system c ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c ~key:0 ~value:(value 1) ~k:(fun () -> done_ := Some ()));
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:0 ~value:(value 1)
+          ~k:(fun () -> done_ := Some ()));
   run_until_some engine done_;
   Sim.Engine.run ~until:(Sim.Time.of_sec 2.) engine;
   Alcotest.(check bool) "dc2 received nothing" false !leaked;

@@ -199,13 +199,15 @@ let test_synthetic_full_replication_remote_path () =
    migration-label deadlock) *)
 let test_peer_mode_remote_read_cycle () =
   let engine, system = Helpers.star_system ~peer_mode:true () in
-  let c = Helpers.client ~id:0 ~dc:0 in
   let done_ = ref false in
-  Saturn.System.attach system c ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c ~key:3 ~value:(Helpers.value 1) ~k:(fun () ->
-          Saturn.System.migrate system c ~dest_dc:1 ~k:(fun () ->
-              Saturn.System.read system c ~key:3 ~k:(fun _ ->
-                  Saturn.System.migrate system c ~dest_dc:0 ~k:(fun () -> done_ := true)))));
+  Saturn.System.attach system ~client:0 ~home:(Helpers.home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(Helpers.home 0) ~dc:0 ~key:3
+          ~value:(Helpers.value 1) ~k:(fun () ->
+          Saturn.System.migrate system ~client:0 ~home:(Helpers.home 0) ~dc:0 ~preferred_dc:0
+              ~dest_dc:1 ~k:(fun () ->
+              Saturn.System.read system ~client:0 ~home:(Helpers.home 0) ~dc:1 ~key:3 ~k:(fun _ ->
+                  Saturn.System.migrate system ~client:0 ~home:(Helpers.home 0) ~dc:1
+                    ~preferred_dc:0 ~dest_dc:0 ~k:(fun () -> done_ := true)))));
   Sim.Engine.run ~until:(Sim.Time.of_sec 5.) engine;
   Alcotest.(check bool) "peer-mode remote cycle completes" true !done_
 
@@ -241,12 +243,13 @@ let test_attach_semantics_matrix () =
   let fabric = Saturn.System.fabric system in
   let hits = ref [] in
   let attach ~id ?past hit =
-    let c = Helpers.client ~id ~dc:1 in
-    Option.iter (Saturn.Client_lib.observe c) past;
-    Saturn.Fabric.send fabric ~home:(Saturn.Client_lib.home_site c) ~dc:1
+    let home = Helpers.home 1 in
+    let session = Saturn.Fabric.session fabric ~client:id ~home in
+    Option.iter (Saturn.Datacenter.observe session) past;
+    Saturn.Fabric.send fabric ~home ~dc:1
       (Saturn.Datacenter.request
          (Saturn.Datacenter.Attach (fun () -> hits := hit :: !hits))
-         c ~key:0 ~value:Saturn.Datacenter.no_value)
+         session ~key:0 ~value:Saturn.Datacenter.no_value)
   in
   (* case 0: no causal past -> immediate *)
   attach ~id:0 `Empty;

@@ -9,20 +9,19 @@ let start_writers engine system ~n_dcs ~until =
   let stop = Sim.Time.of_sec until in
   let payload = ref 0 in
   let issued = ref [] in
-  let rec loop c () =
+  let rec loop dc () =
     if Sim.Time.compare (Sim.Engine.now engine) stop < 0 then begin
       incr payload;
       let p = !payload in
-      Saturn.System.update system c ~key:(p mod 16)
+      Saturn.System.update system ~client:(100 + dc) ~home:(home dc) ~dc ~key:(p mod 16)
         ~value:(Kvstore.Value.make ~payload:p ~size_bytes:2)
         ~k:(fun () ->
           issued := p :: !issued;
-          Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 3) (loop c))
+          Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 3) (loop dc))
     end
   in
   for dc = 0 to n_dcs - 1 do
-    let c = client ~id:(100 + dc) ~dc in
-    Saturn.System.attach system c ~dc ~k:(loop c)
+    Saturn.System.attach system ~client:(100 + dc) ~home:(home dc) ~dc ~k:(loop dc)
   done;
   issued
 
@@ -89,17 +88,18 @@ let test_causality_across_graceful_switch () =
   in
   let engine, system = star_system ~hooks ~n_keys:16 () in
   let dc_sites = Array.of_list (Sim.Ec2.first_n 3) in
-  let c0 = client ~id:0 ~dc:0 and c1 = client ~id:1 ~dc:1 in
   let step = ref 0 in
-  Saturn.System.attach system c0 ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c0 ~key:1 ~value:(value 11) ~k:(fun () -> step := 1));
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:1 ~value:(value 11)
+          ~k:(fun () -> step := 1));
   let rec poll () =
-    Saturn.System.read system c1 ~key:1 ~k:(fun v ->
+    Saturn.System.read system ~client:1 ~home:(home 1) ~dc:1 ~key:1 ~k:(fun v ->
         match v with
-        | Some _ -> Saturn.System.update system c1 ~key:2 ~value:(value 22) ~k:(fun () -> step := 2)
+        | Some _ -> Saturn.System.update system ~client:1 ~home:(home 1) ~dc:1 ~key:2
+            ~value:(value 22) ~k:(fun () -> step := 2)
         | None -> Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 5) poll)
   in
-  Saturn.System.attach system c1 ~dc:1 ~k:poll;
+  Saturn.System.attach system ~client:1 ~home:(home 1) ~dc:1 ~k:poll;
   Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 20) (fun () ->
       Saturn.System.switch_config system (alt_config ~dc_sites) ~graceful:true);
   Sim.Engine.run ~until:(Sim.Time.of_sec 5.) engine;

@@ -26,21 +26,22 @@ let run_session ~seed =
       metrics
   in
   let rng = Sim.Rng.create ~seed in
-  let client = Saturn.Client_lib.create ~id:1 ~home_site:dc_sites.(0) ~preferred_dc:0 in
+  (* the probed client: id 1, at home in dc 0, now attached at [!at] *)
+  let home = dc_sites.(0) and at = ref 0 in
   (* background writers create interleaving traffic *)
   let stop_at = Sim.Time.of_sec 3. in
   let payload = ref 1000 in
   for dc = 0 to n_dcs - 1 do
-    let w = Saturn.Client_lib.create ~id:(10 + dc) ~home_site:dc_sites.(dc) ~preferred_dc:dc in
     let rec loop () =
       if Sim.Time.compare (Sim.Engine.now engine) stop_at < 0 then begin
         incr payload;
-        Saturn.System.update system w ~key:(!payload mod n_keys)
+        Saturn.System.update system ~client:(10 + dc) ~home:dc_sites.(dc) ~dc
+            ~key:(!payload mod n_keys)
           ~value:(Kvstore.Value.make ~payload:!payload ~size_bytes:2)
           ~k:(fun () -> Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 7) loop)
       end
     in
-    Saturn.System.attach system w ~dc ~k:loop
+    Saturn.System.attach system ~client:(10 + dc) ~home:dc_sites.(dc) ~dc ~k:loop
   done;
   (* the probed session *)
   let own_writes : (int, Saturn.Label.t) Hashtbl.t = Hashtbl.create 8 in
@@ -76,9 +77,9 @@ let run_session ~seed =
       let dice = Sim.Rng.int rng 100 in
       if dice < 45 then begin
         let key = Sim.Rng.int rng n_keys in
-        let dc = Saturn.Client_lib.current_dc client in
+        let dc = !at in
         let store = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system dc) ~key in
-        Saturn.System.read system client ~key ~k:(fun _ ->
+        Saturn.System.read system ~client:1 ~home ~dc ~key ~k:(fun _ ->
             (* read the version+label through the store at completion time *)
             check_read key (Kvstore.Store.get store ~key);
             incr ops_done;
@@ -87,7 +88,7 @@ let run_session ~seed =
       else if dice < 75 then begin
         incr payload;
         let key = Sim.Rng.int rng n_keys in
-        Saturn.System.update_with_label system client ~key
+        Saturn.System.update_with_label system ~client:1 ~home ~dc:!at ~key
           ~value:(Kvstore.Value.make ~payload:!payload ~size_bytes:2)
           ~k:(fun label ->
             observe_write key label;
@@ -96,13 +97,15 @@ let run_session ~seed =
       end
       else begin
         let dest = Sim.Rng.int rng n_dcs in
-        Saturn.System.migrate system client ~dest_dc:dest ~k:(fun () ->
+        Saturn.System.migrate system ~client:1 ~home ~dc:!at ~preferred_dc:0 ~dest_dc:dest
+            ~k:(fun () ->
+            at := dest;
             incr ops_done;
             session ())
       end
     end
   in
-  Saturn.System.attach system client ~dc:0 ~k:session;
+  Saturn.System.attach system ~client:1 ~home ~dc:0 ~k:session;
   Sim.Engine.run ~until:stop_at engine;
   (match !violations with [] -> () | v :: _ -> Alcotest.fail v);
   if !ops_done < 20 then Alcotest.failf "session too short (%d ops)" !ops_done

@@ -14,42 +14,6 @@ let test_time_units () =
   Alcotest.(check string) "pp ms" "1.500ms" (Sim.Time.to_string (Sim.Time.of_us 1_500));
   Alcotest.(check string) "pp s" "2.000s" (Sim.Time.to_string (Sim.Time.of_sec 2.))
 
-(* ---- Heap ---------------------------------------------------------------- *)
-
-let test_heap_basic () =
-  let h = Sim.Heap.create ~cmp:Int.compare () in
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-  List.iter (Sim.Heap.push h) [ 5; 1; 4; 1; 3 ];
-  Alcotest.(check int) "size" 5 (Sim.Heap.size h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Sim.Heap.peek h);
-  Alcotest.(check int) "pop 1" 1 (Sim.Heap.pop_exn h);
-  Alcotest.(check int) "pop dup" 1 (Sim.Heap.pop_exn h);
-  Alcotest.(check int) "pop 3" 3 (Sim.Heap.pop_exn h);
-  Sim.Heap.clear h;
-  Alcotest.(check (option int)) "cleared" None (Sim.Heap.pop h)
-
-let test_heap_pop_empty () =
-  let h = Sim.Heap.create ~cmp:Int.compare () in
-  Alcotest.check_raises "pop_exn on empty" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Sim.Heap.pop_exn h))
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:Int.compare () in
-      List.iter (Sim.Heap.push h) xs;
-      let rec drain acc = match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.sort Int.compare xs)
-
-let prop_heap_to_list_preserves =
-  QCheck.Test.make ~name:"to_list holds exactly the pushed elements" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:Int.compare () in
-      List.iter (Sim.Heap.push h) xs;
-      List.sort Int.compare (Sim.Heap.to_list h) = List.sort Int.compare xs)
-
 (* ---- Keyed heap ----------------------------------------------------------- *)
 
 let test_keyed_heap_basic () =
@@ -754,10 +718,6 @@ let test_topology_sub () =
 let suite =
   [
     Alcotest.test_case "time units and printing" `Quick test_time_units;
-    Alcotest.test_case "heap basics" `Quick test_heap_basic;
-    Alcotest.test_case "heap pop on empty" `Quick test_heap_pop_empty;
-    qtest prop_heap_sorts;
-    qtest prop_heap_to_list_preserves;
     Alcotest.test_case "keyed heap basics" `Quick test_keyed_heap_basic;
     qtest prop_keyed_heap_sorts;
     qtest prop_keyed_heap_model;

@@ -6,12 +6,12 @@ open Helpers
 let test_attach_local_label_instant () =
   (* Alg 1 line 4: a causal past generated here never blocks the attach *)
   let engine, system = star_system () in
-  let c = client ~id:0 ~dc:0 in
   let t_attach = ref None in
-  Saturn.System.attach system c ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c ~key:1 ~value:(value 1) ~k:(fun () ->
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:1 ~value:(value 1)
+          ~k:(fun () ->
           let t0 = Sim.Engine.now engine in
-          Saturn.System.attach system c ~dc:0 ~k:(fun () ->
+          Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
               t_attach := Some (Sim.Time.sub (Sim.Engine.now engine) t0))));
   Sim.Engine.run ~until:(Sim.Time.of_sec 1.) engine;
   match !t_attach with
@@ -25,12 +25,12 @@ let test_attach_remote_update_label_waits () =
   (* Alg 1 third case: attaching remotely with a fresh update label must
      wait for per-source stabilization *)
   let engine, system = star_system () in
-  let c = client ~id:0 ~dc:0 in
   let dur = ref None in
-  Saturn.System.attach system c ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c ~key:1 ~value:(value 1) ~k:(fun () ->
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:1 ~value:(value 1)
+          ~k:(fun () ->
           let t0 = Sim.Engine.now engine in
-          Saturn.System.attach system c ~dc:1 ~k:(fun () ->
+          Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:1 ~k:(fun () ->
               dur := Some (Sim.Time.sub (Sim.Engine.now engine) t0))));
   Sim.Engine.run ~until:(Sim.Time.of_sec 2.) engine;
   match !dur with
@@ -48,18 +48,20 @@ let test_migration_beats_conservative_on_near_pair () =
   (* measure attach at dc1 (NC) from dc2 (O): 10ms apart; the star
      serializer sits at NV so the label path is 49+37=86ms... use the
      conservative wait dominated by Ireland (74ms into NC) as the contrast *)
-  let c = client ~id:0 ~dc:2 in
   let mig = ref None and cons = ref None in
-  Saturn.System.attach system c ~dc:2 ~k:(fun () ->
-      Saturn.System.update system c ~key:1 ~value:(value 1) ~k:(fun () ->
+  Saturn.System.attach system ~client:0 ~home:(home 2) ~dc:2 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 2) ~dc:2 ~key:1 ~value:(value 1)
+          ~k:(fun () ->
           let t0 = Sim.Engine.now engine in
-          Saturn.System.migrate system c ~dest_dc:1 ~k:(fun () ->
+          Saturn.System.migrate system ~client:0 ~home:(home 2) ~dc:2 ~preferred_dc:2 ~dest_dc:1
+              ~k:(fun () ->
               mig := Some (Sim.Time.sub (Sim.Engine.now engine) t0);
               (* go home, write again, then attach conservatively *)
-              Saturn.System.attach system c ~dc:2 ~k:(fun () ->
-                  Saturn.System.update system c ~key:2 ~value:(value 2) ~k:(fun () ->
+              Saturn.System.attach system ~client:0 ~home:(home 2) ~dc:2 ~k:(fun () ->
+                  Saturn.System.update system ~client:0 ~home:(home 2) ~dc:2 ~key:2 ~value:(value 2)
+                      ~k:(fun () ->
                       let t1 = Sim.Engine.now engine in
-                      Saturn.System.attach system c ~dc:1 ~k:(fun () ->
+                      Saturn.System.attach system ~client:0 ~home:(home 2) ~dc:1 ~k:(fun () ->
                           cons := Some (Sim.Time.sub (Sim.Engine.now engine) t1)))))));
   Sim.Engine.run ~until:(Sim.Time.of_sec 3.) engine;
   match (!mig, !cons) with
@@ -91,15 +93,16 @@ let test_clock_skew_preserves_causality () =
   let system = Saturn.System.create ~observer:(Stats.Observer.create ()) engine params hooks in
   (* the classic chain: write at the fast-clock DC, read at the slow-clock
      DC, dependent write there; causal order must still hold at dc2 *)
-  let c0 = client ~id:0 ~dc:0 and c1 = client ~id:1 ~dc:1 in
-  Saturn.System.attach system c0 ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c0 ~key:1 ~value:(value 11) ~k:(fun () -> ()));
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:1 ~value:(value 11)
+          ~k:(fun () -> ()));
   let rec poll () =
-    Saturn.System.read system c1 ~key:1 ~k:(function
-      | Some _ -> Saturn.System.update system c1 ~key:2 ~value:(value 22) ~k:(fun () -> ())
+    Saturn.System.read system ~client:1 ~home:(home 1) ~dc:1 ~key:1 ~k:(function
+      | Some _ -> Saturn.System.update system ~client:1 ~home:(home 1) ~dc:1 ~key:2
+          ~value:(value 22) ~k:(fun () -> ())
       | None -> Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 5) poll)
   in
-  Saturn.System.attach system c1 ~dc:1 ~k:poll;
+  Saturn.System.attach system ~client:1 ~home:(home 1) ~dc:1 ~k:poll;
   Sim.Engine.run ~until:(Sim.Time.of_sec 3.) engine;
   let at2 = List.rev (List.filter (fun (dc, _) -> dc = 2) !visible) in
   (match (List.find_index (fun (_, k) -> k = 1) at2, List.find_index (fun (_, k) -> k = 2) at2) with
@@ -119,11 +122,12 @@ let test_lww_convergence_on_conflict () =
   (* two concurrent writes to the same key at different DCs: all replicas
      must converge to the same winner *)
   let engine, system = star_system () in
-  let c0 = client ~id:0 ~dc:0 and c1 = client ~id:1 ~dc:1 in
-  Saturn.System.attach system c0 ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c0 ~key:5 ~value:(value 100) ~k:(fun () -> ()));
-  Saturn.System.attach system c1 ~dc:1 ~k:(fun () ->
-      Saturn.System.update system c1 ~key:5 ~value:(value 200) ~k:(fun () -> ()));
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:5 ~value:(value 100)
+          ~k:(fun () -> ()));
+  Saturn.System.attach system ~client:1 ~home:(home 1) ~dc:1 ~k:(fun () ->
+      Saturn.System.update system ~client:1 ~home:(home 1) ~dc:1 ~key:5 ~value:(value 200)
+          ~k:(fun () -> ()));
   Sim.Engine.run ~until:(Sim.Time.of_sec 2.) engine;
   let winner dc =
     let store = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system dc) ~key:5 in
@@ -153,9 +157,9 @@ let test_bulk_factor_slows_bulk_only () =
   let p = Saturn.System.default_params ~topo:Sim.Ec2.topology ~dc_sites ~rmap ~config in
   let params = { p with geo = { p.geo with bulk_factor = 2.0 } } in
   let system = Saturn.System.create ~observer:(Stats.Observer.create ()) engine params hooks in
-  let c = client ~id:0 ~dc:0 in
-  Saturn.System.attach system c ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c ~key:1 ~value:(value 1) ~k:(fun () -> ()));
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:1 ~value:(value 1)
+          ~k:(fun () -> ()));
   Sim.Engine.run ~until:(Sim.Time.of_sec 1.) engine;
   match !seen_at with
   | None -> Alcotest.fail "update never visible"
@@ -167,10 +171,11 @@ let test_bulk_factor_slows_bulk_only () =
 
 let test_counters () =
   let engine, system = star_system () in
-  let c = client ~id:0 ~dc:0 in
-  Saturn.System.attach system c ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c ~key:1 ~value:(value 1) ~k:(fun () ->
-          Saturn.System.update system c ~key:2 ~value:(value 2) ~k:(fun () -> ())));
+  Saturn.System.attach system ~client:0 ~home:(home 0) ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:1 ~value:(value 1)
+          ~k:(fun () ->
+          Saturn.System.update system ~client:0 ~home:(home 0) ~dc:0 ~key:2 ~value:(value 2)
+              ~k:(fun () -> ())));
   Sim.Engine.run ~until:(Sim.Time.of_sec 2.) engine;
   Alcotest.(check int) "updates originated" 2 (Saturn.System.total_updates system);
   (* each update applied at the 2 other replicas *)
@@ -248,15 +253,15 @@ let test_read_round_trip_words () =
   let system =
     Saturn.System.create ~observer:(Stats.Observer.create ()) engine params Saturn.Fabric.no_hooks
   in
-  let c = client ~id:0 ~dc:0 in
+  let home = dc_sites.(0) in
   let got = ref None in
   let k v = got := v in
   let round_trip () =
     got := None;
-    Saturn.System.read system c ~key:3 ~k;
+    Saturn.System.read system ~client:0 ~home ~dc:0 ~key:3 ~k;
     step_until_some engine got
   in
-  Saturn.System.update system c ~key:3 ~value:(value 7) ~k:ignore;
+  Saturn.System.update system ~client:0 ~home ~dc:0 ~key:3 ~value:(value 7) ~k:ignore;
   Sim.Engine.run ~until:(Sim.Time.of_sec 1.) engine;
   (* warm-up: the legs' and servers' rings grow on their first push *)
   round_trip ();

@@ -284,10 +284,11 @@ let test_backup_tree_switch () =
   let system =
     Saturn.System.create ~observer:(Stats.Observer.create ()) engine params Saturn.Fabric.no_hooks
   in
-  let c = Saturn.Client_lib.create ~id:0 ~home_site:dc_sites.(0) ~preferred_dc:0 in
+  let home = dc_sites.(0) in
   let wrote_after_switch = ref false in
-  Saturn.System.attach system c ~dc:0 ~k:(fun () ->
-      Saturn.System.update system c ~key:1 ~value:(Kvstore.Value.make ~payload:1 ~size_bytes:2)
+  Saturn.System.attach system ~client:0 ~home ~dc:0 ~k:(fun () ->
+      Saturn.System.update system ~client:0 ~home ~dc:0 ~key:1
+          ~value:(Kvstore.Value.make ~payload:1 ~size_bytes:2)
         ~k:(fun () -> ()));
   Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 100) (fun () ->
       for s = 0 to Saturn.Tree.n_serializers (Saturn.Config.tree primary) - 1 do
@@ -295,7 +296,8 @@ let test_backup_tree_switch () =
       done;
       Saturn.System.switch_config system backup ~graceful:false);
   Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 200) (fun () ->
-      Saturn.System.update system c ~key:2 ~value:(Kvstore.Value.make ~payload:2 ~size_bytes:2)
+      Saturn.System.update system ~client:0 ~home ~dc:0 ~key:2
+          ~value:(Kvstore.Value.make ~payload:2 ~size_bytes:2)
         ~k:(fun () -> wrote_after_switch := true));
   Sim.Engine.run ~until:(Sim.Time.of_sec 4.) engine;
   Alcotest.(check bool) "writes continued" true !wrote_after_switch;
