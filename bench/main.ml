@@ -71,8 +71,9 @@ let engine_cmd rest =
           (Workload.Scale.tier_users tier);
         let r = Harness.Engine_bench.run_tier ~now_s:Unix.gettimeofday ~seed:!seed tier in
         Printf.printf
-          " %d edges, gen %.0f ms (%.1f w/edge), stream %.0f kops/s (%.1f w/op), sim %d ops / %d events (%.0f ev/s, %.1f w/op)\n%!"
-          r.Harness.Engine_bench.edges r.gen_ms r.gen_words_per_edge r.stream_kops_per_s
+          " %d edges, gen %.0f ms (%.1f w/edge, keeps %.2f w/edge), stream %.0f kops/s (%.1f w/op), sim %d ops / %d events (%.0f ev/s, %.1f w/op)\n%!"
+          r.Harness.Engine_bench.edges r.gen_ms r.gen_words_per_edge r.graph_words_per_edge
+          r.stream_kops_per_s
           r.stream_words_per_op r.sim_ops r.sim_events r.sim_events_per_s r.sim_words_per_op;
         r)
       !tiers

@@ -3,6 +3,7 @@ type tier_result = {
   users : int;
   edges : int;
   gen_words_per_edge : float;
+  graph_words_per_edge : float;
   stream_ops : int;
   stream_words_per_op : float;
   sim_ops : int;
@@ -15,16 +16,16 @@ type tier_result = {
 }
 
 (* words allocated so far, minor + major net of promotions (promoted words
-   would otherwise be counted twice). The minor count comes from
-   Gc.minor_words (), which is exact: quick_stat's moves only at minor
-   collections, so a phase allocating less than a minor heap would read
-   as zero or as a whole heap. quick_stat's major and promoted counts lag
-   the same way, so each read first empties the minor heap: otherwise a
-   phase's figure depends on what the phase before it left there. *)
+   would otherwise be counted twice). Each read first empties the minor
+   heap, so that a phase's figure does not depend on what the phase before
+   it left there. The counts come from Gc.counters (), whose major count
+   includes the words allocated since the last major slice; quick_stat's
+   moves only at slices, so a window read through it gained or lost whole
+   unflushed chunks wherever set-up happened to leave the GC's pacing. *)
 let words () =
   Gc.minor ();
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
 
 let n_dcs = 3
 let per_dc = 16
@@ -38,6 +39,10 @@ let run_tier ?(now_s = fun () -> 0.) ?(stream_ops = 200_000) ~seed tier =
   let g = Scale.of_tier tier ~seed in
   let gen_ms = (now_s () -. t0) *. 1e3 in
   let gen_words_per_edge = (words () -. w0) /. float_of_int (Scale.n_edges g) in
+  (* what the finished graph keeps: the memory every later phase runs in *)
+  let graph_words_per_edge =
+    float_of_int (Obj.reachable_words (Obj.repr g)) /. float_of_int (Scale.n_edges g)
+  in
   (* phase B — streaming: a fixed op budget drawn round-robin across
      datacenters, no simulator; words/op must not depend on the tier *)
   let ops = Scale.Ops.create g ~n_dcs ~value_size ~seed:(seed + 1) in
@@ -86,6 +91,7 @@ let run_tier ?(now_s = fun () -> 0.) ?(stream_ops = 200_000) ~seed tier =
     users = Scale.n_users g;
     edges = Scale.n_edges g;
     gen_words_per_edge;
+    graph_words_per_edge;
     stream_ops;
     stream_words_per_op;
     sim_ops;
@@ -108,8 +114,8 @@ let to_json ~seed results =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf
-           "{\"tier\":%S,\"users\":%d,\"det\":{\"edges\":%d,\"gen_words_per_edge\":%.2f,\"stream_ops\":%d,\"stream_words_per_op\":%.2f,\"sim_ops\":%d,\"sim_events\":%d,\"sim_words_per_op\":%.2f},\"wall\":{\"gen_ms\":%.1f,\"stream_kops_per_s\":%.1f,\"sim_events_per_s\":%.0f,\"sim_ms\":%.1f}}"
-           r.tier r.users r.edges r.gen_words_per_edge r.stream_ops r.stream_words_per_op
+           "{\"tier\":%S,\"users\":%d,\"det\":{\"edges\":%d,\"gen_words_per_edge\":%.2f,\"graph_words_per_edge\":%.2f,\"stream_ops\":%d,\"stream_words_per_op\":%.2f,\"sim_ops\":%d,\"sim_events\":%d,\"sim_words_per_op\":%.2f},\"wall\":{\"gen_ms\":%.1f,\"stream_kops_per_s\":%.1f,\"sim_events_per_s\":%.0f,\"sim_ms\":%.1f}}"
+           r.tier r.users r.edges r.gen_words_per_edge r.graph_words_per_edge r.stream_ops r.stream_words_per_op
            r.sim_ops r.sim_events r.sim_words_per_op r.gen_ms r.stream_kops_per_s
            r.sim_events_per_s r.sim_ms))
     results;

@@ -5,7 +5,8 @@
     records two kinds of numbers:
 
     - {e deterministic} ("det"): edge counts, op counts, engine event
-      counts, and [Gc] allocated words per op/edge. For a fixed seed and
+      counts, [Gc] allocated words per op/edge, and the words the finished
+      graph retains per edge. For a fixed seed and
       compiler these are pure functions of the code, so CI hard-gates them
       (within a tolerance for words, which may drift slightly across
       compiler point releases).
@@ -22,6 +23,9 @@ type tier_result = {
   (* deterministic *)
   edges : int;
   gen_words_per_edge : float;
+  graph_words_per_edge : float;
+      (** [Obj.reachable_words] of the finished graph per edge: retained,
+          not allocated, memory *)
   stream_ops : int;
   stream_words_per_op : float;
   sim_ops : int;

@@ -1,7 +1,7 @@
 type t = {
   n_dcs : int;
   n_keys : int;
-  by_key : int array array; (* key -> sorted dc ids *)
+  by_key : int array array; (* key -> sorted dc ids, one array per distinct set *)
   member : Bytes.t array; (* dc -> bitset over keys *)
 }
 
@@ -14,6 +14,9 @@ let create ~n_dcs ~n_keys ~assign =
     let idx = key / 8 and bit = key mod 8 in
     Bytes.set b idx (Char.chr (Char.code (Bytes.get b idx) lor (1 lsl bit)))
   in
+  (* keys with the same replica set share one array: a scale tier's keys
+     fall into three sets, so [by_key] costs a word per key, not four *)
+  let shared = Hashtbl.create 16 in
   let by_key =
     Array.init n_keys (fun key ->
         let dcs = List.sort_uniq Int.compare (assign key) in
@@ -23,7 +26,12 @@ let create ~n_dcs ~n_keys ~assign =
             if dc < 0 || dc >= n_dcs then invalid_arg "Replica_map.create: dc out of range";
             set_bit dc key)
           dcs;
-        Array.of_list dcs)
+        match Hashtbl.find_opt shared dcs with
+        | Some a -> a
+        | None ->
+          let a = Array.of_list dcs in
+          Hashtbl.add shared dcs a;
+          a)
   in
   { n_dcs; n_keys; by_key; member }
 

@@ -11,6 +11,9 @@ type t
 val create : n_dcs:int -> n_keys:int -> assign:(int -> int list) -> t
 (** [assign key] lists the datacenters replicating [key]; duplicates are
     removed, and the list must be non-empty with ids in [0, n_dcs).
+    Keys with the same replica set share one stored copy of it, so a map
+    retains about a word per key plus a bit per key and datacenter,
+    however many keys there are.
     @raise Invalid_argument on an invalid assignment. *)
 
 val n_dcs : t -> int

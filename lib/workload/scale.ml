@@ -12,19 +12,27 @@ let tier_of_name = function
   | "1m" -> Some T1m
   | _ -> None
 
-(* growable flat int buffer: the only dynamic structure in the generator *)
-type vec = { mutable a : int array; mutable n : int }
+(* Vertex ids are stored as 32-bit ints in [Bytes]: half the words of an
+   int array, and a string block the GC never scans. [generate] bounds
+   [n_users] by [Int32.max_int], so every id fits and reads back as the
+   same int. *)
+let get_id b i = Int32.to_int (Bytes.get_int32_ne b (4 * i))
+let set_id b i x = Bytes.set_int32_ne b (4 * i) (Int32.of_int x)
+let ids n = Bytes.make (4 * n) '\000'
 
-let vec_make cap = { a = Array.make (max cap 4) 0; n = 0 }
+(* growable flat id buffer: the only dynamic structure in the generator *)
+type vec = { mutable a : Bytes.t; mutable n : int }
+
+let vec_make cap = { a = ids (max cap 4); n = 0 }
 
 let vec_push v x =
-  let cap = Array.length v.a in
+  let cap = Bytes.length v.a / 4 in
   if v.n = cap then begin
-    let bigger = Array.make (cap * 2) 0 in
-    Array.blit v.a 0 bigger 0 v.n;
+    let bigger = ids (cap * 2) in
+    Bytes.blit v.a 0 bigger 0 (4 * v.n);
     v.a <- bigger
   end;
-  v.a.(v.n) <- x;
+  set_id v.a v.n x;
   v.n <- v.n + 1
 
 type t = {
@@ -32,7 +40,7 @@ type t = {
   n_edges : int;
   n_communities : int;
   offsets : int array; (* CSR row starts, length n_users + 1 *)
-  adj : int array; (* CSR neighbor lists, length 2 * n_edges, rows ascending *)
+  adj : Bytes.t; (* CSR neighbor ids ([get_id]), 2 * n_edges of them, rows ascending *)
   edge_hash : int64;
 }
 
@@ -43,10 +51,10 @@ type t = {
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv_ints a len =
+let fnv_ids a len =
   let h = ref fnv_offset in
   for j = 0 to len - 1 do
-    let x = a.(j) in
+    let x = get_id a j in
     for i = 0 to 7 do
       h := Int64.mul (Int64.logxor !h (Int64.of_int ((x lsr (i * 8)) land 0xff))) fnv_prime
     done
@@ -54,6 +62,8 @@ let fnv_ints a len =
   !h
 
 let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed () =
+  if n_users > Int32.to_int Int32.max_int then
+    invalid_arg "Scale.generate: n_users exceeds the 32-bit id range";
   if n_users < 2 then invalid_arg "Scale.generate: need at least 2 users";
   if mean_degree < 2 then invalid_arg "Scale.generate: mean_degree < 2";
   if locality < 0. || locality > 1. then invalid_arg "Scale.generate: locality out of [0,1]";
@@ -70,18 +80,18 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
   (* the flat edge stream is also the global endpoint pool: every endpoint
      appears once per incident edge, so a uniform index into the live
      prefix is a degree-proportional pick *)
-  let endpoints = Array.make (2 * max_edges) 0 in
+  let endpoints = ids (2 * max_edges) in
   let deg = Array.make n_users 0 in
   let n_edges = ref 0 in
   (* per-community endpoint pools back the locality bias, presized to a
      community's mean share of the endpoints (2m per member) so most never
-     regrow; freed before the CSR build so peak memory stays ~3 ints per
+     regrow; freed before the CSR build so peak memory stays ~3 ids per
      edge endpoint *)
   let comm_pool = Array.init n_comm (fun _ -> vec_make (2 * m * ((n_users / n_comm) + 1))) in
   let add_edge u v =
     let i = 2 * !n_edges in
-    endpoints.(i) <- u;
-    endpoints.(i + 1) <- v;
+    set_id endpoints i u;
+    set_id endpoints (i + 1) v;
     incr n_edges;
     deg.(u) <- deg.(u) + 1;
     deg.(v) <- deg.(v) + 1;
@@ -111,8 +121,8 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
       incr attempts;
       let use_local = cpool.n > 0 && Sim.Rng.chance rng locality in
       let v =
-        if use_local then cpool.a.(Sim.Rng.int rng cpool.n)
-        else endpoints.(Sim.Rng.int rng (2 * !n_edges))
+        if use_local then get_id cpool.a (Sim.Rng.int rng cpool.n)
+        else get_id endpoints (Sim.Rng.int rng (2 * !n_edges))
       in
       if not (in_round u v !added) then begin
         round.(!added) <- v;
@@ -124,7 +134,7 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
     if !added = 0 then add_edge u (Sim.Rng.int rng u);
     Array.fill round 0 !added (-1)
   done;
-  Array.iter (fun v -> v.a <- [||]; v.n <- 0) comm_pool;
+  Array.iter (fun v -> v.a <- Bytes.empty; v.n <- 0) comm_pool;
   (* CSR build: prefix-sum offsets, then scatter both directions of every
      edge in generation order, then sort each row in place (ascending
      neighbors). A row arrives as its
@@ -137,27 +147,27 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
     offsets.(u + 1) <- offsets.(u) + deg.(u)
   done;
   let cursor = Array.copy offsets in
-  let adj = Array.make (2 * ne) 0 in
+  let adj = ids (2 * ne) in
   for e = 0 to ne - 1 do
-    let u = endpoints.(2 * e) and v = endpoints.((2 * e) + 1) in
-    adj.(cursor.(u)) <- v;
+    let u = get_id endpoints (2 * e) and v = get_id endpoints ((2 * e) + 1) in
+    set_id adj cursor.(u) v;
     cursor.(u) <- cursor.(u) + 1;
-    adj.(cursor.(v)) <- u;
+    set_id adj cursor.(v) u;
     cursor.(v) <- cursor.(v) + 1
   done;
   for u = 0 to n_users - 1 do
     let lo = offsets.(u) in
     for i = lo + 1 to offsets.(u + 1) - 1 do
-      let x = adj.(i) in
+      let x = get_id adj i in
       let j = ref (i - 1) in
-      while !j >= lo && adj.(!j) > x do
-        adj.(!j + 1) <- adj.(!j);
+      while !j >= lo && get_id adj !j > x do
+        set_id adj (!j + 1) (get_id adj !j);
         decr j
       done;
-      adj.(!j + 1) <- x
+      set_id adj (!j + 1) x
     done
   done;
-  let edge_hash = fnv_ints endpoints (2 * ne) in
+  let edge_hash = fnv_ids endpoints (2 * ne) in
   { n_users; n_edges = ne; n_communities = n_comm; offsets; adj; edge_hash }
 
 let of_tier tier ~seed = generate ~n_users:(tier_users tier) ~seed ()
@@ -178,14 +188,14 @@ let max_degree t =
 
 let iter_friends t u f =
   for i = t.offsets.(u) to t.offsets.(u + 1) - 1 do
-    f t.adj.(i)
+    f (get_id t.adj i)
   done
 
 let community t u = u mod t.n_communities
 
 let friend t rng u =
   let d = degree t u in
-  if d = 0 then u else t.adj.(t.offsets.(u) + Sim.Rng.int rng d)
+  if d = 0 then u else get_id t.adj (t.offsets.(u) + Sim.Rng.int rng d)
 
 let digest t = Printf.sprintf "%016Lx" t.edge_hash
 

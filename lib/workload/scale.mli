@@ -7,9 +7,10 @@
     structure. Users join communities round-robin and attach by
     preferential attachment, biased toward their own community, which
     yields a power-law tail plus locality. Generation runs against flat
-    preallocated int arrays: the edge list itself doubles as the
-    degree-proportional endpoint pool, so a pick is one array index.
-    Generation is O(edges) time and memory, and streaming operations out
+    preallocated buffers of 32-bit vertex ids ([Bytes], 4 bytes an id):
+    the edge list itself doubles as the degree-proportional endpoint
+    pool, so a pick is one buffer index. Generation is O(edges) time and
+    memory (about 4 words allocated per edge), and streaming operations out
     of the finished graph allocates O(1) per op — no per-op list, no
     per-op closure. §7.4's benchmark partitions this graph with
     {!Social_partition} and draws its ops from {!Social_ops}; the scale
@@ -37,15 +38,19 @@ val tier_users : tier -> int
 val tier_of_name : string -> tier option
 
 type t
-(** A generated graph: CSR adjacency plus community assignment. *)
+(** A generated graph: CSR row offsets ([int array]) and adjacency (one
+    [Bytes] of 32-bit ids, which the GC never scans) plus community
+    assignment. It retains about one word per edge. *)
 
 val generate :
   n_users:int -> ?mean_degree:int -> ?locality:float -> ?communities:int -> seed:int -> unit -> t
 (** Streaming preferential attachment. Defaults reproduce the New
     Orleans statistics at [n_users]: mean degree 30, communities ≈ n/250
     (at least 2), locality 0.8 (the share of attachment picks drawn from
-    the user's own community). @raise Invalid_argument on nonsensical
-    parameters. *)
+    the user's own community). Vertex ids are 32-bit, so [n_users] is at
+    most [Int32.max_int] (2{^31} - 1). @raise Invalid_argument on
+    nonsensical parameters or more than [Int32.max_int] users, before
+    allocating anything. *)
 
 val of_tier : tier -> seed:int -> t
 (** [generate] at the tier's user count with facebook-shaped defaults. *)

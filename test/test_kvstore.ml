@@ -101,6 +101,21 @@ let test_replica_map_mask_limit () =
   let rm = Kvstore.Replica_map.full ~n_dcs:62 ~n_keys:1 in
   Alcotest.(check int) "62 datacenters fit" ((1 lsl 62) - 1) (Kvstore.Replica_map.mask rm ~key:0)
 
+(* keys with the same replica set share its array, so a map retains one
+   word per key plus a bit per key and datacenter; an array per key would
+   retain four words per key *)
+let test_replica_map_sharing () =
+  let n_dcs = 3 and n_keys = 100_000 in
+  let rm =
+    Kvstore.Replica_map.create ~n_dcs ~n_keys ~assign:(fun k -> [ k mod n_dcs; (k + 1) mod n_dcs ])
+  in
+  let words = Obj.reachable_words (Obj.repr rm) in
+  let bitsets = n_dcs * ((n_keys / 64) + 2) in
+  if words > n_keys + bitsets + 64 then
+    Alcotest.failf "%d keys retain %d words, expected about %d" n_keys words (n_keys + bitsets);
+  Alcotest.(check (list int)) "replicas of the last key" [ 0; 1 ]
+    (Kvstore.Replica_map.replicas rm ~key:(n_keys - 1))
+
 let test_replica_map_full () =
   let rm = Kvstore.Replica_map.full ~n_dcs:4 ~n_keys:10 in
   Alcotest.(check (float 1e-9)) "degree 4" 4. (Kvstore.Replica_map.mean_degree rm);
@@ -117,4 +132,5 @@ let suite =
     Alcotest.test_case "replica map validation" `Quick test_replica_map_validation;
     qtest prop_replica_map_consistency;
     Alcotest.test_case "full replication map" `Quick test_replica_map_full;
+    Alcotest.test_case "replica sets shared across keys" `Quick test_replica_map_sharing;
   ]

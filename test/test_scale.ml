@@ -6,11 +6,13 @@ let qtest = QCheck_alcotest.to_alcotest
 module Scale = Workload.Scale
 module EB = Harness.Engine_bench
 
-(* Gc.minor_words () is exact; quick_stat's minor count moves only at
-   collections, which would quantize a small phase to 0 or a whole heap *)
+(* the same window as Engine_bench's: empty the minor heap, then read
+   Gc.counters (), whose major count includes words not yet flushed by a
+   major slice (quick_stat's does not) *)
 let words () =
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  Gc.minor ();
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
 
 (* ---- generator ------------------------------------------------------------ *)
 
@@ -111,8 +113,9 @@ let prop_csr_rows =
 
 (* generation memory is O(edges): words allocated per edge must not grow
    with the user count (a per-pick copy of the endpoint pool would blow
-   this bound immediately). The flat arrays cost about 7 words per edge; 16 leaves
-   room for pool regrowth but not for a per-draw or per-edge box *)
+   this bound immediately). The 32-bit id buffers cost about 4 words per
+   edge; 6 leaves room for pool regrowth but not for a per-draw or
+   per-edge box *)
 let prop_generation_linear =
   QCheck.Test.make ~name:"generation allocates O(1) words per edge" ~count:5
     QCheck.(int_range 2_000 20_000)
@@ -120,9 +123,39 @@ let prop_generation_linear =
       let w0 = words () in
       let g = Scale.generate ~n_users ~seed:(n_users land 0xff) () in
       let per_edge = (words () -. w0) /. float_of_int (Scale.n_edges g) in
-      if per_edge > 16. then
+      if per_edge > 6. then
         QCheck.Test.fail_reportf "%.1f words/edge at %d users" per_edge n_users;
       true)
+
+(* a finished graph retains its offsets (a word per user) and its
+   adjacency (two 32-bit ids per edge, one word): about 1.07 words per
+   edge at mean degree 30. An int-array adjacency would read 2.07 *)
+let test_graph_retention () =
+  let g = Lazy.force tier_61k in
+  let per_edge = float_of_int (Obj.reachable_words (Obj.repr g)) /. float_of_int (Scale.n_edges g) in
+  if per_edge > 1.2 then Alcotest.failf "graph retains %.3f words/edge" per_edge
+
+(* reading the finished graph allocates nothing: an id boxed as an Int32
+   on the way out of the adjacency would show here *)
+let test_reads_allocate_nothing () =
+  let g = Lazy.force tier_61k in
+  let rng = Sim.Rng.create ~seed:3 in
+  let n = Scale.n_users g in
+  let sum = ref 0 in
+  let add v = sum := !sum + v in
+  let w0 = Gc.minor_words () in
+  for u = 0 to n - 1 do
+    sum := !sum + Scale.friend g rng u;
+    Scale.iter_friends g u add
+  done;
+  let w = Gc.minor_words () -. w0 in
+  if !sum < 0 then Alcotest.fail "ids are non-negative";
+  Alcotest.(check (float 0.)) "words allocated by friend and iter_friends" 0. w
+
+let test_id_bound () =
+  Alcotest.check_raises "2^31 users"
+    (Invalid_argument "Scale.generate: n_users exceeds the 32-bit id range") (fun () ->
+      ignore (Scale.generate ~n_users:(1 lsl 31) ~seed:1 () : Scale.t))
 
 (* streaming ops out of a finished graph allocates O(1) per op — no hidden
    per-op pool rebuild, whatever the graph size. An op costs about 4.5
@@ -279,6 +312,9 @@ let suite =
     Alcotest.test_case "61k partition within replica bounds" `Quick test_tier_partition;
     qtest prop_csr_rows;
     qtest prop_generation_linear;
+    Alcotest.test_case "finished graph retains ~1 word per edge" `Quick test_graph_retention;
+    Alcotest.test_case "friend and iter_friends allocate nothing" `Quick test_reads_allocate_nothing;
+    Alcotest.test_case "user count bounded by 32-bit ids" `Quick test_id_bound;
     qtest prop_stream_constant_alloc;
     Alcotest.test_case "op stream well-formedness" `Quick test_ops_well_formed;
     Alcotest.test_case "replica sets are master+next" `Quick test_replicas_consistent;
