@@ -5,6 +5,8 @@
 #   ci/faults-digest.txt    fault-matrix probe digest at the default seed
 #   ci/series-digest.txt    series digests of the partition, reconfig-cut
 #                           and eventual-partition runs, one line each
+#   ci/blame-digest.txt     blame digest and journey counts of every Saturn
+#                           fault-matrix row and the smoke run, one line each
 #   ci/plan-default.txt     saturn-cli plan's default Algorithm-3 solve
 #   BENCH_smoke.json        smoke-run headline numbers (saturn-bench-smoke/1)
 #   BENCH_shootout.json     per-system visibility + metadata bytes/op
@@ -12,7 +14,7 @@
 #   BENCH_engine.json       per-tier engine speed (saturn-bench-engine/1)
 #   ci/lint-waivers.txt     saturn-lint waiver inventory (the ratchet)
 #
-# The first six are written by one `saturn-cli gate --write` run, the same
+# The first seven are written by one `saturn-cli gate --write` run, the same
 # run and map from scenario to baseline that CI's gate compares against.
 #
 # Run this after any change that legitimately shifts the gated numbers
@@ -50,10 +52,10 @@ step() {
 
 step "(build)" dune build bin bench
 
-# the six scenario baselines come from one gate run; its manifest is scratch
+# the seven scenario baselines come from one gate run; its manifest is scratch
 gate_dir=$(mktemp -d)
 trap 'rm -rf "$gate_dir"' EXIT
-step "the six gate baselines" \
+step "the seven gate baselines" \
   dune exec bin/saturn_cli.exe -- gate --write --out "$gate_dir" > /dev/null
 step BENCH_engine.json \
   dune exec bench/main.exe -- engine --out BENCH_engine.json
@@ -62,4 +64,4 @@ step ci/lint-waivers.txt \
 
 echo
 echo "regenerated baselines:"
-git --no-pager diff --stat -- ci/smoke-counters.txt ci/faults-digest.txt ci/series-digest.txt ci/plan-default.txt ci/lint-waivers.txt BENCH_smoke.json BENCH_engine.json BENCH_shootout.json
+git --no-pager diff --stat -- ci/smoke-counters.txt ci/faults-digest.txt ci/series-digest.txt ci/blame-digest.txt ci/plan-default.txt ci/lint-waivers.txt BENCH_smoke.json BENCH_engine.json BENCH_shootout.json
