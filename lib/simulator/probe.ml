@@ -169,17 +169,13 @@ let add_sub w b off n =
   Bytes.unsafe_blit b off w.wb w.wn n;
   w.wn <- w.wn + n
 
-(* FNV-1a, 64-bit: stable across runs, processes and architectures — the
-   digest doubles as CI's determinism oracle, so no Hashtbl.hash/Marshal. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-(* Folding a constant string [s] of length [k] into the state [h] needs
-   no byte loop. XOR with an ASCII byte (every literal of the line format
-   is ASCII) changes only the low 7 bits of the state, and multiplying
-   never carries downwards, so the low 7 bits of every later state depend
-   only on [j = h land 0x7f]. Writing [h = H + j], the high part [H] (a
-   multiple of 128) just rides along as [H * p^k]. Hence
+(* The digest is {!Fnv}'s FNV-1a. Folding a constant string [s] of
+   length [k] into the state [h] needs no byte loop. XOR with an ASCII
+   byte (every literal of the line format is ASCII) changes only the low
+   7 bits of the state, and multiplying never carries downwards, so the
+   low 7 bits of every later state depend only on [j = h land 0x7f].
+   Writing [h = H + j], the high part [H] (a multiple of 128) just rides
+   along as [H * p^k]. Hence
    [fnv_s h = h * p^k + T_s.(j)] mod 2^64, with
    [T_s.(j) = fnv_s j - j * p^k]: one multiply and one table read.
 
@@ -209,12 +205,12 @@ let fill l =
   let tb = Bytes.create (lit_pk + 8) in
   let pk = ref 1L in
   for _ = 1 to k do
-    pk := Int64.mul !pk fnv_prime
+    pk := Int64.mul !pk Fnv.prime
   done;
   for j = 0 to 127 do
     let h = ref (Int64.of_int j) in
     for i = 0 to k - 1 do
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code l.text.[i]))) fnv_prime
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code l.text.[i]))) Fnv.prime
     done;
     Bytes.set_int64_le tb (8 * j) (Int64.sub !h (Int64.mul (Int64.of_int j) !pk))
   done;
@@ -242,7 +238,7 @@ let digits_end = 8 + 20
 
 let scribe out =
   let st = Bytes.create digits_end in
-  Bytes.set_int64_le st 0 fnv_offset;
+  Bytes.set_int64_le st 0 Fnv.offset;
   { st; out }
 
 let add_lit s l =
@@ -274,7 +270,7 @@ let add_int s n =
   end;
   let h = ref (Bytes.get_int64_le st 0) in
   for i = !p to digits_end - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get st i)))) fnv_prime
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get st i)))) Fnv.prime
   done;
   Bytes.set_int64_le st 0 !h;
   match s.out with None -> () | Some w -> add_sub w st !p (digits_end - !p)

@@ -48,15 +48,12 @@ type t = {
    same family as the probe digest, so test expectations read the same
    way. One pass over the finished edge stream: the running state is a
    local int64 ref, which the native compiler keeps unboxed. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
 let fnv_ids a len =
-  let h = ref fnv_offset in
+  let h = ref Sim.Fnv.offset in
   for j = 0 to len - 1 do
     let x = get_id a j in
     for i = 0 to 7 do
-      h := Int64.mul (Int64.logxor !h (Int64.of_int ((x lsr (i * 8)) land 0xff))) fnv_prime
+      h := Int64.mul (Int64.logxor !h (Int64.of_int ((x lsr (i * 8)) land 0xff))) Sim.Fnv.prime
     done
   done;
   !h
