@@ -34,6 +34,7 @@ type culprit_stat = {
 
 type report = {
   blamed : blamed list;
+  by_gap : blamed list;
   per_part : part_stat list;
   culprits : culprit_stat list;
   gap_hist : Stats.Hdr.t;
@@ -80,45 +81,6 @@ let observe_series engine metrics series { Build.topo; dc_sites; bulk_factor; _ 
 
 (* ---- per-journey attribution ---------------------------------------------- *)
 
-(* walk the path-ordered segments, pinning each occurrence on its edge or
-   serializer: the k-th Chain is path.(k), each Delay_hop belongs to the
-   Hop that follows it, Delay_egress/Egress to (last serializer, dst) *)
-type walk_leg =
-  | L_sink of int
-  | L_attach of int
-  | L_chain of int * int (* serializer, us *)
-  | L_delay_hop of int * int * int (* from, to, us *)
-  | L_hop of int * int * int
-  | L_delay_egress of int * int (* last serializer, us *)
-  | L_egress of int * int
-  | L_proxy of int
-
-let walk (j : Journey.journey) =
-  let path = Array.of_list j.Journey.path in
-  let last = if Array.length path = 0 then -1 else path.(Array.length path - 1) in
-  let chain_i = ref 0 in
-  let edge_i = ref 0 in
-  List.map
-    (fun ((seg : Journey.segment), us) ->
-      match seg with
-      | Journey.Sink_hold -> L_sink us
-      | Journey.Attach -> L_attach us
-      | Journey.Chain ->
-        let s = if !chain_i < Array.length path then path.(!chain_i) else -1 in
-        incr chain_i;
-        L_chain (s, us)
-      | Journey.Delay_hop ->
-        let a = path.(!edge_i) and b = path.(!edge_i + 1) in
-        L_delay_hop (a, b, us)
-      | Journey.Hop ->
-        let a = path.(!edge_i) and b = path.(!edge_i + 1) in
-        incr edge_i;
-        L_hop (a, b, us)
-      | Journey.Delay_egress -> L_delay_egress (last, us)
-      | Journey.Egress -> L_egress (last, us)
-      | Journey.Proxy_order -> L_proxy us)
-    j.Journey.parts
-
 (* assoc-merge keeping first-occurrence order *)
 let merge_culprits legs_named =
   let order = ref [] in
@@ -134,110 +96,88 @@ let merge_culprits legs_named =
   List.rev_map (fun name -> (name, Hashtbl.find tbl name)) !order
 
 let blame_journey ~optimal (j : Journey.journey) =
-  let opt = optimal.(j.Journey.origin).(j.Journey.dst) in
-  let gap = j.Journey.visibility_us - opt in
-  let legs = walk j in
-  let sum f = List.fold_left (fun acc l -> acc + f l) 0 legs in
-  let sink = sum (function L_sink us -> us | _ -> 0) in
-  let attach = sum (function L_attach us -> us | _ -> 0) in
-  let chain = sum (function L_chain (_, us) -> us | _ -> 0) in
-  let delta = sum (function L_delay_hop (_, _, us) | L_delay_egress (_, us) -> us | _ -> 0) in
-  let hops = sum (function L_hop (_, _, us) -> us | _ -> 0) in
-  let egress = sum (function L_egress (_, us) -> us | _ -> 0) in
-  let proxy = sum (function L_proxy us -> us | _ -> 0) in
+  let opt = optimal.(j.origin).(j.dst) in
+  let sum segments =
+    List.fold_left
+      (fun acc (l : Journey.leg) -> if List.mem l.segment segments then acc + l.us else acc)
+      0 j.legs
+  in
   (* shortest-path transit is the necessary floor: whatever the label's
      physical route (attach link + tree hops + egress) costs beyond it is
      overhead — off-shortest-path detours, retransmissions, spiked links *)
-  let transit_excess = attach + hops + egress - opt in
+  let transit_excess = sum Journey.[ Attach; Hop; Egress ] - opt in
   let blame =
     [
-      (Sink_hold, sink);
-      (Serializer, chain);
-      (Delta, delta);
-      (Proxy_order, proxy);
+      (Sink_hold, sum Journey.[ Sink_hold ]);
+      (Serializer, sum Journey.[ Chain ]);
+      (Delta, sum Journey.[ Delay_hop; Delay_egress ]);
+      (Proxy_order, sum Journey.[ Proxy_order ]);
       (Transit_excess, transit_excess);
     ]
   in
   let culprits =
     merge_culprits
       (List.filter_map
-         (function
-           | L_sink us -> Some (Printf.sprintf "sink.dc%d" j.Journey.origin, us)
-           | L_chain (s, us) -> Some (Printf.sprintf "ser%d" s, us)
-           | L_delay_hop (a, b, us) -> Some (Printf.sprintf "delta.s%d->s%d" a b, us)
-           | L_delay_egress (s, us) -> Some (Printf.sprintf "delta.s%d->dc%d" s j.Journey.dst, us)
-           | L_proxy us -> Some (Printf.sprintf "proxy.dc%d" j.Journey.dst, us)
-           | L_attach _ | L_hop _ | L_egress _ -> None)
-         legs
+         (fun (l : Journey.leg) ->
+           match l.segment with
+           | Journey.Sink_hold -> Some (Printf.sprintf "sink.dc%d" j.origin, l.us)
+           | Chain -> Some (Printf.sprintf "ser%d" l.ser, l.us)
+           | Delay_hop -> Some (Printf.sprintf "delta.s%d->s%d" l.ser l.next, l.us)
+           | Delay_egress -> Some (Printf.sprintf "delta.s%d->dc%d" l.ser j.dst, l.us)
+           | Journey.Proxy_order -> Some (Printf.sprintf "proxy.dc%d" j.dst, l.us)
+           | Attach | Hop | Egress -> None)
+         j.legs
       @
       if transit_excess = 0 then []
-      else [ (Printf.sprintf "route.dc%d->dc%d" j.Journey.origin j.Journey.dst, transit_excess) ])
+      else [ (Printf.sprintf "route.dc%d->dc%d" j.origin j.dst, transit_excess) ])
   in
-  { j; optimal_us = opt; gap_us = gap; blame; culprits }
+  { j; optimal_us = opt; gap_us = j.visibility_us - opt; blame; culprits }
+
+let identity b = (b.j.Journey.origin, b.j.Journey.oseq, b.j.Journey.dst)
+
+(* largest gap first, ties broken by identity so the order is deterministic *)
+let by_gap_order a b =
+  match compare b.gap_us a.gap_us with 0 -> compare (identity a) (identity b) | c -> c
 
 let analyze ~optimal (r : Journey.report) =
   let blamed = List.map (blame_journey ~optimal) r.Journey.journeys in
-  let mismatches = ref [] in
-  List.iter
-    (fun b ->
-      let total = List.fold_left (fun acc (_, us) -> acc + us) 0 b.blame in
-      if total <> b.gap_us then
-        mismatches :=
-          Printf.sprintf "dc%d#%d -> dc%d: blame parts sum %dus, gap %dus" b.j.Journey.origin
-            b.j.Journey.oseq b.j.Journey.dst total b.gap_us
-          :: !mismatches)
-    blamed;
+  let mismatches =
+    List.filter_map
+      (fun b ->
+        let total = List.fold_left (fun acc (_, us) -> acc + us) 0 b.blame in
+        if total = b.gap_us then None
+        else
+          Some
+            (Printf.sprintf "dc%d#%d -> dc%d: blame parts sum %dus, gap %dus" b.j.Journey.origin
+               b.j.Journey.oseq b.j.Journey.dst total b.gap_us))
+      blamed
+  in
   let gap_hist = Stats.Hdr.create () in
   List.iter (fun b -> Stats.Hdr.add gap_hist b.gap_us) blamed;
   let per_part =
     List.map
       (fun part ->
-        let hist = Stats.Hdr.create () in
-        let n = ref 0 and total = ref 0 in
-        List.iter
-          (fun b ->
-            let us = List.assoc part b.blame in
-            if us <> 0 then begin
-              incr n;
-              total := !total + us;
-              Stats.Hdr.add hist us
-            end)
-          blamed;
-        {
-          part;
-          journeys = !n;
-          total_us = !total;
-          p50_ms = (if Stats.Hdr.count hist = 0 then 0. else Stats.Hdr.percentile hist 50. /. 1000.);
-          p99_ms = (if Stats.Hdr.count hist = 0 then 0. else Stats.Hdr.percentile hist 99. /. 1000.);
-        })
+        let journeys, total_us, p50_ms, p99_ms =
+          Journey.summary
+            (List.filter_map
+               (fun b -> match List.assoc part b.blame with 0 -> None | us -> Some us)
+               blamed)
+        in
+        { part; journeys; total_us; p50_ms; p99_ms })
       parts
   in
-  (* the tail: the slowest tenth of journeys by gap (at least one), ties
-     broken by identity so the set is deterministic *)
-  let by_gap =
-    List.sort
-      (fun a b ->
-        match compare b.gap_us a.gap_us with
-        | 0 ->
-          compare
-            (a.j.Journey.origin, a.j.Journey.oseq, a.j.Journey.dst)
-            (b.j.Journey.origin, b.j.Journey.oseq, b.j.Journey.dst)
-        | c -> c)
-      blamed
-  in
+  (* the tail: the slowest tenth of journeys by gap (at least one) *)
+  let by_gap = List.sort by_gap_order blamed in
   let n = List.length blamed in
-  let n_tail = if n = 0 then 0 else Stdlib.max 1 (n / 10) in
-  let tail = List.filteri (fun i _ -> i < n_tail) by_gap in
+  let tail = List.filteri (fun i _ -> i < Stdlib.max 1 (n / 10)) by_gap in
   let tail_threshold_us = match List.rev tail with [] -> 0 | b :: _ -> b.gap_us in
   let in_tail = Hashtbl.create 64 in
-  List.iter
-    (fun b -> Hashtbl.replace in_tail (b.j.Journey.origin, b.j.Journey.oseq, b.j.Journey.dst) ())
-    tail;
+  List.iter (fun b -> Hashtbl.replace in_tail (identity b) ()) tail;
   let order = ref [] in
   let ctbl = Hashtbl.create 32 in
   List.iter
     (fun b ->
-      let tailed = Hashtbl.mem in_tail (b.j.Journey.origin, b.j.Journey.oseq, b.j.Journey.dst) in
+      let tailed = Hashtbl.mem in_tail (identity b) in
       List.iter
         (fun (name, us) ->
           let js, tot, tl =
@@ -266,31 +206,20 @@ let analyze ~optimal (r : Journey.report) =
   in
   {
     blamed;
+    by_gap;
     per_part;
     culprits;
     gap_hist;
     tail_threshold_us;
     optimal_total_us = List.fold_left (fun acc b -> acc + b.optimal_us) 0 blamed;
-    mismatches = r.Journey.mismatches @ List.rev !mismatches;
+    mismatches = r.Journey.mismatches @ mismatches;
     fallback_applied = r.Journey.fallback_applied;
     incomplete = r.Journey.incomplete;
   }
 
 let check r = match r.mismatches with [] -> Ok () | ms -> Error ms
 
-let top_k r ~k =
-  let by_gap =
-    List.sort
-      (fun a b ->
-        match compare b.gap_us a.gap_us with
-        | 0 ->
-          compare
-            (a.j.Journey.origin, a.j.Journey.oseq, a.j.Journey.dst)
-            (b.j.Journey.origin, b.j.Journey.oseq, b.j.Journey.dst)
-        | c -> c)
-      r.blamed
-  in
-  List.filteri (fun i _ -> i < k) by_gap
+let top_k r ~k = List.filteri (fun i _ -> i < k) r.by_gap
 
 (* ---- rendering ------------------------------------------------------------ *)
 
@@ -360,16 +289,17 @@ let render_journey b =
        (ms b.gap_us));
   let legs =
     List.map
-      (function
-        | L_sink us -> Printf.sprintf "sink %.3f" (ms us)
-        | L_attach us -> Printf.sprintf "attach %.3f" (ms us)
-        | L_chain (s, us) -> Printf.sprintf "ser%d %.3f" s (ms us)
-        | L_delay_hop (a, b, us) -> Printf.sprintf "delta s%d->s%d %.3f" a b (ms us)
-        | L_hop (a, b, us) -> Printf.sprintf "hop s%d->s%d %.3f" a b (ms us)
-        | L_delay_egress (s, us) -> Printf.sprintf "delta s%d->egress %.3f" s (ms us)
-        | L_egress (s, us) -> Printf.sprintf "egress s%d %.3f" s (ms us)
-        | L_proxy us -> Printf.sprintf "proxy %.3f" (ms us))
-      (walk b.j)
+      (fun (l : Journey.leg) ->
+        match l.segment with
+        | Journey.Sink_hold -> Printf.sprintf "sink %.3f" (ms l.us)
+        | Attach -> Printf.sprintf "attach %.3f" (ms l.us)
+        | Chain -> Printf.sprintf "ser%d %.3f" l.ser (ms l.us)
+        | Delay_hop -> Printf.sprintf "delta s%d->s%d %.3f" l.ser l.next (ms l.us)
+        | Hop -> Printf.sprintf "hop s%d->s%d %.3f" l.ser l.next (ms l.us)
+        | Delay_egress -> Printf.sprintf "delta s%d->egress %.3f" l.ser (ms l.us)
+        | Egress -> Printf.sprintf "egress s%d %.3f" l.ser (ms l.us)
+        | Journey.Proxy_order -> Printf.sprintf "proxy %.3f" (ms l.us))
+      b.j.legs
   in
   Buffer.add_string buf ("    " ^ String.concat " | " legs ^ "\n");
   Buffer.contents buf
@@ -384,24 +314,14 @@ let gap_csv r =
       Buffer.add_string buf
         (Printf.sprintf "%d,%d,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d\n" b.j.Journey.origin
            b.j.Journey.oseq b.j.Journey.dst
-           (String.concat ">" (List.map (Printf.sprintf "s%d") b.j.Journey.path))
+           (String.concat ">" (List.map (Printf.sprintf "s%d") (Journey.path b.j)))
            b.j.Journey.visibility_us b.optimal_us b.gap_us (part Sink_hold) (part Serializer)
            (part Delta) (part Proxy_order) (part Transit_excess)))
     r.blamed;
   Buffer.contents buf
 
-(* FNV-1a 64-bit over the per-journey CSV, matching the probe/series digest
-   convention: a single blame number moving flips the digest *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let digest r =
-  let s = gap_csv r in
-  let h = ref fnv_offset in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+(* a single blame number moving flips the digest *)
+let digest r = Sim.Fnv.digest (gap_csv r)
 
 let render ?(top = 5) r =
   let buf = Buffer.create 4096 in

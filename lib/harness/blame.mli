@@ -59,6 +59,7 @@ type culprit_stat = {
 
 type report = {
   blamed : blamed list;  (** (origin, oseq, dst)-sorted, like [Journey.journeys] *)
+  by_gap : blamed list;  (** the same journeys, largest gap first, ties by (origin, oseq, dst) *)
   per_part : part_stat list;
   culprits : culprit_stat list;  (** ranked: tail µs desc, then total, then name *)
   gap_hist : Stats.Hdr.t;  (** gap distribution — p50/p99/p99.9 in {!render} *)

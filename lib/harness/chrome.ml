@@ -13,14 +13,10 @@ let serializers_pid = 2
 (* which track a span is drawn on *)
 let track (s : Sim.Probe.span) =
   match s.sk with
-  | Sim.Probe.Sk_sink_hold -> (sites_pid, s.site)
-  | Sim.Probe.Sk_attach -> (serializers_pid, s.peer)
-  | Sim.Probe.Sk_chain | Sim.Probe.Sk_delay_hop | Sim.Probe.Sk_hop | Sim.Probe.Sk_delay_egress
-  | Sim.Probe.Sk_egress ->
-    (serializers_pid, s.site)
-  | Sim.Probe.Sk_proxy_order -> (sites_pid, s.site)
-  | Sim.Probe.Sk_bulk -> (sites_pid, max 0 s.peer)
-  | Sim.Probe.Sk_stab -> (sites_pid, s.site)
+  | Sk_sink_hold | Sk_proxy_order | Sk_stab -> (sites_pid, s.site)
+  | Sk_attach -> (serializers_pid, s.peer)
+  | Sk_chain | Sk_delay_hop | Sk_hop | Sk_delay_egress | Sk_egress -> (serializers_pid, s.site)
+  | Sk_bulk -> (sites_pid, max 0 s.peer)
 
 let x_event (s : Sim.Probe.span) t0 t1 =
   let pid, tid = track s in
@@ -52,44 +48,37 @@ let instant_event at (v : Sim.Probe.view) =
   | _ -> None
 
 let write probe oc =
-  let spans = Journey.spans probe in
-  (* metadata: name every track that appears, sorted for determinism *)
+  (* one replay: slices as their spans close, instant marks as they pass,
+     each line after its separator, and every track either lands on *)
   let tids = Hashtbl.create 16 in
-  List.iter (fun (s, _, _) -> Hashtbl.replace tids (track s) ()) spans;
-  (* the instant marks, each after its separator: they follow the spans *)
-  let instants = Buffer.create 4096 in
-  Sim.Probe.iter_views probe (fun at v ->
-      match instant_event at v with
-      | Some (tr, line) ->
-        Hashtbl.replace tids tr ();
-        Buffer.add_string instants ",\n";
-        Buffer.add_string instants line
-      | None -> ());
-  let tracks = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tids []) in
-  let buf = Buffer.create 4096 in
-  let first = ref true in
-  let push line =
-    if not !first then Buffer.add_string buf ",\n";
-    first := false;
+  let slices = Buffer.create 4096 and instants = Buffer.create 4096 in
+  let add buf tr line =
+    Hashtbl.replace tids tr ();
+    Buffer.add_string buf ",\n";
     Buffer.add_string buf line
   in
-  push
-    (Printf.sprintf {|{"name":"process_name","ph":"M","pid":%d,"args":{"name":"datacenters"}}|}
-       sites_pid);
-  push
-    (Printf.sprintf {|{"name":"process_name","ph":"M","pid":%d,"args":{"name":"serializers"}}|}
-       serializers_pid);
+  let pair =
+    Journey.pair_spans (Hashtbl.create 1024) (fun s t0 t1 -> add slices (track s) (x_event s t0 t1))
+  in
+  Sim.Probe.iter_views probe (fun at v ->
+      pair at v;
+      Option.iter (fun (tr, line) -> add instants tr line) (instant_event at v));
+  (* metadata: name every track that appears, sorted for determinism *)
+  let tracks = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tids []) in
+  Printf.fprintf oc
+    {|{"traceEvents":[
+{"name":"process_name","ph":"M","pid":%d,"args":{"name":"datacenters"}},
+{"name":"process_name","ph":"M","pid":%d,"args":{"name":"serializers"}}|}
+    sites_pid serializers_pid;
   List.iter
     (fun (pid, tid) ->
       let name = if pid = sites_pid then Printf.sprintf "dc%d" tid else Printf.sprintf "ser%d" tid in
-      push
-        (Printf.sprintf {|{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"%s"}}|}
-           pid tid name))
+      Printf.fprintf oc
+        {|,
+{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"%s"}}|}
+        pid tid name)
     tracks;
-  List.iter (fun (s, t0, t1) -> push (x_event s t0 t1)) spans;
-  output_string oc {|{"traceEvents":[
-|};
-  Buffer.output_buffer oc buf;
+  Buffer.output_buffer oc slices;
   Buffer.output_buffer oc instants;
   output_string oc {|
 ],"displayTimeUnit":"ms"}

@@ -7,9 +7,9 @@
     pid 1 "datacenters" with one thread per site ([dc0], [dc1], …) and
     pid 2 "serializers" with one thread per serializer ([ser0], …) — so a
     label's life reads left to right across sink hold, chain, hops and
-    the destination proxy. The slices come from {!Journey.spans}, the
-    instant marks and their tracks from one pass over the kept views.
-    Output is deterministic for a deterministic trace. *)
+    the destination proxy. One replay of the kept views collects both:
+    slices from {!Journey.pair_spans}, in end order, and the instant
+    marks. Output is deterministic for a deterministic trace. *)
 
 val write : Sim.Probe.t -> out_channel -> unit
 (** @raise Invalid_argument if the probe was created with [~keep:false]. *)

@@ -1,13 +1,16 @@
 (** Per-label journey reconstruction and visibility-latency decomposition.
 
-    Replays a kept probe trace's views ({!Sim.Probe.iter_views}) and
-    rebuilds, for every label the metadata service forwarded, the
-    end-to-end path to each destination it was applied at — then
-    attributes every simulated microsecond of its visibility latency to
-    one of the {!segment}s below. The segments of a
-    stream-ordered journey tile its latency exactly: consecutive spans
-    share boundary instants, so the sum telescopes to
-    [apply time - update time]. {!analyze} verifies that invariant per
+    A fold over probe views in {!Faults.Checker}'s shape: {!create},
+    {!step} every event — handed to {!Sim.Probe.subscribe} before the
+    run, or replayed from a kept trace by {!analyze} — then {!report}.
+    One walk pairs the label's spans ({!pair_spans}) and reads the
+    [Label_forward] and [Proxy_apply] events. The report rebuilds, for
+    every label the metadata service forwarded, the end-to-end path to
+    each destination it was applied at, and attributes every simulated
+    microsecond of its visibility latency to one of the {!leg}s below.
+    The legs of a stream-ordered journey tile its latency exactly:
+    consecutive spans share boundary instants, so the sum telescopes to
+    [apply time - update time]. {!report} verifies that invariant per
     journey and reports violations in [mismatches] — CI fails on any.
 
     Labels applied through the timestamp fallback are counted in
@@ -38,16 +41,27 @@ type segment =
 
 val segment_name : segment -> string
 
+type leg = {
+  segment : segment;
+  us : int;  (** simulated µs spent in the leg *)
+  ser : int;
+      (** the serializer the leg belongs to: a [Chain]'s own, the tail of a
+          [Delay_hop] or [Hop] edge, the last serializer of a
+          [Delay_egress] or [Egress]; [-1] on the other legs *)
+  next : int;  (** the head of a [Delay_hop] or [Hop] edge; [-1] elsewhere *)
+}
+
 type journey = {
   origin : int;  (** origin datacenter *)
   oseq : int;  (** per-origin forward sequence (the fault checker's key) *)
   dst : int;  (** destination datacenter *)
   visibility_us : int;  (** proxy apply instant − sink offer instant *)
-  total_us : int;  (** sum over [parts] — equals [visibility_us] or it's a mismatch *)
-  parts : (segment * int) list;  (** per-leg µs, path order; [Chain]/[Hop] repeat per serializer *)
-  path : int list;  (** serializer ids visited, attach point first — the
-                        identity [Blame] needs to pin overhead on edges *)
+  total_us : int;  (** sum over [legs] — equals [visibility_us] or it's a mismatch *)
+  legs : leg list;  (** path order; [Chain] and [Hop] repeat per serializer and edge *)
 }
+
+val path : journey -> int list
+(** Serializer ids visited, attach point first: the [Chain] legs' [ser]. *)
 
 type seg_stat = {
   segment : segment;
@@ -62,18 +76,42 @@ type report = {
   fallback_applied : int;
   incomplete : int;
   mismatches : string list;  (** tiling violations: must be empty on a healthy trace *)
-  per_segment : seg_stat list;  (** one entry per {!segments} element, in order *)
+  per_segment : seg_stat list;  (** one entry per {!segment}, in declaration order *)
 }
 
-val analyze : Sim.Probe.t -> report
-(** Folds over {!spans}'s matched intervals, then reads the
-    [Label_forward] and [Proxy_apply] views in one more pass.
-    @raise Invalid_argument if the probe was created with [~keep:false]
-    (journeys need the buffered event stream). *)
+val summary : int list -> int * int * float * float
+(** [(n, total, p50 ms, p99 ms)] of µs samples, percentiles 0 when empty:
+    [per_segment]'s and {!Blame}'s [per_part] statistics. *)
 
-val spans : Sim.Probe.t -> (Sim.Probe.span * Sim.Time.t * Sim.Time.t) list
-(** Every matched [(span, begin, end)] in the trace, in end order — the
-    raw material for {!Chrome} export. Same [~keep:false] restriction. *)
+val pair_spans :
+  (Sim.Probe.span, Sim.Time.t) Hashtbl.t ->
+  (Sim.Probe.span -> Sim.Time.t -> Sim.Time.t -> unit) ->
+  Sim.Time.t ->
+  Sim.Probe.view ->
+  unit
+(** [pair_spans opens f at v] tracks open spans in [opens] (empty at
+    first) and calls [f span begin end] when [v] ends one. The first begin
+    of a span is kept; an end with no open begin is skipped. The journey
+    fold and {!Chrome} share it. *)
+
+type t
+(** A fold's running state: open spans, matched legs, forwarded labels
+    and each label's first apply per destination. *)
+
+val create : unit -> t
+
+val step : t -> Sim.Time.t -> Sim.Probe.view -> unit
+(** Folds one event in. Events must arrive in emission order. The view
+    is read before [step] returns and not kept. *)
+
+val report : t -> report
+(** The decomposition of every event stepped so far. The fold stays
+    usable: more steps and another [report] may follow. *)
+
+val analyze : Sim.Probe.t -> report
+(** [create], [step] over every kept event ({!Sim.Probe.iter_views}),
+    [report]: the post-run form of the same fold.
+    @raise Invalid_argument if the probe was created with [~keep:false]. *)
 
 val table : report -> Stats.Table.t
 (** The decomposition table printed after bench experiments: per segment,

@@ -22,6 +22,9 @@ let smoke ?(seed = 42) () =
   Stats.Registry.register_pull registry "engine.events_processed" (fun () ->
       float_of_int (Sim.Engine.events_processed engine));
   let probe = Sim.Probe.create ~keep:true () in
+  (* the journey fold reads events as they are recorded: no post-run pass *)
+  let journey = Journey.create () in
+  Sim.Probe.subscribe probe (Journey.step journey);
   let spec =
     {
       (Build.default_spec ~topo ~dc_sites ~rmap) with
@@ -70,7 +73,7 @@ let smoke ?(seed = 42) () =
   (* the blame pass: optimality-gap attribution over the journey report,
      with its aggregates folded into the counter baseline so a silent
      attribution change trips the probe-counter gate *)
-  let journeys = Journey.analyze probe in
+  let journeys = Journey.report journey in
   let blame = Blame.analyze ~optimal journeys in
   Blame.fold_counters blame registry;
   {

@@ -19,8 +19,8 @@ type result = {
   series : Stats.Series.t;  (** windowed telemetry, sealed at run end *)
   probe : Sim.Probe.t;
   journeys : Journey.report;
-      (** the trace's per-label visibility decomposition — the
-          [decomposition.txt] artifact and the gate's tiling check *)
+      (** the per-label visibility decomposition, from a {!Journey} fold
+          subscribed during the run — the [decomposition.txt] artifact *)
   blame : Blame.report;
       (** optimality-gap attribution over the run's complete journeys;
           rendered as the [blame.txt]/[gap.csv] artifacts and folded into

@@ -198,6 +198,39 @@ let test_table_deterministic () =
   let render () = Stats.Table.render (Harness.Journey.table (Harness.Journey.analyze r.Harness.Obs.probe)) in
   Alcotest.(check string) "same trace renders identically" (render ()) (render ())
 
+(* The journey fold subscribed during a run and Journey.analyze's replay
+   of the kept trace must agree report for report *)
+let same_report what (live : Harness.Journey.report) (replayed : Harness.Journey.report) =
+  let open Harness.Journey in
+  Alcotest.(check bool) (what ^ ": journeys") true (live.journeys = replayed.journeys);
+  Alcotest.(check (pair int int)) (what ^ ": fallback, in flight")
+    (replayed.fallback_applied, replayed.incomplete)
+    (live.fallback_applied, live.incomplete);
+  Alcotest.(check bool) (what ^ ": per_segment") true (live.per_segment = replayed.per_segment);
+  Alcotest.(check (list string)) (what ^ ": mismatches") replayed.mismatches live.mismatches;
+  Alcotest.(check string) (what ^ ": table")
+    (Stats.Table.render (table replayed))
+    (Stats.Table.render (table live))
+
+let test_smoke_fold_equals_replay () =
+  let r = Lazy.force smoke in
+  same_report "smoke" r.Harness.Obs.journeys (Harness.Journey.analyze r.Harness.Obs.probe)
+
+(* the forced switch strands labels into the fallback path; re-record the
+   row's kept trace into a fresh probe with the fold subscribed *)
+let test_reconfig_fold_equals_replay () =
+  let o = Harness.Fault_run.run_scenario ~scenario:"reconfig-forced" ~system:`Saturn () in
+  let kept = o.Harness.Fault_run.probe in
+  let live = Sim.Probe.create ~keep:false () in
+  let fold = Harness.Journey.create () in
+  Sim.Probe.subscribe live (Harness.Journey.step fold);
+  Sim.Probe.with_probe live (fun () ->
+      Sim.Probe.iter_views kept (fun at v -> Probe_reference.record ~at (Probe_reference.of_view v)));
+  Alcotest.(check string) "re-recorded trace" (Sim.Probe.digest kept) (Sim.Probe.digest live);
+  let replayed = Harness.Journey.analyze kept in
+  Alcotest.(check bool) "fallback journeys" true (replayed.Harness.Journey.fallback_applied > 0);
+  same_report "reconfig-forced" (Harness.Journey.report fold) replayed
+
 (* ---- Chrome trace-event export --------------------------------------------- *)
 
 (* a minimal JSON reader — just enough to validate the export without
@@ -457,6 +490,9 @@ let suite =
     Alcotest.test_case "streaming JSONL sink" `Quick test_stream_jsonl;
     Alcotest.test_case "smoke decomposition tiles exactly" `Slow test_smoke_decomposition;
     Alcotest.test_case "decomposition table deterministic" `Slow test_table_deterministic;
+    Alcotest.test_case "smoke: subscribed fold = replay" `Slow test_smoke_fold_equals_replay;
+    Alcotest.test_case "reconfig-forced: subscribed fold = replay" `Slow
+      test_reconfig_fold_equals_replay;
     Alcotest.test_case "Chrome export round-trips" `Slow test_chrome_roundtrip;
     Alcotest.test_case "decomposition across a link cut" `Slow test_decomposition_across_link_cut;
     QCheck_alcotest.to_alcotest prop_decomposition_sums_under_random_plans;
