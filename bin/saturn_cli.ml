@@ -1,9 +1,6 @@
-(* saturn-cli: drive the Saturn reproduction from the command line.
-
-   The subcommand surface is single-sourced in Harness.Cli_spec: every
-   Cmd.info doc below pulls its summary from there, the top-level help
-   renders Cli_spec.usage, and main asserts the registered command names
-   equal the spec before dispatch. *)
+(* saturn-cli: drive the Saturn reproduction from the command line. Each
+   subcommand's one-line summary is its Cmd.info doc, which cmdliner lists
+   under COMMANDS in the top-level help. *)
 
 open Cmdliner
 
@@ -19,7 +16,7 @@ let region_conv =
 (* ---- matrix ---------------------------------------------------------------- *)
 
 let matrix_cmd =
-  let doc = Harness.Cli_spec.summary "matrix" in
+  let doc = "print the inter-region latency matrix (the paper's Table 1)" in
   Cmd.v (Cmd.info "matrix" ~doc)
     Term.(
       const (fun () ->
@@ -37,7 +34,7 @@ let plan regions seed =
   print_string (Harness.Scenario.plan_report ~seed dc_sites)
 
 let plan_cmd =
-  let doc = Harness.Cli_spec.summary "plan" in
+  let doc = "plan a serializer tree for a set of regions (Algorithm 3)" in
   let regions =
     Arg.(value & pos_all region_conv [] & info [] ~docv:"REGION" ~doc:"Regions (NV NC O I F T S).")
   in
@@ -90,7 +87,7 @@ let bench systems n_dcs correlation value_size read_pct remote_pct clients measu
   Stats.Table.print table
 
 let bench_cmd =
-  let doc = Harness.Cli_spec.summary "bench" in
+  let doc = "run a comparative synthetic workload (the Figure 5/7 harness)" in
   let systems =
     Arg.(value & opt_all system_conv [] & info [ "s"; "system" ] ~doc:"System(s) to run; default all.")
   in
@@ -135,7 +132,7 @@ let social systems users max_replicas =
   Stats.Table.print table
 
 let social_cmd =
-  let doc = Harness.Cli_spec.summary "social" in
+  let doc = "run the Facebook-like benchmark (§7.4)" in
   let systems =
     Arg.(value & opt_all system_conv [] & info [ "s"; "system" ] ~doc:"System(s) to run; default all.")
   in
@@ -231,12 +228,12 @@ let obs seed out spans =
   end
 
 let obs_cmd =
-  let doc = Harness.Cli_spec.summary "obs" in
+  let doc = "observability smoke run: registry table, deterministic trace, artifacts" in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Scenario seed.") in
   let out =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR"
-           ~doc:"Write the artifact set (trace, decomposition table, series dumps, \
-                 reconfig.timeline.txt) under DIR.")
+           ~doc:"Write the artifact set (trace, decomposition table, series dumps, blame \
+                 report, gap CSV) under DIR.")
   in
   let spans =
     Arg.(value & flag & info [ "spans" ]
@@ -276,7 +273,7 @@ let bench_check baseline_path fresh_path =
     exit 1
 
 let bench_check_cmd =
-  let doc = Harness.Cli_spec.summary "bench-check" in
+  let doc = "gate a fresh engine-bench JSON against the checked-in baseline" in
   let man =
     [
       `S Manpage.s_description;
@@ -343,7 +340,7 @@ let series scenario system seed out =
   print_string (Harness.Gate.series_digest_line sr)
 
 let series_cmd =
-  let doc = Harness.Cli_spec.summary "series" in
+  let doc = "windowed telemetry timelines (queue depths, recovery points)" in
   let man =
     [
       `S Manpage.s_description;
@@ -381,7 +378,7 @@ let faults seed =
   Printf.printf "invariant check: OK\n"
 
 let faults_cmd =
-  let doc = Harness.Cli_spec.summary "faults" in
+  let doc = "fault-injection scenario matrix with invariant checking" in
   let man =
     [
       `S Manpage.s_description;
@@ -395,7 +392,7 @@ let faults_cmd =
   Cmd.v (Cmd.info "faults" ~doc ~man) Term.(const faults $ seed)
 
 let trace_cmd =
-  let doc = Harness.Cli_spec.summary "trace" in
+  let doc = "record / replay operation traces" in
   let record =
     let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
     let n_dcs = Arg.(value & opt int 3 & info [ "dcs" ] ~doc:"Datacenters.") in
@@ -453,7 +450,7 @@ let blame scenario system seed top out =
     (List.length r.Harness.Blame.blamed)
 
 let blame_cmd =
-  let doc = Harness.Cli_spec.summary "blame" in
+  let doc = "per-journey optimality-gap attribution, culprit ranking, top-K critical paths" in
   let man =
     [
       `S Manpage.s_description;
@@ -514,7 +511,7 @@ let diff a b =
     exit 2
 
 let diff_cmd =
-  let doc = Harness.Cli_spec.summary "diff" in
+  let doc = "localize the first divergence between two runs' artifacts" in
   let man =
     [
       `S Manpage.s_description;
@@ -547,7 +544,7 @@ let gate out write =
     exit 1
 
 let gate_cmd =
-  let doc = Harness.Cli_spec.summary "gate" in
+  let doc = "run every gated scenario once, write a manifest, compare the checked-in baselines" in
   let man =
     [
       `S Manpage.s_description;
@@ -555,7 +552,7 @@ let gate_cmd =
         "Run the fault matrix, the smoke scenario, the stabilization shootout and the default \
          plan once each at seed 42, write their artifacts as a manifest under DIR, check \
          journey and blame tiling on the smoke run and every Saturn matrix row and the fault \
-         invariants, and compare the six checked-in \
+         invariants, and compare the seven checked-in \
          baselines (smoke counters within 25%, BENCH_shootout.json within 2% per row and \
          metric, then every byte). Reports every finding; exits 1 on any.";
     ]
@@ -575,25 +572,9 @@ let gate_cmd =
 
 let () =
   let doc = "Saturn (EuroSys '17) reproduction toolkit" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P "Subcommands (from Harness.Cli_spec, the single source of the surface):";
-      `Pre (Harness.Cli_spec.usage ());
-    ]
-  in
-  let info = Cmd.info "saturn-cli" ~version:"1.0.0" ~doc ~man in
+  let info = Cmd.info "saturn-cli" ~version:"1.0.0" ~doc in
   let cmds =
     [ matrix_cmd; plan_cmd; bench_cmd; bench_check_cmd; social_cmd; trace_cmd; obs_cmd;
       faults_cmd; series_cmd; blame_cmd; diff_cmd; gate_cmd ]
   in
-  (* the registered surface must equal the spec — a drift in either
-     direction is a build bug, caught before any dispatch *)
-  let registered = List.sort String.compare (List.map Cmd.name cmds) in
-  let spec = List.sort String.compare Harness.Cli_spec.names in
-  if registered <> spec then begin
-    Printf.eprintf "saturn-cli: subcommands diverge from Harness.Cli_spec\n  registered: %s\n  spec: %s\n"
-      (String.concat " " registered) (String.concat " " spec);
-    exit 2
-  end;
   exit (Cmd.eval (Cmd.group info cmds))

@@ -166,30 +166,30 @@ let analyze ~optimal (r : Journey.report) =
         { part; journeys; total_us; p50_ms; p99_ms })
       parts
   in
-  (* the tail: the slowest tenth of journeys by gap (at least one) *)
+  (* the tail: the slowest tenth of journeys by gap (at least one), by
+     position — an identity's twin on another tree is tail only if it
+     ranks there itself *)
   let by_gap = List.sort by_gap_order blamed in
   let n = List.length blamed in
   let tail = List.filteri (fun i _ -> i < Stdlib.max 1 (n / 10)) by_gap in
   let tail_threshold_us = match List.rev tail with [] -> 0 | b :: _ -> b.gap_us in
-  let in_tail = Hashtbl.create 64 in
-  List.iter (fun b -> Hashtbl.replace in_tail (identity b) ()) tail;
   let order = ref [] in
   let ctbl = Hashtbl.create 32 in
-  List.iter
-    (fun b ->
-      let tailed = Hashtbl.mem in_tail (identity b) in
-      List.iter
-        (fun (name, us) ->
-          let js, tot, tl =
-            match Hashtbl.find_opt ctbl name with
-            | Some x -> x
-            | None ->
-              order := name :: !order;
-              (0, 0, 0)
-          in
-          Hashtbl.replace ctbl name (js + 1, tot + us, if tailed then tl + us else tl))
-        b.culprits)
-    blamed;
+  let add ~tailed (b : blamed) =
+    List.iter
+      (fun (name, us) ->
+        let js, tot, tl =
+          match Hashtbl.find_opt ctbl name with
+          | Some x -> x
+          | None ->
+            order := name :: !order;
+            (0, 0, 0)
+        in
+        Hashtbl.replace ctbl name (if tailed then (js, tot, tl + us) else (js + 1, tot + us, tl)))
+      b.culprits
+  in
+  List.iter (add ~tailed:false) blamed;
+  List.iter (add ~tailed:true) tail;
   let culprits =
     List.rev_map
       (fun name ->

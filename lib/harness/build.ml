@@ -57,6 +57,13 @@ let topo3 () =
     ~names:[| "west"; "central"; "east" |]
     ~latency_ms:[| [| 0; 40; 90 |]; [| 40; 0; 50 |]; [| 90; 50; 0 |] |]
 
+let three_site ?rmap config =
+  let dc_sites = [| 0; 1; 2 |] in
+  let rmap =
+    match rmap with Some r -> r | None -> Kvstore.Replica_map.full ~n_dcs:3 ~n_keys:24
+  in
+  { (default_spec ~topo:(topo3 ()) ~dc_sites ~rmap) with saturn_config = Some (config ~dc_sites) }
+
 (* an explicit chain of three serializers (one per datacenter). The smoke
    scenario must exercise serializer-to-serializer forwarding; the solved
    configuration for three sites can collapse to a star, which never hops. *)

@@ -55,6 +55,14 @@ val topo3 : unit -> Sim.Topology.t
 (** The three-site (west/central/east) geography the smoke and fault
     scenarios share: unequal latencies, so tree placement matters. *)
 
+val three_site :
+  ?rmap:Kvstore.Replica_map.t -> (dc_sites:Sim.Topology.site array -> Saturn.Config.t) -> spec
+(** [three_site config]: the deployment the smoke run, the fault matrix,
+    the shootout and the engine bench's simulation phase share — {!topo3},
+    one datacenter per site, Saturn on [config] over those datacenters, and
+    [rmap] (default: full replication of 24 keys, so every update
+    interests both remote datacenters). *)
+
 val chain_config : dc_sites:Sim.Topology.site array -> Saturn.Config.t
 (** An explicit three-serializer chain (0–1–2, one per datacenter) with
     small artificial delays — guarantees serializer-to-serializer hops,

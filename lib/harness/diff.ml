@@ -105,16 +105,16 @@ let journeys ?(file = "") a b =
     differs ~file "journey" "header" (String.concat "," ha) (String.concat "," hb)
   else
     let jname (o, q, d) = Printf.sprintf "journey dc%s#%s -> dc%s" o q d in
-    (* rows are (origin, oseq, dst)-sorted on both sides: merge-walk *)
+    (* gap.csv rows are in the journey fold's order, which repeats an
+       identity once per tree instance: walk both files in lockstep *)
     let rec go ra rb =
       match (ra, rb) with
       | [], [] -> Same
       | (k, _, r) :: _, [] -> differs ~file "journey" (jname k) r "<absent>"
       | [], (k, _, r) :: _ -> differs ~file "journey" (jname k) "<absent>" r
       | (ka, ca, rowa) :: xs, (kb, cb, rowb) :: ys ->
-        let c = compare ka kb in
-        if c < 0 then differs ~file "journey" (jname ka) rowa "<absent>"
-        else if c > 0 then differs ~file "journey" (jname kb) "<absent>" rowb
+        if ka <> kb then
+          differs ~file "journey" (Printf.sprintf "%s vs %s" (jname ka) (jname kb)) rowa rowb
         else if String.equal rowa rowb then go xs ys
         else
           (* same journey, different numbers: name the first column off *)

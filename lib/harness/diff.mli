@@ -12,8 +12,11 @@
       counter whose value drifts or that exists on one side only
       (merge-walked over the name-sorted lists, so one missing counter
       is one finding, not a cascade);
-    - journey gap CSV → the first diverging journey, named by identity
-      and the first column that differs ("journey dc0#17 -> dc2 gap_us");
+    - journey gap CSV → the first diverging row, walked in file order:
+      the journey's identity and the first column that differs ("journey
+      dc0#17 -> dc2 gap_us"), or both identities when the rows name
+      different journeys ("journey dc0#9 -> dc1 vs journey dc0#10 ->
+      dc1");
     - anything else → the first differing line, numbered as in the file.
 
     All localizers are pure string functions ({!content} dispatches on

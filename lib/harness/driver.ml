@@ -59,3 +59,20 @@ let run engine api metrics ~clients ~next_op ~warmup ~measure ~cooldown =
     ops_completed = ops;
     duration = measure;
   }
+
+let synthetic engine api metrics (spec : Build.spec) ~seed ~per_dc ~cooldown =
+  let { Build.topo; dc_sites; rmap; _ } = spec in
+  let clients = make_clients ~dc_sites ~per_dc in
+  let syn =
+    Workload.Synthetic.create
+      {
+        Workload.Synthetic.default with
+        n_keys = Kvstore.Replica_map.n_keys rmap;
+        read_ratio = 0.5;
+        seed;
+      }
+      ~rmap ~topo ~dc_sites
+  in
+  run engine api metrics ~clients
+    ~next_op:(fun c -> Workload.Synthetic.next syn ~dc:c.Client.preferred_dc)
+    ~warmup:(Sim.Time.of_ms 200) ~measure:(Sim.Time.of_sec 1.) ~cooldown

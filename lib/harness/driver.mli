@@ -28,3 +28,17 @@ val run :
 
 val make_clients :
   dc_sites:Sim.Topology.site array -> per_dc:int -> Client.t list
+
+val synthetic :
+  Sim.Engine.t ->
+  Api.t ->
+  Metrics.t ->
+  Build.spec ->
+  seed:int ->
+  per_dc:int ->
+  cooldown:Sim.Time.t ->
+  result
+(** The three-site recipe's run ({!Build.three_site}): {!make_clients}
+    over the spec's datacenters, each drawing the 50%-read
+    {!Workload.Synthetic} mix ([seed]) over every key of [spec.rmap], a
+    200 ms warm-up and a 1 s measurement window, then [cooldown]. *)

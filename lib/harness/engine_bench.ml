@@ -58,20 +58,14 @@ let run_tier ?(now_s = fun () -> 0.) ?(stream_ops = 200_000) ~seed tier =
   (* phase C — simulation: the smoke geometry (three sites, explicit
      serializer chain) under the tier's key space, probe off, measuring the
      flattened event path itself *)
-  let topo = Build.topo3 () in
-  let dc_sites = [| 0; 1; 2 |] in
   let rmap =
     Kvstore.Replica_map.create ~n_dcs ~n_keys:(Scale.Ops.n_keys g) ~assign:(fun key ->
         Scale.Ops.replicas g ~n_dcs ~key)
   in
+  let spec = Build.three_site ~rmap Build.chain_config in
+  let { Build.topo; dc_sites; _ } = spec in
   let engine = Sim.Engine.create () in
   let registry = Stats.Registry.create () in
-  let spec =
-    {
-      (Build.default_spec ~topo ~dc_sites ~rmap) with
-      Build.saturn_config = Some (Build.chain_config ~dc_sites);
-    }
-  in
   let metrics = Metrics.create ~registry engine ~topo ~dc_sites in
   let api, _system = Build.saturn ~registry engine spec metrics in
   let clients = Driver.make_clients ~dc_sites ~per_dc in

@@ -27,42 +27,21 @@ let scenario_names =
     "reconfig-forced"; "reconfig-backup";
   ]
 
-let n_keys = 24
-let dc_sites = [| 0; 1; 2 |]
-let warmup = Sim.Time.of_ms 200
-let measure = Sim.Time.of_sec 1.
+(* the shared chain deployment with three chain replicas per serializer,
+   so a head crash heals (§6.1) instead of stalling the subtree; built
+   afresh per run *)
+let spec () = { (Build.three_site Build.chain_config) with serializer_replicas = 3 }
+
 let cooldown = Sim.Time.of_ms 400
-
-let spec () =
-  let topo = Build.topo3 () in
-  let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys in
-  {
-    (Build.default_spec ~topo ~dc_sites ~rmap) with
-    Build.saturn_config = Some (Build.chain_config ~dc_sites);
-    (* three chain replicas per serializer, so a head crash heals (§6.1)
-       instead of stalling the subtree *)
-    serializer_replicas = 3;
-  }
-
-let run_driver engine api metrics ~seed ~rmap ~topo =
-  let clients = Driver.make_clients ~dc_sites ~per_dc:2 in
-  let syn =
-    Workload.Synthetic.create
-      { Workload.Synthetic.default with n_keys; read_ratio = 0.5; seed }
-      ~rmap ~topo ~dc_sites
-  in
-  Driver.run engine api metrics ~clients
-    ~next_op:(fun c -> Workload.Synthetic.next syn ~dc:c.Client.preferred_dc)
-    ~warmup ~measure ~cooldown
 
 (* the tree's busiest directed edge, from a dry (fault-free) pre-run: the
    latency-spike scenario needs its target fixed before the faulted run *)
 let busiest_edge ~seed =
   let spec = spec () in
   let engine = Sim.Engine.create () in
-  let metrics = Metrics.create engine ~topo:spec.Build.topo ~dc_sites in
+  let metrics = Metrics.create engine ~topo:spec.Build.topo ~dc_sites:spec.Build.dc_sites in
   let api, system = Build.saturn engine spec metrics in
-  ignore (run_driver engine api metrics ~seed ~rmap:spec.Build.rmap ~topo:spec.Build.topo);
+  ignore (Driver.synthetic engine api metrics spec ~seed ~per_dc:2 ~cooldown);
   match Saturn.System.service system with
   | None -> assert false
   | Some service ->
@@ -84,7 +63,7 @@ let spike_factor = 8.
 let switch_at = Sim.Time.of_ms 500
 let pre_switch_crash_at = Sim.Time.of_ms 450
 
-let plan_for ~scenario ~busiest freg system =
+let plan_for ~scenario ~busiest ~dc_sites freg system =
   let open Faults in
   let switch graceful =
     Plan.Switch_config { graceful; config = Build.backup_config ~dc_sites }
@@ -210,7 +189,8 @@ let run_one ~seed ~scenario ~system ~busiest =
   let checker = Faults.Checker.create () in
   Sim.Probe.subscribe probe (Faults.Checker.step checker);
   let freg = Faults.Registry.create () in
-  let metrics = Metrics.create ~registry engine ~topo:spec.Build.topo ~dc_sites in
+  let { Build.topo; dc_sites; _ } = spec in
+  let metrics = Metrics.create ~registry engine ~topo ~dc_sites in
   let recovery = ref None in
   let series = Stats.Series.create () in
   let (_ : int array array) = Blame.observe_series engine metrics series spec in
@@ -223,7 +203,7 @@ let run_one ~seed ~scenario ~system ~busiest =
           Build.make ?registry:meta_registry ~series ~faults:freg (system :> Build.system) engine
             spec metrics
         in
-        let plan = plan_for ~scenario ~busiest freg system in
+        let plan = plan_for ~scenario ~busiest ~dc_sites freg system in
         let (_ : Faults.Injector.t) = Faults.Injector.arm ~registry engine freg plan in
         (* annotate the series with the plan's marks, deduplicated (a
            partition cuts several links at one instant): the timeline and
@@ -253,9 +233,8 @@ let run_one ~seed ~scenario ~system ~busiest =
                 match !recovery with
                 | Some prev when Sim.Time.compare prev lag >= 0 -> ()
                 | _ -> recovery := Some lag));
-        ( (run_driver engine api metrics ~seed ~rmap:spec.Build.rmap ~topo:spec.Build.topo)
-            .Driver.ops_completed,
-          plan ))
+        let r = Driver.synthetic engine api metrics spec ~seed ~per_dc:2 ~cooldown in
+        (r.Driver.ops_completed, plan))
   in
   Stats.Series.seal series ~now:(Sim.Engine.now engine);
   let recovery_ms =
@@ -299,7 +278,7 @@ let run_scenario ?(seed = 42) ~scenario ~system () =
    the spec (topology, bulk factor) is this module's, so the CLI cannot
    pair a fault trace with the wrong matrix *)
 let blame journeys =
-  let { Build.topo; bulk_factor; _ } = spec () in
+  let { Build.topo; dc_sites; bulk_factor; _ } = spec () in
   Blame.analyze ~optimal:(Blame.optimal_matrix ~topo ~dc_sites ~bulk_factor) journeys
 
 let recovery_on o name =

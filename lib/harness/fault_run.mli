@@ -1,6 +1,7 @@
 (** Fixed-seed fault-injection scenario matrix.
 
-    Runs the shared three-datacenter chain deployment (see {!Build}) under
+    Runs the shared three-datacenter chain deployment
+    ({!Build.three_site}, three replicas per serializer) under
     the paper's §6 failure model — a serializer head crash mid-stream, a
     transient partition, and a latency spike on the tree's busiest edge —
     for Saturn and for the eventual baseline, with a probe installed and a

@@ -155,15 +155,13 @@ let faults_stage dir =
            outcomes)
   in
   ( findings,
-    row ("reconfig-cut", `Saturn),
     List.map
       (fun ((o : Fault_run.outcome), b) -> blame_digest_line (o.scenario ^ "-" ^ o.system) b)
       blames )
 
-let smoke_stage dir ~reconfig =
+let smoke_stage dir =
   let r = Obs.smoke ~seed () in
-  ignore (Obs.write_artifacts ~reconfig r ~out_dir:dir);
-  write (Filename.concat dir "blame.digest") (Blame.digest r.Obs.blame ^ "\n");
+  ignore (Obs.write_artifacts r ~out_dir:dir);
   write (Filename.concat dir "smoke-counters.txt") (Obs.counters_text r);
   write (Filename.concat dir "BENCH_smoke.json") (Obs.bench_json ~seed r);
   ( tiling_findings "smoke" r.Obs.blame
@@ -183,9 +181,9 @@ let run ?write:(regenerate = false) ~root ~out_dir () =
   let sub name = Filename.concat out_dir name in
   mkdir_p out_dir;
   Printf.printf "gate: fault matrix (seed %d)\n%!" seed;
-  let fault_findings, reconfig, blame_lines = faults_stage (sub "faults") in
+  let fault_findings, blame_lines = faults_stage (sub "faults") in
   Printf.printf "gate: smoke scenario\n%!";
-  let smoke_findings, smoke_line = smoke_stage (sub "smoke") ~reconfig in
+  let smoke_findings, smoke_line = smoke_stage (sub "smoke") in
   write (sub "faults/blame-digest.txt") (String.concat "" (blame_lines @ [ smoke_line ]));
   Printf.printf "gate: stabilization shootout\n%!";
   shootout_stage (sub "shootout");

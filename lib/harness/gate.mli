@@ -4,7 +4,7 @@
     {!run} (seed 42) runs the fault matrix, the smoke scenario, every
     {!Shootout.systems} row and the default seven-region plan once each and
     writes a manifest under [out_dir]: [smoke/] ({!Obs.write_artifacts}'
-    set, [blame.digest], [smoke-counters.txt], [BENCH_smoke.json]);
+    set, [smoke-counters.txt], [BENCH_smoke.json]);
     [faults/] ([matrix.txt], [faults-digest.txt], [series-digest.txt],
     [blame-digest.txt] with one line per Saturn row and one for the smoke
     run, the series dumps and timeline of each [series-digest.txt] row,

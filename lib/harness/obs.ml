@@ -11,12 +11,9 @@ type result = {
 }
 
 let smoke ?(seed = 42) () =
-  let topo = Build.topo3 () in
-  let dc_sites = [| 0; 1; 2 |] in
-  let n_keys = 24 in
   (* full replication: every update interests both remote datacenters, so
-     labels provably cross both tree edges *)
-  let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys in
+     labels provably cross both tree edges of the chain *)
+  let spec = Build.three_site Build.chain_config in
   let engine = Sim.Engine.create () in
   let registry = Stats.Registry.create () in
   Stats.Registry.register_pull registry "engine.events_processed" (fun () ->
@@ -25,12 +22,7 @@ let smoke ?(seed = 42) () =
   (* the journey fold reads events as they are recorded: no post-run pass *)
   let journey = Journey.create () in
   Sim.Probe.subscribe probe (Journey.step journey);
-  let spec =
-    {
-      (Build.default_spec ~topo ~dc_sites ~rmap) with
-      Build.saturn_config = Some (Build.chain_config ~dc_sites);
-    }
-  in
+  let { Build.topo; dc_sites; _ } = spec in
   let metrics = Metrics.create ~registry engine ~topo ~dc_sites in
   let visibility = Stats.Hdr.create () in
   let series = Stats.Series.create () in
@@ -42,15 +34,7 @@ let smoke ?(seed = 42) () =
   let driver_result =
     Sim.Probe.with_probe probe (fun () ->
         let api, _system = Build.saturn ~registry ~series engine spec metrics in
-        let clients = Driver.make_clients ~dc_sites ~per_dc:2 in
-        let syn =
-          Workload.Synthetic.create
-            { Workload.Synthetic.default with n_keys; read_ratio = 0.5; seed }
-            ~rmap ~topo ~dc_sites
-        in
-        Driver.run engine api metrics ~clients
-          ~next_op:(fun c -> Workload.Synthetic.next syn ~dc:c.Client.preferred_dc)
-          ~warmup:(Sim.Time.of_ms 200) ~measure:(Sim.Time.of_sec 1.) ~cooldown:(Sim.Time.of_ms 200))
+        Driver.synthetic engine api metrics spec ~seed ~per_dc:2 ~cooldown:(Sim.Time.of_ms 200))
   in
   (* fold the per-kind trace counts into the registry so one table shows
      engine, link, tree and proxy activity side by side *)
@@ -88,7 +72,7 @@ let smoke ?(seed = 42) () =
     blame;
   }
 
-let write_artifacts ?reconfig r ~out_dir =
+let write_artifacts r ~out_dir =
   if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
   let file name writer =
     let path = Filename.concat out_dir name in
@@ -107,17 +91,6 @@ let write_artifacts ?reconfig r ~out_dir =
     file "series.json" (fun oc -> output_string oc (Stats.Series.to_json r.series));
     file "blame.txt" (fun oc -> output_string oc (Blame.render r.blame));
     file "gap.csv" (fun oc -> output_string oc (Blame.gap_csv r.blame));
-    file "reconfig.timeline.txt" (fun oc ->
-        (* the migration view rides along with the smoke artifacts: the
-           fixed-seed reconfig-cut run (graceful epoch switch composed with
-           a metadata-tree cut), rendered as the same timeline
-           `saturn-cli series --scenario reconfig-cut` prints *)
-        let o =
-          match reconfig with
-          | Some o -> o
-          | None -> Fault_run.run_scenario ~scenario:"reconfig-cut" ~system:`Saturn ()
-        in
-        output_string oc (Fault_run.timeline_string o));
   ]
 
 (* ---- BENCH_smoke.json ----------------------------------------------------- *)

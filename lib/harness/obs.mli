@@ -37,12 +37,10 @@ val smoke : ?seed:int -> unit -> result
     over its shortest-bulk-path optimum — the time-resolved face of the
     blame report. *)
 
-val write_artifacts : ?reconfig:Fault_run.outcome -> result -> out_dir:string -> string list
+val write_artifacts : result -> out_dir:string -> string list
 (** Writes [trace.jsonl], [trace.digest], [trace.chrome.json],
-    [decomposition.txt], [series.csv], [series.json], [blame.txt], [gap.csv]
-    and [reconfig.timeline.txt] under [out_dir] and returns their paths. The
-    timeline is [reconfig]'s, a seed-42 reconfig-cut/saturn outcome, run
-    afresh when not given. *)
+    [decomposition.txt], [series.csv], [series.json], [blame.txt] and
+    [gap.csv] under [out_dir] and returns their paths. *)
 
 val bench_json : seed:int -> result -> string
 (** The one-line [saturn-bench-smoke/1] document ([BENCH_smoke.json]):

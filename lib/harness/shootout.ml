@@ -16,12 +16,6 @@ type row = {
 let systems =
   List.map Build.name [ `Eventual; `Gentlerain; `Eunomia; `Saturn; `Okapi; `Cure; `Orbe; `Cops ]
 
-let n_keys = 24
-let dc_sites = [| 0; 1; 2 |]
-let warmup = Sim.Time.of_ms 200
-let measure = Sim.Time.of_sec 1.
-let cooldown = Sim.Time.of_ms 400
-
 (* the star: one serializer at the central site, every datacenter attached
    to it. No serializer-to-serializer hops, so Saturn's attached bytes are
    one label per payload shipment — the per-label metadata cost the
@@ -30,31 +24,16 @@ let star_config ~dc_sites =
   let tree = Saturn.Tree.star ~n_dcs:3 in
   Saturn.Config.create ~tree ~placement:[| 1 |] ~dc_sites ()
 
-let spec () =
-  let topo = Build.topo3 () in
-  let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys in
-  {
-    (Build.default_spec ~topo ~dc_sites ~rmap) with
-    Build.saturn_config = Some (star_config ~dc_sites);
-  }
-
 let run_system ?(seed = 42) name =
   if not (List.mem name systems) then invalid_arg ("Shootout: unknown system " ^ name);
-  let spec = spec () in
+  let spec = Build.three_site star_config in
   let engine = Sim.Engine.create () in
   let registry = Stats.Registry.create () in
-  let metrics = Metrics.create ~registry engine ~topo:spec.Build.topo ~dc_sites in
+  let { Build.topo; dc_sites; _ } = spec in
+  let metrics = Metrics.create ~registry engine ~topo ~dc_sites in
   let api = Build.make ~registry (Build.of_name name) engine spec metrics in
-  let clients = Driver.make_clients ~dc_sites ~per_dc:4 in
-  let syn =
-    Workload.Synthetic.create
-      { Workload.Synthetic.default with n_keys; read_ratio = 0.5; seed }
-      ~rmap:spec.Build.rmap ~topo:spec.Build.topo ~dc_sites
-  in
   let r =
-    Driver.run engine api metrics ~clients
-      ~next_op:(fun c -> Workload.Synthetic.next syn ~dc:c.Client.preferred_dc)
-      ~warmup ~measure ~cooldown
+    Driver.synthetic engine api metrics spec ~seed ~per_dc:4 ~cooldown:(Sim.Time.of_ms 400)
   in
   let cval suffix =
     Stats.Registry.counter_value

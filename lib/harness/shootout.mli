@@ -3,13 +3,13 @@
     fixed deployment, measuring what each protocol's stabilization design
     costs in metadata bytes and buys in visibility.
 
-    All systems share the three-site geography ({!Build.topo3}), full
-    replication, the same synthetic workload and the same measurement
-    window. Saturn runs its {e star} configuration (one central serializer,
-    no serializer-to-serializer hops): the shootout compares metadata
-    {e volume}, and the star is the configuration where Saturn's per-label
-    cost is not inflated by tree relaying, mirroring the paper's
-    single-sequencer deployment point.
+    All systems share the three-site deployment ({!Build.three_site}:
+    full replication) and run the same synthetic workload over the same
+    measurement window ({!Driver.synthetic}). Saturn runs its {e star}
+    configuration (one central serializer, no serializer-to-serializer
+    hops): the shootout compares metadata {e volume}, and the star is the
+    configuration where Saturn's per-label cost is not inflated by tree
+    relaying, mirroring the paper's single-sequencer deployment point.
 
     Every number is a pure function of the seed (simulated time
     throughout), so the emitted JSON is byte-reproducible: [saturn-cli gate]

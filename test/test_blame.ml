@@ -106,6 +106,21 @@ let test_top_k_and_render () =
   Alcotest.(check bool) "full report renders the digest" true
     (has_sub ~sub:(Blame.digest b) (Blame.render ~top:2 b))
 
+(* the tail is the slowest tenth of by_gap by position: on reconfig-forced
+   an identity repeats across the two trees, and a twin outside that tenth
+   must not count toward any culprit's tail µs *)
+let test_tail_by_position () =
+  let o = Harness.Fault_run.run_scenario ~scenario:"reconfig-forced" ~system:`Saturn () in
+  let b = Harness.Fault_run.blame (Harness.Journey.analyze o.Harness.Fault_run.probe) in
+  let n = List.length b.Blame.by_gap in
+  let tail = List.filteri (fun i _ -> i < max 1 (n / 10)) b.Blame.by_gap in
+  let culprit_us (bl : Blame.blamed) =
+    List.fold_left (fun acc (_, us) -> acc + us) 0 bl.Blame.culprits
+  in
+  Alcotest.(check int) "culprit tail us = the tail journeys' culprit us"
+    (List.fold_left (fun acc bl -> acc + culprit_us bl) 0 tail)
+    (List.fold_left (fun acc (c : Blame.culprit_stat) -> acc + c.Blame.c_tail_us) 0 b.Blame.culprits)
+
 let test_fold_counters () =
   let b = (Lazy.force smoke).Harness.Obs.blame in
   let reg = Stats.Registry.create () in
@@ -234,7 +249,22 @@ let test_diff_journeys () =
       | o :: q :: d :: _ -> Printf.sprintf "journey dc%s#%s -> dc%s optimal_us" o q d
       | _ -> assert false
     in
-    Alcotest.(check string) "names journey and column" id f.Diff.where
+    Alcotest.(check string) "names journey and column" id f.Diff.where;
+    (* drop journey dc0#9 -> dc1 from B: rows are in numeric, not string,
+       order, so the walk must follow the files, and name both rows *)
+    let dropped =
+      String.concat "\n"
+        (List.filter (fun l -> not (String.starts_with ~prefix:"0,9,1," l)) ls)
+    in
+    (match Diff.journeys csv dropped with
+    | Diff.Differs f ->
+      Alcotest.(check string) "names both journeys"
+        "journey dc0#9 -> dc1 vs journey dc0#10 -> dc1" f.Diff.where;
+      Alcotest.(check bool) "A's row is the dropped one" true
+        (String.starts_with ~prefix:"0,9,1," f.Diff.a);
+      Alcotest.(check bool) "B's row is the next one" true
+        (String.starts_with ~prefix:"0,10,1," f.Diff.b)
+    | Diff.Same -> Alcotest.fail "expected divergence")
   | Diff.Same -> Alcotest.fail "expected divergence"
 
 let test_diff_dispatch_and_render () =
@@ -259,6 +289,7 @@ let suite =
     Alcotest.test_case "smoke blame parts tile every gap" `Slow test_smoke_blame_tiles;
     Alcotest.test_case "blame digest replays bit-for-bit" `Slow test_smoke_blame_deterministic;
     Alcotest.test_case "top-k ordering and rendering" `Slow test_top_k_and_render;
+    Alcotest.test_case "blame tail is by gap rank, not identity" `Slow test_tail_by_position;
     Alcotest.test_case "blame.* counters tile the gap" `Slow test_fold_counters;
     Alcotest.test_case "gap recovery declines without a fault" `Slow test_gap_recovery_wired;
     Alcotest.test_case "diff: first differing line" `Quick test_diff_lines;

@@ -250,17 +250,13 @@ let test_injector_e2_names_deferred () =
    exists once the switch fires, so validation is deferred — and the cut
    then resolves against the new tree's registered link *)
 let test_switch_registers_epoch2_pieces () =
-  let topo = Harness.Build.topo3 () in
-  let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys:8 in
+  let spec =
+    Harness.Build.three_site ~rmap:(Kvstore.Replica_map.full ~n_dcs:3 ~n_keys:8)
+      Harness.Build.chain_config
+  in
   let engine = Sim.Engine.create () in
   let freg = Faults.Registry.create () in
-  let metrics = Harness.Metrics.create engine ~topo ~dc_sites:dc_sites3 in
-  let spec =
-    {
-      (Harness.Build.default_spec ~topo ~dc_sites:dc_sites3 ~rmap) with
-      Harness.Build.saturn_config = Some (Harness.Build.chain_config ~dc_sites:dc_sites3);
-    }
-  in
+  let metrics = Harness.Metrics.create engine ~topo:spec.Harness.Build.topo ~dc_sites:dc_sites3 in
   let _api, _system = Harness.Build.saturn ~faults:freg engine spec metrics in
   let plan =
     Faults.Plan.make
@@ -289,17 +285,13 @@ let test_switch_registers_epoch2_pieces () =
   Alcotest.(check int) "all three events applied" 3 (Faults.Injector.events_applied inj)
 
 let test_double_switch_rejected () =
-  let topo = Harness.Build.topo3 () in
-  let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys:8 in
+  let spec =
+    Harness.Build.three_site ~rmap:(Kvstore.Replica_map.full ~n_dcs:3 ~n_keys:8)
+      Harness.Build.chain_config
+  in
   let engine = Sim.Engine.create () in
   let freg = Faults.Registry.create () in
-  let metrics = Harness.Metrics.create engine ~topo ~dc_sites:dc_sites3 in
-  let spec =
-    {
-      (Harness.Build.default_spec ~topo ~dc_sites:dc_sites3 ~rmap) with
-      Harness.Build.saturn_config = Some (Harness.Build.chain_config ~dc_sites:dc_sites3);
-    }
-  in
+  let metrics = Harness.Metrics.create engine ~topo:spec.Harness.Build.topo ~dc_sites:dc_sites3 in
   let _api, _system = Harness.Build.saturn ~faults:freg engine spec metrics in
   Alcotest.check_raises "one switch per plan"
     (Invalid_argument "Faults.Injector: at most one switch-config per plan (one switch per system)")
@@ -629,22 +621,14 @@ let test_checker_step_alloc () =
    the plan breaks, every serializer must commit each origin's labels
    exactly once, in FIFO order *)
 let run_random_plan ~seed =
-  let topo = Harness.Build.topo3 () in
-  let dc_sites = [| 0; 1; 2 |] in
-  let n_keys = 24 in
-  let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys in
+  let spec = { (Harness.Build.three_site Harness.Build.chain_config) with serializer_replicas = 2 } in
+  let { Harness.Build.topo; dc_sites; rmap; _ } = spec in
+  let n_keys = Kvstore.Replica_map.n_keys rmap in
   let engine = Sim.Engine.create () in
   let registry = Stats.Registry.create () in
   let probe = Sim.Probe.create () in
   let checker = subscribed_checker probe in
   let freg = Faults.Registry.create () in
-  let spec =
-    {
-      (Harness.Build.default_spec ~topo ~dc_sites ~rmap) with
-      Harness.Build.saturn_config = Some (Harness.Build.chain_config ~dc_sites);
-      serializer_replicas = 2;
-    }
-  in
   let metrics = Harness.Metrics.create ~registry engine ~topo ~dc_sites in
   Sim.Probe.with_probe probe (fun () ->
       let api, _system = Harness.Build.saturn ~registry ~faults:freg engine spec metrics in

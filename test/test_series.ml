@@ -256,21 +256,13 @@ let test_csv_shape () =
 (* one Saturn run under a random fault plan, returning the sealed series
    digest; the same seed must reproduce it bit-for-bit *)
 let series_digest_of_random_plan ~seed =
-  let topo = Harness.Build.topo3 () in
-  let dc_sites = [| 0; 1; 2 |] in
-  let n_keys = 24 in
-  let rmap = Kvstore.Replica_map.full ~n_dcs:3 ~n_keys in
+  let spec = { (Harness.Build.three_site Harness.Build.chain_config) with serializer_replicas = 2 } in
+  let { Harness.Build.topo; dc_sites; rmap; _ } = spec in
+  let n_keys = Kvstore.Replica_map.n_keys rmap in
   let engine = Sim.Engine.create () in
   let registry = Stats.Registry.create () in
   let freg = Faults.Registry.create () in
   let series = Stats.Series.create () in
-  let spec =
-    {
-      (Harness.Build.default_spec ~topo ~dc_sites ~rmap) with
-      Harness.Build.saturn_config = Some (Harness.Build.chain_config ~dc_sites);
-      serializer_replicas = 2;
-    }
-  in
   let metrics = Harness.Metrics.create ~registry engine ~topo ~dc_sites in
   let api, _system = Harness.Build.saturn ~registry ~series ~faults:freg engine spec metrics in
   let vis = Stats.Series.hist series "series.vis_ms" in
