@@ -20,20 +20,24 @@ let get_id b i = Int32.to_int (Bytes.get_int32_ne b (4 * i))
 let set_id b i x = Bytes.set_int32_ne b (4 * i) (Int32.of_int x)
 let ids n = Bytes.make (4 * n) '\000'
 
-(* growable flat id buffer: the only dynamic structure in the generator *)
-type vec = { mutable a : Bytes.t; mutable n : int }
+(* growable community pool: a member u of community c is c + C*k (users
+   join communities round-robin), so a pool stores k as a 16-bit int —
+   half the bytes of an id. [generate] bounds a community at 65,536
+   members, so every k fits. The only dynamic structure in the generator *)
+type pool = { mutable a : Bytes.t; mutable n : int }
 
-let vec_make cap = { a = ids (max cap 4); n = 0 }
+let pool_make cap = { a = Bytes.make (2 * max cap 4) '\000'; n = 0 }
+let pool_get p i = Bytes.get_uint16_ne p.a (2 * i)
 
-let vec_push v x =
-  let cap = Bytes.length v.a / 4 in
-  if v.n = cap then begin
-    let bigger = ids (cap * 2) in
-    Bytes.blit v.a 0 bigger 0 (4 * v.n);
-    v.a <- bigger
+let pool_push p k =
+  let cap = Bytes.length p.a / 2 in
+  if p.n = cap then begin
+    let bigger = Bytes.make (4 * cap) '\000' in
+    Bytes.blit p.a 0 bigger 0 (2 * p.n);
+    p.a <- bigger
   end;
-  set_id v.a v.n x;
-  v.n <- v.n + 1
+  Bytes.set_uint16_ne p.a (2 * p.n) k;
+  p.n <- p.n + 1
 
 type t = {
   n_users : int;
@@ -46,15 +50,20 @@ type t = {
 
 (* FNV-1a over the 8 little-endian bytes of each endpoint, in edge order —
    same family as the probe digest, so test expectations read the same
-   way. One pass over the finished edge stream: the running state is a
-   local int64 ref, which the native compiler keeps unboxed. *)
+   way. An id is below 2^31, so its top four bytes are 0, and their four
+   FNV steps (xor 0, multiply) are one multiply by prime^4. One pass over
+   the finished edge stream: the running state is a local int64 ref,
+   which the native compiler keeps unboxed. *)
+let prime4 = Int64.(mul (mul Sim.Fnv.prime Sim.Fnv.prime) (mul Sim.Fnv.prime Sim.Fnv.prime))
+
 let fnv_ids a len =
   let h = ref Sim.Fnv.offset in
   for j = 0 to len - 1 do
     let x = get_id a j in
-    for i = 0 to 7 do
+    for i = 0 to 3 do
       h := Int64.mul (Int64.logxor !h (Int64.of_int ((x lsr (i * 8)) land 0xff))) Sim.Fnv.prime
-    done
+    done;
+    h := Int64.mul !h prime4
   done;
   !h
 
@@ -69,6 +78,9 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
     | Some c -> if c < 1 then invalid_arg "Scale.generate: communities < 1" else c
     | None -> max 2 (n_users / 250)
   in
+  (* community 0 is the largest: users 0, C, 2C, ... *)
+  if ((n_users - 1) / n_comm) + 1 > 65_536 then
+    invalid_arg "Scale.generate: a community exceeds 65536 members";
   let rng = Sim.Rng.create ~seed in
   let m = max 1 (mean_degree / 2) in
   let community u = u mod n_comm in
@@ -80,11 +92,12 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
   let endpoints = ids (2 * max_edges) in
   let deg = Array.make n_users 0 in
   let n_edges = ref 0 in
-  (* per-community endpoint pools back the locality bias, presized to a
-     community's mean share of the endpoints (2m per member) so most never
-     regrow; freed before the CSR build so peak memory stays ~3 ids per
-     edge endpoint *)
-  let comm_pool = Array.init n_comm (fun _ -> vec_make (2 * m * ((n_users / n_comm) + 1))) in
+  (* per-community endpoint pools back the locality bias: each endpoint
+     also lands, as its 16-bit member index, in its community's pool.
+     Presized to a community's mean share of the endpoints (2m per member)
+     so most never regrow; swept before the CSR build, so the adjacency
+     never shares the heap with them *)
+  let comm_pool = Array.init n_comm (fun _ -> pool_make (2 * m * ((n_users / n_comm) + 1))) in
   let add_edge u v =
     let i = 2 * !n_edges in
     set_id endpoints i u;
@@ -92,8 +105,8 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
     incr n_edges;
     deg.(u) <- deg.(u) + 1;
     deg.(v) <- deg.(v) + 1;
-    vec_push comm_pool.(community u) u;
-    vec_push comm_pool.(community v) v
+    pool_push comm_pool.(community u) (u / n_comm);
+    pool_push comm_pool.(community v) (v / n_comm)
   in
   for u = 0 to seed_size - 1 do
     for v = u + 1 to seed_size - 1 do
@@ -113,12 +126,13 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
   for u = seed_size to n_users - 1 do
     let added = ref 0 in
     let attempts = ref 0 in
-    let cpool = comm_pool.(community u) in
+    let c = community u in
+    let cpool = comm_pool.(c) in
     while !added < m && !attempts < m * 20 do
       incr attempts;
       let use_local = cpool.n > 0 && Sim.Rng.chance rng locality in
       let v =
-        if use_local then get_id cpool.a (Sim.Rng.int rng cpool.n)
+        if use_local then c + (n_comm * pool_get cpool (Sim.Rng.int rng cpool.n))
         else get_id endpoints (Sim.Rng.int rng (2 * !n_edges))
       in
       if not (in_round u v !added) then begin
@@ -131,27 +145,34 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
     if !added = 0 then add_edge u (Sim.Rng.int rng u);
     Array.fill round 0 !added (-1)
   done;
-  Array.iter (fun v -> v.a <- Bytes.empty; v.n <- 0) comm_pool;
+  (* drop the pools and sweep them now, while the heap holds nothing the
+     CSR build allocates: without the sweep they would still be resident
+     when the adjacency's pages are first touched *)
+  Array.iter (fun p -> p.a <- Bytes.empty; p.n <- 0) comm_pool;
+  Gc.full_major ();
   (* CSR build: prefix-sum offsets, then scatter both directions of every
-     edge in generation order, then sort each row in place (ascending
-     neighbors). A row arrives as its
-     node's own-round targets (at most m, all lower, unsorted) followed by
-     every later node that attached to it (ascending), so an insertion
-     sort costs O(degree + m²) per row. *)
+     edge in generation order, advancing each row's offset as its cursor,
+     then shift the offsets back one row and sort each row in place
+     (ascending neighbors). A row arrives as its node's own-round targets
+     (at most m, all lower, unsorted) followed by every later node that
+     attached to it (ascending), so an insertion sort costs
+     O(degree + m²) per row. *)
   let ne = !n_edges in
   let offsets = Array.make (n_users + 1) 0 in
   for u = 0 to n_users - 1 do
     offsets.(u + 1) <- offsets.(u) + deg.(u)
   done;
-  let cursor = Array.copy offsets in
   let adj = ids (2 * ne) in
   for e = 0 to ne - 1 do
     let u = get_id endpoints (2 * e) and v = get_id endpoints ((2 * e) + 1) in
-    set_id adj cursor.(u) v;
-    cursor.(u) <- cursor.(u) + 1;
-    set_id adj cursor.(v) u;
-    cursor.(v) <- cursor.(v) + 1
+    set_id adj offsets.(u) v;
+    offsets.(u) <- offsets.(u) + 1;
+    set_id adj offsets.(v) u;
+    offsets.(v) <- offsets.(v) + 1
   done;
+  (* each row's cursor now stands at the next row's start *)
+  Array.blit offsets 0 offsets 1 n_users;
+  offsets.(0) <- 0;
   for u = 0 to n_users - 1 do
     let lo = offsets.(u) in
     for i = lo + 1 to offsets.(u + 1) - 1 do

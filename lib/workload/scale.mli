@@ -9,10 +9,14 @@
     yields a power-law tail plus locality. Generation runs against flat
     preallocated buffers of 32-bit vertex ids ([Bytes], 4 bytes an id):
     the edge list itself doubles as the degree-proportional endpoint
-    pool, so a pick is one buffer index. Generation is O(edges) time and
-    memory (about 4 words allocated per edge), and streaming operations out
-    of the finished graph allocates O(1) per op — no per-op list, no
-    per-op closure. §7.4's benchmark partitions this graph with
+    pool, so a pick is one buffer index. The locality bias draws from
+    per-community pools of the same endpoints, each stored as a 16-bit
+    index within its community (user [c + C·k] is member [k] of
+    community [c]); they are dropped and swept before the CSR build, so
+    the adjacency never shares the heap with them. Generation is
+    O(edges) time and memory (about 3 words allocated per edge), and
+    streaming operations out of the finished graph allocates O(1) per
+    op — no per-op list, no per-op closure. §7.4's benchmark partitions this graph with
     {!Social_partition} and draws its ops from {!Social_ops}; the scale
     tiers draw theirs from {!Ops}.
 
@@ -48,9 +52,12 @@ val generate :
     Orleans statistics at [n_users]: mean degree 30, communities ≈ n/250
     (at least 2), locality 0.8 (the share of attachment picks drawn from
     the user's own community). Vertex ids are 32-bit, so [n_users] is at
-    most [Int32.max_int] (2{^31} - 1). @raise Invalid_argument on
-    nonsensical parameters or more than [Int32.max_int] users, before
-    allocating anything. *)
+    most [Int32.max_int] (2{^31} - 1); pool entries are 16-bit, so a
+    community holds at most 65,536 users (the defaults give about 250).
+    @raise Invalid_argument on nonsensical parameters, more than
+    [Int32.max_int] users or a community of more than 65,536 users
+    (more than [65_536 * communities] users), before allocating
+    anything. *)
 
 val of_tier : tier -> seed:int -> t
 (** [generate] at the tier's user count with facebook-shaped defaults. *)
@@ -75,6 +82,11 @@ val friend : t -> Sim.Rng.t -> int -> int
 val digest : t -> string
 (** FNV-1a (64-bit hex) over the edge stream in generation order — the
     fixed-seed determinism oracle for this generator. *)
+
+val fnv_ids : Bytes.t -> int -> int64
+(** [fnv_ids b len] is FNV-1a 64 over the 8 little-endian bytes of each of
+    the first [len] ids in [b], 32-bit native-endian ids in
+    \[0, [Int32.max_int]\] — the fold behind {!digest}. *)
 
 (** {2 Operation mix (§7.4)}
 

@@ -113,9 +113,10 @@ let prop_csr_rows =
 
 (* generation memory is O(edges): words allocated per edge must not grow
    with the user count (a per-pick copy of the endpoint pool would blow
-   this bound immediately). The 32-bit id buffers cost about 4 words per
-   edge; 6 leaves room for pool regrowth but not for a per-draw or
-   per-edge box *)
+   this bound immediately). The 32-bit id buffers and the 16-bit community
+   pools cost 2.8-3.3 words per edge over this range; 3.4 leaves room for
+   pool regrowth but not for a per-draw or per-edge box, nor for 32-bit
+   pools (3.3-4.4) *)
 let prop_generation_linear =
   QCheck.Test.make ~name:"generation allocates O(1) words per edge" ~count:5
     QCheck.(int_range 2_000 20_000)
@@ -123,9 +124,47 @@ let prop_generation_linear =
       let w0 = words () in
       let g = Scale.generate ~n_users ~seed:(n_users land 0xff) () in
       let per_edge = (words () -. w0) /. float_of_int (Scale.n_edges g) in
-      if per_edge > 6. then
-        QCheck.Test.fail_reportf "%.1f words/edge at %d users" per_edge n_users;
+      if per_edge > 3.4 then
+        QCheck.Test.fail_reportf "%.2f words/edge at %d users" per_edge n_users;
       true)
+
+(* the 16-bit pools, the offsets-as-cursor scatter and the shortcut
+   digest replay the 32-bit generator bit for bit: same edge stream, same
+   CSR rows, whatever the parameters *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"generator matches the 32-bit-pool reference" ~count:30
+    QCheck.(
+      pair
+        (quad (int_range 2 3_000) small_nat (int_range 2 40) (option (int_range 1 40)))
+        (float_range 0. 1.))
+    (fun ((n_users, seed, mean_degree, communities), locality) ->
+      let g = Scale.generate ~n_users ~mean_degree ~locality ?communities ~seed () in
+      let r = Scale_reference.generate ~n_users ~mean_degree ~locality ?communities ~seed () in
+      if Scale.digest g <> Scale_reference.digest r then
+        QCheck.Test.fail_reportf "digest %s, reference %s" (Scale.digest g)
+          (Scale_reference.digest r);
+      let row f u =
+        let l = ref [] in
+        f u (fun v -> l := v :: !l);
+        !l
+      in
+      for u = 0 to n_users - 1 do
+        if row (Scale.iter_friends g) u <> row (Scale_reference.iter_friends r) u then
+          QCheck.Test.fail_reportf "row %d differs from the reference" u
+      done;
+      true)
+
+(* the digest folds an id's four high bytes, all zero below 2^31, as one
+   multiply by prime^4: it must equal the byte-serial fold *)
+let prop_fnv_shortcut =
+  QCheck.Test.make ~name:"digest fold equals the byte-serial FNV-1a" ~count:200
+    QCheck.(list (int_range 0 (Int32.to_int Int32.max_int)))
+    (fun l ->
+      let l = (0 :: l) @ [ Int32.to_int Int32.max_int ] in
+      let b = Bytes.create (4 * List.length l) in
+      List.iteri (fun i x -> Bytes.set_int32_ne b (4 * i) (Int32.of_int x)) l;
+      let n = List.length l in
+      Scale.fnv_ids b n = Scale_reference.fnv_ids b n)
 
 (* a finished graph retains its offsets (a word per user) and its
    adjacency (two 32-bit ids per edge, one word): about 1.07 words per
@@ -156,6 +195,18 @@ let test_id_bound () =
   Alcotest.check_raises "2^31 users"
     (Invalid_argument "Scale.generate: n_users exceeds the 32-bit id range") (fun () ->
       ignore (Scale.generate ~n_users:(1 lsl 31) ~seed:1 () : Scale.t))
+
+(* a pool stores a member's index within its community in 16 bits, so
+   one community holds at most 65,536 users; at the limit the top index
+   still decodes to the reference's graph *)
+let test_member_bound () =
+  Alcotest.check_raises "65,537 users in one community"
+    (Invalid_argument "Scale.generate: a community exceeds 65536 members") (fun () ->
+      ignore (Scale.generate ~n_users:65_537 ~mean_degree:2 ~communities:1 ~seed:1 () : Scale.t));
+  let g = Scale.generate ~n_users:65_536 ~mean_degree:2 ~communities:1 ~seed:1 () in
+  let r = Scale_reference.generate ~n_users:65_536 ~mean_degree:2 ~communities:1 ~seed:1 () in
+  Alcotest.(check string) "65,536 users, reference digest" (Scale_reference.digest r)
+    (Scale.digest g)
 
 (* streaming ops out of a finished graph allocates O(1) per op — no hidden
    per-op pool rebuild, whatever the graph size. An op costs about 4.5
@@ -312,9 +363,12 @@ let suite =
     Alcotest.test_case "61k partition within replica bounds" `Quick test_tier_partition;
     qtest prop_csr_rows;
     qtest prop_generation_linear;
+    qtest prop_matches_reference;
+    qtest prop_fnv_shortcut;
     Alcotest.test_case "finished graph retains ~1 word per edge" `Quick test_graph_retention;
     Alcotest.test_case "friend and iter_friends allocate nothing" `Quick test_reads_allocate_nothing;
     Alcotest.test_case "user count bounded by 32-bit ids" `Quick test_id_bound;
+    Alcotest.test_case "community size bounded by 16-bit pools" `Quick test_member_bound;
     qtest prop_stream_constant_alloc;
     Alcotest.test_case "op stream well-formedness" `Quick test_ops_well_formed;
     Alcotest.test_case "replica sets are master+next" `Quick test_replicas_consistent;
