@@ -31,6 +31,8 @@ type tier_result = {
   sim_ops : int;
   sim_events : int;
   sim_words_per_op : float;
+      (** words allocated inside the measured window (the 1 s after the
+          200 ms warm-up) per op that window completed *)
   (* wall-clock, advisory *)
   gen_ms : float;
   stream_kops_per_s : float;
