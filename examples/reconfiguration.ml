@@ -68,9 +68,9 @@ let () =
     let versions =
       List.filter_map
         (fun dc ->
-          let store = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system dc) ~key in
-          Option.map (fun ((v : Kvstore.Value.t), _) -> v.Kvstore.Value.payload)
-            (Kvstore.Store.get store ~key))
+          Option.map
+            (fun (v : Kvstore.Value.t) -> v.Kvstore.Value.payload)
+            (Saturn.Fabric.value (Saturn.System.fabric system) ~dc ~key))
         (List.init n_dcs Fun.id)
     in
     match versions with

@@ -45,13 +45,7 @@ type ('s, 'm, 'b) protocol = {
    storage servers requests, remote applies and cold thunks, its bulk
    channels the protocol's own messages. *)
 type ('s, 'm, 'b) t = {
-  fabric : ('s, ('s, 'm, 'b) item, 'b) Saturn.Fabric.t;
-  hooks : Saturn.Fabric.hooks;
-  partitioning : Kvstore.Partitioning.t;
-  gears : Saturn.Gear.t array array; (* [dc].[partition] *)
-  stores : ('m, int) Kvstore.Store.t array array; (* [dc].[partition] *)
-  cmp : 'm -> 'm -> int;
-  meta_bytes : Stats.Meta_bytes.t;
+  fabric : ('s, 'm, ('s, 'm, 'b) item, 'b) Saturn.Fabric.t;
   series : Stats.Series.t option;
   apply_series : Stats.Series.counter option array; (* per dc *)
   mutable proto : ('s, 'm, 'b) protocol;
@@ -74,7 +68,6 @@ let unbound () =
 let not_a_request () = invalid_arg "Common: not a client request"
 let engine t = Saturn.Fabric.engine t.fabric
 let params t = Saturn.Fabric.params t.fabric
-let partition_of t ~key = Kvstore.Partitioning.responsible t.partitioning ~key
 
 let submit t ~dc ~part ~cost_us item =
   Saturn.Fabric.submit t.fabric ~dc ~part ~cost:(Sim.Time.of_us cost_us) item
@@ -90,12 +83,12 @@ let front t ~dc item =
     match o.kind with
     | Attach -> t.proto.attach o.session ~dc item
     | Read ->
-      let part = partition_of t ~key:o.key in
+      let part = Saturn.Fabric.partition t.fabric ~key:o.key in
       o.part <- part;
-      let size = Kvstore.Store.value_size t.stores.(dc).(part) ~key:o.key in
+      let size = Kvstore.Store.value_size (Saturn.Fabric.store t.fabric ~dc ~part) ~key:o.key in
       submit t ~dc ~part ~cost_us:(t.proto.read_us ~size_bytes:size) item
     | Update ->
-      let part = partition_of t ~key:o.key in
+      let part = Saturn.Fabric.partition t.fabric ~key:o.key in
       o.part <- part;
       submit t ~dc ~part
         ~cost_us:(t.proto.write_us o.session ~size_bytes:o.value.Kvstore.Value.size_bytes)
@@ -107,7 +100,7 @@ let serve t ~dc ~part item =
   | Op o -> (
     match o.kind with
     | Read ->
-      let found = Kvstore.Store.get t.stores.(dc).(part) ~key:o.key in
+      let found = Kvstore.Store.get (Saturn.Fabric.store t.fabric ~dc ~part) ~key:o.key in
       o.found <- found;
       (match found with
       | Some (_, m) -> o.stamp <- t.proto.stamp_read ~dc ~part m
@@ -149,19 +142,12 @@ let create ~observer ~name engine p hooks ~cmp ~session =
   let { Stats.Observer.registry; series } = observer in
   let n = Array.length p.Saturn.Fabric.dc_sites in
   let t =
-    Saturn.Fabric.create engine p handlers ~session:(fun ~home:_ -> session ()) (fun fabric ->
+    Saturn.Fabric.create engine p handlers hooks
+      ~meta:(Stats.Meta_bytes.create registry ~system:name)
+      ~cmp ~session:(fun ~home:_ -> session ())
+      (fun fabric ->
         {
           fabric;
-          hooks;
-          partitioning = Kvstore.Partitioning.create ~partitions:p.partitions;
-          gears =
-            Array.init n (fun dc ->
-                let clock = Sim.Clock.create engine in
-                Array.init p.partitions (fun gear_id -> Saturn.Gear.create clock ~dc ~gear_id));
-          stores =
-            Array.init n (fun _ -> Array.init p.partitions (fun _ -> Kvstore.Store.create ()));
-          cmp;
-          meta_bytes = Stats.Meta_bytes.create registry ~system:name;
           series;
           apply_series =
             Array.init n (fun dc ->
@@ -180,10 +166,6 @@ let bind t proto = t.proto <- proto
 let shared t = t.fabric
 let n_dcs t = Saturn.Fabric.n_dcs t.fabric
 let cost t = (params t).Saturn.Fabric.cost
-let store t ~dc ~part = t.stores.(dc).(part)
-
-let store_value t ~dc ~key =
-  Option.map fst (Kvstore.Store.get t.stores.(dc).(partition_of t ~key) ~key)
 
 (* ---- client requests ---------------------------------------------------- *)
 
@@ -224,44 +206,13 @@ let no_stamp ~dc:_ ~part:_ _ = 0
 let forget_read _ ~key:_ ~part:_ _ ~stamp:_ = ()
 let forget_write _ ~dc:_ ~key:_ _ = ()
 
-(* ---- storage and shipping ----------------------------------------------- *)
+(* ---- remote installs ----------------------------------------------------- *)
 
-let gen_ts t ~dc ~part ~floor = Saturn.Gear.generate_ts t.gears.(dc).(part) ~client_ts:floor
-
-let dc_floor t ~dc =
-  Array.fold_left (fun acc g -> Sim.Time.min acc (Saturn.Gear.floor g)) Sim.Time.infinity t.gears.(dc)
-
-let ship_update t ~dc ~key ~part ~ts ~spans ~size_bytes ~meta_bytes b =
-  let rmap = (params t).Saturn.Fabric.rmap in
-  let origin_time = Sim.Engine.now (engine t) in
-  let fanout = ref 0 in
-  for i = 0 to Kvstore.Replica_map.degree rmap ~key - 1 do
-    let dst = Kvstore.Replica_map.replica rmap ~key i in
-    if dst <> dc then begin
-      incr fanout;
-      if spans && Sim.Probe.active () then
-        Sim.Span.begin_ ~at:origin_time Sim.Span.Sk_bulk ~origin:dc ~seq:(Sim.Time.to_us ts)
-          ~aux:part ~site:dc ~peer:dst ~epoch:0;
-      Saturn.Fabric.ship t.fabric ~src:dc ~dst ~size_bytes b
-    end
-  done;
-  Stats.Meta_bytes.record_op t.meta_bytes ~bytes:meta_bytes ~fanout:!fanout
-
-let broadcast t ~src ~size_bytes ~heartbeat b =
-  for dst = 0 to n_dcs t - 1 do
-    if dst <> src then begin
-      if heartbeat then Stats.Meta_bytes.record_heartbeat t.meta_bytes ~bytes:size_bytes
-      else Stats.Meta_bytes.record_stabilization t.meta_bytes ~bytes:size_bytes;
-      Saturn.Fabric.ship t.fabric ~src ~dst ~size_bytes b
-    end
-  done
-
-let install t ~dc ~part ~key value meta ~origin_dc ~origin_time =
-  let _ = Kvstore.Store.put_if_newer t.stores.(dc).(part) ~cmp:t.cmp ~key value meta in
+let install t ~dc ~key value meta ~origin_dc ~origin_time =
   (match t.apply_series.(dc) with
   | Some c -> Stats.Series.incr c ~now:(Sim.Engine.now (engine t))
   | None -> ());
-  t.hooks.Saturn.Fabric.on_visible ~dc ~key ~origin_dc ~origin_time ~value
+  Saturn.Fabric.install t.fabric ~dc ~key value meta ~origin_dc ~origin_time
 
 let vec_advance t ~dc ~src ts =
   if Sim.Probe.active () then
@@ -287,11 +238,11 @@ type shipped = {
 }
 
 let write_stamped t ~dc ~part ~key value ~floor ~header_bytes ~meta_bytes wrap =
-  let ts = gen_ts t ~dc ~part ~floor in
+  let ts = Saturn.Fabric.stamp t.fabric ~dc ~part ~floor in
   let meta = (ts, dc) in
-  Kvstore.Store.put t.stores.(dc).(part) ~key value meta;
+  Kvstore.Store.put (Saturn.Fabric.store t.fabric ~dc ~part) ~key value meta;
   let origin_time = Sim.Engine.now (engine t) in
-  ship_update t ~dc ~key ~part ~ts ~spans:true
+  Saturn.Fabric.ship_update t.fabric ~dc ~key ~part ~ts ~spans:true
     ~size_bytes:(value.Kvstore.Value.size_bytes + header_bytes)
     ~meta_bytes
     (wrap { key; value; meta; part; origin_time });
@@ -323,7 +274,7 @@ let rec flush_stable t ~dc q ~stable =
     if Sim.Probe.active () then
       Sim.Span.end_ ~at:(Sim.Engine.now (engine t)) Sim.Span.Sk_stab ~origin:(snd u.meta)
         ~seq:(Sim.Time.to_us (fst u.meta)) ~aux:u.part ~site:dc ~peer:(-1) ~epoch:0;
-    install t ~dc ~part:u.part ~key:u.key u.value u.meta ~origin_dc:(snd u.meta)
+    install t ~dc ~key:u.key u.value u.meta ~origin_dc:(snd u.meta)
       ~origin_time:u.origin_time;
     flush_stable t ~dc q ~stable
   end

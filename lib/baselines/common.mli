@@ -1,14 +1,20 @@
-(** Shared data plane for the baseline protocols.
+(** Shared request path for the baseline protocols.
 
     Eventual consistency, GentleRain, Cure, Eunomia, Okapi, Orbe and COPS
     run on {!Saturn.Fabric}, as Saturn does: its request legs, frontends,
     storage servers and bulk wires carry this module's {!item}s and the
-    protocol's bulk messages. This module adds what the baselines share
-    beyond it: versioned stores, per-partition monotonic timestamp
-    sources, client sessions and the shipping and stabilization helpers.
-    The protocols differ only in the metadata attached to versions and in
-    when remote updates become visible; those parts live in the
-    per-protocol modules, which plug in through a {!protocol} record.
+    protocol's bulk messages, and its partitions store and stamp their
+    versions, ship their updates ({!Saturn.Fabric.ship_update}),
+    broadcast their heartbeats and stabilization messages
+    ({!Saturn.Fabric.broadcast}) and install remote versions under the
+    [cmp] given at {!create}. The protocols call the fabric for those
+    through {!shared}. This module adds what the baselines share beyond
+    it: the client request items and their dispatch, the
+    [series.apply.dc<i>] count of {!install}, the stabilization rounds and
+    the scalar-stamped update. The protocols differ only in the metadata
+    attached to versions and in when remote updates become visible; those
+    parts live in the per-protocol modules, which plug in through a
+    {!protocol} record.
 
     Sessions: a client's protocol state (dependency time, vector, context)
     lives in the fabric's session table ({!Saturn.Fabric.session}), as
@@ -93,8 +99,8 @@ val create :
   ('s, 'm, 'b) t
 (** [cmp] orders versions for {!install}; [session] makes a client's
     session on its first request. [observer]'s registry gains [meta.bytes.<name>.*]
-    ({!Stats.Meta_bytes}), which count the bytes of {!ship_update} and
-    {!broadcast}. Its series, when present, gains [series.apply.dc<i>]
+    ({!Stats.Meta_bytes}), which count the bytes of the fabric's
+    [ship_update] and [broadcast]. Its series, when present, gains [series.apply.dc<i>]
     counters bumped by {!install} and the fabric's bulk gauge and sampling
     tick ({!Saturn.Fabric.drive_series}), as the Saturn deployment does,
     so Saturn-vs-baseline queue dynamics line up. *)
@@ -102,8 +108,8 @@ val create :
 val bind : ('s, 'm, 'b) t -> ('s, 'm, 'b) protocol -> unit
 (** Installs the protocol; call it once, right after {!create}. *)
 
-val shared : ('s, 'm, 'b) t -> ('s, ('s, 'm, 'b) item, 'b) Saturn.Fabric.t
-(** The request fabric and bulk wires underneath. *)
+val shared : ('s, 'm, 'b) t -> ('s, 'm, ('s, 'm, 'b) item, 'b) Saturn.Fabric.t
+(** The data plane underneath: request path, storage and bulk wires. *)
 
 val attach_now : ('s, 'm, 'b) t -> 's -> dc:int -> ('s, 'm, 'b) item -> unit
 (** [attach] for protocols without a stabilization wait. *)
@@ -139,17 +145,12 @@ val update :
 val stop : ('s, 'm, 'b) t -> unit
 val stopped : ('s, 'm, 'b) t -> bool
 
-val store_value : ('s, 'm, 'b) t -> dc:int -> key:int -> Kvstore.Value.t option
-(** The version visible at [dc]. *)
-
 (** {2 For the protocols} *)
 
 val engine : ('s, 'm, 'b) t -> Sim.Engine.t
 val n_dcs : ('s, 'm, 'b) t -> int
 val params : ('s, 'm, 'b) t -> Saturn.Fabric.params
 val cost : ('s, 'm, 'b) t -> Saturn.Cost_model.t
-val partition_of : ('s, 'm, 'b) t -> key:int -> int
-val store : ('s, 'm, 'b) t -> dc:int -> part:int -> ('m, int) Kvstore.Store.t
 
 val reply : ('s, 'm, 'b) t -> ('s, 'm, 'b) item -> unit
 (** Sends a request's response back to its client.
@@ -158,45 +159,17 @@ val reply : ('s, 'm, 'b) t -> ('s, 'm, 'b) item -> unit
 val submit : ('s, 'm, 'b) t -> dc:int -> part:int -> cost_us:int -> ('s, 'm, 'b) item -> unit
 (** Consumes storage-server time on partition [part] of [dc]. *)
 
-val ship_update :
-  ('s, 'm, 'b) t ->
-  dc:int ->
-  key:int ->
-  part:int ->
-  ts:Sim.Time.t ->
-  spans:bool ->
-  size_bytes:int ->
-  meta_bytes:int ->
-  'b ->
-  unit
-(** Ships one update to every other replica of [key], in ascending
-    datacenter order, and records it as an op of [meta_bytes] attached
-    bytes per destination. The protocol's [deliver] runs at each
-    arrival. With [spans], each shipment opens a bulk span
-    keyed by ([dc], [ts], [part]). *)
-
-val broadcast : ('s, 'm, 'b) t -> src:int -> size_bytes:int -> heartbeat:bool -> 'b -> unit
-(** Ships a message to every other datacenter, recording each as a
-    heartbeat or (when [heartbeat] is false) a stabilization message. *)
-
-val gen_ts : ('s, 'm, 'b) t -> dc:int -> part:int -> floor:Sim.Time.t -> Sim.Time.t
-(** Monotonic per-gear timestamp strictly greater than [floor]. *)
-
-val dc_floor : ('s, 'm, 'b) t -> dc:int -> Sim.Time.t
-(** Heartbeat promise of [dc] (min over its gears). *)
-
 val install :
   ('s, 'm, 'b) t ->
   dc:int ->
-  part:int ->
   key:int ->
   Kvstore.Value.t ->
   'm ->
   origin_dc:int ->
   origin_time:Sim.Time.t ->
   unit
-(** Makes a remote version visible at [dc] (if newer than the stored
-    one): bumps [series.apply.dc<i>] and runs the [on_visible] hook. *)
+(** Bumps [series.apply.dc<i>], then installs a remote version at [dc]
+    through {!Saturn.Fabric.install}. *)
 
 val vec_advance : ('s, 'm, 'b) t -> dc:int -> src:int -> Sim.Time.t -> unit
 (** Emits the probe's [Vec_advance] for [dc]'s entry of [src]. *)
@@ -239,8 +212,9 @@ val write_stamped :
   meta_bytes:int ->
   (shipped -> 'b) ->
   Sim.Time.t
-(** The storage step of an update: stamps it above [floor], installs it
-    locally and {!ship_update}s it (wrapped for the bulk channel) with
+(** The storage step of an update: stamps it above [floor], stores it
+    locally and ships it to its replicas ({!Saturn.Fabric.ship_update},
+    wrapped for the bulk channel) with
     [header_bytes] on the wire beside the value, [meta_bytes] of them
     causal. Returns the timestamp. *)
 

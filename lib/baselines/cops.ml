@@ -41,8 +41,8 @@ let add_dep s key version =
 let dep_satisfied t ~dc key version =
   if not (Kvstore.Replica_map.replicates (Common.params t.geo).Saturn.Fabric.rmap ~dc ~key) then true
   else begin
-    let part = Common.partition_of t.geo ~key in
-    match Kvstore.Store.get (Common.store t.geo ~dc ~part) ~key with
+    let part = Saturn.Fabric.partition (Common.shared t.geo) ~key in
+    match Kvstore.Store.get (Saturn.Fabric.store (Common.shared t.geo) ~dc ~part) ~key with
     | Some (_, v) -> Common.compare_meta v version >= 0
     | None -> false
   end
@@ -50,7 +50,7 @@ let dep_satisfied t ~dc key version =
 let ready t ~dc pn = Int_map.for_all (dep_satisfied t ~dc) pn.deps
 
 let install t ~dc pn =
-  Common.install t.geo ~dc ~part:(Common.partition_of t.geo ~key:pn.key) ~key:pn.key pn.value
+  Common.install t.geo ~dc ~key:pn.key pn.value
     pn.version ~origin_dc:(snd pn.version) ~origin_time:pn.origin_time
 
 let rec drain_pending t ~dc =
@@ -76,23 +76,25 @@ let deliver t ~src:_ ~dst pn =
       ~size_bytes:pn.value.Kvstore.Value.size_bytes
     + dep_cost t pn.n_deps
   in
-  Common.submit t.geo ~dc:dst ~part:(Common.partition_of t.geo ~key:pn.key) ~cost_us
+  Common.submit t.geo ~dc:dst
+    ~part:(Saturn.Fabric.partition (Common.shared t.geo) ~key:pn.key)
+    ~cost_us
     (Common.Apply pn)
 
 let write t s ~dc ~part ~key value =
   let geo = t.geo in
   let deps = s.ctx in
   let n_deps = Int_map.cardinal deps in
-  let ts = Common.gen_ts geo ~dc ~part ~floor:Sim.Time.zero in
+  let ts = Saturn.Fabric.stamp (Common.shared geo) ~dc ~part ~floor:Sim.Time.zero in
   let version = (ts, dc) in
-  Kvstore.Store.put (Common.store geo ~dc ~part) ~key value version;
+  Kvstore.Store.put (Saturn.Fabric.store (Common.shared geo) ~dc ~part) ~key value version;
   let origin_time = Sim.Engine.now (Common.engine geo) in
   t.deps_shipped <- t.deps_shipped + n_deps;
   t.updates_shipped <- t.updates_shipped + 1;
   t.max_deps <- max t.max_deps n_deps;
   (* 16 bytes of version header (excluded from causal-metadata accounting,
      as everywhere) + 16 per (key, version) dep *)
-  Common.ship_update geo ~dc ~key ~part ~ts ~spans:false
+  Saturn.Fabric.ship_update (Common.shared geo) ~dc ~key ~part ~ts ~spans:false
     ~size_bytes:(value.Kvstore.Value.size_bytes + (16 * (1 + n_deps)))
     ~meta_bytes:(16 * n_deps)
     { key; value; version; deps; n_deps; origin_time };

@@ -46,7 +46,7 @@ let finish_stab_round t dc =
   done;
   (* the local entry is always stable: local updates are applied at commit
      time *)
-  d.gsv.(dc) <- Sim.Time.max d.gsv.(dc) (Common.dc_floor geo ~dc);
+  d.gsv.(dc) <- Sim.Time.max d.gsv.(dc) (Saturn.Fabric.floor (Common.shared geo) ~dc);
   if Sim.Probe.active () then begin
     (* the stable snapshot is summarized by its oldest entry, matching the
        scalar GST of the GentleRain probe *)
@@ -68,7 +68,7 @@ let finish_stab_round t dc =
           Sim.Span.Sk_stab ~origin:u.meta.origin
           ~seq:(Sim.Time.to_us u.meta.vc.(u.meta.origin))
           ~aux:u.part ~site:dc ~peer:(-1) ~epoch:0;
-      Common.install geo ~dc ~part:u.part ~key:u.key u.value u.meta ~origin_dc:u.meta.origin
+      Common.install geo ~dc ~key:u.key u.value u.meta ~origin_dc:u.meta.origin
         ~origin_time:u.origin_time)
     (List.sort (fun a b -> compare_version a.meta b.meta) visible);
   d.waiters <- Common.release geo d.waiters ~ready:(fun (dv, _) -> dominated ~except:dc dv ~by:d.gsv)
@@ -109,13 +109,13 @@ let apply t ~dc ~part = function
 let write t (dv : session) ~dc ~part ~key value =
   let geo = t.geo in
   let n = Common.n_dcs geo in
-  let ts = Common.gen_ts geo ~dc ~part ~floor:dv.(dc) in
+  let ts = Saturn.Fabric.stamp (Common.shared geo) ~dc ~part ~floor:dv.(dc) in
   let vc = Array.copy dv in
   vc.(dc) <- ts;
   let meta = { vc; origin = dc } in
-  Kvstore.Store.put (Common.store geo ~dc ~part) ~key value meta;
+  Kvstore.Store.put (Saturn.Fabric.store (Common.shared geo) ~dc ~part) ~key value meta;
   let origin_time = Sim.Engine.now (Common.engine geo) in
-  Common.ship_update geo ~dc ~key ~part ~ts ~spans:true
+  Saturn.Fabric.ship_update (Common.shared geo) ~dc ~key ~part ~ts ~spans:true
     ~size_bytes:(value.Kvstore.Value.size_bytes + vector_wire_bytes n)
     ~meta_bytes:(vector_wire_bytes n)
     (Payload { key; value; meta; part; origin_time });
@@ -162,8 +162,9 @@ let create ~observer engine p hooks =
     };
   for dc = 0 to n - 1 do
     Common.every geo cost.Saturn.Cost_model.heartbeat_period (fun () ->
-        Common.broadcast geo ~src:dc ~size_bytes:(vector_wire_bytes n) ~heartbeat:true
-          (Heartbeat (Common.dc_floor geo ~dc)))
+        Saturn.Fabric.broadcast (Common.shared geo) ~src:dc ~size_bytes:(vector_wire_bytes n)
+          ~heartbeat:true
+          (Heartbeat (Saturn.Fabric.floor (Common.shared geo) ~dc)))
   done;
   (* the GSV advances only after every partition finishes its aggregation
      task: stabilization pays for its queueing under load *)

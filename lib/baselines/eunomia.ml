@@ -51,9 +51,10 @@ let advance t dc =
 let announce t dc =
   let geo = t.geo in
   let d = t.dcs.(dc) in
-  let floor = Common.dc_floor geo ~dc in
+  let floor = Saturn.Fabric.floor (Common.shared geo) ~dc in
   if Sim.Time.compare floor d.announced > 0 then d.announced <- floor;
-  Common.broadcast geo ~src:dc ~size_bytes:announce_wire_bytes ~heartbeat:false
+  Saturn.Fabric.broadcast (Common.shared geo) ~src:dc ~size_bytes:announce_wire_bytes
+    ~heartbeat:false
     (Announce d.announced)
 
 let deliver t ~src ~dst = function

@@ -20,7 +20,7 @@ let apply geo ~dc ~part (u : Common.shipped) =
   if Sim.Probe.active () then
     Sim.Span.end_ ~at:(Sim.Engine.now (Common.engine geo)) Sim.Span.Sk_bulk ~origin
       ~seq:(Sim.Time.to_us ts) ~aux:part ~site:origin ~peer:dc ~epoch:0;
-  Common.install geo ~dc ~part ~key:u.key u.value u.meta ~origin_dc:origin
+  Common.install geo ~dc ~key:u.key u.value u.meta ~origin_dc:origin
     ~origin_time:u.origin_time
 
 let deliver geo ~src:_ ~dst (u : Common.shipped) =

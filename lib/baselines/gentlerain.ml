@@ -93,8 +93,9 @@ let create ~observer engine p hooks =
   (* heartbeats: every dc promises its clock floor to every other dc *)
   for dc = 0 to n - 1 do
     Common.every geo cost.Saturn.Cost_model.heartbeat_period (fun () ->
-        Common.broadcast geo ~src:dc ~size_bytes:meta_wire_bytes ~heartbeat:true
-          (Heartbeat (Common.dc_floor geo ~dc)))
+        Saturn.Fabric.broadcast (Common.shared geo) ~src:dc ~size_bytes:meta_wire_bytes
+          ~heartbeat:true
+          (Heartbeat (Saturn.Fabric.floor (Common.shared geo) ~dc)))
   done;
   (* the stabilization mechanism, every 5 ms as in the authors' setup; the
      GST only advances once every partition has finished its aggregation

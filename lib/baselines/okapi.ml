@@ -60,11 +60,13 @@ let merge_row t ~dst ~src row =
 let finish_stab_round t dc =
   let geo = t.geo in
   let d = t.dcs.(dc) in
-  let floor = Common.dc_floor geo ~dc in
+  let floor = Saturn.Fabric.floor (Common.shared geo) ~dc in
   if Sim.Time.compare floor d.known.(dc).(dc) > 0 then d.known.(dc).(dc) <- floor;
   if Sim.Probe.active () then
     Sim.Probe.stab_round ~at:(Sim.Engine.now (Common.engine geo)) ~dc ~gst:(Sim.Time.to_us d.ust);
-  Common.broadcast geo ~src:dc ~size_bytes:(row_wire_bytes (Common.n_dcs geo)) ~heartbeat:false
+  Saturn.Fabric.broadcast (Common.shared geo) ~src:dc
+    ~size_bytes:(row_wire_bytes (Common.n_dcs geo))
+    ~heartbeat:false
     (Row (Array.copy d.known.(dc)));
   advance t dc
 

@@ -52,7 +52,7 @@ let applicable t ~dc pn = in_order t ~dc pn && satisfied t ~dc pn.dm
 let install t ~dc pn =
   let origin = snd pn.version in
   t.dcs.(dc).applied.(origin).(pn.src_part) <- pn.seq;
-  Common.install t.geo ~dc ~part:(Common.partition_of t.geo ~key:pn.key) ~key:pn.key pn.value
+  Common.install t.geo ~dc ~key:pn.key pn.value
     pn.version ~origin_dc:origin ~origin_time:pn.origin_time
 
 let rec drain t ~dc =
@@ -79,17 +79,19 @@ let deliver t ~src:_ ~dst pn =
       ~size_bytes:pn.value.Kvstore.Value.size_bytes
     + entry_cost t pn.dm
   in
-  Common.submit t.geo ~dc:dst ~part:(Common.partition_of t.geo ~key:pn.key) ~cost_us
+  Common.submit t.geo ~dc:dst
+    ~part:(Saturn.Fabric.partition (Common.shared t.geo) ~key:pn.key)
+    ~cost_us
     (Common.Apply pn)
 
 let write t s ~dc ~part ~key value =
   let geo = t.geo in
   let dm = s.ctx in
-  let ts = Common.gen_ts geo ~dc ~part ~floor:Sim.Time.zero in
+  let ts = Saturn.Fabric.stamp (Common.shared geo) ~dc ~part ~floor:Sim.Time.zero in
   let version = (ts, dc) in
   t.seq.(dc).(part) <- t.seq.(dc).(part) + 1;
   let seq = t.seq.(dc).(part) in
-  Kvstore.Store.put (Common.store geo ~dc ~part) ~key value version;
+  Kvstore.Store.put (Saturn.Fabric.store (Common.shared geo) ~dc ~part) ~key value version;
   t.dcs.(dc).applied.(dc).(part) <- seq;
   let origin_time = Sim.Engine.now (Common.engine geo) in
   t.updates_shipped <- t.updates_shipped + 1;
@@ -99,7 +101,7 @@ let write t s ~dc ~part ~key value =
      matrix framing (src partition, sequence number, entry count — the
      prefix-order machinery) + 12 per (dc, partition) matrix entry *)
   let causal_bytes = 16 + (12 * Dm.cardinal dm) in
-  Common.ship_update geo ~dc ~key ~part ~ts ~spans:false
+  Saturn.Fabric.ship_update (Common.shared geo) ~dc ~key ~part ~ts ~spans:false
     ~size_bytes:(value.Kvstore.Value.size_bytes + 16 + causal_bytes)
     ~meta_bytes:causal_bytes
     { key; value; version; dm; src_part = part; seq; origin_time };

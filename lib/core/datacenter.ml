@@ -32,12 +32,7 @@ type bulk =
   | Payload of Proxy.payload
   | Heartbeat of { src : int; epoch : int; floor : Sim.Time.t }
 
-type hooks = {
-  meta : Stats.Meta_bytes.t;
-  epoch : unit -> int;
-  emit_label : Label.t -> unit;
-  visible : Fabric.hooks;
-}
+type hooks = { epoch : unit -> int; emit_label : Label.t -> unit }
 
 let no_value = Kvstore.Value.make ~payload:0 ~size_bytes:0
 let no_label = Label.update ~ts:Sim.Time.zero ~src_dc:0 ~src_gear:0 ~key:0
@@ -53,11 +48,7 @@ type t = {
   cost : Cost_model.t;
   rmap : Kvstore.Replica_map.t;
   hooks : hooks;
-  partitioning : Kvstore.Partitioning.t;
-  clock : Sim.Clock.t;
-  fabric : (session, item, bulk) Fabric.t;
-  stores : (Label.t, int) Kvstore.Store.t array;
-  gears : Gear.t array;
+  fabric : (session, Label.t, item, bulk) Fabric.t;
   mutable next_gear : int;
   sink : Sink.t;
   proxy : Proxy.t;
@@ -66,13 +57,6 @@ type t = {
 }
 
 let proxy t = t.proxy
-
-let responsible t ~key = Kvstore.Partitioning.responsible t.partitioning ~key
-let store_of_key t ~key = t.stores.(responsible t ~key)
-
-let gear_floor t =
-  Array.fold_left (fun acc g -> Sim.Time.min acc (Gear.floor g)) Sim.Time.infinity t.gears
-
 let past_ts = function Some (l : Label.t) -> l.Label.ts | None -> Sim.Time.zero
 let submit t ~part ~cost item = Fabric.submit t.fabric ~dc:t.dc ~part ~cost item
 
@@ -88,7 +72,7 @@ let reply t item =
 let stage_remote t (p : Proxy.payload) =
   match p.label.Label.target with
   | Label.Update { key } ->
-    let part = responsible t ~key in
+    let part = Fabric.partition t.fabric ~key in
     let cost =
       Sim.Time.of_us (Cost_model.saturn_apply_us t.cost ~size_bytes:p.value.Kvstore.Value.size_bytes)
     in
@@ -100,10 +84,8 @@ let stage_remote t (p : Proxy.payload) =
 let install_remote t (p : Proxy.payload) =
   match p.label.Label.target with
   | Label.Update { key } ->
-    let part = responsible t ~key in
-    let _ = Kvstore.Store.put_if_newer t.stores.(part) ~cmp:Label.compare ~key p.value p.label in
-    t.hooks.visible.Fabric.on_visible ~dc:t.dc ~key ~origin_dc:p.label.Label.src_dc
-      ~origin_time:p.origin_time ~value:p.value
+    Fabric.install t.fabric ~dc:t.dc ~key p.value p.label ~origin_dc:p.label.Label.src_dc
+      ~origin_time:p.origin_time
   | Label.Migration _ | Label.Epoch_change _ -> assert false
 
 (* Algorithm 1 ATTACH, at frontend completion: a locally generated (or
@@ -129,29 +111,19 @@ let attach t item = function
    with the sender's epoch at send time: the drain barrier relies on
    per-channel FIFO, so a tag read at delivery time would claim too much. *)
 let mint_update t ~part ~key ~value ~past =
-  let ts = Gear.generate_ts t.gears.(part) ~client_ts:(past_ts past) in
+  let ts = Fabric.stamp t.fabric ~dc:t.dc ~part ~floor:(past_ts past) in
   let label = Label.update ~ts ~src_dc:t.dc ~src_gear:part ~key in
-  Kvstore.Store.put t.stores.(part) ~key value label;
+  Kvstore.Store.put (Fabric.store t.fabric ~dc:t.dc ~part) ~key value label;
   Stats.Registry.incr t.updates_counter;
-  if Kvstore.Replica_map.mask t.rmap ~key land lnot (1 lsl t.dc) <> 0 then begin
-    let payload =
-      { Proxy.label; value; origin_time = Sim.Engine.now t.engine; epoch = t.hooks.epoch () }
-    in
-    let wire = Payload payload in
-    let size_bytes = value.Kvstore.Value.size_bytes + Label.size_bytes in
-    for i = 0 to Kvstore.Replica_map.degree t.rmap ~key - 1 do
-      let dst = Kvstore.Replica_map.replica t.rmap ~key i in
-      if dst <> t.dc then begin
-        Stats.Meta_bytes.record_op t.hooks.meta ~bytes:Label.size_bytes ~fanout:1;
-        if Sim.Probe.active () then
-          (* closed at [dst] once the payload finishes staging *)
-          Sim.Span.begin_ ~at:(Sim.Engine.now t.engine) Sim.Span.Sk_bulk ~origin:label.Label.src_dc
-            ~seq:(Sim.Time.to_us label.Label.ts) ~aux:label.Label.src_gear ~site:label.Label.src_dc
-            ~peer:dst ~epoch:0;
-        Fabric.ship t.fabric ~src:t.dc ~dst ~size_bytes wire
-      end
-    done
-  end;
+  (* a key with no remote replica builds no payload *)
+  if Kvstore.Replica_map.mask t.rmap ~key land lnot (1 lsl t.dc) <> 0 then
+    (* each bulk span closes at its destination once the payload finishes
+       staging *)
+    Fabric.ship_update t.fabric ~dc:t.dc ~key ~part ~ts ~spans:true
+      ~size_bytes:(value.Kvstore.Value.size_bytes + Label.size_bytes)
+      ~meta_bytes:Label.size_bytes
+      (Payload
+         { Proxy.label; value; origin_time = Sim.Engine.now t.engine; epoch = t.hooks.epoch () });
   Sink.offer t.sink label;
   label
 
@@ -163,18 +135,18 @@ let front t item =
     match r.op with
     | Attach _ -> attach t item r.past
     | Read _ ->
-      let part = responsible t ~key:r.key in
-      let size = Kvstore.Store.value_size t.stores.(part) ~key:r.key in
+      let part = Fabric.partition t.fabric ~key:r.key in
+      let size = Kvstore.Store.value_size (Fabric.store t.fabric ~dc:t.dc ~part) ~key:r.key in
       let cost = Sim.Time.of_us (Cost_model.saturn_read_us t.cost ~size_bytes:size) in
       submit t ~part ~cost item
     | Update _ | Update_with_label _ ->
       let cost =
         Sim.Time.of_us (Cost_model.saturn_write_us t.cost ~size_bytes:r.value.Kvstore.Value.size_bytes)
       in
-      submit t ~part:(responsible t ~key:r.key) ~cost item
+      submit t ~part:(Fabric.partition t.fabric ~key:r.key) ~cost item
     | Migrate _ ->
       let part = t.next_gear in
-      t.next_gear <- (t.next_gear + 1) mod Array.length t.gears;
+      t.next_gear <- (t.next_gear + 1) mod (Fabric.params t.fabric).Fabric.partitions;
       submit t ~part ~cost:(Sim.Time.of_us t.cost.Cost_model.scalar_meta_us) item)
   | Stage _ -> not_a_request ()
 
@@ -185,7 +157,7 @@ let serve t ~part item =
   | Request r ->
     (match r.op with
     | Read _ -> (
-      match Kvstore.Store.find t.stores.(part) ~key:r.key with
+      match Kvstore.Store.find (Fabric.store t.fabric ~dc:t.dc ~part) ~key:r.key with
       | v, l ->
         r.value <- v;
         r.label <- l;
@@ -194,7 +166,7 @@ let serve t ~part item =
     | Update _ | Update_with_label _ ->
       r.label <- mint_update t ~part ~key:r.key ~value:r.value ~past:r.past
     | Migrate { dest_dc; _ } ->
-      let ts = Gear.generate_ts t.gears.(part) ~client_ts:(past_ts r.past) in
+      let ts = Fabric.stamp t.fabric ~dc:t.dc ~part ~floor:(past_ts r.past) in
       let label = Label.migration ~ts ~src_dc:t.dc ~src_gear:part ~dest_dc in
       Sink.offer t.sink label;
       r.label <- label
@@ -206,13 +178,12 @@ let deliver t = function
   | Payload payload -> Proxy.on_payload t.proxy payload
   | Heartbeat { src; epoch; floor } -> Proxy.on_heartbeat t.proxy ~src ~epoch floor
 
-let create engine ~dc ~fabric ~hooks ~observer ~clock_offset ~proxy_mode =
-  let { Fabric.cost; rmap; partitions; _ } = Fabric.params fabric in
+let create engine ~dc ~fabric ~hooks ~observer ~proxy_mode =
+  let { Fabric.cost; rmap; _ } = Fabric.params fabric in
   let n_dcs = Fabric.n_dcs fabric in
-  let clock = Sim.Clock.create ~offset:clock_offset engine in
-  let gears = Array.init partitions (fun gear_id -> Gear.create clock ~dc ~gear_id) in
   let sink =
-    Sink.create engine ~gears ~period:cost.Cost_model.sink_period ~emit:(fun l -> hooks.emit_label l)
+    Sink.create engine ~gears:(Fabric.gears fabric ~dc) ~period:cost.Cost_model.sink_period
+      ~emit:(fun l -> hooks.emit_label l)
       ~observer ~name:(Printf.sprintf "sink.dc%d" dc) ()
   in
   (* the proxy stages and installs through the datacenter built around it *)
@@ -225,11 +196,7 @@ let create engine ~dc ~fabric ~hooks ~observer ~clock_offset ~proxy_mode =
       cost;
       rmap;
       hooks;
-      partitioning = Kvstore.Partitioning.create ~partitions;
-      clock;
       fabric;
-      stores = Array.init partitions (fun _ -> Kvstore.Store.create ());
-      gears;
       next_gear = 0;
       sink;
       proxy =
@@ -254,13 +221,10 @@ let arrive = function
   | Stage _ -> not_a_request ()
 
 let emit_epoch_label t ~epoch =
-  let gear = t.gears.(0) in
-  let ts = Gear.generate_ts gear ~client_ts:Sim.Time.zero in
+  let ts = Fabric.stamp t.fabric ~dc:t.dc ~part:0 ~floor:Sim.Time.zero in
   let label = Label.epoch_change ~ts ~src_dc:t.dc ~epoch in
   Sink.offer t.sink label;
   label
-
-let bump_clock t d = Sim.Clock.bump t.clock d
 
 let stop t =
   t.stopped <- true;

@@ -5,9 +5,12 @@
     proxy. The datacenter is linearizable (single simulated process), and
     exports a serial label stream through its sink.
 
-    Networking (client latency, bulk links, the metadata tree) is wired by
-    {!System} over the shared {!Fabric}, which also owns the frontends and
-    storage servers; this module owns what happens at them. *)
+    The shared {!Fabric} owns the frontends, the storage servers and what
+    sits behind them (each partition's store and gear, the datacenter's
+    clock), the request legs and the bulk wires; {!System} wires the
+    metadata tree. This module owns what Saturn does at each stop: labels
+    its updates, hands them to the sink, and stages and installs remote
+    payloads in the proxy's order. *)
 
 type t
 
@@ -63,13 +66,8 @@ type bulk =
   | Heartbeat of { src : int; epoch : int; floor : Sim.Time.t }  (** [src]'s gear floor *)
 
 type hooks = {
-  meta : Stats.Meta_bytes.t;
-      (** metadata-byte accounting: every update shipped to a replica
-          datacenter records the label it carries. One [Payload] message
-          serves every destination of an update. *)
   epoch : unit -> int;  (** the configuration epoch stamped on shipped payloads *)
   emit_label : Label.t -> unit;  (** sink output toward the metadata service *)
-  visible : Fabric.hooks;  (** remote updates becoming visible here *)
 }
 
 val request : op -> session -> key:int -> value:Kvstore.Value.t -> item
@@ -81,25 +79,23 @@ val no_value : Kvstore.Value.t
 val create :
   Sim.Engine.t ->
   dc:int ->
-  fabric:(session, item, bulk) Fabric.t ->
+  fabric:(session, Label.t, item, bulk) Fabric.t ->
   hooks:hooks ->
   observer:Stats.Observer.t ->
-  clock_offset:Sim.Time.t ->
   proxy_mode:Proxy.mode ->
   t
 (** The datacenter takes its frontends, storage servers (one per
-    partition and gear) and request legs from [fabric]. [observer]'s
+    partition, with its store and gear), request legs and bulk wires from
+    [fabric]. One [Payload] message serves every replica of an update,
+    and the fabric counts the label it carries per destination. [observer]'s
     registry collects the datacenter's counters and those of its sink and
     proxy, scoped by datacenter id ([dc0.updates_originated],
     [sink.dc0.emitted], [proxy.dc0.applied_updates], …); its series, when
     present, reaches the sink and proxy for windowed queue-depth /
-    apply-throughput telemetry. [clock_offset] skews the datacenter's
-    physical clock; [proxy_mode] is the proxy's starting mode. *)
+    apply-throughput telemetry. [proxy_mode] is the proxy's starting
+    mode. *)
 
 val proxy : t -> Proxy.t
-val store_of_key : t -> key:int -> (Label.t, int) Kvstore.Store.t
-val gear_floor : t -> Sim.Time.t
-(** min over gears — the datacenter's bulk-heartbeat promise. *)
 
 (** {2 Client requests}: the fabric's handlers at this datacenter. On
     [arrive] a request snapshots the client's causal past. At [front] an
@@ -121,11 +117,6 @@ val deliver : t -> bulk -> unit
 val emit_epoch_label : t -> epoch:int -> Label.t
 (** Mints an epoch-change label (§6.2) and hands it to the sink; returns it
     so the caller can detect when the sink emits it. *)
-
-val bump_clock : t -> Sim.Time.t -> unit
-(** Fault injection: step-change the datacenter's physical-clock skew
-    (shared by all its gears). Gear discipline keeps label timestamps
-    monotonic through the bump. *)
 
 val stop : t -> unit
 

@@ -33,10 +33,18 @@ module Int_tbl = Hashtbl.Make (Int)
 
 (* Every queue is typed: the legs, frontends and servers carry the
    system's items, the bulk channels its messages. Each queue's handler is
-   one closure made at [create]. *)
-type ('s, 'i, 'b) t = {
+   one closure made at [create]. Behind each storage server sit its
+   partition's store and gear; a datacenter's gears share its clock. *)
+type ('s, 'v, 'i, 'b) t = {
   engine : Sim.Engine.t;
   p : params;
+  hooks : hooks;
+  meta : Stats.Meta_bytes.t;
+  cmp : 'v -> 'v -> int; (* the system's version order, for [install] *)
+  partitioning : Kvstore.Partitioning.t;
+  clocks : Sim.Clock.t array; (* per dc *)
+  gears : Gear.t array array; (* [dc].[partition] *)
+  stores : ('v, int) Kvstore.Store.t array array; (* [dc].[partition] *)
   leg_latency : Sim.Time.t array array; (* [home site].[dc], one way *)
   mutable out_legs : 'i Sim.Delay_line.t array array; (* [home site].[dc] *)
   mutable back_legs : 'i Sim.Delay_line.t array array; (* [dc].[home site] *)
@@ -58,13 +66,23 @@ let enter t h c ~dc item =
   t.next_frontend.(dc) <- (fe + 1) mod t.p.frontends;
   Sim.Server.submit t.frontends.(dc).(fe) ~cost:(Sim.Time.of_us t.p.cost.Cost_model.frontend_us) item
 
-let create engine p h ~session make =
+let create engine p h hooks ~meta ~cmp ~session make =
   let n = Array.length p.dc_sites in
   let n_sites = Sim.Topology.n_sites p.topo in
+  let clocks = Array.init n (fun _ -> Sim.Clock.create engine) in
   let t =
     {
       engine;
       p;
+      hooks;
+      meta;
+      cmp;
+      partitioning = Kvstore.Partitioning.create ~partitions:p.partitions;
+      clocks;
+      gears =
+        Array.init n (fun dc ->
+            Array.init p.partitions (fun gear_id -> Gear.create clocks.(dc) ~dc ~gear_id));
+      stores = Array.init n (fun _ -> Array.init p.partitions (fun _ -> Kvstore.Store.create ()));
       leg_latency =
         Array.init n_sites (fun home ->
             Array.map
@@ -129,7 +147,51 @@ let reply t ~home ~dc item =
   Sim.Delay_line.push t.back_legs.(dc).(home) ~at item
 
 let submit t ~dc ~part ~cost item = Sim.Server.submit t.servers.(dc).(part) ~cost item
+
+(* ---- storage ------------------------------------------------------------- *)
+
+let partition t ~key = Kvstore.Partitioning.responsible t.partitioning ~key
+let store t ~dc ~part = t.stores.(dc).(part)
+let gears t ~dc = t.gears.(dc)
+let stamp t ~dc ~part ~floor = Gear.generate_ts t.gears.(dc).(part) ~client_ts:floor
+
+let floor t ~dc =
+  Array.fold_left (fun acc g -> Sim.Time.min acc (Gear.floor g)) Sim.Time.infinity t.gears.(dc)
+
+let bump_clock t ~dc d = Sim.Clock.bump t.clocks.(dc) d
+let value t ~dc ~key = Option.map fst (Kvstore.Store.get t.stores.(dc).(partition t ~key) ~key)
+
+let install t ~dc ~key value v ~origin_dc ~origin_time =
+  let _ = Kvstore.Store.put_if_newer t.stores.(dc).(partition t ~key) ~cmp:t.cmp ~key value v in
+  t.hooks.on_visible ~dc ~key ~origin_dc ~origin_time ~value
+
+(* ---- bulk messages --------------------------------------------------------- *)
+
 let ship t ~src ~dst ~size_bytes b = Sim.Link.send t.bulk.(src).(dst) ~size_bytes b
+
+let ship_update t ~dc ~key ~part ~ts ~spans ~size_bytes ~meta_bytes b =
+  let rmap = t.p.rmap in
+  let fanout = ref 0 in
+  for i = 0 to Kvstore.Replica_map.degree rmap ~key - 1 do
+    let dst = Kvstore.Replica_map.replica rmap ~key i in
+    if dst <> dc then begin
+      incr fanout;
+      if spans && Sim.Probe.active () then
+        Sim.Span.begin_ ~at:(Sim.Engine.now t.engine) Sim.Span.Sk_bulk ~origin:dc
+          ~seq:(Sim.Time.to_us ts) ~aux:part ~site:dc ~peer:dst ~epoch:0;
+      ship t ~src:dc ~dst ~size_bytes b
+    end
+  done;
+  Stats.Meta_bytes.record_op t.meta ~bytes:meta_bytes ~fanout:!fanout
+
+let broadcast t ~src ~size_bytes ~heartbeat b =
+  for dst = 0 to n_dcs t - 1 do
+    if dst <> src then begin
+      if heartbeat then Stats.Meta_bytes.record_heartbeat t.meta ~bytes:size_bytes
+      else Stats.Meta_bytes.record_stabilization t.meta ~bytes:size_bytes;
+      ship t ~src ~dst ~size_bytes b
+    end
+  done
 
 let bulk_link t ~src ~dst =
   if src = dst then invalid_arg "Fabric.bulk_link: src = dst";

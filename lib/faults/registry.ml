@@ -131,9 +131,8 @@ let bind_system t system =
   bind_fabric t (Saturn.System.fabric system);
   Array.iteri
     (fun dc _ ->
-      let dcx = Saturn.System.datacenter system dc in
-      register_clock t ~name:(Printf.sprintf "clock.dc%d" dc)
-        ~bump:(fun d -> Saturn.Datacenter.bump_clock dcx d))
+      register_clock t ~name:(Printf.sprintf "clock.dc%d" dc) ~bump:(fun d ->
+          Saturn.Fabric.bump_clock (Saturn.System.fabric system) ~dc d))
     dc_sites;
   match Saturn.System.service system with
   | None -> ()

@@ -441,11 +441,16 @@ let check_taint ~file toks =
    attribute it, (b) sit in a definition that records [Stats.Meta_bytes]
    (the PR 7 accounting convention), and — in [lib/core], where shipments
    cross reconfiguration epochs — (c) thread an epoch. The definition of
-   the [ship] primitive itself is exempt from (b): it is the thing call
-   sites account around. *)
+   the [ship] primitive itself is exempt from (b) and (c): it is the thing
+   call sites account around. The fan-out primitives [ship_update] and
+   [broadcast] record Stats.Meta_bytes themselves, so their call sites are
+   exempt from (b) and their definitions, which forward whatever message
+   the caller built, from (c). *)
+let fan_out_primitives = [ "ship_update"; "broadcast" ]
+
 let ship_site (toks : Token.t array) i (t : Token.t) =
   t.kind = Token.Ident
-  && ((Token.last_component t.text = "ship"
+  && ((List.mem (Token.last_component t.text) ("ship" :: fan_out_primitives)
        && not
             (i > 0
             && toks.(i - 1).kind = Token.Ident
@@ -487,8 +492,10 @@ let check_ship ~file ~items toks =
         match Ast.item_containing items i with
         | None -> ()
         | Some it ->
-          let defines_ship = List.exists (fun (nm, _) -> nm = "ship") it.Ast.it_names in
-          if (not defines_ship) && not (item_mentions_meta toks it) then
+          let defines name = List.exists (fun (nm, _) -> nm = name) it.Ast.it_names in
+          let defines_ship = defines "ship" in
+          let fans_out = List.mem (Token.last_component t.text) fan_out_primitives in
+          if (not defines_ship) && (not fans_out) && not (item_mentions_meta toks it) then
             flag
               (Printf.sprintf
                  "ship site %s sits in a definition that never records Stats.Meta_bytes — the \
@@ -497,6 +504,7 @@ let check_ship ~file ~items toks =
           if
             Token.starts_with ~prefix:"lib/core/" file
             && (not defines_ship)
+            && (not (List.exists defines fan_out_primitives))
             && not (item_mentions_epoch toks it)
           then
             flag

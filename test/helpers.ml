@@ -27,6 +27,11 @@ let star_system ?(n_dcs = 3) ?(n_keys = 64) ?(partitions = 2) ?(peer_mode = fals
   let system = Saturn.System.create ~observer:(Stats.Observer.create ()) engine params hooks in
   (engine, system)
 
+(* the store of [key]'s partition at [dc] *)
+let store_of_key system ~dc ~key =
+  let fabric = Saturn.System.fabric system in
+  Saturn.Fabric.store fabric ~dc ~part:(Saturn.Fabric.partition fabric ~key)
+
 (* the home site of a client of datacenter [dc]: [Saturn.System]'s client
    ops take it beside the client's id *)
 let home dc = List.nth (Sim.Ec2.first_n 7) dc

@@ -370,9 +370,10 @@ let counting_fabric () =
 let test_fabric_allocates_nothing () =
   let engine, geo, delivered, applied = counting_fabric () in
   let msg = ref 0 (* a boxed message, made once *) in
+  let shared = Baselines.Common.shared geo in
   let ship_burst () =
     for key = 0 to 3 do
-      Baselines.Common.ship_update geo ~dc:(key mod 3) ~key ~part:0 ~ts:Sim.Time.zero ~spans:true
+      Saturn.Fabric.ship_update shared ~dc:(key mod 3) ~key ~part:0 ~ts:Sim.Time.zero ~spans:true
         ~size_bytes:(16 * key) ~meta_bytes:0 msg
     done;
     drain engine
@@ -383,7 +384,6 @@ let test_fabric_allocates_nothing () =
   Alcotest.(check (float 0.)) "ship_update and deliveries" 0. words;
   Alcotest.(check int) "every replica reached" (8 * (rounds + 1)) !delivered;
   let item = Baselines.Common.Apply msg in
-  let shared = Baselines.Common.shared geo in
   let submit_burst () =
     for i = 0 to 63 do
       Saturn.Fabric.submit shared ~dc:(i mod 3) ~part:(i land 1) ~cost:(Sim.Time.of_us (i land 3)) item

@@ -13,7 +13,7 @@ let test_write_becomes_visible () =
   Sim.Engine.run ~until:(Sim.Time.of_sec 2.) engine;
   (* the update must be installed at every replica *)
   for dc = 0 to 2 do
-    let store = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system dc) ~key:7 in
+    let store = Helpers.store_of_key system ~dc ~key:7 in
     match Kvstore.Store.get store ~key:7 with
     | Some (v, _) -> Alcotest.(check int) (Printf.sprintf "payload at dc%d" dc) 100 v.Kvstore.Value.payload
     | None -> Alcotest.fail (Printf.sprintf "update missing at dc%d" dc)
@@ -91,7 +91,7 @@ let test_peer_mode_converges () =
   run_until_some engine done_;
   Sim.Engine.run ~until:(Sim.Time.of_sec 2.) engine;
   for dc = 1 to 2 do
-    let store = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system dc) ~key:9 in
+    let store = Helpers.store_of_key system ~dc ~key:9 in
     match Kvstore.Store.get store ~key:9 with
     | Some (v, _) -> Alcotest.(check int) (Printf.sprintf "dc%d" dc) 99 v.Kvstore.Value.payload
     | None -> Alcotest.fail (Printf.sprintf "peer mode: update missing at dc%d" dc)
@@ -110,7 +110,7 @@ let test_serializer_crash_fallback () =
   run_until_some engine done_;
   Sim.Engine.run ~until:(Sim.Time.of_sec 3.) engine;
   for dc = 1 to 2 do
-    let store = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system dc) ~key:5 in
+    let store = Helpers.store_of_key system ~dc ~key:5 in
     match Kvstore.Store.get store ~key:5 with
     | Some (v, _) -> Alcotest.(check int) (Printf.sprintf "dc%d" dc) 55 v.Kvstore.Value.payload
     | None -> Alcotest.fail (Printf.sprintf "fallback: update missing at dc%d" dc)
@@ -138,10 +138,10 @@ let test_partial_replication_no_leak () =
   run_until_some engine done_;
   Sim.Engine.run ~until:(Sim.Time.of_sec 2.) engine;
   Alcotest.(check bool) "dc2 received nothing" false !leaked;
-  let store2 = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system 2) ~key:0 in
+  let store2 = Helpers.store_of_key system ~dc:2 ~key:0 in
   Alcotest.(check bool) "dc2 store empty" false (Kvstore.Store.mem store2 ~key:0);
   (* and the interested replica did get it *)
-  let store1 = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system 1) ~key:0 in
+  let store1 = Helpers.store_of_key system ~dc:1 ~key:0 in
   Alcotest.(check bool) "dc1 store has it" true (Kvstore.Store.mem store1 ~key:0)
 
 let suite =

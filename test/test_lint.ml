@@ -547,6 +547,29 @@ let test_r8_epoch_only_required_in_core () =
   in
   Alcotest.check slist "outside lib/core no epoch is demanded" [] (rules_of r)
 
+let test_r8_fan_out_primitives () =
+  (* a fan-out call site owes its epoch in lib/core but no Meta_bytes of
+     its own; the fan-out's definition owes Meta_bytes but no epoch *)
+  let r =
+    run
+      [
+        ("lib/core/x.ml", "let beat t = Fabric.broadcast t.fabric ~src:0 ~size_bytes:12 t.msg\n");
+        ( "lib/core/y.ml",
+          "let broadcast t ~src ~size_bytes b = ship t ~src ~dst:1 ~size_bytes b\n" );
+      ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "call site lacks its epoch, definition its accounting"
+    [ ("lib/core/x.ml", "epoch"); ("lib/core/y.ml", "Meta_bytes") ]
+    (List.sort compare
+       (List.map
+          (fun (f : Lint.Rules.finding) ->
+            ( f.Lint.Rules.file,
+              if Lint.Rules.matches ~pattern:"*epoch*" f.Lint.Rules.message then "epoch"
+              else "Meta_bytes" ))
+          (List.filter (fun (f : Lint.Rules.finding) -> f.Lint.Rules.rule = Lint.Rules.r_proto)
+             r.findings)))
+
 let test_r8_probe_constructor_needs_consumer () =
   let r =
     run
@@ -979,6 +1002,7 @@ let suite =
     Alcotest.test_case "R7 waiver names the plan" `Quick test_r7_waiver_names_plan;
     Alcotest.test_case "R8 ship missing everything" `Quick test_r8_ship_missing_everything;
     Alcotest.test_case "R8 fully threaded ship" `Quick test_r8_ship_fully_threaded;
+    Alcotest.test_case "R8 fan-out primitives" `Quick test_r8_fan_out_primitives;
     Alcotest.test_case "R8 epoch only required in core" `Quick
       test_r8_epoch_only_required_in_core;
     Alcotest.test_case "R8 view kind is a consumer" `Quick test_r8_view_kind_is_a_consumer;

@@ -30,7 +30,7 @@ let check_convergence system ~n_dcs ~n_keys =
     let versions =
       List.filter_map
         (fun dc ->
-          let store = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system dc) ~key in
+          let store = Helpers.store_of_key system ~dc ~key in
           Option.map (fun ((v : Kvstore.Value.t), _) -> v.Kvstore.Value.payload)
             (Kvstore.Store.get store ~key))
         (List.init n_dcs Fun.id)

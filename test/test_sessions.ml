@@ -78,7 +78,7 @@ let run_session ~seed =
       if dice < 45 then begin
         let key = Sim.Rng.int rng n_keys in
         let dc = !at in
-        let store = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system dc) ~key in
+        let store = Helpers.store_of_key system ~dc ~key in
         Saturn.System.read system ~client:1 ~home ~dc ~key ~k:(fun _ ->
             (* read the version+label through the store at completion time *)
             check_read key (Kvstore.Store.get store ~key);

@@ -303,7 +303,7 @@ let test_backup_tree_switch () =
   Alcotest.(check bool) "writes continued" true !wrote_after_switch;
   Alcotest.(check bool) "switch completed" true (Saturn.System.switch_complete system);
   for dc = 1 to 2 do
-    let store = Saturn.Datacenter.store_of_key (Saturn.System.datacenter system dc) ~key:2 in
+    let store = Helpers.store_of_key system ~dc ~key:2 in
     Alcotest.(check bool)
       (Printf.sprintf "key 2 visible at dc%d via the backup tree" dc)
       true
