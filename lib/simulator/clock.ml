@@ -1,20 +1,8 @@
-type t = {
-  engine : Engine.t;
-  mutable offset : Time.t;
-  drift_ppm : float;
-  mutable last : Time.t;
-}
+type t = { engine : Engine.t; mutable offset : Time.t; mutable last : Time.t }
 
-let create ?(offset = Time.zero) ?(drift_ppm = 0.) engine =
-  { engine; offset; drift_ppm; last = Time.zero }
-
-let raw t =
-  let now = Engine.now t.engine in
-  let drift = int_of_float (float_of_int (Time.to_us now) *. t.drift_ppm /. 1_000_000.) in
-  Time.max Time.zero (Time.add now (Time.add t.offset (Time.of_us drift)))
-
+let create engine = { engine; offset = Time.zero; last = Time.zero }
+let raw t = Time.max Time.zero (Time.add (Engine.now t.engine) t.offset)
 let peek t = Time.max (raw t) t.last
-
 let bump t d = t.offset <- Time.add t.offset d
 
 let read t =

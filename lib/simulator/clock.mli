@@ -1,16 +1,16 @@
-(** Simulated physical clock with bounded skew and drift.
+(** Simulated physical clock with a skew.
 
     The paper's gears use NTP-synchronized physical clocks to generate
-    monotonically increasing label timestamps. We model each site's clock as
-    [true_time + offset + drift * true_time], with small defaults matching
-    the paper's "negligible after NTP sync" observation. Reads are forced
-    monotonic, exactly like a real gear's clock discipline. *)
+    monotonically increasing label timestamps. We model each datacenter's
+    clock as [true_time + offset]: the offset starts at zero, the
+    "negligible after NTP sync" the paper observes, and {!bump} steps it.
+    Reads are forced monotonic, exactly like a real gear's clock
+    discipline. *)
 
 type t
 
-val create : ?offset:Time.t -> ?drift_ppm:float -> Engine.t -> t
-(** [offset] is a constant skew (may be negative); [drift_ppm] a rate error
-    in parts per million. Defaults: zero offset, zero drift. *)
+val create : Engine.t -> t
+(** A clock with zero skew. *)
 
 val read : t -> Time.t
 (** Current clock value. Guaranteed strictly monotonic across calls: two
@@ -21,6 +21,7 @@ val peek : t -> Time.t
 (** Clock value without the monotonic-bump side effect. *)
 
 val bump : t -> Time.t -> unit
-(** Adds to the constant offset at runtime — a step change in skew, as a
-    bad NTP adjustment would produce. A negative bump never makes reads go
-    backwards: the monotonic discipline in {!read} absorbs it. *)
+(** Adds to the offset — a step change in skew, as a bad NTP adjustment
+    would produce. A bump before the first read skews the clock from the
+    start. A negative bump never makes reads go backwards: the monotonic
+    discipline in {!read} absorbs it. *)

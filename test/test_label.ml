@@ -181,7 +181,9 @@ let test_sink_holds_unstable_labels () =
   (* a gear with a skewed-slow clock must hold back the sink *)
   let e = Sim.Engine.create () in
   let fast = Saturn.Gear.create (Sim.Clock.create e) ~dc:0 ~gear_id:0 in
-  let slow = Saturn.Gear.create (Sim.Clock.create ~offset:(Sim.Time.of_ms (-20)) e) ~dc:0 ~gear_id:1 in
+  let slow_clock = Sim.Clock.create e in
+  Sim.Clock.bump slow_clock (Sim.Time.of_ms (-20));
+  let slow = Saturn.Gear.create slow_clock ~dc:0 ~gear_id:1 in
   let emitted = ref 0 in
   let sink =
     Saturn.Sink.create e ~observer:(Stats.Observer.create ()) ~gears:[| fast; slow |]
