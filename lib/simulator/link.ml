@@ -4,16 +4,13 @@
    A batch is the run of messages sharing one arrival instant: the channel
    schedules one engine event per batch, and every batch event runs the
    channel's one preallocated closure, which pops the oldest batch.
-   Arrivals never decrease (FIFO is enforced under jitter), so batch
+   Arrivals never decrease (FIFO is enforced across latency changes), so batch
    events fire in the order they were scheduled. A batch's epoch is
    checked per message when it fires, so a mid-batch cut still drops
    exactly the in-flight tail. *)
 type t = {
   engine : Engine.t;
   mutable base_latency : Time.t;
-  jitter_us : int;
-  bandwidth : float option;
-  rng : Rng.t option;
   mutable last_arrival : Time.t;
   mutable up : bool;
   mutable epoch : int; (* bumped on cut: invalidates in-flight messages *)
@@ -22,7 +19,6 @@ type t = {
   mutable delivered : int;
   mutable dropped_down : int; (* sent while the link was down *)
   mutable dropped_cut : int; (* in flight when the link was cut *)
-  mutable bytes : int;
 }
 
 type 'm chan = {
@@ -39,14 +35,10 @@ type 'm chan = {
   mutable fire : unit -> unit;
 }
 
-let create ?(jitter_us = 0) ?bandwidth_bytes_per_us ?rng engine ~latency () =
-  if jitter_us > 0 && rng = None then invalid_arg "Link.create: jitter requires an rng";
+let create engine ~latency () =
   {
     engine;
     base_latency = latency;
-    jitter_us;
-    bandwidth = bandwidth_bytes_per_us;
-    rng;
     last_arrival = Time.zero;
     up = true;
     epoch = 0;
@@ -55,21 +47,7 @@ let create ?(jitter_us = 0) ?bandwidth_bytes_per_us ?rng engine ~latency () =
     delivered = 0;
     dropped_down = 0;
     dropped_cut = 0;
-    bytes = 0;
   }
-
-let delay t ~size_bytes =
-  let jitter =
-    match (t.jitter_us, t.rng) with
-    | 0, _ | _, None -> 0
-    | j, Some rng -> Rng.int rng j
-  in
-  let transmission =
-    match t.bandwidth with
-    | None -> 0
-    | Some bw -> if bw <= 0. then 0 else int_of_float (float_of_int size_bytes /. bw)
-  in
-  Time.add t.base_latency (Time.of_us (jitter + transmission))
 
 let fire c =
   let w = c.wire in
@@ -124,15 +102,14 @@ let open_batch c ~epoch =
 let send c ~size_bytes msg =
   let t = c.wire in
   t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + size_bytes;
   if Probe.active () then Probe.link_send ~at:(Engine.now t.engine) ~size_bytes;
   if not t.up then begin
     t.dropped_down <- t.dropped_down + 1;
     if Probe.active () then Probe.link_drop ~at:(Engine.now t.engine) ~in_flight:false
   end
   else begin
-    let now = Engine.now t.engine in
-    let arrival = Time.max (Time.add now (delay t ~size_bytes)) t.last_arrival in
+    (* a latency drop never lets a message overtake one in flight *)
+    let arrival = Time.max (Time.add (Engine.now t.engine) t.base_latency) t.last_arrival in
     t.last_arrival <- arrival;
     Ring.push c.items msg;
     (* the newest batch is still open while it has not fired (batches fire

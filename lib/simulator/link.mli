@@ -5,9 +5,9 @@
     - the FIFO channels connecting serializers and datacenters
       (FIFO order is what makes the tree dissemination causal).
 
-    Delivery time is [now + base latency + jitter + size/bandwidth], but
-    never before a previously sent message: FIFO is enforced even under
-    jitter. A link can be cut and restored to model partitions; messages in
+    Delivery time is [now + latency], but never before a previously sent
+    message: FIFO holds even when {!set_latency} lowers the latency while
+    messages are in flight. A link can be cut and restored to model partitions; messages in
     flight when the link is cut are dropped, messages sent while the link is
     down are dropped.
 
@@ -25,17 +25,8 @@ type t
 type 'm chan
 (** The typed channel of a wire, carrying messages of type ['m]. *)
 
-val create :
-  ?jitter_us:int ->
-  ?bandwidth_bytes_per_us:float ->
-  ?rng:Rng.t ->
-  Engine.t ->
-  latency:Time.t ->
-  unit ->
-  t
-(** [jitter_us] adds a uniform random [0, jitter_us) component per message
-    (requires [rng] when non-zero). [bandwidth_bytes_per_us], when given,
-    adds a size-proportional transmission delay. *)
+val create : Engine.t -> latency:Time.t -> unit -> t
+(** A wire of the given one-way latency, up. *)
 
 val chan : t -> ('m -> unit) -> 'm chan
 (** [chan wire deliver] makes the wire's channel; [deliver] runs on every
@@ -44,7 +35,8 @@ val chan : t -> ('m -> unit) -> 'm chan
 
 val send : 'm chan -> size_bytes:int -> 'm -> unit
 (** Hands [msg] to the channel's handler on the receiving side after the
-    link delay; [size_bytes] is 0 for a metadata-sized message. The size
+    link latency; [size_bytes], 0 for a metadata-sized message, goes to
+    the probe and does not change the delay. The size
     is a required argument, not an optional one: an optional argument
     passed across modules costs a [Some] block per call when cross-module
     inlining is off (dune's default dev profile builds with [-opaque]),
@@ -56,8 +48,8 @@ val send : 'm chan -> size_bytes:int -> 'm -> unit
     fault semantics. *)
 
 val set_latency : t -> Time.t -> unit
-(** Changes the base latency for subsequent messages (used by the
-    latency-variability experiment, Fig. 6). *)
+(** Changes the latency for subsequent messages (used by the
+    latency-variability experiment, Fig. 6, and latency-spike faults). *)
 
 val latency : t -> Time.t
 

@@ -2,7 +2,7 @@
    the typed channel is checked against: every send carries its own
    delivery closure, and each arrival instant gets a fresh batch record
    with its own closure array and its own engine-event closure. Same
-   delay draws, FIFO clamp, batching rule, per-item epoch check, counters
+   latency, FIFO clamp, batching rule, per-item epoch check, counters
    and probe events as the library link, so driven alike the two must
    deliver the same messages at the same times through the same number of
    engine events. *)
@@ -19,9 +19,6 @@ type batch = {
 type t = {
   engine : Engine.t;
   mutable base_latency : Time.t;
-  jitter_us : int;
-  bandwidth : float option;
-  rng : Rng.t option;
   mutable last_arrival : Time.t;
   mutable up : bool;
   mutable epoch : int; (* bumped on cut: invalidates in-flight messages *)
@@ -31,17 +28,12 @@ type t = {
   mutable delivered : int;
   mutable dropped_down : int; (* sent while the link was down *)
   mutable dropped_cut : int; (* in flight when the link was cut *)
-  mutable bytes : int;
 }
 
-let create ?(jitter_us = 0) ?bandwidth_bytes_per_us ?rng engine ~latency () =
-  if jitter_us > 0 && rng = None then invalid_arg "Link.create: jitter requires an rng";
+let create engine ~latency () =
   {
     engine;
     base_latency = latency;
-    jitter_us;
-    bandwidth = bandwidth_bytes_per_us;
-    rng;
     last_arrival = Time.zero;
     up = true;
     epoch = 0;
@@ -51,21 +43,7 @@ let create ?(jitter_us = 0) ?bandwidth_bytes_per_us ?rng engine ~latency () =
     delivered = 0;
     dropped_down = 0;
     dropped_cut = 0;
-    bytes = 0;
   }
-
-let delay t ~size_bytes =
-  let jitter =
-    match (t.jitter_us, t.rng) with
-    | 0, _ | _, None -> 0
-    | j, Some rng -> Rng.int rng j
-  in
-  let transmission =
-    match t.bandwidth with
-    | None -> 0
-    | Some bw -> if bw <= 0. then 0 else int_of_float (float_of_int size_bytes /. bw)
-  in
-  Time.add t.base_latency (Time.of_us (jitter + transmission))
 
 let nop () = ()
 
@@ -106,7 +84,6 @@ let fire t b =
 
 let send t ?(size_bytes = 0) deliver =
   t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + size_bytes;
   if Probe.active () then
     Probe_reference.record ~at:(Engine.now t.engine) (Probe_reference.Link_send { size_bytes });
   if not t.up then begin
@@ -116,8 +93,7 @@ let send t ?(size_bytes = 0) deliver =
         (Probe_reference.Link_drop { in_flight = false })
   end
   else begin
-    let now = Engine.now t.engine in
-    let arrival = Time.max (Time.add now (delay t ~size_bytes)) t.last_arrival in
+    let arrival = Time.max (Time.add (Engine.now t.engine) t.base_latency) t.last_arrival in
     t.last_arrival <- arrival;
     match t.open_batch with
     | Some b
