@@ -291,6 +291,30 @@ let test_fallback_before_label_no_orphan () =
   Alcotest.(check int) "no orphan span end" 0 (Sim.Probe.span_orphans probe);
   Alcotest.(check int) "no open span" 0 (Sim.Probe.open_span_count probe)
 
+let test_forced_switch_closes_listed_span () =
+  (* a label listed in stream mode opened its ordering-wait span; a forced
+     switch then puts the proxy in fallback mode, and the timestamp sweep
+     installs the payload: the span must still close *)
+  let ctx = make_ctx () in
+  let l = ulabel ~ts:10 ~src:1 ~key:1 in
+  let probe = Sim.Probe.create () in
+  Sim.Probe.with_probe probe (fun () ->
+      Saturn.Proxy.on_label ctx.proxy l;
+      Alcotest.(check int) "listed: its span is open" 1 (Sim.Probe.open_span_count probe);
+      Saturn.Proxy.start_forced_switch ctx.proxy ~epoch:1;
+      (* the origin's ship hook opens the bulk-transfer span staging closes *)
+      Sim.Span.begin_ ~at:(Sim.Engine.now ctx.engine) Sim.Span.Sk_bulk ~origin:1
+        ~seq:(Sim.Time.to_us l.ts) ~aux:0 ~site:1 ~peer:0 ~epoch:0;
+      Saturn.Proxy.on_payload ctx.proxy (payload l);
+      Saturn.Proxy.on_heartbeat ctx.proxy ~src:1 (Sim.Time.of_ms 20);
+      Saturn.Proxy.on_heartbeat ctx.proxy ~src:2 (Sim.Time.of_ms 20);
+      Sim.Engine.run ctx.engine);
+  Alcotest.(check bool) "still in fallback mode" true
+    (Saturn.Proxy.mode ctx.proxy = Saturn.Proxy.Fallback);
+  Alcotest.(check (list int)) "installed by the timestamp sweep" [ ts_us 10 ] !(ctx.installed);
+  Alcotest.(check int) "no orphan span end" 0 (Sim.Probe.span_orphans probe);
+  Alcotest.(check int) "no open span" 0 (Sim.Probe.open_span_count probe)
+
 let suite =
   [
     Alcotest.test_case "stream applies in order" `Quick test_stream_applies_in_order;
@@ -306,6 +330,8 @@ let suite =
     Alcotest.test_case "forced epoch switch" `Quick test_epoch_forced_switch;
     Alcotest.test_case "no duplicate installs across paths" `Quick test_no_duplicate_install_across_paths;
     Alcotest.test_case "duplicate staged after apply is a no-op" `Quick test_duplicate_staged_after_apply;
+    Alcotest.test_case "forced switch: a listed label's span closes" `Quick
+      test_forced_switch_closes_listed_span;
     Alcotest.test_case "stream: timestamp-path install before its label opens no span" `Quick
       test_fallback_before_label_no_orphan;
   ]
