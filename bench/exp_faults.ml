@@ -1,37 +1,15 @@
 (* Fault injection: the §6 failure-model scenario matrix.
 
    Runs the fixed-seed matrix — serializer head crash mid-stream, transient
-   metadata-tree partition, latency spike on the tree's busiest edge — for
-   Saturn and the eventual baseline, asserts the fault invariants over each
-   trace, and prints visibility degradation plus recovery time. *)
+   metadata-tree partition, latency spike on the tree's busiest edge, and
+   the reconfiguration rows — prints Fault_run's results table (visibility
+   degradation, recovery time, checker verdicts, combined digest), then the
+   matrix's probe flame. *)
 
 let run () =
   Util.section "Fault injection (§6 failure model)";
   let outcomes = Harness.Fault_run.run_matrix ~seed:42 () in
-  let table =
-    Stats.Table.create ~title:"fault matrix: visibility degradation + recovery"
-      ~columns:
-        [ "scenario"; "system"; "ops"; "vis ms"; "p99 ms"; "recovery ms"; "resends"; "drops";
-          "invariants" ]
-  in
-  List.iter
-    (fun (o : Harness.Fault_run.outcome) ->
-      let r = o.Harness.Fault_run.report in
-      Stats.Table.add_row table
-        [
-          o.Harness.Fault_run.scenario;
-          o.Harness.Fault_run.system;
-          string_of_int o.Harness.Fault_run.ops;
-          Printf.sprintf "%.1f" o.Harness.Fault_run.vis_mean_ms;
-          Printf.sprintf "%.1f" o.Harness.Fault_run.vis_p99_ms;
-          Printf.sprintf "%.1f" o.Harness.Fault_run.recovery_ms;
-          string_of_int r.Faults.Checker.resends;
-          string_of_int (r.Faults.Checker.drops_cut + r.Faults.Checker.drops_down);
-          (if Faults.Checker.ok r then "OK"
-           else Printf.sprintf "%d VIOLATIONS" (List.length r.Faults.Checker.violations));
-        ])
-    outcomes;
-  Util.print_table table;
+  print_string (Harness.Fault_run.render outcomes);
   (* the matrix runs under its own probes; aggregate their flames here *)
   let merge pick =
     let merged = Hashtbl.create 16 in
@@ -40,13 +18,10 @@ let run () =
         List.iter
           (fun (k, n) ->
             Hashtbl.replace merged k (n + Option.value ~default:0 (Hashtbl.find_opt merged k)))
-          (pick o))
+          (pick o.Harness.Fault_run.probe))
       outcomes;
     List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) merged [])
   in
-  Util.flame_table
-    ~span_us:(merge (fun o -> o.Harness.Fault_run.span_us))
-    (merge (fun o -> o.Harness.Fault_run.flame));
-  Util.note "matrix digest: %s" (Harness.Fault_run.matrix_digest outcomes);
+  Util.flame_table ~span_us:(merge Sim.Probe.span_totals_us) (merge Sim.Probe.counts_by_kind);
   let v = Harness.Fault_run.violations outcomes in
   if v > 0 then Util.note "WARNING: %d invariant violation(s)" v

@@ -8,8 +8,6 @@ type outcome = {
   report : Faults.Checker.report;
   digest : string;
   n_events : int;
-  flame : (string * int) list;
-  span_us : (string * int) list;
   registry : Stats.Registry.t;
   series : Stats.Series.t;
   fault_at_us : int option;
@@ -254,8 +252,6 @@ let run_one ~seed ~scenario ~system ~busiest =
     report = Faults.Checker.report checker;
     digest = Sim.Probe.digest probe;
     n_events = Sim.Probe.count probe;
-    flame = Sim.Probe.counts_by_kind probe;
-    span_us = Sim.Probe.span_totals_us probe;
     registry;
     series;
     fault_at_us = Option.map Sim.Time.to_us (fault_onset plan);

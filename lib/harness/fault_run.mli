@@ -40,8 +40,6 @@ type outcome = {
           [Faults.Checker.analyze probe] *)
   digest : string;  (** probe digest of this run *)
   n_events : int;
-  flame : (string * int) list;  (** probe event counts by kind, name-sorted *)
-  span_us : (string * int) list;  (** matched-span µs by span kind, name-sorted *)
   registry : Stats.Registry.t;
       (** the run's counters: [metrics.*], the injector's fault counters
           and [probe.*] event counts. Only Saturn rows hand it to

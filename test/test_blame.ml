@@ -163,8 +163,6 @@ let test_gap_recovery_wired () =
       report = Faults.Checker.analyze (Sim.Probe.create ());
       digest = "";
       n_events = 0;
-      flame = [];
-      span_us = [];
       registry = Stats.Registry.create ();
       series;
       fault_at_us = Some 400_000;
